@@ -8,10 +8,10 @@ members out to worker processes and --only to run a subset.
 """
 
 import argparse
+import dataclasses
 import sys
 import time
 
-from dtqw.config import apply_overrides
 from dtqw.scenarios import preset, preset_names, run_scenario
 
 
@@ -29,7 +29,7 @@ def main(argv=None) -> int:
 
     grand_start = time.time()
     for name in names:
-        cfg = apply_overrides(preset(name), out_dir=f"{args.out}/{name}")
+        cfg = dataclasses.replace(preset(name), out_dir=f"{args.out}/{name}")
         print(f"== {name}: steps={cfg.steps} configs={cfg.configs} disorder={cfg.disorder.value}")
         manifest = run_scenario(cfg, n_jobs=args.jobs)
         print(f"   {len(manifest.files)} file(s) in {manifest.duration_seconds:.1f}s -> {cfg.out_dir}")

@@ -9,19 +9,15 @@ from .core import (  # noqa: F401
     WalkerState,
     delta_state,
     evolve,
-    hadamard_coin,
     lattice_for,
     modes_to_state,
-    phased_coin,
     position_distribution,
     state_to_modes,
-    step,
 )
 from .disorder import (  # noqa: F401
     DisorderKind,
     PhaseField,
     ordered_field,
-    phase_field_from_json,
     sample_phase_field,
 )
 from .two_particle import (  # noqa: F401
@@ -29,7 +25,6 @@ from .two_particle import (  # noqa: F401
     JointDistribution,
     TwoParticleInput,
     aggregate_to_positions,
-    detection_probabilities,
     distinguishable_joint,
     joint_mode_distribution,
     joint_position_distribution,

@@ -10,13 +10,14 @@ override file values, which override the preset defaults.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
-from .config import FORMAT_CHOICES, SYMMETRY_CHOICES, scenario_from_dict
+from .config import FORMAT_CHOICES, SYMMETRY_CHOICES, ScenarioConfig, scenario_from_dict
 from .disorder import DisorderKind
-from .scenarios import preset, preset_names, run_scenario
+from .scenarios import check_config, preset, preset_names, run_scenario
 
 
 class _Parser(argparse.ArgumentParser):
@@ -39,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--configs", type=int, help="number of disorder configurations")
     parser.add_argument("--seed", type=int, help="base seed; configuration i uses seed + i")
     parser.add_argument("--symmetry", choices=SYMMETRY_CHOICES, help="exchange symmetry selection")
-    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
     parser.add_argument("--format", choices=FORMAT_CHOICES, help="table format")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers over configurations")
     return parser
@@ -66,24 +67,17 @@ def main(argv=None) -> int:
     if not name:
         parser.error("--scenario (or a config file with a name) is required")
 
-    overrides = {
-        "steps": args.steps,
-        "disorder": args.disorder,
-        "phi_max": args.phi_max,
-        "phi_static": args.phi_static,
-        "phi_dynamic": args.phi_dynamic,
-        "configs": args.configs,
-        "seed": args.seed,
-        "symmetry": args.symmetry,
-        "out_dir": args.out,
-        "format": args.format,
-    }
+    fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
+    given = {k: v for k, v in file_doc.items() if k != "name"}
+    given.update({k: v for k, v in vars(args).items() if k in fields and v is not None})
     try:
         doc = preset(name).to_dict()
-        doc.update({k: v for k, v in file_doc.items() if k != "name"})
-        doc.update({k: v for k, v in overrides.items() if v is not None})
+        doc.update(given)
         cfg = scenario_from_dict(doc)
         cfg.validate()
+        check_config(cfg, given)
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     except (ValueError, TypeError) as exc:
         print(f"dtqw: invalid configuration: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -55,10 +56,17 @@ class ScenarioConfig:
         self.sweep_values = tuple(float(v) for v in self.sweep_values)
 
     def validate(self) -> None:
+        for label in ("steps", "configs", "seed"):
+            value = getattr(self, label)
+            # bool is an Integral; JSON true must not pass for 1
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{label} must be an integer, got {value!r}")
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
         if self.configs < 1:
             raise ValueError("configs must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for label, value in (
             ("phi_max", self.phi_max),
             ("phi_static", self.phi_static),
@@ -98,16 +106,6 @@ class ScenarioConfig:
     def resolved_phi_dynamic(self) -> float:
         return float(self.phi_max if self.phi_dynamic is None else self.phi_dynamic)
 
-    def strength_summary(self) -> dict[str, float]:
-        if self.disorder is DisorderKind.ORDERED:
-            return {}
-        if self.disorder is DisorderKind.COMBINED:
-            return {
-                "phi_static": self.resolved_phi_static(),
-                "phi_dynamic": self.resolved_phi_dynamic(),
-            }
-        return {"phi_max": float(self.phi_max)}
-
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
         doc["disorder"] = self.disorder.value
@@ -123,20 +121,9 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     unknown = set(doc) - known
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = dict(doc)
-    if "start_a" in kwargs:
-        kwargs["start_a"] = tuple(kwargs["start_a"])
-    if "start_b" in kwargs:
-        kwargs["start_b"] = tuple(kwargs["start_b"])
-    return ScenarioConfig(**kwargs)
+    return ScenarioConfig(**doc)  # __post_init__ turns JSON lists into tuples
 
 
 def load_scenario_json(path: str | Path) -> ScenarioConfig:
     with open(path, "r", encoding="utf-8") as fh:
         return scenario_from_dict(json.load(fh))
-
-
-def apply_overrides(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Replace fields with non-None override values (CLI flags win)."""
-    updates = {k: v for k, v in overrides.items() if v is not None}
-    return dataclasses.replace(cfg, **updates) if updates else cfg

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,25 +30,6 @@ COIN_R = 1
 
 class LatticeOverflowError(RuntimeError):
     """A step would push amplitude past the edge of the allocated lattice."""
-
-
-def hadamard_coin() -> np.ndarray:
-    """Return the 2x2 Hadamard coin (1/sqrt(2)) [[1, 1], [1, -1]]."""
-    return np.array([[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]], dtype=np.complex128)
-
-
-def phased_coin(phi_l: float, phi_r: float) -> np.ndarray:
-    """Return diag(e^{i phi_l}, e^{i phi_r}) @ H, the phased Hadamard coin.
-
-    Both phases must be finite reals; any value is accepted (phases act
-    mod 2 pi).  phased_coin(0, 0) is exactly the plain Hadamard coin.
-    """
-    if not (math.isfinite(phi_l) and math.isfinite(phi_r)):
-        raise ValueError(f"coin phases must be finite, got ({phi_l}, {phi_r})")
-    h = hadamard_coin()
-    h[0] *= np.exp(1j * phi_l)
-    h[1] *= np.exp(1j * phi_r)
-    return h
 
 
 @dataclass
@@ -134,22 +115,6 @@ def _phased_step(amplitudes: np.ndarray, phi_l: np.ndarray, phi_r: np.ndarray) -
     coined[:, 0] = np.exp(1j * phi_l) * (a + b) * INV_SQRT2
     coined[:, 1] = np.exp(1j * phi_r) * (a - b) * INV_SQRT2
     return _shift(coined)
-
-
-def step(state: WalkerState, coin_for: Callable[[int], np.ndarray]) -> WalkerState:
-    """Apply one step U = S (C x I) with an arbitrary coin at each site.
-
-    ``coin_for`` maps a signed position to a 2x2 unitary; it is consulted only
-    at sites holding amplitude.  Raises LatticeOverflowError if the state
-    touches the lattice edge.
-    """
-    amps = state.amplitudes
-    _check_edges(amps)
-    coined = np.zeros_like(amps)
-    for i in np.nonzero(np.abs(amps).sum(axis=1) > 0)[0]:
-        m = np.asarray(coin_for(int(i - state.origin)))
-        coined[i] = m @ amps[i]
-    return WalkerState(_shift(coined), state.origin)
 
 
 def evolve(initial: WalkerState, steps: int, field, record: bool = False):

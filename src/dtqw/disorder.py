@@ -18,7 +18,6 @@ safe to share across parallel evolutions.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,57 +101,6 @@ class PhaseField:
             raise IndexError(f"position {x} outside the field lattice")
         phi_l, phi_r = self.step_phases(t)
         return float(phi_l[i]), float(phi_r[i])
-
-    def to_json(self, include_tables: bool = False) -> str:
-        """Serialize for run archival (kind, strengths, seed, dimensions)."""
-        doc = {
-            "kind": self.kind.value,
-            "phi_static": self.phi_static,
-            "phi_dynamic": self.phi_dynamic,
-            "seed": self.seed,
-            "steps": self.steps,
-            "n_sites": self.n_sites,
-            "origin": self.origin,
-            "generator": GENERATOR_ID,
-        }
-        if include_tables:
-            doc["tables"] = {
-                name: getattr(self, name).tolist()
-                for name in ("site_l", "site_r", "step_l", "step_r", "fluct_l", "fluct_r")
-                if getattr(self, name) is not None
-            }
-        return json.dumps(doc, indent=2)
-
-
-def phase_field_from_json(text: str) -> PhaseField:
-    """Rebuild a field from :meth:`PhaseField.to_json` output.
-
-    Without embedded tables the field is resampled from (kind, strengths,
-    seed), which is bit-identical under the recorded generator.
-    """
-    doc = json.loads(text)
-    kind = DisorderKind(doc["kind"])
-    tables = doc.get("tables")
-    if tables is None:
-        return sample_phase_field(
-            kind,
-            phi_static=doc["phi_static"],
-            phi_dynamic=doc["phi_dynamic"],
-            steps=doc["steps"],
-            n_sites=doc["n_sites"],
-            origin=doc["origin"],
-            seed=doc["seed"],
-        )
-    return PhaseField(
-        kind=kind,
-        phi_static=doc["phi_static"],
-        phi_dynamic=doc["phi_dynamic"],
-        seed=doc["seed"],
-        steps=doc["steps"],
-        n_sites=doc["n_sites"],
-        origin=doc["origin"],
-        **{name: np.asarray(value) for name, value in tables.items()},
-    )
 
 
 def _check_strength(name: str, value: float) -> float:

@@ -10,8 +10,8 @@ population standard deviations are taken across configurations.  Averaged
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class ObservableSeries:
     mean: np.ndarray
     std_dev: np.ndarray
     configs: int
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self.steps = np.asarray(self.steps)
@@ -106,11 +105,13 @@ def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int, origin: int) -> Pha
     )
 
 
-def _start_states(cfg: ScenarioConfig, n_sites: int, origin: int) -> tuple[WalkerState, WalkerState]:
-    (xa, ca), (xb, cb) = cfg.start_a, cfg.start_b
-    return (
-        delta_state(n_sites, origin, xa, COIN_NAMES[ca]),
-        delta_state(n_sites, origin, xb, COIN_NAMES[cb]),
+def _evolve_pair(cfg: ScenarioConfig, seed: int, record: bool) -> tuple:
+    """Walkers A and B evolved under the field of ``seed`` (snapshot lists if ``record``)."""
+    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
+    fld = _field_for(cfg, seed, n_sites, origin)
+    return tuple(
+        evolve(delta_state(n_sites, origin, x, COIN_NAMES[coin]), cfg.steps, fld, record=record)
+        for x, coin in (cfg.start_a, cfg.start_b)
     )
 
 
@@ -124,13 +125,22 @@ def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
     return (ExchangeSymmetry(cfg.symmetry),)
 
 
+def _map_configs(fn: Callable, tasks: list, n_jobs: int) -> list:
+    """``fn`` over per-configuration tasks in order, in worker processes if ``n_jobs > 1``."""
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    if n_jobs == 1:
+        return [fn(task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        return list(pool.map(fn, tasks))
+
+
 def _joints_at_step(
     snaps_a: Sequence[WalkerState],
     snaps_b: Sequence[WalkerState],
     t: int,
     cfg: ScenarioConfig,
     syms: Sequence[ExchangeSymmetry],
-    level: str,
 ) -> dict[ExchangeSymmetry, JointDistribution]:
     # Crop to the union light cone; discarded amplitudes are exactly zero.
     state = snaps_a[t]
@@ -139,22 +149,19 @@ def _joints_at_step(
     inp = TwoParticleInput(_crop(snaps_a[t], lo, hi), _crop(snaps_b[t], lo, hi))
     out = {}
     for sym in syms:
+        # Bound on purpose: inlining this call frees the mode matrix earlier and measured slower.
         joint = joint_mode_distribution(inp, sym)
-        out[sym] = aggregate_to_positions(joint) if level == "position" else joint
+        out[sym] = aggregate_to_positions(joint)
     return out
 
 
 def _series_for_config(args) -> np.ndarray:
-    cfg, seed, eval_steps, level = args
+    cfg, seed, eval_steps = args
     syms = resolved_symmetries(cfg)
-    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
-    fld = _field_for(cfg, seed, n_sites, origin)
-    state_a, state_b = _start_states(cfg, n_sites, origin)
-    snaps_a = evolve(state_a, cfg.steps, fld, record=True)
-    snaps_b = evolve(state_b, cfg.steps, fld, record=True)
+    snaps_a, snaps_b = _evolve_pair(cfg, seed, record=True)
     values = np.empty((len(cfg.observables), len(syms), len(eval_steps)))
     for k, t in enumerate(eval_steps):
-        joints = _joints_at_step(snaps_a, snaps_b, t, cfg, syms, level)
+        joints = _joints_at_step(snaps_a, snaps_b, t, cfg, syms)
         for j, sym in enumerate(syms):
             for i, obs in enumerate(cfg.observables):
                 values[i, j, k] = _OBSERVABLES[obs](joints[sym])
@@ -165,7 +172,6 @@ def ensemble_run(
     cfg: ScenarioConfig,
     eval_steps: Optional[Sequence[int]] = None,
     n_jobs: int = 1,
-    level: str = "position",
 ) -> dict[tuple[str, str], ObservableSeries]:
     """Evolve ``cfg.configs`` disorder realizations and fold the observables.
 
@@ -177,21 +183,14 @@ def ensemble_run(
     independently and merged in configuration order.
     """
     cfg.validate()
-    if level not in ("position", "mode"):
-        raise ValueError(f"level must be 'position' or 'mode', got {level!r}")
     if eval_steps is None:
         eval_steps = range(cfg.steps + 1)
     eval_steps = [int(t) for t in eval_steps]
     if any(t < 0 or t > cfg.steps for t in eval_steps):
         raise ValueError("eval_steps must lie in 0..steps")
 
-    tasks = [(cfg, cfg.seed + i, eval_steps, level) for i in range(cfg.configs)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            stacks = list(pool.map(_series_for_config, tasks))
-    else:
-        stacks = [_series_for_config(t) for t in tasks]
-    cube = np.stack(stacks)  # (configs, obs, sym, steps)
+    tasks = [(cfg, cfg.seed + i, eval_steps) for i in range(cfg.configs)]
+    cube = np.stack(_map_configs(_series_for_config, tasks, n_jobs))  # (configs, obs, sym, steps)
 
     syms = resolved_symmetries(cfg)
     out: dict[tuple[str, str], ObservableSeries] = {}
@@ -211,14 +210,6 @@ def ensemble_run(
                 mean=mean,
                 std_dev=std,
                 configs=cfg.configs,
-                metadata={
-                    "scenario": cfg.name,
-                    "disorder": cfg.disorder.value,
-                    **cfg.strength_summary(),
-                    "symmetry": sym.value,
-                    "base_seed": cfg.seed,
-                    "level": level,
-                },
             )
     return out
 
@@ -226,13 +217,7 @@ def ensemble_run(
 def _joints_for_config(args) -> tuple[np.ndarray, ...]:
     cfg, seed = args
     syms = resolved_symmetries(cfg)
-    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
-    fld = _field_for(cfg, seed, n_sites, origin)
-    state_a, state_b = _start_states(cfg, n_sites, origin)
-    inp = TwoParticleInput(
-        evolve(state_a, cfg.steps, fld),
-        evolve(state_b, cfg.steps, fld),
-    )
+    inp = TwoParticleInput(*_evolve_pair(cfg, seed, record=False))
     matrices = tuple(
         aggregate_to_positions(joint_mode_distribution(inp, sym)).matrix for sym in syms
     )
@@ -254,11 +239,7 @@ def ensemble_average_joints(
     positions = np.arange(n_sites) - origin
 
     tasks = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
-    if n_jobs > 1:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(_joints_for_config, tasks))
-    else:
-        results = [_joints_for_config(t) for t in tasks]
+    results = _map_configs(_joints_for_config, tasks, n_jobs)
 
     acc = [np.zeros((n_sites, n_sites)) for _ in syms]
     marg = np.zeros(n_sites)

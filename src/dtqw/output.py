@@ -15,8 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .observables import ObservableSeries
-
 
 @dataclass
 class Table:
@@ -95,36 +93,6 @@ def joint_table(name: str, matrix: np.ndarray, positions: Sequence[int]) -> Tabl
     return Table(name=name, columns=("x", "y", "p"), rows=rows)
 
 
-def dense_joint_json(joint) -> dict:
-    """Dense-matrix JSON form of a JointDistribution."""
-    return {
-        "size": joint.size,
-        "symmetry": joint.symmetry.value,
-        "level": joint.level,
-        "positions": [int(x) for x in joint.positions],
-        "matrix": joint.matrix.tolist(),
-    }
-
-
 def marginal_table(name: str, marginal: np.ndarray, positions: Sequence[int]) -> Table:
     rows = [(int(x), float(p)) for x, p in zip(positions, marginal)]
     return Table(name=name, columns=("x", "p"), rows=rows)
-
-
-def series_table(series: ObservableSeries, name: str) -> Table:
-    rows = [
-        (int(t), float(m), float(s))
-        for t, m, s in zip(series.steps, series.mean, series.std_dev)
-    ]
-    return Table(name=name, columns=("step", "mean", "std_dev"), rows=rows)
-
-
-def write_series_csv(series: ObservableSeries, out_dir: str | Path, stem: str) -> list[Path]:
-    """One observable series as ``<stem>.csv`` plus a JSON metadata sidecar."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / f"{stem}.csv"
-    write_table_csv(series_table(series, stem), csv_path)
-    meta_path = out / f"{stem}.meta.json"
-    write_json({"name": series.name, "configs": series.configs, **series.metadata}, meta_path)
-    return [csv_path, meta_path]

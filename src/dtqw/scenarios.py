@@ -1,7 +1,7 @@
 """Built-in experiment presets and the scenario pipeline.
 
-Each preset bundles the disorder kind(s), step count, ensemble size and
-emitted files of one standard experiment:
+Each preset pairs the configuration of one standard experiment (steps,
+strengths, ensemble size, seed) with a ``Plan`` of what to evolve and emit:
 
     fig2   ordered two-walker joint distributions, t=50
     fig3   static disorder joints + localization-length fit, t=50, n=100
@@ -17,6 +17,11 @@ emitted files of one standard experiment:
     fig8   joint entropy vs step, t=100, n=50
     fig9   mutual information vs step, t=100, n=50
 
+Two runners read the plans: one averages joint maps at the final step and
+fits their marginal (fig2-fig4, fluct); one loops disorder kind x sweep value
+x symmetry x step (fig5-fig9, whose disorder kinds are fixed).  A config that
+sweeps a strength is measured at its final step only.
+
 ``run_scenario`` executes a preset configuration (possibly with overridden
 fields), writes the result tables plus a reproducibility manifest, and is
 byte-deterministic in (config, seed) for every data file.
@@ -29,30 +34,22 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import __version__
 from .config import ScenarioConfig
 from .disorder import GENERATOR_ID, DisorderKind
 from .fitting import FitError, fit_exponential_decay, fit_gaussian_semilog, fit_power_law
-from .observables import classical_baseline, ensemble_average_joints, ensemble_run
+from .observables import classical_baseline, ensemble_average_joints, ensemble_run, resolved_symmetries
 from .output import Table, emit_results, joint_table, marginal_table, sha256_file, write_json
+from .two_particle import ExchangeSymmetry
 
 STRENGTH_GRID = tuple(k * math.pi / 10 for k in range(11))
-
-_SERIES_KINDS = (
-    DisorderKind.ORDERED,
-    DisorderKind.DYNAMIC,
-    DisorderKind.FLUCTUATING,
-    DisorderKind.COMBINED,
-    DisorderKind.STATIC,
-)
-_INFO_KINDS = (DisorderKind.ORDERED, DisorderKind.DYNAMIC, DisorderKind.STATIC)
 
 
 @dataclass
 class RunManifest:
     scenario: dict
+    kinds: list[str]  # disorder kinds evolved, in run order
     artifact_version: str
     generator: str
     base_seed: int
@@ -63,164 +60,156 @@ class RunManifest:
         return dataclasses.asdict(self)
 
 
-def _presets() -> dict[str, ScenarioConfig]:
-    pi = math.pi
+@dataclass(frozen=True)
+class Plan:
+    """What a preset evolves and emits; nothing here is user-settable.
+
+    Without a ``table`` the preset writes averaged joint maps.  With one it
+    writes a grid table whose columns are ``keys + stats``; the first key
+    holds the step, or the swept strength.  ``kinds`` fixes the disorder
+    kinds evolved, in order (empty: the config's own ``disorder``).  ``fits``
+    and ``docs`` name the fits and derived documents to emit.
+    """
+
+    table: str | None = None
+    keys: tuple[str, ...] = ()
+    stats: tuple[str, ...] = ()
+    kinds: tuple[DisorderKind, ...] = ()
+    fits: tuple[str, ...] = ()
+    docs: tuple[str, ...] = ()
+
+
+def _preset_table() -> dict[str, tuple[ScenarioConfig, Plan]]:
+    pi, K = math.pi, DisorderKind
+    series, var, info = ("step", "kind", "symmetry"), ("var_mean", "var_std"), ("mean", "std_dev")
+    info_kinds = (K.ORDERED, K.DYNAMIC, K.STATIC)
+    wings = ("semilog_parabola", "exponential_wing")
     return {
-        "fig2": ScenarioConfig("fig2", steps=50, disorder=DisorderKind.ORDERED, configs=1, seed=200),
-        "fig3": ScenarioConfig("fig3", steps=50, disorder=DisorderKind.STATIC, phi_max=pi, configs=100, seed=300),
-        "fig4": ScenarioConfig("fig4", steps=50, disorder=DisorderKind.DYNAMIC, phi_max=pi, configs=100, seed=400),
-        "fluct": ScenarioConfig(
-            "fluct", steps=50, disorder=DisorderKind.COMBINED, phi_static=pi, phi_dynamic=pi, configs=100, seed=450
-        ),
-        "fig5": ScenarioConfig(
-            "fig5", steps=100, phi_max=pi, configs=100, seed=500, observables=("variance",)
-        ),
-        "fig6": ScenarioConfig(
-            "fig6", steps=100, configs=100, seed=600, observables=("variance",),
-            sweep_parameter="phi_max", sweep_values=STRENGTH_GRID,
-        ),
-        "fig7": ScenarioConfig(
-            "fig7", steps=100, disorder=DisorderKind.COMBINED, phi_static=pi, configs=100, seed=700,
-            observables=("variance",), sweep_parameter="phi_dynamic", sweep_values=STRENGTH_GRID,
-        ),
-        "fig8": ScenarioConfig("fig8", steps=100, phi_max=pi, configs=50, seed=800, observables=("entropy",)),
-        "fig9": ScenarioConfig(
-            "fig9", steps=100, phi_max=pi, configs=50, seed=900, observables=("mutual_information",)
-        ),
+        "fig2": (ScenarioConfig("fig2", steps=50, configs=1, seed=200), Plan()),
+        "fig3": (ScenarioConfig("fig3", steps=50, disorder=K.STATIC, phi_max=pi, configs=100, seed=300),
+                 Plan(fits=("exponential_wing",))),
+        "fig4": (ScenarioConfig("fig4", steps=50, disorder=K.DYNAMIC, phi_max=pi, configs=100, seed=400),
+                 Plan(fits=wings)),
+        "fluct": (ScenarioConfig("fluct", steps=50, disorder=K.COMBINED, phi_static=pi, phi_dynamic=pi,
+                                 configs=100, seed=450), Plan(fits=wings)),
+        "fig5": (ScenarioConfig("fig5", steps=100, phi_max=pi, configs=100, seed=500),
+                 Plan("variance_vs_t", series, var, (K.ORDERED, K.DYNAMIC, K.FLUCTUATING, K.COMBINED, K.STATIC),
+                      fits=("power_law",))),
+        "fig6": (ScenarioConfig("fig6", steps=100, configs=100, seed=600,
+                                sweep_parameter="phi_max", sweep_values=STRENGTH_GRID),
+                 Plan("variance_vs_phi", ("phi", "kind", "symmetry"), var, (K.STATIC, K.DYNAMIC))),
+        "fig7": (ScenarioConfig("fig7", steps=100, disorder=K.COMBINED, phi_static=pi, configs=100, seed=700,
+                                sweep_parameter="phi_dynamic", sweep_values=STRENGTH_GRID),
+                 Plan("variance_vs_phi_dynamic", ("phi_dynamic", "symmetry"), var, (K.COMBINED,),
+                      docs=("mobility_edge",))),
+        "fig8": (ScenarioConfig("fig8", steps=100, phi_max=pi, configs=50, seed=800, observables=("entropy",)),
+                 Plan("entropy_vs_t", series, info, info_kinds)),
+        "fig9": (ScenarioConfig("fig9", steps=100, phi_max=pi, configs=50, seed=900,
+                                observables=("mutual_information",)),
+                 Plan("mutual_information_vs_t", series, info, info_kinds)),
     }
 
 
+_PRESETS = _preset_table()
+
+
 def preset_names() -> tuple[str, ...]:
-    return tuple(_presets())
+    return tuple(_PRESETS)
+
+
+def _lookup(name: str) -> tuple[ScenarioConfig, Plan]:
+    if name not in _PRESETS:
+        raise ValueError(f"unknown scenario {name!r}; available: {', '.join(_PRESETS)}")
+    return _PRESETS[name]
 
 
 def preset(name: str) -> ScenarioConfig:
-    presets = _presets()
-    if name not in presets:
-        raise ValueError(f"unknown scenario {name!r}; available: {', '.join(presets)}")
-    cfg = presets[name]
+    cfg, _ = _lookup(name)
     return dataclasses.replace(cfg, out_dir=str(Path("results") / name))
 
 
-def _sym_names(cfg: ScenarioConfig) -> tuple[str, ...]:
-    if cfg.symmetry == "both":
-        return ("bosonic", "fermionic")
-    return (cfg.symmetry,)
+def check_config(cfg: ScenarioConfig, given: dict) -> None:
+    """Reject what the plan of preset ``cfg.name`` would ignore or mislabel;
+    ``given`` holds the fields that flags or a config file set."""
+    base, plan = _lookup(cfg.name)
+    if plan.kinds and ("disorder" in given or cfg.disorder is not base.disorder):
+        raise ValueError(f"{cfg.name} always evolves {'/'.join(k.value for k in plan.kinds)} disorder; drop 'disorder'")
+    for key in ("observables", "sweep_parameter") + (() if base.sweep_parameter else ("sweep_values",)):
+        if getattr(cfg, key) != getattr(base, key):
+            raise ValueError(f"{cfg.name} fixes {key} to {getattr(base, key)!r}")
 
 
-def _fit_or_error(fit: Callable, *args, **kwargs) -> dict:
+# Joint-map fits take (marginal, positions, center), grid fits one series.
+# The lambdas look the fit functions up when called, not at import.
+_FITS = {
+    "power_law": lambda series: fit_power_law(series),
+    "semilog_parabola": lambda marg, positions, center: fit_gaussian_semilog(marg, positions),
+    "exponential_wing": lambda marg, positions, center: fit_exponential_decay(marg, positions, center),
+}
+
+
+def _fit(name: str, *data) -> dict:
     try:
-        return fit(*args, **kwargs).to_dict()
+        return _FITS[name](*data).to_dict()
     except FitError as exc:
         return {"error": str(exc)}
 
 
-def _plan_joints(cfg: ScenarioConfig, n_jobs: int):
-    joints, marg, positions = ensemble_average_joints(cfg, n_jobs=n_jobs)
-    tables = []
-    for sym, joint in joints.items():
-        suffix = "bose" if sym.value == "bosonic" else "fermi"
-        tables.append(joint_table(f"joint_{suffix}", joint.matrix, positions))
-    tables.append(marginal_table("marginal", marg, positions))
-
-    docs = {}
-    center = 0.5 * sum(cfg.start_sites)
-    if cfg.name == "fig3":
-        docs["fits"] = {"exponential_wing": _fit_or_error(fit_exponential_decay, marg, positions, center)}
-    elif cfg.name in ("fig4", "fluct"):
-        docs["fits"] = {
-            "semilog_parabola": _fit_or_error(fit_gaussian_semilog, marg, positions),
-            "exponential_wing": _fit_or_error(fit_exponential_decay, marg, positions, center),
-        }
-    return tables, docs
-
-
-def _baseline_table(steps: int, per_step: bool) -> Table:
-    if per_step:
-        rows = [(t, classical_baseline(t)) for t in range(steps + 1)]
-    else:
-        rows = [(steps, classical_baseline(steps))]
-    return Table("classical_baseline", ("step", "variance"), rows)
-
-
-def _plan_variance_series(cfg: ScenarioConfig, n_jobs: int):
-    table = Table("variance_vs_t", ("step", "kind", "symmetry", "var_mean", "var_std"))
-    fits: dict[str, dict] = {}
-    for kind in _SERIES_KINDS:
-        sub = dataclasses.replace(cfg, disorder=kind, observables=("variance",))
-        series = ensemble_run(sub, n_jobs=n_jobs)
-        for sym in _sym_names(cfg):
-            s = series[("variance", sym)]
-            for t, m, sd in zip(s.steps, s.mean, s.std_dev):
-                table.rows.append((int(t), kind.value, sym, float(m), float(sd)))
-            fits[f"{kind.value}_{sym}"] = _fit_or_error(fit_power_law, s)
-    return [table, _baseline_table(cfg.steps, per_step=True)], {"fits": fits}
-
-
-def _plan_strength_sweep(cfg: ScenarioConfig, n_jobs: int):
-    table = Table("variance_vs_phi", ("phi", "kind", "symmetry", "var_mean", "var_std"))
-    for kind in (DisorderKind.STATIC, DisorderKind.DYNAMIC):
-        for phi in cfg.sweep_values:
-            sub = dataclasses.replace(
-                cfg, disorder=kind, phi_max=phi, observables=("variance",),
-                sweep_parameter=None, sweep_values=(),
-            )
-            series = ensemble_run(sub, eval_steps=[cfg.steps], n_jobs=n_jobs)
-            for sym in _sym_names(cfg):
-                s = series[("variance", sym)]
-                table.rows.append((float(phi), kind.value, sym, float(s.mean[0]), float(s.std_dev[0])))
-    return [table, _baseline_table(cfg.steps, per_step=False)], {}
-
-
-def _plan_mobility(cfg: ScenarioConfig, n_jobs: int):
-    table = Table("variance_vs_phi_dynamic", ("phi_dynamic", "symmetry", "var_mean", "var_std"))
-    crossings: dict[str, float | None] = {sym: None for sym in _sym_names(cfg)}
+def _mobility_edge(cfg: ScenarioConfig, table: Table) -> dict:
+    """First swept strength at which each symmetry's variance beats the classical baseline."""
     baseline = classical_baseline(cfg.steps)
-    for phi in cfg.sweep_values:
-        sub = dataclasses.replace(
-            cfg, disorder=DisorderKind.COMBINED, phi_dynamic=phi, observables=("variance",),
-            sweep_parameter=None, sweep_values=(),
-        )
-        series = ensemble_run(sub, eval_steps=[cfg.steps], n_jobs=n_jobs)
-        for sym in _sym_names(cfg):
-            s = series[("variance", sym)]
-            table.rows.append((float(phi), sym, float(s.mean[0]), float(s.std_dev[0])))
-            if crossings[sym] is None and s.mean[0] > baseline:
-                crossings[sym] = float(phi)
-    doc = {
+    crossings: dict[str, float | None] = {sym.value: None for sym in resolved_symmetries(cfg)}
+    for row in table.rows:
+        point = dict(zip(table.columns, row))
+        if crossings[point["symmetry"]] is None and point["var_mean"] > baseline:
+            crossings[point["symmetry"]] = row[0]
+    return {
         "classical_baseline": baseline,
         "phi_static": cfg.resolved_phi_static(),
         "grid": list(cfg.sweep_values),
         "first_crossing": crossings,
     }
-    return [table, _baseline_table(cfg.steps, per_step=False)], {"mobility_edge": doc}
 
 
-def _plan_info_series(cfg: ScenarioConfig, n_jobs: int):
+_DOCS = {"mobility_edge": _mobility_edge}
+
+
+def _run_joints(cfg: ScenarioConfig, plan: Plan, n_jobs: int) -> tuple[list[Table], dict]:
+    """Averaged joint maps and marginal at the final step; returns (tables, fits)."""
+    joints, marg, positions = ensemble_average_joints(cfg, n_jobs=n_jobs)
+    tables = [
+        joint_table("joint_bose" if sym is ExchangeSymmetry.BOSONIC else "joint_fermi", joint.matrix, positions)
+        for sym, joint in joints.items()
+    ]
+    tables.append(marginal_table("marginal", marg, positions))
+    center = 0.5 * sum(cfg.start_sites)
+    return tables, {name: _fit(name, marg, positions, center) for name in plan.fits}
+
+
+def _run_grid(cfg: ScenarioConfig, plan: Plan, kinds: tuple, n_jobs: int) -> tuple[list[Table], dict]:
+    """One row per kind x sweep value x symmetry x step; returns (tables, fits)."""
     observable = cfg.observables[0]
-    stem = "entropy_vs_t" if observable == "entropy" else "mutual_information_vs_t"
-    table = Table(stem, ("step", "kind", "symmetry", "mean", "std_dev"))
-    for kind in _INFO_KINDS:
-        sub = dataclasses.replace(cfg, disorder=kind, observables=(observable,))
-        series = ensemble_run(sub, n_jobs=n_jobs)
-        for sym in _sym_names(cfg):
-            s = series[(observable, sym)]
-            for t, m, sd in zip(s.steps, s.mean, s.std_dev):
-                table.rows.append((int(t), kind.value, sym, float(m), float(sd)))
-    return [table], {}
-
-
-_PLANS = {
-    "fig2": _plan_joints,
-    "fig3": _plan_joints,
-    "fig4": _plan_joints,
-    "fluct": _plan_joints,
-    "fig5": _plan_variance_series,
-    "fig6": _plan_strength_sweep,
-    "fig7": _plan_mobility,
-    "fig8": _plan_info_series,
-    "fig9": _plan_info_series,
-}
+    swept = cfg.sweep_parameter
+    eval_steps = [cfg.steps] if swept else list(range(cfg.steps + 1))
+    table = Table(plan.table, plan.keys + plan.stats)
+    fits: dict[str, dict] = {}
+    for kind in kinds:
+        for value in cfg.sweep_values if swept else (None,):
+            sub = dataclasses.replace(cfg, disorder=kind, **({swept: value} if swept else {}))
+            series = ensemble_run(sub, eval_steps=eval_steps, n_jobs=n_jobs)
+            for sym in resolved_symmetries(cfg):
+                s = series[(observable, sym.value)]
+                for t, m, sd in zip(s.steps, s.mean, s.std_dev):
+                    point = {plan.keys[0]: int(t) if value is None else float(value),
+                             "kind": kind.value, "symmetry": sym.value}
+                    table.rows.append(tuple(point[k] for k in plan.keys) + (float(m), float(sd)))
+                for name in plan.fits:  # one fit per series
+                    fits[f"{kind.value}_{sym.value}"] = _fit(name, s)
+    tables = [table]
+    if observable == "variance":
+        tables.append(Table("classical_baseline", ("step", "variance"),
+                            [(t, classical_baseline(t)) for t in eval_steps]))
+    return tables, fits
 
 
 def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
@@ -231,10 +220,16 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
     file.  Identical (config, seed) produce byte-identical data files.
     """
     cfg.validate()
-    if cfg.name not in _PLANS:
-        raise ValueError(f"unknown scenario {cfg.name!r}; available: {', '.join(_PLANS)}")
+    check_config(cfg, given={})
+    _, plan = _lookup(cfg.name)
+    kinds = plan.kinds or (cfg.disorder,)
     start = time.time()
-    tables, docs = _PLANS[cfg.name](cfg, n_jobs)
+    if plan.table:
+        tables, fits = _run_grid(cfg, plan, kinds, n_jobs)
+    else:
+        tables, fits = _run_joints(cfg, plan, n_jobs)
+    docs = {"fits": fits} if fits else {}
+    docs.update({name: _DOCS[name](cfg, tables[0]) for name in plan.docs})
     out_dir = Path(cfg.out_dir)
     paths = emit_results(tables, cfg.format, out_dir)
     for stem, doc in docs.items():
@@ -243,6 +238,7 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
         paths.append(path)
     manifest = RunManifest(
         scenario=cfg.to_dict(),
+        kinds=[k.value for k in kinds],
         artifact_version=__version__,
         generator=GENERATOR_ID,
         base_seed=cfg.seed,

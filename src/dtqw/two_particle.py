@@ -129,22 +129,6 @@ def marginal_positions(inp: TwoParticleInput) -> np.ndarray:
     return marginal(inp).reshape(-1, 2).sum(axis=1)
 
 
-def detection_probabilities(inp: TwoParticleInput, sym: ExchangeSymmetry) -> tuple[np.ndarray, np.ndarray]:
-    """Per-mode probabilities of detecting (at least one, exactly one) particle.
-
-    Bosons: p_at_least_one = 2 P(m) - P(m,m), p_exactly_one = 2 P(m) - 2 P(m,m)
-    with P(m,m) the bosonic joint diagonal.  Fermions: both reduce to 2 P(m)
-    by exclusion.  Neither array is normalized.
-    """
-    marg = marginal(inp)
-    if sym is ExchangeSymmetry.FERMIONIC:
-        p = 2.0 * marg
-        return p, p.copy()
-    a, b = inp.modes()
-    diag = 2.0 * np.abs(a * b) ** 2  # bosonic joint diagonal |2 a_m b_m|^2 / 2
-    return 2.0 * marg - diag, 2.0 * marg - 2.0 * diag
-
-
 def ordered_pair_distribution(joint: JointDistribution) -> np.ndarray:
     """Unordered-pair form: doubled below the diagonal, zero above.
 

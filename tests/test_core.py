@@ -10,15 +10,13 @@ from dtqw.core import (
     WalkerState,
     delta_state,
     evolve,
-    hadamard_coin,
     lattice_for,
     modes_to_state,
-    phased_coin,
     position_distribution,
     state_to_modes,
-    step,
 )
-from dtqw.disorder import DisorderKind, ordered_field, sample_phase_field
+from dtqw.disorder import DisorderKind, PhaseField, ordered_field, sample_phase_field
+from dtqw.pathsum import path_sum_amplitudes
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -28,44 +26,32 @@ def dist_by_position(state):
     return {int(x): float(v) for x, v in zip(state.positions, p) if v > 1e-15}
 
 
-def test_hadamard_entries():
-    h = hadamard_coin()
-    np.testing.assert_allclose(
-        h, np.array([[INV_SQRT2, INV_SQRT2], [INV_SQRT2, -INV_SQRT2]]), atol=0
-    )
+def phase_table_field(phi_l, phi_r):
+    """A field that gives coin phases phi_l[t-1, i], phi_r[t-1, i] at step t, site i."""
+    steps, n_sites = np.shape(phi_l)
+    return PhaseField(DisorderKind.FLUCTUATING, 0.0, 0.0, 0, steps, n_sites, (n_sites - 1) // 2,
+                      fluct_l=phi_l, fluct_r=phi_r)
 
 
-def test_hadamard_applied_to_L():
-    out = hadamard_coin() @ np.array([1.0, 0.0])
-    np.testing.assert_allclose(out, [INV_SQRT2, INV_SQRT2], atol=1e-15)
-
-
-def test_hadamard_is_involutive():
-    h = hadamard_coin()
-    np.testing.assert_allclose(h @ h, np.eye(2), atol=1e-15)
-
-
-def test_phased_coin_zero_phases_is_hadamard():
-    np.testing.assert_array_equal(phased_coin(0.0, 0.0), hadamard_coin())
+def one_step(coin, phi_l=0.0, phi_r=0.0):
+    """One step from x=0 in the given coin state under uniform phases."""
+    n, o = lattice_for(1)
+    fld = phase_table_field(np.full((1, n), phi_l), np.full((1, n), phi_r))
+    return evolve(delta_state(n, o, 0, coin), 1, fld)
 
 
 def test_phased_coin_pi_flips_second_row():
-    out = phased_coin(0.0, np.pi) @ np.array([1.0, 0.0])
-    np.testing.assert_allclose(out, [INV_SQRT2, -INV_SQRT2], atol=1e-15)
+    out = one_step(COIN_L, 0.0, np.pi)
+    assert out.amplitudes[out.index_of(-1), COIN_L] == pytest.approx(INV_SQRT2)
+    assert out.amplitudes[out.index_of(1), COIN_R] == pytest.approx(-INV_SQRT2)
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
 def test_phased_coin_unitary(phi_l, phi_r):
-    m = phased_coin(phi_l, phi_r)
-    np.testing.assert_allclose(m.conj().T @ m, np.eye(2), atol=1e-12)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_phased_coin_rejects_nonfinite(bad):
-    with pytest.raises(ValueError):
-        phased_coin(bad, 0.0)
-    with pytest.raises(ValueError):
-        phased_coin(0.0, bad)
+    # the two coin states of one site stay orthonormal through a phased step
+    a, b = one_step(COIN_L, phi_l, phi_r), one_step(COIN_R, phi_l, phi_r)
+    assert a.norm() == pytest.approx(1.0, abs=1e-12) and b.norm() == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
 
 
 def test_common_phase_is_global():
@@ -74,25 +60,22 @@ def test_common_phase_is_global():
     n, o = lattice_for(t)
     start = delta_state(n, o, 0, COIN_L)
     plain = evolve(start, t, ordered_field(t, n, o))
-    tilted = start
-    for tau in range(1, t + 1):
-        tilted = step(tilted, lambda x: phased_coin(np.pi / 3, np.pi / 3))
+    third = np.full((t, n), np.pi / 3)
+    tilted = evolve(start, t, phase_table_field(third, third))
     np.testing.assert_allclose(
         position_distribution(tilted), position_distribution(plain), atol=1e-12
     )
 
 
 def test_step_from_L():
-    n, o = lattice_for(1)
-    out = step(delta_state(n, o, 0, COIN_L), lambda x: hadamard_coin())
+    out = one_step(COIN_L)
     amps = {(int(x), c): out.amplitudes[i, c] for i, x in enumerate(out.positions) for c in (0, 1)}
     assert amps[(-1, COIN_L)] == pytest.approx(INV_SQRT2)
     assert amps[(1, COIN_R)] == pytest.approx(INV_SQRT2)
 
 
 def test_step_from_R():
-    n, o = lattice_for(1)
-    out = step(delta_state(n, o, 0, COIN_R), lambda x: hadamard_coin())
+    out = one_step(COIN_R)
     assert out.amplitudes[out.index_of(-1), COIN_L] == pytest.approx(INV_SQRT2)
     assert out.amplitudes[out.index_of(1), COIN_R] == pytest.approx(-INV_SQRT2)
 
@@ -100,18 +83,15 @@ def test_step_from_R():
 def test_step_preserves_norm_with_random_phased_coins():
     rng = np.random.default_rng(3)
     n, o = lattice_for(6)
-    state = delta_state(n, o, 0, COIN_L)
-    for _ in range(6):
-        phases = {int(x): (rng.uniform(0, 2 * np.pi), rng.uniform(0, 2 * np.pi)) for x in state.positions}
-        state = step(state, lambda x: phased_coin(*phases[x]))
+    fld = phase_table_field(rng.uniform(0, 2 * np.pi, (6, n)), rng.uniform(0, 2 * np.pi, (6, n)))
+    state = evolve(delta_state(n, o, 0, COIN_L), 6, fld)
     assert state.norm() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_overflow_is_an_error():
-    state = delta_state(3, 1, 0, COIN_L)
-    state = step(state, lambda x: hadamard_coin())  # reaches both edge sites
+    # on 3 sites the first step reaches both edge sites, so the second overflows
     with pytest.raises(LatticeOverflowError):
-        step(state, lambda x: hadamard_coin())
+        evolve(delta_state(3, 1, 0, COIN_L), 2, ordered_field(2, 3, 1))
 
 
 def test_evolve_zero_steps_returns_initial():
@@ -213,10 +193,8 @@ def test_evolve_matches_explicit_step_loop():
     n, o = lattice_for(t)
     fld = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=2.5, steps=t, n_sites=n, origin=o, seed=6)
     fast = evolve(delta_state(n, o, 0, COIN_R), t, fld)
-    slow = delta_state(n, o, 0, COIN_R)
-    for tau in range(1, t + 1):
-        slow = step(slow, lambda x, tau=tau: phased_coin(*fld.phases_at(x, tau)))
-    np.testing.assert_allclose(slow.amplitudes, fast.amplitudes, atol=1e-13)
+    slow = path_sum_amplitudes(0, COIN_R, t, fld)  # explicit sum over all 2^t coin histories
+    np.testing.assert_allclose(slow.modes, state_to_modes(fast), atol=1e-13)
 
 
 def test_mode_round_trip():

@@ -8,7 +8,6 @@ from dtqw.core import COIN_L, delta_state, evolve, lattice_for
 from dtqw.disorder import (
     DisorderKind,
     ordered_field,
-    phase_field_from_json,
     sample_phase_field,
 )
 
@@ -173,21 +172,6 @@ def test_drawn_phases_pass_ks_uniformity():
     draws = fld.fluct_r.ravel()[:10_000]
     result = stats.kstest(draws, stats.uniform(loc=0.0, scale=PI).cdf)
     assert result.pvalue > 0.01
-
-
-def test_json_round_trip_without_tables():
-    fld = make(DisorderKind.COMBINED, steps=7, seed=5, phi_static=1.0, phi_dynamic=2.0)
-    back = phase_field_from_json(fld.to_json())
-    np.testing.assert_array_equal(back.site_l, fld.site_l)
-    np.testing.assert_array_equal(back.fluct_r, fld.fluct_r)
-    assert back.kind is DisorderKind.COMBINED
-
-
-def test_json_round_trip_with_tables():
-    fld = make(DisorderKind.DYNAMIC, steps=7, seed=5, phi_max=1.5)
-    back = phase_field_from_json(fld.to_json(include_tables=True))
-    np.testing.assert_array_equal(back.step_l, fld.step_l)
-    assert back.phases_at(0, 3) == fld.phases_at(0, 3)
 
 
 def test_tables_are_read_only():

@@ -230,26 +230,6 @@ def test_ensemble_average_joints_normalized():
     )
 
 
-def test_mode_level_toggle_refines_position_entropy():
-    cfg = ordered_cfg(configs=1, steps=10, observables=("entropy",), symmetry="bosonic")
-    position = ensemble_run(cfg, eval_steps=[10])[("entropy", "bosonic")]
-    mode = ensemble_run(cfg, eval_steps=[10], level="mode")[("entropy", "bosonic")]
-    # splitting each site into two coin modes can only add entropy
-    assert mode.mean[0] >= position.mean[0]
-    assert mode.metadata["level"] == "mode"
-    with pytest.raises(ValueError):
-        ensemble_run(cfg, level="sideways")
-
-
-def test_series_metadata_records_scenario():
-    cfg = ordered_cfg(configs=2, observables=("variance",), symmetry="bosonic")
-    series = ensemble_run(cfg)
-    s = series[("variance", "bosonic")]
-    assert s.metadata["disorder"] == "ordered"
-    assert s.metadata["symmetry"] == "bosonic"
-    assert s.metadata["base_seed"] == 0
-
-
 def test_observable_series_validates_lengths():
     with pytest.raises(ValueError):
         ObservableSeries("x", np.arange(3), np.zeros(2), np.zeros(3), 1)

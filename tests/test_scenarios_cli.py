@@ -7,17 +7,9 @@ import numpy as np
 import pytest
 
 from dtqw.cli import main
-from dtqw.config import ScenarioConfig, apply_overrides, load_scenario_json, scenario_from_dict
-from dtqw.observables import ObservableSeries
-from dtqw.output import (
-    Table,
-    dense_joint_json,
-    emit_results,
-    joint_table,
-    series_table,
-    sha256_file,
-    write_series_csv,
-)
+from dtqw.config import ScenarioConfig, load_scenario_json, scenario_from_dict
+from dtqw.disorder import DisorderKind
+from dtqw.output import Table, emit_results, joint_table, sha256_file
 from dtqw.scenarios import preset, preset_names, run_scenario
 
 
@@ -148,17 +140,6 @@ def test_json_format_emission(tmp_path):
     assert sum(row[1] for row in doc["rows"]) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_dense_joint_json_round_trips():
-    from dtqw.core import COIN_L, COIN_R, delta_state
-    from dtqw.two_particle import ExchangeSymmetry, TwoParticleInput, joint_position_distribution
-
-    inp = TwoParticleInput(delta_state(5, 2, 0, COIN_L), delta_state(5, 2, 0, COIN_R))
-    joint = joint_position_distribution(inp, ExchangeSymmetry.FERMIONIC)
-    doc = json.loads(json.dumps(dense_joint_json(joint)))
-    assert doc["size"] == 5 and doc["symmetry"] == "fermionic" and doc["level"] == "position"
-    np.testing.assert_allclose(np.array(doc["matrix"]), joint.matrix)
-
-
 def test_emit_results_joint_rows(tmp_path):
     table = joint_table("j", np.arange(9, dtype=float).reshape(3, 3) / 36.0, [-1, 0, 1])
     (path,) = emit_results([table], "csv", tmp_path)
@@ -168,8 +149,8 @@ def test_emit_results_joint_rows(tmp_path):
 
 
 def test_emit_results_series_rows(tmp_path):
-    s = ObservableSeries("variance", np.arange(100), np.arange(100.0), np.zeros(100), 1)
-    (path,) = emit_results([series_table(s, "v")], "csv", tmp_path)
+    rows = [(t, float(t), 0.0) for t in range(100)]
+    (path,) = emit_results([Table("v", ("step", "mean", "std_dev"), rows)], "csv", tmp_path)
     _, rows = read_csv(path)
     assert len(rows) == 100
 
@@ -182,16 +163,6 @@ def test_emit_results_empty_table(tmp_path):
 def test_emit_results_rejects_bad_format(tmp_path):
     with pytest.raises(ValueError):
         emit_results([Table("t", ("a",))], "xml", tmp_path)
-
-
-def test_write_series_csv_with_sidecar(tmp_path):
-    s = ObservableSeries("entropy", np.arange(5), np.ones(5), np.zeros(5), 3, {"disorder": "static"})
-    csv_path, meta_path = write_series_csv(s, tmp_path, "entropy")
-    header, rows = read_csv(csv_path)
-    assert header == ["step", "mean", "std_dev"]
-    assert len(rows) == 5
-    meta = json.loads(meta_path.read_text())
-    assert meta["configs"] == 3 and meta["disorder"] == "static"
 
 
 def test_scenario_config_round_trip():
@@ -213,14 +184,11 @@ def test_scenario_config_validation_errors():
         ScenarioConfig("x", steps=5, start_a=(0, "L"), start_b=(0, "L")).validate()
     with pytest.raises(ValueError):
         ScenarioConfig("x", steps=5, sweep_parameter="phi_max", sweep_values=(1.0, 0.5)).validate()
+    for bad in ({"steps": True}, {"steps": 10.5}, {"configs": True}, {"seed": -1}, {"seed": 1.0}):
+        with pytest.raises(ValueError):
+            ScenarioConfig(**{"name": "x", "steps": 5, **bad}).validate()
     with pytest.raises(ValueError):
         scenario_from_dict({"name": "x", "steps": 5, "bogus": 1})
-
-
-def test_apply_overrides_skips_none():
-    cfg = preset("fig2")
-    assert apply_overrides(cfg, steps=None, seed=9).seed == 9
-    assert apply_overrides(cfg, steps=None).steps == cfg.steps
 
 
 def test_load_scenario_json(tmp_path):
@@ -306,3 +274,78 @@ def test_module_entry_point(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "m" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("name", ["fig5", "fig6", "fig7", "fig8", "fig9"])
+@pytest.mark.parametrize("source", ["flag", "file"])
+def test_cli_rejects_disorder_on_fixed_kind_presets(tmp_path, capsys, name, source):
+    out = tmp_path / "out"
+    argv = ["--scenario", name, "--steps", "4", "--configs", "1", "--out", str(out)]
+    if source == "flag":
+        argv += ["--disorder", "static"]
+    else:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"disorder": "combined"}))
+        argv += ["--config", str(cfg_path)]
+    assert main(argv) == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, file_doc",
+    [
+        ("fig5", {"sweep_parameter": "phi_max", "sweep_values": [0.0, 1.0]}),
+        ("fig6", {"sweep_parameter": "phi_dynamic"}),
+        ("fig6", {"sweep_parameter": None}),
+        ("fig2", {"sweep_values": [0.0, 1.0]}),
+        ("fig5", {"observables": ["entropy"]}),
+        ("fig2", {"observables": ["variance", "entropy"]}),
+    ],
+    ids=["fig5-sweep", "fig6-other-parameter", "fig6-no-sweep", "fig2-values", "fig5-entropy", "fig2-observables"],
+)
+def test_cli_rejects_fields_the_plan_fixes(tmp_path, capsys, name, file_doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(file_doc))
+    out = tmp_path / "out"
+    assert main(["--scenario", name, "--config", str(cfg_path), "--steps", "4", "--out", str(out)]) == 1
+    assert name in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_run_scenario_rejects_fields_the_plan_fixes(tmp_path):
+    for fields in ({"disorder": DisorderKind.STATIC}, {"observables": ("entropy",)}, {"sweep_values": (0.0,)}):
+        with pytest.raises(ValueError, match="fig5"):
+            run_scenario(small("fig5", tmp_path, steps=4, configs=1, **fields))
+    assert not (tmp_path / "fig5").exists()
+
+
+def test_manifest_reports_the_kinds_it_ran(tmp_path):
+    args = ["--steps", "4", "--configs", "1"]
+    assert main(["--scenario", "fig6", "--out", str(tmp_path / "fig6")] + args) == 0
+    assert main(["--scenario", "fig3", "--out", str(tmp_path / "fig3")] + args) == 0
+    assert json.loads((tmp_path / "fig6" / "manifest.json").read_text())["kinds"] == ["static", "dynamic"]
+    assert json.loads((tmp_path / "fig3" / "manifest.json").read_text())["kinds"] == ["static"]
+
+
+@pytest.mark.parametrize(
+    "file_doc, flags",
+    [
+        ({"steps": True}, []),
+        ({"configs": True}, []),
+        ({"steps": 10.5}, []),
+        ({}, ["--seed", "-1"]),
+        ({}, ["--seed", "-1", "--disorder", "static"]),
+        ({}, ["--jobs", "0"]),
+        ({}, ["--jobs", "-3"]),
+    ],
+    ids=["steps-true", "configs-true", "steps-float", "seed-negative", "seed-negative-static",
+         "jobs-zero", "jobs-negative"],
+)
+def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, file_doc, flags):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"name": "fig2", "steps": 3, **file_doc}))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out)] + flags) == 1
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()

@@ -9,7 +9,6 @@ from dtqw.two_particle import (
     ExchangeSymmetry,
     TwoParticleInput,
     aggregate_to_positions,
-    detection_probabilities,
     distinguishable_joint,
     joint_mode_distribution,
     joint_position_distribution,
@@ -137,34 +136,6 @@ def test_ordered_walk_marginal_spreads_ballistically():
     x = inp.site_positions.astype(float)
     var = float((x * x) @ m - ((x @ m) ** 2))
     assert var > 2 * 50  # single-particle classical variance is t
-
-
-def test_detection_probabilities_disjoint_deltas():
-    inp = delta_pair()
-    ma = mode_index(inp, 0, COIN_L)
-    mb = mode_index(inp, 1, COIN_R)
-    at_least, exactly = detection_probabilities(inp, FER)
-    assert at_least[ma] == pytest.approx(1.0)
-    assert exactly[ma] == pytest.approx(1.0)
-    assert exactly[mb] == pytest.approx(1.0)
-    at_least_b, exactly_b = detection_probabilities(inp, BOS)
-    assert at_least_b[ma] == pytest.approx(1.0)
-    assert exactly_b[ma] == pytest.approx(1.0)
-
-
-def test_bosonic_detection_identity():
-    inp = evolved_pair(steps=8, seed=11)
-    at_least, exactly = detection_probabilities(inp, BOS)
-    diag = np.diag(joint_mode_distribution(inp, BOS).matrix)
-    np.testing.assert_allclose(at_least - exactly, diag, atol=1e-12)
-    assert np.all(at_least - exactly >= -1e-15)
-
-
-def test_fermionic_detection_probabilities_coincide():
-    inp = evolved_pair(steps=8, seed=12)
-    at_least, exactly = detection_probabilities(inp, FER)
-    np.testing.assert_array_equal(at_least, exactly)
-    np.testing.assert_allclose(at_least, 2.0 * marginal(inp), atol=1e-15)
 
 
 def test_ordered_pair_accessor_identities():
