@@ -3,8 +3,8 @@
 
 Figures 2-4 and the fluctuating-scenario joints take seconds each; the
 step-resolved ensembles (fig5, fig8, fig9) and the strength sweeps (fig6,
-fig7) take a few minutes each on one core.  Use --jobs to fan ensemble
-members out to worker processes and --only to run a subset.
+fig7) take a few minutes each on one core.  Use --jobs to fan chunks of
+ensemble members out to worker processes and --only to run a subset.
 """
 
 import argparse

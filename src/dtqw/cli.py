@@ -62,6 +62,10 @@ def main(argv=None) -> int:
         except (OSError, json.JSONDecodeError) as exc:
             print(f"dtqw: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 1
+        if not isinstance(file_doc, dict):
+            print(f"dtqw: invalid configuration: {args.config} must hold a JSON object, "
+                  f"got {type(file_doc).__name__}", file=sys.stderr)
+            return 1
 
     name = args.scenario or file_doc.get("name")
     if not name:

@@ -8,7 +8,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +22,13 @@ COIN_NAMES = {"L": COIN_L, "R": COIN_R}
 SYMMETRY_CHOICES = ("bosonic", "fermionic", "both")
 OBSERVABLE_CHOICES = ("variance", "entropy", "mutual_information")
 FORMAT_CHOICES = ("csv", "json")
+
+
+def _start_pair(label: str, value) -> tuple:
+    """(site, coin) with the coin name upper-cased; the site is checked by ``validate``."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Sequence) or len(value) != 2:
+        raise ValueError(f"{label} must be a [site, coin] pair, got {value!r}")
+    return value[0], str(value[1]).upper()
 
 
 @dataclass
@@ -50,8 +57,8 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         self.disorder = DisorderKind(self.disorder)
-        self.start_a = (int(self.start_a[0]), str(self.start_a[1]).upper())
-        self.start_b = (int(self.start_b[0]), str(self.start_b[1]).upper())
+        self.start_a = _start_pair("start_a", self.start_a)
+        self.start_b = _start_pair("start_b", self.start_b)
         self.observables = tuple(self.observables)
         self.sweep_values = tuple(float(v) for v in self.sweep_values)
 
@@ -82,6 +89,8 @@ class ScenarioConfig:
         if self.format not in FORMAT_CHOICES:
             raise ValueError(f"format must be one of {FORMAT_CHOICES}, got {self.format!r}")
         for site, coin in (self.start_a, self.start_b):
+            if isinstance(site, bool) or not isinstance(site, numbers.Integral):
+                raise ValueError(f"start site must be an integer, got {site!r}")
             if coin not in COIN_NAMES:
                 raise ValueError(f"start coin must be L or R, got {coin!r}")
         if self.start_a == self.start_b:

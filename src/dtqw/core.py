@@ -5,7 +5,8 @@ step-dependent) phased Hadamard coin to the internal state and then shifts
 the L component one site left and the R component one site right.  The
 lattice is a plain segment: amplitude reaching an edge is an error, never a
 wrap or a reflection, so callers must allocate enough sites up front (see
-``lattice_for``).
+``lattice_for``).  Leading axes of the amplitude array batch independent
+walkers (for example configurations x walkers), which all step at once.
 
 Conventions: ``amplitudes[i, 0]`` is the L amplitude at array index ``i``,
 ``amplitudes[i, 1]`` the R amplitude, and signed position ``x = i - origin``.
@@ -36,7 +37,8 @@ class LatticeOverflowError(RuntimeError):
 class WalkerState:
     """Complex coin-pair amplitudes over the lattice.
 
-    amplitudes: shape (n_sites, 2) complex array, columns (L, R).
+    amplitudes: shape (..., n_sites, 2) complex array, columns (L, R); any
+        leading axes index independent walkers on the same lattice.
     origin: array index of signed position x = 0.
     """
 
@@ -45,12 +47,12 @@ class WalkerState:
 
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.ndim != 2 or self.amplitudes.shape[1] != 2:
-            raise ValueError(f"amplitudes must have shape (n_sites, 2), got {self.amplitudes.shape}")
+        if self.amplitudes.ndim < 2 or self.amplitudes.shape[-1] != 2:
+            raise ValueError(f"amplitudes must have shape (..., n_sites, 2), got {self.amplitudes.shape}")
 
     @property
     def n_sites(self) -> int:
-        return self.amplitudes.shape[0]
+        return self.amplitudes.shape[-2]
 
     @property
     def positions(self) -> np.ndarray:
@@ -64,6 +66,7 @@ class WalkerState:
         return i
 
     def norm(self) -> float:
+        """Total squared norm, summed over every walker of a batch."""
         return float(np.sum(np.abs(self.amplitudes) ** 2))
 
     def copy(self) -> "WalkerState":
@@ -95,34 +98,41 @@ def delta_state(n_sites: int, origin: int, x: int = 0, coin: int = COIN_L) -> Wa
 
 
 def _check_edges(amplitudes: np.ndarray) -> None:
-    if amplitudes[0].any() or amplitudes[-1].any():
+    if amplitudes[..., 0, :].any() or amplitudes[..., -1, :].any():
         raise LatticeOverflowError("light cone reached the lattice edge; allocate a larger lattice")
 
 
 def _shift(coined: np.ndarray) -> np.ndarray:
     out = np.zeros_like(coined)
-    out[:-1, 0] = coined[1:, 0]
-    out[1:, 1] = coined[:-1, 1]
+    out[..., :-1, 0] = coined[..., 1:, 0]
+    out[..., 1:, 1] = coined[..., :-1, 1]
     return out
 
 
-def _phased_step(amplitudes: np.ndarray, phi_l: np.ndarray, phi_r: np.ndarray) -> np.ndarray:
-    """One step with per-site phased Hadamard coins, vectorized over sites."""
+def _phased_step(amplitudes: np.ndarray, e_l: np.ndarray, e_r: np.ndarray) -> np.ndarray:
+    """One step with phased Hadamard coins, vectorized over sites and batch axes.
+
+    ``e_l``, ``e_r`` are the coin factors exp(i phi) broadcast against
+    ``amplitudes[..., 0]``.
+    """
     _check_edges(amplitudes)
-    a = amplitudes[:, 0]
-    b = amplitudes[:, 1]
+    a = amplitudes[..., 0]
+    b = amplitudes[..., 1]
     coined = np.empty_like(amplitudes)
-    coined[:, 0] = np.exp(1j * phi_l) * (a + b) * INV_SQRT2
-    coined[:, 1] = np.exp(1j * phi_r) * (a - b) * INV_SQRT2
+    coined[..., 0] = e_l * (a + b) * INV_SQRT2
+    coined[..., 1] = e_r * (a - b) * INV_SQRT2
     return _shift(coined)
 
 
-def evolve(initial: WalkerState, steps: int, field, record: bool = False):
-    """Evolve ``steps`` applications of the coined step under a phase field.
+def evolve(initial: WalkerState, steps: int, field, record: bool = False, start: int = 0):
+    """Evolve steps t = start+1 .. start+steps of the coined step under a phase field.
 
-    ``field`` supplies the coin phases: ``field.step_phases(t)`` must return
-    the per-site (phi_L, phi_R) arrays for steps t = 1..steps (see
-    :mod:`dtqw.disorder`).  Deterministic for a fixed field.
+    ``field`` supplies the coin factors: ``field.coin_factors(t)`` must
+    return (exp(i phi_L), exp(i phi_R)) broadcastable against
+    ``initial.amplitudes[..., 0]`` (see :mod:`dtqw.disorder`; a
+    ``FieldBatch`` matches a (configs, walkers, n_sites, 2) batch).
+    Deterministic for a fixed field, and every amplitude is bit-identical
+    whether its walker evolves alone or in a batch.
 
     With ``record=True`` returns the list of states after 0..steps steps;
     otherwise returns the final state.
@@ -131,9 +141,8 @@ def evolve(initial: WalkerState, steps: int, field, record: bool = False):
         raise ValueError("steps must be >= 0")
     amps = initial.amplitudes.copy()
     snapshots = [WalkerState(amps.copy(), initial.origin)] if record else None
-    for t in range(1, steps + 1):
-        phi_l, phi_r = field.step_phases(t)
-        amps = _phased_step(amps, phi_l, phi_r)
+    for t in range(start + 1, start + steps + 1):
+        amps = _phased_step(amps, *field.coin_factors(t))
         if record:
             snapshots.append(WalkerState(amps.copy(), initial.origin))
     if record:
@@ -142,8 +151,8 @@ def evolve(initial: WalkerState, steps: int, field, record: bool = False):
 
 
 def position_distribution(state: WalkerState) -> np.ndarray:
-    """P(x) = |alpha(x)|^2 + |beta(x)|^2, indexed like ``state.positions``."""
-    return np.abs(state.amplitudes[:, 0]) ** 2 + np.abs(state.amplitudes[:, 1]) ** 2
+    """P(x) = |alpha(x)|^2 + |beta(x)|^2 of every walker, indexed like ``state.positions``."""
+    return np.abs(state.amplitudes[..., 0]) ** 2 + np.abs(state.amplitudes[..., 1]) ** 2
 
 
 def state_to_modes(state: WalkerState) -> np.ndarray:

@@ -12,14 +12,16 @@ independently and uniformly from [0, phi_max] with a seeded generator:
 Each component draws from its own substream of the seed, so e.g.
 ``combined`` with a zero fluctuating strength realizes bit-identical tables
 to ``static`` with the same seed.  Fields are immutable after sampling and
-safe to share across parallel evolutions.
+safe to share across parallel evolutions.  A ``FieldBatch`` stacks the
+fields of several configurations so that one batched evolution steps them
+all.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -93,6 +95,11 @@ class PhaseField:
             return self.fluct_l[t - 1], self.fluct_r[t - 1]
         return self.site_l + self.fluct_l[t - 1], self.site_r + self.fluct_r[t - 1]
 
+    def coin_factors(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per-site coin factors (exp(i phi_L), exp(i phi_R)) for step t (1-based)."""
+        phi_l, phi_r = self.step_phases(t)
+        return np.exp(1j * phi_l), np.exp(1j * phi_r)
+
     def phases_at(self, x: int, t: int) -> tuple[float, float]:
         """Realized (phi_L, phi_R) at signed position x, step t (1-based)."""
         self._check_step(t)
@@ -101,6 +108,54 @@ class PhaseField:
             raise IndexError(f"position {x} outside the field lattice")
         phi_l, phi_r = self.step_phases(t)
         return float(phi_l[i]), float(phi_r[i])
+
+
+class FieldBatch:
+    """Fields of one kind and geometry stacked on a leading configuration axis.
+
+    ``coin_factors(t)`` returns (exp(i phi_L), exp(i phi_R)) shaped
+    (configs, 1, n_sites) or, for dynamic disorder, (configs, 1, 1), so they
+    broadcast against amplitudes of shape (configs, walkers, n_sites).
+    exp(i phi) is taken once per static or dynamic table; fluctuating and
+    combined phases change every step and are exponentiated per step, the
+    combined ones after adding the static part, exactly as
+    ``PhaseField.coin_factors`` does, so every factor is bit-identical.
+    """
+
+    def __init__(self, fields: Sequence[PhaseField]):
+        first = fields[0]
+        if any((f.kind, f.steps, f.n_sites) != (first.kind, first.steps, first.n_sites) for f in fields):
+            raise ValueError("a field batch needs one kind, step count and lattice")
+        self.kind, self.steps = first.kind, first.steps
+
+        def stacked(name: str) -> np.ndarray:  # (configs, 1, ...) to broadcast over walkers
+            return np.stack([getattr(f, name) for f in fields])[:, None]
+
+        kind = self.kind
+        if kind is DisorderKind.ORDERED:
+            self._factors = (np.ones((len(fields), 1, 1), dtype=np.complex128),) * 2
+        if kind is DisorderKind.STATIC:
+            self._factors = (np.exp(1j * stacked("site_l")), np.exp(1j * stacked("site_r")))
+        if kind is DisorderKind.DYNAMIC:
+            self._step = (np.exp(1j * stacked("step_l")), np.exp(1j * stacked("step_r")))
+        if kind in (DisorderKind.FLUCTUATING, DisorderKind.COMBINED):
+            self._fluct = (stacked("fluct_l"), stacked("fluct_r"))
+        if kind is DisorderKind.COMBINED:
+            self._site = (stacked("site_l"), stacked("site_r"))
+
+    def coin_factors(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coin factors of every configuration for step t (1-based)."""
+        if not 1 <= t <= self.steps:
+            raise IndexError(f"step {t} outside 1..{self.steps}")
+        kind = self.kind
+        if kind in (DisorderKind.ORDERED, DisorderKind.STATIC):
+            return self._factors
+        if kind is DisorderKind.DYNAMIC:
+            return self._step[0][..., t - 1, None], self._step[1][..., t - 1, None]
+        phi_l, phi_r = self._fluct[0][:, :, t - 1], self._fluct[1][:, :, t - 1]
+        if kind is DisorderKind.COMBINED:
+            phi_l, phi_r = self._site[0] + phi_l, self._site[1] + phi_r
+        return np.exp(1j * phi_l), np.exp(1j * phi_r)
 
 
 def _check_strength(name: str, value: float) -> float:

@@ -1,23 +1,28 @@
 """Scalar observables of the two-walker joint distribution, with ensemble averaging.
 
 Ensemble statistics follow the mean-of-observable convention: each disorder
-configuration is evolved and measured on its own, then per-step means and
-population standard deviations are taken across configurations.  Averaged
+configuration is measured on its own, then per-step means and population
+standard deviations are taken across configurations.  Averaged
 *distributions* (for the density-plot scenarios) are instead handled by
 :func:`ensemble_average_joints`, which averages the joint matrices first.
+
+Both runners evolve the ensemble in contiguous chunks of configurations,
+each chunk one batched walk of shape (configs, 2 walkers, n_sites, 2) that
+stops at every evaluated step to measure each configuration.  The chunk
+size follows a fixed memory budget; no number depends on it.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .config import COIN_NAMES, ScenarioConfig
 from .core import WalkerState, delta_state, evolve, lattice_for
-from .disorder import PhaseField, sample_phase_field
+from .disorder import FieldBatch, PhaseField, sample_phase_field
 from .two_particle import (
     ExchangeSymmetry,
     JointDistribution,
@@ -60,6 +65,10 @@ def mutual_information(joint: JointDistribution) -> float:
     """I(X:Y) = 2 H(X) - H(X,Y) in bits; the joint is exchange-symmetric."""
     return 2.0 * _entropy_bits(joint.matrix.sum(axis=1)) - _entropy_bits(joint.matrix)
 
+
+#: Bytes of phase tables, walker states and measurements one chunk of
+#: configurations may hold while it evolves as one batch.
+_CHUNK_BYTES = 4 << 20
 
 _OBSERVABLES = {
     "variance": variance_xm,
@@ -105,16 +114,6 @@ def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int, origin: int) -> Pha
     )
 
 
-def _evolve_pair(cfg: ScenarioConfig, seed: int, record: bool) -> tuple:
-    """Walkers A and B evolved under the field of ``seed`` (snapshot lists if ``record``)."""
-    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
-    fld = _field_for(cfg, seed, n_sites, origin)
-    return tuple(
-        evolve(delta_state(n_sites, origin, x, COIN_NAMES[coin]), cfg.steps, fld, record=record)
-        for x, coin in (cfg.start_a, cfg.start_b)
-    )
-
-
 def _crop(state: WalkerState, lo: int, hi: int) -> WalkerState:
     return WalkerState(state.amplitudes[lo : hi + 1], state.origin - lo)
 
@@ -125,47 +124,82 @@ def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
     return (ExchangeSymmetry(cfg.symmetry),)
 
 
-def _map_configs(fn: Callable, tasks: list, n_jobs: int) -> list:
-    """``fn`` over per-configuration tasks in order, in worker processes if ``n_jobs > 1``."""
+def _map_configs(fn: Callable, tasks: list, n_jobs: int) -> Iterator:
+    """``fn`` over configuration chunks, yielded in order; worker processes if ``n_jobs > 1``."""
+    if n_jobs == 1:
+        yield from map(fn, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+        yield from pool.map(fn, tasks)
+
+
+def _chunk_tasks(cfg: ScenarioConfig, stops: Sequence[int], measure: Callable, result_floats: int,
+                 n_jobs: int) -> list[tuple]:
+    """Split the ensemble into contiguous chunks of configurations.
+
+    A chunk holds as many configurations as fit ``_CHUNK_BYTES`` with their
+    phase tables (at most two per site and step), walker states and
+    measurements, and no more than an even share of ``n_jobs`` workers.
+    """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    if n_jobs == 1:
-        return [fn(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(fn, tasks))
+    n_sites, _ = lattice_for(cfg.steps, cfg.start_sites)
+    per_config = 8 * (2 * (cfg.steps + 1) * n_sites + 16 * n_sites + result_floats)
+    size = max(1, min(_CHUNK_BYTES // per_config, -(-cfg.configs // n_jobs)))
+    return [
+        (cfg, range(cfg.seed + first, cfg.seed + min(first + size, cfg.configs)), stops, measure)
+        for first in range(0, cfg.configs, size)
+    ]
 
 
-def _joints_at_step(
-    snaps_a: Sequence[WalkerState],
-    snaps_b: Sequence[WalkerState],
-    t: int,
-    cfg: ScenarioConfig,
-    syms: Sequence[ExchangeSymmetry],
-) -> dict[ExchangeSymmetry, JointDistribution]:
+def _run_chunk(task) -> list[list]:
+    """Evolve one chunk of configurations as a (configs, 2, n_sites, 2) batch.
+
+    Configuration ``i`` of the chunk draws its field from ``seeds[i]``;
+    walkers A and B share it.  At each of the ascending ``stops`` every
+    configuration is measured as ``measure(cfg, psi_a, psi_b, t)``; returns
+    those results per stop, in configuration order.
+    """
+    cfg, seeds, stops, measure = task
+    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
+    field = FieldBatch([_field_for(cfg, seed, n_sites, origin) for seed in seeds])
+    pair = np.stack([
+        delta_state(n_sites, origin, x, COIN_NAMES[coin]).amplitudes for x, coin in (cfg.start_a, cfg.start_b)
+    ])
+    state = WalkerState(np.repeat(pair[None], len(seeds), axis=0), origin)
+    results, t = [], 0
+    for stop in stops:
+        state = evolve(state, stop - t, field, start=t)
+        t = stop
+        results.append([
+            measure(cfg, WalkerState(amps[0], origin), WalkerState(amps[1], origin), t)
+            for amps in state.amplitudes
+        ])
+    return results
+
+
+def _measure_series(cfg: ScenarioConfig, psi_a: WalkerState, psi_b: WalkerState, t: int) -> np.ndarray:
+    """Every observable of every symmetry at step ``t``, shape (observables, symmetries)."""
     # Crop to the union light cone; discarded amplitudes are exactly zero.
-    state = snaps_a[t]
-    lo = max(0, state.origin + min(cfg.start_sites) - t)
-    hi = min(state.n_sites - 1, state.origin + max(cfg.start_sites) + t)
-    inp = TwoParticleInput(_crop(snaps_a[t], lo, hi), _crop(snaps_b[t], lo, hi))
-    out = {}
+    lo = max(0, psi_a.origin + min(cfg.start_sites) - t)
+    hi = min(psi_a.n_sites - 1, psi_a.origin + max(cfg.start_sites) + t)
+    inp = TwoParticleInput(_crop(psi_a, lo, hi), _crop(psi_b, lo, hi))
+    syms = resolved_symmetries(cfg)
+    joints = {}
     for sym in syms:
         # Bound on purpose: inlining this call frees the mode matrix earlier and measured slower.
         joint = joint_mode_distribution(inp, sym)
-        out[sym] = aggregate_to_positions(joint)
-    return out
+        joints[sym] = aggregate_to_positions(joint)
+    return np.array([[_OBSERVABLES[obs](joints[sym]) for sym in syms] for obs in cfg.observables])
 
 
-def _series_for_config(args) -> np.ndarray:
-    cfg, seed, eval_steps = args
-    syms = resolved_symmetries(cfg)
-    snaps_a, snaps_b = _evolve_pair(cfg, seed, record=True)
-    values = np.empty((len(cfg.observables), len(syms), len(eval_steps)))
-    for k, t in enumerate(eval_steps):
-        joints = _joints_at_step(snaps_a, snaps_b, t, cfg, syms)
-        for j, sym in enumerate(syms):
-            for i, obs in enumerate(cfg.observables):
-                values[i, j, k] = _OBSERVABLES[obs](joints[sym])
-    return values
+def _measure_joints(cfg: ScenarioConfig, psi_a: WalkerState, psi_b: WalkerState, t: int) -> tuple:
+    """Position-level joint matrix per symmetry, then the marginal, over the whole lattice."""
+    inp = TwoParticleInput(psi_a, psi_b)
+    matrices = tuple(
+        aggregate_to_positions(joint_mode_distribution(inp, sym)).matrix for sym in resolved_symmetries(cfg)
+    )
+    return matrices + (marginal_positions(inp),)
 
 
 def ensemble_run(
@@ -178,9 +212,10 @@ def ensemble_run(
     Configuration i draws its field with seed ``cfg.seed + i``; walkers A and
     B share the field within a configuration.  Returns one series per
     (observable, symmetry), keyed by name.  ``eval_steps`` restricts which
-    steps are measured (default 0..steps).  Results are bit-identical for
-    serial and parallel execution: per-configuration values are computed
-    independently and merged in configuration order.
+    steps are measured (default 0..steps); each is measured while the walk
+    runs.  A configuration's values do not depend on chunking or ``n_jobs``:
+    they are computed independently and merged in configuration order, so
+    serial and parallel results are bit-identical.
     """
     cfg.validate()
     if eval_steps is None:
@@ -189,10 +224,14 @@ def ensemble_run(
     if any(t < 0 or t > cfg.steps for t in eval_steps):
         raise ValueError("eval_steps must lie in 0..steps")
 
-    tasks = [(cfg, cfg.seed + i, eval_steps) for i in range(cfg.configs)]
-    cube = np.stack(_map_configs(_series_for_config, tasks, n_jobs))  # (configs, obs, sym, steps)
-
     syms = resolved_symmetries(cfg)
+    stops = sorted(set(eval_steps))
+    tasks = _chunk_tasks(cfg, stops, _measure_series, len(cfg.observables) * len(syms) * len(stops), n_jobs)
+    chunks = [np.moveaxis(np.array(chunk), 0, -1) for chunk in _map_configs(_run_chunk, tasks, n_jobs)]
+    # (configs, obs, sym, steps) in C order, so the means over configurations
+    # below sum in one order whatever the chunking
+    cube = np.ascontiguousarray(np.concatenate(chunks)[..., [stops.index(t) for t in eval_steps]])
+
     out: dict[tuple[str, str], ObservableSeries] = {}
     for i, obs in enumerate(cfg.observables):
         for j, sym in enumerate(syms):
@@ -214,16 +253,6 @@ def ensemble_run(
     return out
 
 
-def _joints_for_config(args) -> tuple[np.ndarray, ...]:
-    cfg, seed = args
-    syms = resolved_symmetries(cfg)
-    inp = TwoParticleInput(*_evolve_pair(cfg, seed, record=False))
-    matrices = tuple(
-        aggregate_to_positions(joint_mode_distribution(inp, sym)).matrix for sym in syms
-    )
-    return matrices + (marginal_positions(inp),)
-
-
 def ensemble_average_joints(
     cfg: ScenarioConfig, n_jobs: int = 1
 ) -> tuple[dict[ExchangeSymmetry, JointDistribution], np.ndarray, np.ndarray]:
@@ -231,22 +260,22 @@ def ensemble_average_joints(
 
     Returns (joints by symmetry, averaged marginal, positions).  Matrices are
     averaged across configurations before any downstream fit, matching how
-    the density-plot scenarios aggregate.
+    the density-plot scenarios aggregate; each configuration is added to the
+    running sums in configuration order as its chunk finishes.
     """
     cfg.validate()
     syms = resolved_symmetries(cfg)
     n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
     positions = np.arange(n_sites) - origin
 
-    tasks = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
-    results = _map_configs(_joints_for_config, tasks, n_jobs)
-
+    tasks = _chunk_tasks(cfg, [cfg.steps], _measure_joints, (len(syms) * n_sites + 1) * n_sites, n_jobs)
     acc = [np.zeros((n_sites, n_sites)) for _ in syms]
     marg = np.zeros(n_sites)
-    for parts in results:
-        for j in range(len(syms)):
-            acc[j] += parts[j]
-        marg += parts[-1]
+    for (chunk,) in _map_configs(_run_chunk, tasks, n_jobs):
+        for parts in chunk:
+            for j in range(len(syms)):
+                acc[j] += parts[j]
+            marg += parts[-1]
     joints = {
         sym: JointDistribution(acc[j] / cfg.configs, sym, "position", positions)
         for j, sym in enumerate(syms)

@@ -15,7 +15,7 @@ from dtqw.core import (
     position_distribution,
     state_to_modes,
 )
-from dtqw.disorder import DisorderKind, PhaseField, ordered_field, sample_phase_field
+from dtqw.disorder import DisorderKind, FieldBatch, PhaseField, ordered_field, sample_phase_field
 from dtqw.pathsum import path_sum_amplitudes
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -222,3 +222,69 @@ def test_lattice_for_sizes_the_light_cone():
 def test_delta_state_rejects_bad_coin():
     with pytest.raises(ValueError):
         delta_state(5, 2, 0, coin=7)
+
+
+def sampled_fields(kind, steps, seeds):
+    n, o = lattice_for(steps)
+    return [
+        sample_phase_field(kind, phi_max=2.5, phi_static=np.pi, phi_dynamic=1.5, steps=steps,
+                           n_sites=n, origin=o, seed=seed)
+        for seed in seeds
+    ]
+
+
+def walker_pairs(n, o, count):
+    """(count, 2, n, 2) batch: walker A in coin L, walker B in coin R, both at x=0."""
+    pair = np.stack([delta_state(n, o, 0, COIN_L).amplitudes, delta_state(n, o, 0, COIN_R).amplitudes])
+    return WalkerState(np.repeat(pair[None], count, axis=0), o)
+
+
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+def test_batched_evolve_equals_each_walker_bit_for_bit(kind):
+    t = 12
+    fields = sampled_fields(kind, t, range(5))
+    n, o = fields[0].n_sites, fields[0].origin
+    out = evolve(walker_pairs(n, o, 5), t, FieldBatch(fields))
+    for c, fld in enumerate(fields):
+        for w, coin in enumerate((COIN_L, COIN_R)):
+            alone = evolve(delta_state(n, o, 0, coin), t, fld)
+            assert np.array_equal(out.amplitudes[c, w], alone.amplitudes)
+            assert np.array_equal(position_distribution(out)[c, w], position_distribution(alone))
+
+
+@pytest.mark.parametrize("kind", [DisorderKind.STATIC, DisorderKind.COMBINED], ids=lambda k: k.value)
+def test_batched_evolve_matches_path_sum(kind):
+    t = 8
+    fields = sampled_fields(kind, t, (3, 4, 5))
+    n, o = fields[0].n_sites, fields[0].origin
+    out = evolve(walker_pairs(n, o, 3), t, FieldBatch(fields))
+    for c, fld in enumerate(fields):
+        for w, coin in enumerate((COIN_L, COIN_R)):
+            slow = path_sum_amplitudes(0, coin, t, fld)  # explicit sum over all 2^t coin histories
+            np.testing.assert_allclose(slow.modes, out.amplitudes[c, w].reshape(-1), atol=1e-13)
+
+
+def test_evolve_in_segments_equals_one_run():
+    t = 10
+    fields = sampled_fields(DisorderKind.FLUCTUATING, t, (1, 2))
+    batch = FieldBatch(fields)
+    start = walker_pairs(fields[0].n_sites, fields[0].origin, 2)
+    mid = evolve(start, 4, batch)
+    split = evolve(mid, t - 4, batch, start=4)
+    assert np.array_equal(split.amplitudes, evolve(start, t, batch).amplitudes)
+
+
+def test_batched_overflow_is_an_error():
+    batch = FieldBatch([ordered_field(2, 3, 1), ordered_field(2, 3, 1)])
+    with pytest.raises(LatticeOverflowError):
+        evolve(walker_pairs(3, 1, 2), 2, batch)
+
+
+def test_field_batch_rejects_mixed_fields():
+    static = sampled_fields(DisorderKind.STATIC, 4, (0,))
+    with pytest.raises(ValueError):
+        FieldBatch(static + sampled_fields(DisorderKind.DYNAMIC, 4, (0,)))
+    with pytest.raises(ValueError):
+        FieldBatch(static + sampled_fields(DisorderKind.STATIC, 5, (0,)))
+    with pytest.raises(IndexError):
+        FieldBatch(static).coin_factors(5)

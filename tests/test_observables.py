@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from dtqw import observables
 from dtqw.config import ScenarioConfig
 from dtqw.core import COIN_L, COIN_R, delta_state, evolve, lattice_for
 from dtqw.disorder import DisorderKind, ordered_field, sample_phase_field
@@ -207,6 +210,12 @@ def test_invalid_configs_rejected():
         ensemble_run(ordered_cfg(configs=0))
 
 
+@pytest.mark.parametrize("runner", [ensemble_run, ensemble_average_joints])
+def test_fewer_than_one_job_rejected(runner):
+    with pytest.raises(ValueError, match="n_jobs"):
+        runner(ordered_cfg(), n_jobs=0)
+
+
 def test_static_variance_plateaus():
     cfg = ScenarioConfig(
         "plateau", steps=100, disorder=DisorderKind.STATIC, phi_max=np.pi,
@@ -233,3 +242,81 @@ def test_ensemble_average_joints_normalized():
 def test_observable_series_validates_lengths():
     with pytest.raises(ValueError):
         ObservableSeries("x", np.arange(3), np.zeros(2), np.zeros(3), 1)
+
+
+def _amplitudes(cfg, psi_a, psi_b, t):
+    return psi_a.amplitudes.copy(), psi_b.amplitudes.copy()
+
+
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("budget, n_jobs, chunks", [(None, 1, 1), (None, 2, 2), (1, 1, 7)],
+                         ids=["one-chunk", "jobs-share", "tiny-budget"])
+def test_chunked_batches_equal_per_walker_evolve_bitwise(monkeypatch, kind, budget, n_jobs, chunks):
+    if budget is not None:
+        monkeypatch.setattr(observables, "_CHUNK_BYTES", budget)
+    cfg = ScenarioConfig("t", steps=9, disorder=kind, phi_max=2.5, phi_static=np.pi, phi_dynamic=1.5,
+                         configs=7, seed=4)
+    tasks = observables._chunk_tasks(cfg, [cfg.steps], _amplitudes, 0, n_jobs)
+    assert len(tasks) == chunks
+    batched = [pair for task in tasks for pair in observables._run_chunk(task)[0]]
+    n, o = lattice_for(cfg.steps)
+    for i, (amps_a, amps_b) in enumerate(batched):
+        fld = observables._field_for(cfg, cfg.seed + i, n, o)
+        assert np.array_equal(amps_a, evolve(delta_state(n, o, 0, COIN_L), cfg.steps, fld).amplitudes)
+        assert np.array_equal(amps_b, evolve(delta_state(n, o, 0, COIN_R), cfg.steps, fld).amplitudes)
+
+
+def _runs(monkeypatch, fn, cfg):
+    """``fn(cfg)`` as one chunk, as one chunk per configuration, and in two worker processes."""
+    out = [fn(cfg), fn(cfg, n_jobs=2)]
+    with monkeypatch.context() as patch:
+        patch.setattr(observables, "_CHUNK_BYTES", 1)
+        out.append(fn(cfg))
+    return out
+
+
+@pytest.mark.parametrize("kind", [DisorderKind.STATIC, DisorderKind.DYNAMIC, DisorderKind.COMBINED],
+                         ids=lambda k: k.value)
+@pytest.mark.parametrize("configs", [3, 12])  # numpy sums more than 8 terms pairwise along contiguous axes
+def test_ensemble_run_equals_stacked_single_configuration_runs(monkeypatch, kind, configs):
+    # A configuration's numbers do not depend on batch size, chunking or n_jobs.
+    seed = 11
+    cfg = ordered_cfg(disorder=kind, phi_max=2.0, phi_static=np.pi, configs=configs, seed=seed, steps=9)
+    singles = [ensemble_run(dataclasses.replace(cfg, configs=1, seed=seed + i)) for i in range(configs)]
+    for series in _runs(monkeypatch, ensemble_run, cfg):
+        for key, s in series.items():
+            values = np.stack([one[key].mean for one in singles])
+            mean, std = values.mean(axis=0), values.std(axis=0)
+            identical = values.max(axis=0) == values.min(axis=0)
+            mean[identical] = values[0, identical]
+            std[identical] = 0.0
+            assert np.array_equal(s.mean, mean)
+            assert np.array_equal(s.std_dev, std)
+
+
+def test_average_joints_equal_ordered_sums_of_single_configuration_runs(monkeypatch):
+    seed = 5
+    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=3, seed=seed,
+                      steps=8)
+    singles = [ensemble_average_joints(dataclasses.replace(cfg, configs=1, seed=seed + i)) for i in range(3)]
+    for joints, marg, positions in _runs(monkeypatch, ensemble_average_joints, cfg):
+        for sym, joint in joints.items():
+            acc = np.zeros_like(joint.matrix)
+            for one in singles:
+                acc += one[0][sym].matrix
+            assert np.array_equal(joint.matrix, acc / 3)
+        acc = np.zeros_like(marg)
+        for one in singles:
+            acc += one[1]
+        assert np.array_equal(marg, acc / 3)
+        assert np.array_equal(positions, singles[0][2])
+
+
+def test_eval_steps_in_any_order_with_repeats():
+    cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=np.pi, configs=2, steps=6, seed=2)
+    full = ensemble_run(cfg)
+    picked = ensemble_run(cfg, eval_steps=[6, 2, 2, 0])
+    for key, s in picked.items():
+        np.testing.assert_array_equal(s.steps, [6, 2, 2, 0])
+        assert np.array_equal(s.mean, full[key].mean[[6, 2, 2, 0]])
+        assert np.array_equal(s.std_dev, full[key].std_dev[[6, 2, 2, 0]])

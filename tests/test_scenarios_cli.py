@@ -338,9 +338,15 @@ def test_manifest_reports_the_kinds_it_ran(tmp_path):
         ({}, ["--seed", "-1", "--disorder", "static"]),
         ({}, ["--jobs", "0"]),
         ({}, ["--jobs", "-3"]),
+        ({"start_a": [1.7, "L"]}, []),
+        ({"start_b": [True, "R"]}, []),
+        ({"start_a": ["1", "L"]}, []),
+        ({"start_b": [0]}, []),
+        ({"start_a": 0}, []),
     ],
     ids=["steps-true", "configs-true", "steps-float", "seed-negative", "seed-negative-static",
-         "jobs-zero", "jobs-negative"],
+         "jobs-zero", "jobs-negative", "start-site-float", "start-site-true", "start-site-string",
+         "start-short", "start-not-a-pair"],
 )
 def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, file_doc, flags):
     cfg_path = tmp_path / "cfg.json"
@@ -348,4 +354,14 @@ def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, file_doc
     out = tmp_path / "out"
     assert main(["--config", str(cfg_path), "--out", str(out)] + flags) == 1
     assert "invalid configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc", [[1, 2], 3, "fig2"], ids=["list", "number", "string"])
+def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, doc):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["--scenario", "fig2", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "must hold a JSON object" in capsys.readouterr().err
     assert not out.exists()
