@@ -21,6 +21,8 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers per ensemble")
     parser.add_argument("--only", nargs="*", metavar="NAME", help="subset of scenarios to run")
     args = parser.parse_args(argv)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
     names = args.only if args.only else list(preset_names())
     unknown = set(names) - set(preset_names())

@@ -10,27 +10,17 @@ from .core import (  # noqa: F401
     delta_state,
     evolve,
     lattice_for,
-    modes_to_state,
-    position_distribution,
     state_to_modes,
 )
-from .disorder import (  # noqa: F401
-    DisorderKind,
-    PhaseField,
-    ordered_field,
-    sample_phase_field,
-)
+from .disorder import DisorderKind, FieldBatch, PhaseField, sample_phase_field  # noqa: F401
 from .two_particle import (  # noqa: F401
     ExchangeSymmetry,
     JointDistribution,
     TwoParticleInput,
     aggregate_to_positions,
-    distinguishable_joint,
     joint_mode_distribution,
-    joint_position_distribution,
     marginal,
     marginal_positions,
-    ordered_pair_distribution,
 )
 from .observables import (  # noqa: F401
     ObservableSeries,
@@ -49,5 +39,5 @@ from .fitting import (  # noqa: F401
     fit_power_law,
 )
 from .pathsum import PathSumResult, compare, path_sum_amplitudes  # noqa: F401
-from .config import ScenarioConfig, load_scenario_json, scenario_from_dict  # noqa: F401
+from .config import ScenarioConfig, scenario_from_dict  # noqa: F401
 from .scenarios import RunManifest, preset, preset_names, run_scenario  # noqa: F401

@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -20,8 +18,17 @@ DEFAULT_PHI_MAX = float(np.pi)
 COIN_NAMES = {"L": COIN_L, "R": COIN_R}
 
 SYMMETRY_CHOICES = ("bosonic", "fermionic", "both")
-OBSERVABLE_CHOICES = ("variance", "entropy", "mutual_information")
 FORMAT_CHOICES = ("csv", "json")
+
+
+def _is_real(value) -> bool:
+    # bool is a Real; JSON true must not pass for 1
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_strength(label: str, value) -> None:
+    if not _is_real(value) or not 0.0 <= value <= 2.0 * math.pi:
+        raise ValueError(f"{label} must be a real number in [0, 2*pi], got {value!r}")
 
 
 def _start_pair(label: str, value) -> tuple:
@@ -49,9 +56,7 @@ class ScenarioConfig:
     # walkers on the same parity sublattice.
     start_a: tuple[int, str] = (0, "L")
     start_b: tuple[int, str] = (0, "R")
-    observables: tuple[str, ...] = ("variance",)
-    sweep_parameter: Optional[str] = None  # "phi_max" or "phi_dynamic"
-    sweep_values: tuple[float, ...] = ()
+    sweep_values: tuple[float, ...] = ()  # read by presets that sweep a strength
     out_dir: str = "results"
     format: str = "csv"
 
@@ -59,8 +64,8 @@ class ScenarioConfig:
         self.disorder = DisorderKind(self.disorder)
         self.start_a = _start_pair("start_a", self.start_a)
         self.start_b = _start_pair("start_b", self.start_b)
-        self.observables = tuple(self.observables)
-        self.sweep_values = tuple(float(v) for v in self.sweep_values)
+        # non-numbers are kept for validate() to reject
+        self.sweep_values = tuple(float(v) if _is_real(v) else v for v in self.sweep_values)
 
     def validate(self) -> None:
         for label in ("steps", "configs", "seed"):
@@ -74,18 +79,18 @@ class ScenarioConfig:
             raise ValueError("configs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        for label, value in (
-            ("phi_max", self.phi_max),
-            ("phi_static", self.phi_static),
-            ("phi_dynamic", self.phi_dynamic),
-        ):
-            if value is not None and not 0.0 <= float(value) <= 2.0 * math.pi:
-                raise ValueError(f"{label} must lie in [0, 2*pi], got {value}")
+        _check_strength("phi_max", self.phi_max)
+        for label in ("phi_static", "phi_dynamic"):
+            if getattr(self, label) is not None:
+                _check_strength(label, getattr(self, label))
+        for value in self.sweep_values:
+            _check_strength("every sweep_values entry", value)
+        if list(self.sweep_values) != sorted(self.sweep_values):
+            raise ValueError("sweep values must be sorted ascending")
         if self.symmetry not in SYMMETRY_CHOICES:
             raise ValueError(f"symmetry must be one of {SYMMETRY_CHOICES}, got {self.symmetry!r}")
-        for obs in self.observables:
-            if obs not in OBSERVABLE_CHOICES:
-                raise ValueError(f"unknown observable {obs!r}")
+        if not isinstance(self.out_dir, str):
+            raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.format not in FORMAT_CHOICES:
             raise ValueError(f"format must be one of {FORMAT_CHOICES}, got {self.format!r}")
         for site, coin in (self.start_a, self.start_b):
@@ -95,15 +100,6 @@ class ScenarioConfig:
                 raise ValueError(f"start coin must be L or R, got {coin!r}")
         if self.start_a == self.start_b:
             raise ValueError("the two walkers need orthogonal starts (distinct site or coin)")
-        if self.sweep_parameter is not None:
-            if self.sweep_parameter not in ("phi_max", "phi_dynamic"):
-                raise ValueError(f"unsupported sweep parameter {self.sweep_parameter!r}")
-            if not self.sweep_values:
-                raise ValueError("sweep_values must be nonempty when sweeping")
-            if not all(math.isfinite(v) for v in self.sweep_values):
-                raise ValueError("sweep values must be finite")
-            if list(self.sweep_values) != sorted(self.sweep_values):
-                raise ValueError("sweep values must be sorted ascending")
 
     @property
     def start_sites(self) -> tuple[int, int]:
@@ -112,15 +108,11 @@ class ScenarioConfig:
     def resolved_phi_static(self) -> float:
         return float(self.phi_max if self.phi_static is None else self.phi_static)
 
-    def resolved_phi_dynamic(self) -> float:
-        return float(self.phi_max if self.phi_dynamic is None else self.phi_dynamic)
-
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
         doc["disorder"] = self.disorder.value
         doc["start_a"] = list(self.start_a)
         doc["start_b"] = list(self.start_b)
-        doc["observables"] = list(self.observables)
         doc["sweep_values"] = list(self.sweep_values)
         return doc
 
@@ -131,8 +123,3 @@ def scenario_from_dict(doc: dict) -> ScenarioConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return ScenarioConfig(**doc)  # __post_init__ turns JSON lists into tuples
-
-
-def load_scenario_json(path: str | Path) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))

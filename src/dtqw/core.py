@@ -65,13 +65,6 @@ class WalkerState:
             raise IndexError(f"position {x} outside lattice [{-self.origin}, {self.n_sites - 1 - self.origin}]")
         return i
 
-    def norm(self) -> float:
-        """Total squared norm, summed over every walker of a batch."""
-        return float(np.sum(np.abs(self.amplitudes) ** 2))
-
-    def copy(self) -> "WalkerState":
-        return WalkerState(self.amplitudes.copy(), self.origin)
-
 
 def lattice_for(steps: int, start_sites: Sequence[int] = (0,)) -> tuple[int, int]:
     """Size a lattice so a ``steps``-step light cone from ``start_sites`` never
@@ -124,45 +117,23 @@ def _phased_step(amplitudes: np.ndarray, e_l: np.ndarray, e_r: np.ndarray) -> np
     return _shift(coined)
 
 
-def evolve(initial: WalkerState, steps: int, field, record: bool = False, start: int = 0):
-    """Evolve steps t = start+1 .. start+steps of the coined step under a phase field.
+def evolve(initial: WalkerState, steps: int, field, start: int = 0) -> WalkerState:
+    """Evolve steps t = start+1 .. start+steps of the coined step; returns the final state.
 
-    ``field`` supplies the coin factors: ``field.coin_factors(t)`` must
-    return (exp(i phi_L), exp(i phi_R)) broadcastable against
-    ``initial.amplitudes[..., 0]`` (see :mod:`dtqw.disorder`; a
-    ``FieldBatch`` matches a (configs, walkers, n_sites, 2) batch).
-    Deterministic for a fixed field, and every amplitude is bit-identical
-    whether its walker evolves alone or in a batch.
-
-    With ``record=True`` returns the list of states after 0..steps steps;
-    otherwise returns the final state.
+    ``field`` is a :class:`dtqw.disorder.FieldBatch` of C configurations:
+    its coin factors broadcast against a (C, walkers, n_sites, 2) batch,
+    and, for ``FieldBatch([field])``, against one walker of shape
+    (n_sites, 2).  Deterministic for a fixed field, and every amplitude is
+    bit-identical whatever the size of the batch it evolves in.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     amps = initial.amplitudes.copy()
-    snapshots = [WalkerState(amps.copy(), initial.origin)] if record else None
     for t in range(start + 1, start + steps + 1):
         amps = _phased_step(amps, *field.coin_factors(t))
-        if record:
-            snapshots.append(WalkerState(amps.copy(), initial.origin))
-    if record:
-        return snapshots
     return WalkerState(amps, initial.origin)
-
-
-def position_distribution(state: WalkerState) -> np.ndarray:
-    """P(x) = |alpha(x)|^2 + |beta(x)|^2 of every walker, indexed like ``state.positions``."""
-    return np.abs(state.amplitudes[..., 0]) ** 2 + np.abs(state.amplitudes[..., 1]) ** 2
 
 
 def state_to_modes(state: WalkerState) -> np.ndarray:
     """Flatten to 2N mode amplitudes, mode m = 2*site_index + coin."""
     return state.amplitudes.reshape(-1).copy()
-
-
-def modes_to_state(modes: np.ndarray, origin: int) -> WalkerState:
-    """Inverse of :func:`state_to_modes`."""
-    modes = np.asarray(modes, dtype=np.complex128)
-    if modes.ndim != 1 or modes.size % 2:
-        raise ValueError(f"mode vector must be flat with even length, got shape {modes.shape}")
-    return WalkerState(modes.reshape(-1, 2).copy(), origin)

@@ -14,7 +14,7 @@ Each component draws from its own substream of the seed, so e.g.
 to ``static`` with the same seed.  Fields are immutable after sampling and
 safe to share across parallel evolutions.  A ``FieldBatch`` stacks the
 fields of several configurations so that one batched evolution steps them
-all.
+all; it is the only source of coin factors that the step engine reads.
 """
 
 from __future__ import annotations
@@ -95,11 +95,6 @@ class PhaseField:
             return self.fluct_l[t - 1], self.fluct_r[t - 1]
         return self.site_l + self.fluct_l[t - 1], self.site_r + self.fluct_r[t - 1]
 
-    def coin_factors(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-site coin factors (exp(i phi_L), exp(i phi_R)) for step t (1-based)."""
-        phi_l, phi_r = self.step_phases(t)
-        return np.exp(1j * phi_l), np.exp(1j * phi_r)
-
     def phases_at(self, x: int, t: int) -> tuple[float, float]:
         """Realized (phi_L, phi_R) at signed position x, step t (1-based)."""
         self._check_step(t)
@@ -115,11 +110,12 @@ class FieldBatch:
 
     ``coin_factors(t)`` returns (exp(i phi_L), exp(i phi_R)) shaped
     (configs, 1, n_sites) or, for dynamic disorder, (configs, 1, 1), so they
-    broadcast against amplitudes of shape (configs, walkers, n_sites).
+    broadcast against amplitudes of shape (configs, walkers, n_sites); a
+    batch of one field also broadcasts against a single walker's (n_sites,).
     exp(i phi) is taken once per static or dynamic table; fluctuating and
     combined phases change every step and are exponentiated per step, the
-    combined ones after adding the static part, exactly as
-    ``PhaseField.coin_factors`` does, so every factor is bit-identical.
+    combined ones after adding the static part.  Every factor is elementwise,
+    so a configuration's factors are bit-identical in any batch.
     """
 
     def __init__(self, fields: Sequence[PhaseField]):
@@ -236,8 +232,3 @@ def sample_phase_field(
         origin=int(origin),
         **tables,
     )
-
-
-def ordered_field(steps: int, n_sites: int, origin: int) -> PhaseField:
-    """The disorder-free field (every phase zero)."""
-    return sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n_sites, origin=origin, seed=0)

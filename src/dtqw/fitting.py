@@ -5,7 +5,7 @@ All three fitters are ordinary least squares on a transformed axis
 (semilog or log-log), so they recover their own model families exactly on
 noiseless data and are invariant under positive rescaling of the input
 up to the intercept.  Exact zeros (parity sites, unreached sites) and
-entries below a floor are dropped before any semilog transform.
+entries at or below ``FLOOR`` are dropped before any semilog transform.
 """
 
 from __future__ import annotations
@@ -16,8 +16,12 @@ import numpy as np
 
 from .observables import ObservableSeries
 
-DEFAULT_FLOOR = 1e-9
-DEFAULT_POWER_LAW_WINDOW = (20, 100)
+FLOOR = 1e-9
+#: Half-width of the flattened central cap that the wing fit skips.
+EXCLUDE_RADIUS = 2.0
+#: Fewest usable entries a semilog fit (or one wing) needs.
+MIN_POINTS = 4
+POWER_LAW_WINDOW = (20, 100)
 
 
 class FitError(ValueError):
@@ -48,21 +52,14 @@ def _r_squared(y: np.ndarray, pred: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def fit_exponential_decay(
-    marginal: np.ndarray,
-    positions: np.ndarray,
-    center: float = 0.0,
-    floor: float = DEFAULT_FLOOR,
-    exclude_radius: float = 2.0,
-    min_points: int = 4,
-) -> FitResult:
+def fit_exponential_decay(marginal: np.ndarray, positions: np.ndarray, center: float = 0.0) -> FitResult:
     """Fit exp(-|x - center| / xi) wings of a localized marginal.
 
     Each wing is fit separately as a line on (|x - center|, ln P) over the
-    entries above ``floor`` and outside the flattened central cap
-    (|x - center| < exclude_radius drops the central 3 sites for an integer
+    entries above ``FLOOR`` and outside the flattened central cap
+    (|x - center| < EXCLUDE_RADIUS drops the central 3 sites for an integer
     center); the localization length is the average of -1/slope over the two
-    wings.  Raises FitError when a wing has fewer than ``min_points`` usable
+    wings.  Raises FitError when a wing has fewer than ``MIN_POINTS`` usable
     entries or decays with a nonnegative slope.
     """
     marginal = np.asarray(marginal, dtype=np.float64)
@@ -73,9 +70,9 @@ def fit_exponential_decay(
     used_lo, used_hi = np.inf, -np.inf
     for label, side in (("left", -1.0), ("right", 1.0)):
         rel = (positions - center) * side
-        mask = (rel >= exclude_radius) & (marginal > floor)
-        if int(mask.sum()) < min_points:
-            raise FitError(f"{label} wing has {int(mask.sum())} usable points, need {min_points}")
+        mask = (rel >= EXCLUDE_RADIUS) & (marginal > FLOOR)
+        if int(mask.sum()) < MIN_POINTS:
+            raise FitError(f"{label} wing has {int(mask.sum())} usable points, need {MIN_POINTS}")
         x = rel[mask]
         y = np.log(marginal[mask])
         slope, intercept = np.polyfit(x, y, 1)
@@ -96,22 +93,17 @@ def fit_exponential_decay(
     )
 
 
-def fit_gaussian_semilog(
-    marginal: np.ndarray,
-    positions: np.ndarray,
-    floor: float = DEFAULT_FLOOR,
-    min_points: int = 4,
-) -> FitResult:
+def fit_gaussian_semilog(marginal: np.ndarray, positions: np.ndarray) -> FitResult:
     """Fit a parabola to (x, ln P) and report the Gaussian width.
 
     sigma = sqrt(-1 / (2 a)) with ``a`` the quadratic coefficient, which must
-    come out negative.  Entries at or below ``floor`` are dropped first.
+    come out negative.  Entries at or below ``FLOOR`` are dropped first.
     """
     marginal = np.asarray(marginal, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
-    mask = marginal > floor
-    if int(mask.sum()) < min_points:
-        raise FitError(f"only {int(mask.sum())} usable points, need {min_points}")
+    mask = marginal > FLOOR
+    if int(mask.sum()) < MIN_POINTS:
+        raise FitError(f"only {int(mask.sum())} usable points, need {MIN_POINTS}")
     x = positions[mask]
     y = np.log(marginal[mask])
     a, b, c = np.polyfit(x, y, 2)
@@ -132,20 +124,17 @@ def fit_gaussian_semilog(
     )
 
 
-def fit_power_law(
-    series: ObservableSeries,
-    window: tuple[float, float] = DEFAULT_POWER_LAW_WINDOW,
-) -> FitResult:
-    """Fit mean(t) ~ prefactor * t^alpha on log-log axes over a step window.
+def fit_power_law(series: ObservableSeries) -> FitResult:
+    """Fit mean(t) ~ prefactor * t^alpha on log-log axes over ``POWER_LAW_WINDOW``.
 
     Also reports the anomalous-diffusion dimension d = 2/alpha (1 ballistic,
     2 diffusive, larger subdiffusive).  All series means inside the window
     must be strictly positive.
     """
-    lo, hi = window
+    lo, hi = POWER_LAW_WINDOW
     mask = (series.steps >= lo) & (series.steps <= hi) & (series.steps > 0)
     if int(mask.sum()) < 2:
-        raise FitError(f"window {window} selects {int(mask.sum())} points, need 2")
+        raise FitError(f"window {POWER_LAW_WINDOW} selects {int(mask.sum())} points, need 2")
     values = series.mean[mask]
     if np.any(values <= 0.0):
         raise FitError("series has nonpositive values inside the fit window")

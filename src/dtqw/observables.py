@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -93,12 +94,6 @@ class ObservableSeries:
         self.std_dev = np.asarray(self.std_dev, dtype=np.float64)
         if not len(self.steps) == len(self.mean) == len(self.std_dev):
             raise ValueError("steps, mean and std_dev must have equal length")
-
-    def at_step(self, t: int) -> float:
-        idx = np.nonzero(self.steps == t)[0]
-        if idx.size == 0:
-            raise KeyError(f"step {t} not recorded")
-        return float(self.mean[idx[0]])
 
 
 def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int, origin: int) -> PhaseField:
@@ -178,7 +173,8 @@ def _run_chunk(task) -> list[list]:
     return results
 
 
-def _measure_series(cfg: ScenarioConfig, psi_a: WalkerState, psi_b: WalkerState, t: int) -> np.ndarray:
+def _measure_series(observables: tuple[str, ...], cfg: ScenarioConfig, psi_a: WalkerState, psi_b: WalkerState,
+                    t: int) -> np.ndarray:
     """Every observable of every symmetry at step ``t``, shape (observables, symmetries)."""
     # Crop to the union light cone; discarded amplitudes are exactly zero.
     lo = max(0, psi_a.origin + min(cfg.start_sites) - t)
@@ -190,7 +186,7 @@ def _measure_series(cfg: ScenarioConfig, psi_a: WalkerState, psi_b: WalkerState,
         # Bound on purpose: inlining this call frees the mode matrix earlier and measured slower.
         joint = joint_mode_distribution(inp, sym)
         joints[sym] = aggregate_to_positions(joint)
-    return np.array([[_OBSERVABLES[obs](joints[sym]) for sym in syms] for obs in cfg.observables])
+    return np.array([[_OBSERVABLES[obs](joints[sym]) for sym in syms] for obs in observables])
 
 
 def _measure_joints(cfg: ScenarioConfig, psi_a: WalkerState, psi_b: WalkerState, t: int) -> tuple:
@@ -204,20 +200,25 @@ def _measure_joints(cfg: ScenarioConfig, psi_a: WalkerState, psi_b: WalkerState,
 
 def ensemble_run(
     cfg: ScenarioConfig,
+    observables: Sequence[str],
     eval_steps: Optional[Sequence[int]] = None,
     n_jobs: int = 1,
 ) -> dict[tuple[str, str], ObservableSeries]:
     """Evolve ``cfg.configs`` disorder realizations and fold the observables.
 
-    Configuration i draws its field with seed ``cfg.seed + i``; walkers A and
-    B share the field within a configuration.  Returns one series per
-    (observable, symmetry), keyed by name.  ``eval_steps`` restricts which
-    steps are measured (default 0..steps); each is measured while the walk
-    runs.  A configuration's values do not depend on chunking or ``n_jobs``:
+    ``observables`` names keys of ``_OBSERVABLES`` ("variance", "entropy",
+    "mutual_information").  Configuration i draws its field with seed
+    ``cfg.seed + i``; walkers A and B share the field within a
+    configuration.  Returns one series per (observable, symmetry), keyed by
+    name.  ``eval_steps`` restricts which steps are measured (default
+    0..steps); each is measured while the walk runs.  A configuration's values do not depend on chunking or ``n_jobs``:
     they are computed independently and merged in configuration order, so
     serial and parallel results are bit-identical.
     """
     cfg.validate()
+    observables = tuple(observables)
+    if not observables or any(obs not in _OBSERVABLES for obs in observables):
+        raise ValueError(f"observables must be a nonempty selection of {tuple(_OBSERVABLES)}, got {observables!r}")
     if eval_steps is None:
         eval_steps = range(cfg.steps + 1)
     eval_steps = [int(t) for t in eval_steps]
@@ -226,14 +227,15 @@ def ensemble_run(
 
     syms = resolved_symmetries(cfg)
     stops = sorted(set(eval_steps))
-    tasks = _chunk_tasks(cfg, stops, _measure_series, len(cfg.observables) * len(syms) * len(stops), n_jobs)
+    measure = partial(_measure_series, observables)
+    tasks = _chunk_tasks(cfg, stops, measure, len(observables) * len(syms) * len(stops), n_jobs)
     chunks = [np.moveaxis(np.array(chunk), 0, -1) for chunk in _map_configs(_run_chunk, tasks, n_jobs)]
     # (configs, obs, sym, steps) in C order, so the means over configurations
     # below sum in one order whatever the chunking
     cube = np.ascontiguousarray(np.concatenate(chunks)[..., [stops.index(t) for t in eval_steps]])
 
     out: dict[tuple[str, str], ObservableSeries] = {}
-    for i, obs in enumerate(cfg.observables):
+    for i, obs in enumerate(observables):
         for j, sym in enumerate(syms):
             values = cube[:, i, j, :]
             mean = values.mean(axis=0)

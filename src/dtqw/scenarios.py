@@ -19,8 +19,9 @@ strengths, ensemble size, seed) with a ``Plan`` of what to evolve and emit:
 
 Two runners read the plans: one averages joint maps at the final step and
 fits their marginal (fig2-fig4, fluct); one loops disorder kind x sweep value
-x symmetry x step (fig5-fig9, whose disorder kinds are fixed).  A config that
-sweeps a strength is measured at its final step only.
+x symmetry x step (fig5-fig9, whose disorder kinds, observable and swept
+strength are fixed).  A preset that sweeps a strength is measured at its
+final step only.
 
 ``run_scenario`` executes a preset configuration (possibly with overridden
 fields), writes the result tables plus a reproducibility manifest, and is
@@ -65,8 +66,9 @@ class Plan:
     """What a preset evolves and emits; nothing here is user-settable.
 
     Without a ``table`` the preset writes averaged joint maps.  With one it
-    writes a grid table whose columns are ``keys + stats``; the first key
-    holds the step, or the swept strength.  ``kinds`` fixes the disorder
+    writes a grid table of ``observable`` whose columns are ``keys + stats``;
+    the first key holds the step, or the strength named by ``sweep`` (which
+    then takes the config's ``sweep_values``).  ``kinds`` fixes the disorder
     kinds evolved, in order (empty: the config's own ``disorder``).  ``fits``
     and ``docs`` name the fits and derived documents to emit.
     """
@@ -75,6 +77,8 @@ class Plan:
     keys: tuple[str, ...] = ()
     stats: tuple[str, ...] = ()
     kinds: tuple[DisorderKind, ...] = ()
+    observable: str | None = None
+    sweep: str | None = None  # "phi_max" or "phi_dynamic"
     fits: tuple[str, ...] = ()
     docs: tuple[str, ...] = ()
 
@@ -94,19 +98,18 @@ def _preset_table() -> dict[str, tuple[ScenarioConfig, Plan]]:
                                  configs=100, seed=450), Plan(fits=wings)),
         "fig5": (ScenarioConfig("fig5", steps=100, phi_max=pi, configs=100, seed=500),
                  Plan("variance_vs_t", series, var, (K.ORDERED, K.DYNAMIC, K.FLUCTUATING, K.COMBINED, K.STATIC),
-                      fits=("power_law",))),
-        "fig6": (ScenarioConfig("fig6", steps=100, configs=100, seed=600,
-                                sweep_parameter="phi_max", sweep_values=STRENGTH_GRID),
-                 Plan("variance_vs_phi", ("phi", "kind", "symmetry"), var, (K.STATIC, K.DYNAMIC))),
+                      "variance", fits=("power_law",))),
+        "fig6": (ScenarioConfig("fig6", steps=100, configs=100, seed=600, sweep_values=STRENGTH_GRID),
+                 Plan("variance_vs_phi", ("phi", "kind", "symmetry"), var, (K.STATIC, K.DYNAMIC), "variance",
+                      sweep="phi_max")),
         "fig7": (ScenarioConfig("fig7", steps=100, disorder=K.COMBINED, phi_static=pi, configs=100, seed=700,
-                                sweep_parameter="phi_dynamic", sweep_values=STRENGTH_GRID),
-                 Plan("variance_vs_phi_dynamic", ("phi_dynamic", "symmetry"), var, (K.COMBINED,),
-                      docs=("mobility_edge",))),
-        "fig8": (ScenarioConfig("fig8", steps=100, phi_max=pi, configs=50, seed=800, observables=("entropy",)),
-                 Plan("entropy_vs_t", series, info, info_kinds)),
-        "fig9": (ScenarioConfig("fig9", steps=100, phi_max=pi, configs=50, seed=900,
-                                observables=("mutual_information",)),
-                 Plan("mutual_information_vs_t", series, info, info_kinds)),
+                                sweep_values=STRENGTH_GRID),
+                 Plan("variance_vs_phi_dynamic", ("phi_dynamic", "symmetry"), var, (K.COMBINED,), "variance",
+                      sweep="phi_dynamic", docs=("mobility_edge",))),
+        "fig8": (ScenarioConfig("fig8", steps=100, phi_max=pi, configs=50, seed=800),
+                 Plan("entropy_vs_t", series, info, info_kinds, "entropy")),
+        "fig9": (ScenarioConfig("fig9", steps=100, phi_max=pi, configs=50, seed=900),
+                 Plan("mutual_information_vs_t", series, info, info_kinds, "mutual_information")),
     }
 
 
@@ -128,15 +131,36 @@ def preset(name: str) -> ScenarioConfig:
     return dataclasses.replace(cfg, out_dir=str(Path("results") / name))
 
 
+def _strengths_read(cfg: ScenarioConfig, plan: Plan, kinds: tuple) -> set[str]:
+    """Strength fields whose values the run uses; the sweep overwrites its own."""
+    read = set()
+    for kind in kinds:
+        if kind is DisorderKind.COMBINED:
+            read |= {"phi_static", "phi_dynamic"}
+            if any(getattr(cfg, key) is None and key != plan.sweep for key in ("phi_static", "phi_dynamic")):
+                read.add("phi_max")  # the fallback of an unset component
+        elif kind is not DisorderKind.ORDERED:
+            read.add("phi_max")
+    return read - {plan.sweep}
+
+
 def check_config(cfg: ScenarioConfig, given: dict) -> None:
     """Reject what the plan of preset ``cfg.name`` would ignore or mislabel;
     ``given`` holds the fields that flags or a config file set."""
     base, plan = _lookup(cfg.name)
     if plan.kinds and ("disorder" in given or cfg.disorder is not base.disorder):
         raise ValueError(f"{cfg.name} always evolves {'/'.join(k.value for k in plan.kinds)} disorder; drop 'disorder'")
-    for key in ("observables", "sweep_parameter") + (() if base.sweep_parameter else ("sweep_values",)):
-        if getattr(cfg, key) != getattr(base, key):
-            raise ValueError(f"{cfg.name} fixes {key} to {getattr(base, key)!r}")
+    if plan.sweep and not cfg.sweep_values:
+        raise ValueError(f"{cfg.name} sweeps {plan.sweep} and needs nonempty sweep_values")
+    if not plan.sweep and cfg.sweep_values != base.sweep_values:
+        raise ValueError(f"{cfg.name} sweeps no strength; drop 'sweep_values'")
+    kinds = plan.kinds or (cfg.disorder,)
+    read = _strengths_read(cfg, plan, kinds)
+    for key in ("phi_max", "phi_static", "phi_dynamic"):
+        if key not in read and (key in given or getattr(cfg, key) != getattr(base, key)):
+            evolved = "/".join(k.value for k in kinds)
+            why = "its sweep sets it" if key == plan.sweep else f"{evolved} disorder does not read it"
+            raise ValueError(f"{cfg.name} ignores {key} ({why}); drop it")
 
 
 # Joint-map fits take (marginal, positions, center), grid fits one series.
@@ -188,15 +212,14 @@ def _run_joints(cfg: ScenarioConfig, plan: Plan, n_jobs: int) -> tuple[list[Tabl
 
 def _run_grid(cfg: ScenarioConfig, plan: Plan, kinds: tuple, n_jobs: int) -> tuple[list[Table], dict]:
     """One row per kind x sweep value x symmetry x step; returns (tables, fits)."""
-    observable = cfg.observables[0]
-    swept = cfg.sweep_parameter
+    observable, swept = plan.observable, plan.sweep
     eval_steps = [cfg.steps] if swept else list(range(cfg.steps + 1))
     table = Table(plan.table, plan.keys + plan.stats)
     fits: dict[str, dict] = {}
     for kind in kinds:
         for value in cfg.sweep_values if swept else (None,):
             sub = dataclasses.replace(cfg, disorder=kind, **({swept: value} if swept else {}))
-            series = ensemble_run(sub, eval_steps=eval_steps, n_jobs=n_jobs)
+            series = ensemble_run(sub, (observable,), eval_steps=eval_steps, n_jobs=n_jobs)
             for sym in resolved_symmetries(cfg):
                 s = series[(observable, sym.value)]
                 for t, m, sd in zip(s.steps, s.mean, s.std_dev):

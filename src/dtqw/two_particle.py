@@ -70,13 +70,6 @@ class JointDistribution:
     level: str  # "mode" or "position"
     positions: np.ndarray = field(repr=False)
 
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def total(self) -> float:
-        return float(self.matrix.sum())
-
 
 def joint_mode_distribution(inp: TwoParticleInput, sym: ExchangeSymmetry) -> JointDistribution:
     """Mode-level symmetrized joint distribution of the two walkers."""
@@ -109,11 +102,6 @@ def aggregate_to_positions(joint: JointDistribution) -> JointDistribution:
     )
 
 
-def joint_position_distribution(inp: TwoParticleInput, sym: ExchangeSymmetry) -> JointDistribution:
-    """Shorthand for aggregate_to_positions(joint_mode_distribution(...))."""
-    return aggregate_to_positions(joint_mode_distribution(inp, sym))
-
-
 def marginal(inp: TwoParticleInput) -> np.ndarray:
     """Single-particle marginal over modes, (|a|^2 + |b|^2) / 2.
 
@@ -127,25 +115,3 @@ def marginal(inp: TwoParticleInput) -> np.ndarray:
 def marginal_positions(inp: TwoParticleInput) -> np.ndarray:
     """Position-level marginal, indexed like ``inp.site_positions``."""
     return marginal(inp).reshape(-1, 2).sum(axis=1)
-
-
-def ordered_pair_distribution(joint: JointDistribution) -> np.ndarray:
-    """Unordered-pair form: doubled below the diagonal, zero above.
-
-    Entry (x, y) with x > y holds 2 P(x, y), the probability of finding the
-    pair at {x, y}; the diagonal is kept as is.  Expectations of any
-    exchange-symmetric observable agree between this form (summed over
-    x >= y) and the full symmetrized matrix.
-    """
-    m = joint.matrix
-    return np.tril(2.0 * m, -1) + np.diag(np.diag(m))
-
-
-def distinguishable_joint(inp: TwoParticleInput) -> np.ndarray:
-    """Mode-level joint for distinguishable particles (no interference term).
-
-    Equals the elementwise average of the bosonic and fermionic joints.
-    """
-    a, b = inp.modes()
-    k2 = np.abs(np.outer(a, b)) ** 2
-    return 0.5 * (k2 + k2.T)

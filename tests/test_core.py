@@ -11,18 +11,29 @@ from dtqw.core import (
     delta_state,
     evolve,
     lattice_for,
-    modes_to_state,
-    position_distribution,
     state_to_modes,
 )
-from dtqw.disorder import DisorderKind, FieldBatch, PhaseField, ordered_field, sample_phase_field
+from dtqw.disorder import DisorderKind, FieldBatch, PhaseField, sample_phase_field
 from dtqw.pathsum import path_sum_amplitudes
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+def zero_field(steps, n_sites, origin):
+    return sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n_sites, origin=origin)
+
+
+def probabilities(state):
+    """P(x) of every walker, indexed like ``state.positions``."""
+    return np.abs(state.amplitudes[..., 0]) ** 2 + np.abs(state.amplitudes[..., 1]) ** 2
+
+
+def norm(state):
+    return float(np.sum(np.abs(state.amplitudes) ** 2))
+
+
 def dist_by_position(state):
-    p = position_distribution(state)
+    p = probabilities(state)
     return {int(x): float(v) for x, v in zip(state.positions, p) if v > 1e-15}
 
 
@@ -37,7 +48,7 @@ def one_step(coin, phi_l=0.0, phi_r=0.0):
     """One step from x=0 in the given coin state under uniform phases."""
     n, o = lattice_for(1)
     fld = phase_table_field(np.full((1, n), phi_l), np.full((1, n), phi_r))
-    return evolve(delta_state(n, o, 0, coin), 1, fld)
+    return evolve(delta_state(n, o, 0, coin), 1, FieldBatch([fld]))
 
 
 def test_phased_coin_pi_flips_second_row():
@@ -50,7 +61,7 @@ def test_phased_coin_pi_flips_second_row():
 def test_phased_coin_unitary(phi_l, phi_r):
     # the two coin states of one site stay orthonormal through a phased step
     a, b = one_step(COIN_L, phi_l, phi_r), one_step(COIN_R, phi_l, phi_r)
-    assert a.norm() == pytest.approx(1.0, abs=1e-12) and b.norm() == pytest.approx(1.0, abs=1e-12)
+    assert norm(a) == pytest.approx(1.0, abs=1e-12) and norm(b) == pytest.approx(1.0, abs=1e-12)
     assert abs(np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
 
 
@@ -59,12 +70,10 @@ def test_common_phase_is_global():
     t = 12
     n, o = lattice_for(t)
     start = delta_state(n, o, 0, COIN_L)
-    plain = evolve(start, t, ordered_field(t, n, o))
+    plain = evolve(start, t, FieldBatch([zero_field(t, n, o)]))
     third = np.full((t, n), np.pi / 3)
-    tilted = evolve(start, t, phase_table_field(third, third))
-    np.testing.assert_allclose(
-        position_distribution(tilted), position_distribution(plain), atol=1e-12
-    )
+    tilted = evolve(start, t, FieldBatch([phase_table_field(third, third)]))
+    np.testing.assert_allclose(probabilities(tilted), probabilities(plain), atol=1e-12)
 
 
 def test_step_from_L():
@@ -84,56 +93,45 @@ def test_step_preserves_norm_with_random_phased_coins():
     rng = np.random.default_rng(3)
     n, o = lattice_for(6)
     fld = phase_table_field(rng.uniform(0, 2 * np.pi, (6, n)), rng.uniform(0, 2 * np.pi, (6, n)))
-    state = evolve(delta_state(n, o, 0, COIN_L), 6, fld)
-    assert state.norm() == pytest.approx(1.0, abs=1e-12)
+    state = evolve(delta_state(n, o, 0, COIN_L), 6, FieldBatch([fld]))
+    assert norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_overflow_is_an_error():
     # on 3 sites the first step reaches both edge sites, so the second overflows
     with pytest.raises(LatticeOverflowError):
-        evolve(delta_state(3, 1, 0, COIN_L), 2, ordered_field(2, 3, 1))
+        evolve(delta_state(3, 1, 0, COIN_L), 2, FieldBatch([zero_field(2, 3, 1)]))
 
 
 def test_evolve_zero_steps_returns_initial():
     n, o = lattice_for(4)
     start = delta_state(n, o, 0, COIN_L)
-    out = evolve(start, 0, ordered_field(4, n, o))
+    out = evolve(start, 0, FieldBatch([zero_field(4, n, o)]))
     np.testing.assert_array_equal(out.amplitudes, start.amplitudes)
 
 
 def test_evolve_two_steps_ordered():
     n, o = lattice_for(2)
-    out = evolve(delta_state(n, o, 0, COIN_L), 2, ordered_field(2, n, o))
+    out = evolve(delta_state(n, o, 0, COIN_L), 2, FieldBatch([zero_field(2, n, o)]))
     assert dist_by_position(out) == pytest.approx({-2: 0.25, 0: 0.5, 2: 0.25})
 
 
 def test_evolve_three_steps_ordered():
     n, o = lattice_for(3)
-    out = evolve(delta_state(n, o, 0, COIN_L), 3, ordered_field(3, n, o))
+    out = evolve(delta_state(n, o, 0, COIN_L), 3, FieldBatch([zero_field(3, n, o)]))
     assert dist_by_position(out) == pytest.approx({-3: 1 / 8, -1: 5 / 8, 1: 1 / 8, 3: 1 / 8})
-
-
-def test_evolve_records_snapshots():
-    t = 5
-    n, o = lattice_for(t)
-    fld = ordered_field(t, n, o)
-    snaps = evolve(delta_state(n, o, 0, COIN_L), t, fld, record=True)
-    assert len(snaps) == t + 1
-    np.testing.assert_array_equal(
-        snaps[-1].amplitudes, evolve(delta_state(n, o, 0, COIN_L), t, fld).amplitudes
-    )
 
 
 def test_position_distribution_delta():
     state = delta_state(9, 4, 0, COIN_L)
-    p = position_distribution(state)
+    p = probabilities(state)
     assert p[state.index_of(0)] == 1.0
     assert p.sum() == pytest.approx(1.0)
 
 
 def test_one_step_distribution_is_half_half():
     n, o = lattice_for(1)
-    out = evolve(delta_state(n, o, 0, COIN_L), 1, ordered_field(1, n, o))
+    out = evolve(delta_state(n, o, 0, COIN_L), 1, FieldBatch([zero_field(1, n, o)]))
     assert dist_by_position(out) == pytest.approx({-1: 0.5, 1: 0.5})
 
 
@@ -150,9 +148,9 @@ def test_evolution_invariants_under_any_disorder(kind, steps, seed):
         kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
         steps=steps, n_sites=n, origin=o, seed=seed,
     )
-    out = evolve(delta_state(n, o, 0, COIN_L), steps, fld)
-    assert out.norm() == pytest.approx(1.0, abs=1e-12)
-    p = position_distribution(out)
+    out = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([fld]))
+    assert norm(out) == pytest.approx(1.0, abs=1e-12)
+    p = probabilities(out)
     x = out.positions
     assert np.all(p[np.abs(x) > steps] == 0.0)
     assert np.all(p[(x + steps) % 2 == 1] == 0.0)
@@ -161,9 +159,12 @@ def test_evolution_invariants_under_any_disorder(kind, steps, seed):
 def test_norm_drift_over_100_steps():
     t = 100
     n, o = lattice_for(t)
-    fld = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=np.pi, steps=t, n_sites=n, origin=o, seed=9)
-    snaps = evolve(delta_state(n, o, 0, COIN_L), t, fld, record=True)
-    worst = max(abs(s.norm() - 1.0) for s in snaps)
+    fld = FieldBatch([sample_phase_field(DisorderKind.FLUCTUATING, phi_max=np.pi, steps=t, n_sites=n, origin=o,
+                                         seed=9)])
+    state, worst = delta_state(n, o, 0, COIN_L), 0.0
+    for step in range(t):  # one step at a time, checking the norm after each
+        state = evolve(state, 1, fld, start=step)
+        worst = max(worst, abs(norm(state) - 1.0))
     assert worst <= 1e-12
 
 
@@ -174,17 +175,17 @@ def test_global_phase_shift_of_field_is_invisible():
     n, o = lattice_for(t)
     fld = sample_phase_field(DisorderKind.STATIC, phi_max=np.pi, steps=t, n_sites=n, origin=o, seed=4)
     shifted = dataclasses.replace(fld, site_l=fld.site_l + 1.234, site_r=fld.site_r + 1.234)
-    a = evolve(delta_state(n, o, 0, COIN_L), t, fld)
-    b = evolve(delta_state(n, o, 0, COIN_L), t, shifted)
-    np.testing.assert_allclose(position_distribution(a), position_distribution(b), atol=1e-12)
+    a = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([fld]))
+    b = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([shifted]))
+    np.testing.assert_allclose(probabilities(a), probabilities(b), atol=1e-12)
 
 
 def test_zero_strength_field_equals_ordered_bit_for_bit():
     t = 30
     n, o = lattice_for(t)
     zero = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=t, n_sites=n, origin=o, seed=5)
-    a = evolve(delta_state(n, o, 0, COIN_L), t, zero)
-    b = evolve(delta_state(n, o, 0, COIN_L), t, ordered_field(t, n, o))
+    a = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([zero]))
+    b = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([zero_field(t, n, o)]))
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
 
@@ -192,31 +193,25 @@ def test_evolve_matches_explicit_step_loop():
     t = 8
     n, o = lattice_for(t)
     fld = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=2.5, steps=t, n_sites=n, origin=o, seed=6)
-    fast = evolve(delta_state(n, o, 0, COIN_R), t, fld)
+    fast = evolve(delta_state(n, o, 0, COIN_R), t, FieldBatch([fld]))
     slow = path_sum_amplitudes(0, COIN_R, t, fld)  # explicit sum over all 2^t coin histories
     np.testing.assert_allclose(slow.modes, state_to_modes(fast), atol=1e-13)
 
 
 def test_mode_round_trip():
+    # mode m = 2*site_index + coin, so reshaping to (n_sites, 2) inverts the flattening
     rng = np.random.default_rng(0)
     amps = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
-    amps /= np.sqrt(np.sum(np.abs(amps) ** 2))
-    state = WalkerState(amps, 3)
-    back = modes_to_state(state_to_modes(state), state.origin)
-    np.testing.assert_array_equal(back.amplitudes, state.amplitudes)
-    assert back.origin == state.origin
-
-
-def test_modes_to_state_rejects_odd_length():
-    with pytest.raises(ValueError):
-        modes_to_state(np.zeros(5, dtype=complex), 0)
+    modes = state_to_modes(WalkerState(amps, 3))
+    assert modes[2 * 4 + COIN_R] == amps[4, COIN_R]
+    np.testing.assert_array_equal(modes.reshape(-1, 2), amps)
 
 
 def test_lattice_for_sizes_the_light_cone():
     n, o = lattice_for(10, (0, 0))
     assert n == 2 * 10 + 3
-    out = evolve(delta_state(n, o, 0, COIN_L), 10, ordered_field(10, n, o))
-    assert out.norm() == pytest.approx(1.0)
+    out = evolve(delta_state(n, o, 0, COIN_L), 10, FieldBatch([zero_field(10, n, o)]))
+    assert norm(out) == pytest.approx(1.0)
 
 
 def test_delta_state_rejects_bad_coin():
@@ -241,15 +236,18 @@ def walker_pairs(n, o, count):
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
 def test_batched_evolve_equals_each_walker_bit_for_bit(kind):
+    # the determinism contract: a batch of C equals C batches of one, and one walker alone
     t = 12
     fields = sampled_fields(kind, t, range(5))
     n, o = fields[0].n_sites, fields[0].origin
     out = evolve(walker_pairs(n, o, 5), t, FieldBatch(fields))
     for c, fld in enumerate(fields):
+        single = evolve(walker_pairs(n, o, 1), t, FieldBatch([fld]))
+        assert np.array_equal(out.amplitudes[c], single.amplitudes[0])
         for w, coin in enumerate((COIN_L, COIN_R)):
-            alone = evolve(delta_state(n, o, 0, coin), t, fld)
+            alone = evolve(delta_state(n, o, 0, coin), t, FieldBatch([fld]))
+            assert alone.amplitudes.shape == (n, 2)
             assert np.array_equal(out.amplitudes[c, w], alone.amplitudes)
-            assert np.array_equal(position_distribution(out)[c, w], position_distribution(alone))
 
 
 @pytest.mark.parametrize("kind", [DisorderKind.STATIC, DisorderKind.COMBINED], ids=lambda k: k.value)
@@ -275,7 +273,7 @@ def test_evolve_in_segments_equals_one_run():
 
 
 def test_batched_overflow_is_an_error():
-    batch = FieldBatch([ordered_field(2, 3, 1), ordered_field(2, 3, 1)])
+    batch = FieldBatch([zero_field(2, 3, 1), zero_field(2, 3, 1)])
     with pytest.raises(LatticeOverflowError):
         evolve(walker_pairs(3, 1, 2), 2, batch)
 

@@ -5,11 +5,7 @@ import pytest
 from scipy import stats
 
 from dtqw.core import COIN_L, delta_state, evolve, lattice_for
-from dtqw.disorder import (
-    DisorderKind,
-    ordered_field,
-    sample_phase_field,
-)
+from dtqw.disorder import DisorderKind, FieldBatch, sample_phase_field
 
 PI = np.pi
 
@@ -59,8 +55,9 @@ def test_zero_strength_matches_ordered_evolution():
     steps = 15
     n, o = lattice_for(steps)
     zero = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=steps, n_sites=n, origin=o, seed=3)
-    a = evolve(delta_state(n, o, 0, COIN_L), steps, zero)
-    b = evolve(delta_state(n, o, 0, COIN_L), steps, ordered_field(steps, n, o))
+    a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([zero]))
+    ordered = sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n, origin=o)
+    b = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([ordered]))
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
 
@@ -129,8 +126,8 @@ def test_fluctuating_forced_constant_reproduces_static():
     )
     static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=8)
     static = dataclasses.replace(static, site_l=fluct.fluct_l[0], site_r=fluct.fluct_r[0])
-    a = evolve(delta_state(n, o, 0, COIN_L), steps, frozen)
-    b = evolve(delta_state(n, o, 0, COIN_L), steps, static)
+    a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([frozen]))
+    b = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([static]))
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
 
@@ -143,8 +140,8 @@ def test_combined_with_zero_dynamic_reproduces_static():
     static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=21)
     np.testing.assert_array_equal(combined.site_l, static.site_l)
     np.testing.assert_array_equal(combined.site_r, static.site_r)
-    a = evolve(delta_state(n, o, 0, COIN_L), steps, combined)
-    b = evolve(delta_state(n, o, 0, COIN_L), steps, static)
+    a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([combined]))
+    b = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([static]))
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
 
@@ -156,8 +153,8 @@ def test_combined_with_zero_static_reproduces_fluctuating():
     )
     fluct = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=22)
     np.testing.assert_array_equal(combined.fluct_l, fluct.fluct_l)
-    a = evolve(delta_state(n, o, 0, COIN_L), steps, combined)
-    b = evolve(delta_state(n, o, 0, COIN_L), steps, fluct)
+    a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([combined]))
+    b = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([fluct]))
     np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
 
 

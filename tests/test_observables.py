@@ -1,4 +1,5 @@
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from dtqw import observables
 from dtqw.config import ScenarioConfig
 from dtqw.core import COIN_L, COIN_R, delta_state, evolve, lattice_for
-from dtqw.disorder import DisorderKind, ordered_field, sample_phase_field
+from dtqw.disorder import DisorderKind, FieldBatch, sample_phase_field
 from dtqw.observables import (
     ObservableSeries,
     classical_baseline,
@@ -20,8 +21,8 @@ from dtqw.two_particle import (
     ExchangeSymmetry,
     JointDistribution,
     TwoParticleInput,
-    distinguishable_joint,
-    joint_position_distribution,
+    aggregate_to_positions,
+    joint_mode_distribution,
 )
 
 BOS = ExchangeSymmetry.BOSONIC
@@ -42,12 +43,12 @@ def make_joint(matrix, positions=None, sym=BOS):
 def three_step_joint(sym):
     steps = 3
     n, o = lattice_for(steps, (0, 0))
-    fld = ordered_field(steps, n, o)
+    fld = FieldBatch([sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n, origin=o)])
     inp = TwoParticleInput(
         evolve(delta_state(n, o, 0, COIN_L), steps, fld),
         evolve(delta_state(n, o, 0, COIN_R), steps, fld),
     )
-    return joint_position_distribution(inp, sym)
+    return aggregate_to_positions(joint_mode_distribution(inp, sym))
 
 
 def test_variance_of_point_mass_is_zero():
@@ -142,31 +143,34 @@ def test_product_joint_variance_is_sum_of_single_variances():
     steps = 12
     n, o = lattice_for(steps, (0, 0))
     fld = sample_phase_field(DisorderKind.STATIC, phi_max=np.pi, steps=steps, n_sites=n, origin=o, seed=40)
-    psi_a = evolve(delta_state(n, o, 0, COIN_L), steps, fld)
-    psi_b = evolve(delta_state(n, o, 0, COIN_R), steps, fld)
-    inp = TwoParticleInput(psi_a, psi_b)
-    product = distinguishable_joint(inp).reshape(n, 2, n, 2).sum(axis=(1, 3))
+    psi_a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([fld]))
+    psi_b = evolve(delta_state(n, o, 0, COIN_R), steps, FieldBatch([fld]))
     x = (np.arange(n) - o).astype(float)
 
+    def prob(state):
+        return np.abs(state.amplitudes[:, 0]) ** 2 + np.abs(state.amplitudes[:, 1]) ** 2
+
     def single_var(state):
-        p = np.abs(state.amplitudes[:, 0]) ** 2 + np.abs(state.amplitudes[:, 1]) ** 2
+        p = prob(state)
         return float((x * x) @ p - (x @ p) ** 2)
 
-    joint = JointDistribution(product, BOS, "position", np.arange(n) - o)
+    # distinguishable particles: the symmetrized product, no interference term
+    k = np.outer(prob(psi_a), prob(psi_b))
+    joint = JointDistribution(0.5 * (k + k.T), BOS, "position", np.arange(n) - o)
     assert variance_xm(joint) == pytest.approx(single_var(psi_a) + single_var(psi_b), abs=1e-10)
 
 
+OBS = ("variance", "entropy")
+
+
 def ordered_cfg(**kw):
-    base = dict(
-        name="t", steps=8, disorder=DisorderKind.ORDERED, configs=5, seed=0,
-        symmetry="both", observables=("variance", "entropy"),
-    )
+    base = dict(name="t", steps=8, disorder=DisorderKind.ORDERED, configs=5, seed=0, symmetry="both")
     base.update(kw)
     return ScenarioConfig(**base)
 
 
 def test_ordered_ensemble_has_zero_spread():
-    series = ensemble_run(ordered_cfg())
+    series = ensemble_run(ordered_cfg(), OBS)
     for s in series.values():
         np.testing.assert_array_equal(s.std_dev, np.zeros_like(s.std_dev))
         assert s.configs == 5
@@ -174,8 +178,8 @@ def test_ordered_ensemble_has_zero_spread():
 
 def test_ensemble_run_is_deterministic():
     cfg = ordered_cfg(disorder=DisorderKind.FLUCTUATING, phi_max=np.pi, configs=4, seed=3)
-    a = ensemble_run(cfg)
-    b = ensemble_run(cfg)
+    a = ensemble_run(cfg, OBS)
+    b = ensemble_run(cfg, OBS)
     for key in a:
         np.testing.assert_array_equal(a[key].mean, b[key].mean)
         np.testing.assert_array_equal(a[key].std_dev, b[key].std_dev)
@@ -183,34 +187,40 @@ def test_ensemble_run_is_deterministic():
 
 def test_parallel_matches_serial_bitwise():
     cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=np.pi, configs=4, seed=8, steps=10)
-    serial = ensemble_run(cfg, n_jobs=1)
-    parallel = ensemble_run(cfg, n_jobs=2)
+    serial = ensemble_run(cfg, OBS, n_jobs=1)
+    parallel = ensemble_run(cfg, OBS, n_jobs=2)
     for key in serial:
         np.testing.assert_array_equal(serial[key].mean, parallel[key].mean)
         np.testing.assert_array_equal(serial[key].std_dev, parallel[key].std_dev)
 
 
 def test_eval_steps_subset():
-    cfg = ordered_cfg(configs=1, steps=10, observables=("variance",))
-    series = ensemble_run(cfg, eval_steps=[0, 5, 10])
+    cfg = ordered_cfg(configs=1, steps=10)
+    series = ensemble_run(cfg, ("variance",), eval_steps=[0, 5, 10])
+    assert set(series) == {("variance", "bosonic"), ("variance", "fermionic")}
     s = series[("variance", "bosonic")]
     np.testing.assert_array_equal(s.steps, [0, 5, 10])
-    assert s.at_step(5) > 0
-    with pytest.raises(KeyError):
-        s.at_step(3)
+    assert s.mean[1] > 0
 
 
 def test_eval_steps_out_of_range_rejected():
     with pytest.raises(ValueError):
-        ensemble_run(ordered_cfg(), eval_steps=[99])
+        ensemble_run(ordered_cfg(), OBS, eval_steps=[99])
 
 
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
-        ensemble_run(ordered_cfg(configs=0))
+        ensemble_run(ordered_cfg(configs=0), OBS)
 
 
-@pytest.mark.parametrize("runner", [ensemble_run, ensemble_average_joints])
+@pytest.mark.parametrize("observables", [(), ("variance", "purity"), "variance"], ids=["none", "unknown", "string"])
+def test_unknown_observable_rejected(observables):
+    with pytest.raises(ValueError, match="observables"):
+        ensemble_run(ordered_cfg(), observables)
+
+
+@pytest.mark.parametrize("runner", [partial(ensemble_run, observables=OBS), ensemble_average_joints],
+                         ids=["ensemble_run", "ensemble_average_joints"])
 def test_fewer_than_one_job_rejected(runner):
     with pytest.raises(ValueError, match="n_jobs"):
         runner(ordered_cfg(), n_jobs=0)
@@ -219,18 +229,18 @@ def test_fewer_than_one_job_rejected(runner):
 def test_static_variance_plateaus():
     cfg = ScenarioConfig(
         "plateau", steps=100, disorder=DisorderKind.STATIC, phi_max=np.pi,
-        configs=100, seed=1000, symmetry="bosonic", observables=("variance",),
+        configs=100, seed=1000, symmetry="bosonic",
     )
-    series = ensemble_run(cfg, eval_steps=[20, 100])
+    series = ensemble_run(cfg, ("variance",), eval_steps=[20, 100])
     s = series[("variance", "bosonic")]
-    assert s.at_step(100) / s.at_step(20) < 3.0
+    assert s.mean[1] / s.mean[0] < 3.0
 
 
 def test_ensemble_average_joints_normalized():
     cfg = ordered_cfg(disorder=DisorderKind.DYNAMIC, phi_max=np.pi, configs=3, seed=5, steps=12)
     joints, marg, positions = ensemble_average_joints(cfg)
     for joint in joints.values():
-        assert joint.total() == pytest.approx(1.0, abs=1e-12)
+        assert joint.matrix.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(joint.matrix, joint.matrix.T, atol=1e-15)
     assert marg.sum() == pytest.approx(1.0, abs=1e-12)
     assert len(positions) == len(marg)
@@ -262,8 +272,9 @@ def test_chunked_batches_equal_per_walker_evolve_bitwise(monkeypatch, kind, budg
     n, o = lattice_for(cfg.steps)
     for i, (amps_a, amps_b) in enumerate(batched):
         fld = observables._field_for(cfg, cfg.seed + i, n, o)
-        assert np.array_equal(amps_a, evolve(delta_state(n, o, 0, COIN_L), cfg.steps, fld).amplitudes)
-        assert np.array_equal(amps_b, evolve(delta_state(n, o, 0, COIN_R), cfg.steps, fld).amplitudes)
+        pair = evolve(delta_state(n, o, 0, COIN_L), cfg.steps, FieldBatch([fld])), \
+            evolve(delta_state(n, o, 0, COIN_R), cfg.steps, FieldBatch([fld]))
+        assert np.array_equal(amps_a, pair[0].amplitudes) and np.array_equal(amps_b, pair[1].amplitudes)
 
 
 def _runs(monkeypatch, fn, cfg):
@@ -282,8 +293,9 @@ def test_ensemble_run_equals_stacked_single_configuration_runs(monkeypatch, kind
     # A configuration's numbers do not depend on batch size, chunking or n_jobs.
     seed = 11
     cfg = ordered_cfg(disorder=kind, phi_max=2.0, phi_static=np.pi, configs=configs, seed=seed, steps=9)
-    singles = [ensemble_run(dataclasses.replace(cfg, configs=1, seed=seed + i)) for i in range(configs)]
-    for series in _runs(monkeypatch, ensemble_run, cfg):
+    run = partial(ensemble_run, observables=OBS)
+    singles = [run(dataclasses.replace(cfg, configs=1, seed=seed + i)) for i in range(configs)]
+    for series in _runs(monkeypatch, run, cfg):
         for key, s in series.items():
             values = np.stack([one[key].mean for one in singles])
             mean, std = values.mean(axis=0), values.std(axis=0)
@@ -314,8 +326,8 @@ def test_average_joints_equal_ordered_sums_of_single_configuration_runs(monkeypa
 
 def test_eval_steps_in_any_order_with_repeats():
     cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=np.pi, configs=2, steps=6, seed=2)
-    full = ensemble_run(cfg)
-    picked = ensemble_run(cfg, eval_steps=[6, 2, 2, 0])
+    full = ensemble_run(cfg, OBS)
+    picked = ensemble_run(cfg, OBS, eval_steps=[6, 2, 2, 0])
     for key, s in picked.items():
         np.testing.assert_array_equal(s.steps, [6, 2, 2, 0])
         assert np.array_equal(s.mean, full[key].mean[[6, 2, 2, 0]])

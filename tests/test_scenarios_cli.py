@@ -1,13 +1,15 @@
 import dataclasses
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dtqw.cli import main
-from dtqw.config import ScenarioConfig, load_scenario_json, scenario_from_dict
+from dtqw.config import ScenarioConfig, scenario_from_dict
 from dtqw.disorder import DisorderKind
 from dtqw.output import Table, emit_results, joint_table, sha256_file
 from dtqw.scenarios import preset, preset_names, run_scenario
@@ -183,19 +185,12 @@ def test_scenario_config_validation_errors():
     with pytest.raises(ValueError):
         ScenarioConfig("x", steps=5, start_a=(0, "L"), start_b=(0, "L")).validate()
     with pytest.raises(ValueError):
-        ScenarioConfig("x", steps=5, sweep_parameter="phi_max", sweep_values=(1.0, 0.5)).validate()
+        ScenarioConfig("x", steps=5, sweep_values=(1.0, 0.5)).validate()
     for bad in ({"steps": True}, {"steps": 10.5}, {"configs": True}, {"seed": -1}, {"seed": 1.0}):
         with pytest.raises(ValueError):
             ScenarioConfig(**{"name": "x", "steps": 5, **bad}).validate()
     with pytest.raises(ValueError):
         scenario_from_dict({"name": "x", "steps": 5, "bogus": 1})
-
-
-def test_load_scenario_json(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"name": "fig2", "steps": 6, "configs": 2}))
-    cfg = load_scenario_json(path)
-    assert cfg.name == "fig2" and cfg.steps == 6
 
 
 # --- CLI behaviour -----------------------------------------------------------
@@ -292,32 +287,50 @@ def test_cli_rejects_disorder_on_fixed_kind_presets(tmp_path, capsys, name, sour
     assert not out.exists()
 
 
+# The plan fixes the observable and the swept strength, so neither is a config key.
+UNKNOWN_KEY = "unknown config keys"
+
+
 @pytest.mark.parametrize(
-    "name, file_doc",
+    "name, file_doc, message",
     [
-        ("fig5", {"sweep_parameter": "phi_max", "sweep_values": [0.0, 1.0]}),
-        ("fig6", {"sweep_parameter": "phi_dynamic"}),
-        ("fig6", {"sweep_parameter": None}),
-        ("fig2", {"sweep_values": [0.0, 1.0]}),
-        ("fig5", {"observables": ["entropy"]}),
-        ("fig2", {"observables": ["variance", "entropy"]}),
+        ("fig5", {"sweep_parameter": "phi_max", "sweep_values": [0.0, 1.0]}, UNKNOWN_KEY),
+        ("fig6", {"sweep_parameter": "phi_dynamic"}, UNKNOWN_KEY),
+        ("fig6", {"sweep_parameter": None}, UNKNOWN_KEY),
+        ("fig2", {"sweep_values": [0.0, 1.0]}, "fig2"),
+        ("fig5", {"observables": ["entropy"]}, UNKNOWN_KEY),
+        ("fig2", {"observables": ["variance", "entropy"]}, UNKNOWN_KEY),
+        ("fig5", {"sweep_values": [0.0, 1.0]}, "fig5"),
+        ("fig6", {"sweep_values": []}, "fig6"),
+        # a strength the run never reads
+        ("fig6", {"phi_max": 1.0}, "fig6 ignores phi_max"),
+        ("fig7", {"phi_dynamic": 0.3}, "fig7 ignores phi_dynamic"),
+        ("fig7", {"phi_max": 1.0}, "fig7 ignores phi_max"),
+        ("fig3", {"phi_static": 1.0}, "fig3 ignores phi_static"),
+        ("fig2", {"phi_max": 1.0}, "fig2 ignores phi_max"),
+        ("fluct", {"phi_max": 1.0}, "fluct ignores phi_max"),
+        ("fig8", {"phi_dynamic": 1.0}, "fig8 ignores phi_dynamic"),
+        ("fig3", {"disorder": "ordered", "phi_max": 1.0}, "fig3 ignores phi_max"),
     ],
-    ids=["fig5-sweep", "fig6-other-parameter", "fig6-no-sweep", "fig2-values", "fig5-entropy", "fig2-observables"],
+    ids=["fig5-sweep", "fig6-other-parameter", "fig6-no-sweep", "fig2-values", "fig5-entropy", "fig2-observables",
+         "fig5-values", "fig6-no-values", "fig6-swept-max", "fig7-swept-dynamic", "fig7-max", "fig3-static",
+         "fig2-ordered-max", "fluct-max", "fig8-dynamic", "fig3-ordered-max"],
 )
-def test_cli_rejects_fields_the_plan_fixes(tmp_path, capsys, name, file_doc):
+def test_cli_rejects_fields_the_plan_fixes(tmp_path, capsys, name, file_doc, message):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(file_doc))
     out = tmp_path / "out"
     assert main(["--scenario", name, "--config", str(cfg_path), "--steps", "4", "--out", str(out)]) == 1
-    assert name in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_run_scenario_rejects_fields_the_plan_fixes(tmp_path):
-    for fields in ({"disorder": DisorderKind.STATIC}, {"observables": ("entropy",)}, {"sweep_values": (0.0,)}):
-        with pytest.raises(ValueError, match="fig5"):
-            run_scenario(small("fig5", tmp_path, steps=4, configs=1, **fields))
-    assert not (tmp_path / "fig5").exists()
+    for name, fields in (("fig5", {"disorder": DisorderKind.STATIC}), ("fig5", {"sweep_values": (0.0,)}),
+                         ("fig6", {"phi_max": 1.0}), ("fig3", {"phi_dynamic": 1.0})):
+        with pytest.raises(ValueError, match=name):
+            run_scenario(small(name, tmp_path, steps=4, configs=1, **fields))
+    assert not any(tmp_path.iterdir())
 
 
 def test_manifest_reports_the_kinds_it_ran(tmp_path):
@@ -343,10 +356,21 @@ def test_manifest_reports_the_kinds_it_ran(tmp_path):
         ({"start_a": ["1", "L"]}, []),
         ({"start_b": [0]}, []),
         ({"start_a": 0}, []),
+        ({"name": "fig3", "phi_max": True}, []),
+        ({"name": "fig3", "phi_max": "3"}, []),
+        ({"name": "fig3", "phi_max": None}, []),
+        ({"name": "fluct", "phi_static": "1.0"}, []),
+        ({"name": "fig5", "phi_dynamic": False}, []),
+        ({"name": "fig6", "sweep_values": [True, 2]}, []),
+        ({"name": "fig6", "sweep_values": ["0.5"]}, []),
+        ({"name": "fig6", "sweep_values": [0.0, 7.0]}, []),
+        ({"name": "fig7", "sweep_values": [-0.5, 1.0]}, []),
     ],
     ids=["steps-true", "configs-true", "steps-float", "seed-negative", "seed-negative-static",
          "jobs-zero", "jobs-negative", "start-site-float", "start-site-true", "start-site-string",
-         "start-short", "start-not-a-pair"],
+         "start-short", "start-not-a-pair", "phi-max-true", "phi-max-string", "phi-max-null",
+         "phi-static-string", "phi-dynamic-false", "sweep-bool", "sweep-string", "sweep-above-2pi",
+         "sweep-negative"],
 )
 def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, file_doc, flags):
     cfg_path = tmp_path / "cfg.json"
@@ -365,3 +389,41 @@ def test_cli_rejects_a_config_that_is_not_an_object(tmp_path, capsys, doc):
     assert main(["--scenario", "fig2", "--config", str(cfg_path), "--out", str(out)]) == 1
     assert "must hold a JSON object" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out_dir", [5, None, ["runs"]], ids=["number", "null", "list"])
+def test_cli_rejects_an_out_dir_that_is_not_a_string(tmp_path, capsys, monkeypatch, out_dir):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"name": "fig2", "steps": 3, "out_dir": out_dir}))
+    assert main(["--config", str(cfg_path)]) == 1
+    assert "out_dir must be a string" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--scenario", "fig5", "--phi-static", "1.0"],  # combined reads both components
+        ["--scenario", "fig7", "--phi-static", "1.0"],
+        ["--scenario", "fig2", "--disorder", "static", "--phi-max", "1.0"],
+        ["--scenario", "fig2", "--disorder", "combined", "--phi-static", "1.0"],  # phi_dynamic falls back to phi_max
+        ["--scenario", "fig2", "--disorder", "combined", "--phi-max", "1.0"],
+    ],
+    ids=["fig5-static", "fig7-static", "fig2-static", "fig2-combined-static", "fig2-combined-max"],
+)
+def test_cli_accepts_the_strengths_a_run_reads(tmp_path, argv):
+    assert main(argv + ["--steps", "3", "--configs", "1", "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_reproduce_all_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+    script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
+    spec = importlib.util.spec_from_file_location("reproduce_all", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    with pytest.raises(SystemExit) as exc:
+        module.main(["--jobs", jobs, "--only", "fig2", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2  # argparse's usage-error exit
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
