@@ -15,10 +15,9 @@ from .core import (  # noqa: F401
 from .disorder import DisorderKind, FieldBatch, PhaseField, sample_phase_field  # noqa: F401
 from .two_particle import (  # noqa: F401
     ExchangeSymmetry,
+    JointBuilder,
     JointDistribution,
     TwoParticleInput,
-    aggregate_to_positions,
-    joint_mode_distribution,
     marginal,
     marginal_positions,
 )

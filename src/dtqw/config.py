@@ -85,8 +85,8 @@ class ScenarioConfig:
                 _check_strength(label, getattr(self, label))
         for value in self.sweep_values:
             _check_strength("every sweep_values entry", value)
-        if list(self.sweep_values) != sorted(self.sweep_values):
-            raise ValueError("sweep values must be sorted ascending")
+        if any(lo >= hi for lo, hi in zip(self.sweep_values, self.sweep_values[1:])):
+            raise ValueError("sweep values must be strictly ascending")
         if self.symmetry not in SYMMETRY_CHOICES:
             raise ValueError(f"symmetry must be one of {SYMMETRY_CHOICES}, got {self.symmetry!r}")
         if not isinstance(self.out_dir, str):

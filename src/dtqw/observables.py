@@ -26,10 +26,9 @@ from .core import WalkerState, delta_state, evolve, lattice_for
 from .disorder import FieldBatch, PhaseField, sample_phase_field
 from .two_particle import (
     ExchangeSymmetry,
+    JointBuilder,
     JointDistribution,
     TwoParticleInput,
-    aggregate_to_positions,
-    joint_mode_distribution,
     marginal_positions,
 )
 
@@ -173,28 +172,22 @@ def _run_chunk(task) -> list[list]:
     return results
 
 
-def _measure_series(observables: tuple[str, ...], cfg: ScenarioConfig, psi_a: WalkerState, psi_b: WalkerState,
-                    t: int) -> np.ndarray:
+def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: ScenarioConfig, psi_a: WalkerState,
+                    psi_b: WalkerState, t: int) -> np.ndarray:
     """Every observable of every symmetry at step ``t``, shape (observables, symmetries)."""
     # Crop to the union light cone; discarded amplitudes are exactly zero.
     lo = max(0, psi_a.origin + min(cfg.start_sites) - t)
     hi = min(psi_a.n_sites - 1, psi_a.origin + max(cfg.start_sites) + t)
     inp = TwoParticleInput(_crop(psi_a, lo, hi), _crop(psi_b, lo, hi))
-    syms = resolved_symmetries(cfg)
-    joints = {}
-    for sym in syms:
-        # Bound on purpose: inlining this call frees the mode matrix earlier and measured slower.
-        joint = joint_mode_distribution(inp, sym)
-        joints[sym] = aggregate_to_positions(joint)
-    return np.array([[_OBSERVABLES[obs](joints[sym]) for sym in syms] for obs in observables])
+    joints = builder.build(inp, resolved_symmetries(cfg))
+    return np.array([[_OBSERVABLES[obs](joint) for joint in joints] for obs in observables])
 
 
-def _measure_joints(cfg: ScenarioConfig, psi_a: WalkerState, psi_b: WalkerState, t: int) -> tuple:
+def _measure_joints(builder: JointBuilder, cfg: ScenarioConfig, psi_a: WalkerState, psi_b: WalkerState,
+                    t: int) -> tuple:
     """Position-level joint matrix per symmetry, then the marginal, over the whole lattice."""
     inp = TwoParticleInput(psi_a, psi_b)
-    matrices = tuple(
-        aggregate_to_positions(joint_mode_distribution(inp, sym)).matrix for sym in resolved_symmetries(cfg)
-    )
+    matrices = tuple(joint.matrix for joint in builder.build(inp, resolved_symmetries(cfg)))
     return matrices + (marginal_positions(inp),)
 
 
@@ -227,7 +220,7 @@ def ensemble_run(
 
     syms = resolved_symmetries(cfg)
     stops = sorted(set(eval_steps))
-    measure = partial(_measure_series, observables)
+    measure = partial(_measure_series, observables, JointBuilder())
     tasks = _chunk_tasks(cfg, stops, measure, len(observables) * len(syms) * len(stops), n_jobs)
     chunks = [np.moveaxis(np.array(chunk), 0, -1) for chunk in _map_configs(_run_chunk, tasks, n_jobs)]
     # (configs, obs, sym, steps) in C order, so the means over configurations
@@ -270,7 +263,8 @@ def ensemble_average_joints(
     n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
     positions = np.arange(n_sites) - origin
 
-    tasks = _chunk_tasks(cfg, [cfg.steps], _measure_joints, (len(syms) * n_sites + 1) * n_sites, n_jobs)
+    measure = partial(_measure_joints, JointBuilder())
+    tasks = _chunk_tasks(cfg, [cfg.steps], measure, (len(syms) * n_sites + 1) * n_sites, n_jobs)
     acc = [np.zeros((n_sites, n_sites)) for _ in syms]
     marg = np.zeros(n_sites)
     for (chunk,) in _map_configs(_run_chunk, tasks, n_jobs):

@@ -22,12 +22,8 @@ from dtqw.observables import (
 )
 from dtqw.pathsum import compare, path_sum_amplitudes
 from dtqw.scenarios import preset, run_scenario
-from dtqw.two_particle import (
-    ExchangeSymmetry,
-    TwoParticleInput,
-    joint_mode_distribution,
-    marginal,
-)
+from dtqw.two_particle import ExchangeSymmetry, TwoParticleInput, marginal
+from mode_reference import joint_mode_distribution
 
 PI = np.pi
 KINDS = list(DisorderKind)

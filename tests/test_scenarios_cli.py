@@ -365,12 +365,13 @@ def test_manifest_reports_the_kinds_it_ran(tmp_path):
         ({"name": "fig6", "sweep_values": ["0.5"]}, []),
         ({"name": "fig6", "sweep_values": [0.0, 7.0]}, []),
         ({"name": "fig7", "sweep_values": [-0.5, 1.0]}, []),
+        ({"name": "fig6", "sweep_values": [1.0, 1.0]}, []),
     ],
     ids=["steps-true", "configs-true", "steps-float", "seed-negative", "seed-negative-static",
          "jobs-zero", "jobs-negative", "start-site-float", "start-site-true", "start-site-string",
          "start-short", "start-not-a-pair", "phi-max-true", "phi-max-string", "phi-max-null",
          "phi-static-string", "phi-dynamic-false", "sweep-bool", "sweep-string", "sweep-above-2pi",
-         "sweep-negative"],
+         "sweep-negative", "sweep-repeated"],
 )
 def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, file_doc, flags):
     cfg_path = tmp_path / "cfg.json"

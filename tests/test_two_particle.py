@@ -1,19 +1,22 @@
 import numpy as np
 import pytest
 
-from dtqw.core import COIN_L, COIN_R, delta_state, evolve, lattice_for
+from dtqw.core import COIN_L, COIN_R, WalkerState, delta_state, evolve, lattice_for
 from dtqw.disorder import DisorderKind, FieldBatch, sample_phase_field
+from dtqw.observables import joint_entropy, mutual_information, variance_xm
 from dtqw.two_particle import (
+    F_ORDER_SITES,
     ExchangeSymmetry,
+    JointBuilder,
     TwoParticleInput,
-    aggregate_to_positions,
-    joint_mode_distribution,
     marginal,
     marginal_positions,
 )
+from mode_reference import aggregate_to_positions, joint_mode_distribution
 
 BOS = ExchangeSymmetry.BOSONIC
 FER = ExchangeSymmetry.FERMIONIC
+SYMS = (BOS, FER)
 
 
 def delta_pair(n_sites=6, origin=2, a=(0, COIN_L), b=(1, COIN_R)):
@@ -146,3 +149,77 @@ def test_nonorthogonal_inputs_rejected():
 def test_mismatched_lattices_rejected():
     with pytest.raises(ValueError):
         TwoParticleInput(delta_state(6, 2, 0, COIN_L), delta_state(8, 2, 1, COIN_R))
+
+
+def orthogonal_pair(rng, n_sites):
+    q, _ = np.linalg.qr(rng.normal(size=(2 * n_sites, 2)) + 1j * rng.normal(size=(2 * n_sites, 2)))
+    origin = n_sites // 2
+    return TwoParticleInput(WalkerState(q[:, 0].reshape(n_sites, 2), origin),
+                            WalkerState(q[:, 1].reshape(n_sites, 2), origin))
+
+
+def layout(matrix):
+    return matrix.flags.c_contiguous, matrix.flags.f_contiguous
+
+
+def assert_blocks_equal_mode_reference(builder, inp):
+    """Same bits, same memory layout and the same observables as the mode-level route."""
+    for sym, joint in zip(SYMS, builder.build(inp, SYMS)):
+        ref = aggregate_to_positions(joint_mode_distribution(inp, sym))
+        assert joint.symmetry is sym and joint.level == "position"
+        assert np.array_equal(joint.positions, ref.positions)
+        assert np.array_equal(joint.matrix, ref.matrix)
+        assert layout(joint.matrix) == layout(ref.matrix)
+        for observable in (variance_xm, joint_entropy, mutual_information):
+            assert observable(joint) == observable(ref)
+
+
+def test_joint_builder_equals_mode_reference_on_random_pairs():
+    # one builder for every size: its scratch arrays grow and are reused
+    rng, builder = np.random.default_rng(2024), JointBuilder()
+    for n_sites in [*range(2, 141), 205, 37]:
+        assert_blocks_equal_mode_reference(builder, orthogonal_pair(rng, n_sites))
+
+
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+def test_joint_builder_equals_mode_reference_on_evolved_walkers(kind):
+    # whole lattice (203 sites) and the light cone (2t + 1 sites, across F_ORDER_SITES)
+    t_max = 100
+    n, o = lattice_for(t_max)
+    fld = FieldBatch([sample_phase_field(kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
+                                         steps=t_max, n_sites=n, origin=o, seed=17)])
+    a, b, t, builder = delta_state(n, o, 0, COIN_L), delta_state(n, o, 0, COIN_R), 0, JointBuilder()
+    for stop in (0, 1, 10, 31, 32, 33, 60, 100):
+        a, b, t = evolve(a, stop - t, fld, start=t), evolve(b, stop - t, fld, start=t), stop
+        assert_blocks_equal_mode_reference(builder, TwoParticleInput(a, b))
+        cone = slice(o - t, o + t + 1)
+        assert_blocks_equal_mode_reference(builder, TwoParticleInput(WalkerState(a.amplitudes[cone], t),
+                                                                     WalkerState(b.amplitudes[cone], t)))
+    assert 2 * 31 + 1 < F_ORDER_SITES <= 2 * 32 + 1
+
+
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+def test_joint_builder_matches_closed_forms(kind):
+    """Rank-4 joint and Var(x + y) from single-walker quantities, which share no arithmetic with the blocks.
+
+    For orthogonal walkers a, b with p_a, p_b their position distributions
+    and g(x) = sum_c a(x, c) b*(x, c):
+    P(x, y) = [p_a(x) p_b(y) + p_b(x) p_a(y) +/- 2 Re g(x) g*(y)] / 2 and
+    Var(x + y) = Var_a + Var_b +/- 2 |<a|x|b>|^2.
+    """
+    for t in (10, 40, 100):
+        inp = evolved_pair(kind=kind, steps=t, seed=23)
+        a, b = inp.psi_a.amplitudes, inp.psi_b.amplitudes
+        x = inp.site_positions.astype(float)
+        p_a, p_b = (np.abs(a) ** 2).sum(axis=1), (np.abs(b) ** 2).sum(axis=1)
+        g = (a * b.conj()).sum(axis=1)
+        x_ab = np.vdot(a, x[:, None] * b)
+
+        def var(p):
+            return (x * x) @ p - (x @ p) ** 2
+
+        for sym, joint in zip(SYMS, JointBuilder().build(inp, SYMS)):
+            rank4 = 0.5 * (np.outer(p_a, p_b) + np.outer(p_b, p_a) + 2 * sym.sign * np.outer(g, g.conj()).real)
+            np.testing.assert_allclose(joint.matrix, rank4, rtol=1e-12, atol=1e-15)
+            closed = var(p_a) + var(p_b) + 2 * sym.sign * abs(x_ab) ** 2
+            assert variance_xm(joint) == pytest.approx(closed, rel=1e-12)
