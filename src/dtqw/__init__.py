@@ -10,17 +10,9 @@ from .core import (  # noqa: F401
     delta_state,
     evolve,
     lattice_for,
-    state_to_modes,
 )
 from .disorder import DisorderKind, FieldBatch, PhaseField, sample_phase_field  # noqa: F401
-from .two_particle import (  # noqa: F401
-    ExchangeSymmetry,
-    JointBuilder,
-    JointDistribution,
-    TwoParticleInput,
-    marginal,
-    marginal_positions,
-)
+from .two_particle import ExchangeSymmetry, JointBuilder, marginal_positions  # noqa: F401
 from .observables import (  # noqa: F401
     ObservableSeries,
     classical_baseline,

@@ -10,8 +10,6 @@ walkers (for example configurations x walkers), which all step at once.
 
 Conventions: ``amplitudes[i, 0]`` is the L amplitude at array index ``i``,
 ``amplitudes[i, 1]`` the R amplitude, and signed position ``x = i - origin``.
-Mode ``m = 2*i + coin`` flattens (site, coin) pairs for the two-particle
-layer.
 """
 
 from __future__ import annotations
@@ -132,8 +130,3 @@ def evolve(initial: WalkerState, steps: int, field, start: int = 0) -> WalkerSta
     for t in range(start + 1, start + steps + 1):
         amps = _phased_step(amps, *field.coin_factors(t))
     return WalkerState(amps, initial.origin)
-
-
-def state_to_modes(state: WalkerState) -> np.ndarray:
-    """Flatten to 2N mode amplitudes, mode m = 2*site_index + coin."""
-    return state.amplitudes.reshape(-1).copy()

@@ -14,6 +14,7 @@ size follows a fixed memory budget; no number depends on it.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -24,19 +25,12 @@ import numpy as np
 from .config import COIN_NAMES, ScenarioConfig
 from .core import WalkerState, delta_state, evolve, lattice_for
 from .disorder import FieldBatch, PhaseField, sample_phase_field
-from .two_particle import (
-    ExchangeSymmetry,
-    JointBuilder,
-    JointDistribution,
-    TwoParticleInput,
-    marginal_positions,
-)
+from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, marginal_positions
 
 
-def variance_xm(joint: JointDistribution) -> float:
-    """Variance of x_M = x + y under the joint distribution (signed positions)."""
-    s = joint.positions.astype(np.float64)
-    m = joint.matrix
+def variance_xm(m: np.ndarray, positions: np.ndarray) -> float:
+    """Variance of x_M = x + y under the joint matrix ``m``; ``positions`` labels its rows (signed)."""
+    s = positions.astype(np.float64)
     row = m.sum(axis=1)
     col = m.sum(axis=0)
     e1 = s @ row + s @ col
@@ -56,24 +50,25 @@ def _entropy_bits(p: np.ndarray) -> float:
     return float(-(p * np.log2(p)).sum())
 
 
-def joint_entropy(joint: JointDistribution) -> float:
+def joint_entropy(m: np.ndarray) -> float:
     """Joint Shannon entropy -sum P log2 P in bits (0 log 0 := 0)."""
-    return _entropy_bits(joint.matrix)
+    return _entropy_bits(m)
 
 
-def mutual_information(joint: JointDistribution) -> float:
-    """I(X:Y) = 2 H(X) - H(X,Y) in bits; the joint is exchange-symmetric."""
-    return 2.0 * _entropy_bits(joint.matrix.sum(axis=1)) - _entropy_bits(joint.matrix)
+def mutual_information(m: np.ndarray) -> float:
+    """I(X:Y) = 2 H(X) - H(X,Y) in bits; the joint matrix is exchange-symmetric."""
+    return 2.0 * _entropy_bits(m.sum(axis=1)) - _entropy_bits(m)
 
 
 #: Bytes of phase tables, walker states and measurements one chunk of
 #: configurations may hold while it evolves as one batch.
 _CHUNK_BYTES = 4 << 20
 
+# Each entry takes (joint matrix, signed positions of its rows).
 _OBSERVABLES = {
     "variance": variance_xm,
-    "entropy": joint_entropy,
-    "mutual_information": mutual_information,
+    "entropy": lambda m, positions: joint_entropy(m),
+    "mutual_information": lambda m, positions: mutual_information(m),
 }
 
 
@@ -108,8 +103,8 @@ def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int, origin: int) -> Pha
     )
 
 
-def _crop(state: WalkerState, lo: int, hi: int) -> WalkerState:
-    return WalkerState(state.amplitudes[lo : hi + 1], state.origin - lo)
+def _crop(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    return amplitudes[lo : hi + 1]
 
 
 def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
@@ -118,13 +113,8 @@ def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
     return (ExchangeSymmetry(cfg.symmetry),)
 
 
-def _map_configs(fn: Callable, tasks: list, n_jobs: int) -> Iterator:
-    """``fn`` over configuration chunks, yielded in order; worker processes if ``n_jobs > 1``."""
-    if n_jobs == 1:
-        yield from map(fn, tasks)
-        return
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        yield from pool.map(fn, tasks)
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _chunk_tasks(cfg: ScenarioConfig, stops: Sequence[int], measure: Callable, result_floats: int,
@@ -146,13 +136,34 @@ def _chunk_tasks(cfg: ScenarioConfig, stops: Sequence[int], measure: Callable, r
     ]
 
 
+def _map_chunks(cfg: ScenarioConfig, stops: Sequence[int], measure: Callable, result_floats: int,
+                n_jobs: int) -> Iterator[list[list]]:
+    """``_run_chunk`` over the ensemble's chunks, yielded in configuration order.
+
+    Runs in worker processes if ``n_jobs > 1``, at most one per usable CPU
+    and per chunk: with the ``fork`` start method a pool starts all its
+    workers on the first submit, used or not.  Chunks are sized by that
+    capped count.
+    """
+    workers = min(n_jobs, _usable_cpus())
+    tasks = _chunk_tasks(cfg, stops, measure, result_floats, workers)
+    workers = min(workers, len(tasks))
+    if workers == 1:
+        yield from map(_run_chunk, tasks)
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_run_chunk, tasks)
+
+
 def _run_chunk(task) -> list[list]:
     """Evolve one chunk of configurations as a (configs, 2, n_sites, 2) batch.
 
     Configuration ``i`` of the chunk draws its field from ``seeds[i]``;
-    walkers A and B share it.  At each of the ascending ``stops`` every
-    configuration is measured as ``measure(cfg, psi_a, psi_b, t)``; returns
-    those results per stop, in configuration order.
+    walkers A and B share it.  At each of the ascending ``stops`` the
+    walkers of every configuration must be orthogonal (ValueError
+    otherwise), and each configuration is measured as ``measure(cfg, a, b, t)``
+    on its two (n_sites, 2) amplitude arrays; returns those results per
+    stop, in configuration order.
     """
     cfg, seeds, stops, measure = task
     n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
@@ -165,30 +176,29 @@ def _run_chunk(task) -> list[list]:
     for stop in stops:
         state = evolve(state, stop - t, field, start=t)
         t = stop
-        results.append([
-            measure(cfg, WalkerState(amps[0], origin), WalkerState(amps[1], origin), t)
-            for amps in state.amplitudes
-        ])
+        amps = state.amplitudes
+        overlap = np.abs((amps[:, 0].conj() * amps[:, 1]).sum(axis=(1, 2))).max()
+        if overlap > ORTHOGONALITY_TOL:
+            raise ValueError(f"walker amplitudes must be orthogonal, |<a|b>| = {overlap:.3e}")
+        results.append([measure(cfg, a, b, t) for a, b in amps])
     return results
 
 
-def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: ScenarioConfig, psi_a: WalkerState,
-                    psi_b: WalkerState, t: int) -> np.ndarray:
+def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: ScenarioConfig, a: np.ndarray,
+                    b: np.ndarray, t: int) -> np.ndarray:
     """Every observable of every symmetry at step ``t``, shape (observables, symmetries)."""
     # Crop to the union light cone; discarded amplitudes are exactly zero.
-    lo = max(0, psi_a.origin + min(cfg.start_sites) - t)
-    hi = min(psi_a.n_sites - 1, psi_a.origin + max(cfg.start_sites) + t)
-    inp = TwoParticleInput(_crop(psi_a, lo, hi), _crop(psi_b, lo, hi))
-    joints = builder.build(inp, resolved_symmetries(cfg))
-    return np.array([[_OBSERVABLES[obs](joint) for joint in joints] for obs in observables])
+    _, origin = lattice_for(cfg.steps, cfg.start_sites)
+    lo = max(0, origin + min(cfg.start_sites) - t)
+    hi = min(len(a) - 1, origin + max(cfg.start_sites) + t)
+    positions = np.arange(lo, hi + 1) - origin
+    joints = builder.build(_crop(a, lo, hi), _crop(b, lo, hi), resolved_symmetries(cfg))
+    return np.array([[_OBSERVABLES[obs](joint, positions) for joint in joints] for obs in observables])
 
 
-def _measure_joints(builder: JointBuilder, cfg: ScenarioConfig, psi_a: WalkerState, psi_b: WalkerState,
-                    t: int) -> tuple:
+def _measure_joints(builder: JointBuilder, cfg: ScenarioConfig, a: np.ndarray, b: np.ndarray, t: int) -> tuple:
     """Position-level joint matrix per symmetry, then the marginal, over the whole lattice."""
-    inp = TwoParticleInput(psi_a, psi_b)
-    matrices = tuple(joint.matrix for joint in builder.build(inp, resolved_symmetries(cfg)))
-    return matrices + (marginal_positions(inp),)
+    return (*builder.build(a, b, resolved_symmetries(cfg)), marginal_positions(a, b))
 
 
 def ensemble_run(
@@ -203,17 +213,19 @@ def ensemble_run(
     "mutual_information").  Configuration i draws its field with seed
     ``cfg.seed + i``; walkers A and B share the field within a
     configuration.  Returns one series per (observable, symmetry), keyed by
-    name.  ``eval_steps`` restricts which steps are measured (default
-    0..steps); each is measured while the walk runs.  A configuration's values do not depend on chunking or ``n_jobs``:
-    they are computed independently and merged in configuration order, so
-    serial and parallel results are bit-identical.
+    name.  ``eval_steps`` is a nonempty sequence of integer steps in
+    0..steps, in any order and with repeats (default: every step); each is
+    measured while the walk runs.  A configuration's values do not depend on
+    chunking or ``n_jobs``.  They are computed independently and merged in
+    configuration order, so serial and parallel results are bit-identical.
     """
     cfg.validate()
     observables = tuple(observables)
     if not observables or any(obs not in _OBSERVABLES for obs in observables):
         raise ValueError(f"observables must be a nonempty selection of {tuple(_OBSERVABLES)}, got {observables!r}")
-    if eval_steps is None:
-        eval_steps = range(cfg.steps + 1)
+    eval_steps = list(range(cfg.steps + 1) if eval_steps is None else eval_steps)
+    if not eval_steps or any(isinstance(t, bool) or not isinstance(t, (int, np.integer)) for t in eval_steps):
+        raise ValueError(f"eval_steps must be a nonempty sequence of integers, got {eval_steps!r}")
     eval_steps = [int(t) for t in eval_steps]
     if any(t < 0 or t > cfg.steps for t in eval_steps):
         raise ValueError("eval_steps must lie in 0..steps")
@@ -221,8 +233,9 @@ def ensemble_run(
     syms = resolved_symmetries(cfg)
     stops = sorted(set(eval_steps))
     measure = partial(_measure_series, observables, JointBuilder())
-    tasks = _chunk_tasks(cfg, stops, measure, len(observables) * len(syms) * len(stops), n_jobs)
-    chunks = [np.moveaxis(np.array(chunk), 0, -1) for chunk in _map_configs(_run_chunk, tasks, n_jobs)]
+    result_floats = len(observables) * len(syms) * len(stops)
+    chunks = [np.moveaxis(np.array(chunk), 0, -1)
+              for chunk in _map_chunks(cfg, stops, measure, result_floats, n_jobs)]
     # (configs, obs, sym, steps) in C order, so the means over configurations
     # below sum in one order whatever the chunking
     cube = np.ascontiguousarray(np.concatenate(chunks)[..., [stops.index(t) for t in eval_steps]])
@@ -250,13 +263,14 @@ def ensemble_run(
 
 def ensemble_average_joints(
     cfg: ScenarioConfig, n_jobs: int = 1
-) -> tuple[dict[ExchangeSymmetry, JointDistribution], np.ndarray, np.ndarray]:
+) -> tuple[dict[ExchangeSymmetry, np.ndarray], np.ndarray, np.ndarray]:
     """Configuration-averaged position-level joints at the final step.
 
-    Returns (joints by symmetry, averaged marginal, positions).  Matrices are
-    averaged across configurations before any downstream fit, matching how
-    the density-plot scenarios aggregate; each configuration is added to the
-    running sums in configuration order as its chunk finishes.
+    Returns (joint matrices by symmetry, averaged marginal, signed positions
+    of their rows).  Matrices are averaged across configurations before any
+    downstream fit, matching how the density-plot scenarios aggregate; each
+    configuration is added to the running sums in configuration order as its
+    chunk finishes.
     """
     cfg.validate()
     syms = resolved_symmetries(cfg)
@@ -264,16 +278,12 @@ def ensemble_average_joints(
     positions = np.arange(n_sites) - origin
 
     measure = partial(_measure_joints, JointBuilder())
-    tasks = _chunk_tasks(cfg, [cfg.steps], measure, (len(syms) * n_sites + 1) * n_sites, n_jobs)
     acc = [np.zeros((n_sites, n_sites)) for _ in syms]
     marg = np.zeros(n_sites)
-    for (chunk,) in _map_configs(_run_chunk, tasks, n_jobs):
+    for (chunk,) in _map_chunks(cfg, [cfg.steps], measure, (len(syms) * n_sites + 1) * n_sites, n_jobs):
         for parts in chunk:
             for j in range(len(syms)):
                 acc[j] += parts[j]
             marg += parts[-1]
-    joints = {
-        sym: JointDistribution(acc[j] / cfg.configs, sym, "position", positions)
-        for j, sym in enumerate(syms)
-    }
+    joints = {sym: acc[j] / cfg.configs for j, sym in enumerate(syms)}
     return joints, marg / cfg.configs, positions

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import COIN_L, COIN_R, INV_SQRT2, WalkerState, state_to_modes
+from .core import COIN_L, COIN_R, INV_SQRT2, WalkerState
 from .disorder import PhaseField
 
 #: 2^16 paths keeps a single call under a second.
@@ -51,6 +51,11 @@ def path_sum_amplitudes(x0: int, coin0: int, steps: int, field: PhaseField) -> P
             coin = out
         amps[x + field.origin, coin] += amp
     return PathSumResult(amps.reshape(-1), field.origin, steps, 2**steps)
+
+
+def state_to_modes(state: WalkerState) -> np.ndarray:
+    """Flatten to 2N mode amplitudes, mode m = 2*site_index + coin."""
+    return state.amplitudes.reshape(-1).copy()
 
 
 def compare(state, result: PathSumResult) -> float:

@@ -202,8 +202,8 @@ def _run_joints(cfg: ScenarioConfig, plan: Plan, n_jobs: int) -> tuple[list[Tabl
     """Averaged joint maps and marginal at the final step; returns (tables, fits)."""
     joints, marg, positions = ensemble_average_joints(cfg, n_jobs=n_jobs)
     tables = [
-        joint_table("joint_bose" if sym is ExchangeSymmetry.BOSONIC else "joint_fermi", joint.matrix, positions)
-        for sym, joint in joints.items()
+        joint_table("joint_bose" if sym is ExchangeSymmetry.BOSONIC else "joint_fermi", matrix, positions)
+        for sym, matrix in joints.items()
     ]
     tables.append(marginal_table("marginal", marg, positions))
     center = 0.5 * sum(cfg.start_sites)

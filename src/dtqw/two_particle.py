@@ -1,32 +1,31 @@
 """Exchange-symmetrized two-particle distributions.
 
-Two walkers evolve independently under the same phase field; their
-single-particle mode amplitudes a(m), b(m) combine into the symmetrized
-joint probability
+Two walkers evolve independently under the same phase field.  Each is an
+amplitude array of shape (n_sites, 2), columns (L, R), on one lattice; over
+the (site, coin) modes m their amplitudes a(m), b(m) combine into the
+symmetrized joint probability
 
     P(m, m') = |a(m) b(m') +/- a(m') b(m)|^2 / 2
 
 with + for bosonic and - for fermionic exchange symmetry.  The inputs must
-be orthogonal (guaranteed when the initial sites differ and both evolve
-under one unitary); normalization of P then follows.  Symmetrization is done
-per pair of coin modes (site, coin), so the fermionic zero on the mode-level
-diagonal is exact while two fermions may still share a site in opposite coin
-modes.  ``JointBuilder`` builds the position-level matrices directly from
-N x N coin blocks and never forms the (2N) x (2N) mode-level matrix; that
-matrix is kept only as a test reference (``tests/mode_reference.py``), which
-the blocks reproduce bit for bit.
+be orthogonal (guaranteed when the starts differ in site or coin and both
+evolve under one unitary); normalization of P then follows.  The ensemble
+runners check this once per chunk and evaluated step.  Symmetrization is
+done per pair of coin modes, so the fermionic zero on the mode-level
+diagonal is exact while two fermions may still share a site in opposite
+coin modes.  ``JointBuilder`` builds the position-level matrices directly
+from N x N coin blocks and never forms the (2N) x (2N) mode-level matrix;
+that matrix is kept only as a test reference (``tests/mode_reference.py``),
+which the blocks reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-
-from .core import WalkerState, state_to_modes
 
 ORTHOGONALITY_TOL = 1e-10
 
@@ -38,42 +37,6 @@ class ExchangeSymmetry(enum.Enum):
     @property
     def sign(self) -> int:
         return 1 if self is ExchangeSymmetry.BOSONIC else -1
-
-
-@dataclass
-class TwoParticleInput:
-    """Post-evolution amplitudes of the two walkers on a shared lattice."""
-
-    psi_a: WalkerState
-    psi_b: WalkerState
-
-    def __post_init__(self) -> None:
-        if self.psi_a.n_sites != self.psi_b.n_sites or self.psi_a.origin != self.psi_b.origin:
-            raise ValueError("both walkers must live on the same lattice")
-        overlap = abs(np.vdot(self.psi_a.amplitudes, self.psi_b.amplitudes))
-        if overlap > ORTHOGONALITY_TOL:
-            raise ValueError(f"walker amplitudes must be orthogonal, |<a|b>| = {overlap:.3e}")
-
-    def modes(self) -> tuple[np.ndarray, np.ndarray]:
-        return state_to_modes(self.psi_a), state_to_modes(self.psi_b)
-
-    @property
-    def site_positions(self) -> np.ndarray:
-        return self.psi_a.positions
-
-
-@dataclass
-class JointDistribution:
-    """Symmetric probability matrix over modes or positions.
-
-    ``positions[k]`` is the signed lattice position labelling row/column k
-    (each position appears twice at mode level, once per coin state).
-    """
-
-    matrix: np.ndarray
-    symmetry: ExchangeSymmetry
-    level: str  # "mode" or "position"
-    positions: np.ndarray = field(repr=False)
 
 
 #: Site count from which the mode-level reference comes out Fortran-ordered:
@@ -105,19 +68,20 @@ class JointBuilder:
             buf = self._scratch[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
-    def build(self, inp: TwoParticleInput, syms: Sequence[ExchangeSymmetry]) -> list[JointDistribution]:
-        """Position-level symmetrized joint of each symmetry in ``syms``.
+    def build(self, a: np.ndarray, b: np.ndarray, syms: Sequence[ExchangeSymmetry]) -> list[np.ndarray]:
+        """Position-level symmetrized joint (n_sites x n_sites) of each symmetry in ``syms``.
 
-        P(x, y) = sum_{c,d} M_cd(x, y) with coin blocks
+        ``a`` and ``b`` are the (n_sites, 2) amplitude arrays of the two
+        walkers.  P(x, y) = sum_{c,d} M_cd(x, y) with coin blocks
         M_cd = |K_cd +/- K_dc^T|^2 / 2 and K_cd = outer(a[:, c], b[:, d]).  The
         four K blocks are shared by all symmetries, and M_10 = M_01^T exactly.
         From two sites up the matrices equal the mode-level reference bit for
         bit, layout included; a one-site lattice (t = 0 of a same-site start)
         holds exact delta amplitudes, where every summation order agrees.
         """
-        n = inp.psi_a.n_sites
-        a = np.ascontiguousarray(inp.psi_a.amplitudes.T)
-        b = np.ascontiguousarray(inp.psi_b.amplitudes.T)
+        n = a.shape[0]
+        a = np.ascontiguousarray(a.T)
+        b = np.ascontiguousarray(b.T)
         k = self._buffer("k", (2, 2, n, n), np.complex128)
         for c in (0, 1):
             for d in (0, 1):
@@ -140,20 +104,15 @@ class JointBuilder:
             matrix = m00 + m11
             if n >= F_ORDER_SITES:
                 matrix = matrix.T  # M00 and M11 are exactly symmetric: this is the F-order sum
-            joints.append(JointDistribution(matrix, sym, "position", inp.site_positions))
+            joints.append(matrix)
         return joints
 
 
-def marginal(inp: TwoParticleInput) -> np.ndarray:
-    """Single-particle marginal over modes, (|a|^2 + |b|^2) / 2.
+def marginal_positions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Single-particle marginal over sites, (|a|^2 + |b|^2) / 2 summed over the coin.
 
     Identical for both exchange symmetries and equal to any row sum of the
-    mode-level joint.
+    position-level joint.
     """
-    a, b = inp.modes()
-    return 0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2)
+    return (0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2)).sum(axis=1)
 
-
-def marginal_positions(inp: TwoParticleInput) -> np.ndarray:
-    """Position-level marginal, indexed like ``inp.site_positions``."""
-    return marginal(inp).reshape(-1, 2).sum(axis=1)

@@ -2,42 +2,38 @@
 
 The package builds position-level joints from coin blocks
 (``dtqw.two_particle.JointBuilder``).  This module keeps the direct
-construction over (site, coin) modes,
+construction over (site, coin) modes m = 2*site_index + coin of two
+(n_sites, 2) amplitude arrays,
 
     P(m, m') = |a(m) b(m') +/- a(m') b(m)|^2 / 2,
 
-whose fermionic diagonal is exactly zero, and the coin sum down to
-positions.  Tests use it to pin the mode-level invariants and to check the
-position builder bit for bit, layout included.
+whose fermionic diagonal is exactly zero, the coin sum down to positions and
+the mode-level marginal.  Tests use it to pin the mode-level invariants and
+to check the position builder bit for bit, layout included.
 """
 
 import numpy as np
 
-from dtqw.two_particle import ExchangeSymmetry, JointDistribution, TwoParticleInput
+from dtqw.two_particle import ExchangeSymmetry
 
 
-def joint_mode_distribution(inp: TwoParticleInput, sym: ExchangeSymmetry) -> JointDistribution:
-    """Mode-level symmetrized joint distribution of the two walkers."""
-    a, b = inp.modes()
-    k = np.outer(a, b)
+def joint_mode_distribution(a: np.ndarray, b: np.ndarray, sym: ExchangeSymmetry) -> np.ndarray:
+    """(2N) x (2N) mode-level symmetrized joint of the two walkers."""
+    k = np.outer(a.reshape(-1), b.reshape(-1))
     j = k + sym.sign * k.T
-    matrix = (j.real**2 + j.imag**2) * 0.5
-    return JointDistribution(
-        matrix=matrix,
-        symmetry=sym,
-        level="mode",
-        positions=np.repeat(inp.site_positions, 2),
-    )
+    return (j.real**2 + j.imag**2) * 0.5
 
 
-def aggregate_to_positions(joint: JointDistribution) -> JointDistribution:
+def aggregate_to_positions(mode_joint: np.ndarray) -> np.ndarray:
     """Sum the two coin modes of each site: P(x, y) = sum_{c,c'} P((x,c),(y,c'))."""
-    if joint.level != "mode":
-        raise ValueError("aggregation expects a mode-level joint")
-    n = joint.matrix.shape[0] // 2
-    return JointDistribution(
-        matrix=joint.matrix.reshape(n, 2, n, 2).sum(axis=(1, 3)),
-        symmetry=joint.symmetry,
-        level="position",
-        positions=joint.positions[::2].copy(),
-    )
+    n = mode_joint.shape[0] // 2
+    return mode_joint.reshape(n, 2, n, 2).sum(axis=(1, 3))
+
+
+def marginal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Single-particle marginal over modes, (|a|^2 + |b|^2) / 2.
+
+    Identical for both exchange symmetries and equal to any row sum of the
+    mode-level joint.
+    """
+    return 0.5 * (np.abs(a.reshape(-1)) ** 2 + np.abs(b.reshape(-1)) ** 2)

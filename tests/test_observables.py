@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from dtqw import observables
+from dtqw.cli import main
 from dtqw.config import ScenarioConfig
 from dtqw.core import COIN_L, COIN_R, delta_state, evolve, lattice_for
 from dtqw.disorder import DisorderKind, FieldBatch, sample_phase_field
@@ -17,7 +18,7 @@ from dtqw.observables import (
     mutual_information,
     variance_xm,
 )
-from dtqw.two_particle import ExchangeSymmetry, JointDistribution, TwoParticleInput
+from dtqw.two_particle import ExchangeSymmetry
 from mode_reference import aggregate_to_positions, joint_mode_distribution
 
 BOS = ExchangeSymmetry.BOSONIC
@@ -28,29 +29,21 @@ ENTROPY_3STEP_BOSONIC = 3.4834585933443485
 VARIANCE_3STEP = {"bosonic": 7.5, "fermionic": 3.5}
 
 
-def make_joint(matrix, positions=None, sym=BOS):
-    matrix = np.asarray(matrix, dtype=float)
-    if positions is None:
-        positions = np.arange(matrix.shape[0])
-    return JointDistribution(matrix, sym, "position", np.asarray(positions))
-
-
 def three_step_joint(sym):
+    """Position-level joint of the 3-step ordered walk and the signed positions of its rows."""
     steps = 3
     n, o = lattice_for(steps, (0, 0))
     fld = FieldBatch([sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n, origin=o)])
-    inp = TwoParticleInput(
-        evolve(delta_state(n, o, 0, COIN_L), steps, fld),
-        evolve(delta_state(n, o, 0, COIN_R), steps, fld),
-    )
-    return aggregate_to_positions(joint_mode_distribution(inp, sym))
+    a = evolve(delta_state(n, o, 0, COIN_L), steps, fld)
+    b = evolve(delta_state(n, o, 0, COIN_R), steps, fld)
+    return aggregate_to_positions(joint_mode_distribution(a.amplitudes, b.amplitudes, sym)), a.positions
 
 
 def test_variance_of_point_mass_is_zero():
     m = np.zeros((5, 5))
     m[1, 3] = 0.5
     m[3, 1] = 0.5
-    assert variance_xm(make_joint(m)) == pytest.approx(0.0, abs=1e-12)
+    assert variance_xm(m, np.arange(5)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_variance_two_point_hand_value():
@@ -58,7 +51,7 @@ def test_variance_two_point_hand_value():
     m = np.zeros((4, 4))
     m[0, 1] = m[1, 0] = 0.25
     m[2, 3] = m[3, 2] = 0.25
-    assert variance_xm(make_joint(m)) == pytest.approx(4.0)
+    assert variance_xm(m, np.arange(4)) == pytest.approx(4.0)
 
 
 def test_variance_uses_signed_positions():
@@ -66,12 +59,12 @@ def test_variance_uses_signed_positions():
     m[0, 0] = 0.5
     m[2, 2] = 0.5
     # positions -1, 0, 1: x_M is -2 or +2 with equal mass
-    assert variance_xm(make_joint(m, positions=[-1, 0, 1])) == pytest.approx(4.0)
+    assert variance_xm(m, np.array([-1, 0, 1])) == pytest.approx(4.0)
 
 
 def test_three_step_variances_match_pathsum_oracle():
     for sym in ExchangeSymmetry:
-        assert variance_xm(three_step_joint(sym)) == pytest.approx(
+        assert variance_xm(*three_step_joint(sym)) == pytest.approx(
             VARIANCE_3STEP[sym.value], abs=1e-12
         )
 
@@ -87,29 +80,29 @@ def test_classical_baseline():
 def test_entropy_of_delta_is_zero():
     m = np.zeros((4, 4))
     m[2, 2] = 1.0
-    assert joint_entropy(make_joint(m)) == 0.0
+    assert joint_entropy(m) == 0.0
 
 
 def test_entropy_of_uniform_square():
     k = 8
     m = np.full((k, k), 1.0 / k**2)
-    assert joint_entropy(make_joint(m)) == pytest.approx(2 * np.log2(k))
+    assert joint_entropy(m) == pytest.approx(2 * np.log2(k))
 
 
 def test_three_step_bosonic_entropy_matches_frozen_oracle_value():
-    assert joint_entropy(three_step_joint(BOS)) == pytest.approx(
+    assert joint_entropy(three_step_joint(BOS)[0]) == pytest.approx(
         ENTROPY_3STEP_BOSONIC, abs=1e-12
     )
 
 
 def test_mutual_information_of_product_joint_is_zero():
     p = np.array([0.1, 0.2, 0.3, 0.4])
-    assert mutual_information(make_joint(np.outer(p, p))) == pytest.approx(0.0, abs=1e-12)
+    assert mutual_information(np.outer(p, p)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_mutual_information_of_uniform_diagonal():
     k = 16
-    assert mutual_information(make_joint(np.eye(k) / k)) == pytest.approx(np.log2(k))
+    assert mutual_information(np.eye(k) / k) == pytest.approx(np.log2(k))
 
 
 def test_mutual_information_bounded_by_marginal_entropy():
@@ -117,9 +110,8 @@ def test_mutual_information_bounded_by_marginal_entropy():
     m = rng.random((9, 9))
     m = 0.5 * (m + m.T)
     m /= m.sum()
-    joint = make_joint(m)
     h_x = -np.sum(m.sum(1) * np.log2(m.sum(1)))
-    assert -1e-12 <= mutual_information(joint) <= h_x + 1e-12
+    assert -1e-12 <= mutual_information(m) <= h_x + 1e-12
 
 
 def test_entropy_and_mi_invariant_under_relabeling():
@@ -128,10 +120,9 @@ def test_entropy_and_mi_invariant_under_relabeling():
     m = 0.5 * (m + m.T)
     m /= m.sum()
     perm = rng.permutation(11)
-    a = make_joint(m)
-    b = make_joint(m[np.ix_(perm, perm)])
-    assert joint_entropy(b) == pytest.approx(joint_entropy(a), abs=1e-12)
-    assert mutual_information(b) == pytest.approx(mutual_information(a), abs=1e-12)
+    relabeled = m[np.ix_(perm, perm)]
+    assert joint_entropy(relabeled) == pytest.approx(joint_entropy(m), abs=1e-12)
+    assert mutual_information(relabeled) == pytest.approx(mutual_information(m), abs=1e-12)
 
 
 def test_product_joint_variance_is_sum_of_single_variances():
@@ -151,8 +142,8 @@ def test_product_joint_variance_is_sum_of_single_variances():
 
     # distinguishable particles: the symmetrized product, no interference term
     k = np.outer(prob(psi_a), prob(psi_b))
-    joint = JointDistribution(0.5 * (k + k.T), BOS, "position", np.arange(n) - o)
-    assert variance_xm(joint) == pytest.approx(single_var(psi_a) + single_var(psi_b), abs=1e-10)
+    joint = 0.5 * (k + k.T)
+    assert variance_xm(joint, np.arange(n) - o) == pytest.approx(single_var(psi_a) + single_var(psi_b), abs=1e-10)
 
 
 OBS = ("variance", "entropy")
@@ -203,6 +194,12 @@ def test_eval_steps_out_of_range_rejected():
         ensemble_run(ordered_cfg(), OBS, eval_steps=[99])
 
 
+@pytest.mark.parametrize("eval_steps", [[], [2.7], [True]], ids=["empty", "float", "bool"])
+def test_malformed_eval_steps_rejected(eval_steps):
+    with pytest.raises(ValueError, match="eval_steps"):
+        ensemble_run(ordered_cfg(), OBS, eval_steps=eval_steps)
+
+
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
         ensemble_run(ordered_cfg(configs=0), OBS)
@@ -235,12 +232,12 @@ def test_ensemble_average_joints_normalized():
     cfg = ordered_cfg(disorder=DisorderKind.DYNAMIC, phi_max=np.pi, configs=3, seed=5, steps=12)
     joints, marg, positions = ensemble_average_joints(cfg)
     for joint in joints.values():
-        assert joint.matrix.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(joint.matrix, joint.matrix.T, atol=1e-15)
+        assert joint.sum() == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(joint, joint.T, atol=1e-15)
     assert marg.sum() == pytest.approx(1.0, abs=1e-12)
     assert len(positions) == len(marg)
     np.testing.assert_allclose(
-        joints[BOS].matrix.sum(axis=1), marg, atol=1e-12
+        joints[BOS].sum(axis=1), marg, atol=1e-12
     )
 
 
@@ -249,8 +246,8 @@ def test_observable_series_validates_lengths():
         ObservableSeries("x", np.arange(3), np.zeros(2), np.zeros(3), 1)
 
 
-def _amplitudes(cfg, psi_a, psi_b, t):
-    return psi_a.amplitudes.copy(), psi_b.amplitudes.copy()
+def _amplitudes(cfg, a, b, t):
+    return a.copy(), b.copy()
 
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
@@ -308,10 +305,10 @@ def test_average_joints_equal_ordered_sums_of_single_configuration_runs(monkeypa
     singles = [ensemble_average_joints(dataclasses.replace(cfg, configs=1, seed=seed + i)) for i in range(3)]
     for joints, marg, positions in _runs(monkeypatch, ensemble_average_joints, cfg):
         for sym, joint in joints.items():
-            acc = np.zeros_like(joint.matrix)
+            acc = np.zeros_like(joint)
             for one in singles:
-                acc += one[0][sym].matrix
-            assert np.array_equal(joint.matrix, acc / 3)
+                acc += one[0][sym]
+            assert np.array_equal(joint, acc / 3)
         acc = np.zeros_like(marg)
         for one in singles:
             acc += one[1]
@@ -327,3 +324,63 @@ def test_eval_steps_in_any_order_with_repeats():
         np.testing.assert_array_equal(s.steps, [6, 2, 2, 0])
         assert np.array_equal(s.mean, full[key].mean[[6, 2, 2, 0]])
         assert np.array_equal(s.std_dev, full[key].std_dev[[6, 2, 2, 0]])
+
+
+@pytest.mark.parametrize("runner", [partial(ensemble_run, observables=OBS), ensemble_average_joints],
+                         ids=["ensemble_run", "ensemble_average_joints"])
+def test_nonorthogonal_walkers_rejected(monkeypatch, runner):
+    # both walkers start on coin L, past the config check that their starts differ
+    monkeypatch.setattr(observables, "COIN_NAMES", {"L": COIN_L, "R": COIN_L})
+    with pytest.raises(ValueError, match="orthogonal"):
+        runner(ordered_cfg())
+
+
+def test_nonorthogonal_walkers_fail_the_cli_run(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(observables, "COIN_NAMES", {"L": COIN_L, "R": COIN_L})
+    assert main(["--scenario", "fig2", "--steps", "3", "--out", str(tmp_path)]) == 2
+    assert "orthogonal" in capsys.readouterr().err
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each pool's size and chunk count, and maps in this process."""
+
+    def __init__(self, made, max_workers):
+        self.made, self.max_workers = made, max_workers
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        self.made.append((self.max_workers, len(tasks)))
+        return map(fn, tasks)
+
+
+# pool = (max_workers, chunks) for 7 configurations: chunks are sized for the capped worker count, and a budget
+# of one byte forces one configuration per chunk
+@pytest.mark.parametrize("n_jobs, cpus, budget, pool", [(64, 2, None, (2, 2)), (64, 64, None, (7, 7)),
+                                                        (4, 64, None, (4, 4)), (3, 64, 1, (3, 7))],
+                         ids=["cpus", "chunks", "n_jobs", "tiny-budget"])
+def test_pool_is_capped_at_jobs_chunks_and_cpus(monkeypatch, n_jobs, cpus, budget, pool):
+    cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=np.pi, configs=7, seed=8)
+    serial = ensemble_run(cfg, OBS)
+    made = []
+    monkeypatch.setattr(observables, "ProcessPoolExecutor", partial(RecordingPool, made))
+    monkeypatch.setattr(observables, "_usable_cpus", lambda: cpus)
+    if budget is not None:
+        monkeypatch.setattr(observables, "_CHUNK_BYTES", budget)
+    pooled = ensemble_run(cfg, OBS, n_jobs=n_jobs)
+    assert made == [pool]
+    for key in serial:
+        assert np.array_equal(serial[key].mean, pooled[key].mean)
+        assert np.array_equal(serial[key].std_dev, pooled[key].std_dev)
+
+
+def test_one_configuration_opens_no_pool(monkeypatch, tmp_path):
+    made = []
+    monkeypatch.setattr(observables, "ProcessPoolExecutor", partial(RecordingPool, made))
+    assert main(["--scenario", "fig2", "--steps", "3", "--jobs", "64", "--out", str(tmp_path)]) == 0
+    assert made == []

@@ -1,176 +1,143 @@
 import numpy as np
 import pytest
 
-from dtqw.core import COIN_L, COIN_R, WalkerState, delta_state, evolve, lattice_for
+from dtqw.core import COIN_L, COIN_R, delta_state, evolve, lattice_for
 from dtqw.disorder import DisorderKind, FieldBatch, sample_phase_field
 from dtqw.observables import joint_entropy, mutual_information, variance_xm
-from dtqw.two_particle import (
-    F_ORDER_SITES,
-    ExchangeSymmetry,
-    JointBuilder,
-    TwoParticleInput,
-    marginal,
-    marginal_positions,
-)
-from mode_reference import aggregate_to_positions, joint_mode_distribution
+from dtqw.two_particle import F_ORDER_SITES, ExchangeSymmetry, JointBuilder, marginal_positions
+from mode_reference import aggregate_to_positions, joint_mode_distribution, marginal
 
 BOS = ExchangeSymmetry.BOSONIC
 FER = ExchangeSymmetry.FERMIONIC
 SYMS = (BOS, FER)
+ORIGIN = 2  # array index of x = 0 in ``delta_pair``
 
 
-def delta_pair(n_sites=6, origin=2, a=(0, COIN_L), b=(1, COIN_R)):
-    return TwoParticleInput(
-        delta_state(n_sites, origin, *a),
-        delta_state(n_sites, origin, *b),
-    )
+def delta_pair(a=(0, COIN_L), b=(1, COIN_R)):
+    return delta_state(6, ORIGIN, *a).amplitudes, delta_state(6, ORIGIN, *b).amplitudes
 
 
 def evolved_pair(kind=DisorderKind.FLUCTUATING, steps=10, seed=5, a=(0, COIN_L), b=(0, COIN_R)):
+    """(a, b, signed positions) of two walkers evolved under one field."""
     n, o = lattice_for(steps, (a[0], b[0]))
     fld = FieldBatch([sample_phase_field(
         kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
         steps=steps, n_sites=n, origin=o, seed=seed,
     )])
-    return TwoParticleInput(
-        evolve(delta_state(n, o, *a), steps, fld),
-        evolve(delta_state(n, o, *b), steps, fld),
-    )
+    psi_a = evolve(delta_state(n, o, *a), steps, fld)
+    return psi_a.amplitudes, evolve(delta_state(n, o, *b), steps, fld).amplitudes, psi_a.positions
 
 
-def mode_index(inp, x, coin):
-    return 2 * inp.psi_a.index_of(x) + coin
+def mode_index(x, coin):
+    return 2 * (x + ORIGIN) + coin
 
 
-def position_joint(inp, sym):
-    return aggregate_to_positions(joint_mode_distribution(inp, sym))
+def position_joint(a, b, sym):
+    return aggregate_to_positions(joint_mode_distribution(a, b, sym))
 
 
 def test_delta_pair_joint_is_half_on_each_ordering():
-    inp = delta_pair()
-    ma = mode_index(inp, 0, COIN_L)
-    mb = mode_index(inp, 1, COIN_R)
+    a, b = delta_pair()
+    ma = mode_index(0, COIN_L)
+    mb = mode_index(1, COIN_R)
     for sym in (BOS, FER):
-        joint = joint_mode_distribution(inp, sym)
-        assert joint.matrix[ma, mb] == pytest.approx(0.5)
-        assert joint.matrix[mb, ma] == pytest.approx(0.5)
-        assert joint.matrix.sum() == pytest.approx(1.0)
-        assert np.count_nonzero(joint.matrix) == 2
+        joint = joint_mode_distribution(a, b, sym)
+        assert joint[ma, mb] == pytest.approx(0.5)
+        assert joint[mb, ma] == pytest.approx(0.5)
+        assert joint.sum() == pytest.approx(1.0)
+        assert np.count_nonzero(joint) == 2
 
 
 def test_fermionic_mode_diagonal_is_exactly_zero():
-    inp = evolved_pair(steps=12)
-    joint = joint_mode_distribution(inp, FER)
-    assert np.all(np.diag(joint.matrix) == 0.0)
+    a, b, _ = evolved_pair(steps=12)
+    joint = joint_mode_distribution(a, b, FER)
+    assert np.all(np.diag(joint) == 0.0)
 
 
 def test_joint_normalization_and_symmetry():
     for kind in DisorderKind:
-        inp = evolved_pair(kind=kind, steps=9, seed=3)
+        a, b, _ = evolved_pair(kind=kind, steps=9, seed=3)
         for sym in (BOS, FER):
-            joint = joint_mode_distribution(inp, sym)
-            assert joint.matrix.sum() == pytest.approx(1.0, abs=1e-12)
-            np.testing.assert_allclose(joint.matrix, joint.matrix.T, atol=1e-15)
-            assert joint.matrix.min() >= 0.0
+            joint = joint_mode_distribution(a, b, sym)
+            assert joint.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(joint, joint.T, atol=1e-15)
+            assert joint.min() >= 0.0
 
 
 def test_aggregation_rebins_mode_deltas():
-    inp = delta_pair()
-    pos = aggregate_to_positions(joint_mode_distribution(inp, BOS))
-    ia = inp.psi_a.index_of(0)
-    ib = inp.psi_a.index_of(1)
-    assert pos.matrix[ia, ib] == pytest.approx(0.5)
-    assert pos.matrix[ib, ia] == pytest.approx(0.5)
-    assert pos.matrix.sum() == pytest.approx(1.0)
+    pos = position_joint(*delta_pair(), BOS)
+    ia, ib = ORIGIN, ORIGIN + 1  # x = 0 and x = 1
+    assert pos[ia, ib] == pytest.approx(0.5)
+    assert pos[ib, ia] == pytest.approx(0.5)
+    assert pos.sum() == pytest.approx(1.0)
 
 
 def test_aggregation_preserves_total_and_symmetry():
-    inp = evolved_pair(steps=11, seed=9)
+    a, b, _ = evolved_pair(steps=11, seed=9)
     for sym in (BOS, FER):
-        mode = joint_mode_distribution(inp, sym)
+        mode = joint_mode_distribution(a, b, sym)
         pos = aggregate_to_positions(mode)
-        assert pos.matrix.sum() == pytest.approx(mode.matrix.sum(), abs=1e-12)
-        np.testing.assert_allclose(pos.matrix, pos.matrix.T, atol=1e-15)
-
-
-def test_aggregation_requires_mode_level():
-    inp = delta_pair()
-    pos = position_joint(inp, BOS)
-    with pytest.raises(ValueError):
-        aggregate_to_positions(pos)
+        assert pos.sum() == pytest.approx(mode.sum(), abs=1e-12)
+        np.testing.assert_allclose(pos, pos.T, atol=1e-15)
 
 
 def test_fermions_may_share_a_site_in_opposite_coin_modes():
     # same-site start, orthogonal coins: the position diagonal is populated
-    inp = delta_pair(a=(0, COIN_L), b=(0, COIN_R))
-    pos = position_joint(inp, FER)
-    i0 = inp.psi_a.index_of(0)
-    assert pos.matrix[i0, i0] == pytest.approx(1.0)
-    mode = joint_mode_distribution(inp, FER)
-    assert np.all(np.diag(mode.matrix) == 0.0)
+    a, b = delta_pair(a=(0, COIN_L), b=(0, COIN_R))
+    pos = position_joint(a, b, FER)
+    assert pos[ORIGIN, ORIGIN] == pytest.approx(1.0)
+    assert np.all(np.diag(joint_mode_distribution(a, b, FER)) == 0.0)
 
 
 def test_marginal_of_delta_pair():
-    inp = delta_pair()
-    m = marginal(inp)
-    assert m[mode_index(inp, 0, COIN_L)] == pytest.approx(0.5)
-    assert m[mode_index(inp, 1, COIN_R)] == pytest.approx(0.5)
+    m = marginal(*delta_pair())
+    assert m[mode_index(0, COIN_L)] == pytest.approx(0.5)
+    assert m[mode_index(1, COIN_R)] == pytest.approx(0.5)
     assert m.sum() == pytest.approx(1.0)
 
 
 def test_marginal_equals_row_sums_for_both_symmetries():
-    inp = evolved_pair(steps=13, seed=1)
-    m = marginal(inp)
+    a, b, _ = evolved_pair(steps=13, seed=1)
+    m = marginal(a, b)
     for sym in (BOS, FER):
-        rows = joint_mode_distribution(inp, sym).matrix.sum(axis=1)
+        rows = joint_mode_distribution(a, b, sym).sum(axis=1)
         np.testing.assert_allclose(rows, m, atol=1e-12)
     np.testing.assert_allclose(
-        marginal_positions(inp),
-        position_joint(inp, BOS).matrix.sum(axis=1),
+        marginal_positions(a, b),
+        position_joint(a, b, BOS).sum(axis=1),
         atol=1e-12,
     )
 
 
 def test_ordered_walk_marginal_spreads_ballistically():
     # twin-peak shape: variance far above the classical 2-walker baseline
-    inp = evolved_pair(kind=DisorderKind.ORDERED, steps=50)
-    m = marginal_positions(inp)
-    x = inp.site_positions.astype(float)
+    a, b, x = evolved_pair(kind=DisorderKind.ORDERED, steps=50)
+    m = marginal_positions(a, b)
+    x = x.astype(float)
     var = float((x * x) @ m - ((x @ m) ** 2))
     assert var > 2 * 50  # single-particle classical variance is t
 
 
-def test_nonorthogonal_inputs_rejected():
-    a = delta_state(6, 2, 0, COIN_L)
-    with pytest.raises(ValueError):
-        TwoParticleInput(a, delta_state(6, 2, 0, COIN_L))
-
-
-def test_mismatched_lattices_rejected():
-    with pytest.raises(ValueError):
-        TwoParticleInput(delta_state(6, 2, 0, COIN_L), delta_state(8, 2, 1, COIN_R))
-
-
 def orthogonal_pair(rng, n_sites):
+    """(a, b, signed positions) of a random orthonormal pair."""
     q, _ = np.linalg.qr(rng.normal(size=(2 * n_sites, 2)) + 1j * rng.normal(size=(2 * n_sites, 2)))
-    origin = n_sites // 2
-    return TwoParticleInput(WalkerState(q[:, 0].reshape(n_sites, 2), origin),
-                            WalkerState(q[:, 1].reshape(n_sites, 2), origin))
+    return q[:, 0].reshape(n_sites, 2), q[:, 1].reshape(n_sites, 2), np.arange(n_sites) - n_sites // 2
 
 
 def layout(matrix):
     return matrix.flags.c_contiguous, matrix.flags.f_contiguous
 
 
-def assert_blocks_equal_mode_reference(builder, inp):
+def assert_blocks_equal_mode_reference(builder, a, b, positions):
     """Same bits, same memory layout and the same observables as the mode-level route."""
-    for sym, joint in zip(SYMS, builder.build(inp, SYMS)):
-        ref = aggregate_to_positions(joint_mode_distribution(inp, sym))
-        assert joint.symmetry is sym and joint.level == "position"
-        assert np.array_equal(joint.positions, ref.positions)
-        assert np.array_equal(joint.matrix, ref.matrix)
-        assert layout(joint.matrix) == layout(ref.matrix)
-        for observable in (variance_xm, joint_entropy, mutual_information):
+    joints = builder.build(a, b, SYMS)
+    assert len(joints) == len(SYMS)
+    for sym, joint in zip(SYMS, joints):
+        ref = aggregate_to_positions(joint_mode_distribution(a, b, sym))
+        assert np.array_equal(joint, ref)
+        assert layout(joint) == layout(ref)
+        assert variance_xm(joint, positions) == variance_xm(ref, positions)
+        for observable in (joint_entropy, mutual_information):
             assert observable(joint) == observable(ref)
 
 
@@ -178,7 +145,7 @@ def test_joint_builder_equals_mode_reference_on_random_pairs():
     # one builder for every size: its scratch arrays grow and are reused
     rng, builder = np.random.default_rng(2024), JointBuilder()
     for n_sites in [*range(2, 141), 205, 37]:
-        assert_blocks_equal_mode_reference(builder, orthogonal_pair(rng, n_sites))
+        assert_blocks_equal_mode_reference(builder, *orthogonal_pair(rng, n_sites))
 
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
@@ -191,10 +158,9 @@ def test_joint_builder_equals_mode_reference_on_evolved_walkers(kind):
     a, b, t, builder = delta_state(n, o, 0, COIN_L), delta_state(n, o, 0, COIN_R), 0, JointBuilder()
     for stop in (0, 1, 10, 31, 32, 33, 60, 100):
         a, b, t = evolve(a, stop - t, fld, start=t), evolve(b, stop - t, fld, start=t), stop
-        assert_blocks_equal_mode_reference(builder, TwoParticleInput(a, b))
+        assert_blocks_equal_mode_reference(builder, a.amplitudes, b.amplitudes, a.positions)
         cone = slice(o - t, o + t + 1)
-        assert_blocks_equal_mode_reference(builder, TwoParticleInput(WalkerState(a.amplitudes[cone], t),
-                                                                     WalkerState(b.amplitudes[cone], t)))
+        assert_blocks_equal_mode_reference(builder, a.amplitudes[cone], b.amplitudes[cone], a.positions[cone])
     assert 2 * 31 + 1 < F_ORDER_SITES <= 2 * 32 + 1
 
 
@@ -208,9 +174,8 @@ def test_joint_builder_matches_closed_forms(kind):
     Var(x + y) = Var_a + Var_b +/- 2 |<a|x|b>|^2.
     """
     for t in (10, 40, 100):
-        inp = evolved_pair(kind=kind, steps=t, seed=23)
-        a, b = inp.psi_a.amplitudes, inp.psi_b.amplitudes
-        x = inp.site_positions.astype(float)
+        a, b, x = evolved_pair(kind=kind, steps=t, seed=23)
+        x = x.astype(float)
         p_a, p_b = (np.abs(a) ** 2).sum(axis=1), (np.abs(b) ** 2).sum(axis=1)
         g = (a * b.conj()).sum(axis=1)
         x_ab = np.vdot(a, x[:, None] * b)
@@ -218,8 +183,8 @@ def test_joint_builder_matches_closed_forms(kind):
         def var(p):
             return (x * x) @ p - (x @ p) ** 2
 
-        for sym, joint in zip(SYMS, JointBuilder().build(inp, SYMS)):
+        for sym, joint in zip(SYMS, JointBuilder().build(a, b, SYMS)):
             rank4 = 0.5 * (np.outer(p_a, p_b) + np.outer(p_b, p_a) + 2 * sym.sign * np.outer(g, g.conj()).real)
-            np.testing.assert_allclose(joint.matrix, rank4, rtol=1e-12, atol=1e-15)
+            np.testing.assert_allclose(joint, rank4, rtol=1e-12, atol=1e-15)
             closed = var(p_a) + var(p_b) + 2 * sym.sign * abs(x_ab) ** 2
-            assert variance_xm(joint) == pytest.approx(closed, rel=1e-12)
+            assert variance_xm(joint, x) == pytest.approx(closed, rel=1e-12)
