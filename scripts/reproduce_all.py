@@ -24,7 +24,9 @@ def main(argv=None) -> int:
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
 
-    names = args.only if args.only else list(preset_names())
+    if args.only is not None and (not args.only or len(set(args.only)) < len(args.only)):
+        parser.error(f"--only needs one or more distinct scenario names, got {args.only}")
+    names = args.only or list(preset_names())
     unknown = set(names) - set(preset_names())
     if unknown:
         parser.error(f"unknown scenario(s): {', '.join(sorted(unknown))}")

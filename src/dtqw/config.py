@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -11,7 +10,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import COIN_L, COIN_R
-from .disorder import DisorderKind
+from .disorder import DisorderKind, check_strength
 
 DEFAULT_PHI_MAX = float(np.pi)
 
@@ -24,11 +23,6 @@ FORMAT_CHOICES = ("csv", "json")
 def _is_real(value) -> bool:
     # bool is a Real; JSON true must not pass for 1
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _check_strength(label: str, value) -> None:
-    if not _is_real(value) or not 0.0 <= value <= 2.0 * math.pi:
-        raise ValueError(f"{label} must be a real number in [0, 2*pi], got {value!r}")
 
 
 def _start_pair(label: str, value) -> tuple:
@@ -79,12 +73,12 @@ class ScenarioConfig:
             raise ValueError("configs must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
-        _check_strength("phi_max", self.phi_max)
+        check_strength("phi_max", self.phi_max)
         for label in ("phi_static", "phi_dynamic"):
             if getattr(self, label) is not None:
-                _check_strength(label, getattr(self, label))
+                check_strength(label, getattr(self, label))
         for value in self.sweep_values:
-            _check_strength("every sweep_values entry", value)
+            check_strength("every sweep_values entry", value)
         if any(lo >= hi for lo, hi in zip(self.sweep_values, self.sweep_values[1:])):
             raise ValueError("sweep values must be strictly ascending")
         if self.symmetry not in SYMMETRY_CHOICES:

@@ -8,8 +8,10 @@ wrap or a reflection, so callers must allocate enough sites up front (see
 ``lattice_for``).  Leading axes of the amplitude array batch independent
 walkers (for example configurations x walkers), which all step at once.
 
-Conventions: ``amplitudes[i, 0]`` is the L amplitude at array index ``i``,
-``amplitudes[i, 1]`` the R amplitude, and signed position ``x = i - origin``.
+Conventions: amplitudes are stored coin-major, ``amplitudes[0, i]`` the L
+amplitude at array index ``i`` and ``amplitudes[1, i]`` the R amplitude, so
+each coin row is contiguous over sites; signed position ``x = i - origin``.
+Every layer (step, joint builder, oracle) reads this one layout.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ class LatticeOverflowError(RuntimeError):
 class WalkerState:
     """Complex coin-pair amplitudes over the lattice.
 
-    amplitudes: shape (..., n_sites, 2) complex array, columns (L, R); any
+    amplitudes: shape (..., 2, n_sites) complex array, rows (L, R); any
         leading axes index independent walkers on the same lattice.
     origin: array index of signed position x = 0.
     """
@@ -45,12 +47,12 @@ class WalkerState:
 
     def __post_init__(self) -> None:
         self.amplitudes = np.asarray(self.amplitudes, dtype=np.complex128)
-        if self.amplitudes.ndim < 2 or self.amplitudes.shape[-1] != 2:
-            raise ValueError(f"amplitudes must have shape (..., n_sites, 2), got {self.amplitudes.shape}")
+        if self.amplitudes.ndim < 2 or self.amplitudes.shape[-2] != 2:
+            raise ValueError(f"amplitudes must have shape (..., 2, n_sites), got {self.amplitudes.shape}")
 
     @property
     def n_sites(self) -> int:
-        return self.amplitudes.shape[-2]
+        return self.amplitudes.shape[-1]
 
     @property
     def positions(self) -> np.ndarray:
@@ -82,51 +84,50 @@ def delta_state(n_sites: int, origin: int, x: int = 0, coin: int = COIN_L) -> Wa
     """A walker localized at position ``x`` with a definite coin state."""
     if coin not in (COIN_L, COIN_R):
         raise ValueError(f"coin must be {COIN_L} (L) or {COIN_R} (R), got {coin}")
-    amps = np.zeros((n_sites, 2), dtype=np.complex128)
+    amps = np.zeros((2, n_sites), dtype=np.complex128)
     state = WalkerState(amps, origin)
-    amps[state.index_of(x), coin] = 1.0
+    amps[coin, state.index_of(x)] = 1.0
     return state
 
 
 def _check_edges(amplitudes: np.ndarray) -> None:
-    if amplitudes[..., 0, :].any() or amplitudes[..., -1, :].any():
+    if amplitudes[..., 0].any() or amplitudes[..., -1].any():
         raise LatticeOverflowError("light cone reached the lattice edge; allocate a larger lattice")
 
 
-def _shift(coined: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(coined)
-    out[..., :-1, 0] = coined[..., 1:, 0]
-    out[..., 1:, 1] = coined[..., :-1, 1]
-    return out
-
-
-def _phased_step(amplitudes: np.ndarray, e_l: np.ndarray, e_r: np.ndarray) -> np.ndarray:
-    """One step with phased Hadamard coins, vectorized over sites and batch axes.
-
-    ``e_l``, ``e_r`` are the coin factors exp(i phi) broadcast against
-    ``amplitudes[..., 0]``.
-    """
-    _check_edges(amplitudes)
-    a = amplitudes[..., 0]
-    b = amplitudes[..., 1]
-    coined = np.empty_like(amplitudes)
-    coined[..., 0] = e_l * (a + b) * INV_SQRT2
-    coined[..., 1] = e_r * (a - b) * INV_SQRT2
-    return _shift(coined)
+def _at(factor: np.ndarray, sites: slice) -> np.ndarray:
+    """Coin factors of the source ``sites``; a site-independent factor serves every site."""
+    return factor if factor.shape[-1] == 1 else factor[..., sites]
 
 
 def evolve(initial: WalkerState, steps: int, field, start: int = 0) -> WalkerState:
     """Evolve steps t = start+1 .. start+steps of the coined step; returns the final state.
 
     ``field`` is a :class:`dtqw.disorder.FieldBatch` of C configurations:
-    its coin factors broadcast against a (C, walkers, n_sites, 2) batch,
+    its coin factors broadcast against a (C, walkers, 2, n_sites) batch,
     and, for ``FieldBatch([field])``, against one walker of shape
-    (n_sites, 2).  Deterministic for a fixed field, and every amplitude is
-    bit-identical whatever the size of the batch it evolves in.
+    (2, n_sites).  Each step writes e_L (a + b) / sqrt(2) one site left and
+    e_R (a - b) / sqrt(2) one site right into the spare of two buffers and
+    swaps them; the L cell of the last site and the R cell of the first site
+    are never written, and the edge check keeps them zero.  Deterministic
+    for a fixed field, and every amplitude is bit-identical whatever the
+    size of the batch it evolves in.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
-    amps = initial.amplitudes.copy()
+    shape = initial.amplitudes.shape
+    amps = np.array(initial.amplitudes, ndmin=4)  # one walker steps as a batch of one
+    spare = np.zeros_like(amps)
+    head, tail = slice(None, -1), slice(1, None)
     for t in range(start + 1, start + steps + 1):
-        amps = _phased_step(amps, *field.coin_factors(t))
-    return WalkerState(amps, initial.origin)
+        _check_edges(amps)
+        e_l, e_r = field.coin_factors(t)
+        left, right = spare[..., 0, head], spare[..., 1, tail]
+        np.add(amps[..., 0, tail], amps[..., 1, tail], out=left)
+        np.multiply(_at(e_l, tail), left, out=left)
+        np.multiply(left, INV_SQRT2, out=left)
+        np.subtract(amps[..., 0, head], amps[..., 1, head], out=right)
+        np.multiply(_at(e_r, head), right, out=right)
+        np.multiply(right, INV_SQRT2, out=right)
+        amps, spare = spare, amps
+    return WalkerState(amps.reshape(shape), initial.origin)

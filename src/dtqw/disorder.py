@@ -20,6 +20,7 @@ all; it is the only source of coin factors that the step engine reads.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -52,9 +53,6 @@ class PhaseField:
     """
 
     kind: DisorderKind
-    phi_static: float
-    phi_dynamic: float
-    seed: int
     steps: int
     n_sites: int
     origin: int
@@ -154,11 +152,12 @@ class FieldBatch:
         return np.exp(1j * phi_l), np.exp(1j * phi_r)
 
 
-def _check_strength(name: str, value: float) -> float:
-    value = float(value)
-    if not 0.0 <= value <= TWO_PI:
-        raise ValueError(f"{name} must lie in [0, 2*pi], got {value}")
-    return value
+def check_strength(label: str, value) -> float:
+    """``value`` as a float if it is a real number in [0, 2*pi] (not a bool); ValueError otherwise."""
+    # bool is a Real; JSON true must not pass for 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= TWO_PI:
+        raise ValueError(f"{label} must be a real number in [0, 2*pi], got {value!r}")
+    return float(value)
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
@@ -195,8 +194,8 @@ def sample_phase_field(
             phi_dynamic = phi_max if phi_dynamic is None else phi_dynamic
         if phi_static is None or phi_dynamic is None:
             raise ValueError("combined disorder needs phi_static and phi_dynamic")
-        s_static = _check_strength("phi_static", phi_static)
-        s_dynamic = _check_strength("phi_dynamic", phi_dynamic)
+        s_static = check_strength("phi_static", phi_static)
+        s_dynamic = check_strength("phi_dynamic", phi_dynamic)
     elif kind is DisorderKind.ORDERED:
         s_static = s_dynamic = 0.0
     else:
@@ -204,7 +203,7 @@ def sample_phase_field(
             phi_max = phi_static if kind is DisorderKind.STATIC else phi_dynamic
         if phi_max is None:
             raise ValueError(f"{kind.value} disorder needs phi_max")
-        strength = _check_strength("phi_max", phi_max)
+        strength = check_strength("phi_max", phi_max)
         s_static = strength if kind is DisorderKind.STATIC else 0.0
         s_dynamic = strength if kind is not DisorderKind.STATIC else 0.0
 
@@ -224,9 +223,6 @@ def sample_phase_field(
 
     return PhaseField(
         kind=kind,
-        phi_static=s_static,
-        phi_dynamic=s_dynamic,
-        seed=int(seed),
         steps=int(steps),
         n_sites=int(n_sites),
         origin=int(origin),

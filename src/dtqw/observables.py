@@ -7,9 +7,10 @@ standard deviations are taken across configurations.  Averaged
 :func:`ensemble_average_joints`, which averages the joint matrices first.
 
 Both runners evolve the ensemble in contiguous chunks of configurations,
-each chunk one batched walk of shape (configs, 2 walkers, n_sites, 2) that
-stops at every evaluated step to measure each configuration.  The chunk
-size follows a fixed memory budget; no number depends on it.
+each chunk one batched walk of coin-major amplitudes, shape (configs,
+2 walkers, 2, n_sites), that stops at every evaluated step to measure each
+configuration on its two (2, n_sites) slices.  The chunk size follows a
+fixed memory budget; no number depends on it.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int, origin: int) -> Pha
 
 
 def _crop(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    return amplitudes[lo : hi + 1]
+    return amplitudes[..., lo : hi + 1]
 
 
 def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
@@ -156,13 +157,13 @@ def _map_chunks(cfg: ScenarioConfig, stops: Sequence[int], measure: Callable, re
 
 
 def _run_chunk(task) -> list[list]:
-    """Evolve one chunk of configurations as a (configs, 2, n_sites, 2) batch.
+    """Evolve one chunk of configurations as a (configs, 2 walkers, 2, n_sites) batch.
 
     Configuration ``i`` of the chunk draws its field from ``seeds[i]``;
     walkers A and B share it.  At each of the ascending ``stops`` the
     walkers of every configuration must be orthogonal (ValueError
     otherwise), and each configuration is measured as ``measure(cfg, a, b, t)``
-    on its two (n_sites, 2) amplitude arrays; returns those results per
+    on its two (2, n_sites) amplitude arrays; returns those results per
     stop, in configuration order.
     """
     cfg, seeds, stops, measure = task
@@ -190,7 +191,7 @@ def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: Sc
     # Crop to the union light cone; discarded amplitudes are exactly zero.
     _, origin = lattice_for(cfg.steps, cfg.start_sites)
     lo = max(0, origin + min(cfg.start_sites) - t)
-    hi = min(len(a) - 1, origin + max(cfg.start_sites) + t)
+    hi = min(a.shape[-1] - 1, origin + max(cfg.start_sites) + t)
     positions = np.arange(lo, hi + 1) - origin
     joints = builder.build(_crop(a, lo, hi), _crop(b, lo, hi), resolved_symmetries(cfg))
     return np.array([[_OBSERVABLES[obs](joint, positions) for joint in joints] for obs in observables])

@@ -13,7 +13,7 @@ from itertools import product
 
 import numpy as np
 
-from .core import COIN_L, COIN_R, INV_SQRT2, WalkerState
+from .core import COIN_L, COIN_R, INV_SQRT2
 from .disorder import PhaseField
 
 #: 2^16 paths keeps a single call under a second.
@@ -22,14 +22,14 @@ STEP_CAP = 16
 
 @dataclass
 class PathSumResult:
-    modes: np.ndarray  # flat 2N mode amplitudes, m = 2*site_index + coin
+    amplitudes: np.ndarray  # (2, n_sites), rows (L, R), the step engine's layout
     origin: int
     steps: int
     path_count: int
 
 
 def path_sum_amplitudes(x0: int, coin0: int, steps: int, field: PhaseField) -> PathSumResult:
-    """Mode amplitudes after ``steps`` steps from a delta start at (x0, coin0).
+    """Coin amplitudes after ``steps`` steps from a delta start at (x0, coin0).
 
     The coin phases come from ``field.phases_at`` evaluated at the site the
     walker occupies before each shift, exactly as the step engine applies
@@ -37,7 +37,7 @@ def path_sum_amplitudes(x0: int, coin0: int, steps: int, field: PhaseField) -> P
     """
     if not 0 <= steps <= STEP_CAP:
         raise ValueError(f"path sum supports 0..{STEP_CAP} steps, got {steps}")
-    amps = np.zeros((field.n_sites, 2), dtype=np.complex128)
+    amps = np.zeros((2, field.n_sites), dtype=np.complex128)
     for outcomes in product((COIN_L, COIN_R), repeat=steps):
         x, coin = x0, coin0
         amp = complex(1.0)
@@ -49,27 +49,19 @@ def path_sum_amplitudes(x0: int, coin0: int, steps: int, field: PhaseField) -> P
                 amp *= np.exp(1j * phi_r) * INV_SQRT2 * (1.0 if coin == COIN_L else -1.0)
             x += -1 if out == COIN_L else 1
             coin = out
-        amps[x + field.origin, coin] += amp
-    return PathSumResult(amps.reshape(-1), field.origin, steps, 2**steps)
+        amps[coin, x + field.origin] += amp
+    return PathSumResult(amps, field.origin, steps, 2**steps)
 
 
-def state_to_modes(state: WalkerState) -> np.ndarray:
-    """Flatten to 2N mode amplitudes, mode m = 2*site_index + coin."""
-    return state.amplitudes.reshape(-1).copy()
-
-
-def compare(state, result: PathSumResult) -> float:
-    """Max absolute amplitude deviation between a state and a path-sum result."""
-    if isinstance(state, WalkerState):
-        modes = state_to_modes(state)
-    else:
-        modes = np.asarray(state, dtype=np.complex128)
-    if modes.shape != result.modes.shape:
-        raise ValueError(f"mode count mismatch: {modes.shape} vs {result.modes.shape}")
-    return float(np.max(np.abs(modes - result.modes)))
+def compare(amplitudes: np.ndarray, result: PathSumResult) -> float:
+    """Max absolute deviation between (2, n_sites) amplitudes and a path-sum result."""
+    amplitudes = np.asarray(amplitudes, dtype=np.complex128)
+    if amplitudes.shape != result.amplitudes.shape:
+        raise ValueError(f"shape mismatch: {amplitudes.shape} vs {result.amplitudes.shape}")
+    return float(np.max(np.abs(amplitudes - result.amplitudes)))
 
 
 def position_probabilities(result: PathSumResult) -> np.ndarray:
     """P(x) from a path-sum result, indexed by site (x = index - origin)."""
-    pairs = result.modes.reshape(-1, 2)
-    return np.abs(pairs[:, 0]) ** 2 + np.abs(pairs[:, 1]) ** 2
+    amps = result.amplitudes
+    return np.abs(amps[0]) ** 2 + np.abs(amps[1]) ** 2

@@ -1,9 +1,9 @@
 """Exchange-symmetrized two-particle distributions.
 
-Two walkers evolve independently under the same phase field.  Each is an
-amplitude array of shape (n_sites, 2), columns (L, R), on one lattice; over
-the (site, coin) modes m their amplitudes a(m), b(m) combine into the
-symmetrized joint probability
+Two walkers evolve independently under the same phase field.  Each is a
+coin-major amplitude array of shape (2, n_sites), rows (L, R), on one
+lattice; over the (site, coin) modes m their amplitudes a(m), b(m) combine
+into the symmetrized joint probability
 
     P(m, m') = |a(m) b(m') +/- a(m') b(m)|^2 / 2
 
@@ -71,17 +71,16 @@ class JointBuilder:
     def build(self, a: np.ndarray, b: np.ndarray, syms: Sequence[ExchangeSymmetry]) -> list[np.ndarray]:
         """Position-level symmetrized joint (n_sites x n_sites) of each symmetry in ``syms``.
 
-        ``a`` and ``b`` are the (n_sites, 2) amplitude arrays of the two
-        walkers.  P(x, y) = sum_{c,d} M_cd(x, y) with coin blocks
-        M_cd = |K_cd +/- K_dc^T|^2 / 2 and K_cd = outer(a[:, c], b[:, d]).  The
-        four K blocks are shared by all symmetries, and M_10 = M_01^T exactly.
-        From two sites up the matrices equal the mode-level reference bit for
-        bit, layout included; a one-site lattice (t = 0 of a same-site start)
-        holds exact delta amplitudes, where every summation order agrees.
+        ``a`` and ``b`` are the (2, n_sites) amplitude arrays of the two
+        walkers, whose coin rows are read in place.  P(x, y) = sum_{c,d}
+        M_cd(x, y) with coin blocks M_cd = |K_cd +/- K_dc^T|^2 / 2 and
+        K_cd = outer(a[c], b[d]).  The four K blocks are shared by all
+        symmetries, and M_10 = M_01^T exactly.  From two sites up the
+        matrices equal the mode-level reference bit for bit, layout
+        included; a one-site lattice (t = 0 of a same-site start) holds
+        exact delta amplitudes, where every summation order agrees.
         """
-        n = a.shape[0]
-        a = np.ascontiguousarray(a.T)
-        b = np.ascontiguousarray(b.T)
+        n = a.shape[1]
         k = self._buffer("k", (2, 2, n, n), np.complex128)
         for c in (0, 1):
             for d in (0, 1):
@@ -114,5 +113,5 @@ def marginal_positions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Identical for both exchange symmetries and equal to any row sum of the
     position-level joint.
     """
-    return (0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2)).sum(axis=1)
+    return (0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2)).sum(axis=0)
 

@@ -3,7 +3,8 @@
 The package builds position-level joints from coin blocks
 (``dtqw.two_particle.JointBuilder``).  This module keeps the direct
 construction over (site, coin) modes m = 2*site_index + coin of two
-(n_sites, 2) amplitude arrays,
+coin-major (2, n_sites) amplitude arrays, flattened site by site with
+``a.T.reshape(-1)``,
 
     P(m, m') = |a(m) b(m') +/- a(m') b(m)|^2 / 2,
 
@@ -19,7 +20,7 @@ from dtqw.two_particle import ExchangeSymmetry
 
 def joint_mode_distribution(a: np.ndarray, b: np.ndarray, sym: ExchangeSymmetry) -> np.ndarray:
     """(2N) x (2N) mode-level symmetrized joint of the two walkers."""
-    k = np.outer(a.reshape(-1), b.reshape(-1))
+    k = np.outer(a.T.reshape(-1), b.T.reshape(-1))
     j = k + sym.sign * k.T
     return (j.real**2 + j.imag**2) * 0.5
 
@@ -36,4 +37,4 @@ def marginal(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     Identical for both exchange symmetries and equal to any row sum of the
     mode-level joint.
     """
-    return 0.5 * (np.abs(a.reshape(-1)) ** 2 + np.abs(b.reshape(-1)) ** 2)
+    return 0.5 * (np.abs(a.T.reshape(-1)) ** 2 + np.abs(b.T.reshape(-1)) ** 2)

@@ -85,7 +85,7 @@ def test_criterion_1_oracle_equivalence():
             steps=t, n_sites=n, origin=o, seed=int(rng.integers(2**63)),
         )
         state = evolve(delta_state(n, o, 0, coin), t, FieldBatch([fld]))
-        worst = max(worst, compare(state, path_sum_amplitudes(0, coin, t, fld)))
+        worst = max(worst, compare(state.amplitudes, path_sum_amplitudes(0, coin, t, fld)))
     elapsed = time.time() - start
     _criterion(
         1,
@@ -113,7 +113,7 @@ def test_criterion_2_invariant_suite():
         for step in range(t):  # one step at a time, checking the norm after each
             state = evolve(state, 1, fld, start=step)
             norm_drift = max(norm_drift, abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0))
-        p = np.abs(state.amplitudes[:, 0]) ** 2 + np.abs(state.amplitudes[:, 1]) ** 2
+        p = np.abs(state.amplitudes[0]) ** 2 + np.abs(state.amplitudes[1]) ** 2
         x = state.positions
         worst["light_cone"] = max(worst["light_cone"], float(p[np.abs(x) > t].sum()))
         worst["parity"] = max(worst["parity"], float(p[(x + t) % 2 == 1].sum()))

@@ -15,7 +15,8 @@ from dtqw.core import (
     lattice_for,
 )
 from dtqw.disorder import DisorderKind, FieldBatch, PhaseField, sample_phase_field
-from dtqw.pathsum import path_sum_amplitudes, state_to_modes
+from dtqw.pathsum import path_sum_amplitudes
+from step_reference import evolve_site_major
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -26,7 +27,7 @@ def zero_field(steps, n_sites, origin):
 
 def probabilities(state):
     """P(x) of every walker, indexed like ``state.positions``."""
-    return np.abs(state.amplitudes[..., 0]) ** 2 + np.abs(state.amplitudes[..., 1]) ** 2
+    return np.abs(state.amplitudes[..., 0, :]) ** 2 + np.abs(state.amplitudes[..., 1, :]) ** 2
 
 
 def norm(state):
@@ -41,8 +42,7 @@ def dist_by_position(state):
 def phase_table_field(phi_l, phi_r):
     """A field that gives coin phases phi_l[t-1, i], phi_r[t-1, i] at step t, site i."""
     steps, n_sites = np.shape(phi_l)
-    return PhaseField(DisorderKind.FLUCTUATING, 0.0, 0.0, 0, steps, n_sites, (n_sites - 1) // 2,
-                      fluct_l=phi_l, fluct_r=phi_r)
+    return PhaseField(DisorderKind.FLUCTUATING, steps, n_sites, (n_sites - 1) // 2, fluct_l=phi_l, fluct_r=phi_r)
 
 
 def one_step(coin, phi_l=0.0, phi_r=0.0):
@@ -54,8 +54,8 @@ def one_step(coin, phi_l=0.0, phi_r=0.0):
 
 def test_phased_coin_pi_flips_second_row():
     out = one_step(COIN_L, 0.0, np.pi)
-    assert out.amplitudes[out.index_of(-1), COIN_L] == pytest.approx(INV_SQRT2)
-    assert out.amplitudes[out.index_of(1), COIN_R] == pytest.approx(-INV_SQRT2)
+    assert out.amplitudes[COIN_L, out.index_of(-1)] == pytest.approx(INV_SQRT2)
+    assert out.amplitudes[COIN_R, out.index_of(1)] == pytest.approx(-INV_SQRT2)
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
@@ -79,15 +79,15 @@ def test_common_phase_is_global():
 
 def test_step_from_L():
     out = one_step(COIN_L)
-    amps = {(int(x), c): out.amplitudes[i, c] for i, x in enumerate(out.positions) for c in (0, 1)}
+    amps = {(int(x), c): out.amplitudes[c, i] for i, x in enumerate(out.positions) for c in (0, 1)}
     assert amps[(-1, COIN_L)] == pytest.approx(INV_SQRT2)
     assert amps[(1, COIN_R)] == pytest.approx(INV_SQRT2)
 
 
 def test_step_from_R():
     out = one_step(COIN_R)
-    assert out.amplitudes[out.index_of(-1), COIN_L] == pytest.approx(INV_SQRT2)
-    assert out.amplitudes[out.index_of(1), COIN_R] == pytest.approx(-INV_SQRT2)
+    assert out.amplitudes[COIN_L, out.index_of(-1)] == pytest.approx(INV_SQRT2)
+    assert out.amplitudes[COIN_R, out.index_of(1)] == pytest.approx(-INV_SQRT2)
 
 
 def test_step_preserves_norm_with_random_phased_coins():
@@ -179,8 +179,8 @@ def test_ordered_hadamard_variance_tends_to_nayak_vishwanath_limit(t):
     0.5/t^2, well inside it.
     """
     n, o = lattice_for(t)
-    amps = np.zeros((n, 2), dtype=np.complex128)
-    amps[o] = [INV_SQRT2, 1j * INV_SQRT2]
+    amps = np.zeros((2, n), dtype=np.complex128)
+    amps[:, o] = [INV_SQRT2, 1j * INV_SQRT2]
     state = evolve(WalkerState(amps, o), t, FieldBatch([zero_field(t, n, o)]))
     p, x = probabilities(state), state.positions
     mean = x @ p
@@ -204,7 +204,7 @@ def test_dynamic_disorder_at_full_strength_averages_to_the_classical_walk():
     n, o = lattice_for(t)
     fields = FieldBatch([sample_phase_field(DisorderKind.DYNAMIC, phi_max=2 * np.pi, steps=t, n_sites=n, origin=o,
                                             seed=2003 + i) for i in range(configs)])
-    start = np.broadcast_to(delta_state(n, o, 0, COIN_L).amplitudes, (configs, 1, n, 2))
+    start = np.broadcast_to(delta_state(n, o, 0, COIN_L).amplitudes, (configs, 1, 2, n))
     state = evolve(WalkerState(start, o), t, fields)
     p, x = probabilities(state)[:, 0], state.positions
     binomial = np.array([math.comb(t, (t + xi) // 2) / 2**t if (t + xi) % 2 == 0 and abs(xi) <= t else 0.0
@@ -242,16 +242,7 @@ def test_evolve_matches_explicit_step_loop():
     fld = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=2.5, steps=t, n_sites=n, origin=o, seed=6)
     fast = evolve(delta_state(n, o, 0, COIN_R), t, FieldBatch([fld]))
     slow = path_sum_amplitudes(0, COIN_R, t, fld)  # explicit sum over all 2^t coin histories
-    np.testing.assert_allclose(slow.modes, state_to_modes(fast), atol=1e-13)
-
-
-def test_mode_round_trip():
-    # mode m = 2*site_index + coin, so reshaping to (n_sites, 2) inverts the flattening
-    rng = np.random.default_rng(0)
-    amps = rng.normal(size=(7, 2)) + 1j * rng.normal(size=(7, 2))
-    modes = state_to_modes(WalkerState(amps, 3))
-    assert modes[2 * 4 + COIN_R] == amps[4, COIN_R]
-    np.testing.assert_array_equal(modes.reshape(-1, 2), amps)
+    np.testing.assert_allclose(slow.amplitudes, fast.amplitudes, atol=1e-13)
 
 
 def test_lattice_for_sizes_the_light_cone():
@@ -276,7 +267,7 @@ def sampled_fields(kind, steps, seeds):
 
 
 def walker_pairs(n, o, count):
-    """(count, 2, n, 2) batch: walker A in coin L, walker B in coin R, both at x=0."""
+    """(count, 2, 2, n) batch: walker A in coin L, walker B in coin R, both at x=0."""
     pair = np.stack([delta_state(n, o, 0, COIN_L).amplitudes, delta_state(n, o, 0, COIN_R).amplitudes])
     return WalkerState(np.repeat(pair[None], count, axis=0), o)
 
@@ -293,7 +284,7 @@ def test_batched_evolve_equals_each_walker_bit_for_bit(kind):
         assert np.array_equal(out.amplitudes[c], single.amplitudes[0])
         for w, coin in enumerate((COIN_L, COIN_R)):
             alone = evolve(delta_state(n, o, 0, coin), t, FieldBatch([fld]))
-            assert alone.amplitudes.shape == (n, 2)
+            assert alone.amplitudes.shape == (2, n)
             assert np.array_equal(out.amplitudes[c, w], alone.amplitudes)
 
 
@@ -306,7 +297,7 @@ def test_batched_evolve_matches_path_sum(kind):
     for c, fld in enumerate(fields):
         for w, coin in enumerate((COIN_L, COIN_R)):
             slow = path_sum_amplitudes(0, coin, t, fld)  # explicit sum over all 2^t coin histories
-            np.testing.assert_allclose(slow.modes, out.amplitudes[c, w].reshape(-1), atol=1e-13)
+            np.testing.assert_allclose(slow.amplitudes, out.amplitudes[c, w], atol=1e-13)
 
 
 def test_evolve_in_segments_equals_one_run():
@@ -333,3 +324,48 @@ def test_field_batch_rejects_mixed_fields():
         FieldBatch(static + sampled_fields(DisorderKind.STATIC, 5, (0,)))
     with pytest.raises(IndexError):
         FieldBatch(static).coin_factors(5)
+
+
+def site_major(amplitudes):
+    return np.swapaxes(amplitudes, -1, -2)
+
+
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+def test_evolve_equals_the_site_major_step_bit_for_bit(kind):
+    # the coin-major two-buffer step against the site-major step it replaced
+    t_max = 50
+    fields = sampled_fields(kind, t_max, range(5))
+    n, o = fields[0].n_sites, fields[0].origin
+    batch = FieldBatch(fields)
+    starts = [(delta_state(n, o, 0, COIN_R), FieldBatch(fields[:1])), (walker_pairs(n, o, 5), batch)]
+    for start, fld in starts:
+        for t in (0, 1, 2, 3, t_max):
+            out = evolve(start, t, fld)
+            assert out.amplitudes.shape == start.amplitudes.shape
+            assert np.array_equal(site_major(out.amplitudes), evolve_site_major(site_major(start.amplitudes), t, fld))
+        mid = evolve(start, 3, fld)
+        split = evolve(evolve(mid, 20, fld, start=3), t_max - 23, fld, start=23)
+        assert np.array_equal(site_major(split.amplitudes), evolve_site_major(site_major(start.amplitudes), t_max, fld))
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize("swaps", [3, 4], ids=["odd", "even"])
+@pytest.mark.parametrize("edge", ["first", "last"])
+def test_overflow_is_caught_in_either_buffer(edge, swaps, batch):
+    # the light cone reaches the edge site after ``swaps`` steps; the next step must raise
+    n, o, steps = 2 * swaps + 6, swaps + 3, swaps + 1
+    x = (swaps if edge == "first" else n - 1 - swaps) - o
+    fields = [sample_phase_field(DisorderKind.STATIC, phi_max=2.5, steps=steps, n_sites=n, origin=o, seed=seed)
+              for seed in range(5)]
+    if batch:
+        pair = np.stack([delta_state(n, o, x, coin).amplitudes for coin in (COIN_L, COIN_R)])
+        start, fld = WalkerState(np.repeat(pair[None], 5, axis=0), o), FieldBatch(fields)
+    else:
+        start, fld = delta_state(n, o, x, COIN_L), FieldBatch(fields[:1])
+    reached = evolve(start, swaps, fld)
+    edge_site = reached.amplitudes[..., 0 if edge == "first" else -1]
+    assert np.all(np.abs(edge_site).sum(axis=-1) > 0)
+    with pytest.raises(LatticeOverflowError):
+        evolve(start, swaps + 1, fld)
+    with pytest.raises(LatticeOverflowError):
+        evolve(reached, 1, fld, start=swaps)

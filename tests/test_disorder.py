@@ -86,6 +86,25 @@ def test_strength_out_of_range_rejected(bad):
         make(DisorderKind.COMBINED, phi_static=bad, phi_dynamic=PI)
 
 
+@pytest.mark.parametrize(
+    "kind, strengths",
+    [
+        (DisorderKind.STATIC, {"phi_max": "3.0"}),
+        (DisorderKind.DYNAMIC, {"phi_max": True}),
+        (DisorderKind.FLUCTUATING, {"phi_max": 1 + 0j}),
+        (DisorderKind.STATIC, {"phi_static": np.bool_(True)}),
+        (DisorderKind.COMBINED, {"phi_static": True, "phi_dynamic": "1"}),
+        (DisorderKind.COMBINED, {"phi_static": PI, "phi_dynamic": [1.0]}),
+        (DisorderKind.COMBINED, {"phi_max": float("nan")}),
+    ],
+    ids=["str", "bool", "complex", "numpy-bool", "combined-bool-str", "combined-list", "nan"],
+)
+def test_mistyped_strength_rejected(kind, strengths):
+    # float() once let "3.0" run as 3.0 and True as 1.0
+    with pytest.raises(ValueError, match="must be a real number"):
+        make(kind, **strengths)
+
+
 def test_missing_strength_rejected():
     n, o = lattice_for(5)
     with pytest.raises(ValueError):

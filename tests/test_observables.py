@@ -134,7 +134,7 @@ def test_product_joint_variance_is_sum_of_single_variances():
     x = (np.arange(n) - o).astype(float)
 
     def prob(state):
-        return np.abs(state.amplitudes[:, 0]) ** 2 + np.abs(state.amplitudes[:, 1]) ** 2
+        return np.abs(state.amplitudes[0]) ** 2 + np.abs(state.amplitudes[1]) ** 2
 
     def single_var(state):
         p = prob(state)

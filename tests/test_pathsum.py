@@ -17,9 +17,10 @@ def zero_field(steps, n_sites, origin):
 def test_one_step_amplitudes():
     n, o = lattice_for(1)
     res = path_sum_amplitudes(0, COIN_L, 1, zero_field(1, n, o))
-    amps = res.modes.reshape(-1, 2)
-    assert amps[o - 1, COIN_L] == pytest.approx(INV_SQRT2)
-    assert amps[o + 1, COIN_R] == pytest.approx(INV_SQRT2)
+    amps = res.amplitudes
+    assert amps.shape == (2, n)
+    assert amps[COIN_L, o - 1] == pytest.approx(INV_SQRT2)
+    assert amps[COIN_R, o + 1] == pytest.approx(INV_SQRT2)
     assert res.path_count == 2
 
 
@@ -40,20 +41,20 @@ def test_two_steps_with_uniform_static_phases_match_engine():
     fld = dataclasses.replace(fld, site_l=np.full(n, np.pi), site_r=np.zeros(n))
     res = path_sum_amplitudes(0, COIN_L, steps, fld)
     state = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([fld]))
-    assert compare(state, res) <= 1e-12
+    assert compare(state.amplitudes, res) <= 1e-12
 
 
 def test_compare_identical_tables_is_zero():
     n, o = lattice_for(2)
     res = path_sum_amplitudes(0, COIN_L, 2, zero_field(2, n, o))
-    assert compare(res.modes.copy(), res) == 0.0
+    assert compare(res.amplitudes.copy(), res) == 0.0
 
 
 def test_compare_reports_max_deviation():
     n, o = lattice_for(2)
     res = path_sum_amplitudes(0, COIN_L, 2, zero_field(2, n, o))
-    perturbed = res.modes.copy()
-    perturbed[3] += 1e-3
+    perturbed = res.amplitudes.copy()
+    perturbed[COIN_R, o] += 1e-3
     assert compare(perturbed, res) == pytest.approx(1e-3)
 
 
@@ -62,6 +63,8 @@ def test_compare_rejects_dimension_mismatch():
     res = path_sum_amplitudes(0, COIN_L, 2, zero_field(2, n, o))
     with pytest.raises(ValueError):
         compare(np.zeros(4, dtype=complex), res)
+    with pytest.raises(ValueError):
+        compare(res.amplitudes.T, res)  # the site-major layout
 
 
 def test_step_cap_enforced():
@@ -83,7 +86,7 @@ def test_norm_is_one_for_any_unitary_field():
             steps=t, n_sites=n, origin=o, seed=int(rng.integers(2**32)),
         )
         res = path_sum_amplitudes(0, COIN_R, t, fld)
-        assert np.sum(np.abs(res.modes) ** 2) == pytest.approx(1.0, abs=1e-10)
+        assert np.sum(np.abs(res.amplitudes) ** 2) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_engine_matches_path_sum_across_kinds():
@@ -99,4 +102,4 @@ def test_engine_matches_path_sum_across_kinds():
             steps=t, n_sites=n, origin=o, seed=int(rng.integers(2**32)),
         )
         state = evolve(delta_state(n, o, 0, coin), t, FieldBatch([fld]))
-        assert compare(state, path_sum_amplitudes(0, coin, t, fld)) <= 1e-10
+        assert compare(state.amplitudes, path_sum_amplitudes(0, coin, t, fld)) <= 1e-10

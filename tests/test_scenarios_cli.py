@@ -417,14 +417,28 @@ def test_cli_accepts_the_strengths_a_run_reads(tmp_path, argv):
     assert main(argv + ["--steps", "3", "--configs", "1", "--out", str(tmp_path / "out")]) == 0
 
 
-@pytest.mark.parametrize("jobs", ["0", "-2"])
-def test_reproduce_all_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
+def reproduce_all():
     script = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_all.py"
     spec = importlib.util.spec_from_file_location("reproduce_all", script)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_reproduce_all_rejects_fewer_than_one_job(tmp_path, capsys, jobs):
     with pytest.raises(SystemExit) as exc:
-        module.main(["--jobs", jobs, "--only", "fig2", "--out", str(tmp_path / "out")])
+        reproduce_all().main(["--jobs", jobs, "--only", "fig2", "--out", str(tmp_path / "out")])
     assert exc.value.code == 2  # argparse's usage-error exit
     assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("only", [[], ["fig2", "fig2"]], ids=["empty", "repeated"])
+def test_reproduce_all_rejects_an_empty_or_repeated_only(tmp_path, capsys, only):
+    # an empty --only once parsed to [] and ran all nine presets
+    with pytest.raises(SystemExit) as exc:
+        reproduce_all().main(["--only", *only, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert "--only needs one or more distinct scenario names" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()

@@ -119,9 +119,10 @@ def test_ordered_walk_marginal_spreads_ballistically():
 
 
 def orthogonal_pair(rng, n_sites):
-    """(a, b, signed positions) of a random orthonormal pair."""
+    """(a, b, signed positions) of a random orthonormal pair, coin-major like the step engine's."""
     q, _ = np.linalg.qr(rng.normal(size=(2 * n_sites, 2)) + 1j * rng.normal(size=(2 * n_sites, 2)))
-    return q[:, 0].reshape(n_sites, 2), q[:, 1].reshape(n_sites, 2), np.arange(n_sites) - n_sites // 2
+    a, b = (np.ascontiguousarray(q[:, w].reshape(n_sites, 2).T) for w in (0, 1))
+    return a, b, np.arange(n_sites) - n_sites // 2
 
 
 def layout(matrix):
@@ -160,7 +161,8 @@ def test_joint_builder_equals_mode_reference_on_evolved_walkers(kind):
         a, b, t = evolve(a, stop - t, fld, start=t), evolve(b, stop - t, fld, start=t), stop
         assert_blocks_equal_mode_reference(builder, a.amplitudes, b.amplitudes, a.positions)
         cone = slice(o - t, o + t + 1)
-        assert_blocks_equal_mode_reference(builder, a.amplitudes[cone], b.amplitudes[cone], a.positions[cone])
+        assert_blocks_equal_mode_reference(builder, a.amplitudes[:, cone], b.amplitudes[:, cone],
+                                           a.positions[cone])
     assert 2 * 31 + 1 < F_ORDER_SITES <= 2 * 32 + 1
 
 
@@ -176,9 +178,9 @@ def test_joint_builder_matches_closed_forms(kind):
     for t in (10, 40, 100):
         a, b, x = evolved_pair(kind=kind, steps=t, seed=23)
         x = x.astype(float)
-        p_a, p_b = (np.abs(a) ** 2).sum(axis=1), (np.abs(b) ** 2).sum(axis=1)
-        g = (a * b.conj()).sum(axis=1)
-        x_ab = np.vdot(a, x[:, None] * b)
+        p_a, p_b = (np.abs(a) ** 2).sum(axis=0), (np.abs(b) ** 2).sum(axis=0)
+        g = (a * b.conj()).sum(axis=0)
+        x_ab = np.vdot(a, x * b)
 
         def var(p):
             return (x * x) @ p - (x @ p) ** 2
