@@ -181,12 +181,23 @@ def sample_phase_field(
     matching ``phi_static``/``phi_dynamic``); ``combined`` needs both
     ``phi_static`` and ``phi_dynamic``.  L and R phases draw independently.
     Identical (kind, strengths, seed, dimensions) give bit-identical tables.
+    ``steps``, ``n_sites``, ``origin`` and ``seed`` must be integers (not
+    bools), with ``steps >= 0``, ``n_sites >= 1``, ``0 <= origin < n_sites``
+    and ``seed >= 0``; anything else raises ValueError before any draw.
     """
     kind = DisorderKind(kind)
+    for label, value in (("steps", steps), ("n_sites", n_sites), ("origin", origin), ("seed", seed)):
+        # bool is an Integral; True must not pass for 1
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{label} must be an integer, got {value!r}")
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
+    if not 0 <= origin < n_sites:
+        raise ValueError(f"origin {origin} outside the lattice 0..{n_sites - 1}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
     if kind is DisorderKind.COMBINED:
         if phi_max is not None:

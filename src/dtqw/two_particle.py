@@ -16,7 +16,8 @@ diagonal is exact while two fermions may still share a site in opposite
 coin modes.  ``JointBuilder`` builds the position-level matrices directly
 from N x N coin blocks and never forms the (2N) x (2N) mode-level matrix;
 that matrix is kept only as a test reference (``tests/mode_reference.py``),
-which the blocks reproduce bit for bit.
+which the blocks reproduce bit for bit.  Walkers from one site live on the
+sites x = t (mod 2) at step t; their blocks cover that quarter of the cells.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ F_ORDER_SITES = 64
 class JointBuilder:
     """Builds position-level joints from coin blocks, reusing its scratch arrays.
 
-    The scratch arrays grow to the largest lattice built (4.4 MB at 205 sites)
+    The scratch arrays grow to the largest (sub)lattice built (1.1 MB for the
+    103-site sublattice of 205 sites, 4.4 MB for 205 sites of both parities)
     and every call overwrites them.  Fresh temporaries of this size went back
     to the operating system after each call and were page-faulted in again,
     which cost about a third of the build.  One builder serves one thread.
@@ -72,22 +74,29 @@ class JointBuilder:
         """Position-level symmetrized joint (n_sites x n_sites) of each symmetry in ``syms``.
 
         ``a`` and ``b`` are the (2, n_sites) amplitude arrays of the two
-        walkers, whose coin rows are read in place.  P(x, y) = sum_{c,d}
-        M_cd(x, y) with coin blocks M_cd = |K_cd +/- K_dc^T|^2 / 2 and
-        K_cd = outer(a[c], b[d]).  The four K blocks are shared by all
-        symmetries, and M_10 = M_01^T exactly.  From two sites up the
-        matrices equal the mode-level reference bit for bit, layout
+        walkers.  P(x, y) = sum_{c,d} M_cd(x, y) with coin blocks
+        M_cd = |K_cd +/- K_dc^T|^2 / 2 and K_cd = outer(a[c], b[d]).  The
+        four K blocks are shared by all symmetries, and M_10 = M_01^T
+        exactly.  If both walkers are exactly zero on one parity of site
+        index, the blocks cover only the other (each cell is elementwise,
+        so the same numbers) and every other cell is +0.0, as squared zeros
+        give; the layout still follows the full ``n_sites``.  From two sites
+        up the matrices equal the mode-level reference bit for bit, layout
         included; a one-site lattice (t = 0 of a same-site start) holds
         exact delta amplitudes, where every summation order agrees.
         """
         n = a.shape[1]
-        k = self._buffer("k", (2, 2, n, n), np.complex128)
+        cells = _sublattice(a, b)
+        # unit-stride rows, so every ufunc runs the loop of a whole-lattice build
+        a, b = np.ascontiguousarray(a[:, cells]), np.ascontiguousarray(b[:, cells])
+        s = a.shape[1]
+        k = self._buffer("k", (2, 2, s, s), np.complex128)
         for c in (0, 1):
             for d in (0, 1):
                 np.multiply(a[c, :, None], b[d], out=k[c, d])
-        j = self._buffer("j", (n, n), np.complex128)
+        j = self._buffer("j", (s, s), np.complex128)
         parts = j.view(np.float64)  # real and imaginary parts, interleaved
-        m = self._buffer("m", (3, n, n), np.float64)
+        m = self._buffer("m", (3, s, s), np.float64)
         joints = []
         for sym in syms:
             combine = np.add if sym is ExchangeSymmetry.BOSONIC else np.subtract
@@ -100,11 +109,20 @@ class JointBuilder:
             # (M00 + M01) + (M10 + M11)
             m00 += m01
             m11 += m01.T
-            matrix = m00 + m11
+            matrix = np.zeros((n, n))
+            np.add(m00, m11, out=matrix[cells, cells])
             if n >= F_ORDER_SITES:
                 matrix = matrix.T  # M00 and M11 are exactly symmetric: this is the F-order sum
             joints.append(matrix)
         return joints
+
+
+def _sublattice(a: np.ndarray, b: np.ndarray) -> slice:
+    """The sites of the one index parity holding every nonzero amplitude of both walkers, else all sites."""
+    for offset in (0, 1):
+        if not (a[:, 1 - offset :: 2].any() or b[:, 1 - offset :: 2].any()):
+            return slice(offset, None, 2)
+    return slice(None)
 
 
 def marginal_positions(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -105,6 +105,44 @@ def test_mistyped_strength_rejected(kind, strengths):
         make(kind, **strengths)
 
 
+@pytest.mark.parametrize(
+    "geometry",
+    [
+        {"steps": 2.5},
+        {"steps": True},
+        {"steps": "3"},
+        {"steps": -1},
+        {"n_sites": 9.0},
+        {"n_sites": 0},
+        {"origin": 4.0},
+        {"origin": np.bool_(True)},
+        {"origin": 99},
+        {"origin": -1},
+        {"origin": 9},
+        {"seed": True},
+        {"seed": 1.0},
+        {"seed": None},
+        {"seed": -1},
+    ],
+    ids=lambda g: "-".join(f"{k}={v!r}" for k, v in g.items()),
+)
+@pytest.mark.parametrize("kind", [DisorderKind.ORDERED, DisorderKind.STATIC], ids=lambda k: k.value)
+def test_bad_geometry_or_seed_rejected_before_any_draw(kind, geometry, monkeypatch):
+    # int() once ran steps=2.5 as 2 steps and seed=True as seed 1, and accepted origin=99 on 9 sites
+    monkeypatch.setattr("dtqw.disorder._substream", lambda *_: pytest.fail("drew before rejecting"))
+    args = {"steps": 4, "n_sites": 9, "origin": 4, "seed": 0, **geometry}
+    with pytest.raises(ValueError):
+        sample_phase_field(kind, phi_max=PI, **args)
+
+
+def test_numpy_integer_geometry_draws_as_python_int():
+    plain = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=4, n_sites=9, origin=4, seed=7)
+    numpy = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=np.int64(4), n_sites=np.int32(9),
+                               origin=np.int64(4), seed=np.uint32(7))
+    np.testing.assert_array_equal(plain.site_l, numpy.site_l)
+    assert (numpy.steps, numpy.n_sites, numpy.origin) == (4, 9, 4)
+
+
 def test_missing_strength_rejected():
     n, o = lattice_for(5)
     with pytest.raises(ValueError):

@@ -190,3 +190,55 @@ def test_joint_builder_matches_closed_forms(kind):
             np.testing.assert_allclose(joint, rank4, rtol=1e-12, atol=1e-15)
             closed = var(p_a) + var(p_b) + 2 * sym.sign * abs(x_ab) ** 2
             assert variance_xm(joint, x) == pytest.approx(closed, rel=1e-12)
+
+
+def assert_built_on(a, b, positions, sites):
+    """The builder matches the mode reference and ran its blocks on ``sites`` sites."""
+    builder = JointBuilder()  # fresh: its "k" scratch then holds exactly this build's blocks
+    assert_blocks_equal_mode_reference(builder, a, b, positions)
+    assert builder._scratch["k"].size == 4 * sites**2
+
+
+def light_cone(a, b, positions, lo, hi):
+    return a[:, lo:hi], b[:, lo:hi], positions[lo:hi]
+
+
+@pytest.mark.parametrize("t", [10, 40, 100])
+def test_walkers_on_different_parities_take_the_dense_path(t):
+    # starts on sites 0 and 1: at every step one walker sits on each parity
+    a, b, x = evolved_pair(steps=t, a=(0, COIN_L), b=(1, COIN_R))
+    assert all(a[:, p::2].any() or b[:, p::2].any() for p in (0, 1))
+    assert_built_on(a, b, x, a.shape[1])
+    o = int(np.flatnonzero(x == 0)[0])
+    cone = light_cone(a, b, x, o - t, o + t + 2)  # sites -t .. t + 1
+    assert_built_on(*cone, cone[0].shape[1])
+
+
+def test_one_tiny_off_parity_amplitude_takes_the_dense_path():
+    a, b, x = evolved_pair(steps=40)
+    assert not (a[:, 0::2].any() or b[:, 0::2].any())  # the walk lives on odd indices
+    b = b.copy()
+    b[COIN_R, 40] = 5e-324  # the smallest subnormal double
+    assert_built_on(a, b, x, a.shape[1])
+
+
+@pytest.mark.parametrize("t", [10, 31, 32, 100])
+@pytest.mark.parametrize("region", ["lattice", "cone"])
+def test_single_parity_walkers_take_the_sublattice_path(t, region):
+    # whole lattice: support on odd indices; light cone: on even indices; sizes on both sides of F_ORDER_SITES
+    a, b, x = evolved_pair(steps=t)
+    if region == "cone":
+        o = int(np.flatnonzero(x == 0)[0])
+        a, b, x = light_cone(a, b, x, o - t, o + t + 1)
+    offset = 1 if region == "lattice" else 0
+    assert not (a[:, 1 - offset :: 2].any() or b[:, 1 - offset :: 2].any())
+    assert a[:, offset::2].any() and b[:, offset::2].any()
+    assert_built_on(a, b, x, len(range(offset, a.shape[1], 2)))
+
+
+def test_whole_lattice_build_at_step_100_holds_a_quarter_of_the_cells():
+    a, b, x = evolved_pair(steps=100)
+    assert a.shape[1] == 203
+    builder = JointBuilder()
+    builder.build(a, b, SYMS)
+    assert builder._scratch["k"].size <= 4 * 102**2
