@@ -82,7 +82,8 @@ def main(argv=None) -> int:
         check_config(cfg, given)
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
-    except (ValueError, TypeError) as exc:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)  # an unusable --out fails before any work
+    except (ValueError, TypeError, OSError) as exc:
         print(f"dtqw: invalid configuration: {exc}", file=sys.stderr)
         return 1
 

@@ -183,7 +183,9 @@ def sample_phase_field(
     Identical (kind, strengths, seed, dimensions) give bit-identical tables.
     ``steps``, ``n_sites``, ``origin`` and ``seed`` must be integers (not
     bools), with ``steps >= 0``, ``n_sites >= 1``, ``0 <= origin < n_sites``
-    and ``seed >= 0``; anything else raises ValueError before any draw.
+    and ``seed >= 0``, and every strength that is not None must pass
+    ``check_strength``, read by the kind or not; anything else raises
+    ValueError before any draw.
     """
     kind = DisorderKind(kind)
     for label, value in (("steps", steps), ("n_sites", n_sites), ("origin", origin), ("seed", seed)):
@@ -198,6 +200,9 @@ def sample_phase_field(
         raise ValueError(f"origin {origin} outside the lattice 0..{n_sites - 1}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    for label, value in (("phi_max", phi_max), ("phi_static", phi_static), ("phi_dynamic", phi_dynamic)):
+        if value is not None:  # checked even where the kind does not read it
+            check_strength(label, value)
 
     if kind is DisorderKind.COMBINED:
         if phi_max is not None:
@@ -205,8 +210,7 @@ def sample_phase_field(
             phi_dynamic = phi_max if phi_dynamic is None else phi_dynamic
         if phi_static is None or phi_dynamic is None:
             raise ValueError("combined disorder needs phi_static and phi_dynamic")
-        s_static = check_strength("phi_static", phi_static)
-        s_dynamic = check_strength("phi_dynamic", phi_dynamic)
+        s_static, s_dynamic = float(phi_static), float(phi_dynamic)
     elif kind is DisorderKind.ORDERED:
         s_static = s_dynamic = 0.0
     else:
@@ -214,7 +218,7 @@ def sample_phase_field(
             phi_max = phi_static if kind is DisorderKind.STATIC else phi_dynamic
         if phi_max is None:
             raise ValueError(f"{kind.value} disorder needs phi_max")
-        strength = check_strength("phi_max", phi_max)
+        strength = float(phi_max)
         s_static = strength if kind is DisorderKind.STATIC else 0.0
         s_dynamic = strength if kind is not DisorderKind.STATIC else 0.0
 

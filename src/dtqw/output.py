@@ -1,15 +1,18 @@
 """Deterministic CSV/JSON emission for scenario results.
 
-CSV files use a header row, comma separators, LF line endings and floats
-formatted with 17 significant digits, so identical data always produces
-byte-identical files.
+A ``Table`` is stored by column, and one rule renders every cell: floats
+with 17 significant digits (``.17g``), integers and text by ``str``.  CSV
+files use a header row, comma separators and LF line endings; JSON files
+list the column names and rows of Python ints, floats and strings.
+Identical data always produces byte-identical files.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -18,40 +21,30 @@ import numpy as np
 
 @dataclass
 class Table:
-    """A named rectangular result with a fixed column order."""
+    """A named result stored by column: ``columns`` maps each name, in
+    order, to a 1-D sequence of one type (float, int or text); every
+    column has the same length."""
 
     name: str
-    columns: tuple[str, ...]
-    rows: list[tuple] = field(default_factory=list)
+    columns: dict[str, Sequence]
 
 
-def format_value(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
-
-
-def _json_value(value):
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    return value
+def _column_lists(table: Table) -> list[tuple[list, bool]]:
+    """Each column as a list of Python values, with whether it holds floats."""
+    arrays = map(np.asarray, table.columns.values())
+    return [(values.tolist(), values.dtype.kind == "f") for values in arrays]
 
 
 def write_table_csv(table: Table, path: Path) -> None:
-    lines = [",".join(table.columns)]
-    lines.extend(",".join(format_value(v) for v in row) for row in table.rows)
+    cells = [list(map(format, values, repeat(".17g"))) if floats else list(map(str, values))
+             for values, floats in _column_lists(table)]
+    lines = [",".join(table.columns), *map(",".join, zip(*cells, strict=True))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def write_table_json(table: Table, path: Path) -> None:
-    doc = {
-        "columns": list(table.columns),
-        "rows": [[_json_value(v) for v in row] for row in table.rows],
-    }
+    rows = zip(*(values for values, _ in _column_lists(table)), strict=True)
+    doc = {"columns": list(table.columns), "rows": [list(row) for row in rows]}
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -85,14 +78,11 @@ def sha256_file(path: Path) -> str:
 
 
 def joint_table(name: str, matrix: np.ndarray, positions: Sequence[int]) -> Table:
-    """Joint matrix as (x, y, p) rows in row-major order."""
-    rows = []
-    for i, x in enumerate(positions):
-        for j, y in enumerate(positions):
-            rows.append((int(x), int(y), float(matrix[i, j])))
-    return Table(name=name, columns=("x", "y", "p"), rows=rows)
+    """Joint matrix as (x, y, p) rows in row-major order, whatever its memory layout."""
+    positions = np.asarray(positions)
+    n = len(positions)
+    return Table(name, {"x": np.repeat(positions, n), "y": np.tile(positions, n), "p": np.ravel(matrix)})
 
 
 def marginal_table(name: str, marginal: np.ndarray, positions: Sequence[int]) -> Table:
-    rows = [(int(x), float(p)) for x, p in zip(positions, marginal)]
-    return Table(name=name, columns=("x", "p"), rows=rows)
+    return Table(name, {"x": positions, "p": marginal})

@@ -183,10 +183,10 @@ def _mobility_edge(cfg: ScenarioConfig, table: Table) -> dict:
     """First swept strength at which each symmetry's variance beats the classical baseline."""
     baseline = classical_baseline(cfg.steps)
     crossings: dict[str, float | None] = {sym.value: None for sym in resolved_symmetries(cfg)}
-    for row in table.rows:
-        point = dict(zip(table.columns, row))
-        if crossings[point["symmetry"]] is None and point["var_mean"] > baseline:
-            crossings[point["symmetry"]] = row[0]
+    swept = next(iter(table.columns.values()))
+    for value, sym, var in zip(swept, table.columns["symmetry"], table.columns["var_mean"]):
+        if crossings[sym] is None and var > baseline:
+            crossings[sym] = value
     return {
         "classical_baseline": baseline,
         "phi_static": cfg.resolved_phi_static(),
@@ -214,7 +214,7 @@ def _run_grid(cfg: ScenarioConfig, plan: Plan, kinds: tuple, n_jobs: int) -> tup
     """One row per kind x sweep value x symmetry x step; returns (tables, fits)."""
     observable, swept = plan.observable, plan.sweep
     eval_steps = [cfg.steps] if swept else list(range(cfg.steps + 1))
-    table = Table(plan.table, plan.keys + plan.stats)
+    columns: dict[str, list] = {key: [] for key in plan.keys + plan.stats}
     fits: dict[str, dict] = {}
     for kind in kinds:
         for value in cfg.sweep_values if swept else (None,):
@@ -222,16 +222,18 @@ def _run_grid(cfg: ScenarioConfig, plan: Plan, kinds: tuple, n_jobs: int) -> tup
             series = ensemble_run(sub, (observable,), eval_steps=eval_steps, n_jobs=n_jobs)
             for sym in resolved_symmetries(cfg):
                 s = series[(observable, sym.value)]
-                for t, m, sd in zip(s.steps, s.mean, s.std_dev):
-                    point = {plan.keys[0]: int(t) if value is None else float(value),
-                             "kind": kind.value, "symmetry": sym.value}
-                    table.rows.append(tuple(point[k] for k in plan.keys) + (float(m), float(sd)))
+                n = len(s.steps)
+                point = {plan.keys[0]: s.steps.tolist() if value is None else [float(value)] * n,
+                         "kind": [kind.value] * n, "symmetry": [sym.value] * n,
+                         plan.stats[0]: s.mean.tolist(), plan.stats[1]: s.std_dev.tolist()}
+                for key, column in columns.items():
+                    column.extend(point[key])
                 for name in plan.fits:  # one fit per series
                     fits[f"{kind.value}_{sym.value}"] = _fit(name, s)
-    tables = [table]
+    tables = [Table(plan.table, columns)]
     if observable == "variance":
-        tables.append(Table("classical_baseline", ("step", "variance"),
-                            [(t, classical_baseline(t)) for t in eval_steps]))
+        tables.append(Table("classical_baseline",
+                            {"step": eval_steps, "variance": [classical_baseline(t) for t in eval_steps]}))
     return tables, fits
 
 

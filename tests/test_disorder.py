@@ -135,6 +135,26 @@ def test_bad_geometry_or_seed_rejected_before_any_draw(kind, geometry, monkeypat
         sample_phase_field(kind, phi_max=PI, **args)
 
 
+@pytest.mark.parametrize(
+    "kind, strengths",
+    [
+        (DisorderKind.ORDERED, {"phi_max": "garbage"}),
+        (DisorderKind.ORDERED, {"phi_static": 7.0}),
+        (DisorderKind.STATIC, {"phi_max": PI, "phi_dynamic": "x"}),
+        (DisorderKind.STATIC, {"phi_max": PI, "phi_dynamic": -0.5}),
+        (DisorderKind.DYNAMIC, {"phi_max": PI, "phi_static": True}),
+        (DisorderKind.DYNAMIC, {"phi_max": PI, "phi_static": 2 * PI + 1e-6}),
+    ],
+    ids=["ordered-max-text", "ordered-static-above", "static-dynamic-text", "static-dynamic-negative",
+         "dynamic-static-bool", "dynamic-static-above"],
+)
+def test_unread_strength_is_still_checked_before_any_draw(kind, strengths, monkeypatch):
+    # strengths a kind did not read once passed unchecked
+    monkeypatch.setattr("dtqw.disorder._substream", lambda *_: pytest.fail("drew before rejecting"))
+    with pytest.raises(ValueError, match="must be a real number"):
+        make(kind, **strengths)
+
+
 def test_numpy_integer_geometry_draws_as_python_int():
     plain = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=4, n_sites=9, origin=4, seed=7)
     numpy = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=np.int64(4), n_sites=np.int32(9),

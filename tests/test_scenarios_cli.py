@@ -151,20 +151,82 @@ def test_emit_results_joint_rows(tmp_path):
 
 
 def test_emit_results_series_rows(tmp_path):
-    rows = [(t, float(t), 0.0) for t in range(100)]
-    (path,) = emit_results([Table("v", ("step", "mean", "std_dev"), rows)], "csv", tmp_path)
+    steps = list(range(100))
+    table = Table("v", {"step": steps, "mean": [float(t) for t in steps], "std_dev": [0.0] * 100})
+    (path,) = emit_results([table], "csv", tmp_path)
     _, rows = read_csv(path)
     assert len(rows) == 100
 
 
 def test_emit_results_empty_table(tmp_path):
-    (path,) = emit_results([Table("empty", ("a", "b"))], "csv", tmp_path)
+    table = Table("empty", {"a": [], "b": []})
+    (path,) = emit_results([table], "csv", tmp_path)
     assert path.read_text() == "a,b\n"
+    (path,) = emit_results([table], "json", tmp_path)
+    assert json.loads(path.read_text()) == {"columns": ["a", "b"], "rows": []}
 
 
 def test_emit_results_rejects_bad_format(tmp_path):
     with pytest.raises(ValueError):
-        emit_results([Table("t", ("a",))], "xml", tmp_path)
+        emit_results([Table("t", {"a": []})], "xml", tmp_path)
+
+
+def reference_cell(value) -> str:
+    """The cell rule the writer must keep: floats .17g, integers str(int), text as is."""
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, int):
+        return str(int(value))
+    return value
+
+
+def reference_csv(columns, rows) -> str:
+    return "\n".join([",".join(columns)] + [",".join(map(reference_cell, row)) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("container", [list, np.asarray], ids=["lists", "arrays"])
+def test_writer_follows_the_cell_rule(tmp_path, container):
+    rows = [(2**53 + 1, -0.0, "static"), (-7, 5e-324, "bosonic"), (0, 1e-300, ""), (12, 0.1, "x y")]
+    columns = ("n", "v", "s")
+    table = Table("t", {name: container(list(values)) for name, values in zip(columns, zip(*rows))})
+    (csv_path,) = emit_results([table], "csv", tmp_path)
+    assert csv_path.read_text() == reference_csv(columns, rows)
+    (json_path,) = emit_results([table], "json", tmp_path)
+    want = {"columns": list(columns), "rows": [list(row) for row in rows]}
+    assert json_path.read_text() == json.dumps(want, indent=2) + "\n"
+
+
+def test_fortran_ordered_joint_rows_come_out_row_major(tmp_path):
+    matrix = np.asfortranarray(np.random.default_rng(3).random((65, 65)))
+    assert matrix.flags.f_contiguous and not matrix.flags.c_contiguous
+    positions = list(range(-32, 33))
+    (path,) = emit_results([joint_table("j", matrix, positions)], "csv", tmp_path)
+    rows = [(x, y, float(matrix[i, j])) for i, x in enumerate(positions) for j, y in enumerate(positions)]
+    assert path.read_text() == reference_csv(("x", "y", "p"), rows)
+
+
+def parse_cell(cell: str):
+    for number in (int, float):
+        try:
+            return number(cell)
+        except ValueError:
+            pass
+    return cell
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_json_tables_hold_the_numbers_of_their_csv(tmp_path, name):
+    args = ["--scenario", name, "--steps", "4", "--configs", "2"]
+    assert main(args + ["--out", str(tmp_path / "csv")]) == 0
+    assert main(args + ["--format", "json", "--out", str(tmp_path / "json")]) == 0
+    tables = sorted(p.stem for p in (tmp_path / "csv").glob("*.csv"))
+    assert tables and tables == sorted(p.stem for p in (tmp_path / "json").glob("*.json")
+                                       if p.stem not in ("manifest", "fits", "mobility_edge"))
+    for stem in tables:
+        header, rows = read_csv(tmp_path / "csv" / f"{stem}.csv")
+        doc = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+        assert doc["columns"] == header
+        assert doc["rows"] == [[parse_cell(cell) for cell in row] for row in rows]
 
 
 def test_scenario_config_round_trip():
@@ -237,10 +299,20 @@ def test_cli_unreadable_config_is_usage_error(tmp_path):
 
 
 def test_cli_runtime_failure_exits_two(tmp_path):
+    (tmp_path / "marginal.csv").mkdir()  # the run cannot write this table
+    code = main(["--scenario", "fig2", "--steps", "4", "--out", str(tmp_path)])
+    assert code == 2
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_cli_rejects_an_unusable_out_before_any_work(tmp_path, capsys, monkeypatch, below):
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory")
-    code = main(["--scenario", "fig2", "--steps", "4", "--out", str(blocker / "sub")])
-    assert code == 2
+    monkeypatch.setattr("dtqw.cli.run_scenario", lambda *a, **k: pytest.fail("ran before rejecting --out"))
+    code = main(["--scenario", "fig2", "--steps", "3", "--out", str(blocker / "x" if below else blocker)])
+    assert code == 1
+    assert "invalid configuration" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory"
 
 
 def test_cli_rerun_byte_identical(tmp_path):
