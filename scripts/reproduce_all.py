@@ -31,13 +31,13 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown scenario(s): {', '.join(sorted(unknown))}")
 
-    grand_start = time.time()
+    grand_start = time.perf_counter()
     for name in names:
         cfg = dataclasses.replace(preset(name), out_dir=f"{args.out}/{name}")
         print(f"== {name}: steps={cfg.steps} configs={cfg.configs} disorder={cfg.disorder.value}")
         manifest = run_scenario(cfg, n_jobs=args.jobs)
         print(f"   {len(manifest.files)} file(s) in {manifest.duration_seconds:.1f}s -> {cfg.out_dir}")
-    print(f"done in {time.time() - grand_start:.0f}s")
+    print(f"done in {time.perf_counter() - grand_start:.0f}s")
     return 0
 
 

@@ -95,11 +95,6 @@ def _check_edges(amplitudes: np.ndarray) -> None:
         raise LatticeOverflowError("light cone reached the lattice edge; allocate a larger lattice")
 
 
-def _at(factor: np.ndarray, sites: slice) -> np.ndarray:
-    """Coin factors of the source ``sites``; a site-independent factor serves every site."""
-    return factor if factor.shape[-1] == 1 else factor[..., sites]
-
-
 def evolve(initial: WalkerState, steps: int, field, start: int = 0) -> WalkerState:
     """Evolve steps t = start+1 .. start+steps of the coined step; returns the final state.
 
@@ -108,26 +103,45 @@ def evolve(initial: WalkerState, steps: int, field, start: int = 0) -> WalkerSta
     and, for ``FieldBatch([field])``, against one walker of shape
     (2, n_sites).  Each step writes e_L (a + b) / sqrt(2) one site left and
     e_R (a - b) / sqrt(2) one site right into the spare of two buffers and
-    swaps them; the L cell of the last site and the R cell of the first site
-    are never written, and the edge check keeps them zero.  Deterministic
-    for a fixed field, and every amplitude is bit-identical whatever the
-    size of the batch it evolves in.
+    swaps them.  Only reachable sites are stepped: the span of the sites
+    occupied at the start (by any walker or coin), widened by one site per
+    step, and only every second site of it when those share one parity.
+    When the span touches an edge site, the edge check runs: amplitude there
+    is an overflow, and a zero edge (also by cancellation) leaves the span.
+    An all-zero state is returned as it is.  Every amplitude equals that of
+    stepping every site bit for bit (up to the sign of a zero), whatever
+    the size of the batch it evolves in.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     shape = initial.amplitudes.shape
     amps = np.array(initial.amplitudes, ndmin=4)  # one walker steps as a batch of one
     spare = np.zeros_like(amps)
-    head, tail = slice(None, -1), slice(1, None)
+    last = amps.shape[-1] - 1
+    occupied = np.flatnonzero(amps.any(axis=(0, 1, 2)))
+    if not occupied.size:  # an all-zero state stays zero
+        return WalkerState(amps.reshape(shape), initial.origin)
+    lo, hi = int(occupied[0]), int(occupied[-1])
+    stride = 1 if ((occupied - lo) % 2).any() else 2
     for t in range(start + 1, start + steps + 1):
-        _check_edges(amps)
-        e_l, e_r = field.coin_factors(t)
-        left, right = spare[..., 0, head], spare[..., 1, tail]
-        np.add(amps[..., 0, tail], amps[..., 1, tail], out=left)
-        np.multiply(_at(e_l, tail), left, out=left)
+        if lo <= 0 or hi >= last:
+            # zero edges leave the span; the cells they would write may still hold the start: zero those
+            _check_edges(amps)
+            if lo <= 0:
+                lo += stride
+                spare[..., 1, 1] = 0.0
+            if hi >= last:
+                hi -= stride
+                spare[..., 0, last - 1] = 0.0
+        sites = slice(lo, hi + 1, stride)
+        e_l, e_r = field.coin_factors(t, sites)
+        left, right = spare[..., 0, lo - 1 : hi : stride], spare[..., 1, lo + 1 : hi + 2 : stride]
+        np.add(amps[..., 0, sites], amps[..., 1, sites], out=left)
+        np.multiply(e_l, left, out=left)
         np.multiply(left, INV_SQRT2, out=left)
-        np.subtract(amps[..., 0, head], amps[..., 1, head], out=right)
-        np.multiply(_at(e_r, head), right, out=right)
+        np.subtract(amps[..., 0, sites], amps[..., 1, sites], out=right)
+        np.multiply(e_r, right, out=right)
         np.multiply(right, INV_SQRT2, out=right)
         amps, spare = spare, amps
+        lo, hi = lo - 1, hi + 1
     return WalkerState(amps.reshape(shape), initial.origin)

@@ -104,16 +104,19 @@ class PhaseField:
 
 
 class FieldBatch:
-    """Fields of one kind and geometry stacked on a leading configuration axis.
+    """Fields of one kind and geometry, for one batched evolution of all of them.
 
-    ``coin_factors(t)`` returns (exp(i phi_L), exp(i phi_R)) shaped
-    (configs, 1, n_sites) or, for dynamic disorder, (configs, 1, 1), so they
-    broadcast against amplitudes of shape (configs, walkers, n_sites); a
-    batch of one field also broadcasts against a single walker's (n_sites,).
-    exp(i phi) is taken once per static or dynamic table; fluctuating and
-    combined phases change every step and are exponentiated per step, the
-    combined ones after adding the static part.  Every factor is elementwise,
-    so a configuration's factors are bit-identical in any batch.
+    ``coin_factors(t, sites)`` returns (exp(i phi_L), exp(i phi_R)) of the
+    sites selected by the slice ``sites``, shaped (configs, 1, sites) or,
+    where every site has the same factor (ordered and dynamic disorder),
+    (configs, 1, 1), so they broadcast against amplitudes of shape
+    (configs, walkers, sites); a batch of one field also broadcasts against
+    a single walker's (sites,).  exp(i phi) is taken once per static or
+    dynamic table.  Fluctuating and combined phases are
+    gathered per step from the fields' own tables, which are never copied
+    whole, and only the selected sites are exponentiated (for combined
+    disorder after adding the static part).  Every factor is elementwise, so
+    a configuration's factors are bit-identical in any batch and selection.
     """
 
     def __init__(self, fields: Sequence[PhaseField]):
@@ -133,22 +136,24 @@ class FieldBatch:
         if kind is DisorderKind.DYNAMIC:
             self._step = (np.exp(1j * stacked("step_l")), np.exp(1j * stacked("step_r")))
         if kind in (DisorderKind.FLUCTUATING, DisorderKind.COMBINED):
-            self._fluct = (stacked("fluct_l"), stacked("fluct_r"))
+            self._fluct = ([f.fluct_l for f in fields], [f.fluct_r for f in fields])
         if kind is DisorderKind.COMBINED:
             self._site = (stacked("site_l"), stacked("site_r"))
 
-    def coin_factors(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coin factors of every configuration for step t (1-based)."""
+    def coin_factors(self, t: int, sites: slice) -> tuple[np.ndarray, np.ndarray]:
+        """Coin factors of every configuration at the ``sites`` for step t (1-based)."""
         if not 1 <= t <= self.steps:
             raise IndexError(f"step {t} outside 1..{self.steps}")
         kind = self.kind
-        if kind in (DisorderKind.ORDERED, DisorderKind.STATIC):
+        if kind is DisorderKind.ORDERED:
             return self._factors
+        if kind is DisorderKind.STATIC:
+            return self._factors[0][..., sites], self._factors[1][..., sites]
         if kind is DisorderKind.DYNAMIC:
             return self._step[0][..., t - 1, None], self._step[1][..., t - 1, None]
-        phi_l, phi_r = self._fluct[0][:, :, t - 1], self._fluct[1][:, :, t - 1]
+        phi_l, phi_r = (np.stack([table[t - 1, sites] for table in tables])[:, None] for tables in self._fluct)
         if kind is DisorderKind.COMBINED:
-            phi_l, phi_r = self._site[0] + phi_l, self._site[1] + phi_r
+            phi_l, phi_r = self._site[0][..., sites] + phi_l, self._site[1][..., sites] + phi_r
         return np.exp(1j * phi_l), np.exp(1j * phi_r)
 
 

@@ -6,18 +6,20 @@ standard deviations are taken across configurations.  Averaged
 *distributions* (for the density-plot scenarios) are instead handled by
 :func:`ensemble_average_joints`, which averages the joint matrices first.
 
-Both runners evolve the ensemble in contiguous chunks of configurations,
-each chunk one batched walk of coin-major amplitudes, shape (configs,
+Both runners evolve the ensemble in contiguous chunks of members, each a
+disorder configuration (a seed, and a strength when a sweep runs), each
+chunk one batched walk of coin-major amplitudes, shape (configs,
 2 walkers, 2, n_sites), that stops at every evaluated step to measure each
 configuration on its two (2, n_sites) slices.  The chunk size follows a
-fixed memory budget; no number depends on it.
+fixed memory budget, and the chunks of a sweep may cut across its values;
+no number depends on either.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -118,28 +120,27 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _chunk_tasks(cfg: ScenarioConfig, stops: Sequence[int], measure: Callable, result_floats: int,
-                 n_jobs: int) -> list[tuple]:
-    """Split the ensemble into contiguous chunks of configurations.
+def _chunk_tasks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tuple], stops: Sequence[int],
+                 measure: Callable, result_floats: int, n_jobs: int) -> list[tuple]:
+    """Split the ensemble's (value, seed) ``members`` into contiguous chunks.
 
-    A chunk holds as many configurations as fit ``_CHUNK_BYTES`` with their
-    phase tables (at most two per site and step), walker states and
-    measurements, and no more than an even share of ``n_jobs`` workers.
+    A member's field draws from its seed with ``cfg``'s strengths, the one
+    named by ``sweep`` set to its value (None: no sweep).  A chunk holds as
+    many members as fit ``_CHUNK_BYTES`` with their phase tables (at most
+    two per site and step, held once), walker states and measurements, and
+    no more than an even share of ``n_jobs`` workers.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     n_sites, _ = lattice_for(cfg.steps, cfg.start_sites)
     per_config = 8 * (2 * (cfg.steps + 1) * n_sites + 16 * n_sites + result_floats)
-    size = max(1, min(_CHUNK_BYTES // per_config, -(-cfg.configs // n_jobs)))
-    return [
-        (cfg, range(cfg.seed + first, cfg.seed + min(first + size, cfg.configs)), stops, measure)
-        for first in range(0, cfg.configs, size)
-    ]
+    size = max(1, min(_CHUNK_BYTES // per_config, -(-len(members) // n_jobs)))
+    return [(cfg, sweep, members[first:first + size], stops, measure) for first in range(0, len(members), size)]
 
 
-def _map_chunks(cfg: ScenarioConfig, stops: Sequence[int], measure: Callable, result_floats: int,
-                n_jobs: int) -> Iterator[list[list]]:
-    """``_run_chunk`` over the ensemble's chunks, yielded in configuration order.
+def _map_chunks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tuple], stops: Sequence[int],
+                measure: Callable, result_floats: int, n_jobs: int) -> Iterator[list[list]]:
+    """``_run_chunk`` over the chunks of ``members``, yielded in member order.
 
     Runs in worker processes if ``n_jobs > 1``, at most one per usable CPU
     and per chunk: with the ``fork`` start method a pool starts all its
@@ -147,7 +148,7 @@ def _map_chunks(cfg: ScenarioConfig, stops: Sequence[int], measure: Callable, re
     capped count.
     """
     workers = min(n_jobs, _usable_cpus())
-    tasks = _chunk_tasks(cfg, stops, measure, result_floats, workers)
+    tasks = _chunk_tasks(cfg, sweep, members, stops, measure, result_floats, workers)
     workers = min(workers, len(tasks))
     if workers == 1:
         yield from map(_run_chunk, tasks)
@@ -157,22 +158,26 @@ def _map_chunks(cfg: ScenarioConfig, stops: Sequence[int], measure: Callable, re
 
 
 def _run_chunk(task) -> list[list]:
-    """Evolve one chunk of configurations as a (configs, 2 walkers, 2, n_sites) batch.
+    """Evolve one chunk of members as a (configs, 2 walkers, 2, n_sites) batch.
 
-    Configuration ``i`` of the chunk draws its field from ``seeds[i]``;
+    Member ``i`` of the chunk, (value, seed), draws its field from its seed
+    with the swept strength set to its value (see ``_chunk_tasks``);
     walkers A and B share it.  At each of the ascending ``stops`` the
     walkers of every configuration must be orthogonal (ValueError
     otherwise), and each configuration is measured as ``measure(cfg, a, b, t)``
     on its two (2, n_sites) amplitude arrays; returns those results per
-    stop, in configuration order.
+    stop, in member order.
     """
-    cfg, seeds, stops, measure = task
+    cfg, sweep, members, stops, measure = task
     n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
-    field = FieldBatch([_field_for(cfg, seed, n_sites, origin) for seed in seeds])
+    field = FieldBatch([
+        _field_for(cfg if sweep is None else replace(cfg, **{sweep: value}), seed, n_sites, origin)
+        for value, seed in members
+    ])
     pair = np.stack([
         delta_state(n_sites, origin, x, COIN_NAMES[coin]).amplitudes for x, coin in (cfg.start_a, cfg.start_b)
     ])
-    state = WalkerState(np.repeat(pair[None], len(seeds), axis=0), origin)
+    state = WalkerState(np.repeat(pair[None], len(members), axis=0), origin)
     results, t = [], 0
     for stop in stops:
         state = evolve(state, stop - t, field, start=t)
@@ -207,7 +212,8 @@ def ensemble_run(
     observables: Sequence[str],
     eval_steps: Optional[Sequence[int]] = None,
     n_jobs: int = 1,
-) -> dict[tuple[str, str], ObservableSeries]:
+    sweep: Optional[str] = None,
+) -> dict[tuple[str, str], ObservableSeries] | list[dict[tuple[str, str], ObservableSeries]]:
     """Evolve ``cfg.configs`` disorder realizations and fold the observables.
 
     ``observables`` names keys of ``_OBSERVABLES`` ("variance", "entropy",
@@ -219,8 +225,17 @@ def ensemble_run(
     measured while the walk runs.  A configuration's values do not depend on
     chunking or ``n_jobs``.  They are computed independently and merged in
     configuration order, so serial and parallel results are bit-identical.
+
+    With ``sweep`` naming a strength field ("phi_max", "phi_static" or
+    "phi_dynamic"), each value of ``cfg.sweep_values`` in turn sets that
+    field for an ensemble of its own, seeded as above, and a list of one
+    such dict per value is returned.  All values' configurations run as one
+    ensemble whose chunks may cut across values; each value's series equal
+    those of its run alone.
     """
     cfg.validate()
+    if sweep is not None and (sweep not in ("phi_max", "phi_static", "phi_dynamic") or not cfg.sweep_values):
+        raise ValueError(f"sweep must name a strength field and needs nonempty sweep_values, got {sweep!r}")
     observables = tuple(observables)
     if not observables or any(obs not in _OBSERVABLES for obs in observables):
         raise ValueError(f"observables must be a nonempty selection of {tuple(_OBSERVABLES)}, got {observables!r}")
@@ -235,12 +250,22 @@ def ensemble_run(
     stops = sorted(set(eval_steps))
     measure = partial(_measure_series, observables, JointBuilder())
     result_floats = len(observables) * len(syms) * len(stops)
+    values = cfg.sweep_values if sweep else (None,)
+    members = [(value, cfg.seed + i) for value in values for i in range(cfg.configs)]
     chunks = [np.moveaxis(np.array(chunk), 0, -1)
-              for chunk in _map_chunks(cfg, stops, measure, result_floats, n_jobs)]
-    # (configs, obs, sym, steps) in C order, so the means over configurations
+              for chunk in _map_chunks(cfg, sweep, members, stops, measure, result_floats, n_jobs)]
+    # (members, obs, sym, steps) in C order; each value's block of
+    # configurations is then C-ordered too, so the means over configurations
     # below sum in one order whatever the chunking
     cube = np.ascontiguousarray(np.concatenate(chunks)[..., [stops.index(t) for t in eval_steps]])
+    runs = [_fold(cube[first:first + cfg.configs], observables, syms, eval_steps)
+            for first in range(0, len(members), cfg.configs)]
+    return runs if sweep else runs[0]
 
+
+def _fold(cube: np.ndarray, observables: tuple[str, ...], syms: tuple, eval_steps: list[int]
+          ) -> dict[tuple[str, str], ObservableSeries]:
+    """Mean and population spread over the configurations of a (configs, obs, sym, steps) cube."""
     out: dict[tuple[str, str], ObservableSeries] = {}
     for i, obs in enumerate(observables):
         for j, sym in enumerate(syms):
@@ -257,7 +282,7 @@ def ensemble_run(
                 steps=np.asarray(eval_steps),
                 mean=mean,
                 std_dev=std,
-                configs=cfg.configs,
+                configs=len(cube),
             )
     return out
 
@@ -279,9 +304,11 @@ def ensemble_average_joints(
     positions = np.arange(n_sites) - origin
 
     measure = partial(_measure_joints, JointBuilder())
+    members = [(None, cfg.seed + i) for i in range(cfg.configs)]
     acc = [np.zeros((n_sites, n_sites)) for _ in syms]
     marg = np.zeros(n_sites)
-    for (chunk,) in _map_chunks(cfg, [cfg.steps], measure, (len(syms) * n_sites + 1) * n_sites, n_jobs):
+    for (chunk,) in _map_chunks(cfg, None, members, [cfg.steps], measure, (len(syms) * n_sites + 1) * n_sites,
+                                n_jobs):
         for parts in chunk:
             for j in range(len(syms)):
                 acc[j] += parts[j]

@@ -217,9 +217,9 @@ def _run_grid(cfg: ScenarioConfig, plan: Plan, kinds: tuple, n_jobs: int) -> tup
     columns: dict[str, list] = {key: [] for key in plan.keys + plan.stats}
     fits: dict[str, dict] = {}
     for kind in kinds:
-        for value in cfg.sweep_values if swept else (None,):
-            sub = dataclasses.replace(cfg, disorder=kind, **({swept: value} if swept else {}))
-            series = ensemble_run(sub, (observable,), eval_steps=eval_steps, n_jobs=n_jobs)
+        # all of a kind's sweep values run as one ensemble, whose chunks may cut across values
+        runs = ensemble_run(dataclasses.replace(cfg, disorder=kind), (observable,), eval_steps, n_jobs, swept)
+        for value, series in zip(cfg.sweep_values, runs) if swept else [(None, runs)]:
             for sym in resolved_symmetries(cfg):
                 s = series[(observable, sym.value)]
                 n = len(s.steps)
@@ -248,7 +248,7 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
     check_config(cfg, given={})
     _, plan = _lookup(cfg.name)
     kinds = plan.kinds or (cfg.disorder,)
-    start = time.time()
+    start = time.perf_counter()
     if plan.table:
         tables, fits = _run_grid(cfg, plan, kinds, n_jobs)
     else:
@@ -267,7 +267,7 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
         artifact_version=__version__,
         generator=GENERATOR_ID,
         base_seed=cfg.seed,
-        duration_seconds=time.time() - start,
+        duration_seconds=time.perf_counter() - start,
         files={p.name: sha256_file(p) for p in paths},
     )
     write_json(manifest.to_dict(), out_dir / "manifest.json")

@@ -39,5 +39,5 @@ def evolve_site_major(amplitudes: np.ndarray, steps: int, field, start: int = 0)
     """Steps t = start+1 .. start+steps on a (..., n_sites, 2) array under a ``FieldBatch``."""
     amps = np.array(amplitudes, dtype=np.complex128)
     for t in range(start + 1, start + steps + 1):
-        amps = _phased_step(amps, *field.coin_factors(t))
+        amps = _phased_step(amps, *field.coin_factors(t, slice(None)))
     return amps

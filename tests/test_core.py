@@ -257,8 +257,8 @@ def test_delta_state_rejects_bad_coin():
         delta_state(5, 2, 0, coin=7)
 
 
-def sampled_fields(kind, steps, seeds):
-    n, o = lattice_for(steps)
+def sampled_fields(kind, steps, seeds, start_sites=(0,)):
+    n, o = lattice_for(steps, start_sites)
     return [
         sample_phase_field(kind, phi_max=2.5, phi_static=np.pi, phi_dynamic=1.5, steps=steps,
                            n_sites=n, origin=o, seed=seed)
@@ -323,49 +323,112 @@ def test_field_batch_rejects_mixed_fields():
     with pytest.raises(ValueError):
         FieldBatch(static + sampled_fields(DisorderKind.STATIC, 5, (0,)))
     with pytest.raises(IndexError):
-        FieldBatch(static).coin_factors(5)
+        FieldBatch(static).coin_factors(5, slice(None))
 
 
 def site_major(amplitudes):
     return np.swapaxes(amplitudes, -1, -2)
 
 
+def dense_pairs(n, o, count, width, stride, seed):
+    """(count, 2, 2, n) batch of random amplitudes on every ``stride``-th site of x in [-width, width]."""
+    rng = np.random.default_rng(seed)
+    amps = np.zeros((count, 2, 2, n), dtype=np.complex128)
+    sites = slice(o - width, o + width + 1, stride)
+    cells = amps[..., sites].shape
+    amps[..., sites] = rng.normal(size=cells) + 1j * rng.normal(size=cells)
+    return WalkerState(amps, o)
+
+
+def other_parity_pairs(n, o, count):
+    """(count, 2, 2, n) batch: walker A in coin L at x=0, walker B in coin R at x=1."""
+    pair = np.stack([delta_state(n, o, 0, COIN_L).amplitudes, delta_state(n, o, 1, COIN_R).amplitudes])
+    return WalkerState(np.repeat(pair[None], count, axis=0), o)
+
+
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
 def test_evolve_equals_the_site_major_step_bit_for_bit(kind):
-    # the coin-major two-buffer step against the site-major step it replaced
-    t_max = 50
-    fields = sampled_fields(kind, t_max, range(5))
+    # the coin-major step of the reachable span against the site-major step of every site
+    t_max, width = 50, 4
+    fields = sampled_fields(kind, t_max, range(5), (-width, width))
     n, o = fields[0].n_sites, fields[0].origin
     batch = FieldBatch(fields)
-    starts = [(delta_state(n, o, 0, COIN_R), FieldBatch(fields[:1])), (walker_pairs(n, o, 5), batch)]
-    for start, fld in starts:
+    starts = {
+        "one site, one walker": (delta_state(n, o, 0, COIN_R), FieldBatch(fields[:1])),
+        "one site": (walker_pairs(n, o, 5), batch),
+        "two parities": (other_parity_pairs(n, o, 5), batch),
+        "dense": (dense_pairs(n, o, 5, width, 1, seed=1), batch),
+        "dense, one parity": (dense_pairs(n, o, 5, width, 2, seed=2), batch),
+        "all zero": (WalkerState(np.zeros((5, 2, 2, n), dtype=np.complex128), o), batch),
+    }
+    for label, (start, fld) in starts.items():
+        reference = site_major(start.amplitudes)
         for t in (0, 1, 2, 3, t_max):
             out = evolve(start, t, fld)
             assert out.amplitudes.shape == start.amplitudes.shape
-            assert np.array_equal(site_major(out.amplitudes), evolve_site_major(site_major(start.amplitudes), t, fld))
+            assert np.array_equal(site_major(out.amplitudes), evolve_site_major(reference, t, fld)), (label, t)
         mid = evolve(start, 3, fld)
         split = evolve(evolve(mid, 20, fld, start=3), t_max - 23, fld, start=23)
-        assert np.array_equal(site_major(split.amplitudes), evolve_site_major(site_major(start.amplitudes), t_max, fld))
+        assert np.array_equal(site_major(split.amplitudes), evolve_site_major(reference, t_max, fld)), label
+
+
+@pytest.mark.parametrize("parities", [1, 2])
+def test_an_edge_cell_zero_by_cancellation_is_no_overflow(parities):
+    # (1, -1)/sqrt(2) at site 1 sends nothing to site 0: the first step reaches the edge, the second must not raise
+    # or wrap; the third step fills site 0, so the fourth overflows, as in the reference
+    n, steps = 12, 4
+    amps = np.zeros((2, n), dtype=np.complex128)
+    amps[:, 1] = [INV_SQRT2, -INV_SQRT2]
+    if parities == 2:
+        amps[COIN_L, 4] = 0.5  # span two parities: every site of the span steps
+    start, fld = WalkerState(amps, 1), FieldBatch([zero_field(steps, n, 1)])
+    for t in (1, 2, 3):
+        out = evolve(start, t, fld)
+        assert np.array_equal(site_major(out.amplitudes), evolve_site_major(site_major(amps), t, fld))
+        assert not out.amplitudes[:, -1].any()
+    with pytest.raises(LatticeOverflowError):
+        evolve_site_major(site_major(amps), steps, fld)
+    with pytest.raises(LatticeOverflowError):
+        evolve(start, steps, fld)
+
+
+def check_overflow_in_either_buffer(edge, swaps, batch, parities):
+    """The light cone reaches the edge site after ``swaps`` steps; the next step must raise.
+
+    With ``parities=2`` a second start one site further in, on the other parity, widens the stepped span.
+    """
+    n, o, steps = 2 * swaps + 6, swaps + 3, swaps + 1
+    x = (swaps if edge == "first" else n - 1 - swaps) - o
+    inner = x + 1 if edge == "first" else x - 1
+    fields = [sample_phase_field(DisorderKind.STATIC, phi_max=2.5, steps=steps, n_sites=n, origin=o, seed=seed)
+              for seed in range(5)]
+    if batch:
+        pair = np.stack([delta_state(n, o, x, COIN_L).amplitudes,
+                         delta_state(n, o, x if parities == 1 else inner, COIN_R).amplitudes])
+        start, fld = WalkerState(np.repeat(pair[None], 5, axis=0), o), FieldBatch(fields)
+    else:
+        start, fld = delta_state(n, o, x, COIN_L), FieldBatch(fields[:1])
+        if parities == 2:
+            start.amplitudes[COIN_R, start.index_of(inner)] = 1.0
+    reached = evolve(start, swaps, fld)
+    edge_site = reached.amplitudes[..., 0 if edge == "first" else -1]
+    reached_by = np.abs(edge_site).sum(axis=-1)  # per walker; only walker A reaches it from two parities
+    assert np.all(reached_by[..., 0] > 0 if batch and parities == 2 else reached_by > 0)
+    with pytest.raises(LatticeOverflowError):
+        evolve(start, swaps + 1, fld)
+    with pytest.raises(LatticeOverflowError):
+        evolve(reached, 1, fld, start=swaps)
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
 @pytest.mark.parametrize("swaps", [3, 4], ids=["odd", "even"])
 @pytest.mark.parametrize("edge", ["first", "last"])
 def test_overflow_is_caught_in_either_buffer(edge, swaps, batch):
-    # the light cone reaches the edge site after ``swaps`` steps; the next step must raise
-    n, o, steps = 2 * swaps + 6, swaps + 3, swaps + 1
-    x = (swaps if edge == "first" else n - 1 - swaps) - o
-    fields = [sample_phase_field(DisorderKind.STATIC, phi_max=2.5, steps=steps, n_sites=n, origin=o, seed=seed)
-              for seed in range(5)]
-    if batch:
-        pair = np.stack([delta_state(n, o, x, coin).amplitudes for coin in (COIN_L, COIN_R)])
-        start, fld = WalkerState(np.repeat(pair[None], 5, axis=0), o), FieldBatch(fields)
-    else:
-        start, fld = delta_state(n, o, x, COIN_L), FieldBatch(fields[:1])
-    reached = evolve(start, swaps, fld)
-    edge_site = reached.amplitudes[..., 0 if edge == "first" else -1]
-    assert np.all(np.abs(edge_site).sum(axis=-1) > 0)
-    with pytest.raises(LatticeOverflowError):
-        evolve(start, swaps + 1, fld)
-    with pytest.raises(LatticeOverflowError):
-        evolve(reached, 1, fld, start=swaps)
+    check_overflow_in_either_buffer(edge, swaps, batch, parities=1)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+@pytest.mark.parametrize("swaps", [3, 4], ids=["odd", "even"])
+@pytest.mark.parametrize("edge", ["first", "last"])
+def test_overflow_from_two_parities_is_caught_in_either_buffer(edge, swaps, batch):
+    check_overflow_in_either_buffer(edge, swaps, batch, parities=2)

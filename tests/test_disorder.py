@@ -252,3 +252,18 @@ def test_tables_are_read_only():
     fld = make(DisorderKind.STATIC)
     with pytest.raises(ValueError):
         fld.site_l[0] = 1.0
+
+
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+def test_coin_factors_of_selected_sites_equal_those_cells_of_the_whole_lattice(kind):
+    # bit for bit against exp(i phi) of each field's own whole-lattice phases
+    fields = [make(kind, steps=6, seed=seed, phi_static=PI, phi_dynamic=1.5) for seed in range(3)]
+    batch = FieldBatch(fields)
+    n = fields[0].n_sites
+    for t in (1, 4, 6):
+        whole = np.stack([np.exp(1j * np.asarray(f.step_phases(t))) for f in fields])  # (configs, L/R, n_sites)
+        for sites in (slice(None), slice(2, n - 3), slice(3, 4), slice(1, n - 1, 2), slice(2, n - 2, 2)):
+            for coin, factor in enumerate(batch.coin_factors(t, sites)):
+                want = whole[:, coin, sites]
+                assert factor.shape in ((3, 1, want.shape[-1]), (3, 1, 1))  # per site, or one factor for every site
+                assert np.array_equal(np.broadcast_to(factor[:, 0], want.shape), want)

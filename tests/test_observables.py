@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -18,7 +19,8 @@ from dtqw.observables import (
     mutual_information,
     variance_xm,
 )
-from dtqw.two_particle import ExchangeSymmetry
+from dtqw.scenarios import preset
+from dtqw.two_particle import ExchangeSymmetry, JointBuilder
 from mode_reference import aggregate_to_positions, joint_mode_distribution
 
 BOS = ExchangeSymmetry.BOSONIC
@@ -258,7 +260,8 @@ def test_chunked_batches_equal_per_walker_evolve_bitwise(monkeypatch, kind, budg
         monkeypatch.setattr(observables, "_CHUNK_BYTES", budget)
     cfg = ScenarioConfig("t", steps=9, disorder=kind, phi_max=2.5, phi_static=np.pi, phi_dynamic=1.5,
                          configs=7, seed=4)
-    tasks = observables._chunk_tasks(cfg, [cfg.steps], _amplitudes, 0, n_jobs)
+    members = [(None, cfg.seed + i) for i in range(cfg.configs)]
+    tasks = observables._chunk_tasks(cfg, None, members, [cfg.steps], _amplitudes, 0, n_jobs)
     assert len(tasks) == chunks
     batched = [pair for task in tasks for pair in observables._run_chunk(task)[0]]
     n, o = lattice_for(cfg.steps)
@@ -296,6 +299,51 @@ def test_ensemble_run_equals_stacked_single_configuration_runs(monkeypatch, kind
             std[identical] = 0.0
             assert np.array_equal(s.mean, mean)
             assert np.array_equal(s.std_dev, std)
+
+
+@pytest.mark.parametrize("kind, sweep", [(DisorderKind.STATIC, "phi_max"), (DisorderKind.COMBINED, "phi_dynamic")],
+                         ids=["static", "combined"])
+def test_each_sweep_value_equals_its_run_alone(monkeypatch, kind, sweep):
+    # 3 values x 3 configurations share chunks: one chunk, 5 + 4 members for two jobs (cut inside the second
+    # value), and one member per chunk
+    cfg = ordered_cfg(disorder=kind, phi_static=np.pi, configs=3, seed=6, steps=9, sweep_values=(0.0, 1.0, 2.5))
+    alone = [ensemble_run(dataclasses.replace(cfg, **{sweep: value}), OBS, eval_steps=[9, 4])
+             for value in cfg.sweep_values]
+    for runs in _runs(monkeypatch, partial(ensemble_run, observables=OBS, eval_steps=[9, 4], sweep=sweep), cfg):
+        assert len(runs) == len(alone)
+        for run, one in zip(runs, alone):
+            assert run.keys() == one.keys()
+            for key, s in run.items():
+                assert np.array_equal(s.steps, one[key].steps) and s.configs == one[key].configs == 3
+                assert np.array_equal(s.mean, one[key].mean)
+                assert np.array_equal(s.std_dev, one[key].std_dev)
+
+
+@pytest.mark.parametrize("sweep, values", [("phi_mux", (1.0,)), ("seed", (1.0,)), ("phi_max", ())],
+                         ids=["unknown", "not-a-strength", "no-values"])
+def test_bad_sweep_rejected(sweep, values):
+    with pytest.raises(ValueError, match="sweep"):
+        ensemble_run(ordered_cfg(sweep_values=values), OBS, sweep=sweep)
+
+
+def test_a_preset_scale_chunk_stays_within_its_memory_budget():
+    # One fig7 chunk at t = 100 (11 combined configurations), traced on its second run, when the joint
+    # builder's scratch (about 1 MiB, kept for every later chunk) exists.  The fields' tables, held once,
+    # fill the budget; the rest is measurement temporaries.  A stacked second copy of the tables peaked at
+    # 1.72 budgets.
+    cfg = dataclasses.replace(preset("fig7"), phi_dynamic=np.pi)
+    measure = partial(observables._measure_series, ("variance",), JointBuilder())
+    members = [(None, cfg.seed + i) for i in range(cfg.configs)]
+    task = observables._chunk_tasks(cfg, None, members, [cfg.steps], measure, 2, 1)[0]
+    assert len(task[2]) == 11
+    observables._run_chunk(task)
+    tracemalloc.start()
+    try:
+        observables._run_chunk(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * observables._CHUNK_BYTES
 
 
 def test_average_joints_equal_ordered_sums_of_single_configuration_runs(monkeypatch):
