@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Run every built-in scenario at full scale and collect the data files.
 
-Figures 2-4 and the fluctuating-scenario joints take seconds each; the
-step-resolved ensembles (fig5, fig8, fig9) and the strength sweeps (fig6,
-fig7) take a few minutes each on one core.  Use --jobs to fan chunks of
-ensemble members out to worker processes and --only to run a subset.
+Figures 2-4 and the fluctuating-scenario joints take under a second each;
+the step-resolved ensembles (fig5, fig8, fig9) and the strength sweeps
+(fig6, fig7) take seconds to tens of seconds each, fig5 the longest, and
+the whole serial run under a minute on one core of a 2-core Xeon.  Use
+--jobs to fan chunks of ensemble members out to worker processes and --only
+to run a subset.
 """
 
 import argparse

@@ -115,7 +115,8 @@ def evolve(initial: WalkerState, steps: int, field, start: int = 0) -> WalkerSta
     if steps < 0:
         raise ValueError("steps must be >= 0")
     shape = initial.amplitudes.shape
-    amps = np.array(initial.amplitudes, ndmin=4)  # one walker steps as a batch of one
+    # one walker steps as a batch of one; C order also for a broadcast (stride-0) start
+    amps = np.array(initial.amplitudes, order="C", ndmin=4)
     spare = np.zeros_like(amps)
     last = amps.shape[-1] - 1
     occupied = np.flatnonzero(amps.any(axis=(0, 1, 2)))

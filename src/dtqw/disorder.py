@@ -12,9 +12,9 @@ independently and uniformly from [0, phi_max] with a seeded generator:
 Each component draws from its own substream of the seed, so e.g.
 ``combined`` with a zero fluctuating strength realizes bit-identical tables
 to ``static`` with the same seed.  Fields are immutable after sampling and
-safe to share across parallel evolutions.  A ``FieldBatch`` stacks the
-fields of several configurations so that one batched evolution steps them
-all; it is the only source of coin factors that the step engine reads.
+safe to share across parallel evolutions.  A ``FieldBatch`` packs what
+one batched evolution of several configurations reads of their fields; it
+is the only source of coin factors that the step engine reads.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import numbers
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -103,6 +103,31 @@ class PhaseField:
         return float(phi_l[i]), float(phi_r[i])
 
 
+def light_cone_rows(steps: int, n_sites: int, starts: Optional[Sequence[int]] = None
+                    ) -> tuple[np.ndarray, np.ndarray, int]:
+    """The sites each step can read: (first site of each row, sites in each row, stride).
+
+    Row t - 1 belongs to step t (1-based) of a walk whose walkers start on
+    the array indices ``starts``: it covers [lo - (t-1), hi + (t-1)] of
+    their span [lo, hi], cut to the lattice, and every second site of it
+    when lo and hi share a parity, the sites ``core.evolve`` steps.  Without
+    ``starts`` every row is the whole lattice.
+    """
+    if starts is None:
+        return np.zeros(steps, dtype=np.intp), np.full(steps, n_sites, dtype=np.intp), 1
+    lo, hi = min(starts), max(starts)
+    stride = 2 if (hi - lo) % 2 == 0 else 1
+    reach = np.arange(steps)
+    first, last = lo - reach, hi + reach
+    first = np.maximum(first, first % stride)  # the first site on the lattice, of the same parity
+    last = np.minimum(last, n_sites - 1 - (n_sites - 1 - last) % stride)
+    return first, np.maximum(0, (last - first) // stride + 1), stride
+
+
+# the table of each kind whose exp(i phi) a batch takes once
+_EXP_ONCE = {DisorderKind.STATIC: "site_", DisorderKind.DYNAMIC: "step_"}
+
+
 class FieldBatch:
     """Fields of one kind and geometry, for one batched evolution of all of them.
 
@@ -112,33 +137,62 @@ class FieldBatch:
     (configs, 1, 1), so they broadcast against amplitudes of shape
     (configs, walkers, sites); a batch of one field also broadcasts against
     a single walker's (sites,).  exp(i phi) is taken once per static or
-    dynamic table.  Fluctuating and combined phases are
-    gathered per step from the fields' own tables, which are never copied
-    whole, and only the selected sites are exponentiated (for combined
-    disorder after adding the static part).  Every factor is elementwise, so
-    a configuration's factors are bit-identical in any batch and selection.
+    dynamic table.
+
+    Fluctuating and combined phases are packed, per coin, into one
+    (configs, 1, cells) array that holds only the rows of
+    ``light_cone_rows(steps, n_sites, starts)`` (without ``starts``, whole
+    rows), with the static part already added for combined disorder; each
+    step exponentiates one slice of it, and a selection outside its row
+    raises ValueError.  ``fields`` may be an iterator that draws the fields
+    one at a time (then ``configs`` gives their number): each field's tables
+    are packed before the next one is drawn and kept no longer.  Every
+    factor is elementwise, so a configuration's factors are bit-identical in
+    any batch and selection.
     """
 
-    def __init__(self, fields: Sequence[PhaseField]):
-        first = fields[0]
-        if any((f.kind, f.steps, f.n_sites) != (first.kind, first.steps, first.n_sites) for f in fields):
-            raise ValueError("a field batch needs one kind, step count and lattice")
-        self.kind, self.steps = first.kind, first.steps
+    def __init__(self, fields: Iterable[PhaseField], starts: Optional[Sequence[int]] = None,
+                 configs: Optional[int] = None):
+        configs = len(fields) if configs is None else configs
+        if configs < 1:
+            raise ValueError("a field batch needs at least one field")
+        fields = iter(fields)
+        for i in range(configs):
+            field = next(fields, None)
+            if field is None:
+                raise ValueError(f"a field batch of {configs} configurations got {i} fields")
+            if i == 0:
+                cells, sites = self._allocate(field, configs, starts)
+            elif (field.kind, field.steps, field.n_sites) != (self.kind, self.steps, self.n_sites):
+                raise ValueError("a field batch needs one kind, step count and lattice")
+            for coin, store in zip("lr", self._store):
+                if self.kind in _EXP_ONCE:
+                    np.exp(1j * getattr(field, _EXP_ONCE[self.kind] + coin), out=store[i, 0])
+                elif cells is not None:
+                    np.take(getattr(field, "fluct_" + coin), cells, out=store[i, 0])
+                    if self.kind is DisorderKind.COMBINED:
+                        store[i, 0] += getattr(field, "site_" + coin)[sites]
+            del field  # before the next field is drawn
 
-        def stacked(name: str) -> np.ndarray:  # (configs, 1, ...) to broadcast over walkers
-            return np.stack([getattr(f, name) for f in fields])[:, None]
-
-        kind = self.kind
+    def _allocate(self, field: PhaseField, configs: int, starts: Optional[Sequence[int]]) -> tuple:
+        """Allocate for ``configs`` fields like ``field``; returns, for packed
+        phases, each cell's index into a flat (steps, n_sites) table and its site."""
+        self.kind, self.steps, self.n_sites = kind, steps, n_sites = field.kind, field.steps, field.n_sites
+        first, counts, self._stride = light_cone_rows(steps, n_sites, starts)
+        offset = np.concatenate(([0], np.cumsum(counts)))
+        self._first, self._offset = first.tolist(), offset.tolist()  # read per step
+        # per coin (configs, 1, width): exp(i phi) of every site (static) or step (dynamic), or the packed phases
         if kind is DisorderKind.ORDERED:
-            self._factors = (np.ones((len(fields), 1, 1), dtype=np.complex128),) * 2
-        if kind is DisorderKind.STATIC:
-            self._factors = (np.exp(1j * stacked("site_l")), np.exp(1j * stacked("site_r")))
-        if kind is DisorderKind.DYNAMIC:
-            self._step = (np.exp(1j * stacked("step_l")), np.exp(1j * stacked("step_r")))
-        if kind in (DisorderKind.FLUCTUATING, DisorderKind.COMBINED):
-            self._fluct = ([f.fluct_l for f in fields], [f.fluct_r for f in fields])
-        if kind is DisorderKind.COMBINED:
-            self._site = (stacked("site_l"), stacked("site_r"))
+            self._store = (np.ones((configs, 1, 1), dtype=np.complex128),) * 2
+        elif kind in _EXP_ONCE:
+            width = n_sites if kind is DisorderKind.STATIC else steps
+            self._store = tuple(np.empty((configs, 1, width), dtype=np.complex128) for _ in "LR")
+        else:
+            self._store = tuple(np.empty((configs, 1, offset[-1])) for _ in "LR")
+            # packed cell j of row r holds site first[r] + (j - offset[r]) * stride of step r + 1
+            sites = np.repeat(first - offset[:-1] * self._stride, counts) + np.arange(offset[-1]) * self._stride
+            return np.repeat(np.arange(steps) * n_sites, counts) + sites, sites
+        return None, None
 
     def coin_factors(self, t: int, sites: slice) -> tuple[np.ndarray, np.ndarray]:
         """Coin factors of every configuration at the ``sites`` for step t (1-based)."""
@@ -146,15 +200,27 @@ class FieldBatch:
             raise IndexError(f"step {t} outside 1..{self.steps}")
         kind = self.kind
         if kind is DisorderKind.ORDERED:
-            return self._factors
+            return self._store
         if kind is DisorderKind.STATIC:
-            return self._factors[0][..., sites], self._factors[1][..., sites]
+            return self._store[0][..., sites], self._store[1][..., sites]
         if kind is DisorderKind.DYNAMIC:
-            return self._step[0][..., t - 1, None], self._step[1][..., t - 1, None]
-        phi_l, phi_r = (np.stack([table[t - 1, sites] for table in tables])[:, None] for tables in self._fluct)
-        if kind is DisorderKind.COMBINED:
-            phi_l, phi_r = self._site[0][..., sites] + phi_l, self._site[1][..., sites] + phi_r
-        return np.exp(1j * phi_l), np.exp(1j * phi_r)
+            return self._store[0][..., t - 1, None], self._store[1][..., t - 1, None]
+        cells = self._row_cells(t, sites)
+        return np.exp(1j * self._store[0][..., cells]), np.exp(1j * self._store[1][..., cells])
+
+    def _row_cells(self, t: int, sites: slice) -> slice:
+        """The packed cells of row t that hold the lattice ``sites``."""
+        start, stop, step = sites.indices(self.n_sites)
+        count = len(range(start, stop, step))
+        first, stride, offset = self._first[t - 1], self._stride, self._offset[t - 1]
+        if not count:
+            return slice(offset, offset)
+        last = start + (count - 1) * step
+        row_last = first + (self._offset[t] - offset - 1) * stride
+        if start < first or last > row_last or (start - first) % stride or count > 1 and (step < 0 or step % stride):
+            raise ValueError(f"sites {sites} of step {t} lie outside its packed row")
+        begin, step = offset + (start - first) // stride, step // stride if count > 1 else 1
+        return slice(begin, begin + (count - 1) * step + 1, step)
 
 
 def check_strength(label: str, value) -> float:
@@ -166,7 +232,8 @@ def check_strength(label: str, value) -> float:
 
 
 def _substream(seed: int, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(3)[index]))
+    # the child that SeedSequence(seed).spawn(3)[index] would give, built alone
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(index,))))
 
 
 def sample_phase_field(

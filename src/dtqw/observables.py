@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import COIN_NAMES, ScenarioConfig
 from .core import WalkerState, delta_state, evolve, lattice_for
-from .disorder import FieldBatch, PhaseField, sample_phase_field
+from .disorder import DisorderKind, FieldBatch, PhaseField, light_cone_rows, sample_phase_field
 from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, marginal_positions
 
 
@@ -93,17 +93,10 @@ class ObservableSeries:
             raise ValueError("steps, mean and std_dev must have equal length")
 
 
-def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int, origin: int) -> PhaseField:
-    return sample_phase_field(
-        cfg.disorder,
-        phi_max=cfg.phi_max,
-        phi_static=cfg.phi_static,
-        phi_dynamic=cfg.phi_dynamic,
-        steps=cfg.steps,
-        n_sites=n_sites,
-        origin=origin,
-        seed=seed,
-    )
+def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int, origin: int, **swept: float) -> PhaseField:
+    """The field ``seed`` draws with ``cfg``'s strengths, those named in ``swept`` set to its values."""
+    strengths = {"phi_max": cfg.phi_max, "phi_static": cfg.phi_static, "phi_dynamic": cfg.phi_dynamic, **swept}
+    return sample_phase_field(cfg.disorder, **strengths, steps=cfg.steps, n_sites=n_sites, origin=origin, seed=seed)
 
 
 def _crop(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -126,15 +119,25 @@ def _chunk_tasks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tu
 
     A member's field draws from its seed with ``cfg``'s strengths, the one
     named by ``sweep`` set to its value (None: no sweep).  A chunk holds as
-    many members as fit ``_CHUNK_BYTES`` with their phase tables (at most
-    two per site and step, held once), walker states and measurements, and
-    no more than an even share of ``n_jobs`` workers.
+    many members as fit ``_CHUNK_BYTES`` with what ``FieldBatch`` keeps of
+    their fields (nothing for ordered disorder, a complex factor per site or
+    step and coin for static or dynamic, the light-cone phases of both
+    coins for fluctuating and combined), their walker states and
+    measurements, next to the whole tables of the one field being packed,
+    and no more than an even share of ``n_jobs`` workers.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    n_sites, _ = lattice_for(cfg.steps, cfg.start_sites)
-    per_config = 8 * (2 * (cfg.steps + 1) * n_sites + 16 * n_sites + result_floats)
-    size = max(1, min(_CHUNK_BYTES // per_config, -(-len(members) // n_jobs)))
+    steps, K = cfg.steps, DisorderKind
+    n_sites, origin = lattice_for(steps, cfg.start_sites)
+    cone = 2 * int(light_cone_rows(steps, n_sites, [origin + x for x in cfg.start_sites])[1].sum())
+    # floats that FieldBatch keeps of each field, and the floats of the one field it is packing
+    kept, packing = {K.ORDERED: (0, 0), K.STATIC: (4 * n_sites, 2 * n_sites), K.DYNAMIC: (4 * steps, 2 * steps),
+                     K.FLUCTUATING: (cone, 2 * steps * n_sites),
+                     K.COMBINED: (cone, 2 * steps * n_sites + 2 * n_sites)}[cfg.disorder]
+    # evolve's two state buffers, and from the second stop on the state it was handed
+    per_config = 8 * (kept + (16 if len(stops) == 1 else 24) * n_sites + result_floats)
+    size = max(1, min((_CHUNK_BYTES - 8 * packing) // per_config, -(-len(members) // n_jobs)))
     return [(cfg, sweep, members[first:first + size], stops, measure) for first in range(0, len(members), size)]
 
 
@@ -162,22 +165,23 @@ def _run_chunk(task) -> list[list]:
 
     Member ``i`` of the chunk, (value, seed), draws its field from its seed
     with the swept strength set to its value (see ``_chunk_tasks``);
-    walkers A and B share it.  At each of the ascending ``stops`` the
-    walkers of every configuration must be orthogonal (ValueError
-    otherwise), and each configuration is measured as ``measure(cfg, a, b, t)``
-    on its two (2, n_sites) amplitude arrays; returns those results per
-    stop, in member order.
+    walkers A and B share it.  The fields are drawn one at a time into a
+    ``FieldBatch`` that keeps only the light cone of the two start sites,
+    so at most one field's whole tables exist at once.  At each of the
+    ascending ``stops`` the walkers of every configuration must be
+    orthogonal (ValueError otherwise), and each configuration is measured
+    as ``measure(cfg, a, b, t)`` on its two (2, n_sites) amplitude arrays;
+    returns those results per stop, in member order.
     """
     cfg, sweep, members, stops, measure = task
     n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
-    field = FieldBatch([
-        _field_for(cfg if sweep is None else replace(cfg, **{sweep: value}), seed, n_sites, origin)
-        for value, seed in members
-    ])
+    field = FieldBatch((_field_for(cfg, seed, n_sites, origin, **({} if sweep is None else {sweep: value}))
+                        for value, seed in members), [origin + x for x in cfg.start_sites], len(members))
     pair = np.stack([
         delta_state(n_sites, origin, x, COIN_NAMES[coin]).amplitudes for x, coin in (cfg.start_a, cfg.start_b)
     ])
-    state = WalkerState(np.repeat(pair[None], len(members), axis=0), origin)
+    # a read-only view: evolve steps its own two buffers, so the chunk holds no third copy of the start
+    state = WalkerState(np.broadcast_to(pair, (len(members), *pair.shape)), origin)
     results, t = [], 0
     for stop in stops:
         state = evolve(state, stop - t, field, start=t)

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -29,21 +28,24 @@ class Table:
     columns: dict[str, Sequence]
 
 
-def _column_lists(table: Table) -> list[tuple[list, bool]]:
-    """Each column as a list of Python values, with whether it holds floats."""
-    arrays = map(np.asarray, table.columns.values())
-    return [(values.tolist(), values.dtype.kind == "f") for values in arrays]
+def _cell_texts(values: np.ndarray) -> list[str]:
+    """Each cell's text, each distinct value formatted once; floats are told
+    apart by their bits, so -0.0, nan and inf keep their own text."""
+    floats = values.dtype.kind == "f"
+    distinct, index = np.unique(values.view(np.int64) if floats else values, return_inverse=True)
+    texts = [format(v, ".17g") for v in distinct.view(np.float64).tolist()] if floats else \
+        list(map(str, distinct.tolist()))
+    return np.array(texts, dtype=object)[index].tolist()
 
 
 def write_table_csv(table: Table, path: Path) -> None:
-    cells = [list(map(format, values, repeat(".17g"))) if floats else list(map(str, values))
-             for values, floats in _column_lists(table)]
+    cells = [_cell_texts(np.asarray(values)) for values in table.columns.values()]
     lines = [",".join(table.columns), *map(",".join, zip(*cells, strict=True))]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def write_table_json(table: Table, path: Path) -> None:
-    rows = zip(*(values for values, _ in _column_lists(table)), strict=True)
+    rows = zip(*(np.asarray(values).tolist() for values in table.columns.values()), strict=True)
     doc = {"columns": list(table.columns), "rows": [list(row) for row in rows]}
     path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
 

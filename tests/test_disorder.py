@@ -1,11 +1,12 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
 from scipy import stats
 
 from dtqw.core import COIN_L, delta_state, evolve, lattice_for
-from dtqw.disorder import DisorderKind, FieldBatch, sample_phase_field
+from dtqw.disorder import DisorderKind, FieldBatch, _substream, light_cone_rows, sample_phase_field
 
 PI = np.pi
 
@@ -267,3 +268,79 @@ def test_coin_factors_of_selected_sites_equal_those_cells_of_the_whole_lattice(k
                 want = whole[:, coin, sites]
                 assert factor.shape in ((3, 1, want.shape[-1]), (3, 1, 1))  # per site, or one factor for every site
                 assert np.array_equal(np.broadcast_to(factor[:, 0], want.shape), want)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 450, 2**40 + 3])
+def test_a_substream_draws_what_the_spawned_child_draws(seed):
+    for index in range(3):
+        spawned = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(3)[index]))
+        assert np.array_equal(_substream(seed, index).uniform(size=64), spawned.uniform(size=64))
+
+
+def packed_selections(first, count, stride, n_sites):
+    """Slices of a packed row (first site, count, stride): inside it, then outside it on the lattice."""
+    last = first + (count - 1) * stride
+    inside = [slice(first, last + 1, stride), slice(first + stride, last + 1 - stride, stride),  # edge-shrunk
+              slice(last, last + 1), slice(first, last + 1, 2 * stride), slice(first + stride, last + 1, 2 * stride)]
+    if stride == 1:
+        inside.append(slice(first + 1, last + 1, 2))
+    outside = [slice(first - stride, last + 1, stride), slice(first, last + 1 + stride, stride)]
+    if stride == 2:
+        outside += [slice(first, last + 2), slice(first + 1, last + 2, 2)]  # both parities, the other parity
+    return inside, [sites for sites in outside if 0 <= sites.start and sites.stop <= n_sites]
+
+
+# array indices of the two starts on a lattice of n_sites: one site, one parity, two parities, and a lattice
+# that cuts the rows (fewer sites than the light cone)
+@pytest.mark.parametrize("starts, n_sites", [((11, 11), 23), ((9, 13), 23), ((10, 13), 23), ((2, 4), 9)],
+                         ids=["one-site", "one-parity", "two-parities", "cut-rows"])
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+def test_packed_coin_factors_equal_those_of_the_whole_tables(kind, starts, n_sites):
+    steps = 8
+    fields = [sample_phase_field(kind, phi_static=PI, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
+                                 origin=starts[0], seed=seed) for seed in range(3)]
+    batch = FieldBatch(iter(fields), starts, len(fields))
+    firsts, counts, stride = light_cone_rows(steps, n_sites, starts)
+    assert stride == (2 if (starts[1] - starts[0]) % 2 == 0 else 1)
+    for t in range(1, steps + 1):
+        whole = np.stack([np.exp(1j * np.asarray(f.step_phases(t))) for f in fields])  # (configs, L/R, n_sites)
+        inside, outside = packed_selections(firsts[t - 1], counts[t - 1], stride, n_sites)
+        for sites in inside:
+            for coin, factor in enumerate(batch.coin_factors(t, sites)):
+                want = whole[:, coin, sites]
+                assert factor.shape in ((3, 1, want.shape[-1]), (3, 1, 1))
+                assert np.array_equal(np.broadcast_to(factor[:, 0], want.shape), want)
+        for sites in outside:
+            if kind in (DisorderKind.FLUCTUATING, DisorderKind.COMBINED):
+                with pytest.raises(ValueError, match="outside"):
+                    batch.coin_factors(t, sites)
+
+
+def test_light_cone_rows_follow_the_walk():
+    # starts 4 and 6 on 11 sites: rows widen by one site a side per step, on one parity, cut at the edges
+    firsts, counts, stride = light_cone_rows(6, 11, (4, 6))
+    assert stride == 2
+    assert firsts.tolist() == [4, 3, 2, 1, 0, 1] and counts.tolist() == [2, 3, 4, 5, 6, 5]
+    firsts, counts, stride = light_cone_rows(3, 11, (4, 5))
+    assert (firsts.tolist(), counts.tolist(), stride) == ([4, 3, 2], [2, 4, 6], 1)
+    firsts, counts, stride = light_cone_rows(3, 11)
+    assert (firsts.tolist(), counts.tolist(), stride) == ([0, 0, 0], [11, 11, 11], 1)
+
+
+def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
+    n, o = lattice_for(6)
+    alive = []
+
+    def draws():
+        for seed in range(4):
+            assert all(ref() is None for ref in alive)
+            fld = sample_phase_field(DisorderKind.COMBINED, phi_max=PI, steps=6, n_sites=n, origin=o, seed=seed)
+            alive.append(weakref.ref(fld))
+            yield fld
+            del fld
+
+    batch = FieldBatch(draws(), (o, o), 4)
+    assert len(alive) == 4
+    assert batch.coin_factors(6, slice(o - 5, o + 6, 2))[0].shape == (4, 1, 6)
+    with pytest.raises(ValueError, match="got 4 fields"):
+        FieldBatch(draws(), (o, o), 5)

@@ -327,15 +327,34 @@ def test_bad_sweep_rejected(sweep, values):
 
 
 def test_a_preset_scale_chunk_stays_within_its_memory_budget():
-    # One fig7 chunk at t = 100 (11 combined configurations), traced on its second run, when the joint
-    # builder's scratch (about 1 MiB, kept for every later chunk) exists.  The fields' tables, held once,
-    # fill the budget; the rest is measurement temporaries.  A stacked second copy of the tables peaked at
-    # 1.72 budgets.
+    # One fig7 chunk at t = 100 (36 combined configurations), traced on its second run, when the joint
+    # builder's scratch (about 1 MiB, kept for every later chunk) exists.  The packed light-cone phases and
+    # the walker states fill the budget next to the one field being packed; the rest is step and
+    # measurement temporaries.  A stacked second copy of whole tables peaked at 1.72 budgets.
     cfg = dataclasses.replace(preset("fig7"), phi_dynamic=np.pi)
     measure = partial(observables._measure_series, ("variance",), JointBuilder())
     members = [(None, cfg.seed + i) for i in range(cfg.configs)]
     task = observables._chunk_tasks(cfg, None, members, [cfg.steps], measure, 2, 1)[0]
-    assert len(task[2]) == 11
+    assert len(task[2]) == 36
+    observables._run_chunk(task)
+    tracemalloc.start()
+    try:
+        observables._run_chunk(task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * observables._CHUNK_BYTES
+
+
+def test_a_preset_scale_chunk_measured_at_several_steps_stays_within_its_memory_budget():
+    # One fig5 combined chunk at t = 100 measured at 11 steps: from the second stop on, evolve copies the
+    # state it is handed, so three state buffers coexist.  Counting two peaked at 1.16 budgets.
+    cfg = dataclasses.replace(preset("fig5"), disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=np.pi)
+    measure = partial(observables._measure_series, ("variance",), JointBuilder())
+    members = [(None, cfg.seed + i) for i in range(cfg.configs)]
+    stops = list(range(0, cfg.steps + 1, 10))
+    task = observables._chunk_tasks(cfg, None, members, stops, measure, 2 * len(stops), 1)[0]
+    assert len(task[2]) == 32
     observables._run_chunk(task)
     tracemalloc.start()
     try:

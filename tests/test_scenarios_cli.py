@@ -196,6 +196,17 @@ def test_writer_follows_the_cell_rule(tmp_path, container):
     assert json_path.read_text() == json.dumps(want, indent=2) + "\n"
 
 
+def test_repeated_and_special_floats_keep_their_own_text(tmp_path):
+    # each distinct value is formatted once: -0.0 and 0.0, nan and inf must still come out as themselves
+    floats = [0.0, -0.0, np.nan, np.inf, -np.inf, 0.1, 0.0, -0.0, np.nan, 0.1, 5e-324, -np.inf, 0.0]
+    ints = [3, -1, 3, 3, 0, -1, 7, 3, 0, 0, 2**53 + 1, -1, 3]
+    text = ["a", "b", "a", "", "a", "b", "b", "a", "", "c", "a", "a", "b"]
+    table = Table("t", {"p": np.array(floats), "x": ints, "s": text})
+    (path,) = emit_results([table], "csv", tmp_path)
+    rows = [f"{format(p, '.17g')},{x},{s}" for p, x, s in zip(floats, ints, text)]
+    assert path.read_bytes() == ("\n".join(["p,x,s", *rows]) + "\n").encode()
+
+
 def test_fortran_ordered_joint_rows_come_out_row_major(tmp_path):
     matrix = np.asfortranarray(np.random.default_rng(3).random((65, 65)))
     assert matrix.flags.f_contiguous and not matrix.flags.c_contiguous
