@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -95,7 +95,8 @@ def _check_edges(amplitudes: np.ndarray) -> None:
         raise LatticeOverflowError("light cone reached the lattice edge; allocate a larger lattice")
 
 
-def evolve(initial: WalkerState, steps: int, field, start: int = 0) -> WalkerState:
+def evolve(initial: WalkerState, steps: int, field, start: int = 0,
+           spare: Optional[np.ndarray] = None) -> WalkerState:
     """Evolve steps t = start+1 .. start+steps of the coined step; returns the final state.
 
     ``field`` is a :class:`dtqw.disorder.FieldBatch` of C configurations:
@@ -103,25 +104,36 @@ def evolve(initial: WalkerState, steps: int, field, start: int = 0) -> WalkerSta
     and, for ``FieldBatch([field])``, against one walker of shape
     (2, n_sites).  Each step writes e_L (a + b) / sqrt(2) one site left and
     e_R (a - b) / sqrt(2) one site right into the spare of two buffers and
-    swaps them.  Only reachable sites are stepped: the span of the sites
-    occupied at the start (by any walker or coin), widened by one site per
-    step, and only every second site of it when those share one parity.
-    When the span touches an edge site, the edge check runs: amplitude there
-    is an overflow, and a zero edge (also by cancellation) leaves the span.
-    An all-zero state is returned as it is.  Every amplitude equals that of
-    stepping every site bit for bit (up to the sign of a zero), whatever
-    the size of the batch it evolves in.
+    swaps them.  The two buffers are a copy of the state and a fresh one;
+    with ``spare``, an array of a 4-D batch's shape, they are that batch's
+    own amplitudes and ``spare``, whatever it holds, so a caller that stops
+    often keeps one buffer pair: the returned amplitudes are then one of
+    the two, and the other is free for the next call.  Only reachable sites
+    are stepped: the span of the sites occupied at the start (by any walker
+    or coin), widened by one site per step, and only every second site of
+    it when those share one parity.  When the span touches an edge site,
+    the edge check runs: amplitude there is an overflow, and a zero edge
+    (also by cancellation) leaves the span.  An all-zero state is returned
+    as it is.  Every amplitude equals that of stepping every site bit for
+    bit (up to the sign of a zero), whatever the size of the batch it
+    evolves in.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     shape = initial.amplitudes.shape
-    # one walker steps as a batch of one; C order also for a broadcast (stride-0) start
-    amps = np.array(initial.amplitudes, order="C", ndmin=4)
-    spare = np.zeros_like(amps)
+    if spare is None:
+        # one walker steps as a batch of one; C order also for a broadcast (stride-0) start
+        amps = np.array(initial.amplitudes, order="C", ndmin=4)
+        spare = np.zeros_like(amps)
+    elif spare.shape != shape or len(shape) != 4:
+        raise ValueError(f"spare must have the 4-D shape of the batch, got {spare.shape} for {shape}")
+    else:
+        amps = initial.amplitudes
+        spare.fill(0.0)  # what it holds may lie outside the cells the first step writes
     last = amps.shape[-1] - 1
     occupied = np.flatnonzero(amps.any(axis=(0, 1, 2)))
     if not occupied.size:  # an all-zero state stays zero
-        return WalkerState(amps.reshape(shape), initial.origin)
+        return WalkerState(amps if amps.shape == shape else amps.reshape(shape), initial.origin)
     lo, hi = int(occupied[0]), int(occupied[-1])
     stride = 1 if ((occupied - lo) % 2).any() else 2
     for t in range(start + 1, start + steps + 1):
@@ -145,4 +157,4 @@ def evolve(initial: WalkerState, steps: int, field, start: int = 0) -> WalkerSta
         np.multiply(right, INV_SQRT2, out=right)
         amps, spare = spare, amps
         lo, hi = lo - 1, hi + 1
-    return WalkerState(amps.reshape(shape), initial.origin)
+    return WalkerState(amps if amps.shape == shape else amps.reshape(shape), initial.origin)

@@ -9,8 +9,8 @@ standard deviations are taken across configurations.  Averaged
 Both runners evolve the ensemble in contiguous chunks of members, each a
 disorder configuration (a seed, and a strength when a sweep runs), each
 chunk one batched walk of coin-major amplitudes, shape (configs,
-2 walkers, 2, n_sites), that stops at every evaluated step to measure each
-configuration on its two (2, n_sites) slices.  The chunk size follows a
+2 walkers, 2, n_sites), in one pair of state buffers, that stops at every
+evaluated step to measure the whole chunk at once.  The chunk size follows a
 fixed memory budget, and the chunks of a sweep may cut across its values;
 no number depends on either.
 """
@@ -18,7 +18,6 @@ no number depends on either.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
@@ -28,7 +27,7 @@ import numpy as np
 from .config import COIN_NAMES, ScenarioConfig
 from .core import WalkerState, delta_state, evolve, lattice_for
 from .disorder import DisorderKind, FieldBatch, PhaseField, light_cone_rows, sample_phase_field
-from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, marginal_positions
+from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, marginal_positions, placed
 
 
 def variance_xm(m: np.ndarray, positions: np.ndarray) -> float:
@@ -67,12 +66,17 @@ def mutual_information(m: np.ndarray) -> float:
 #: configurations may hold while it evolves as one batch.
 _CHUNK_BYTES = 4 << 20
 
-# Each entry takes (joint matrix, signed positions of its rows).
+# Each entry takes (joint matrix, signed positions of its rows).  Those in
+# _ON_QUARTER get the parity quarter ``JointBuilder.quarters`` returns, whose
+# positive cells come in the row-major order of the placed matrix, so they sum
+# the same array; the others read row sums, which add in layout order, and get
+# the joint placed into the light cone.
 _OBSERVABLES = {
     "variance": variance_xm,
     "entropy": lambda m, positions: joint_entropy(m),
     "mutual_information": lambda m, positions: mutual_information(m),
 }
+_ON_QUARTER = ("entropy",)
 
 
 @dataclass
@@ -103,6 +107,18 @@ def _crop(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return amplitudes[..., lo : hi + 1]
 
 
+def _reach(cfg: ScenarioConfig, t: int) -> tuple[int, int, int]:
+    """(lo, hi, stride) at step ``t`` of a walk from ``cfg``'s starts.
+
+    The array indices [lo, hi] are its light cone, inside the lattice for
+    t <= steps; with stride 2 (the starts share a parity) only every second
+    one of them, from lo, can hold amplitude.
+    """
+    _, origin = lattice_for(cfg.steps, cfg.start_sites)
+    lo, hi = origin + min(cfg.start_sites), origin + max(cfg.start_sites)
+    return lo - t, hi + t, 2 if (hi - lo) % 2 == 0 else 1
+
+
 def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
     if cfg.symmetry == "both":
         return (ExchangeSymmetry.BOSONIC, ExchangeSymmetry.FERMIONIC)
@@ -122,9 +138,10 @@ def _chunk_tasks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tu
     many members as fit ``_CHUNK_BYTES`` with what ``FieldBatch`` keeps of
     their fields (nothing for ordered disorder, a complex factor per site or
     step and coin for static or dynamic, the light-cone phases of both
-    coins for fluctuating and combined), their walker states and
-    measurements, next to the whole tables of the one field being packed,
-    and no more than an even share of ``n_jobs`` workers.
+    coins for fluctuating and combined), their walker states (one buffer
+    pair for the whole walk) and their ``result_floats`` of measurements,
+    next to the whole tables of the one field being packed, and no more
+    than an even share of ``n_jobs`` workers.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
@@ -135,8 +152,8 @@ def _chunk_tasks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tu
     kept, packing = {K.ORDERED: (0, 0), K.STATIC: (4 * n_sites, 2 * n_sites), K.DYNAMIC: (4 * steps, 2 * steps),
                      K.FLUCTUATING: (cone, 2 * steps * n_sites),
                      K.COMBINED: (cone, 2 * steps * n_sites + 2 * n_sites)}[cfg.disorder]
-    # evolve's two state buffers, and from the second stop on the state it was handed
-    per_config = 8 * (kept + (16 if len(stops) == 1 else 24) * n_sites + result_floats)
+    # the two state buffers evolve steps in from stop to stop
+    per_config = 8 * (kept + 16 * n_sites + result_floats)
     size = max(1, min((_CHUNK_BYTES - 8 * packing) // per_config, -(-len(members) // n_jobs)))
     return [(cfg, sweep, members[first:first + size], stops, measure) for first in range(0, len(members), size)]
 
@@ -156,22 +173,24 @@ def _map_chunks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tup
     if workers == 1:
         yield from map(_run_chunk, tasks)
         return
+    from concurrent.futures import ProcessPoolExecutor  # about 20 ms to import, which a serial run does not pay
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(_run_chunk, tasks)
 
 
-def _run_chunk(task) -> list[list]:
+def _run_chunk(task) -> list:
     """Evolve one chunk of members as a (configs, 2 walkers, 2, n_sites) batch.
 
     Member ``i`` of the chunk, (value, seed), draws its field from its seed
     with the swept strength set to its value (see ``_chunk_tasks``);
     walkers A and B share it.  The fields are drawn one at a time into a
     ``FieldBatch`` that keeps only the light cone of the two start sites,
-    so at most one field's whole tables exist at once.  At each of the
-    ascending ``stops`` the walkers of every configuration must be
-    orthogonal (ValueError otherwise), and each configuration is measured
-    as ``measure(cfg, a, b, t)`` on its two (2, n_sites) amplitude arrays;
-    returns those results per stop, in member order.
+    so at most one field's whole tables exist at once.  The walk steps in
+    one pair of state buffers from stop to stop.  At each of the ascending
+    ``stops`` the walkers of every configuration must be orthogonal
+    (ValueError otherwise), and the whole chunk is measured once, as
+    ``measure(cfg, amplitudes, t)``; returns those results, one per stop.
     """
     cfg, sweep, members, stops, measure = task
     n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
@@ -180,35 +199,65 @@ def _run_chunk(task) -> list[list]:
     pair = np.stack([
         delta_state(n_sites, origin, x, COIN_NAMES[coin]).amplitudes for x, coin in (cfg.start_a, cfg.start_b)
     ])
-    # a read-only view: evolve steps its own two buffers, so the chunk holds no third copy of the start
-    state = WalkerState(np.broadcast_to(pair, (len(members), *pair.shape)), origin)
+    state = WalkerState(np.array(np.broadcast_to(pair, (len(members), *pair.shape))), origin)
+    spare = np.empty_like(state.amplitudes)
     results, t = [], 0
     for stop in stops:
-        state = evolve(state, stop - t, field, start=t)
+        held = state.amplitudes
+        state = evolve(state, stop - t, field, start=t, spare=spare)
+        if state.amplitudes is spare:
+            spare = held
         t = stop
-        amps = state.amplitudes
-        overlap = np.abs((amps[:, 0].conj() * amps[:, 1]).sum(axis=(1, 2))).max()
+        overlap = max(abs(np.vdot(a, b)) for a, b in state.amplitudes)
         if overlap > ORTHOGONALITY_TOL:
             raise ValueError(f"walker amplitudes must be orthogonal, |<a|b>| = {overlap:.3e}")
-        results.append([measure(cfg, a, b, t) for a, b in amps])
+        results.append(measure(cfg, state.amplitudes, t))
     return results
 
 
-def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: ScenarioConfig, a: np.ndarray,
-                    b: np.ndarray, t: int) -> np.ndarray:
-    """Every observable of every symmetry at step ``t``, shape (observables, symmetries)."""
-    # Crop to the union light cone; discarded amplitudes are exactly zero.
+def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: ScenarioConfig, amps: np.ndarray,
+                    t: int) -> np.ndarray:
+    """Every observable of every symmetry at step ``t``, shape (configs, observables, symmetries).
+
+    ``amps`` is the chunk's (configs, 2 walkers, 2, n_sites) state.  It is
+    cropped to the light cone, whose discarded amplitudes are exactly zero,
+    and each configuration's joints are built on the cone's parity cells.
+    """
     _, origin = lattice_for(cfg.steps, cfg.start_sites)
-    lo = max(0, origin + min(cfg.start_sites) - t)
-    hi = min(a.shape[-1] - 1, origin + max(cfg.start_sites) + t)
+    lo, hi, stride = _reach(cfg, t)
     positions = np.arange(lo, hi + 1) - origin
-    joints = builder.build(_crop(a, lo, hi), _crop(b, lo, hi), resolved_symmetries(cfg))
-    return np.array([[_OBSERVABLES[obs](joint, positions) for joint in joints] for obs in observables])
+    cells, syms = slice(None, None, stride), resolved_symmetries(cfg)
+    values, quarters = np.empty((len(amps), len(observables), len(syms))), None
+    for out, (a, b) in zip(values, _crop(amps, lo, hi)):
+        quarters = builder.quarters(a, b, syms, cells, quarters)
+        for j, quarter in enumerate(quarters):
+            out[:, j] = _observe(observables, quarter, cells, positions)
+    return values
 
 
-def _measure_joints(builder: JointBuilder, cfg: ScenarioConfig, a: np.ndarray, b: np.ndarray, t: int) -> tuple:
-    """Position-level joint matrix per symmetry, then the marginal, over the whole lattice."""
-    return (*builder.build(a, b, resolved_symmetries(cfg)), marginal_positions(a, b))
+def _observe(observables: tuple[str, ...], quarter: np.ndarray, cells: slice, positions: np.ndarray) -> list:
+    """The observables of one joint, given by its quarter on ``cells`` of the sites at ``positions``.
+
+    A placed matrix is made only for observables outside ``_ON_QUARTER``, and
+    is dropped on return, before the next symmetry's is made.
+    """
+    joint = placed(quarter, cells, len(positions)) if set(observables) - set(_ON_QUARTER) else None
+    return [_OBSERVABLES[obs](quarter if obs in _ON_QUARTER else joint, positions) for obs in observables]
+
+
+def _measure_joints(builder: JointBuilder, cells: slice, cfg: ScenarioConfig, amps: np.ndarray, t: int) -> tuple:
+    """Each configuration's joints on ``cells`` x ``cells`` and its marginal, over the whole lattice.
+
+    Shapes (configs, symmetries, s, s) and (configs, n_sites), for the
+    chunk's (configs, 2 walkers, 2, n_sites) state ``amps``.
+    """
+    syms = resolved_symmetries(cfg)
+    s = len(range(amps.shape[-1])[cells])
+    quarters, marginals = np.empty((len(amps), len(syms), s, s)), np.empty((len(amps), amps.shape[-1]))
+    for out, marginal, (a, b) in zip(quarters, marginals, amps):
+        builder.quarters(a, b, syms, cells, out)
+        marginal[:] = marginal_positions(a, b)
+    return quarters, marginals
 
 
 def ensemble_run(
@@ -298,24 +347,28 @@ def ensemble_average_joints(
 
     Returns (joint matrices by symmetry, averaged marginal, signed positions
     of their rows).  Matrices are averaged across configurations before any
-    downstream fit, matching how the density-plot scenarios aggregate; each
-    configuration is added to the running sums in configuration order as its
-    chunk finishes.
+    downstream fit, matching how the density-plot scenarios aggregate.  Each
+    configuration's joints are kept only on the cells that can be nonzero
+    (a quarter of them when the walkers start on one parity) and added to
+    the running sums in configuration order as its chunk finishes; the sums
+    are placed into the whole lattice once, at the end.
     """
     cfg.validate()
     syms = resolved_symmetries(cfg)
     n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
-    positions = np.arange(n_sites) - origin
+    lo, _, stride = _reach(cfg, cfg.steps)
+    cells = slice(lo % stride, None, stride)
+    s = len(range(n_sites)[cells])
 
-    measure = partial(_measure_joints, JointBuilder())
+    measure = partial(_measure_joints, JointBuilder(), cells)
     members = [(None, cfg.seed + i) for i in range(cfg.configs)]
-    acc = [np.zeros((n_sites, n_sites)) for _ in syms]
-    marg = np.zeros(n_sites)
-    for (chunk,) in _map_chunks(cfg, None, members, [cfg.steps], measure, (len(syms) * n_sites + 1) * n_sites,
-                                n_jobs):
-        for parts in chunk:
-            for j in range(len(syms)):
-                acc[j] += parts[j]
-            marg += parts[-1]
-    joints = {sym: acc[j] / cfg.configs for j, sym in enumerate(syms)}
-    return joints, marg / cfg.configs, positions
+    acc, marg = np.zeros((len(syms), s, s)), np.zeros(n_sites)
+    for ((quarters, marginals),) in _map_chunks(cfg, None, members, [cfg.steps], measure,
+                                                len(syms) * s * s + n_sites, n_jobs):
+        for config_quarters, marginal in zip(quarters, marginals):
+            acc += config_quarters
+            marg += marginal
+    joints = np.zeros((len(syms), n_sites, n_sites))
+    joints[:, cells, cells] = acc
+    return ({sym: joints[j] / cfg.configs for j, sym in enumerate(syms)}, marg / cfg.configs,
+            np.arange(n_sites) - origin)

@@ -17,14 +17,17 @@ coin modes.  ``JointBuilder`` builds the position-level matrices directly
 from N x N coin blocks and never forms the (2N) x (2N) mode-level matrix;
 that matrix is kept only as a test reference (``tests/mode_reference.py``),
 which the blocks reproduce bit for bit.  Walkers from one site live on the
-sites x = t (mod 2) at step t; their blocks cover that quarter of the cells.
+sites x = t (mod 2) at step t.  ``JointBuilder.quarters`` builds only that
+quarter of the cells, and ``placed`` puts a quarter into the whole lattice,
+the layout that row sums read; the ensemble runners keep quarters until a
+consumer needs the whole lattice.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,7 +56,9 @@ F_ORDER_SITES = 64
 class JointBuilder:
     """Builds position-level joints from coin blocks, reusing its scratch arrays.
 
-    The scratch arrays grow to the largest (sub)lattice built (1.1 MB for the
+    The core, ``quarters``, computes each symmetry's joint on the cells that
+    can be nonzero; ``build`` places those into the whole lattice.  The
+    scratch arrays grow to the largest set of cells built (1.1 MB for the
     103-site sublattice of 205 sites, 4.4 MB for 205 sites of both parities)
     and every call overwrites them.  Fresh temporaries of this size went back
     to the operating system after each call and were page-faulted in again,
@@ -70,23 +75,22 @@ class JointBuilder:
             buf = self._scratch[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
-    def build(self, a: np.ndarray, b: np.ndarray, syms: Sequence[ExchangeSymmetry]) -> list[np.ndarray]:
-        """Position-level symmetrized joint (n_sites x n_sites) of each symmetry in ``syms``.
+    def quarters(self, a: np.ndarray, b: np.ndarray, syms: Sequence[ExchangeSymmetry], cells: slice,
+                 out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Each symmetry's joint on the sites ``cells`` x ``cells``, shape (symmetries, s, s).
 
         ``a`` and ``b`` are the (2, n_sites) amplitude arrays of the two
-        walkers.  P(x, y) = sum_{c,d} M_cd(x, y) with coin blocks
-        M_cd = |K_cd +/- K_dc^T|^2 / 2 and K_cd = outer(a[c], b[d]).  The
-        four K blocks are shared by all symmetries, and M_10 = M_01^T
-        exactly.  If both walkers are exactly zero on one parity of site
-        index, the blocks cover only the other (each cell is elementwise,
-        so the same numbers) and every other cell is +0.0, as squared zeros
-        give; the layout still follows the full ``n_sites``.  From two sites
-        up the matrices equal the mode-level reference bit for bit, layout
-        included; a one-site lattice (t = 0 of a same-site start) holds
-        exact delta amplitudes, where every summation order agrees.
+        walkers, and ``cells`` selects s of their sites that hold every
+        nonzero amplitude of both (for walkers from one site, the sites of
+        one parity: a quarter of the cells).  Row i, column j of a block is
+        P(cells[i], cells[j]) of the matrix ``build`` returns, every cell by
+        the same arithmetic as a whole-lattice build: P(x, y) =
+        sum_{c,d} M_cd(x, y) with coin blocks M_cd = |K_cd +/- K_dc^T|^2 / 2
+        and K_cd = outer(a[c], b[d]).  The four K blocks are shared by all
+        symmetries, and M_10 = M_01^T exactly.  The blocks are written into
+        ``out`` when it is given.
         """
         n = a.shape[1]
-        cells = _sublattice(a, b)
         # unit-stride rows, so every ufunc runs the loop of a whole-lattice build
         a, b = np.ascontiguousarray(a[:, cells]), np.ascontiguousarray(b[:, cells])
         s = a.shape[1]
@@ -97,8 +101,9 @@ class JointBuilder:
         j = self._buffer("j", (s, s), np.complex128)
         parts = j.view(np.float64)  # real and imaginary parts, interleaved
         m = self._buffer("m", (3, s, s), np.float64)
-        joints = []
-        for sym in syms:
+        if out is None:
+            out = np.empty((len(syms), s, s))
+        for quarter, sym in zip(out, syms):
             combine = np.add if sym is ExchangeSymmetry.BOSONIC else np.subtract
             for block, (c, d) in zip(m, ((0, 0), (0, 1), (1, 1))):
                 combine(k[c, d], k[d, c].T, out=j)
@@ -106,15 +111,37 @@ class JointBuilder:
                 np.add(parts[:, 0::2], parts[:, 1::2], out=block)
                 block *= 0.5
             m00, m01, m11 = m
-            # (M00 + M01) + (M10 + M11)
+            # (M00 + M01) + (M10 + M11); M00 and M11 are exactly symmetric, so from
+            # F_ORDER_SITES the transposed sum is the reference's F-order sum
             m00 += m01
             m11 += m01.T
-            matrix = np.zeros((n, n))
-            np.add(m00, m11, out=matrix[cells, cells])
-            if n >= F_ORDER_SITES:
-                matrix = matrix.T  # M00 and M11 are exactly symmetric: this is the F-order sum
-            joints.append(matrix)
-        return joints
+            np.add(m00, m11, out=quarter.T if n >= F_ORDER_SITES else quarter)
+        return out
+
+    def build(self, a: np.ndarray, b: np.ndarray, syms: Sequence[ExchangeSymmetry]) -> list[np.ndarray]:
+        """Position-level symmetrized joint (n_sites x n_sites) of each symmetry in ``syms``.
+
+        ``a`` and ``b`` are the (2, n_sites) amplitude arrays of the two
+        walkers.  If both are exactly zero on one parity of site index,
+        ``quarters`` builds only the other parity (each cell is elementwise,
+        so the same numbers) and every other cell is +0.0, as squared zeros
+        give.  From two sites up the matrices equal the mode-level reference
+        bit for bit, layout included; a one-site lattice (t = 0 of a
+        same-site start) holds exact delta amplitudes, where every summation
+        order agrees.
+        """
+        cells = _sublattice(a, b)
+        return [placed(quarter, cells, a.shape[1]) for quarter in self.quarters(a, b, syms, cells)]
+
+
+def placed(quarter: np.ndarray, cells: slice, n_sites: int) -> np.ndarray:
+    """The n_sites x n_sites joint holding ``quarter`` on ``cells`` x ``cells`` and +0.0 elsewhere.
+
+    Fortran-ordered from ``F_ORDER_SITES`` up, like the mode-level reference.
+    """
+    matrix = np.zeros((n_sites, n_sites), order="F" if n_sites >= F_ORDER_SITES else "C")
+    matrix[cells, cells] = quarter
+    return matrix
 
 
 def _sublattice(a: np.ndarray, b: np.ndarray) -> slice:

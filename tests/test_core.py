@@ -372,6 +372,60 @@ def test_evolve_equals_the_site_major_step_bit_for_bit(kind):
         assert np.array_equal(site_major(split.amplitudes), evolve_site_major(reference, t_max, fld)), label
 
 
+def step_in_one_buffer_pair(start, fld, stops):
+    """The state at each of ``stops``, stepped as a chunk runner does: in one state buffer and one spare.
+
+    The spare starts out holding NaN, so a cell that evolve reads before writing shows.
+    """
+    state, spare, t = WalkerState(start.amplitudes.copy(), start.origin), np.full_like(start.amplitudes, np.nan), 0
+    for stop in stops:
+        held = state.amplitudes
+        state = evolve(state, stop - t, fld, start=t, spare=spare)
+        assert state.amplitudes is (spare if held.any() and (stop - t) % 2 else held)
+        if state.amplitudes is spare:
+            spare = held
+        t = stop
+        yield state.amplitudes.copy()
+
+
+@pytest.mark.parametrize("kind", [DisorderKind.STATIC, DisorderKind.COMBINED], ids=lambda k: k.value)
+def test_evolve_in_one_buffer_pair_equals_the_site_major_step_at_every_stop(kind):
+    t_max, width = 30, 4
+    fields = sampled_fields(kind, t_max, range(5), (-width, width))
+    n, o = fields[0].n_sites, fields[0].origin
+    batch, stops = FieldBatch(fields), (0, 1, 2, 5, 6, 17, t_max)
+    starts = {
+        "one site": walker_pairs(n, o, 5),
+        "two parities": other_parity_pairs(n, o, 5),
+        "dense, one parity": dense_pairs(n, o, 5, width, 2, seed=3),
+        "all zero": WalkerState(np.zeros((5, 2, 2, n), dtype=np.complex128), o),
+    }
+    for label, start in starts.items():
+        reference = site_major(start.amplitudes)
+        for t, amps in zip(stops, step_in_one_buffer_pair(start, batch, stops)):
+            assert np.array_equal(site_major(amps), evolve_site_major(reference, t, batch)), (label, t)
+
+
+def test_a_span_shrunk_by_cancellation_leaves_nothing_stale_in_the_spare():
+    # (1, -1)/sqrt(2) at site 1 sends nothing to site 0, so the next call steps only site 2, and the spare still
+    # holds the start's R amplitude at site 1, where that step writes no R amplitude
+    n, steps = 12, 4
+    amps = np.zeros((1, 1, 2, n), dtype=np.complex128)
+    amps[..., 1] = [INV_SQRT2, -INV_SQRT2]
+    start, fld = WalkerState(amps, 1), FieldBatch([zero_field(steps, n, 1)])
+    stops = (1, 2, 3)
+    for t, got in zip(stops, step_in_one_buffer_pair(start, fld, stops)):
+        assert np.array_equal(site_major(got), evolve_site_major(site_major(amps), t, fld))
+
+
+def test_a_spare_of_another_shape_is_rejected():
+    fld = FieldBatch([zero_field(2, 7, 3)])
+    with pytest.raises(ValueError, match="spare"):
+        evolve(walker_pairs(7, 3, 1), 2, fld, spare=np.zeros((2, 2, 2, 7), dtype=np.complex128))
+    with pytest.raises(ValueError, match="spare"):
+        evolve(delta_state(7, 3, 0, COIN_L), 2, fld, spare=np.zeros((2, 7), dtype=np.complex128))
+
+
 @pytest.mark.parametrize("parities", [1, 2])
 def test_an_edge_cell_zero_by_cancellation_is_no_overflow(parities):
     # (1, -1)/sqrt(2) at site 1 sends nothing to site 0: the first step reaches the edge, the second must not raise

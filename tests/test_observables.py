@@ -20,7 +20,7 @@ from dtqw.observables import (
     variance_xm,
 )
 from dtqw.scenarios import preset
-from dtqw.two_particle import ExchangeSymmetry, JointBuilder
+from dtqw.two_particle import ExchangeSymmetry, JointBuilder, marginal_positions
 from mode_reference import aggregate_to_positions, joint_mode_distribution
 
 BOS = ExchangeSymmetry.BOSONIC
@@ -248,8 +248,8 @@ def test_observable_series_validates_lengths():
         ObservableSeries("x", np.arange(3), np.zeros(2), np.zeros(3), 1)
 
 
-def _amplitudes(cfg, a, b, t):
-    return a.copy(), b.copy()
+def _amplitudes(cfg, amps, t):
+    return amps.copy()
 
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
@@ -347,14 +347,15 @@ def test_a_preset_scale_chunk_stays_within_its_memory_budget():
 
 
 def test_a_preset_scale_chunk_measured_at_several_steps_stays_within_its_memory_budget():
-    # One fig5 combined chunk at t = 100 measured at 11 steps: from the second stop on, evolve copies the
-    # state it is handed, so three state buffers coexist.  Counting two peaked at 1.16 budgets.
+    # One fig5 combined chunk at t = 100 measured at 11 steps (36 configurations): the walk steps in one buffer
+    # pair from stop to stop.  When evolve copied the state it was handed at every stop, three state buffers
+    # coexisted, and 36 configurations with two counted peaked at 1.16 budgets.
     cfg = dataclasses.replace(preset("fig5"), disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=np.pi)
     measure = partial(observables._measure_series, ("variance",), JointBuilder())
     members = [(None, cfg.seed + i) for i in range(cfg.configs)]
     stops = list(range(0, cfg.steps + 1, 10))
     task = observables._chunk_tasks(cfg, None, members, stops, measure, 2 * len(stops), 1)[0]
-    assert len(task[2]) == 32
+    assert len(task[2]) == 36
     observables._run_chunk(task)
     tracemalloc.start()
     try:
@@ -363,6 +364,75 @@ def test_a_preset_scale_chunk_measured_at_several_steps_stays_within_its_memory_
     finally:
         tracemalloc.stop()
     assert peak <= 1.1 * observables._CHUNK_BYTES
+
+
+def test_a_preset_scale_joint_map_chunk_stays_within_its_memory_budget():
+    # One fig3 chunk at t = 50 (71 static configurations), traced on its second run: each configuration keeps
+    # its two joints on the 51 x 51 parity quarter, where whole 103 x 103 matrices fit 22 configurations.
+    cfg = preset("fig3")
+    n, _ = lattice_for(cfg.steps)
+    lo, _, stride = observables._reach(cfg, cfg.steps)
+    cells = slice(lo % stride, None, stride)
+    s = len(range(n)[cells])
+    measure = partial(observables._measure_joints, JointBuilder(), cells)
+    members = [(None, cfg.seed + i) for i in range(cfg.configs)]
+    tasks = observables._chunk_tasks(cfg, None, members, [cfg.steps], measure, 2 * s * s + n, 1)
+    assert (s, len(tasks), len(tasks[0][2])) == (51, 2, 71)
+    observables._run_chunk(tasks[0])
+    tracemalloc.start()
+    try:
+        observables._run_chunk(tasks[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * observables._CHUNK_BYTES
+
+
+def layout(matrix):
+    return matrix.flags.c_contiguous, matrix.flags.f_contiguous
+
+
+@pytest.mark.parametrize("steps", [12, 33], ids=["C-order", "F-order"])  # lattices of 27/28 and 69/70 sites
+@pytest.mark.parametrize("start_b", [(0, "R"), (1, "R")], ids=["one-parity", "two-parities"])
+def test_average_joints_equal_ordered_sums_of_mode_reference_matrices(monkeypatch, steps, start_b):
+    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=4, seed=9,
+                      steps=steps, start_b=start_b)
+    n, o = lattice_for(cfg.steps, cfg.start_sites)
+    sums, marg = {sym: np.zeros((n, n)) for sym in ExchangeSymmetry}, np.zeros(n)
+    for i in range(cfg.configs):
+        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n, o)])
+        a = evolve(delta_state(n, o, 0, COIN_L), cfg.steps, fld).amplitudes
+        b = evolve(delta_state(n, o, start_b[0], COIN_R), cfg.steps, fld).amplitudes
+        for sym, acc in sums.items():
+            acc += aggregate_to_positions(joint_mode_distribution(a, b, sym))
+        marg += marginal_positions(a, b)
+    for joints, margin, positions in _runs(monkeypatch, ensemble_average_joints, cfg):
+        assert joints.keys() == sums.keys()
+        for sym, joint in joints.items():
+            want = sums[sym] / cfg.configs
+            assert np.array_equal(joint, want) and layout(joint) == layout(want)
+        assert np.array_equal(margin, marg / cfg.configs)
+        assert np.array_equal(positions, np.arange(n) - o)
+
+
+@pytest.mark.parametrize("start_b", [(0, "R"), (1, "R")], ids=["one-parity", "two-parities"])
+def test_series_values_equal_the_observables_of_mode_reference_joints(start_b):
+    # light cones of 21 to 81 sites, on both sides of F_ORDER_SITES; one configuration, so each mean is its value
+    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=1, seed=4,
+                      steps=40, start_b=start_b)
+    stops = [10, 30, 31, 32, 40]
+    series = ensemble_run(cfg, ("variance", "entropy", "mutual_information"), eval_steps=stops)
+    n, o = lattice_for(cfg.steps, cfg.start_sites)
+    fld = FieldBatch([observables._field_for(cfg, cfg.seed, n, o)])
+    for i, t in enumerate(stops):
+        a = evolve(delta_state(n, o, 0, COIN_L), t, fld).amplitudes
+        b = evolve(delta_state(n, o, start_b[0], COIN_R), t, fld).amplitudes
+        cone = slice(o - t, o + start_b[0] + t + 1)
+        for sym in ExchangeSymmetry:
+            ref = aggregate_to_positions(joint_mode_distribution(a[:, cone], b[:, cone], sym))
+            assert series[("variance", sym.value)].mean[i] == variance_xm(ref, np.arange(n)[cone] - o)
+            assert series[("entropy", sym.value)].mean[i] == joint_entropy(ref)
+            assert series[("mutual_information", sym.value)].mean[i] == mutual_information(ref)
 
 
 def test_average_joints_equal_ordered_sums_of_single_configuration_runs(monkeypatch):
@@ -435,7 +505,7 @@ def test_pool_is_capped_at_jobs_chunks_and_cpus(monkeypatch, n_jobs, cpus, budge
     cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=np.pi, configs=7, seed=8)
     serial = ensemble_run(cfg, OBS)
     made = []
-    monkeypatch.setattr(observables, "ProcessPoolExecutor", partial(RecordingPool, made))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", partial(RecordingPool, made))
     monkeypatch.setattr(observables, "_usable_cpus", lambda: cpus)
     if budget is not None:
         monkeypatch.setattr(observables, "_CHUNK_BYTES", budget)
@@ -448,6 +518,6 @@ def test_pool_is_capped_at_jobs_chunks_and_cpus(monkeypatch, n_jobs, cpus, budge
 
 def test_one_configuration_opens_no_pool(monkeypatch, tmp_path):
     made = []
-    monkeypatch.setattr(observables, "ProcessPoolExecutor", partial(RecordingPool, made))
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", partial(RecordingPool, made))
     assert main(["--scenario", "fig2", "--steps", "3", "--jobs", "64", "--out", str(tmp_path)]) == 0
     assert made == []

@@ -354,6 +354,16 @@ def test_module_entry_point(tmp_path):
     assert (tmp_path / "m" / "manifest.json").exists()
 
 
+def test_a_serial_run_never_imports_the_process_pool(tmp_path):
+    # importing concurrent.futures and its process pool takes about 20 ms, which a --jobs 1 run need not pay
+    code = ("import sys; from dtqw.cli import main; "
+            f"assert main(['--scenario', 'fig8', '--steps', '4', '--configs', '3', '--out', {str(tmp_path)!r}]) == 0; "
+            "print(sorted(name for name in sys.modules if name.startswith('concurrent')))")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
+
+
 @pytest.mark.parametrize("name", ["fig5", "fig6", "fig7", "fig8", "fig9"])
 @pytest.mark.parametrize("source", ["flag", "file"])
 def test_cli_rejects_disorder_on_fixed_kind_presets(tmp_path, capsys, name, source):

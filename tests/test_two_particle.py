@@ -4,7 +4,7 @@ import pytest
 from dtqw.core import COIN_L, COIN_R, delta_state, evolve, lattice_for
 from dtqw.disorder import DisorderKind, FieldBatch, sample_phase_field
 from dtqw.observables import joint_entropy, mutual_information, variance_xm
-from dtqw.two_particle import F_ORDER_SITES, ExchangeSymmetry, JointBuilder, marginal_positions
+from dtqw.two_particle import F_ORDER_SITES, ExchangeSymmetry, JointBuilder, marginal_positions, placed
 from mode_reference import aggregate_to_positions, joint_mode_distribution, marginal
 
 BOS = ExchangeSymmetry.BOSONIC
@@ -242,3 +242,26 @@ def test_whole_lattice_build_at_step_100_holds_a_quarter_of_the_cells():
     builder = JointBuilder()
     builder.build(a, b, SYMS)
     assert builder._scratch["k"].size <= 4 * 102**2
+
+
+@pytest.mark.parametrize("t", [10, 31, 32, 40])
+@pytest.mark.parametrize("region", ["lattice", "cone"])
+def test_entropy_of_the_quarter_equals_that_of_the_placed_joint(t, region):
+    # lattices of 23, 65, 67 and 83 sites and cones of 21, 63, 65 and 81: on both sides of F_ORDER_SITES
+    a, b, x = evolved_pair(steps=t)
+    offset = 1
+    if region == "cone":
+        o = int(np.flatnonzero(x == 0)[0])
+        a, b, x = light_cone(a, b, x, o - t, o + t + 1)
+        offset = 0
+    n, cells, builder = a.shape[1], slice(offset, None, 2), JointBuilder()
+    quarters = builder.quarters(a, b, SYMS, cells)
+    assert quarters.shape == (len(SYMS), len(range(offset, n, 2)), len(range(offset, n, 2)))
+    for sym, quarter in zip(SYMS, quarters):
+        ref = aggregate_to_positions(joint_mode_distribution(a, b, sym))
+        joint = placed(quarter, cells, n)
+        assert np.array_equal(joint, ref) and layout(joint) == layout(ref)
+        # the positive cells in the same order, so the entropy sums the same array
+        assert np.array_equal(quarter[quarter > 0], ref[ref > 0])
+        assert joint_entropy(quarter) == joint_entropy(ref)
+    assert np.array_equal(builder.quarters(a, b, SYMS, cells, np.full_like(quarters, np.nan)), quarters)
