@@ -6,7 +6,6 @@ from .core import (  # noqa: F401
     COIN_L,
     COIN_R,
     LatticeOverflowError,
-    WalkerState,
     delta_state,
     evolve,
     lattice_for,

@@ -26,6 +26,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .core import light_cone
+
 TWO_PI = 2.0 * np.pi
 
 #: Recorded in run manifests; bit-exact reproducibility is per-generator.
@@ -108,17 +110,13 @@ def light_cone_rows(steps: int, n_sites: int, starts: Optional[Sequence[int]] = 
     """The sites each step can read: (first site of each row, sites in each row, stride).
 
     Row t - 1 belongs to step t (1-based) of a walk whose walkers start on
-    the array indices ``starts``: it covers [lo - (t-1), hi + (t-1)] of
-    their span [lo, hi], cut to the lattice, and every second site of it
-    when lo and hi share a parity, the sites ``core.evolve`` steps.  Without
-    ``starts`` every row is the whole lattice.
+    the array indices ``starts``: it covers the light cone of t - 1 steps
+    (``core.light_cone``), cut to the lattice, the sites ``core.evolve``
+    steps.  Without ``starts`` every row is the whole lattice.
     """
     if starts is None:
         return np.zeros(steps, dtype=np.intp), np.full(steps, n_sites, dtype=np.intp), 1
-    lo, hi = min(starts), max(starts)
-    stride = 2 if (hi - lo) % 2 == 0 else 1
-    reach = np.arange(steps)
-    first, last = lo - reach, hi + reach
+    first, last, stride = light_cone(np.arange(steps), starts)
     first = np.maximum(first, first % stride)  # the first site on the lattice, of the same parity
     last = np.minimum(last, n_sites - 1 - (n_sites - 1 - last) % stride)
     return first, np.maximum(0, (last - first) // stride + 1), stride

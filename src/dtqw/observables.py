@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .config import COIN_NAMES, ScenarioConfig
-from .core import WalkerState, delta_state, evolve, lattice_for
+from .core import delta_state, evolve, lattice_for, light_cone
 from .disorder import DisorderKind, FieldBatch, PhaseField, light_cone_rows, sample_phase_field
 from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, marginal_positions, placed
 
@@ -108,15 +108,9 @@ def _crop(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
 
 
 def _reach(cfg: ScenarioConfig, t: int) -> tuple[int, int, int]:
-    """(lo, hi, stride) at step ``t`` of a walk from ``cfg``'s starts.
-
-    The array indices [lo, hi] are its light cone, inside the lattice for
-    t <= steps; with stride 2 (the starts share a parity) only every second
-    one of them, from lo, can hold amplitude.
-    """
+    """``light_cone`` at step ``t`` of ``cfg``'s starts, in array indices; inside the lattice for t <= steps."""
     _, origin = lattice_for(cfg.steps, cfg.start_sites)
-    lo, hi = origin + min(cfg.start_sites), origin + max(cfg.start_sites)
-    return lo - t, hi + t, 2 if (hi - lo) % 2 == 0 else 1
+    return light_cone(t, [origin + x for x in cfg.start_sites])
 
 
 def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
@@ -196,22 +190,20 @@ def _run_chunk(task) -> list:
     n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
     field = FieldBatch((_field_for(cfg, seed, n_sites, origin, **({} if sweep is None else {sweep: value}))
                         for value, seed in members), [origin + x for x in cfg.start_sites], len(members))
-    pair = np.stack([
-        delta_state(n_sites, origin, x, COIN_NAMES[coin]).amplitudes for x, coin in (cfg.start_a, cfg.start_b)
-    ])
-    state = WalkerState(np.array(np.broadcast_to(pair, (len(members), *pair.shape))), origin)
-    spare = np.empty_like(state.amplitudes)
+    pair = np.stack([delta_state(n_sites, origin, x, COIN_NAMES[coin]) for x, coin in (cfg.start_a, cfg.start_b)])
+    state = np.array(np.broadcast_to(pair, (len(members), *pair.shape)))
+    spare = np.empty_like(state)
     results, t = [], 0
     for stop in stops:
-        held = state.amplitudes
+        held = state
         state = evolve(state, stop - t, field, start=t, spare=spare)
-        if state.amplitudes is spare:
+        if state is spare:
             spare = held
         t = stop
-        overlap = max(abs(np.vdot(a, b)) for a, b in state.amplitudes)
+        overlap = max(abs(np.vdot(a, b)) for a, b in state)
         if overlap > ORTHOGONALITY_TOL:
             raise ValueError(f"walker amplitudes must be orthogonal, |<a|b>| = {overlap:.3e}")
-        results.append(measure(cfg, state.amplitudes, t))
+        results.append(measure(cfg, state, t))
     return results
 
 

@@ -13,14 +13,15 @@ evolve under one unitary); normalization of P then follows.  The ensemble
 runners check this once per chunk and evaluated step.  Symmetrization is
 done per pair of coin modes, so the fermionic zero on the mode-level
 diagonal is exact while two fermions may still share a site in opposite
-coin modes.  ``JointBuilder`` builds the position-level matrices directly
-from N x N coin blocks and never forms the (2N) x (2N) mode-level matrix;
-that matrix is kept only as a test reference (``tests/mode_reference.py``),
-which the blocks reproduce bit for bit.  Walkers from one site live on the
-sites x = t (mod 2) at step t.  ``JointBuilder.quarters`` builds only that
-quarter of the cells, and ``placed`` puts a quarter into the whole lattice,
-the layout that row sums read; the ensemble runners keep quarters until a
-consumer needs the whole lattice.
+coin modes.  ``JointBuilder.quarters`` builds the position-level joints
+directly from N x N coin blocks and never forms the (2N) x (2N) mode-level
+matrix; that matrix is kept only as a test reference
+(``tests/mode_reference.py``), which the blocks reproduce bit for bit.  The
+caller names the cells to build: walkers from one site live on the sites
+x = t (mod 2) at step t, a quarter of the cells, and the ensemble runners
+take that parity from the light cone, never from the amplitudes.
+``placed`` puts a quarter into the whole lattice, the layout that row sums
+read; the runners keep quarters until a consumer needs the whole lattice.
 """
 
 from __future__ import annotations
@@ -38,10 +39,6 @@ class ExchangeSymmetry(enum.Enum):
     BOSONIC = "bosonic"
     FERMIONIC = "fermionic"
 
-    @property
-    def sign(self) -> int:
-        return 1 if self is ExchangeSymmetry.BOSONIC else -1
-
 
 #: Site count from which the mode-level reference comes out Fortran-ordered:
 #: numpy (2.4) lays out ``k + sign * k.T`` on the (2N) x (2N) outer product in
@@ -56,9 +53,9 @@ F_ORDER_SITES = 64
 class JointBuilder:
     """Builds position-level joints from coin blocks, reusing its scratch arrays.
 
-    The core, ``quarters``, computes each symmetry's joint on the cells that
-    can be nonzero; ``build`` places those into the whole lattice.  The
-    scratch arrays grow to the largest set of cells built (1.1 MB for the
+    ``quarters`` computes each symmetry's joint on the cells that can be
+    nonzero, and ``placed`` puts them into the whole lattice.  The scratch
+    arrays grow to the largest set of cells built (1.1 MB for the
     103-site sublattice of 205 sites, 4.4 MB for 205 sites of both parities)
     and every call overwrites them.  Fresh temporaries of this size went back
     to the operating system after each call and were page-faulted in again,
@@ -83,8 +80,8 @@ class JointBuilder:
         walkers, and ``cells`` selects s of their sites that hold every
         nonzero amplitude of both (for walkers from one site, the sites of
         one parity: a quarter of the cells).  Row i, column j of a block is
-        P(cells[i], cells[j]) of the matrix ``build`` returns, every cell by
-        the same arithmetic as a whole-lattice build: P(x, y) =
+        P(cells[i], cells[j]) of the whole-lattice joint, every cell by the
+        same arithmetic as ``cells = slice(None)``: P(x, y) =
         sum_{c,d} M_cd(x, y) with coin blocks M_cd = |K_cd +/- K_dc^T|^2 / 2
         and K_cd = outer(a[c], b[d]).  The four K blocks are shared by all
         symmetries, and M_10 = M_01^T exactly.  The blocks are written into
@@ -118,22 +115,6 @@ class JointBuilder:
             np.add(m00, m11, out=quarter.T if n >= F_ORDER_SITES else quarter)
         return out
 
-    def build(self, a: np.ndarray, b: np.ndarray, syms: Sequence[ExchangeSymmetry]) -> list[np.ndarray]:
-        """Position-level symmetrized joint (n_sites x n_sites) of each symmetry in ``syms``.
-
-        ``a`` and ``b`` are the (2, n_sites) amplitude arrays of the two
-        walkers.  If both are exactly zero on one parity of site index,
-        ``quarters`` builds only the other parity (each cell is elementwise,
-        so the same numbers) and every other cell is +0.0, as squared zeros
-        give.  From two sites up the matrices equal the mode-level reference
-        bit for bit, layout included; a one-site lattice (t = 0 of a
-        same-site start) holds exact delta amplitudes, where every summation
-        order agrees.
-        """
-        cells = _sublattice(a, b)
-        return [placed(quarter, cells, a.shape[1]) for quarter in self.quarters(a, b, syms, cells)]
-
-
 def placed(quarter: np.ndarray, cells: slice, n_sites: int) -> np.ndarray:
     """The n_sites x n_sites joint holding ``quarter`` on ``cells`` x ``cells`` and +0.0 elsewhere.
 
@@ -142,14 +123,6 @@ def placed(quarter: np.ndarray, cells: slice, n_sites: int) -> np.ndarray:
     matrix = np.zeros((n_sites, n_sites), order="F" if n_sites >= F_ORDER_SITES else "C")
     matrix[cells, cells] = quarter
     return matrix
-
-
-def _sublattice(a: np.ndarray, b: np.ndarray) -> slice:
-    """The sites of the one index parity holding every nonzero amplitude of both walkers, else all sites."""
-    for offset in (0, 1):
-        if not (a[:, 1 - offset :: 2].any() or b[:, 1 - offset :: 2].any()):
-            return slice(offset, None, 2)
-    return slice(None)
 
 
 def marginal_positions(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from dtqw.two_particle import ExchangeSymmetry
 def joint_mode_distribution(a: np.ndarray, b: np.ndarray, sym: ExchangeSymmetry) -> np.ndarray:
     """(2N) x (2N) mode-level symmetrized joint of the two walkers."""
     k = np.outer(a.T.reshape(-1), b.T.reshape(-1))
-    j = k + sym.sign * k.T
+    j = k + (1 if sym is ExchangeSymmetry.BOSONIC else -1) * k.T
     return (j.real**2 + j.imag**2) * 0.5
 
 

@@ -85,7 +85,7 @@ def test_criterion_1_oracle_equivalence():
             steps=t, n_sites=n, origin=o, seed=int(rng.integers(2**63)),
         )
         state = evolve(delta_state(n, o, 0, coin), t, FieldBatch([fld]))
-        worst = max(worst, compare(state.amplitudes, path_sum_amplitudes(0, coin, t, fld)))
+        worst = max(worst, compare(state, path_sum_amplitudes(0, coin, t, fld)))
     elapsed = time.time() - start
     _criterion(
         1,
@@ -112,9 +112,9 @@ def test_criterion_2_invariant_suite():
         state = delta_state(n, o, 0, COIN_L)
         for step in range(t):  # one step at a time, checking the norm after each
             state = evolve(state, 1, fld, start=step)
-            norm_drift = max(norm_drift, abs(float(np.sum(np.abs(state.amplitudes) ** 2)) - 1.0))
-        p = np.abs(state.amplitudes[0]) ** 2 + np.abs(state.amplitudes[1]) ** 2
-        x = state.positions
+            norm_drift = max(norm_drift, abs(float(np.sum(np.abs(state) ** 2)) - 1.0))
+        p = np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2
+        x = np.arange(n) - o
         worst["light_cone"] = max(worst["light_cone"], float(p[np.abs(x) > t].sum()))
         worst["parity"] = max(worst["parity"], float(p[(x + t) % 2 == 1].sum()))
 
@@ -123,8 +123,8 @@ def test_criterion_2_invariant_suite():
         n2, o2 = lattice_for(t2, (0, 0))
         fld2 = FieldBatch([sample_phase_field(kind, phi_max=PI, phi_static=PI, phi_dynamic=PI,
                                               steps=t2, n_sites=n2, origin=o2, seed=seed)])
-        a = evolve(delta_state(n2, o2, 0, COIN_L), t2, fld2).amplitudes
-        b = evolve(delta_state(n2, o2, 0, COIN_R), t2, fld2).amplitudes
+        a = evolve(delta_state(n2, o2, 0, COIN_L), t2, fld2)
+        b = evolve(delta_state(n2, o2, 0, COIN_R), t2, fld2)
         marg = marginal(a, b)
         for sym in ExchangeSymmetry:
             mode = joint_mode_distribution(a, b, sym)

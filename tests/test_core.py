@@ -9,7 +9,6 @@ from dtqw.core import (
     COIN_L,
     COIN_R,
     LatticeOverflowError,
-    WalkerState,
     delta_state,
     evolve,
     lattice_for,
@@ -25,18 +24,18 @@ def zero_field(steps, n_sites, origin):
     return sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n_sites, origin=origin)
 
 
-def probabilities(state):
-    """P(x) of every walker, indexed like ``state.positions``."""
-    return np.abs(state.amplitudes[..., 0, :]) ** 2 + np.abs(state.amplitudes[..., 1, :]) ** 2
+def probabilities(amps):
+    """P(x) of every walker, indexed like its amplitudes' sites."""
+    return np.abs(amps[..., 0, :]) ** 2 + np.abs(amps[..., 1, :]) ** 2
 
 
-def norm(state):
-    return float(np.sum(np.abs(state.amplitudes) ** 2))
+def norm(amps):
+    return float(np.sum(np.abs(amps) ** 2))
 
 
-def dist_by_position(state):
-    p = probabilities(state)
-    return {int(x): float(v) for x, v in zip(state.positions, p) if v > 1e-15}
+def dist_by_position(amps, origin):
+    p = probabilities(amps)
+    return {int(x): float(v) for x, v in zip(np.arange(len(p)) - origin, p) if v > 1e-15}
 
 
 def phase_table_field(phi_l, phi_r):
@@ -45,8 +44,11 @@ def phase_table_field(phi_l, phi_r):
     return PhaseField(DisorderKind.FLUCTUATING, steps, n_sites, (n_sites - 1) // 2, fluct_l=phi_l, fluct_r=phi_r)
 
 
+ONE_STEP_ORIGIN = lattice_for(1)[1]
+
+
 def one_step(coin, phi_l=0.0, phi_r=0.0):
-    """One step from x=0 in the given coin state under uniform phases."""
+    """One step from x=0 in the given coin state under uniform phases, on a lattice with ``ONE_STEP_ORIGIN``."""
     n, o = lattice_for(1)
     fld = phase_table_field(np.full((1, n), phi_l), np.full((1, n), phi_r))
     return evolve(delta_state(n, o, 0, coin), 1, FieldBatch([fld]))
@@ -54,8 +56,8 @@ def one_step(coin, phi_l=0.0, phi_r=0.0):
 
 def test_phased_coin_pi_flips_second_row():
     out = one_step(COIN_L, 0.0, np.pi)
-    assert out.amplitudes[COIN_L, out.index_of(-1)] == pytest.approx(INV_SQRT2)
-    assert out.amplitudes[COIN_R, out.index_of(1)] == pytest.approx(-INV_SQRT2)
+    assert out[COIN_L, ONE_STEP_ORIGIN - 1] == pytest.approx(INV_SQRT2)
+    assert out[COIN_R, ONE_STEP_ORIGIN + 1] == pytest.approx(-INV_SQRT2)
 
 
 @given(st.floats(-10, 10), st.floats(-10, 10))
@@ -63,7 +65,7 @@ def test_phased_coin_unitary(phi_l, phi_r):
     # the two coin states of one site stay orthonormal through a phased step
     a, b = one_step(COIN_L, phi_l, phi_r), one_step(COIN_R, phi_l, phi_r)
     assert norm(a) == pytest.approx(1.0, abs=1e-12) and norm(b) == pytest.approx(1.0, abs=1e-12)
-    assert abs(np.vdot(a.amplitudes, b.amplitudes)) < 1e-12
+    assert abs(np.vdot(a, b)) < 1e-12
 
 
 def test_common_phase_is_global():
@@ -79,15 +81,15 @@ def test_common_phase_is_global():
 
 def test_step_from_L():
     out = one_step(COIN_L)
-    amps = {(int(x), c): out.amplitudes[c, i] for i, x in enumerate(out.positions) for c in (0, 1)}
+    amps = {(i - ONE_STEP_ORIGIN, c): out[c, i] for i in range(out.shape[1]) for c in (0, 1)}
     assert amps[(-1, COIN_L)] == pytest.approx(INV_SQRT2)
     assert amps[(1, COIN_R)] == pytest.approx(INV_SQRT2)
 
 
 def test_step_from_R():
     out = one_step(COIN_R)
-    assert out.amplitudes[COIN_L, out.index_of(-1)] == pytest.approx(INV_SQRT2)
-    assert out.amplitudes[COIN_R, out.index_of(1)] == pytest.approx(-INV_SQRT2)
+    assert out[COIN_L, ONE_STEP_ORIGIN - 1] == pytest.approx(INV_SQRT2)
+    assert out[COIN_R, ONE_STEP_ORIGIN + 1] == pytest.approx(-INV_SQRT2)
 
 
 def test_step_preserves_norm_with_random_phased_coins():
@@ -108,32 +110,31 @@ def test_evolve_zero_steps_returns_initial():
     n, o = lattice_for(4)
     start = delta_state(n, o, 0, COIN_L)
     out = evolve(start, 0, FieldBatch([zero_field(4, n, o)]))
-    np.testing.assert_array_equal(out.amplitudes, start.amplitudes)
+    np.testing.assert_array_equal(out, start)
 
 
 def test_evolve_two_steps_ordered():
     n, o = lattice_for(2)
     out = evolve(delta_state(n, o, 0, COIN_L), 2, FieldBatch([zero_field(2, n, o)]))
-    assert dist_by_position(out) == pytest.approx({-2: 0.25, 0: 0.5, 2: 0.25})
+    assert dist_by_position(out, o) == pytest.approx({-2: 0.25, 0: 0.5, 2: 0.25})
 
 
 def test_evolve_three_steps_ordered():
     n, o = lattice_for(3)
     out = evolve(delta_state(n, o, 0, COIN_L), 3, FieldBatch([zero_field(3, n, o)]))
-    assert dist_by_position(out) == pytest.approx({-3: 1 / 8, -1: 5 / 8, 1: 1 / 8, 3: 1 / 8})
+    assert dist_by_position(out, o) == pytest.approx({-3: 1 / 8, -1: 5 / 8, 1: 1 / 8, 3: 1 / 8})
 
 
 def test_position_distribution_delta():
-    state = delta_state(9, 4, 0, COIN_L)
-    p = probabilities(state)
-    assert p[state.index_of(0)] == 1.0
+    p = probabilities(delta_state(9, 4, 0, COIN_L))
+    assert p[4] == 1.0
     assert p.sum() == pytest.approx(1.0)
 
 
 def test_one_step_distribution_is_half_half():
     n, o = lattice_for(1)
     out = evolve(delta_state(n, o, 0, COIN_L), 1, FieldBatch([zero_field(1, n, o)]))
-    assert dist_by_position(out) == pytest.approx({-1: 0.5, 1: 0.5})
+    assert dist_by_position(out, o) == pytest.approx({-1: 0.5, 1: 0.5})
 
 
 @settings(deadline=None, max_examples=25)
@@ -152,7 +153,7 @@ def test_evolution_invariants_under_any_disorder(kind, steps, seed):
     out = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([fld]))
     assert norm(out) == pytest.approx(1.0, abs=1e-12)
     p = probabilities(out)
-    x = out.positions
+    x = np.arange(n) - o
     assert np.all(p[np.abs(x) > steps] == 0.0)
     assert np.all(p[(x + steps) % 2 == 1] == 0.0)
 
@@ -181,8 +182,8 @@ def test_ordered_hadamard_variance_tends_to_nayak_vishwanath_limit(t):
     n, o = lattice_for(t)
     amps = np.zeros((2, n), dtype=np.complex128)
     amps[:, o] = [INV_SQRT2, 1j * INV_SQRT2]
-    state = evolve(WalkerState(amps, o), t, FieldBatch([zero_field(t, n, o)]))
-    p, x = probabilities(state), state.positions
+    state = evolve(amps, t, FieldBatch([zero_field(t, n, o)]))
+    p, x = probabilities(state), np.arange(n) - o
     mean = x @ p
     assert abs(mean) <= 1e-12
     assert abs(((x * x) @ p - mean**2) / t**2 - (1.0 - INV_SQRT2)) <= 1.0 / t
@@ -204,9 +205,9 @@ def test_dynamic_disorder_at_full_strength_averages_to_the_classical_walk():
     n, o = lattice_for(t)
     fields = FieldBatch([sample_phase_field(DisorderKind.DYNAMIC, phi_max=2 * np.pi, steps=t, n_sites=n, origin=o,
                                             seed=2003 + i) for i in range(configs)])
-    start = np.broadcast_to(delta_state(n, o, 0, COIN_L).amplitudes, (configs, 1, 2, n))
-    state = evolve(WalkerState(start, o), t, fields)
-    p, x = probabilities(state)[:, 0], state.positions
+    start = np.broadcast_to(delta_state(n, o, 0, COIN_L), (configs, 1, 2, n))
+    state = evolve(start, t, fields)
+    p, x = probabilities(state)[:, 0], np.arange(n) - o
     binomial = np.array([math.comb(t, (t + xi) // 2) / 2**t if (t + xi) % 2 == 0 and abs(xi) <= t else 0.0
                          for xi in x])
     spread = p.std(axis=0, ddof=1) / math.sqrt(configs)
@@ -233,7 +234,7 @@ def test_zero_strength_field_equals_ordered_bit_for_bit():
     zero = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=t, n_sites=n, origin=o, seed=5)
     a = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([zero]))
     b = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([zero_field(t, n, o)]))
-    np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_evolve_matches_explicit_step_loop():
@@ -242,7 +243,7 @@ def test_evolve_matches_explicit_step_loop():
     fld = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=2.5, steps=t, n_sites=n, origin=o, seed=6)
     fast = evolve(delta_state(n, o, 0, COIN_R), t, FieldBatch([fld]))
     slow = path_sum_amplitudes(0, COIN_R, t, fld)  # explicit sum over all 2^t coin histories
-    np.testing.assert_allclose(slow.amplitudes, fast.amplitudes, atol=1e-13)
+    np.testing.assert_allclose(slow.amplitudes, fast, atol=1e-13)
 
 
 def test_lattice_for_sizes_the_light_cone():
@@ -257,6 +258,25 @@ def test_delta_state_rejects_bad_coin():
         delta_state(5, 2, 0, coin=7)
 
 
+def test_delta_state_rejects_a_position_one_past_either_edge():
+    # the lattice of 5 sites with origin 2 holds x = -2 .. 2; a negative index must not wrap to the far edge
+    assert delta_state(5, 2, -2)[COIN_L, 0] == 1.0 and delta_state(5, 2, 2)[COIN_L, 4] == 1.0
+    for x in (3, -3):
+        with pytest.raises(IndexError):
+            delta_state(5, 2, x)
+
+
+def test_evolve_takes_plain_arrays_and_rejects_other_shapes():
+    fld = FieldBatch([zero_field(1, 5, 2)])
+    real = np.zeros((2, 5))
+    real[COIN_L, 2] = 1.0  # a real start evolves as complex128, like its complex twin
+    out = evolve(real, 1, fld)
+    assert out.dtype == np.complex128 and np.array_equal(out, evolve(delta_state(5, 2, 0), 1, fld))
+    for shape in ((5,), (3, 5)):
+        with pytest.raises(ValueError, match="shape"):
+            evolve(np.zeros(shape, dtype=np.complex128), 1, fld)
+
+
 def sampled_fields(kind, steps, seeds, start_sites=(0,)):
     n, o = lattice_for(steps, start_sites)
     return [
@@ -268,8 +288,8 @@ def sampled_fields(kind, steps, seeds, start_sites=(0,)):
 
 def walker_pairs(n, o, count):
     """(count, 2, 2, n) batch: walker A in coin L, walker B in coin R, both at x=0."""
-    pair = np.stack([delta_state(n, o, 0, COIN_L).amplitudes, delta_state(n, o, 0, COIN_R).amplitudes])
-    return WalkerState(np.repeat(pair[None], count, axis=0), o)
+    pair = np.stack([delta_state(n, o, 0, COIN_L), delta_state(n, o, 0, COIN_R)])
+    return np.repeat(pair[None], count, axis=0)
 
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
@@ -281,11 +301,11 @@ def test_batched_evolve_equals_each_walker_bit_for_bit(kind):
     out = evolve(walker_pairs(n, o, 5), t, FieldBatch(fields))
     for c, fld in enumerate(fields):
         single = evolve(walker_pairs(n, o, 1), t, FieldBatch([fld]))
-        assert np.array_equal(out.amplitudes[c], single.amplitudes[0])
+        assert np.array_equal(out[c], single[0])
         for w, coin in enumerate((COIN_L, COIN_R)):
             alone = evolve(delta_state(n, o, 0, coin), t, FieldBatch([fld]))
-            assert alone.amplitudes.shape == (2, n)
-            assert np.array_equal(out.amplitudes[c, w], alone.amplitudes)
+            assert alone.shape == (2, n)
+            assert np.array_equal(out[c, w], alone)
 
 
 @pytest.mark.parametrize("kind", [DisorderKind.STATIC, DisorderKind.COMBINED], ids=lambda k: k.value)
@@ -297,7 +317,7 @@ def test_batched_evolve_matches_path_sum(kind):
     for c, fld in enumerate(fields):
         for w, coin in enumerate((COIN_L, COIN_R)):
             slow = path_sum_amplitudes(0, coin, t, fld)  # explicit sum over all 2^t coin histories
-            np.testing.assert_allclose(slow.amplitudes, out.amplitudes[c, w], atol=1e-13)
+            np.testing.assert_allclose(slow.amplitudes, out[c, w], atol=1e-13)
 
 
 def test_evolve_in_segments_equals_one_run():
@@ -307,7 +327,7 @@ def test_evolve_in_segments_equals_one_run():
     start = walker_pairs(fields[0].n_sites, fields[0].origin, 2)
     mid = evolve(start, 4, batch)
     split = evolve(mid, t - 4, batch, start=4)
-    assert np.array_equal(split.amplitudes, evolve(start, t, batch).amplitudes)
+    assert np.array_equal(split, evolve(start, t, batch))
 
 
 def test_batched_overflow_is_an_error():
@@ -337,13 +357,13 @@ def dense_pairs(n, o, count, width, stride, seed):
     sites = slice(o - width, o + width + 1, stride)
     cells = amps[..., sites].shape
     amps[..., sites] = rng.normal(size=cells) + 1j * rng.normal(size=cells)
-    return WalkerState(amps, o)
+    return amps
 
 
 def other_parity_pairs(n, o, count):
     """(count, 2, 2, n) batch: walker A in coin L at x=0, walker B in coin R at x=1."""
-    pair = np.stack([delta_state(n, o, 0, COIN_L).amplitudes, delta_state(n, o, 1, COIN_R).amplitudes])
-    return WalkerState(np.repeat(pair[None], count, axis=0), o)
+    pair = np.stack([delta_state(n, o, 0, COIN_L), delta_state(n, o, 1, COIN_R)])
+    return np.repeat(pair[None], count, axis=0)
 
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
@@ -359,17 +379,17 @@ def test_evolve_equals_the_site_major_step_bit_for_bit(kind):
         "two parities": (other_parity_pairs(n, o, 5), batch),
         "dense": (dense_pairs(n, o, 5, width, 1, seed=1), batch),
         "dense, one parity": (dense_pairs(n, o, 5, width, 2, seed=2), batch),
-        "all zero": (WalkerState(np.zeros((5, 2, 2, n), dtype=np.complex128), o), batch),
+        "all zero": (np.zeros((5, 2, 2, n), dtype=np.complex128), batch),
     }
     for label, (start, fld) in starts.items():
-        reference = site_major(start.amplitudes)
+        reference = site_major(start)
         for t in (0, 1, 2, 3, t_max):
             out = evolve(start, t, fld)
-            assert out.amplitudes.shape == start.amplitudes.shape
-            assert np.array_equal(site_major(out.amplitudes), evolve_site_major(reference, t, fld)), (label, t)
+            assert out.shape == start.shape
+            assert np.array_equal(site_major(out), evolve_site_major(reference, t, fld)), (label, t)
         mid = evolve(start, 3, fld)
         split = evolve(evolve(mid, 20, fld, start=3), t_max - 23, fld, start=23)
-        assert np.array_equal(site_major(split.amplitudes), evolve_site_major(reference, t_max, fld)), label
+        assert np.array_equal(site_major(split), evolve_site_major(reference, t_max, fld)), label
 
 
 def step_in_one_buffer_pair(start, fld, stops):
@@ -377,15 +397,15 @@ def step_in_one_buffer_pair(start, fld, stops):
 
     The spare starts out holding NaN, so a cell that evolve reads before writing shows.
     """
-    state, spare, t = WalkerState(start.amplitudes.copy(), start.origin), np.full_like(start.amplitudes, np.nan), 0
+    state, spare, t = start.copy(), np.full_like(start, np.nan), 0
     for stop in stops:
-        held = state.amplitudes
+        held = state
         state = evolve(state, stop - t, fld, start=t, spare=spare)
-        assert state.amplitudes is (spare if held.any() and (stop - t) % 2 else held)
-        if state.amplitudes is spare:
+        assert state is (spare if held.any() and (stop - t) % 2 else held)
+        if state is spare:
             spare = held
         t = stop
-        yield state.amplitudes.copy()
+        yield state.copy()
 
 
 @pytest.mark.parametrize("kind", [DisorderKind.STATIC, DisorderKind.COMBINED], ids=lambda k: k.value)
@@ -398,10 +418,10 @@ def test_evolve_in_one_buffer_pair_equals_the_site_major_step_at_every_stop(kind
         "one site": walker_pairs(n, o, 5),
         "two parities": other_parity_pairs(n, o, 5),
         "dense, one parity": dense_pairs(n, o, 5, width, 2, seed=3),
-        "all zero": WalkerState(np.zeros((5, 2, 2, n), dtype=np.complex128), o),
+        "all zero": np.zeros((5, 2, 2, n), dtype=np.complex128),
     }
     for label, start in starts.items():
-        reference = site_major(start.amplitudes)
+        reference = site_major(start)
         for t, amps in zip(stops, step_in_one_buffer_pair(start, batch, stops)):
             assert np.array_equal(site_major(amps), evolve_site_major(reference, t, batch)), (label, t)
 
@@ -412,9 +432,9 @@ def test_a_span_shrunk_by_cancellation_leaves_nothing_stale_in_the_spare():
     n, steps = 12, 4
     amps = np.zeros((1, 1, 2, n), dtype=np.complex128)
     amps[..., 1] = [INV_SQRT2, -INV_SQRT2]
-    start, fld = WalkerState(amps, 1), FieldBatch([zero_field(steps, n, 1)])
+    fld = FieldBatch([zero_field(steps, n, 1)])
     stops = (1, 2, 3)
-    for t, got in zip(stops, step_in_one_buffer_pair(start, fld, stops)):
+    for t, got in zip(stops, step_in_one_buffer_pair(amps, fld, stops)):
         assert np.array_equal(site_major(got), evolve_site_major(site_major(amps), t, fld))
 
 
@@ -424,6 +444,8 @@ def test_a_spare_of_another_shape_is_rejected():
         evolve(walker_pairs(7, 3, 1), 2, fld, spare=np.zeros((2, 2, 2, 7), dtype=np.complex128))
     with pytest.raises(ValueError, match="spare"):
         evolve(delta_state(7, 3, 0, COIN_L), 2, fld, spare=np.zeros((2, 7), dtype=np.complex128))
+    with pytest.raises(ValueError, match="spare"):  # the batch itself is a buffer, so it must be complex128 too
+        evolve(walker_pairs(7, 3, 1).real, 2, fld, spare=np.zeros((1, 2, 2, 7), dtype=np.complex128))
 
 
 @pytest.mark.parametrize("parities", [1, 2])
@@ -435,15 +457,15 @@ def test_an_edge_cell_zero_by_cancellation_is_no_overflow(parities):
     amps[:, 1] = [INV_SQRT2, -INV_SQRT2]
     if parities == 2:
         amps[COIN_L, 4] = 0.5  # span two parities: every site of the span steps
-    start, fld = WalkerState(amps, 1), FieldBatch([zero_field(steps, n, 1)])
+    fld = FieldBatch([zero_field(steps, n, 1)])
     for t in (1, 2, 3):
-        out = evolve(start, t, fld)
-        assert np.array_equal(site_major(out.amplitudes), evolve_site_major(site_major(amps), t, fld))
-        assert not out.amplitudes[:, -1].any()
+        out = evolve(amps, t, fld)
+        assert np.array_equal(site_major(out), evolve_site_major(site_major(amps), t, fld))
+        assert not out[:, -1].any()
     with pytest.raises(LatticeOverflowError):
         evolve_site_major(site_major(amps), steps, fld)
     with pytest.raises(LatticeOverflowError):
-        evolve(start, steps, fld)
+        evolve(amps, steps, fld)
 
 
 def check_overflow_in_either_buffer(edge, swaps, batch, parities):
@@ -457,15 +479,14 @@ def check_overflow_in_either_buffer(edge, swaps, batch, parities):
     fields = [sample_phase_field(DisorderKind.STATIC, phi_max=2.5, steps=steps, n_sites=n, origin=o, seed=seed)
               for seed in range(5)]
     if batch:
-        pair = np.stack([delta_state(n, o, x, COIN_L).amplitudes,
-                         delta_state(n, o, x if parities == 1 else inner, COIN_R).amplitudes])
-        start, fld = WalkerState(np.repeat(pair[None], 5, axis=0), o), FieldBatch(fields)
+        pair = np.stack([delta_state(n, o, x, COIN_L), delta_state(n, o, x if parities == 1 else inner, COIN_R)])
+        start, fld = np.repeat(pair[None], 5, axis=0), FieldBatch(fields)
     else:
         start, fld = delta_state(n, o, x, COIN_L), FieldBatch(fields[:1])
         if parities == 2:
-            start.amplitudes[COIN_R, start.index_of(inner)] = 1.0
+            start[COIN_R, inner + o] = 1.0
     reached = evolve(start, swaps, fld)
-    edge_site = reached.amplitudes[..., 0 if edge == "first" else -1]
+    edge_site = reached[..., 0 if edge == "first" else -1]
     reached_by = np.abs(edge_site).sum(axis=-1)  # per walker; only walker A reaches it from two parities
     assert np.all(reached_by[..., 0] > 0 if batch and parities == 2 else reached_by > 0)
     with pytest.raises(LatticeOverflowError):

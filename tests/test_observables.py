@@ -38,7 +38,7 @@ def three_step_joint(sym):
     fld = FieldBatch([sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n, origin=o)])
     a = evolve(delta_state(n, o, 0, COIN_L), steps, fld)
     b = evolve(delta_state(n, o, 0, COIN_R), steps, fld)
-    return aggregate_to_positions(joint_mode_distribution(a.amplitudes, b.amplitudes, sym)), a.positions
+    return aggregate_to_positions(joint_mode_distribution(a, b, sym)), np.arange(n) - o
 
 
 def test_variance_of_point_mass_is_zero():
@@ -136,7 +136,7 @@ def test_product_joint_variance_is_sum_of_single_variances():
     x = (np.arange(n) - o).astype(float)
 
     def prob(state):
-        return np.abs(state.amplitudes[0]) ** 2 + np.abs(state.amplitudes[1]) ** 2
+        return np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2
 
     def single_var(state):
         p = prob(state)
@@ -269,7 +269,7 @@ def test_chunked_batches_equal_per_walker_evolve_bitwise(monkeypatch, kind, budg
         fld = observables._field_for(cfg, cfg.seed + i, n, o)
         pair = evolve(delta_state(n, o, 0, COIN_L), cfg.steps, FieldBatch([fld])), \
             evolve(delta_state(n, o, 0, COIN_R), cfg.steps, FieldBatch([fld]))
-        assert np.array_equal(amps_a, pair[0].amplitudes) and np.array_equal(amps_b, pair[1].amplitudes)
+        assert np.array_equal(amps_a, pair[0]) and np.array_equal(amps_b, pair[1])
 
 
 def _runs(monkeypatch, fn, cfg):
@@ -401,8 +401,8 @@ def test_average_joints_equal_ordered_sums_of_mode_reference_matrices(monkeypatc
     sums, marg = {sym: np.zeros((n, n)) for sym in ExchangeSymmetry}, np.zeros(n)
     for i in range(cfg.configs):
         fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n, o)])
-        a = evolve(delta_state(n, o, 0, COIN_L), cfg.steps, fld).amplitudes
-        b = evolve(delta_state(n, o, start_b[0], COIN_R), cfg.steps, fld).amplitudes
+        a = evolve(delta_state(n, o, 0, COIN_L), cfg.steps, fld)
+        b = evolve(delta_state(n, o, start_b[0], COIN_R), cfg.steps, fld)
         for sym, acc in sums.items():
             acc += aggregate_to_positions(joint_mode_distribution(a, b, sym))
         marg += marginal_positions(a, b)
@@ -425,8 +425,8 @@ def test_series_values_equal_the_observables_of_mode_reference_joints(start_b):
     n, o = lattice_for(cfg.steps, cfg.start_sites)
     fld = FieldBatch([observables._field_for(cfg, cfg.seed, n, o)])
     for i, t in enumerate(stops):
-        a = evolve(delta_state(n, o, 0, COIN_L), t, fld).amplitudes
-        b = evolve(delta_state(n, o, start_b[0], COIN_R), t, fld).amplitudes
+        a = evolve(delta_state(n, o, 0, COIN_L), t, fld)
+        b = evolve(delta_state(n, o, start_b[0], COIN_R), t, fld)
         cone = slice(o - t, o + start_b[0] + t + 1)
         for sym in ExchangeSymmetry:
             ref = aggregate_to_positions(joint_mode_distribution(a[:, cone], b[:, cone], sym))

@@ -14,7 +14,7 @@ ORIGIN = 2  # array index of x = 0 in ``delta_pair``
 
 
 def delta_pair(a=(0, COIN_L), b=(1, COIN_R)):
-    return delta_state(6, ORIGIN, *a).amplitudes, delta_state(6, ORIGIN, *b).amplitudes
+    return delta_state(6, ORIGIN, *a), delta_state(6, ORIGIN, *b)
 
 
 def evolved_pair(kind=DisorderKind.FLUCTUATING, steps=10, seed=5, a=(0, COIN_L), b=(0, COIN_R)):
@@ -24,8 +24,12 @@ def evolved_pair(kind=DisorderKind.FLUCTUATING, steps=10, seed=5, a=(0, COIN_L),
         kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
         steps=steps, n_sites=n, origin=o, seed=seed,
     )])
-    psi_a = evolve(delta_state(n, o, *a), steps, fld)
-    return psi_a.amplitudes, evolve(delta_state(n, o, *b), steps, fld).amplitudes, psi_a.positions
+    return evolve(delta_state(n, o, *a), steps, fld), evolve(delta_state(n, o, *b), steps, fld), np.arange(n) - o
+
+
+def walk_cells(positions, t):
+    """The sites x = t (mod 2) of ``positions``, where walkers from one site live at step ``t``."""
+    return slice(int(positions[0] + t) % 2, None, 2)
 
 
 def mode_index(x, coin):
@@ -129,11 +133,12 @@ def layout(matrix):
     return matrix.flags.c_contiguous, matrix.flags.f_contiguous
 
 
-def assert_blocks_equal_mode_reference(builder, a, b, positions):
-    """Same bits, same memory layout and the same observables as the mode-level route."""
-    joints = builder.build(a, b, SYMS)
-    assert len(joints) == len(SYMS)
-    for sym, joint in zip(SYMS, joints):
+def assert_blocks_equal_mode_reference(builder, a, b, positions, cells=slice(None)):
+    """Quarters on ``cells``, placed: the same bits, memory layout and observables as the mode-level route."""
+    quarters = builder.quarters(a, b, SYMS, cells)
+    assert len(quarters) == len(SYMS)
+    for sym, quarter in zip(SYMS, quarters):
+        joint = placed(quarter, cells, a.shape[1])
         ref = aggregate_to_positions(joint_mode_distribution(a, b, sym))
         assert np.array_equal(joint, ref)
         assert layout(joint) == layout(ref)
@@ -151,18 +156,18 @@ def test_joint_builder_equals_mode_reference_on_random_pairs():
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
 def test_joint_builder_equals_mode_reference_on_evolved_walkers(kind):
-    # whole lattice (203 sites) and the light cone (2t + 1 sites, across F_ORDER_SITES)
+    # whole lattice (203 sites) and the light cone (2t + 1 sites, across F_ORDER_SITES), on the walk's parity
     t_max = 100
     n, o = lattice_for(t_max)
     fld = FieldBatch([sample_phase_field(kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
                                          steps=t_max, n_sites=n, origin=o, seed=17)])
     a, b, t, builder = delta_state(n, o, 0, COIN_L), delta_state(n, o, 0, COIN_R), 0, JointBuilder()
+    x = np.arange(n) - o
     for stop in (0, 1, 10, 31, 32, 33, 60, 100):
         a, b, t = evolve(a, stop - t, fld, start=t), evolve(b, stop - t, fld, start=t), stop
-        assert_blocks_equal_mode_reference(builder, a.amplitudes, b.amplitudes, a.positions)
+        assert_blocks_equal_mode_reference(builder, a, b, x, walk_cells(x, t))
         cone = slice(o - t, o + t + 1)
-        assert_blocks_equal_mode_reference(builder, a.amplitudes[:, cone], b.amplitudes[:, cone],
-                                           a.positions[cone])
+        assert_blocks_equal_mode_reference(builder, a[:, cone], b[:, cone], x[cone], walk_cells(x[cone], t))
     assert 2 * 31 + 1 < F_ORDER_SITES <= 2 * 32 + 1
 
 
@@ -185,18 +190,20 @@ def test_joint_builder_matches_closed_forms(kind):
         def var(p):
             return (x * x) @ p - (x @ p) ** 2
 
-        for sym, joint in zip(SYMS, JointBuilder().build(a, b, SYMS)):
-            rank4 = 0.5 * (np.outer(p_a, p_b) + np.outer(p_b, p_a) + 2 * sym.sign * np.outer(g, g.conj()).real)
+        cells = walk_cells(x, t)
+        for sym, quarter in zip(SYMS, JointBuilder().quarters(a, b, SYMS, cells)):
+            joint, sign = placed(quarter, cells, len(x)), 1 if sym is BOS else -1
+            rank4 = 0.5 * (np.outer(p_a, p_b) + np.outer(p_b, p_a) + 2 * sign * np.outer(g, g.conj()).real)
             np.testing.assert_allclose(joint, rank4, rtol=1e-12, atol=1e-15)
-            closed = var(p_a) + var(p_b) + 2 * sym.sign * abs(x_ab) ** 2
+            closed = var(p_a) + var(p_b) + 2 * sign * abs(x_ab) ** 2
             assert variance_xm(joint, x) == pytest.approx(closed, rel=1e-12)
 
 
-def assert_built_on(a, b, positions, sites):
-    """The builder matches the mode reference and ran its blocks on ``sites`` sites."""
+def assert_built_on(a, b, positions, cells):
+    """The builder matches the mode reference on ``cells`` and ran its blocks there alone."""
     builder = JointBuilder()  # fresh: its "k" scratch then holds exactly this build's blocks
-    assert_blocks_equal_mode_reference(builder, a, b, positions)
-    assert builder._scratch["k"].size == 4 * sites**2
+    assert_blocks_equal_mode_reference(builder, a, b, positions, cells)
+    assert builder._scratch["k"].size == 4 * len(range(a.shape[1])[cells]) ** 2
 
 
 def light_cone(a, b, positions, lo, hi):
@@ -208,40 +215,18 @@ def test_walkers_on_different_parities_take_the_dense_path(t):
     # starts on sites 0 and 1: at every step one walker sits on each parity
     a, b, x = evolved_pair(steps=t, a=(0, COIN_L), b=(1, COIN_R))
     assert all(a[:, p::2].any() or b[:, p::2].any() for p in (0, 1))
-    assert_built_on(a, b, x, a.shape[1])
+    assert_built_on(a, b, x, slice(None))
     o = int(np.flatnonzero(x == 0)[0])
     cone = light_cone(a, b, x, o - t, o + t + 2)  # sites -t .. t + 1
-    assert_built_on(*cone, cone[0].shape[1])
-
-
-def test_one_tiny_off_parity_amplitude_takes_the_dense_path():
-    a, b, x = evolved_pair(steps=40)
-    assert not (a[:, 0::2].any() or b[:, 0::2].any())  # the walk lives on odd indices
-    b = b.copy()
-    b[COIN_R, 40] = 5e-324  # the smallest subnormal double
-    assert_built_on(a, b, x, a.shape[1])
-
-
-@pytest.mark.parametrize("t", [10, 31, 32, 100])
-@pytest.mark.parametrize("region", ["lattice", "cone"])
-def test_single_parity_walkers_take_the_sublattice_path(t, region):
-    # whole lattice: support on odd indices; light cone: on even indices; sizes on both sides of F_ORDER_SITES
-    a, b, x = evolved_pair(steps=t)
-    if region == "cone":
-        o = int(np.flatnonzero(x == 0)[0])
-        a, b, x = light_cone(a, b, x, o - t, o + t + 1)
-    offset = 1 if region == "lattice" else 0
-    assert not (a[:, 1 - offset :: 2].any() or b[:, 1 - offset :: 2].any())
-    assert a[:, offset::2].any() and b[:, offset::2].any()
-    assert_built_on(a, b, x, len(range(offset, a.shape[1], 2)))
+    assert_built_on(*cone, slice(None))
 
 
 def test_whole_lattice_build_at_step_100_holds_a_quarter_of_the_cells():
     a, b, x = evolved_pair(steps=100)
     assert a.shape[1] == 203
-    builder = JointBuilder()
-    builder.build(a, b, SYMS)
-    assert builder._scratch["k"].size <= 4 * 102**2
+    cells = walk_cells(x, 100)
+    assert not (a[:, 0::2].any() or b[:, 0::2].any()) and cells == slice(1, None, 2)
+    assert_built_on(a, b, x, cells)  # 102 of the 203 sites
 
 
 @pytest.mark.parametrize("t", [10, 31, 32, 40])
