@@ -1,16 +1,20 @@
 """Reproducible coin-phase disorder fields.
 
 A field realizes the phases phi_L, phi_R consumed by the step coin, drawn
-independently and uniformly from [0, phi_max] with a seeded generator:
+independently and uniformly from [0, phi_max] with a seeded generator.  The
+kinds differ in where the phases may change:
 
-* ``static``       per-site pair, constant in time (localizing)
-* ``dynamic``      per-step pair, uniform in space (decohering)
-* ``fluctuating``  independent pair per (site, step)
-* ``combined``     static pair plus fluctuating pair, phases added componentwise
+* ``static``       from site to site, constant in time (localizing)
+* ``dynamic``      from step to step, constant in space (decohering)
+* ``fluctuating``  from site to site and from step to step
+* ``combined``     static plus fluctuating phases, added componentwise
 * ``ordered``      all phases zero
 
+So a field is one table of phases, coin L and R by step by site, with one
+row where the phases are constant in time and one column where they are
+constant in space (``draw_shapes``); it broadcasts to (2, steps, n_sites).
 Each component draws from its own substream of the seed, so e.g.
-``combined`` with a zero fluctuating strength realizes bit-identical tables
+``combined`` with a zero fluctuating strength realizes bit-identical phases
 to ``static`` with the same seed.  Fields are immutable after sampling and
 safe to share across parallel evolutions.  A ``FieldBatch`` packs what
 one batched evolution of several configurations reads of their fields; it
@@ -20,6 +24,7 @@ is the only source of coin factors that the step engine reads.
 from __future__ import annotations
 
 import enum
+import math
 import numbers
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -45,64 +50,61 @@ class DisorderKind(str, enum.Enum):
     COMBINED = "combined"
 
 
+# the components each kind draws, the one whose shape the field keeps first
+_COMPONENTS = {DisorderKind.ORDERED: (), DisorderKind.STATIC: (_SUB_STATIC,), DisorderKind.DYNAMIC: (_SUB_DYNAMIC,),
+               DisorderKind.FLUCTUATING: (_SUB_FLUCTUATING,), DisorderKind.COMBINED: (_SUB_FLUCTUATING, _SUB_STATIC)}
+
+
+def draw_shapes(kind: DisorderKind, steps: int, n_sites: int) -> list[tuple[int, int, int]]:
+    """The (2, rows, cols) shape of each table of L and R phases a ``kind`` field draws, in drawing order.
+
+    Static phases are constant in time (one row), dynamic phases constant in
+    space (one column), fluctuating phases in neither.  A field keeps the sum
+    of its draws, which has the first one's shape: combined disorder draws a
+    fluctuating and then a static table.  Ordered disorder draws nothing and
+    keeps zeros of shape (2, 1, 1).
+    """
+    return [(2, 1 if sub == _SUB_STATIC else steps, 1 if sub == _SUB_DYNAMIC else n_sites)
+            for sub in _COMPONENTS[DisorderKind(kind)]]
+
+
 @dataclass
 class PhaseField:
     """A realized disorder configuration for one (lattice, steps) geometry.
 
-    Tables are keyed by component: ``site_l/site_r`` have shape (n_sites,),
-    ``step_l/step_r`` shape (steps,), ``fluct_l/fluct_r`` shape
-    (steps, n_sites).  Only the tables a kind needs are present.
+    ``phases[c, r, i]`` is the phase of coin c (L, R) at step r + 1 and site
+    i, in a table of the shape ``draw_shapes`` gives its kind (or (2, 1, 1)
+    for ordered disorder), which broadcasts to (2, steps, n_sites); any
+    other shape raises ValueError.  The table is read-only.
     """
 
     kind: DisorderKind
     steps: int
     n_sites: int
     origin: int
-    site_l: Optional[np.ndarray] = None
-    site_r: Optional[np.ndarray] = None
-    step_l: Optional[np.ndarray] = None
-    step_r: Optional[np.ndarray] = None
-    fluct_l: Optional[np.ndarray] = None
-    fluct_r: Optional[np.ndarray] = None
+    phases: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
-        for name in ("site_l", "site_r", "step_l", "step_r", "fluct_l", "fluct_r"):
-            table = getattr(self, name)
-            if table is not None:
-                table = np.asarray(table, dtype=np.float64)
-                table.setflags(write=False)
-                setattr(self, name, table)
+        want = (draw_shapes(self.kind, self.steps, self.n_sites) or [(2, 1, 1)])[0]
+        if np.shape(self.phases) != want:
+            raise ValueError(f"a {DisorderKind(self.kind).value} field of {self.steps} steps on {self.n_sites} "
+                             f"sites needs phases of shape {want}, got {np.shape(self.phases)}")
+        self.phases = np.asarray(self.phases, dtype=np.float64)
+        self.phases.setflags(write=False)
 
-    def _check_step(self, t: int) -> None:
+    def step_phases(self, t: int) -> np.ndarray:
+        """The (2, n_sites) phases (rows phi_L, phi_R) of every site at step t (1-based)."""
         if not 1 <= t <= self.steps:
             raise IndexError(f"step {t} outside 1..{self.steps}")
-
-    def step_phases(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-site (phi_L, phi_R) arrays for step t (1-based)."""
-        self._check_step(t)
-        kind = self.kind
-        if kind is DisorderKind.ORDERED:
-            zeros = np.zeros(self.n_sites)
-            return zeros, zeros
-        if kind is DisorderKind.STATIC:
-            return self.site_l, self.site_r
-        if kind is DisorderKind.DYNAMIC:
-            return (
-                np.broadcast_to(self.step_l[t - 1], self.n_sites),
-                np.broadcast_to(self.step_r[t - 1], self.n_sites),
-            )
-        if kind is DisorderKind.FLUCTUATING:
-            return self.fluct_l[t - 1], self.fluct_r[t - 1]
-        return self.site_l + self.fluct_l[t - 1], self.site_r + self.fluct_r[t - 1]
+        return np.broadcast_to(self.phases, (2, self.steps, self.n_sites))[:, t - 1]
 
     def phases_at(self, x: int, t: int) -> tuple[float, float]:
         """Realized (phi_L, phi_R) at signed position x, step t (1-based)."""
-        self._check_step(t)
         i = x + self.origin
         if not 0 <= i < self.n_sites:
             raise IndexError(f"position {x} outside the field lattice")
-        phi_l, phi_r = self.step_phases(t)
-        return float(phi_l[i]), float(phi_r[i])
+        phi_l, phi_r = self.step_phases(t)[:, i]
+        return float(phi_l), float(phi_r)
 
 
 def light_cone_rows(steps: int, n_sites: int, starts: Optional[Sequence[int]] = None
@@ -122,31 +124,38 @@ def light_cone_rows(steps: int, n_sites: int, starts: Optional[Sequence[int]] = 
     return first, np.maximum(0, (last - first) // stride + 1), stride
 
 
-# the table of each kind whose exp(i phi) a batch takes once
-_EXP_ONCE = {DisorderKind.STATIC: "site_", DisorderKind.DYNAMIC: "step_"}
+def batch_floats(kind: DisorderKind, steps: int, n_sites: int, starts: Optional[Sequence[int]]) -> tuple[int, int]:
+    """(floats a ``FieldBatch`` on ``starts`` keeps of each ``kind`` field, floats of that field's draws).
+
+    A batch keeps exp(i phi) of a whole table with one row or one column, and
+    the phases of both coins on the light-cone cells otherwise.
+    """
+    drawn = draw_shapes(kind, steps, n_sites)
+    _, rows, cols = (drawn or [(2, 1, 1)])[0]
+    kept = 4 * rows * cols if 1 in (rows, cols) else 2 * int(light_cone_rows(steps, n_sites, starts)[1].sum())
+    return kept, sum(map(math.prod, drawn))
 
 
 class FieldBatch:
-    """Fields of one kind and geometry, for one batched evolution of all of them.
+    """Fields of one table shape and geometry, for one batched evolution of all of them.
 
     ``coin_factors(t, sites)`` returns (exp(i phi_L), exp(i phi_R)) of the
-    sites selected by the slice ``sites``, shaped (configs, 1, sites) or,
-    where every site has the same factor (ordered and dynamic disorder),
-    (configs, 1, 1), so they broadcast against amplitudes of shape
-    (configs, walkers, sites); a batch of one field also broadcasts against
-    a single walker's (sites,).  exp(i phi) is taken once per static or
-    dynamic table.
-
-    Fluctuating and combined phases are packed, per coin, into one
-    (configs, 1, cells) array that holds only the rows of
-    ``light_cone_rows(steps, n_sites, starts)`` (without ``starts``, whole
-    rows), with the static part already added for combined disorder; each
-    step exponentiates one slice of it, and a selection outside its row
-    raises ValueError.  ``fields`` may be an iterator that draws the fields
-    one at a time (then ``configs`` gives their number): each field's tables
-    are packed before the next one is drawn and kept no longer.  Every
-    factor is elementwise, so a configuration's factors are bit-identical in
-    any batch and selection.
+    sites selected by the slice ``sites``, each shaped (configs, 1, sites),
+    so they broadcast against amplitudes of shape (configs, walkers, sites);
+    a batch of one field also broadcasts against a single walker's (sites,).
+    The shape of the fields' ``phases`` picks the storage.  A table that is
+    constant in time or in space (ordered, static and dynamic disorder) is
+    exponentiated once into one (configs, 2, rows, cols) array, which every
+    step reads as a broadcast view.  A table that changes in both
+    (fluctuating and combined disorder) is packed into one (configs, 2,
+    cells) array that holds only the rows of ``light_cone_rows(steps,
+    n_sites, starts)`` (without ``starts``, whole rows); each step
+    exponentiates one slice of it, and a selection outside its row raises
+    ValueError.  ``fields`` may be an iterator that draws the fields one at
+    a time (then ``configs`` gives their number): each field's table is
+    stored before the next one is drawn and kept no longer.  Every factor is
+    elementwise, so a configuration's factors are bit-identical in any batch
+    and selection.
     """
 
     def __init__(self, fields: Iterable[PhaseField], starts: Optional[Sequence[int]] = None,
@@ -160,51 +169,41 @@ class FieldBatch:
             if field is None:
                 raise ValueError(f"a field batch of {configs} configurations got {i} fields")
             if i == 0:
-                cells, sites = self._allocate(field, configs, starts)
-            elif (field.kind, field.steps, field.n_sites) != (self.kind, self.steps, self.n_sites):
-                raise ValueError("a field batch needs one kind, step count and lattice")
-            for coin, store in zip("lr", self._store):
-                if self.kind in _EXP_ONCE:
-                    np.exp(1j * getattr(field, _EXP_ONCE[self.kind] + coin), out=store[i, 0])
-                elif cells is not None:
-                    np.take(getattr(field, "fluct_" + coin), cells, out=store[i, 0])
-                    if self.kind is DisorderKind.COMBINED:
-                        store[i, 0] += getattr(field, "site_" + coin)[sites]
+                cells = self._allocate(field, configs, starts)
+            elif (field.phases.shape, field.steps, field.n_sites) != (self._shape, self.steps, self.n_sites):
+                raise ValueError("a field batch needs one table shape, step count and lattice")
+            if cells is None:
+                np.exp(1j * field.phases, out=self._store[i])
+            else:
+                np.take(field.phases.reshape(2, -1), cells, axis=1, out=self._store[i])
             del field  # before the next field is drawn
 
-    def _allocate(self, field: PhaseField, configs: int, starts: Optional[Sequence[int]]) -> tuple:
+    def _allocate(self, field: PhaseField, configs: int, starts: Optional[Sequence[int]]) -> Optional[np.ndarray]:
         """Allocate for ``configs`` fields like ``field``; returns, for packed
-        phases, each cell's index into a flat (steps, n_sites) table and its site."""
-        self.kind, self.steps, self.n_sites = kind, steps, n_sites = field.kind, field.steps, field.n_sites
+        phases, each cell's index into a flat (steps, n_sites) table."""
+        self.steps, self.n_sites, self._shape = steps, n_sites, shape = field.steps, field.n_sites, field.phases.shape
+        if 1 in shape[1:]:  # constant in time or in space, as batch_floats counts
+            self._store = np.empty((configs, *shape), dtype=np.complex128)
+            self._factors = np.broadcast_to(self._store, (configs, 2, steps, n_sites))
+            return None
         first, counts, self._stride = light_cone_rows(steps, n_sites, starts)
         offset = np.concatenate(([0], np.cumsum(counts)))
         self._first, self._offset = first.tolist(), offset.tolist()  # read per step
-        # per coin (configs, 1, width): exp(i phi) of every site (static) or step (dynamic), or the packed phases
-        if kind is DisorderKind.ORDERED:
-            self._store = (np.ones((configs, 1, 1), dtype=np.complex128),) * 2
-        elif kind in _EXP_ONCE:
-            width = n_sites if kind is DisorderKind.STATIC else steps
-            self._store = tuple(np.empty((configs, 1, width), dtype=np.complex128) for _ in "LR")
-        else:
-            self._store = tuple(np.empty((configs, 1, offset[-1])) for _ in "LR")
-            # packed cell j of row r holds site first[r] + (j - offset[r]) * stride of step r + 1
-            sites = np.repeat(first - offset[:-1] * self._stride, counts) + np.arange(offset[-1]) * self._stride
-            return np.repeat(np.arange(steps) * n_sites, counts) + sites, sites
-        return None, None
+        self._store, self._factors = np.empty((configs, 2, offset[-1])), None
+        # packed cell j of row r holds site first[r] + (j - offset[r]) * stride of step r + 1
+        sites = np.repeat(first - offset[:-1] * self._stride, counts) + np.arange(offset[-1]) * self._stride
+        return np.repeat(np.arange(steps) * n_sites, counts) + sites
 
     def coin_factors(self, t: int, sites: slice) -> tuple[np.ndarray, np.ndarray]:
         """Coin factors of every configuration at the ``sites`` for step t (1-based)."""
         if not 1 <= t <= self.steps:
             raise IndexError(f"step {t} outside 1..{self.steps}")
-        kind = self.kind
-        if kind is DisorderKind.ORDERED:
-            return self._store
-        if kind is DisorderKind.STATIC:
-            return self._store[0][..., sites], self._store[1][..., sites]
-        if kind is DisorderKind.DYNAMIC:
-            return self._store[0][..., t - 1, None], self._store[1][..., t - 1, None]
-        cells = self._row_cells(t, sites)
-        return np.exp(1j * self._store[0][..., cells]), np.exp(1j * self._store[1][..., cells])
+        if self._factors is not None:
+            factors = self._factors[:, :, t - 1, None, sites]
+        else:
+            factors = 1j * self._store[:, :, None, self._row_cells(t, sites)]
+            np.exp(factors, out=factors)
+        return factors[:, 0], factors[:, 1]
 
     def _row_cells(self, t: int, sites: slice) -> slice:
         """The packed cells of row t that hold the lattice ``sites``."""
@@ -249,7 +248,9 @@ def sample_phase_field(
 
     Single-component kinds take their strength from ``phi_max`` (or the
     matching ``phi_static``/``phi_dynamic``); ``combined`` needs both
-    ``phi_static`` and ``phi_dynamic``.  L and R phases draw independently.
+    ``phi_static`` and ``phi_dynamic``.  Each component draws the L and then
+    the R phases of its ``draw_shapes`` table in one call from its own
+    substream of ``seed``, and the field keeps the sum of the draws.
     Identical (kind, strengths, seed, dimensions) give bit-identical tables.
     ``steps``, ``n_sites``, ``origin`` and ``seed`` must be integers (not
     bools), with ``steps >= 0``, ``n_sites >= 1``, ``0 <= origin < n_sites``
@@ -280,36 +281,19 @@ def sample_phase_field(
             phi_dynamic = phi_max if phi_dynamic is None else phi_dynamic
         if phi_static is None or phi_dynamic is None:
             raise ValueError("combined disorder needs phi_static and phi_dynamic")
-        s_static, s_dynamic = float(phi_static), float(phi_dynamic)
+        strengths = {_SUB_STATIC: float(phi_static), _SUB_FLUCTUATING: float(phi_dynamic)}
     elif kind is DisorderKind.ORDERED:
-        s_static = s_dynamic = 0.0
+        strengths = {}
     else:
         if phi_max is None:
             phi_max = phi_static if kind is DisorderKind.STATIC else phi_dynamic
         if phi_max is None:
             raise ValueError(f"{kind.value} disorder needs phi_max")
-        strength = float(phi_max)
-        s_static = strength if kind is DisorderKind.STATIC else 0.0
-        s_dynamic = strength if kind is not DisorderKind.STATIC else 0.0
+        strengths = dict.fromkeys(_COMPONENTS[kind], float(phi_max))
 
-    tables: dict[str, np.ndarray] = {}
-    if kind in (DisorderKind.STATIC, DisorderKind.COMBINED):
-        rng = _substream(seed, _SUB_STATIC)
-        tables["site_l"] = rng.uniform(0.0, s_static, n_sites)
-        tables["site_r"] = rng.uniform(0.0, s_static, n_sites)
-    if kind is DisorderKind.DYNAMIC:
-        rng = _substream(seed, _SUB_DYNAMIC)
-        tables["step_l"] = rng.uniform(0.0, s_dynamic, steps)
-        tables["step_r"] = rng.uniform(0.0, s_dynamic, steps)
-    if kind in (DisorderKind.FLUCTUATING, DisorderKind.COMBINED):
-        rng = _substream(seed, _SUB_FLUCTUATING)
-        tables["fluct_l"] = rng.uniform(0.0, s_dynamic, (steps, n_sites))
-        tables["fluct_r"] = rng.uniform(0.0, s_dynamic, (steps, n_sites))
-
-    return PhaseField(
-        kind=kind,
-        steps=int(steps),
-        n_sites=int(n_sites),
-        origin=int(origin),
-        **tables,
-    )
+    tables = [_substream(seed, sub).uniform(0.0, strengths[sub], shape)
+              for sub, shape in zip(_COMPONENTS[kind], draw_shapes(kind, steps, n_sites))]
+    phases = tables[0] if tables else np.zeros((2, 1, 1))
+    for table in tables[1:]:
+        phases += table  # the static phases onto the fluctuating ones
+    return PhaseField(kind, int(steps), int(n_sites), int(origin), phases)

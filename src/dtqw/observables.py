@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import COIN_NAMES, ScenarioConfig
 from .core import delta_state, evolve, lattice_for, light_cone
-from .disorder import DisorderKind, FieldBatch, PhaseField, light_cone_rows, sample_phase_field
+from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field
 from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, marginal_positions, placed
 
 
@@ -107,10 +107,15 @@ def _crop(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return amplitudes[..., lo : hi + 1]
 
 
+def _geometry(cfg: ScenarioConfig) -> tuple[int, int, list[int]]:
+    """(n_sites, origin, array indices of the start sites) of ``cfg``'s lattice."""
+    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
+    return n_sites, origin, [origin + x for x in cfg.start_sites]
+
+
 def _reach(cfg: ScenarioConfig, t: int) -> tuple[int, int, int]:
     """``light_cone`` at step ``t`` of ``cfg``'s starts, in array indices; inside the lattice for t <= steps."""
-    _, origin = lattice_for(cfg.steps, cfg.start_sites)
-    return light_cone(t, [origin + x for x in cfg.start_sites])
+    return light_cone(t, _geometry(cfg)[2])
 
 
 def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
@@ -130,22 +135,16 @@ def _chunk_tasks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tu
     A member's field draws from its seed with ``cfg``'s strengths, the one
     named by ``sweep`` set to its value (None: no sweep).  A chunk holds as
     many members as fit ``_CHUNK_BYTES`` with what ``FieldBatch`` keeps of
-    their fields (nothing for ordered disorder, a complex factor per site or
-    step and coin for static or dynamic, the light-cone phases of both
-    coins for fluctuating and combined), their walker states (one buffer
-    pair for the whole walk) and their ``result_floats`` of measurements,
-    next to the whole tables of the one field being packed, and no more
-    than an even share of ``n_jobs`` workers.
+    their fields, their walker states (one buffer pair for the whole walk)
+    and their ``result_floats`` of measurements, next to the tables the one
+    field being packed draws, and no more than an even share of ``n_jobs``
+    workers.  ``disorder.batch_floats`` gives both counts from the shapes
+    of the tables the kind draws.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    steps, K = cfg.steps, DisorderKind
-    n_sites, origin = lattice_for(steps, cfg.start_sites)
-    cone = 2 * int(light_cone_rows(steps, n_sites, [origin + x for x in cfg.start_sites])[1].sum())
-    # floats that FieldBatch keeps of each field, and the floats of the one field it is packing
-    kept, packing = {K.ORDERED: (0, 0), K.STATIC: (4 * n_sites, 2 * n_sites), K.DYNAMIC: (4 * steps, 2 * steps),
-                     K.FLUCTUATING: (cone, 2 * steps * n_sites),
-                     K.COMBINED: (cone, 2 * steps * n_sites + 2 * n_sites)}[cfg.disorder]
+    n_sites, _, starts = _geometry(cfg)
+    kept, packing = batch_floats(cfg.disorder, cfg.steps, n_sites, starts)
     # the two state buffers evolve steps in from stop to stop
     per_config = 8 * (kept + 16 * n_sites + result_floats)
     size = max(1, min((_CHUNK_BYTES - 8 * packing) // per_config, -(-len(members) // n_jobs)))
@@ -187,9 +186,9 @@ def _run_chunk(task) -> list:
     ``measure(cfg, amplitudes, t)``; returns those results, one per stop.
     """
     cfg, sweep, members, stops, measure = task
-    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
+    n_sites, origin, starts = _geometry(cfg)
     field = FieldBatch((_field_for(cfg, seed, n_sites, origin, **({} if sweep is None else {sweep: value}))
-                        for value, seed in members), [origin + x for x in cfg.start_sites], len(members))
+                        for value, seed in members), starts, len(members))
     pair = np.stack([delta_state(n_sites, origin, x, COIN_NAMES[coin]) for x, coin in (cfg.start_a, cfg.start_b)])
     state = np.array(np.broadcast_to(pair, (len(members), *pair.shape)))
     spare = np.empty_like(state)
@@ -215,7 +214,7 @@ def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: Sc
     cropped to the light cone, whose discarded amplitudes are exactly zero,
     and each configuration's joints are built on the cone's parity cells.
     """
-    _, origin = lattice_for(cfg.steps, cfg.start_sites)
+    _, origin, _ = _geometry(cfg)
     lo, hi, stride = _reach(cfg, t)
     positions = np.arange(lo, hi + 1) - origin
     cells, syms = slice(None, None, stride), resolved_symmetries(cfg)
@@ -347,7 +346,7 @@ def ensemble_average_joints(
     """
     cfg.validate()
     syms = resolved_symmetries(cfg)
-    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
+    n_sites, origin, _ = _geometry(cfg)
     lo, _, stride = _reach(cfg, cfg.steps)
     cells = slice(lo % stride, None, stride)
     s = len(range(n_sites)[cells])

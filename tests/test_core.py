@@ -41,7 +41,7 @@ def dist_by_position(amps, origin):
 def phase_table_field(phi_l, phi_r):
     """A field that gives coin phases phi_l[t-1, i], phi_r[t-1, i] at step t, site i."""
     steps, n_sites = np.shape(phi_l)
-    return PhaseField(DisorderKind.FLUCTUATING, steps, n_sites, (n_sites - 1) // 2, fluct_l=phi_l, fluct_r=phi_r)
+    return PhaseField(DisorderKind.FLUCTUATING, steps, n_sites, (n_sites - 1) // 2, np.stack([phi_l, phi_r]))
 
 
 ONE_STEP_ORIGIN = lattice_for(1)[1]
@@ -222,7 +222,7 @@ def test_global_phase_shift_of_field_is_invisible():
     t = 20
     n, o = lattice_for(t)
     fld = sample_phase_field(DisorderKind.STATIC, phi_max=np.pi, steps=t, n_sites=n, origin=o, seed=4)
-    shifted = dataclasses.replace(fld, site_l=fld.site_l + 1.234, site_r=fld.site_r + 1.234)
+    shifted = dataclasses.replace(fld, phases=fld.phases + 1.234)
     a = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([fld]))
     b = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([shifted]))
     np.testing.assert_allclose(probabilities(a), probabilities(b), atol=1e-12)

@@ -6,7 +6,7 @@ import pytest
 from scipy import stats
 
 from dtqw.core import COIN_L, delta_state, evolve, lattice_for
-from dtqw.disorder import DisorderKind, FieldBatch, _substream, light_cone_rows, sample_phase_field
+from dtqw.disorder import DisorderKind, FieldBatch, PhaseField, _substream, light_cone_rows, sample_phase_field
 
 PI = np.pi
 
@@ -45,11 +45,13 @@ def test_fluctuating_varies_in_space_and_time():
 
 def test_combined_is_componentwise_sum():
     fld = make(DisorderKind.COMBINED, steps=6, phi_static=PI, phi_dynamic=PI / 2)
+    site = make(DisorderKind.STATIC, steps=6, phi_max=PI).phases  # the same seed's static draw
+    fluct = make(DisorderKind.FLUCTUATING, steps=6, phi_max=PI / 2).phases
     i = fld.origin + 2
     for t in (1, 3, 6):
         phi_l, phi_r = fld.phases_at(2, t)
-        assert phi_l == pytest.approx(fld.site_l[i] + fld.fluct_l[t - 1][i])
-        assert phi_r == pytest.approx(fld.site_r[i] + fld.fluct_r[t - 1][i])
+        assert phi_l == pytest.approx(site[0, 0, i] + fluct[0, t - 1, i])
+        assert phi_r == pytest.approx(site[1, 0, i] + fluct[1, t - 1, i])
 
 
 def test_zero_strength_matches_ordered_evolution():
@@ -66,17 +68,14 @@ def test_sampling_is_deterministic():
     for kind in DisorderKind:
         f1 = make(kind, seed=123)
         f2 = make(kind, seed=123)
-        for name in ("site_l", "site_r", "step_l", "step_r", "fluct_l", "fluct_r"):
-            t1, t2 = getattr(f1, name), getattr(f2, name)
-            assert (t1 is None) == (t2 is None)
-            if t1 is not None:
-                np.testing.assert_array_equal(t1, t2)
+        assert f1.phases.shape == f2.phases.shape
+        np.testing.assert_array_equal(f1.phases, f2.phases)
 
 
 def test_different_seeds_differ():
     f1 = make(DisorderKind.STATIC, seed=1)
     f2 = make(DisorderKind.STATIC, seed=2)
-    assert not np.array_equal(f1.site_l, f2.site_l)
+    assert not np.array_equal(f1.phases[0], f2.phases[0])
 
 
 @pytest.mark.parametrize("bad", [-0.1, 2 * PI + 1e-6])
@@ -160,7 +159,7 @@ def test_numpy_integer_geometry_draws_as_python_int():
     plain = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=4, n_sites=9, origin=4, seed=7)
     numpy = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=np.int64(4), n_sites=np.int32(9),
                                origin=np.int64(4), seed=np.uint32(7))
-    np.testing.assert_array_equal(plain.site_l, numpy.site_l)
+    np.testing.assert_array_equal(plain.phases, numpy.phases)
     assert (numpy.steps, numpy.n_sites, numpy.origin) == (4, 9, 4)
 
 
@@ -175,12 +174,11 @@ def test_missing_strength_rejected():
 def test_all_stored_phases_within_strength():
     for kind in (DisorderKind.STATIC, DisorderKind.DYNAMIC, DisorderKind.FLUCTUATING):
         fld = make(kind, phi_max=1.3)
-        for name in ("site_l", "site_r", "step_l", "step_r", "fluct_l", "fluct_r"):
-            table = getattr(fld, name)
-            if table is not None:
-                assert table.min() >= 0.0 and table.max() <= 1.3
+        assert fld.phases.min() >= 0.0 and fld.phases.max() <= 1.3
     fld = make(DisorderKind.COMBINED, phi_static=0.4, phi_dynamic=1.1)
-    assert fld.site_l.max() <= 0.4 and fld.fluct_l.max() <= 1.1
+    site, fluct = make(DisorderKind.STATIC, phi_max=0.4).phases, make(DisorderKind.FLUCTUATING, phi_max=1.1).phases
+    assert np.array_equal(fld.phases, site + fluct)  # the same seed's two draws
+    assert site.max() <= 0.4 and fluct.max() <= 1.1
 
 
 def test_out_of_range_lookup_rejected():
@@ -197,13 +195,9 @@ def test_fluctuating_forced_constant_reproduces_static():
     steps = 12
     n, o = lattice_for(steps)
     fluct = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=8)
-    frozen = dataclasses.replace(
-        fluct,
-        fluct_l=np.tile(fluct.fluct_l[0], (steps, 1)),
-        fluct_r=np.tile(fluct.fluct_r[0], (steps, 1)),
-    )
+    frozen = dataclasses.replace(fluct, phases=np.tile(fluct.phases[:, :1], (1, steps, 1)))
     static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=8)
-    static = dataclasses.replace(static, site_l=fluct.fluct_l[0], site_r=fluct.fluct_r[0])
+    static = dataclasses.replace(static, phases=fluct.phases[:, :1])
     a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([frozen]))
     b = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([static]))
     np.testing.assert_array_equal(a, b)
@@ -216,8 +210,8 @@ def test_combined_with_zero_dynamic_reproduces_static():
         DisorderKind.COMBINED, phi_static=PI, phi_dynamic=0.0, steps=steps, n_sites=n, origin=o, seed=21
     )
     static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=21)
-    np.testing.assert_array_equal(combined.site_l, static.site_l)
-    np.testing.assert_array_equal(combined.site_r, static.site_r)
+    np.testing.assert_array_equal(combined.phases[0], np.broadcast_to(static.phases[0], (steps, n)))
+    np.testing.assert_array_equal(combined.phases[1], np.broadcast_to(static.phases[1], (steps, n)))
     a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([combined]))
     b = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([static]))
     np.testing.assert_array_equal(a, b)
@@ -230,7 +224,7 @@ def test_combined_with_zero_static_reproduces_fluctuating():
         DisorderKind.COMBINED, phi_static=0.0, phi_dynamic=PI, steps=steps, n_sites=n, origin=o, seed=22
     )
     fluct = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=22)
-    np.testing.assert_array_equal(combined.fluct_l, fluct.fluct_l)
+    np.testing.assert_array_equal(combined.phases[0], fluct.phases[0])
     a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([combined]))
     b = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([fluct]))
     np.testing.assert_array_equal(a, b)
@@ -238,13 +232,13 @@ def test_combined_with_zero_static_reproduces_fluctuating():
 
 def test_uniform_moment_of_drawn_phases():
     fld = make(DisorderKind.FLUCTUATING, steps=100, seed=77, phi_max=PI)
-    draws = fld.fluct_l.ravel()[:10_000]
+    draws = fld.phases[0].ravel()[:10_000]
     assert draws.mean() == pytest.approx(PI / 2, abs=0.05)
 
 
 def test_drawn_phases_pass_ks_uniformity():
     fld = make(DisorderKind.FLUCTUATING, steps=100, seed=13, phi_max=PI)
-    draws = fld.fluct_r.ravel()[:10_000]
+    draws = fld.phases[1].ravel()[:10_000]
     result = stats.kstest(draws, stats.uniform(loc=0.0, scale=PI).cdf)
     assert result.pvalue > 0.01
 
@@ -252,7 +246,57 @@ def test_drawn_phases_pass_ks_uniformity():
 def test_tables_are_read_only():
     fld = make(DisorderKind.STATIC)
     with pytest.raises(ValueError):
-        fld.site_l[0] = 1.0
+        fld.phases[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("seed", [0, 41])
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+def test_phases_are_the_l_then_r_draws_of_each_component_substream(kind, seed):
+    # substream 0 draws static phases per site, 1 dynamic phases per step, 2 fluctuating phases per (step, site)
+    steps, n = 5, 13
+    fld = sample_phase_field(kind, phi_max=1.0, phi_static=2.0, phi_dynamic=1.5, steps=steps, n_sites=n, origin=6,
+                             seed=seed)
+
+    def draws(index, strength, size):
+        rng = _substream(seed, index)
+        first = rng.uniform(0.0, strength, size)
+        return np.stack([first, rng.uniform(0.0, strength, size)])
+
+    want = {
+        DisorderKind.ORDERED: lambda: np.zeros((2, 1, 1)),
+        DisorderKind.STATIC: lambda: draws(0, 1.0, n)[:, None, :],
+        DisorderKind.DYNAMIC: lambda: draws(1, 1.0, steps)[:, :, None],
+        DisorderKind.FLUCTUATING: lambda: draws(2, 1.0, (steps, n)),
+        DisorderKind.COMBINED: lambda: draws(0, 2.0, n)[:, None, :] + draws(2, 1.5, (steps, n)),
+    }[kind]()
+    assert fld.phases.shape == want.shape and fld.phases.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind, steps, n_sites, shape",
+    [
+        (DisorderKind.STATIC, 3, 9, None),
+        (DisorderKind.FLUCTUATING, 3, 9, (2, 2, 9)),
+        (DisorderKind.ORDERED, 3, 9, (2, 3, 9)),
+        (DisorderKind.STATIC, 3, 9, (2, 3, 9)),
+        (DisorderKind.STATIC, 3, 9, (1, 1, 9)),
+        (DisorderKind.DYNAMIC, 3, 9, (2, 3)),
+        (DisorderKind.COMBINED, 3, 9, (2, 1, 9)),
+    ],
+    ids=["static-no-table", "fluctuating-short", "ordered-whole", "static-per-step", "static-one-coin",
+         "dynamic-2d", "combined-static-only"],
+)
+def test_a_field_rejects_a_table_whose_shape_does_not_fit_its_kind(kind, steps, n_sites, shape):
+    # both first two once constructed and failed only inside FieldBatch (TypeError, IndexError)
+    with pytest.raises(ValueError, match="needs phases of shape"):
+        PhaseField(kind, steps, n_sites, 4, None if shape is None else np.zeros(shape))
+
+
+def test_a_field_takes_the_table_shape_its_kind_draws():
+    for kind, shape in [(DisorderKind.ORDERED, (2, 1, 1)), (DisorderKind.STATIC, (2, 1, 9)),
+                        (DisorderKind.DYNAMIC, (2, 3, 1)), (DisorderKind.FLUCTUATING, (2, 3, 9)),
+                        (DisorderKind.COMBINED, (2, 3, 9))]:
+        assert PhaseField(kind, 3, 9, 4, np.zeros(shape)).phases.shape == shape
 
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)

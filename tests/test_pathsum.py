@@ -38,7 +38,7 @@ def test_two_steps_with_uniform_static_phases_match_engine():
     steps = 2
     n, o = lattice_for(steps)
     fld = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=steps, n_sites=n, origin=o, seed=0)
-    fld = dataclasses.replace(fld, site_l=np.full(n, np.pi), site_r=np.zeros(n))
+    fld = dataclasses.replace(fld, phases=np.stack([np.full((1, n), np.pi), np.zeros((1, n))]))
     res = path_sum_amplitudes(0, COIN_L, steps, fld)
     state = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([fld]))
     assert compare(state, res) <= 1e-12
