@@ -27,7 +27,7 @@ import numpy as np
 from .config import COIN_NAMES, ScenarioConfig
 from .core import delta_state, evolve, lattice_for, light_cone
 from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field
-from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, marginal_positions, placed
+from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, joint_factors, marginal_positions, placed
 
 
 def variance_xm(m: np.ndarray, positions: np.ndarray) -> float:
@@ -119,9 +119,7 @@ def _reach(cfg: ScenarioConfig, t: int) -> tuple[int, int, int]:
 
 
 def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
-    if cfg.symmetry == "both":
-        return (ExchangeSymmetry.BOSONIC, ExchangeSymmetry.FERMIONIC)
-    return (ExchangeSymmetry(cfg.symmetry),)
+    return tuple(ExchangeSymmetry) if cfg.symmetry == "both" else (ExchangeSymmetry(cfg.symmetry),)
 
 
 def _usable_cpus() -> int:
@@ -236,19 +234,10 @@ def _observe(observables: tuple[str, ...], quarter: np.ndarray, cells: slice, po
     return [_OBSERVABLES[obs](quarter if obs in _ON_QUARTER else joint, positions) for obs in observables]
 
 
-def _measure_joints(builder: JointBuilder, cells: slice, cfg: ScenarioConfig, amps: np.ndarray, t: int) -> tuple:
-    """Each configuration's joints on ``cells`` x ``cells`` and its marginal, over the whole lattice.
-
-    Shapes (configs, symmetries, s, s) and (configs, n_sites), for the
-    chunk's (configs, 2 walkers, 2, n_sites) state ``amps``.
-    """
-    syms = resolved_symmetries(cfg)
-    s = len(range(amps.shape[-1])[cells])
-    quarters, marginals = np.empty((len(amps), len(syms), s, s)), np.empty((len(amps), amps.shape[-1]))
-    for out, marginal, (a, b) in zip(quarters, marginals, amps):
-        builder.quarters(a, b, syms, cells, out)
-        marginal[:] = marginal_positions(a, b)
-    return quarters, marginals
+def _measure_joints(cells: slice, cfg: ScenarioConfig, amps: np.ndarray, t: int) -> tuple:
+    """(configs, 4, s) ``joint_factors`` and (configs, s) marginals of the chunk's state ``amps`` on ``cells``."""
+    a, b = amps[:, 0, :, cells], amps[:, 1, :, cells]
+    return joint_factors(a, b), marginal_positions(a, b)
 
 
 def ensemble_run(
@@ -331,35 +320,37 @@ def _fold(cube: np.ndarray, observables: tuple[str, ...], syms: tuple, eval_step
     return out
 
 
-def ensemble_average_joints(
-    cfg: ScenarioConfig, n_jobs: int = 1
-) -> tuple[dict[ExchangeSymmetry, np.ndarray], np.ndarray, np.ndarray]:
+def ensemble_average_joints(cfg: ScenarioConfig, n_jobs: int = 1
+                            ) -> tuple[dict[ExchangeSymmetry, np.ndarray], np.ndarray, np.ndarray]:
     """Configuration-averaged position-level joints at the final step.
 
     Returns (joint matrices by symmetry, averaged marginal, signed positions
     of their rows).  Matrices are averaged across configurations before any
-    downstream fit, matching how the density-plot scenarios aggregate.  Each
-    configuration's joints are kept only on the cells that can be nonzero
-    (a quarter of them when the walkers start on one parity) and added to
-    the running sums in configuration order as its chunk finishes; the sums
-    are placed into the whole lattice once, at the end.
+    downstream fit, matching how the density-plot scenarios aggregate.  A
+    joint is rank 4 in its ``joint_factors`` p_a, p_b, g_r and g_i, so the
+    ensemble sums are two matrix products over the factors of every
+    configuration, in member order, on the cells that can be nonzero:
+    W = A^T B of the p_a and p_b rows and X = G^T G of the g_r and g_i rows.
+    Each map, ((W + W^T) / 2 +/- X) / configs, is exactly symmetric, with
+    roundoff below zero set to +0.0.
     """
     cfg.validate()
-    syms = resolved_symmetries(cfg)
     n_sites, origin, _ = _geometry(cfg)
     lo, _, stride = _reach(cfg, cfg.steps)
     cells = slice(lo % stride, None, stride)
     s = len(range(n_sites)[cells])
-
-    measure = partial(_measure_joints, JointBuilder(), cells)
     members = [(None, cfg.seed + i) for i in range(cfg.configs)]
-    acc, marg = np.zeros((len(syms), s, s)), np.zeros(n_sites)
-    for ((quarters, marginals),) in _map_chunks(cfg, None, members, [cfg.steps], measure,
-                                                len(syms) * s * s + n_sites, n_jobs):
-        for config_quarters, marginal in zip(quarters, marginals):
-            acc += config_quarters
-            marg += marginal
-    joints = np.zeros((len(syms), n_sites, n_sites))
-    joints[:, cells, cells] = acc
-    return ({sym: joints[j] / cfg.configs for j, sym in enumerate(syms)}, marg / cfg.configs,
-            np.arange(n_sites) - origin)
+    # per configuration: factors and marginal (5 s floats) and the coin products they are reduced from (8 s)
+    chunks = [result for (result,) in _map_chunks(cfg, None, members, [cfg.steps], partial(_measure_joints, cells),
+                                                   13 * s, n_jobs)]
+    # in C order (chunks come out configuration-innermost) einsum and sum add configuration after configuration,
+    # whatever the chunking; OpenBLAS products split 400-configuration sums by OPENBLAS_NUM_THREADS
+    factors, marginals = (np.ascontiguousarray(np.concatenate(part)) for part in zip(*chunks))
+    w, g = np.einsum("ki,kj->ij", factors[:, 0], factors[:, 1]), factors[:, 2:].reshape(-1, s)
+    pair, exchange = 0.5 * (w + w.T), np.einsum("ki,kj->ij", g, g)
+    sums = {ExchangeSymmetry.BOSONIC: pair + exchange, ExchangeSymmetry.FERMIONIC: pair - exchange}
+    joints, marg = {sym: np.zeros((n_sites, n_sites)) for sym in resolved_symmetries(cfg)}, np.zeros(n_sites)
+    for sym, joint in joints.items():  # pair >= +0.0, so no cell is -0.0
+        joint[cells, cells] = np.maximum(sums[sym] / cfg.configs, 0.0)
+    marg[cells] = marginals.sum(axis=0) / cfg.configs
+    return joints, marg, np.arange(n_sites) - origin

@@ -21,7 +21,10 @@ caller names the cells to build: walkers from one site live on the sites
 x = t (mod 2) at step t, a quarter of the cells, and the ensemble runners
 take that parity from the light cone, never from the amplitudes.
 ``placed`` puts a quarter into the whole lattice, the layout that row sums
-read; the runners keep quarters until a consumer needs the whole lattice.
+read.  Summed over the coins, P is rank 4 in the real ``joint_factors``:
+    P(x, y) = (p_a(x) p_b(y) + p_b(x) p_a(y)) / 2 +/- (g_r(x) g_r(y) + g_i(x) g_i(y)),
+with p_w = sum_c |w_c|^2 and g_r + i g_i = sum_c a_c conj(b_c), the exchange
+term that bunches bosons and antibunches fermions; the averaged maps use it.
 """
 
 from __future__ import annotations
@@ -125,11 +128,17 @@ def placed(quarter: np.ndarray, cells: slice, n_sites: int) -> np.ndarray:
     return matrix
 
 
+def joint_factors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(p_a, p_b, g_r, g_i) of (..., 2, n_sites) amplitudes, summed over the coin: shape (..., 4, n_sites)."""
+    g = (a * b.conj()).sum(axis=-2)
+    return np.stack([(w.real**2 + w.imag**2).sum(axis=-2) for w in (a, b)] + [g.real, g.imag], axis=-2)
+
+
 def marginal_positions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Single-particle marginal over sites, (|a|^2 + |b|^2) / 2 summed over the coin.
 
-    Identical for both exchange symmetries and equal to any row sum of the
-    position-level joint.
+    ``a`` and ``b`` are (..., 2, n_sites).  Identical for both exchange
+    symmetries and equal to any row sum of the position-level joint.
     """
-    return (0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2)).sum(axis=0)
+    return (0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2)).sum(axis=-2)
 

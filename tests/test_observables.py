@@ -233,14 +233,13 @@ def test_static_variance_plateaus():
 def test_ensemble_average_joints_normalized():
     cfg = ordered_cfg(disorder=DisorderKind.DYNAMIC, phi_max=np.pi, configs=3, seed=5, steps=12)
     joints, marg, positions = ensemble_average_joints(cfg)
+    assert len(joints) == 2
     for joint in joints.values():
         assert joint.sum() == pytest.approx(1.0, abs=1e-12)
-        np.testing.assert_allclose(joint, joint.T, atol=1e-15)
+        assert np.array_equal(joint, joint.T)
+        np.testing.assert_allclose(joint.sum(axis=1), marg, atol=1e-12)
     assert marg.sum() == pytest.approx(1.0, abs=1e-12)
     assert len(positions) == len(marg)
-    np.testing.assert_allclose(
-        joints[BOS].sum(axis=1), marg, atol=1e-12
-    )
 
 
 def test_observable_series_validates_lengths():
@@ -367,17 +366,21 @@ def test_a_preset_scale_chunk_measured_at_several_steps_stays_within_its_memory_
 
 
 def test_a_preset_scale_joint_map_chunk_stays_within_its_memory_budget():
-    # One fig3 chunk at t = 50 (71 static configurations), traced on its second run: each configuration keeps
-    # its two joints on the 51 x 51 parity quarter, where whole 103 x 103 matrices fit 22 configurations.
-    cfg = preset("fig3")
+    # fig3 at t = 50: each configuration keeps its four joint factors and its marginal on the 51 parity cells,
+    # and measuring them holds its coin products (8 x 51 floats), so the preset's 100 static configurations run
+    # as one chunk, where two 51 x 51 quarters each fit 71 and whole 103 x 103 matrices 22.  A chunk that fills
+    # the budget (192 of 300 configurations) is traced on its second run; counting only the 5 x 51 floats kept,
+    # 221 configurations fit and peaked at 1.13 budgets.
+    cfg = dataclasses.replace(preset("fig3"), configs=300)
     n, _ = lattice_for(cfg.steps)
     lo, _, stride = observables._reach(cfg, cfg.steps)
     cells = slice(lo % stride, None, stride)
     s = len(range(n)[cells])
-    measure = partial(observables._measure_joints, JointBuilder(), cells)
+    measure = partial(observables._measure_joints, cells)
     members = [(None, cfg.seed + i) for i in range(cfg.configs)]
-    tasks = observables._chunk_tasks(cfg, None, members, [cfg.steps], measure, 2 * s * s + n, 1)
-    assert (s, len(tasks), len(tasks[0][2])) == (51, 2, 71)
+    tasks = observables._chunk_tasks(cfg, None, members, [cfg.steps], measure, 13 * s, 1)
+    assert (s, [len(task[2]) for task in tasks]) == (51, [192, 108])
+    assert len(observables._chunk_tasks(preset("fig3"), None, members[:100], [cfg.steps], measure, 13 * s, 1)) == 1
     observables._run_chunk(tasks[0])
     tracemalloc.start()
     try:
@@ -388,31 +391,52 @@ def test_a_preset_scale_joint_map_chunk_stays_within_its_memory_budget():
     assert peak <= 1.1 * observables._CHUNK_BYTES
 
 
-def layout(matrix):
-    return matrix.flags.c_contiguous, matrix.flags.f_contiguous
+def mode_reference_average(cfg):
+    """Configuration-averaged position joints by symmetry, from the mode-level reference, and the marginal.
+
+    Both are summed over the configurations in order and divided once, as the runner sums its marginals.
+    """
+    n, o = lattice_for(cfg.steps, cfg.start_sites)
+    sums, marg = {sym: np.zeros((n, n)) for sym in ExchangeSymmetry}, np.zeros(n)
+    for i in range(cfg.configs):
+        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n, o)])
+        a = evolve(delta_state(n, o, cfg.start_a[0], COIN_L), cfg.steps, fld)
+        b = evolve(delta_state(n, o, cfg.start_b[0], COIN_R), cfg.steps, fld)
+        for sym, acc in sums.items():
+            acc += aggregate_to_positions(joint_mode_distribution(a, b, sym))
+        marg += marginal_positions(a, b)
+    return {sym: acc / cfg.configs for sym, acc in sums.items()}, marg / cfg.configs
+
+
+def assert_identical_runs(runs):
+    """The runs of ``_runs`` give the same bits: chunking and worker processes do not move a cell."""
+    (joints, marg, positions), *others = runs
+    for other in others:
+        assert other[0].keys() == joints.keys()
+        assert all(np.array_equal(other[0][sym], joint) for sym, joint in joints.items())
+        assert np.array_equal(other[1], marg) and np.array_equal(other[2], positions)
 
 
 @pytest.mark.parametrize("steps", [12, 33], ids=["C-order", "F-order"])  # lattices of 27/28 and 69/70 sites
 @pytest.mark.parametrize("start_b", [(0, "R"), (1, "R")], ids=["one-parity", "two-parities"])
 def test_average_joints_equal_ordered_sums_of_mode_reference_matrices(monkeypatch, steps, start_b):
-    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=4, seed=9,
+    # The closed form sums other products than the mode-level joints, so its cells agree with their ordered sums
+    # within 1e-15; the marginals are summed in member order and agree bit for bit.  12 configurations, because
+    # numpy sums more than 8 terms pairwise along contiguous axes, as it did when chunks were summed in the
+    # configuration-innermost layout they come out in.
+    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=12, seed=9,
                       steps=steps, start_b=start_b)
     n, o = lattice_for(cfg.steps, cfg.start_sites)
-    sums, marg = {sym: np.zeros((n, n)) for sym in ExchangeSymmetry}, np.zeros(n)
-    for i in range(cfg.configs):
-        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n, o)])
-        a = evolve(delta_state(n, o, 0, COIN_L), cfg.steps, fld)
-        b = evolve(delta_state(n, o, start_b[0], COIN_R), cfg.steps, fld)
-        for sym, acc in sums.items():
-            acc += aggregate_to_positions(joint_mode_distribution(a, b, sym))
-        marg += marginal_positions(a, b)
-    for joints, margin, positions in _runs(monkeypatch, ensemble_average_joints, cfg):
-        assert joints.keys() == sums.keys()
-        for sym, joint in joints.items():
-            want = sums[sym] / cfg.configs
-            assert np.array_equal(joint, want) and layout(joint) == layout(want)
-        assert np.array_equal(margin, marg / cfg.configs)
-        assert np.array_equal(positions, np.arange(n) - o)
+    want, want_marg = mode_reference_average(cfg)
+    runs = _runs(monkeypatch, ensemble_average_joints, cfg)
+    assert_identical_runs(runs)
+    joints, marg, positions = runs[0]
+    assert joints.keys() == want.keys()
+    for sym, joint in joints.items():
+        np.testing.assert_allclose(joint, want[sym], rtol=0, atol=1e-15)
+        assert np.array_equal(joint, joint.T) and joint.min() >= 0.0
+    assert np.array_equal(marg, want_marg)
+    assert np.array_equal(positions, np.arange(n) - o)
 
 
 @pytest.mark.parametrize("start_b", [(0, "R"), (1, "R")], ids=["one-parity", "two-parities"])
@@ -436,21 +460,59 @@ def test_series_values_equal_the_observables_of_mode_reference_joints(start_b):
 
 
 def test_average_joints_equal_ordered_sums_of_single_configuration_runs(monkeypatch):
+    # Within 1e-15 of the ordered sums of single runs and of the mode-level reference; marginals bit for bit.
     seed = 5
     cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=3, seed=seed,
                       steps=8)
     singles = [ensemble_average_joints(dataclasses.replace(cfg, configs=1, seed=seed + i)) for i in range(3)]
-    for joints, marg, positions in _runs(monkeypatch, ensemble_average_joints, cfg):
-        for sym, joint in joints.items():
-            acc = np.zeros_like(joint)
-            for one in singles:
-                acc += one[0][sym]
-            assert np.array_equal(joint, acc / 3)
-        acc = np.zeros_like(marg)
+    want, _ = mode_reference_average(cfg)
+    runs = _runs(monkeypatch, ensemble_average_joints, cfg)
+    assert_identical_runs(runs)
+    joints, marg, positions = runs[0]
+    for sym, joint in joints.items():
+        acc = np.zeros_like(joint)
         for one in singles:
-            acc += one[1]
-        assert np.array_equal(marg, acc / 3)
-        assert np.array_equal(positions, singles[0][2])
+            acc += one[0][sym]
+        np.testing.assert_allclose(joint, acc / 3, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(joint, want[sym], rtol=0, atol=1e-15)
+    acc = np.zeros_like(marg)
+    for one in singles:
+        acc += one[1]
+    assert np.array_equal(marg, acc / 3)
+    assert np.array_equal(positions, singles[0][2])
+
+
+@pytest.mark.parametrize("kind", [DisorderKind.ORDERED, DisorderKind.STATIC, DisorderKind.DYNAMIC],
+                         ids=lambda k: k.value)
+def test_average_joints_bunch_bosons_and_antibunch_fermions(kind):
+    # The exchange term is the only difference between the symmetries: their mean is the map of distinguishable
+    # walkers, (p_a(x) p_b(y) + p_b(x) p_a(y)) / 2, here from the mode-level product of the two marginals, and
+    # on the diagonal it adds to bosons what it takes from fermions (bunching).
+    cfg = ordered_cfg(disorder=kind, phi_max=np.pi, configs=5, seed=21, steps=14)
+    n, o = lattice_for(cfg.steps)
+    distinguishable = np.zeros((n, n))
+    for i in range(cfg.configs):
+        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n, o)])
+        a = evolve(delta_state(n, o, 0, COIN_L), cfg.steps, fld).T.reshape(-1)
+        b = evolve(delta_state(n, o, 0, COIN_R), cfg.steps, fld).T.reshape(-1)
+        product = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
+        distinguishable += aggregate_to_positions(0.5 * (product + product.T))
+    joints, _, _ = ensemble_average_joints(cfg)
+    bose, fermi = joints[BOS], joints[ExchangeSymmetry.FERMIONIC]
+    np.testing.assert_allclose(0.5 * (bose + fermi), distinguishable / cfg.configs, rtol=0, atol=1e-15)
+    assert np.all(np.diag(bose) >= np.diag(fermi)) and np.diag(bose).sum() > np.diag(fermi).sum()
+
+
+def test_ordered_light_cone_tips_are_emitted_as_non_negative_fermionic_zeros(tmp_path):
+    # At x = y = -t only coin L is reached and at x = y = t only coin R, so there P_F = 0 exactly in the
+    # mode-level reference; the closed form rounds about zero and must write a non-negative cell within the
+    # golden gate's 1e-15, never "-".
+    assert main(["--scenario", "fig2", "--steps", "10", "--out", str(tmp_path)]) == 0
+    rows = {(x, y): p for x, y, p in (line.split(",") for line in (tmp_path / "joint_fermi.csv").read_text()
+                                       .splitlines()[1:])}
+    for tip in ("-10", "10"):
+        assert not rows[(tip, tip)].startswith("-") and 0.0 <= float(rows[(tip, tip)]) <= 1e-15
+    assert all(not p.startswith("-") for p in rows.values())
 
 
 def test_eval_steps_in_any_order_with_repeats():

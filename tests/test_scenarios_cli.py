@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -342,6 +343,22 @@ def test_cli_parallel_matches_serial(tmp_path):
     a = (tmp_path / "serial" / "entropy_vs_t.csv").read_bytes()
     b = (tmp_path / "par" / "entropy_vs_t.csv").read_bytes()
     assert a == b
+
+
+def test_joint_maps_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # The averaged joints are two BLAS products over every configuration's factors.  At the golden cases' scale
+    # OpenBLAS keeps them on one thread; with 400 fig3 configurations (51 parity cells) it was seen to split both
+    # products over two threads, which must not move a bit.
+    out = {}
+    for threads in ("1", "2"):
+        out[threads] = tmp_path / threads
+        result = subprocess.run(
+            [sys.executable, "-m", "dtqw", "--scenario", "fig3", "--configs", "400", "--out", str(out[threads])],
+            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert result.returncode == 0, result.stderr
+    for name in ("joint_bose.csv", "joint_fermi.csv", "marginal.csv"):
+        assert (out["1"] / name).read_bytes() == (out["2"] / name).read_bytes(), name
 
 
 def test_module_entry_point(tmp_path):
