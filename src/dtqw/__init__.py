@@ -23,7 +23,6 @@ from .observables import (  # noqa: F401
 )
 from .fitting import (  # noqa: F401
     FitError,
-    FitResult,
     fit_exponential_decay,
     fit_gaussian_semilog,
     fit_power_law,

@@ -75,7 +75,7 @@ def main(argv=None) -> int:
     given = {k: v for k, v in file_doc.items() if k != "name"}
     given.update({k: v for k, v in vars(args).items() if k in fields and v is not None})
     try:
-        doc = preset(name).to_dict()
+        doc = dataclasses.asdict(preset(name))
         doc.update(given)
         cfg = scenario_from_dict(doc)
         cfg.validate()

@@ -1,4 +1,4 @@
-"""Scenario configuration records and their JSON round trip."""
+"""Scenario configuration records; ``scenario_from_dict`` reads back what ``dataclasses.asdict`` gives."""
 
 from __future__ import annotations
 
@@ -58,6 +58,8 @@ class ScenarioConfig:
         self.disorder = DisorderKind(self.disorder)
         self.start_a = _start_pair("start_a", self.start_a)
         self.start_b = _start_pair("start_b", self.start_b)
+        if isinstance(self.sweep_values, (str, bytes)) or not isinstance(self.sweep_values, Sequence):
+            raise ValueError(f"sweep_values must be a list of strengths, got {self.sweep_values!r}")
         # non-numbers are kept for validate() to reject
         self.sweep_values = tuple(float(v) if _is_real(v) else v for v in self.sweep_values)
 
@@ -98,17 +100,6 @@ class ScenarioConfig:
     @property
     def start_sites(self) -> tuple[int, int]:
         return self.start_a[0], self.start_b[0]
-
-    def resolved_phi_static(self) -> float:
-        return float(self.phi_max if self.phi_static is None else self.phi_static)
-
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["disorder"] = self.disorder.value
-        doc["start_a"] = list(self.start_a)
-        doc["start_b"] = list(self.start_b)
-        doc["sweep_values"] = list(self.sweep_values)
-        return doc
 
 
 def scenario_from_dict(doc: dict) -> ScenarioConfig:

@@ -38,9 +38,6 @@ TWO_PI = 2.0 * np.pi
 #: Recorded in run manifests; bit-exact reproducibility is per-generator.
 GENERATOR_ID = "numpy-pcg64"
 
-# Substream indices of the seed, one per disorder component.
-_SUB_STATIC, _SUB_DYNAMIC, _SUB_FLUCTUATING = 0, 1, 2
-
 
 class DisorderKind(str, enum.Enum):
     ORDERED = "ordered"
@@ -50,9 +47,11 @@ class DisorderKind(str, enum.Enum):
     COMBINED = "combined"
 
 
+# the substream index of the seed that each disorder component draws from
+_SUBSTREAMS = {DisorderKind.STATIC: 0, DisorderKind.DYNAMIC: 1, DisorderKind.FLUCTUATING: 2}
 # the components each kind draws, the one whose shape the field keeps first
-_COMPONENTS = {DisorderKind.ORDERED: (), DisorderKind.STATIC: (_SUB_STATIC,), DisorderKind.DYNAMIC: (_SUB_DYNAMIC,),
-               DisorderKind.FLUCTUATING: (_SUB_FLUCTUATING,), DisorderKind.COMBINED: (_SUB_FLUCTUATING, _SUB_STATIC)}
+_COMPONENTS = {DisorderKind.ORDERED: (), **{kind: (kind,) for kind in _SUBSTREAMS},
+               DisorderKind.COMBINED: (DisorderKind.FLUCTUATING, DisorderKind.STATIC)}
 
 
 def draw_shapes(kind: DisorderKind, steps: int, n_sites: int) -> list[tuple[int, int, int]]:
@@ -64,8 +63,28 @@ def draw_shapes(kind: DisorderKind, steps: int, n_sites: int) -> list[tuple[int,
     fluctuating and then a static table.  Ordered disorder draws nothing and
     keeps zeros of shape (2, 1, 1).
     """
-    return [(2, 1 if sub == _SUB_STATIC else steps, 1 if sub == _SUB_DYNAMIC else n_sites)
-            for sub in _COMPONENTS[DisorderKind(kind)]]
+    return [(2, 1 if part is DisorderKind.STATIC else steps, 1 if part is DisorderKind.DYNAMIC else n_sites)
+            for part in _COMPONENTS[DisorderKind(kind)]]
+
+
+def strength_fields(kind: DisorderKind, phi_static: Optional[float] = None,
+                    phi_dynamic: Optional[float] = None) -> dict[DisorderKind, str]:
+    """The strength field ("phi_max", "phi_static" or "phi_dynamic") each component of a ``kind`` field reads.
+
+    Keyed by component, in drawing order.  Static, dynamic and fluctuating
+    disorder read ``phi_max``; combined disorder reads ``phi_static`` for
+    its static and ``phi_dynamic`` for its fluctuating phases, each falling
+    back to ``phi_max`` when unset (None); ordered disorder reads none.
+    Only whether the two strengths are None matters.
+    """
+    kind = DisorderKind(kind)
+    fields = dict.fromkeys(_COMPONENTS[kind], "phi_max")
+    if kind is DisorderKind.COMBINED:
+        if phi_static is not None:
+            fields[DisorderKind.STATIC] = "phi_static"
+        if phi_dynamic is not None:
+            fields[DisorderKind.FLUCTUATING] = "phi_dynamic"
+    return fields
 
 
 @dataclass
@@ -246,11 +265,10 @@ def sample_phase_field(
 ) -> PhaseField:
     """Draw one disorder realization.
 
-    Single-component kinds take their strength from ``phi_max`` (or the
-    matching ``phi_static``/``phi_dynamic``); ``combined`` needs both
-    ``phi_static`` and ``phi_dynamic``.  Each component draws the L and then
-    the R phases of its ``draw_shapes`` table in one call from its own
-    substream of ``seed``, and the field keeps the sum of the draws.
+    Each component of the kind reads its strength from the field that
+    ``strength_fields`` names, which must not be None.  Each component draws
+    the L and then the R phases of its ``draw_shapes`` table in one call from
+    its own substream of ``seed``, and the field keeps the sum of the draws.
     Identical (kind, strengths, seed, dimensions) give bit-identical tables.
     ``steps``, ``n_sites``, ``origin`` and ``seed`` must be integers (not
     bools), with ``steps >= 0``, ``n_sites >= 1``, ``0 <= origin < n_sites``
@@ -271,28 +289,16 @@ def sample_phase_field(
         raise ValueError(f"origin {origin} outside the lattice 0..{n_sites - 1}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    for label, value in (("phi_max", phi_max), ("phi_static", phi_static), ("phi_dynamic", phi_dynamic)):
-        if value is not None:  # checked even where the kind does not read it
-            check_strength(label, value)
+    # checked even where the kind does not read them
+    strengths = {label: None if value is None else check_strength(label, value)
+                 for label, value in (("phi_max", phi_max), ("phi_static", phi_static), ("phi_dynamic", phi_dynamic))}
+    fields = strength_fields(kind, phi_static, phi_dynamic)
+    for label in fields.values():
+        if strengths[label] is None:
+            raise ValueError(f"{kind.value} disorder needs {label}")
 
-    if kind is DisorderKind.COMBINED:
-        if phi_max is not None:
-            phi_static = phi_max if phi_static is None else phi_static
-            phi_dynamic = phi_max if phi_dynamic is None else phi_dynamic
-        if phi_static is None or phi_dynamic is None:
-            raise ValueError("combined disorder needs phi_static and phi_dynamic")
-        strengths = {_SUB_STATIC: float(phi_static), _SUB_FLUCTUATING: float(phi_dynamic)}
-    elif kind is DisorderKind.ORDERED:
-        strengths = {}
-    else:
-        if phi_max is None:
-            phi_max = phi_static if kind is DisorderKind.STATIC else phi_dynamic
-        if phi_max is None:
-            raise ValueError(f"{kind.value} disorder needs phi_max")
-        strengths = dict.fromkeys(_COMPONENTS[kind], float(phi_max))
-
-    tables = [_substream(seed, sub).uniform(0.0, strengths[sub], shape)
-              for sub, shape in zip(_COMPONENTS[kind], draw_shapes(kind, steps, n_sites))]
+    tables = [_substream(seed, _SUBSTREAMS[part]).uniform(0.0, strengths[label], shape)
+              for (part, label), shape in zip(fields.items(), draw_shapes(kind, steps, n_sites))]
     phases = tables[0] if tables else np.zeros((2, 1, 1))
     for table in tables[1:]:
         phases += table  # the static phases onto the fluctuating ones

@@ -10,8 +10,6 @@ entries at or below ``FLOOR`` are dropped before any semilog transform.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .observables import ObservableSeries
@@ -28,22 +26,6 @@ class FitError(ValueError):
     """Raised when a fit is impossible or its model assumption fails."""
 
 
-@dataclass
-class FitResult:
-    model: str  # "exponential-wing" | "semilog-parabola" | "power-law"
-    params: dict[str, float]
-    r_squared: float
-    window: tuple[float, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "model": self.model,
-            "params": dict(self.params),
-            "r_squared": self.r_squared,
-            "window": list(self.window),
-        }
-
-
 def _r_squared(y: np.ndarray, pred: np.ndarray) -> float:
     ss_res = float(np.sum((y - pred) ** 2))
     ss_tot = float(np.sum((y - np.mean(y)) ** 2))
@@ -52,7 +34,7 @@ def _r_squared(y: np.ndarray, pred: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def fit_exponential_decay(marginal: np.ndarray, positions: np.ndarray, center: float = 0.0) -> FitResult:
+def fit_exponential_decay(marginal: np.ndarray, positions: np.ndarray, center: float = 0.0) -> dict:
     """Fit exp(-|x - center| / xi) wings of a localized marginal.
 
     Each wing is fit separately as a line on (|x - center|, ln P) over the
@@ -85,15 +67,11 @@ def fit_exponential_decay(marginal: np.ndarray, positions: np.ndarray, center: f
         used_lo = min(used_lo, float(x.min()))
         used_hi = max(used_hi, float(x.max()))
     params["localization_length"] = float(np.mean([-1.0 / s for s in slopes]))
-    return FitResult(
-        model="exponential-wing",
-        params=params,
-        r_squared=float(np.mean(r2s)),
-        window=(used_lo, used_hi),
-    )
+    return {"model": "exponential-wing", "params": params, "r_squared": float(np.mean(r2s)),
+            "window": [used_lo, used_hi]}
 
 
-def fit_gaussian_semilog(marginal: np.ndarray, positions: np.ndarray) -> FitResult:
+def fit_gaussian_semilog(marginal: np.ndarray, positions: np.ndarray) -> dict:
     """Fit a parabola to (x, ln P) and report the Gaussian width.
 
     sigma = sqrt(-1 / (2 a)) with ``a`` the quadratic coefficient, which must
@@ -110,21 +88,21 @@ def fit_gaussian_semilog(marginal: np.ndarray, positions: np.ndarray) -> FitResu
     if a >= 0.0:
         raise FitError(f"nonnegative curvature {a:.4g}, no Gaussian profile")
     pred = a * x * x + b * x + c
-    return FitResult(
-        model="semilog-parabola",
-        params={
+    return {
+        "model": "semilog-parabola",
+        "params": {
             "quadratic": float(a),
             "linear": float(b),
             "constant": float(c),
             "sigma": float(np.sqrt(-1.0 / (2.0 * a))),
             "peak_position": float(-b / (2.0 * a)),
         },
-        r_squared=_r_squared(y, pred),
-        window=(float(x.min()), float(x.max())),
-    )
+        "r_squared": _r_squared(y, pred),
+        "window": [float(x.min()), float(x.max())],
+    }
 
 
-def fit_power_law(series: ObservableSeries) -> FitResult:
+def fit_power_law(series: ObservableSeries) -> dict:
     """Fit mean(t) ~ prefactor * t^alpha on log-log axes over ``POWER_LAW_WINDOW``.
 
     Also reports the anomalous-diffusion dimension d = 2/alpha (1 ballistic,
@@ -141,13 +119,13 @@ def fit_power_law(series: ObservableSeries) -> FitResult:
     log_t = np.log(series.steps[mask].astype(np.float64))
     log_v = np.log(values)
     alpha, intercept = np.polyfit(log_t, log_v, 1)
-    return FitResult(
-        model="power-law",
-        params={
+    return {
+        "model": "power-law",
+        "params": {
             "exponent": float(alpha),
             "prefactor": float(np.exp(intercept)),
             "fractal_dimension": float(2.0 / alpha) if alpha != 0.0 else np.inf,
         },
-        r_squared=_r_squared(log_v, alpha * log_t + intercept),
-        window=(float(lo), float(hi)),
-    )
+        "r_squared": _r_squared(log_v, alpha * log_t + intercept),
+        "window": [float(lo), float(hi)],
+    }

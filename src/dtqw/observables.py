@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import COIN_NAMES, ScenarioConfig
 from .core import delta_state, evolve, lattice_for, light_cone
-from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field
+from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field, strength_fields
 from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, joint_factors, marginal_positions, placed
 
 
@@ -264,11 +264,16 @@ def ensemble_run(
     field for an ensemble of its own, seeded as above, and a list of one
     such dict per value is returned.  All values' configurations run as one
     ensemble whose chunks may cut across values; each value's series equal
-    those of its run alone.
+    those of its run alone.  A sweep of a field that ``cfg.disorder`` does
+    not read once the sweep sets it (``disorder.strength_fields``) raises
+    ValueError.
     """
     cfg.validate()
     if sweep is not None and (sweep not in ("phi_max", "phi_static", "phi_dynamic") or not cfg.sweep_values):
         raise ValueError(f"sweep must name a strength field and needs nonempty sweep_values, got {sweep!r}")
+    filled = [0.0 if key == sweep else getattr(cfg, key) for key in ("phi_static", "phi_dynamic")]
+    if sweep is not None and sweep not in strength_fields(cfg.disorder, *filled).values():
+        raise ValueError(f"cannot sweep {sweep}: {cfg.disorder.value} disorder does not read it")
     observables = tuple(observables)
     if not observables or any(obs not in _OBSERVABLES for obs in observables):
         raise ValueError(f"observables must be a nonempty selection of {tuple(_OBSERVABLES)}, got {observables!r}")

@@ -38,7 +38,7 @@ from pathlib import Path
 
 from . import __version__
 from .config import ScenarioConfig
-from .disorder import GENERATOR_ID, DisorderKind
+from .disorder import GENERATOR_ID, DisorderKind, strength_fields
 from .fitting import FitError, fit_exponential_decay, fit_gaussian_semilog, fit_power_law
 from .observables import classical_baseline, ensemble_average_joints, ensemble_run, resolved_symmetries
 from .output import Table, emit_results, joint_table, marginal_table, sha256_file, write_json
@@ -56,9 +56,6 @@ class RunManifest:
     base_seed: int
     duration_seconds: float
     files: dict[str, str]  # file name -> sha256 of contents
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -131,19 +128,6 @@ def preset(name: str) -> ScenarioConfig:
     return dataclasses.replace(cfg, out_dir=str(Path("results") / name))
 
 
-def _strengths_read(cfg: ScenarioConfig, plan: Plan, kinds: tuple) -> set[str]:
-    """Strength fields whose values the run uses; the sweep overwrites its own."""
-    read = set()
-    for kind in kinds:
-        if kind is DisorderKind.COMBINED:
-            read |= {"phi_static", "phi_dynamic"}
-            if any(getattr(cfg, key) is None and key != plan.sweep for key in ("phi_static", "phi_dynamic")):
-                read.add("phi_max")  # the fallback of an unset component
-        elif kind is not DisorderKind.ORDERED:
-            read.add("phi_max")
-    return read - {plan.sweep}
-
-
 def check_config(cfg: ScenarioConfig, given: dict) -> None:
     """Reject what the plan of preset ``cfg.name`` would ignore or mislabel;
     ``given`` holds the fields that flags or a config file set."""
@@ -155,7 +139,9 @@ def check_config(cfg: ScenarioConfig, given: dict) -> None:
     if not plan.sweep and cfg.sweep_values != base.sweep_values:
         raise ValueError(f"{cfg.name} sweeps no strength; drop 'sweep_values'")
     kinds = plan.kinds or (cfg.disorder,)
-    read = _strengths_read(cfg, plan, kinds)
+    # the strength fields the run's fields read, the swept one set by the sweep and so not read from cfg
+    filled = [0.0 if key == plan.sweep else getattr(cfg, key) for key in ("phi_static", "phi_dynamic")]
+    read = {label for kind in kinds for label in strength_fields(kind, *filled).values()} - {plan.sweep}
     for key in ("phi_max", "phi_static", "phi_dynamic"):
         if key not in read and (key in given or getattr(cfg, key) != getattr(base, key)):
             evolved = "/".join(k.value for k in kinds)
@@ -174,7 +160,7 @@ _FITS = {
 
 def _fit(name: str, *data) -> dict:
     try:
-        return _FITS[name](*data).to_dict()
+        return _FITS[name](*data)
     except FitError as exc:
         return {"error": str(exc)}
 
@@ -189,7 +175,7 @@ def _mobility_edge(cfg: ScenarioConfig, table: Table) -> dict:
             crossings[sym] = value
     return {
         "classical_baseline": baseline,
-        "phi_static": cfg.resolved_phi_static(),
+        "phi_static": float(getattr(cfg, strength_fields(DisorderKind.COMBINED, cfg.phi_static)[DisorderKind.STATIC])),
         "grid": list(cfg.sweep_values),
         "first_crossing": crossings,
     }
@@ -262,7 +248,7 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
         write_json(doc, path)
         paths.append(path)
     manifest = RunManifest(
-        scenario=cfg.to_dict(),
+        scenario=dataclasses.asdict(cfg),
         kinds=[k.value for k in kinds],
         artifact_version=__version__,
         generator=GENERATOR_ID,
@@ -270,5 +256,5 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
         duration_seconds=time.perf_counter() - start,
         files={p.name: sha256_file(p) for p in paths},
     )
-    write_json(manifest.to_dict(), out_dir / "manifest.json")
+    write_json(dataclasses.asdict(manifest), out_dir / "manifest.json")
     return manifest

@@ -158,7 +158,7 @@ def test_criterion_3_localization_length():
     start = time.time()
     cfg = _cfg(DisorderKind.STATIC, steps=50, seed=300, symmetry="both")
     _, marg, pos = ensemble_average_joints(cfg)
-    xi = fit_exponential_decay(marg, pos, center=0.0).params["localization_length"]
+    xi = fit_exponential_decay(marg, pos, center=0.0)["params"]["localization_length"]
     elapsed = time.time() - start
     _criterion(3, 2.0 <= xi <= 4.0 and elapsed < 10.0, f"xi = {xi:.2f} (static pi, t=50, n=100) in {elapsed:.1f}s")
 
@@ -176,7 +176,7 @@ def test_criterion_4_diffusion_exponents(variance_series):
     alphas = {}
     ok = elapsed < 120.0
     for kind, (lo, hi) in _EXPONENT_BANDS.items():
-        alpha = fit_power_law(series[kind]).params["exponent"]  # window [20, 100]
+        alpha = fit_power_law(series[kind])["params"]["exponent"]  # window [20, 100]
         alphas[kind.value] = alpha
         ok = ok and lo <= alpha <= hi
     detail = ", ".join(f"{k}={a:.2f}" for k, a in alphas.items())
@@ -191,7 +191,7 @@ def test_criterion_4_diffusion_exponents(variance_series):
 )
 def test_criterion_4_static_exponent(variance_series):
     series, _ = variance_series
-    alpha = fit_power_law(series[DisorderKind.STATIC]).params["exponent"]  # window [20, 100]
+    alpha = fit_power_law(series[DisorderKind.STATIC])["params"]["exponent"]  # window [20, 100]
     _criterion(4, 0.4 <= alpha <= 0.8, f"static exponent over t in [20,100]: alpha = {alpha:.2f}")
 
 
@@ -289,11 +289,11 @@ def test_criterion_10_gaussian_profile():
     _, marg, pos = ensemble_average_joints(cfg)
     parabola = fit_gaussian_semilog(marg, pos)
     wings = fit_exponential_decay(marg, pos, center=0.0)
-    ok = parabola.r_squared >= 0.95 and parabola.r_squared > wings.r_squared
+    ok = parabola["r_squared"] >= 0.95 and parabola["r_squared"] > wings["r_squared"]
     _criterion(
         10,
         ok,
-        f"parabola R2 = {parabola.r_squared:.3f} vs wing R2 = {wings.r_squared:.3f} "
+        f"parabola R2 = {parabola['r_squared']:.3f} vs wing R2 = {wings['r_squared']:.3f} "
         f"(dynamic pi, t=50, n=100)",
     )
 

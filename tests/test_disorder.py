@@ -6,7 +6,8 @@ import pytest
 from scipy import stats
 
 from dtqw.core import COIN_L, delta_state, evolve, lattice_for
-from dtqw.disorder import DisorderKind, FieldBatch, PhaseField, _substream, light_cone_rows, sample_phase_field
+from dtqw.disorder import (DisorderKind, FieldBatch, PhaseField, _substream, light_cone_rows, sample_phase_field,
+                           strength_fields)
 
 PI = np.pi
 
@@ -169,6 +170,24 @@ def test_missing_strength_rejected():
         sample_phase_field(DisorderKind.DYNAMIC, steps=5, n_sites=n, origin=o, seed=0)
     with pytest.raises(ValueError):
         sample_phase_field(DisorderKind.COMBINED, phi_static=PI, steps=5, n_sites=n, origin=o, seed=0)
+    # a one-component kind reads phi_max only; it once fell back to the matching phi_static or phi_dynamic
+    for kind, strengths in ((DisorderKind.STATIC, {"phi_static": PI}), (DisorderKind.DYNAMIC, {"phi_dynamic": PI}),
+                            (DisorderKind.FLUCTUATING, {"phi_static": PI, "phi_dynamic": PI})):
+        with pytest.raises(ValueError, match=f"{kind.value} disorder needs phi_max"):
+            sample_phase_field(kind, **strengths, steps=5, n_sites=n, origin=o, seed=0)
+
+
+def test_strength_fields_name_the_field_each_component_reads():
+    K = DisorderKind
+    for phi_static, phi_dynamic in ((None, None), (1.0, 0.0)):
+        assert strength_fields(K.ORDERED, phi_static, phi_dynamic) == {}
+        for kind in (K.STATIC, K.DYNAMIC, K.FLUCTUATING):
+            assert strength_fields(kind.value, phi_static, phi_dynamic) == {kind: "phi_max"}
+    # combined: each component falls back to phi_max when its own strength is unset; only None counts as unset
+    assert list(strength_fields(K.COMBINED).items()) == [(K.FLUCTUATING, "phi_max"), (K.STATIC, "phi_max")]
+    assert strength_fields(K.COMBINED, 0.0, None) == {K.FLUCTUATING: "phi_max", K.STATIC: "phi_static"}
+    assert strength_fields(K.COMBINED, None, 0.0) == {K.FLUCTUATING: "phi_dynamic", K.STATIC: "phi_max"}
+    assert strength_fields(K.COMBINED, 1.0, 2.0) == {K.FLUCTUATING: "phi_dynamic", K.STATIC: "phi_static"}
 
 
 def test_all_stored_phases_within_strength():
@@ -302,7 +321,7 @@ def test_a_field_takes_the_table_shape_its_kind_draws():
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
 def test_coin_factors_of_selected_sites_equal_those_cells_of_the_whole_lattice(kind):
     # bit for bit against exp(i phi) of each field's own whole-lattice phases
-    fields = [make(kind, steps=6, seed=seed, phi_static=PI, phi_dynamic=1.5) for seed in range(3)]
+    fields = [make(kind, steps=6, seed=seed, phi_max=2.0, phi_static=PI, phi_dynamic=1.5) for seed in range(3)]
     batch = FieldBatch(fields)
     n = fields[0].n_sites
     for t in (1, 4, 6):

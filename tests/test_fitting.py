@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -32,9 +34,9 @@ def series(steps, values):
 def test_exponential_recovery_is_exact(xi):
     p, x = exp_profile(xi)
     fit = fit_exponential_decay(p, x, center=0.0)
-    assert fit.params["localization_length"] == pytest.approx(xi, abs=0.01)
-    assert fit.r_squared > 0.999
-    assert fit.model == "exponential-wing"
+    assert fit["params"]["localization_length"] == pytest.approx(xi, abs=0.01)
+    assert fit["r_squared"] > 0.999
+    assert fit["model"] == "exponential-wing"
 
 
 def test_exponential_fit_ignores_parity_zeros():
@@ -43,13 +45,13 @@ def test_exponential_fit_ignores_parity_zeros():
     p[x % 2 != 0] = 0.0  # knock out odd sites like an even-step walk
     p /= p.sum()
     fit = fit_exponential_decay(p, x, center=0.0)
-    assert fit.params["localization_length"] == pytest.approx(4.0, abs=0.01)
+    assert fit["params"]["localization_length"] == pytest.approx(4.0, abs=0.01)
 
 
 def test_exponential_fit_window_excludes_center():
     p, x = exp_profile(3.0)
     fit = fit_exponential_decay(p, x, center=0.0)
-    assert fit.window[0] >= 2.0
+    assert fit["window"][0] >= 2.0
 
 
 def test_exponential_fit_requires_decay():
@@ -70,17 +72,17 @@ def test_exponential_fit_rescale_invariance():
     p, x = exp_profile(5.0)
     a = fit_exponential_decay(p, x, center=0.0)
     b = fit_exponential_decay(1000.0 * p, x, center=0.0)
-    assert b.params["slope_left"] == pytest.approx(a.params["slope_left"], abs=1e-12)
-    assert b.params["localization_length"] == pytest.approx(a.params["localization_length"], abs=1e-12)
-    assert b.params["intercept_left"] != pytest.approx(a.params["intercept_left"])
+    assert b["params"]["slope_left"] == pytest.approx(a["params"]["slope_left"], abs=1e-12)
+    assert b["params"]["localization_length"] == pytest.approx(a["params"]["localization_length"], abs=1e-12)
+    assert b["params"]["intercept_left"] != pytest.approx(a["params"]["intercept_left"])
 
 
 def test_gaussian_recovery_is_exact():
     p, x = gauss_profile(5.0)
     fit = fit_gaussian_semilog(p, x)
-    assert fit.params["sigma"] == pytest.approx(5.0, abs=0.05)
-    assert fit.r_squared > 0.999
-    assert fit.params["peak_position"] == pytest.approx(0.0, abs=1e-9)
+    assert fit["params"]["sigma"] == pytest.approx(5.0, abs=0.05)
+    assert fit["r_squared"] > 0.999
+    assert fit["params"]["peak_position"] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_gaussian_fit_requires_negative_curvature():
@@ -99,23 +101,23 @@ def test_parabola_on_exponential_data_is_the_worse_model():
     p, x = exp_profile(3.0)
     wing = fit_exponential_decay(p, x, center=0.0)
     parabola = fit_gaussian_semilog(p, x)
-    assert parabola.r_squared < wing.r_squared
+    assert parabola["r_squared"] < wing["r_squared"]
 
 
 def test_power_law_recovers_ballistic():
     t = np.arange(1, 101)
     fit = fit_power_law(series(t, 4.0 * t**2))
-    assert fit.params["exponent"] == pytest.approx(2.0, abs=1e-3)
-    assert fit.params["fractal_dimension"] == pytest.approx(1.0, abs=1e-3)
-    assert fit.params["prefactor"] == pytest.approx(4.0, rel=1e-3)
-    assert fit.r_squared > 0.999999
+    assert fit["params"]["exponent"] == pytest.approx(2.0, abs=1e-3)
+    assert fit["params"]["fractal_dimension"] == pytest.approx(1.0, abs=1e-3)
+    assert fit["params"]["prefactor"] == pytest.approx(4.0, rel=1e-3)
+    assert fit["r_squared"] > 0.999999
 
 
 def test_power_law_recovers_diffusive():
     t = np.arange(1, 101)
     fit = fit_power_law(series(t, 3.0 * t))
-    assert fit.params["exponent"] == pytest.approx(1.0, abs=1e-6)
-    assert fit.params["fractal_dimension"] == pytest.approx(2.0, abs=1e-6)
+    assert fit["params"]["exponent"] == pytest.approx(1.0, abs=1e-6)
+    assert fit["params"]["fractal_dimension"] == pytest.approx(2.0, abs=1e-6)
 
 
 def test_power_law_sqrt_transform_halves_exponent():
@@ -123,7 +125,7 @@ def test_power_law_sqrt_transform_halves_exponent():
     values = 2.5 * t**1.6
     full = fit_power_law(series(t, values))
     rooted = fit_power_law(series(t, np.sqrt(values)))
-    assert rooted.params["exponent"] == pytest.approx(0.5 * full.params["exponent"], abs=1e-9)
+    assert rooted["params"]["exponent"] == pytest.approx(0.5 * full["params"]["exponent"], abs=1e-9)
 
 
 def test_power_law_rejects_nonpositive_values():
@@ -140,8 +142,12 @@ def test_power_law_rejects_empty_window():
 
 
 def test_fit_result_serializes():
+    # each fitter returns the document written to fits.json, keys in this order
     p, x = exp_profile(3.0)
-    doc = fit_exponential_decay(p, x, center=0.0).to_dict()
-    assert doc["model"] == "exponential-wing"
-    assert "localization_length" in doc["params"]
-    assert isinstance(doc["window"], list)
+    t = np.arange(1, 101)
+    for doc in (fit_exponential_decay(p, x, center=0.0), fit_gaussian_semilog(*gauss_profile(5.0)),
+                fit_power_law(series(t, 3.0 * t))):
+        assert list(doc) == ["model", "params", "r_squared", "window"]
+        assert isinstance(doc["window"], list) and len(doc["window"]) == 2
+        assert json.loads(json.dumps(doc)) == doc
+    assert doc["model"] == "power-law" and "localization_length" in fit_exponential_decay(p, x)["params"]

@@ -7,7 +7,8 @@ case whose second walker starts one site over, on the other parity, set by
 a ``--config`` file.  Numbers must
 agree to rtol 1e-12 / atol 1e-15, text cells and file sets exactly, so a
 refactor of the pipeline cannot move the physics silently.  After a deliberate physics change, rewrite them
-with ``PYTHONPATH=src python tests/test_golden.py``.
+with ``PYTHONPATH=src python tests/test_golden.py --rewrite``, which deletes every case directory first;
+without ``--rewrite`` the script changes nothing and exits 2.
 """
 
 import json
@@ -74,6 +75,9 @@ def test_data_files_match_golden(tmp_path, name, preset, steps, config):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] != ["--rewrite"]:
+        print(f"usage: {sys.argv[0]} --rewrite  (deletes and rewrites every reference under {GOLDEN})", file=sys.stderr)
+        sys.exit(2)
     for name, preset, steps, config in CASES:
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
         with tempfile.TemporaryDirectory() as scratch:

@@ -318,11 +318,16 @@ def test_each_sweep_value_equals_its_run_alone(monkeypatch, kind, sweep):
                 assert np.array_equal(s.std_dev, one[key].std_dev)
 
 
-@pytest.mark.parametrize("sweep, values", [("phi_mux", (1.0,)), ("seed", (1.0,)), ("phi_max", ())],
-                         ids=["unknown", "not-a-strength", "no-values"])
-def test_bad_sweep_rejected(sweep, values):
+@pytest.mark.parametrize(
+    "kind, sweep, values",
+    [(DisorderKind.ORDERED, "phi_mux", (1.0,)), (DisorderKind.ORDERED, "seed", (1.0,)),
+     (DisorderKind.ORDERED, "phi_max", ()), (DisorderKind.STATIC, "phi_dynamic", (0.0, 1.0, 2.0)),
+     (DisorderKind.ORDERED, "phi_max", (0.0, 1.0, 2.0))],
+    ids=["unknown", "not-a-strength", "no-values", "static-dynamic", "ordered-max"])
+def test_bad_sweep_rejected(kind, sweep, values):
+    # a sweep of a strength the kind never reads once returned one identical series per value
     with pytest.raises(ValueError, match="sweep"):
-        ensemble_run(ordered_cfg(sweep_values=values), OBS, sweep=sweep)
+        ensemble_run(ordered_cfg(disorder=kind, sweep_values=values), OBS, sweep=sweep)
 
 
 def test_a_preset_scale_chunk_stays_within_its_memory_budget():

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dtqw import observables, scenarios
 from dtqw.cli import main
 from dtqw.config import ScenarioConfig, scenario_from_dict
 from dtqw.disorder import DisorderKind
@@ -243,8 +244,9 @@ def test_json_tables_hold_the_numbers_of_their_csv(tmp_path, name):
 
 def test_scenario_config_round_trip():
     cfg = preset("fig7")
-    back = scenario_from_dict(cfg.to_dict())
-    assert back == cfg
+    doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
+    assert (doc["disorder"], doc["start_a"], doc["sweep_values"]) == ("combined", [0, "L"], list(cfg.sweep_values))
+    assert scenario_from_dict(doc) == cfg
 
 
 def test_scenario_config_validation_errors():
@@ -265,6 +267,9 @@ def test_scenario_config_validation_errors():
             ScenarioConfig(**{"name": "x", "steps": 5, **bad}).validate()
     with pytest.raises(ValueError):
         scenario_from_dict({"name": "x", "steps": 5, "bogus": 1})
+    for bad in (1.0, "abc", None):  # a number once raised TypeError, a string was read one character at a time
+        with pytest.raises(ValueError, match="sweep_values"):
+            ScenarioConfig("x", steps=5, sweep_values=bad)
 
 
 # --- CLI behaviour -----------------------------------------------------------
@@ -476,12 +481,14 @@ def test_manifest_reports_the_kinds_it_ran(tmp_path):
         ({"name": "fig6", "sweep_values": [0.0, 7.0]}, []),
         ({"name": "fig7", "sweep_values": [-0.5, 1.0]}, []),
         ({"name": "fig6", "sweep_values": [1.0, 1.0]}, []),
+        ({"name": "fig6", "sweep_values": 1.0}, []),
+        ({"name": "fig6", "sweep_values": "abc"}, []),
     ],
     ids=["steps-true", "configs-true", "steps-float", "seed-negative", "seed-negative-static",
          "jobs-zero", "jobs-negative", "start-site-float", "start-site-true", "start-site-string",
          "start-short", "start-not-a-pair", "phi-max-true", "phi-max-string", "phi-max-null",
          "phi-static-string", "phi-dynamic-false", "sweep-bool", "sweep-string", "sweep-above-2pi",
-         "sweep-negative", "sweep-repeated"],
+         "sweep-negative", "sweep-repeated", "sweep-number", "sweep-string-of-values"],
 )
 def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, file_doc, flags):
     cfg_path = tmp_path / "cfg.json"
@@ -525,6 +532,38 @@ def test_cli_rejects_an_out_dir_that_is_not_a_string(tmp_path, capsys, monkeypat
 )
 def test_cli_accepts_the_strengths_a_run_reads(tmp_path, argv):
     assert main(argv + ["--steps", "3", "--configs", "1", "--out", str(tmp_path / "out")]) == 0
+
+
+# every preset; those whose plan evolves the config's own disorder once with each kind, which the config sets
+STRENGTH_CASES = [(name, kind) for name in preset_names()
+                  for kind in ([None] if scenarios._lookup(name)[1].kinds else DisorderKind)]
+
+
+@pytest.mark.parametrize("key", ["phi_max", "phi_static", "phi_dynamic"])
+@pytest.mark.parametrize("name, kind", STRENGTH_CASES, ids=[name + (f"-{kind.value}" if kind else "")
+                                                            for name, kind in STRENGTH_CASES])
+def test_a_strength_is_accepted_exactly_when_it_changes_the_drawn_phases(name, kind, key):
+    # check_config and the fields the run draws follow one rule, whatever the kind and the sweep
+    plan = scenarios._lookup(name)[1]
+    given = {key: 1.0, **({"disorder": kind} if kind else {})}
+    cfg = dataclasses.replace(preset(name), steps=3, disorder=kind or preset(name).disorder)
+    changed = dataclasses.replace(cfg, **given)
+    n_sites, origin, _ = observables._geometry(cfg)
+    swept = {plan.sweep: cfg.sweep_values[-1]} if plan.sweep else {}
+    kinds = plan.kinds or (cfg.disorder,)
+
+    def phases(c):
+        return [observables._field_for(dataclasses.replace(c, disorder=k), c.seed, n_sites, origin, **swept).phases
+                for k in kinds]
+
+    moved = any(not np.array_equal(a, b) for a, b in zip(phases(cfg), phases(changed)))
+    evolved = "/".join(k.value for k in kinds)
+    try:
+        scenarios.check_config(changed, given)
+    except ValueError as exc:
+        assert not moved, f"{name} rejected a {key} that moves its {evolved} phases: {exc}"
+    else:
+        assert moved, f"{name} accepted a {key} that none of its {evolved} phases read"
 
 
 def reproduce_all():
