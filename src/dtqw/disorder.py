@@ -15,10 +15,12 @@ row where the phases are constant in time and one column where they are
 constant in space (``draw_shapes``); it broadcasts to (2, steps, n_sites).
 Each component draws from its own substream of the seed, so e.g.
 ``combined`` with a zero fluctuating strength realizes bit-identical phases
-to ``static`` with the same seed.  Fields are immutable after sampling and
-safe to share across parallel evolutions.  A ``FieldBatch`` packs what
-one batched evolution of several configurations reads of their fields; it
-is the only source of coin factors that the step engine reads.
+to ``static`` with the same seed, and a field whose strengths are all 0
+draws the same zeros from every seed (``seed_independent``).  Fields are
+immutable after sampling and safe to share across parallel evolutions.  A
+``FieldBatch`` packs what one batched evolution of several configurations
+reads of their fields; it is the only source of coin factors that the step
+engine reads.
 """
 
 from __future__ import annotations
@@ -85,6 +87,16 @@ def strength_fields(kind: DisorderKind, phi_static: Optional[float] = None,
         if phi_dynamic is not None:
             fields[DisorderKind.FLUCTUATING] = "phi_dynamic"
     return fields
+
+
+def seed_independent(kind: DisorderKind, phi_max: Optional[float] = None, phi_static: Optional[float] = None,
+                     phi_dynamic: Optional[float] = None) -> bool:
+    """Whether a ``kind`` field draws the same phases from every seed: every strength it reads is 0.
+
+    ``uniform(0, 0)`` draws exact zeros, and ordered disorder reads no strength.
+    """
+    strengths = {"phi_max": phi_max, "phi_static": phi_static, "phi_dynamic": phi_dynamic}
+    return all(strengths[label] == 0 for label in strength_fields(kind, phi_static, phi_dynamic).values())
 
 
 @dataclass

@@ -26,7 +26,7 @@ import numpy as np
 
 from .config import COIN_NAMES, ScenarioConfig
 from .core import delta_state, evolve, lattice_for, light_cone
-from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field, strength_fields
+from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field, seed_independent, strength_fields
 from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, joint_factors, marginal_positions, placed
 
 
@@ -57,24 +57,29 @@ def joint_entropy(m: np.ndarray) -> float:
     return _entropy_bits(m)
 
 
-def mutual_information(m: np.ndarray) -> float:
-    """I(X:Y) = 2 H(X) - H(X,Y) in bits; the joint matrix is exchange-symmetric."""
-    return 2.0 * _entropy_bits(m.sum(axis=1)) - _entropy_bits(m)
+def mutual_information(m: np.ndarray, quarter: Optional[np.ndarray] = None) -> float:
+    """I(X:Y) = 2 H(X) - H(X,Y) in bits; the joint matrix is exchange-symmetric.
+
+    H(X,Y) is summed on ``quarter`` when it is given: a block of ``m`` that
+    holds every positive cell, in the row-major order of ``m``.
+    """
+    return 2.0 * _entropy_bits(m.sum(axis=1)) - _entropy_bits(m if quarter is None else quarter)
 
 
 #: Bytes of phase tables, walker states and measurements one chunk of
 #: configurations may hold while it evolves as one batch.
 _CHUNK_BYTES = 4 << 20
 
-# Each entry takes (joint matrix, signed positions of its rows).  Those in
-# _ON_QUARTER get the parity quarter ``JointBuilder.quarters`` returns, whose
-# positive cells come in the row-major order of the placed matrix, so they sum
-# the same array; the others read row sums, which add in layout order, and get
-# the joint placed into the light cone.
+# Each entry takes (quarter, joint, signed positions of the joint's rows): the
+# parity quarter ``JointBuilder.quarters`` returns and the joint placed into the
+# light cone.  The quarter's positive cells come in the row-major order of the
+# placed matrix, so entropies summed on it are the placed matrix's, bit for bit;
+# row sums add in layout order and read the placed joint, which is None when
+# every observable measured is in _ON_QUARTER.
 _OBSERVABLES = {
-    "variance": variance_xm,
-    "entropy": lambda m, positions: joint_entropy(m),
-    "mutual_information": lambda m, positions: mutual_information(m),
+    "variance": lambda quarter, joint, positions: variance_xm(joint, positions),
+    "entropy": lambda quarter, joint, positions: joint_entropy(quarter),
+    "mutual_information": lambda quarter, joint, positions: mutual_information(joint, quarter),
 }
 _ON_QUARTER = ("entropy",)
 
@@ -97,10 +102,15 @@ class ObservableSeries:
             raise ValueError("steps, mean and std_dev must have equal length")
 
 
+def _strengths(cfg: ScenarioConfig, **swept: float) -> dict[str, Optional[float]]:
+    """``cfg``'s strength fields, those named in ``swept`` set to its values."""
+    return {"phi_max": cfg.phi_max, "phi_static": cfg.phi_static, "phi_dynamic": cfg.phi_dynamic, **swept}
+
+
 def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int, origin: int, **swept: float) -> PhaseField:
-    """The field ``seed`` draws with ``cfg``'s strengths, those named in ``swept`` set to its values."""
-    strengths = {"phi_max": cfg.phi_max, "phi_static": cfg.phi_static, "phi_dynamic": cfg.phi_dynamic, **swept}
-    return sample_phase_field(cfg.disorder, **strengths, steps=cfg.steps, n_sites=n_sites, origin=origin, seed=seed)
+    """The field ``seed`` draws with ``_strengths(cfg, **swept)``."""
+    return sample_phase_field(cfg.disorder, **_strengths(cfg, **swept), steps=cfg.steps, n_sites=n_sites,
+                              origin=origin, seed=seed)
 
 
 def _crop(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -197,7 +207,7 @@ def _run_chunk(task) -> list:
         if state is spare:
             spare = held
         t = stop
-        overlap = max(abs(np.vdot(a, b)) for a, b in state)
+        overlap = np.abs(np.einsum("kcx,kcx->k", state[:, 0].conj(), state[:, 1])).max()
         if overlap > ORTHOGONALITY_TOL:
             raise ValueError(f"walker amplitudes must be orthogonal, |<a|b>| = {overlap:.3e}")
         results.append(measure(cfg, state, t))
@@ -210,28 +220,35 @@ def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: Sc
 
     ``amps`` is the chunk's (configs, 2 walkers, 2, n_sites) state.  It is
     cropped to the light cone, whose discarded amplitudes are exactly zero,
-    and each configuration's joints are built on the cone's parity cells.
+    and the joints are built on the cone's parity cells, for as many
+    configurations per ``builder.quarters`` call as fit the scratch that one
+    configuration needs at the walk's last step.  Observables outside
+    ``_ON_QUARTER`` read one placed matrix of the cone per group, zeroed once:
+    each joint overwrites its quarter, and no other cell is ever written.  It
+    is made after the group's joints, as the builder's buffered loops would
+    otherwise peak next to it.
     """
-    _, origin, _ = _geometry(cfg)
-    lo, hi, stride = _reach(cfg, t)
+    _, origin, starts = _geometry(cfg)
+    lo, hi, stride = light_cone(t, starts)
+    last_lo, last_hi, _ = light_cone(cfg.steps, starts)
     positions = np.arange(lo, hi + 1) - origin
     cells, syms = slice(None, None, stride), resolved_symmetries(cfg)
+    # the builder's scratch holds s x s cells per configuration
+    group = min(len(amps), max(1, ((last_hi - last_lo) // stride + 1) ** 2 // ((hi - lo) // stride + 1) ** 2))
     values, quarters = np.empty((len(amps), len(observables), len(syms))), None
-    for out, (a, b) in zip(values, _crop(amps, lo, hi)):
-        quarters = builder.quarters(a, b, syms, cells, quarters)
-        for j, quarter in enumerate(quarters):
-            out[:, j] = _observe(observables, quarter, cells, positions)
+    pairs, place = _crop(amps, lo, hi), not set(observables) <= set(_ON_QUARTER)
+    for first in range(0, len(amps), group):
+        block, joint = pairs[first:first + group], None
+        quarters = builder.quarters(block[:, 0], block[:, 1], syms, cells,
+                                    None if quarters is None else quarters[:len(block)])
+        if place:
+            joint = placed(quarters[0, 0], cells, len(positions))
+        for out, config in zip(values[first:], quarters):
+            for j, quarter in enumerate(config):
+                if place:
+                    joint[cells, cells] = quarter
+                out[:, j] = [_OBSERVABLES[obs](quarter, joint, positions) for obs in observables]
     return values
-
-
-def _observe(observables: tuple[str, ...], quarter: np.ndarray, cells: slice, positions: np.ndarray) -> list:
-    """The observables of one joint, given by its quarter on ``cells`` of the sites at ``positions``.
-
-    A placed matrix is made only for observables outside ``_ON_QUARTER``, and
-    is dropped on return, before the next symmetry's is made.
-    """
-    joint = placed(quarter, cells, len(positions)) if set(observables) - set(_ON_QUARTER) else None
-    return [_OBSERVABLES[obs](quarter if obs in _ON_QUARTER else joint, positions) for obs in observables]
 
 
 def _measure_joints(cells: slice, cfg: ScenarioConfig, amps: np.ndarray, t: int) -> tuple:
@@ -258,13 +275,18 @@ def ensemble_run(
     measured while the walk runs.  A configuration's values do not depend on
     chunking or ``n_jobs``.  They are computed independently and merged in
     configuration order, so serial and parallel results are bit-identical.
+    Where every seed draws the same field (``disorder.seed_independent``),
+    one configuration is evolved and its values stand for all
+    ``cfg.configs``: the series are those of the full ensemble, bit for bit,
+    with means equal to the values and spreads exactly 0.
 
     With ``sweep`` naming a strength field ("phi_max", "phi_static" or
     "phi_dynamic"), each value of ``cfg.sweep_values`` in turn sets that
     field for an ensemble of its own, seeded as above, and a list of one
     such dict per value is returned.  All values' configurations run as one
     ensemble whose chunks may cut across values; each value's series equal
-    those of its run alone.  A sweep of a field that ``cfg.disorder`` does
+    those of its run alone, and only the values whose fields do not depend
+    on the seed run once.  A sweep of a field that ``cfg.disorder`` does
     not read once the sweep sets it (``disorder.strength_fields``) raises
     ValueError.
     """
@@ -289,15 +311,21 @@ def ensemble_run(
     measure = partial(_measure_series, observables, JointBuilder())
     result_floats = len(observables) * len(syms) * len(stops)
     values = cfg.sweep_values if sweep else (None,)
-    members = [(value, cfg.seed + i) for value in values for i in range(cfg.configs)]
+    # a value whose field every seed draws alike evolves one member, which stands for all its configurations
+    counts = [1 if seed_independent(cfg.disorder, **_strengths(cfg, **({} if sweep is None else {sweep: value})))
+              else cfg.configs for value in values]
+    members = [(value, cfg.seed + i) for value, count in zip(values, counts) for i in range(count)]
     chunks = [np.moveaxis(np.array(chunk), 0, -1)
               for chunk in _map_chunks(cfg, sweep, members, stops, measure, result_floats, n_jobs)]
-    # (members, obs, sym, steps) in C order; each value's block of
-    # configurations is then C-ordered too, so the means over configurations
-    # below sum in one order whatever the chunking
-    cube = np.ascontiguousarray(np.concatenate(chunks)[..., [stops.index(t) for t in eval_steps]])
+    # (members, obs, sym, steps) in C order, each member's row repeated for the
+    # configurations it stands for; each value's block of configurations is
+    # then C-ordered too, so the means over configurations below sum in one
+    # order whatever the chunking
+    rows = np.concatenate(chunks)[..., [stops.index(t) for t in eval_steps]]
+    cube = np.ascontiguousarray(np.repeat(rows, [cfg.configs // count for count in counts for _ in range(count)],
+                                          axis=0))
     runs = [_fold(cube[first:first + cfg.configs], observables, syms, eval_steps)
-            for first in range(0, len(members), cfg.configs)]
+            for first in range(0, len(cube), cfg.configs)]
     return runs if sweep else runs[0]
 
 

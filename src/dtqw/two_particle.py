@@ -77,45 +77,49 @@ class JointBuilder:
 
     def quarters(self, a: np.ndarray, b: np.ndarray, syms: Sequence[ExchangeSymmetry], cells: slice,
                  out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Each symmetry's joint on the sites ``cells`` x ``cells``, shape (symmetries, s, s).
+        """Each symmetry's joint on the sites ``cells`` x ``cells``, shape (..., symmetries, s, s).
 
-        ``a`` and ``b`` are the (2, n_sites) amplitude arrays of the two
-        walkers, and ``cells`` selects s of their sites that hold every
-        nonzero amplitude of both (for walkers from one site, the sites of
-        one parity: a quarter of the cells).  Row i, column j of a block is
-        P(cells[i], cells[j]) of the whole-lattice joint, every cell by the
-        same arithmetic as ``cells = slice(None)``: P(x, y) =
-        sum_{c,d} M_cd(x, y) with coin blocks M_cd = |K_cd +/- K_dc^T|^2 / 2
-        and K_cd = outer(a[c], b[d]).  The four K blocks are shared by all
-        symmetries, and M_10 = M_01^T exactly.  The blocks are written into
-        ``out`` when it is given.
+        ``a`` and ``b`` are the (..., 2, n_sites) amplitude arrays of the two
+        walkers, any leading axes a batch of pairs, and ``cells`` selects s of
+        their sites that hold every nonzero amplitude of both (for walkers
+        from one site, the sites of one parity: a quarter of the cells).  Row
+        i, column j of a block is P(cells[i], cells[j]) of the whole-lattice
+        joint, every cell by the same arithmetic as ``cells = slice(None)``:
+        P(x, y) = sum_{c,d} M_cd(x, y) with coin blocks M_cd = |K_cd +/-
+        K_dc^T|^2 / 2 and K_cd = outer(a[c], b[d]).  The four K blocks are
+        shared by all symmetries, and M_10 = M_01^T exactly.  Every operation
+        is elementwise, so a pair's blocks are bit-identical in any batch.
+        The blocks are written into ``out`` when it is given.
         """
-        n = a.shape[1]
+        n = a.shape[-1]
         # unit-stride rows, so every ufunc runs the loop of a whole-lattice build
-        a, b = np.ascontiguousarray(a[:, cells]), np.ascontiguousarray(b[:, cells])
-        s = a.shape[1]
-        k = self._buffer("k", (2, 2, s, s), np.complex128)
-        for c in (0, 1):
-            for d in (0, 1):
-                np.multiply(a[c, :, None], b[d], out=k[c, d])
-        j = self._buffer("j", (s, s), np.complex128)
+        a, b = np.ascontiguousarray(a[..., cells]), np.ascontiguousarray(b[..., cells])
+        batch, s = a.shape[:-2], a.shape[-1]
+        k = self._buffer("k", (*batch, 2, 2, s, s), np.complex128)  # K_cd in k[..., c, d, :, :]
+        np.multiply(a[..., :, None, :, None], b[..., None, :, None, :], out=k)
+        j = self._buffer("j", (*batch, s, s), np.complex128)
         parts = j.view(np.float64)  # real and imaginary parts, interleaved
-        m = self._buffer("m", (3, s, s), np.float64)
+        m = self._buffer("m", (3, *batch, s, s), np.float64)
         if out is None:
-            out = np.empty((len(syms), s, s))
-        for quarter, sym in zip(out, syms):
+            out = np.empty((*batch, len(syms), s, s))
+        for i, sym in enumerate(syms):
             combine = np.add if sym is ExchangeSymmetry.BOSONIC else np.subtract
             for block, (c, d) in zip(m, ((0, 0), (0, 1), (1, 1))):
-                combine(k[c, d], k[d, c].T, out=j)
+                combine(k[..., c, d, :, :], k[..., d, c, :, :].swapaxes(-1, -2), out=j)
                 np.square(parts, out=parts)
-                np.add(parts[:, 0::2], parts[:, 1::2], out=block)
-                block *= 0.5
+                np.add(parts[..., 0::2], parts[..., 1::2], out=block)
+            m *= 0.5
             m00, m01, m11 = m
-            # (M00 + M01) + (M10 + M11); M00 and M11 are exactly symmetric, so from
-            # F_ORDER_SITES the transposed sum is the reference's F-order sum
-            m00 += m01
-            m11 += m01.T
-            np.add(m00, m11, out=quarter.T if n >= F_ORDER_SITES else quarter)
+            m10 = m01.swapaxes(-1, -2)
+            # (M00 + M01) + (M10 + M11), and from F_ORDER_SITES the reference's
+            # F-order sum (M00 + M10) + (M01 + M11)
+            if n >= F_ORDER_SITES:
+                m00 += m10
+                m11 += m01
+            else:
+                m00 += m01
+                m11 += m10
+            np.add(m00, m11, out=out[..., i, :, :])
         return out
 
 def placed(quarter: np.ndarray, cells: slice, n_sites: int) -> np.ndarray:

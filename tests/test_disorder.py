@@ -7,7 +7,7 @@ from scipy import stats
 
 from dtqw.core import COIN_L, delta_state, evolve, lattice_for
 from dtqw.disorder import (DisorderKind, FieldBatch, PhaseField, _substream, light_cone_rows, sample_phase_field,
-                           strength_fields)
+                           seed_independent, strength_fields)
 
 PI = np.pi
 
@@ -407,3 +407,22 @@ def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
     assert batch.coin_factors(6, slice(o - 5, o + 6, 2))[0].shape == (4, 1, 6)
     with pytest.raises(ValueError, match="got 4 fields"):
         FieldBatch(draws(), (o, o), 5)
+
+
+@pytest.mark.parametrize("kind, strengths, independent", [
+    (DisorderKind.ORDERED, {"phi_max": 1.0}, True),
+    (DisorderKind.STATIC, {"phi_max": 0.0}, True),
+    (DisorderKind.STATIC, {"phi_max": 1.0, "phi_dynamic": 0.0}, False),
+    (DisorderKind.DYNAMIC, {"phi_max": 0.0, "phi_static": 1.0}, True),
+    (DisorderKind.FLUCTUATING, {"phi_max": 1e-300}, False),
+    (DisorderKind.COMBINED, {"phi_max": 0.0}, True),
+    (DisorderKind.COMBINED, {"phi_static": 0.0, "phi_dynamic": 0.0, "phi_max": 1.0}, True),
+    (DisorderKind.COMBINED, {"phi_static": 0.0, "phi_dynamic": 1.0}, False),
+    (DisorderKind.COMBINED, {"phi_static": 0.0, "phi_max": 1.0}, False),
+])
+def test_seed_independent_fields_draw_the_same_phases_from_every_seed(kind, strengths, independent):
+    assert seed_independent(kind, **strengths) is independent
+    n, o = lattice_for(6)
+    tables = [sample_phase_field(kind, **strengths, steps=6, n_sites=n, origin=o, seed=seed).phases
+              for seed in (0, 1)]
+    assert np.array_equal(*tables) is independent

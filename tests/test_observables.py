@@ -588,3 +588,57 @@ def test_one_configuration_opens_no_pool(monkeypatch, tmp_path):
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", partial(RecordingPool, made))
     assert main(["--scenario", "fig2", "--steps", "3", "--jobs", "64", "--out", str(tmp_path)]) == 0
     assert made == []
+
+
+ALL_OBS = ("variance", "entropy", "mutual_information")
+PI = np.pi
+
+
+# (kind, strengths, sweep, sweep values, members evolved of 4 configurations per value): every kind with each strength
+# it reads at 0 and at a nonzero value, fig6-style sweeps through phi = 0, and combined disorder with one zero
+# component, which draws from its seed and must not count as seed-independent
+@pytest.mark.parametrize("kind, strengths, sweep, values, members", [
+    (DisorderKind.ORDERED, {}, None, (), 1),
+    (DisorderKind.STATIC, {"phi_max": 0.0}, None, (), 1),
+    (DisorderKind.STATIC, {"phi_max": 1.0}, None, (), 4),
+    (DisorderKind.DYNAMIC, {"phi_max": 0.0}, None, (), 1),
+    (DisorderKind.DYNAMIC, {"phi_max": 1.0}, None, (), 4),
+    (DisorderKind.FLUCTUATING, {"phi_max": 0.0}, None, (), 1),
+    (DisorderKind.FLUCTUATING, {"phi_max": 1.0}, None, (), 4),
+    (DisorderKind.COMBINED, {"phi_static": 0.0, "phi_dynamic": 0.0}, None, (), 1),
+    (DisorderKind.COMBINED, {"phi_static": 0.0, "phi_dynamic": 1.0}, None, (), 4),
+    (DisorderKind.COMBINED, {"phi_static": 1.0, "phi_dynamic": 0.0}, None, (), 4),
+    (DisorderKind.COMBINED, {"phi_static": PI, "phi_dynamic": 1.0}, None, (), 4),
+    (DisorderKind.COMBINED, {"phi_max": 0.0}, None, (), 1),
+    (DisorderKind.COMBINED, {"phi_max": 1.0, "phi_static": 0.0}, None, (), 4),
+    (DisorderKind.COMBINED, {"phi_max": 0.0, "phi_dynamic": 1.0}, None, (), 4),
+    (DisorderKind.STATIC, {}, "phi_max", (0.0, 0.5, PI), 1 + 4 + 4),
+    (DisorderKind.DYNAMIC, {}, "phi_max", (0.0, 0.5, PI), 1 + 4 + 4),
+    (DisorderKind.FLUCTUATING, {}, "phi_max", (0.0, 0.5), 1 + 4),
+    (DisorderKind.COMBINED, {"phi_static": 0.0}, "phi_dynamic", (0.0, 1.0), 1 + 4),
+    (DisorderKind.COMBINED, {"phi_static": PI}, "phi_dynamic", (0.0, 1.0), 4 + 4),
+    (DisorderKind.COMBINED, {"phi_dynamic": 0.0}, "phi_static", (0.0, 1.0), 1 + 4),
+])
+def test_a_seed_independent_ensemble_runs_once_and_equals_the_full_ensemble(monkeypatch, kind, strengths, sweep,
+                                                                            values, members):
+    cfg = ordered_cfg(disorder=kind, **strengths, configs=4, seed=3, steps=8, sweep_values=values)
+    evolved = []
+    map_chunks = observables._map_chunks
+
+    def recording(cfg, sweep, members, *rest):
+        evolved.append(len(members))
+        return map_chunks(cfg, sweep, members, *rest)
+
+    run = partial(ensemble_run, cfg, ALL_OBS, sweep=sweep)
+    with monkeypatch.context() as patch:
+        patch.setattr(observables, "seed_independent", lambda *args, **kwargs: False)
+        full = run()
+    monkeypatch.setattr(observables, "_map_chunks", recording)
+    got = run()
+    pairs = [(got, full)] if sweep is None else list(zip(got, full, strict=True))
+    for once, every in pairs:
+        assert once.keys() == every.keys()
+        for key, s in once.items():
+            assert s.configs == every[key].configs == 4 and np.array_equal(s.steps, every[key].steps)
+            assert np.array_equal(s.mean, every[key].mean) and np.array_equal(s.std_dev, every[key].std_dev)
+    assert evolved == [members]

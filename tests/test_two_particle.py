@@ -250,3 +250,36 @@ def test_entropy_of_the_quarter_equals_that_of_the_placed_joint(t, region):
         assert np.array_equal(quarter[quarter > 0], ref[ref > 0])
         assert joint_entropy(quarter) == joint_entropy(ref)
     assert np.array_equal(builder.quarters(a, b, SYMS, cells, np.full_like(quarters, np.nan)), quarters)
+
+
+@pytest.mark.parametrize("t", [10, 40])  # light cones of 21/22 and 81/82 sites: both sides of F_ORDER_SITES
+@pytest.mark.parametrize("start_b", [(0, COIN_R), (1, COIN_R)], ids=["one-parity", "two-parities"])
+def test_grouped_quarters_equal_per_configuration_calls(t, start_b):
+    # a batch of five configurations' light cones, built in groups of one, two, two cut by a partial third (into
+    # the first group's output, as the ensemble runner reuses it), three and two, and all five
+    pairs = [evolved_pair(steps=t, seed=seed, b=start_b) for seed in range(5)]
+    o = int(np.flatnonzero(pairs[0][2] == 0)[0])
+    cone = slice(o - t, o + start_b[0] + t + 1)
+    a, b = (np.stack([pair[w][:, cone] for pair in pairs]) for w in (0, 1))
+    assert (a.shape[-1] >= F_ORDER_SITES) == (t == 40)
+    cells = slice(None, None, 1 if start_b[0] else 2)
+    want = [JointBuilder().quarters(a[i], b[i], SYMS, cells) for i in range(len(pairs))]
+    for groups in ([1] * 5, [2, 2, 1], [3, 2], [5]):
+        builder, out, first = JointBuilder(), None, 0
+        for size in groups:
+            out = builder.quarters(a[first:first + size], b[first:first + size], SYMS, cells,
+                                   None if out is None else out[:size])
+            assert out.shape == (size, *want[0].shape)
+            for i, blocks in enumerate(out, first):
+                assert np.array_equal(blocks, want[i])
+                assert all(layout(block) == layout(one) == (True, False) for block, one in zip(blocks, want[i]))
+            first += size
+
+
+@pytest.mark.parametrize("t", [10, 40])
+def test_mutual_information_from_the_quarter_equals_that_of_the_placed_joint(t):
+    a, b, x = evolved_pair(steps=t)
+    cells = walk_cells(x, t)
+    for sym, quarter in zip(SYMS, JointBuilder().quarters(a, b, SYMS, cells)):
+        joint = placed(quarter, cells, len(x))
+        assert mutual_information(joint, quarter) == mutual_information(joint)
