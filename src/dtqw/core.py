@@ -19,7 +19,7 @@ layout, and ``light_cone`` is the one rule for the sites a walk can reach.
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -73,69 +73,68 @@ def _check_edges(amplitudes: np.ndarray) -> None:
         raise LatticeOverflowError("light cone reached the lattice edge; allocate a larger lattice")
 
 
-def evolve(initial: np.ndarray, steps: int, field, start: int = 0,
-           spare: Optional[np.ndarray] = None) -> np.ndarray:
-    """Evolve steps t = start+1 .. start+steps of the coined step; returns the final amplitudes.
+def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndarray]:
+    """Walk the coined step from ``initial`` through ``stops``, yielding the amplitudes at each.
 
-    ``field`` is a :class:`dtqw.disorder.FieldBatch` of C configurations:
-    its coin factors broadcast against a (C, walkers, 2, n_sites) batch,
-    and, for ``FieldBatch([field])``, against one walker of shape
-    (2, n_sites).  Each step writes e_L (a + b) / sqrt(2) one site left and
-    e_R (a - b) / sqrt(2) one site right into the spare of two buffers and
-    swaps them.  The two buffers are a complex128 copy of ``initial``, the
-    (..., 2, n_sites) amplitudes, and a fresh one; with ``spare``, an array
-    of a 4-D complex128 batch's shape and dtype, they are ``initial`` itself
-    and ``spare``, whatever it holds, so a caller that stops often keeps one
-    buffer pair: the returned array is then one of the two objects, and the
-    other is free for the next call.  Only reachable sites are stepped: the span of
-    the sites occupied at the start (by any walker or coin), widened by one
-    site per step, and only every second site of it when those share one
-    parity.  When the span touches an edge site,
-    the edge check runs: amplitude there is an overflow, and a zero edge
-    (also by cancellation) leaves the span.  An all-zero state is returned
-    as it is.  Every amplitude equals that of stepping every site bit for
-    bit (up to the sign of a zero), whatever the size of the batch it
-    evolves in.
+    ``stops`` are non-decreasing step counts >= 0 (ValueError otherwise,
+    before any step).  ``field`` is a :class:`dtqw.disorder.FieldBatch` of C
+    configurations: its coin factors broadcast against a (C, walkers, 2,
+    n_sites) batch, and, for ``FieldBatch([field])``, against one walker of
+    shape (2, n_sites).  Step t writes e_L (a + b) / sqrt(2) one site left and
+    e_R (a - b) / sqrt(2) one site right into the spare of two complex128
+    buffers, allocated in the memory layout of ``initial``, and swaps them.
+    Each stop yields a read-only view of the current buffer, shaped like
+    ``initial`` and valid until the walk resumes; a one-shot caller writes
+    ``[amps] = evolve(initial, [steps], field)``.  Only reachable sites are
+    stepped: the span of the sites occupied at the start (by any walker or
+    coin), widened by one site per step, and only every second site of it
+    when those share one parity.  When the span touches an edge site, the
+    edge check runs: amplitude there is an overflow, and a zero edge (also by
+    cancellation) leaves the span.  An all-zero start stays zero.  Every
+    amplitude equals that of stepping every site bit for bit (up to the sign
+    of a zero), whatever the batch it evolves in and the other stops.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
     shape = np.shape(initial)
     if len(shape) < 2 or shape[-2] != 2:
         raise ValueError(f"amplitudes must have shape (..., 2, n_sites), got {shape}")
-    if spare is None:
-        # one walker steps as a batch of one; C order also for a broadcast (stride-0) start
-        amps = np.array(initial, dtype=np.complex128, order="C", ndmin=4)
-        spare = np.zeros_like(amps)
-    elif spare.shape != shape or len(shape) != 4 or not initial.dtype == spare.dtype == np.complex128:
-        raise ValueError(f"spare must be complex128 with the 4-D shape of the batch, got {spare.shape} for {shape}")
-    else:
-        amps = initial
-        spare.fill(0.0)  # what it holds may lie outside the cells the first step writes
+    stops = list(stops)
+    if any(isinstance(t, bool) or not isinstance(t, (int, np.integer)) for t in stops) or any(
+            b < a for a, b in zip([0, *stops], stops)):
+        raise ValueError(f"stops must be non-decreasing integers >= 0, got {stops!r}")
+    # one walker steps as a batch of one; order "K" keeps the layout of a batch, also of a broadcast (stride-0) one
+    amps = np.array(initial, dtype=np.complex128, order="K", ndmin=4)
+    spare = np.zeros_like(amps)
     last = amps.shape[-1] - 1
     occupied = np.flatnonzero(amps.any(axis=(0, 1, 2)))
-    if not occupied.size:  # an all-zero state stays zero
-        return amps if amps.shape == shape else amps.reshape(shape)
-    lo, hi = int(occupied[0]), int(occupied[-1])
-    stride = 1 if ((occupied - lo) % 2).any() else 2
-    for t in range(start + 1, start + steps + 1):
-        if lo <= 0 or hi >= last:
-            # zero edges leave the span; the cells they would write may still hold the start: zero those
-            _check_edges(amps)
-            if lo <= 0:
-                lo += stride
-                spare[..., 1, 1] = 0.0
-            if hi >= last:
-                hi -= stride
-                spare[..., 0, last - 1] = 0.0
-        sites = slice(lo, hi + 1, stride)
-        e_l, e_r = field.coin_factors(t, sites)
-        left, right = spare[..., 0, lo - 1 : hi : stride], spare[..., 1, lo + 1 : hi + 2 : stride]
-        np.add(amps[..., 0, sites], amps[..., 1, sites], out=left)
-        np.multiply(e_l, left, out=left)
-        np.multiply(left, INV_SQRT2, out=left)
-        np.subtract(amps[..., 0, sites], amps[..., 1, sites], out=right)
-        np.multiply(e_r, right, out=right)
-        np.multiply(right, INV_SQRT2, out=right)
-        amps, spare = spare, amps
-        lo, hi = lo - 1, hi + 1
-    return amps if amps.shape == shape else amps.reshape(shape)
+    if occupied.size:
+        lo, hi = int(occupied[0]), int(occupied[-1])
+        stride = 1 if ((occupied - lo) % 2).any() else 2
+    else:  # an all-zero start stays zero: no step runs
+        stops = [0] * len(stops)
+    done = 0
+    for stop in stops:
+        for t in range(done + 1, stop + 1):
+            if lo <= 0 or hi >= last:
+                # zero edges leave the span; the cells they would write may still hold the start: zero those
+                _check_edges(amps)
+                if lo <= 0:
+                    lo += stride
+                    spare[..., 1, 1] = 0.0
+                if hi >= last:
+                    hi -= stride
+                    spare[..., 0, last - 1] = 0.0
+            sites = slice(lo, hi + 1, stride)
+            e_l, e_r = field.coin_factors(t, sites)
+            left, right = spare[..., 0, lo - 1 : hi : stride], spare[..., 1, lo + 1 : hi + 2 : stride]
+            np.add(amps[..., 0, sites], amps[..., 1, sites], out=left)
+            np.multiply(e_l, left, out=left)
+            np.multiply(left, INV_SQRT2, out=left)
+            np.subtract(amps[..., 0, sites], amps[..., 1, sites], out=right)
+            np.multiply(e_r, right, out=right)
+            np.multiply(right, INV_SQRT2, out=right)
+            amps, spare = spare, amps
+            lo, hi = lo - 1, hi + 1
+        done = stop
+        view = amps.reshape(shape)
+        view.flags.writeable = False
+        yield view

@@ -8,11 +8,10 @@ standard deviations are taken across configurations.  Averaged
 
 Both runners evolve the ensemble in contiguous chunks of members, each a
 disorder configuration (a seed, and a strength when a sweep runs), each
-chunk one batched walk of coin-major amplitudes, shape (configs,
-2 walkers, 2, n_sites), in one pair of state buffers, that stops at every
-evaluated step to measure the whole chunk at once.  The chunk size follows a
-fixed memory budget, and the chunks of a sweep may cut across its values;
-no number depends on either.
+chunk one ``core.evolve`` walk of coin-major amplitudes, shape (configs,
+2 walkers, 2, n_sites), that stops at every evaluated step to measure the
+whole chunk at once.  The chunk size follows a fixed memory budget, and the
+chunks of a sweep may cut across its values; no number depends on either.
 """
 
 from __future__ import annotations
@@ -143,7 +142,7 @@ def _chunk_tasks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tu
     A member's field draws from its seed with ``cfg``'s strengths, the one
     named by ``sweep`` set to its value (None: no sweep).  A chunk holds as
     many members as fit ``_CHUNK_BYTES`` with what ``FieldBatch`` keeps of
-    their fields, their walker states (one buffer pair for the whole walk)
+    their fields, their walker states (the two buffers ``evolve`` walks in)
     and their ``result_floats`` of measurements, next to the tables the one
     field being packed draws, and no more than an even share of ``n_jobs``
     workers.  ``disorder.batch_floats`` gives both counts from the shapes
@@ -153,7 +152,6 @@ def _chunk_tasks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tu
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     n_sites, _, starts = _geometry(cfg)
     kept, packing = batch_floats(cfg.disorder, cfg.steps, n_sites, starts)
-    # the two state buffers evolve steps in from stop to stop
     per_config = 8 * (kept + 16 * n_sites + result_floats)
     size = max(1, min((_CHUNK_BYTES - 8 * packing) // per_config, -(-len(members) // n_jobs)))
     return [(cfg, sweep, members[first:first + size], stops, measure) for first in range(0, len(members), size)]
@@ -187,26 +185,20 @@ def _run_chunk(task) -> list:
     with the swept strength set to its value (see ``_chunk_tasks``);
     walkers A and B share it.  The fields are drawn one at a time into a
     ``FieldBatch`` that keeps only the light cone of the two start sites,
-    so at most one field's whole tables exist at once.  The walk steps in
-    one pair of state buffers from stop to stop.  At each of the ascending
-    ``stops`` the walkers of every configuration must be orthogonal
-    (ValueError otherwise), and the whole chunk is measured once, as
-    ``measure(cfg, amplitudes, t)``; returns those results, one per stop.
+    so at most one field's whole tables exist at once.  One ``evolve`` walk
+    stops at each of the ascending ``stops``: there the walkers of every
+    configuration must be orthogonal (ValueError otherwise), and the whole
+    chunk is measured once, as ``measure(cfg, amplitudes, t)`` on the walk's
+    read-only view; returns those results, one per stop.
     """
     cfg, sweep, members, stops, measure = task
     n_sites, origin, starts = _geometry(cfg)
     field = FieldBatch((_field_for(cfg, seed, n_sites, origin, **({} if sweep is None else {sweep: value}))
                         for value, seed in members), starts, len(members))
     pair = np.stack([delta_state(n_sites, origin, x, COIN_NAMES[coin]) for x, coin in (cfg.start_a, cfg.start_b)])
-    state = np.array(np.broadcast_to(pair, (len(members), *pair.shape)))
-    spare = np.empty_like(state)
-    results, t = [], 0
-    for stop in stops:
-        held = state
-        state = evolve(state, stop - t, field, start=t, spare=spare)
-        if state is spare:
-            spare = held
-        t = stop
+    results = []
+    # evolve keeps the layout of the broadcast start, configuration-innermost, in the buffers it copies it to
+    for t, state in zip(stops, evolve(np.broadcast_to(pair, (len(members), *pair.shape)), stops, field)):
         overlap = np.abs(np.einsum("kcx,kcx->k", state[:, 0].conj(), state[:, 1])).max()
         if overlap > ORTHOGONALITY_TOL:
             raise ValueError(f"walker amplitudes must be orthogonal, |<a|b>| = {overlap:.3e}")

@@ -84,7 +84,7 @@ def test_criterion_1_oracle_equivalence():
             kind, phi_max=PI, phi_static=PI, phi_dynamic=PI,
             steps=t, n_sites=n, origin=o, seed=int(rng.integers(2**63)),
         )
-        state = evolve(delta_state(n, o, 0, coin), t, FieldBatch([fld]))
+        [state] = evolve(delta_state(n, o, 0, coin), [t], FieldBatch([fld]))
         worst = max(worst, compare(state, path_sum_amplitudes(0, coin, t, fld)))
     elapsed = time.time() - start
     _criterion(
@@ -109,9 +109,7 @@ def test_criterion_2_invariant_suite():
         n, o = lattice_for(t)
         fld = FieldBatch([sample_phase_field(kind, phi_max=PI, phi_static=PI, phi_dynamic=PI,
                                              steps=t, n_sites=n, origin=o, seed=seed)])
-        state = delta_state(n, o, 0, COIN_L)
-        for step in range(t):  # one step at a time, checking the norm after each
-            state = evolve(state, 1, fld, start=step)
+        for state in evolve(delta_state(n, o, 0, COIN_L), range(1, t + 1), fld):  # checking the norm after each step
             norm_drift = max(norm_drift, abs(float(np.sum(np.abs(state) ** 2)) - 1.0))
         p = np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2
         x = np.arange(n) - o
@@ -123,8 +121,8 @@ def test_criterion_2_invariant_suite():
         n2, o2 = lattice_for(t2, (0, 0))
         fld2 = FieldBatch([sample_phase_field(kind, phi_max=PI, phi_static=PI, phi_dynamic=PI,
                                               steps=t2, n_sites=n2, origin=o2, seed=seed)])
-        a = evolve(delta_state(n2, o2, 0, COIN_L), t2, fld2)
-        b = evolve(delta_state(n2, o2, 0, COIN_R), t2, fld2)
+        [a] = evolve(delta_state(n2, o2, 0, COIN_L), [t2], fld2)
+        [b] = evolve(delta_state(n2, o2, 0, COIN_R), [t2], fld2)
         marg = marginal(a, b)
         for sym in ExchangeSymmetry:
             mode = joint_mode_distribution(a, b, sym)

@@ -51,7 +51,8 @@ def one_step(coin, phi_l=0.0, phi_r=0.0):
     """One step from x=0 in the given coin state under uniform phases, on a lattice with ``ONE_STEP_ORIGIN``."""
     n, o = lattice_for(1)
     fld = phase_table_field(np.full((1, n), phi_l), np.full((1, n), phi_r))
-    return evolve(delta_state(n, o, 0, coin), 1, FieldBatch([fld]))
+    [out] = evolve(delta_state(n, o, 0, coin), [1], FieldBatch([fld]))
+    return out
 
 
 def test_phased_coin_pi_flips_second_row():
@@ -73,9 +74,9 @@ def test_common_phase_is_global():
     t = 12
     n, o = lattice_for(t)
     start = delta_state(n, o, 0, COIN_L)
-    plain = evolve(start, t, FieldBatch([zero_field(t, n, o)]))
+    [plain] = evolve(start, [t], FieldBatch([zero_field(t, n, o)]))
     third = np.full((t, n), np.pi / 3)
-    tilted = evolve(start, t, FieldBatch([phase_table_field(third, third)]))
+    [tilted] = evolve(start, [t], FieldBatch([phase_table_field(third, third)]))
     np.testing.assert_allclose(probabilities(tilted), probabilities(plain), atol=1e-12)
 
 
@@ -96,32 +97,34 @@ def test_step_preserves_norm_with_random_phased_coins():
     rng = np.random.default_rng(3)
     n, o = lattice_for(6)
     fld = phase_table_field(rng.uniform(0, 2 * np.pi, (6, n)), rng.uniform(0, 2 * np.pi, (6, n)))
-    state = evolve(delta_state(n, o, 0, COIN_L), 6, FieldBatch([fld]))
+    [state] = evolve(delta_state(n, o, 0, COIN_L), [6], FieldBatch([fld]))
     assert norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_step_overflow_is_an_error():
     # on 3 sites the first step reaches both edge sites, so the second overflows
     with pytest.raises(LatticeOverflowError):
-        evolve(delta_state(3, 1, 0, COIN_L), 2, FieldBatch([zero_field(2, 3, 1)]))
+        list(evolve(delta_state(3, 1, 0, COIN_L), [2], FieldBatch([zero_field(2, 3, 1)])))
 
 
-def test_evolve_zero_steps_returns_initial():
+def test_stop_zero_yields_the_start():
     n, o = lattice_for(4)
-    start = delta_state(n, o, 0, COIN_L)
-    out = evolve(start, 0, FieldBatch([zero_field(4, n, o)]))
-    np.testing.assert_array_equal(out, start)
+    for start, fld in ((delta_state(n, o, 0, COIN_L), FieldBatch([zero_field(4, n, o)])),
+                       (walker_pairs(n, o, 3), FieldBatch([zero_field(4, n, o)] * 3))):
+        walk = evolve(start, (0, 0, 4), fld)
+        assert np.array_equal(next(walk), start) and np.array_equal(next(walk), start)
+        assert not np.array_equal(next(walk), start)
 
 
 def test_evolve_two_steps_ordered():
     n, o = lattice_for(2)
-    out = evolve(delta_state(n, o, 0, COIN_L), 2, FieldBatch([zero_field(2, n, o)]))
+    [out] = evolve(delta_state(n, o, 0, COIN_L), [2], FieldBatch([zero_field(2, n, o)]))
     assert dist_by_position(out, o) == pytest.approx({-2: 0.25, 0: 0.5, 2: 0.25})
 
 
 def test_evolve_three_steps_ordered():
     n, o = lattice_for(3)
-    out = evolve(delta_state(n, o, 0, COIN_L), 3, FieldBatch([zero_field(3, n, o)]))
+    [out] = evolve(delta_state(n, o, 0, COIN_L), [3], FieldBatch([zero_field(3, n, o)]))
     assert dist_by_position(out, o) == pytest.approx({-3: 1 / 8, -1: 5 / 8, 1: 1 / 8, 3: 1 / 8})
 
 
@@ -133,7 +136,7 @@ def test_position_distribution_delta():
 
 def test_one_step_distribution_is_half_half():
     n, o = lattice_for(1)
-    out = evolve(delta_state(n, o, 0, COIN_L), 1, FieldBatch([zero_field(1, n, o)]))
+    [out] = evolve(delta_state(n, o, 0, COIN_L), [1], FieldBatch([zero_field(1, n, o)]))
     assert dist_by_position(out, o) == pytest.approx({-1: 0.5, 1: 0.5})
 
 
@@ -150,7 +153,7 @@ def test_evolution_invariants_under_any_disorder(kind, steps, seed):
         kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
         steps=steps, n_sites=n, origin=o, seed=seed,
     )
-    out = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([fld]))
+    [out] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fld]))
     assert norm(out) == pytest.approx(1.0, abs=1e-12)
     p = probabilities(out)
     x = np.arange(n) - o
@@ -163,9 +166,8 @@ def test_norm_drift_over_100_steps():
     n, o = lattice_for(t)
     fld = FieldBatch([sample_phase_field(DisorderKind.FLUCTUATING, phi_max=np.pi, steps=t, n_sites=n, origin=o,
                                          seed=9)])
-    state, worst = delta_state(n, o, 0, COIN_L), 0.0
-    for step in range(t):  # one step at a time, checking the norm after each
-        state = evolve(state, 1, fld, start=step)
+    worst = 0.0
+    for state in evolve(delta_state(n, o, 0, COIN_L), range(1, t + 1), fld):  # checking the norm after each step
         worst = max(worst, abs(norm(state) - 1.0))
     assert worst <= 1e-12
 
@@ -182,7 +184,7 @@ def test_ordered_hadamard_variance_tends_to_nayak_vishwanath_limit(t):
     n, o = lattice_for(t)
     amps = np.zeros((2, n), dtype=np.complex128)
     amps[:, o] = [INV_SQRT2, 1j * INV_SQRT2]
-    state = evolve(amps, t, FieldBatch([zero_field(t, n, o)]))
+    [state] = evolve(amps, [t], FieldBatch([zero_field(t, n, o)]))
     p, x = probabilities(state), np.arange(n) - o
     mean = x @ p
     assert abs(mean) <= 1e-12
@@ -206,7 +208,7 @@ def test_dynamic_disorder_at_full_strength_averages_to_the_classical_walk():
     fields = FieldBatch([sample_phase_field(DisorderKind.DYNAMIC, phi_max=2 * np.pi, steps=t, n_sites=n, origin=o,
                                             seed=2003 + i) for i in range(configs)])
     start = np.broadcast_to(delta_state(n, o, 0, COIN_L), (configs, 1, 2, n))
-    state = evolve(start, t, fields)
+    [state] = evolve(start, [t], fields)
     p, x = probabilities(state)[:, 0], np.arange(n) - o
     binomial = np.array([math.comb(t, (t + xi) // 2) / 2**t if (t + xi) % 2 == 0 and abs(xi) <= t else 0.0
                          for xi in x])
@@ -223,8 +225,8 @@ def test_global_phase_shift_of_field_is_invisible():
     n, o = lattice_for(t)
     fld = sample_phase_field(DisorderKind.STATIC, phi_max=np.pi, steps=t, n_sites=n, origin=o, seed=4)
     shifted = dataclasses.replace(fld, phases=fld.phases + 1.234)
-    a = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([fld]))
-    b = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([shifted]))
+    [a] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([fld]))
+    [b] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([shifted]))
     np.testing.assert_allclose(probabilities(a), probabilities(b), atol=1e-12)
 
 
@@ -232,8 +234,8 @@ def test_zero_strength_field_equals_ordered_bit_for_bit():
     t = 30
     n, o = lattice_for(t)
     zero = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=t, n_sites=n, origin=o, seed=5)
-    a = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([zero]))
-    b = evolve(delta_state(n, o, 0, COIN_L), t, FieldBatch([zero_field(t, n, o)]))
+    [a] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([zero]))
+    [b] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([zero_field(t, n, o)]))
     np.testing.assert_array_equal(a, b)
 
 
@@ -241,7 +243,7 @@ def test_evolve_matches_explicit_step_loop():
     t = 8
     n, o = lattice_for(t)
     fld = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=2.5, steps=t, n_sites=n, origin=o, seed=6)
-    fast = evolve(delta_state(n, o, 0, COIN_R), t, FieldBatch([fld]))
+    [fast] = evolve(delta_state(n, o, 0, COIN_R), [t], FieldBatch([fld]))
     slow = path_sum_amplitudes(0, COIN_R, t, fld)  # explicit sum over all 2^t coin histories
     np.testing.assert_allclose(slow.amplitudes, fast, atol=1e-13)
 
@@ -249,7 +251,7 @@ def test_evolve_matches_explicit_step_loop():
 def test_lattice_for_sizes_the_light_cone():
     n, o = lattice_for(10, (0, 0))
     assert n == 2 * 10 + 3
-    out = evolve(delta_state(n, o, 0, COIN_L), 10, FieldBatch([zero_field(10, n, o)]))
+    [out] = evolve(delta_state(n, o, 0, COIN_L), [10], FieldBatch([zero_field(10, n, o)]))
     assert norm(out) == pytest.approx(1.0)
 
 
@@ -270,11 +272,12 @@ def test_evolve_takes_plain_arrays_and_rejects_other_shapes():
     fld = FieldBatch([zero_field(1, 5, 2)])
     real = np.zeros((2, 5))
     real[COIN_L, 2] = 1.0  # a real start evolves as complex128, like its complex twin
-    out = evolve(real, 1, fld)
-    assert out.dtype == np.complex128 and np.array_equal(out, evolve(delta_state(5, 2, 0), 1, fld))
+    [out] = evolve(real, [1], fld)
+    [twin] = evolve(delta_state(5, 2, 0), [1], fld)
+    assert out.dtype == np.complex128 and np.array_equal(out, twin)
     for shape in ((5,), (3, 5)):
         with pytest.raises(ValueError, match="shape"):
-            evolve(np.zeros(shape, dtype=np.complex128), 1, fld)
+            list(evolve(np.zeros(shape, dtype=np.complex128), [1], fld))
 
 
 def sampled_fields(kind, steps, seeds, start_sites=(0,)):
@@ -298,12 +301,12 @@ def test_batched_evolve_equals_each_walker_bit_for_bit(kind):
     t = 12
     fields = sampled_fields(kind, t, range(5))
     n, o = fields[0].n_sites, fields[0].origin
-    out = evolve(walker_pairs(n, o, 5), t, FieldBatch(fields))
+    [out] = evolve(walker_pairs(n, o, 5), [t], FieldBatch(fields))
     for c, fld in enumerate(fields):
-        single = evolve(walker_pairs(n, o, 1), t, FieldBatch([fld]))
+        [single] = evolve(walker_pairs(n, o, 1), [t], FieldBatch([fld]))
         assert np.array_equal(out[c], single[0])
         for w, coin in enumerate((COIN_L, COIN_R)):
-            alone = evolve(delta_state(n, o, 0, coin), t, FieldBatch([fld]))
+            [alone] = evolve(delta_state(n, o, 0, coin), [t], FieldBatch([fld]))
             assert alone.shape == (2, n)
             assert np.array_equal(out[c, w], alone)
 
@@ -313,27 +316,58 @@ def test_batched_evolve_matches_path_sum(kind):
     t = 8
     fields = sampled_fields(kind, t, (3, 4, 5))
     n, o = fields[0].n_sites, fields[0].origin
-    out = evolve(walker_pairs(n, o, 3), t, FieldBatch(fields))
+    [out] = evolve(walker_pairs(n, o, 3), [t], FieldBatch(fields))
     for c, fld in enumerate(fields):
         for w, coin in enumerate((COIN_L, COIN_R)):
             slow = path_sum_amplitudes(0, coin, t, fld)  # explicit sum over all 2^t coin histories
             np.testing.assert_allclose(slow.amplitudes, out[c, w], atol=1e-13)
 
 
-def test_evolve_in_segments_equals_one_run():
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+def test_a_walk_through_stops_equals_a_run_to_each_stop_bit_for_bit(kind):
     t = 10
-    fields = sampled_fields(DisorderKind.FLUCTUATING, t, (1, 2))
+    fields = sampled_fields(kind, t, (1, 2))
     batch = FieldBatch(fields)
     start = walker_pairs(fields[0].n_sites, fields[0].origin, 2)
-    mid = evolve(start, 4, batch)
-    split = evolve(mid, t - 4, batch, start=4)
-    assert np.array_equal(split, evolve(start, t, batch))
+    stops = (0, 1, 4, 4, np.int64(7), t)
+    for stop, amps in zip(stops, evolve(start, stops, batch)):
+        [alone] = evolve(start, [stop], batch)
+        assert np.array_equal(amps, alone), stop
+
+
+class NoSteps:
+    """A field that fails the test if any step reads it."""
+
+    def coin_factors(self, t, sites):
+        pytest.fail(f"stepped to t={t}")
+
+
+@pytest.mark.parametrize("stops", [[-1], [0, -1], [3, 2], [2, 5, 4], [1.0], [2, 2.5], [True], [0, False], ["1"]])
+def test_bad_stops_are_rejected_before_any_step(stops):
+    with pytest.raises(ValueError, match="stops"):
+        list(evolve(walker_pairs(7, 3, 1), stops, NoSteps()))
+
+
+def test_an_all_zero_start_yields_zeros_at_every_stop():
+    start, stops = np.zeros((3, 2, 2, 9), dtype=np.complex128), (0, 2, 2, 3)
+    outs = [amps.copy() for amps in evolve(start, stops, NoSteps())]
+    assert len(outs) == len(stops) and all(np.array_equal(amps, start) for amps in outs)
+
+
+@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
+def test_each_stop_yields_a_read_only_view_shaped_like_the_start(batch):
+    n, o = lattice_for(3)
+    start = walker_pairs(n, o, 2) if batch else delta_state(n, o, 0, COIN_L)
+    for amps in evolve(start, (0, 1, 3), FieldBatch([zero_field(3, n, o)] * (2 if batch else 1))):
+        assert amps.shape == start.shape and not amps.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            amps[..., o] = 1.0
 
 
 def test_batched_overflow_is_an_error():
     batch = FieldBatch([zero_field(2, 3, 1), zero_field(2, 3, 1)])
     with pytest.raises(LatticeOverflowError):
-        evolve(walker_pairs(3, 1, 2), 2, batch)
+        list(evolve(walker_pairs(3, 1, 2), [2], batch))
 
 
 def test_field_batch_rejects_mixed_fields():
@@ -384,32 +418,13 @@ def test_evolve_equals_the_site_major_step_bit_for_bit(kind):
     for label, (start, fld) in starts.items():
         reference = site_major(start)
         for t in (0, 1, 2, 3, t_max):
-            out = evolve(start, t, fld)
+            [out] = evolve(start, [t], fld)
             assert out.shape == start.shape
             assert np.array_equal(site_major(out), evolve_site_major(reference, t, fld)), (label, t)
-        mid = evolve(start, 3, fld)
-        split = evolve(evolve(mid, 20, fld, start=3), t_max - 23, fld, start=23)
-        assert np.array_equal(site_major(split), evolve_site_major(reference, t_max, fld)), label
-
-
-def step_in_one_buffer_pair(start, fld, stops):
-    """The state at each of ``stops``, stepped as a chunk runner does: in one state buffer and one spare.
-
-    The spare starts out holding NaN, so a cell that evolve reads before writing shows.
-    """
-    state, spare, t = start.copy(), np.full_like(start, np.nan), 0
-    for stop in stops:
-        held = state
-        state = evolve(state, stop - t, fld, start=t, spare=spare)
-        assert state is (spare if held.any() and (stop - t) % 2 else held)
-        if state is spare:
-            spare = held
-        t = stop
-        yield state.copy()
 
 
 @pytest.mark.parametrize("kind", [DisorderKind.STATIC, DisorderKind.COMBINED], ids=lambda k: k.value)
-def test_evolve_in_one_buffer_pair_equals_the_site_major_step_at_every_stop(kind):
+def test_a_walk_through_stops_equals_the_site_major_step_at_every_stop(kind):
     t_max, width = 30, 4
     fields = sampled_fields(kind, t_max, range(5), (-width, width))
     n, o = fields[0].n_sites, fields[0].origin
@@ -422,30 +437,20 @@ def test_evolve_in_one_buffer_pair_equals_the_site_major_step_at_every_stop(kind
     }
     for label, start in starts.items():
         reference = site_major(start)
-        for t, amps in zip(stops, step_in_one_buffer_pair(start, batch, stops)):
+        for t, amps in zip(stops, evolve(start, stops, batch)):
             assert np.array_equal(site_major(amps), evolve_site_major(reference, t, batch)), (label, t)
 
 
 def test_a_span_shrunk_by_cancellation_leaves_nothing_stale_in_the_spare():
-    # (1, -1)/sqrt(2) at site 1 sends nothing to site 0, so the next call steps only site 2, and the spare still
-    # holds the start's R amplitude at site 1, where that step writes no R amplitude
+    # (1, -1)/sqrt(2) at site 1 sends nothing to site 0, so the second step steps only site 2, and the spare buffer
+    # still holds the start's R amplitude at site 1, where that step writes no R amplitude
     n, steps = 12, 4
     amps = np.zeros((1, 1, 2, n), dtype=np.complex128)
     amps[..., 1] = [INV_SQRT2, -INV_SQRT2]
     fld = FieldBatch([zero_field(steps, n, 1)])
     stops = (1, 2, 3)
-    for t, got in zip(stops, step_in_one_buffer_pair(amps, fld, stops)):
+    for t, got in zip(stops, evolve(amps, stops, fld)):
         assert np.array_equal(site_major(got), evolve_site_major(site_major(amps), t, fld))
-
-
-def test_a_spare_of_another_shape_is_rejected():
-    fld = FieldBatch([zero_field(2, 7, 3)])
-    with pytest.raises(ValueError, match="spare"):
-        evolve(walker_pairs(7, 3, 1), 2, fld, spare=np.zeros((2, 2, 2, 7), dtype=np.complex128))
-    with pytest.raises(ValueError, match="spare"):
-        evolve(delta_state(7, 3, 0, COIN_L), 2, fld, spare=np.zeros((2, 7), dtype=np.complex128))
-    with pytest.raises(ValueError, match="spare"):  # the batch itself is a buffer, so it must be complex128 too
-        evolve(walker_pairs(7, 3, 1).real, 2, fld, spare=np.zeros((1, 2, 2, 7), dtype=np.complex128))
 
 
 @pytest.mark.parametrize("parities", [1, 2])
@@ -458,20 +463,21 @@ def test_an_edge_cell_zero_by_cancellation_is_no_overflow(parities):
     if parities == 2:
         amps[COIN_L, 4] = 0.5  # span two parities: every site of the span steps
     fld = FieldBatch([zero_field(steps, n, 1)])
-    for t in (1, 2, 3):
-        out = evolve(amps, t, fld)
+    walk = evolve(amps, (1, 2, 3, steps), fld)
+    for t, out in zip((1, 2, 3), walk):
         assert np.array_equal(site_major(out), evolve_site_major(site_major(amps), t, fld))
         assert not out[:, -1].any()
     with pytest.raises(LatticeOverflowError):
         evolve_site_major(site_major(amps), steps, fld)
     with pytest.raises(LatticeOverflowError):
-        evolve(amps, steps, fld)
+        next(walk)
 
 
 def check_overflow_in_either_buffer(edge, swaps, batch, parities):
     """The light cone reaches the edge site after ``swaps`` steps; the next step must raise.
 
-    With ``parities=2`` a second start one site further in, on the other parity, widens the stepped span.
+    The walk holds the reached state in its first buffer after an even number of steps and in its second after an
+    odd one.  With ``parities=2`` a second start one site further in, on the other parity, widens the stepped span.
     """
     n, o, steps = 2 * swaps + 6, swaps + 3, swaps + 1
     x = (swaps if edge == "first" else n - 1 - swaps) - o
@@ -485,14 +491,15 @@ def check_overflow_in_either_buffer(edge, swaps, batch, parities):
         start, fld = delta_state(n, o, x, COIN_L), FieldBatch(fields[:1])
         if parities == 2:
             start[COIN_R, inner + o] = 1.0
-    reached = evolve(start, swaps, fld)
+    walk = evolve(start, (swaps, swaps + 1), fld)
+    reached = next(walk)
     edge_site = reached[..., 0 if edge == "first" else -1]
     reached_by = np.abs(edge_site).sum(axis=-1)  # per walker; only walker A reaches it from two parities
     assert np.all(reached_by[..., 0] > 0 if batch and parities == 2 else reached_by > 0)
     with pytest.raises(LatticeOverflowError):
-        evolve(start, swaps + 1, fld)
-    with pytest.raises(LatticeOverflowError):
-        evolve(reached, 1, fld, start=swaps)
+        next(walk)
+    with pytest.raises(LatticeOverflowError):  # a start on the edge site overflows at its first step
+        list(evolve(reached, [1], fld))
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])

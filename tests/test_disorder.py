@@ -59,9 +59,9 @@ def test_zero_strength_matches_ordered_evolution():
     steps = 15
     n, o = lattice_for(steps)
     zero = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=steps, n_sites=n, origin=o, seed=3)
-    a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([zero]))
+    [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([zero]))
     ordered = sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n, origin=o)
-    b = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([ordered]))
+    [b] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([ordered]))
     np.testing.assert_array_equal(a, b)
 
 
@@ -217,8 +217,8 @@ def test_fluctuating_forced_constant_reproduces_static():
     frozen = dataclasses.replace(fluct, phases=np.tile(fluct.phases[:, :1], (1, steps, 1)))
     static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=8)
     static = dataclasses.replace(static, phases=fluct.phases[:, :1])
-    a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([frozen]))
-    b = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([static]))
+    [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([frozen]))
+    [b] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([static]))
     np.testing.assert_array_equal(a, b)
 
 
@@ -231,8 +231,8 @@ def test_combined_with_zero_dynamic_reproduces_static():
     static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=21)
     np.testing.assert_array_equal(combined.phases[0], np.broadcast_to(static.phases[0], (steps, n)))
     np.testing.assert_array_equal(combined.phases[1], np.broadcast_to(static.phases[1], (steps, n)))
-    a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([combined]))
-    b = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([static]))
+    [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([combined]))
+    [b] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([static]))
     np.testing.assert_array_equal(a, b)
 
 
@@ -244,8 +244,8 @@ def test_combined_with_zero_static_reproduces_fluctuating():
     )
     fluct = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=22)
     np.testing.assert_array_equal(combined.phases[0], fluct.phases[0])
-    a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([combined]))
-    b = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([fluct]))
+    [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([combined]))
+    [b] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fluct]))
     np.testing.assert_array_equal(a, b)
 
 

@@ -36,8 +36,8 @@ def three_step_joint(sym):
     steps = 3
     n, o = lattice_for(steps, (0, 0))
     fld = FieldBatch([sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n, origin=o)])
-    a = evolve(delta_state(n, o, 0, COIN_L), steps, fld)
-    b = evolve(delta_state(n, o, 0, COIN_R), steps, fld)
+    [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], fld)
+    [b] = evolve(delta_state(n, o, 0, COIN_R), [steps], fld)
     return aggregate_to_positions(joint_mode_distribution(a, b, sym)), np.arange(n) - o
 
 
@@ -131,8 +131,8 @@ def test_product_joint_variance_is_sum_of_single_variances():
     steps = 12
     n, o = lattice_for(steps, (0, 0))
     fld = sample_phase_field(DisorderKind.STATIC, phi_max=np.pi, steps=steps, n_sites=n, origin=o, seed=40)
-    psi_a = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([fld]))
-    psi_b = evolve(delta_state(n, o, 0, COIN_R), steps, FieldBatch([fld]))
+    [psi_a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fld]))
+    [psi_b] = evolve(delta_state(n, o, 0, COIN_R), [steps], FieldBatch([fld]))
     x = (np.arange(n) - o).astype(float)
 
     def prob(state):
@@ -266,9 +266,25 @@ def test_chunked_batches_equal_per_walker_evolve_bitwise(monkeypatch, kind, budg
     n, o = lattice_for(cfg.steps)
     for i, (amps_a, amps_b) in enumerate(batched):
         fld = observables._field_for(cfg, cfg.seed + i, n, o)
-        pair = evolve(delta_state(n, o, 0, COIN_L), cfg.steps, FieldBatch([fld])), \
-            evolve(delta_state(n, o, 0, COIN_R), cfg.steps, FieldBatch([fld]))
-        assert np.array_equal(amps_a, pair[0]) and np.array_equal(amps_b, pair[1])
+        [alone_a], [alone_b] = (evolve(delta_state(n, o, 0, coin), [cfg.steps], FieldBatch([fld]))
+                                for coin in (COIN_L, COIN_R))
+        assert np.array_equal(amps_a, alone_a) and np.array_equal(amps_b, alone_b)
+
+
+@pytest.mark.parametrize("runner, stops", [(partial(ensemble_run, observables=OBS, eval_steps=[6, 2, 4, 2]), [2, 4, 6]),
+                                           (ensemble_average_joints, [6])], ids=["series", "joints"])
+def test_each_chunk_walks_once_through_its_stops(monkeypatch, runner, stops):
+    walks = []
+
+    def counted(initial, stops, field):
+        walks.append(list(stops))
+        return evolve(initial, stops, field)
+
+    monkeypatch.setattr(observables, "evolve", counted)
+    monkeypatch.setattr(observables, "_CHUNK_BYTES", 1)  # one configuration per chunk
+    cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=2.0, configs=3, seed=5, steps=6)
+    runner(cfg)
+    assert walks == [stops] * cfg.configs
 
 
 def _runs(monkeypatch, fn, cfg):
@@ -333,8 +349,8 @@ def test_bad_sweep_rejected(kind, sweep, values):
 def test_a_preset_scale_chunk_stays_within_its_memory_budget():
     # One fig7 chunk at t = 100 (36 combined configurations), traced on its second run, when the joint
     # builder's scratch (about 1 MiB, kept for every later chunk) exists.  The packed light-cone phases and
-    # the walker states fill the budget next to the one field being packed; the rest is step and
-    # measurement temporaries.  A stacked second copy of whole tables peaked at 1.72 budgets.
+    # the two state buffers of the walk fill the budget next to the one field being packed; the rest is step
+    # and measurement temporaries.  A stacked second copy of whole tables peaked at 1.72 budgets.
     cfg = dataclasses.replace(preset("fig7"), phi_dynamic=np.pi)
     measure = partial(observables._measure_series, ("variance",), JointBuilder())
     members = [(None, cfg.seed + i) for i in range(cfg.configs)]
@@ -351,9 +367,9 @@ def test_a_preset_scale_chunk_stays_within_its_memory_budget():
 
 
 def test_a_preset_scale_chunk_measured_at_several_steps_stays_within_its_memory_budget():
-    # One fig5 combined chunk at t = 100 measured at 11 steps (36 configurations): the walk steps in one buffer
-    # pair from stop to stop.  When evolve copied the state it was handed at every stop, three state buffers
-    # coexisted, and 36 configurations with two counted peaked at 1.16 budgets.
+    # One fig5 combined chunk at t = 100 measured at 11 steps (36 configurations): one evolve walk runs through
+    # all 11 stops in the two state buffers it owns.  A third state buffer, a copy per stop, would not fit:
+    # 36 configurations with two buffers counted peaked at 1.16 budgets when three coexisted.
     cfg = dataclasses.replace(preset("fig5"), disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=np.pi)
     measure = partial(observables._measure_series, ("variance",), JointBuilder())
     members = [(None, cfg.seed + i) for i in range(cfg.configs)]
@@ -405,8 +421,8 @@ def mode_reference_average(cfg):
     sums, marg = {sym: np.zeros((n, n)) for sym in ExchangeSymmetry}, np.zeros(n)
     for i in range(cfg.configs):
         fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n, o)])
-        a = evolve(delta_state(n, o, cfg.start_a[0], COIN_L), cfg.steps, fld)
-        b = evolve(delta_state(n, o, cfg.start_b[0], COIN_R), cfg.steps, fld)
+        [a] = evolve(delta_state(n, o, cfg.start_a[0], COIN_L), [cfg.steps], fld)
+        [b] = evolve(delta_state(n, o, cfg.start_b[0], COIN_R), [cfg.steps], fld)
         for sym, acc in sums.items():
             acc += aggregate_to_positions(joint_mode_distribution(a, b, sym))
         marg += marginal_positions(a, b)
@@ -454,8 +470,8 @@ def test_series_values_equal_the_observables_of_mode_reference_joints(start_b):
     n, o = lattice_for(cfg.steps, cfg.start_sites)
     fld = FieldBatch([observables._field_for(cfg, cfg.seed, n, o)])
     for i, t in enumerate(stops):
-        a = evolve(delta_state(n, o, 0, COIN_L), t, fld)
-        b = evolve(delta_state(n, o, start_b[0], COIN_R), t, fld)
+        [a] = evolve(delta_state(n, o, 0, COIN_L), [t], fld)
+        [b] = evolve(delta_state(n, o, start_b[0], COIN_R), [t], fld)
         cone = slice(o - t, o + start_b[0] + t + 1)
         for sym in ExchangeSymmetry:
             ref = aggregate_to_positions(joint_mode_distribution(a[:, cone], b[:, cone], sym))
@@ -498,8 +514,8 @@ def test_average_joints_bunch_bosons_and_antibunch_fermions(kind):
     distinguishable = np.zeros((n, n))
     for i in range(cfg.configs):
         fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n, o)])
-        a = evolve(delta_state(n, o, 0, COIN_L), cfg.steps, fld).T.reshape(-1)
-        b = evolve(delta_state(n, o, 0, COIN_R), cfg.steps, fld).T.reshape(-1)
+        [a], [b] = (evolve(delta_state(n, o, 0, coin), [cfg.steps], fld) for coin in (COIN_L, COIN_R))
+        a, b = a.T.reshape(-1), b.T.reshape(-1)
         product = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
         distinguishable += aggregate_to_positions(0.5 * (product + product.T))
     joints, _, _ = ensemble_average_joints(cfg)

@@ -40,7 +40,7 @@ def test_two_steps_with_uniform_static_phases_match_engine():
     fld = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=steps, n_sites=n, origin=o, seed=0)
     fld = dataclasses.replace(fld, phases=np.stack([np.full((1, n), np.pi), np.zeros((1, n))]))
     res = path_sum_amplitudes(0, COIN_L, steps, fld)
-    state = evolve(delta_state(n, o, 0, COIN_L), steps, FieldBatch([fld]))
+    [state] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fld]))
     assert compare(state, res) <= 1e-12
 
 
@@ -101,5 +101,5 @@ def test_engine_matches_path_sum_across_kinds():
             kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
             steps=t, n_sites=n, origin=o, seed=int(rng.integers(2**32)),
         )
-        state = evolve(delta_state(n, o, 0, coin), t, FieldBatch([fld]))
+        [state] = evolve(delta_state(n, o, 0, coin), [t], FieldBatch([fld]))
         assert compare(state, path_sum_amplitudes(0, coin, t, fld)) <= 1e-10

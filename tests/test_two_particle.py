@@ -24,7 +24,8 @@ def evolved_pair(kind=DisorderKind.FLUCTUATING, steps=10, seed=5, a=(0, COIN_L),
         kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
         steps=steps, n_sites=n, origin=o, seed=seed,
     )])
-    return evolve(delta_state(n, o, *a), steps, fld), evolve(delta_state(n, o, *b), steps, fld), np.arange(n) - o
+    [amps_a], [amps_b] = evolve(delta_state(n, o, *a), [steps], fld), evolve(delta_state(n, o, *b), [steps], fld)
+    return amps_a, amps_b, np.arange(n) - o
 
 
 def walk_cells(positions, t):
@@ -161,10 +162,10 @@ def test_joint_builder_equals_mode_reference_on_evolved_walkers(kind):
     n, o = lattice_for(t_max)
     fld = FieldBatch([sample_phase_field(kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
                                          steps=t_max, n_sites=n, origin=o, seed=17)])
-    a, b, t, builder = delta_state(n, o, 0, COIN_L), delta_state(n, o, 0, COIN_R), 0, JointBuilder()
+    stops, builder = (0, 1, 10, 31, 32, 33, 60, 100), JointBuilder()
     x = np.arange(n) - o
-    for stop in (0, 1, 10, 31, 32, 33, 60, 100):
-        a, b, t = evolve(a, stop - t, fld, start=t), evolve(b, stop - t, fld, start=t), stop
+    walks = (evolve(delta_state(n, o, 0, coin), stops, fld) for coin in (COIN_L, COIN_R))
+    for t, a, b in zip(stops, *walks):
         assert_blocks_equal_mode_reference(builder, a, b, x, walk_cells(x, t))
         cone = slice(o - t, o + t + 1)
         assert_blocks_equal_mode_reference(builder, a[:, cone], b[:, cone], x[cone], walk_cells(x[cone], t))
