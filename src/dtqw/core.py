@@ -76,11 +76,11 @@ def _check_edges(amplitudes: np.ndarray) -> None:
 def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndarray]:
     """Walk the coined step from ``initial`` through ``stops``, yielding the amplitudes at each.
 
-    ``stops`` are non-decreasing step counts >= 0 (ValueError otherwise,
-    before any step).  ``field`` is a :class:`dtqw.disorder.FieldBatch` of C
-    configurations: its coin factors broadcast against a (C, walkers, 2,
-    n_sites) batch, and, for ``FieldBatch([field])``, against one walker of
-    shape (2, n_sites).  Step t writes e_L (a + b) / sqrt(2) one site left and
+    ``stops`` is a sequence of non-decreasing step counts >= 0 (ValueError
+    otherwise, also for a bare integer, before any step).  ``field`` is a
+    :class:`dtqw.disorder.FieldBatch` of C configurations: its coin factors
+    broadcast against a (C, walkers, 2, n_sites) batch, and, for
+    ``FieldBatch([field])``, against one walker of shape (2, n_sites).  Step t writes e_L (a + b) / sqrt(2) one site left and
     e_R (a - b) / sqrt(2) one site right into the spare of two complex128
     buffers, allocated in the memory layout of ``initial``, and swaps them.
     Each stop yields a read-only view of the current buffer, shaped like
@@ -97,7 +97,10 @@ def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndar
     shape = np.shape(initial)
     if len(shape) < 2 or shape[-2] != 2:
         raise ValueError(f"amplitudes must have shape (..., 2, n_sites), got {shape}")
-    stops = list(stops)
+    try:
+        stops = list(stops)
+    except TypeError:  # a bare integer, also a 0-d array
+        raise ValueError(f"stops must be a sequence of integers, got {stops!r}") from None
     if any(isinstance(t, bool) or not isinstance(t, (int, np.integer)) for t in stops) or any(
             b < a for a, b in zip([0, *stops], stops)):
         raise ValueError(f"stops must be non-decreasing integers >= 0, got {stops!r}")

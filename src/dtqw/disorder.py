@@ -183,10 +183,10 @@ class FieldBatch:
     n_sites, starts)`` (without ``starts``, whole rows); each step
     exponentiates one slice of it, and a selection outside its row raises
     ValueError.  ``fields`` may be an iterator that draws the fields one at
-    a time (then ``configs`` gives their number): each field's table is
-    stored before the next one is drawn and kept no longer.  Every factor is
-    elementwise, so a configuration's factors are bit-identical in any batch
-    and selection.
+    a time (then ``configs`` gives their number, and fewer or more fields
+    raise ValueError): each field's table is stored before the next one is
+    drawn and kept no longer.  Every factor is elementwise, so a
+    configuration's factors are bit-identical in any batch and selection.
     """
 
     def __init__(self, fields: Iterable[PhaseField], starts: Optional[Sequence[int]] = None,
@@ -208,6 +208,8 @@ class FieldBatch:
             else:
                 np.take(field.phases.reshape(2, -1), cells, axis=1, out=self._store[i])
             del field  # before the next field is drawn
+        if next(fields, None) is not None:
+            raise ValueError(f"a field batch of {configs} configurations got more fields")
 
     def _allocate(self, field: PhaseField, configs: int, starts: Optional[Sequence[int]]) -> Optional[np.ndarray]:
         """Allocate for ``configs`` fields like ``field``; returns, for packed

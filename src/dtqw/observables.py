@@ -7,17 +7,17 @@ standard deviations are taken across configurations.  Averaged
 :func:`ensemble_average_joints`, which averages the joint matrices first.
 
 Both runners evolve the ensemble in contiguous chunks of members, each a
-disorder configuration (a seed, and a strength when a sweep runs), each
-chunk one ``core.evolve`` walk of coin-major amplitudes, shape (configs,
-2 walkers, 2, n_sites), that stops at every evaluated step to measure the
-whole chunk at once.  The chunk size follows a fixed memory budget, and the
-chunks of a sweep may cut across its values; no number depends on either.
+disorder configuration (a config and a seed), each chunk one ``core.evolve``
+walk of coin-major amplitudes, shape (configs, 2 walkers, 2, n_sites), that
+stops at every evaluated step to measure the whole chunk at once.  The chunk
+size follows a fixed memory budget, and the chunks of a strength sweep, one
+config per value, may cut across its values; no number depends on either.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Iterator, Optional, Sequence
 
@@ -25,7 +25,7 @@ import numpy as np
 
 from .config import COIN_NAMES, ScenarioConfig
 from .core import delta_state, evolve, lattice_for, light_cone
-from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field, seed_independent, strength_fields
+from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field, seed_independent
 from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, joint_factors, marginal_positions, placed
 
 
@@ -46,14 +46,10 @@ def classical_baseline(t: int) -> float:
     return 2.0 * t
 
 
-def _entropy_bits(p: np.ndarray) -> float:
+def joint_entropy(p: np.ndarray) -> float:
+    """Shannon entropy -sum P log2 P in bits (0 log 0 := 0) of a joint or a marginal."""
     p = p[p > 0.0]
     return float(-(p * np.log2(p)).sum())
-
-
-def joint_entropy(m: np.ndarray) -> float:
-    """Joint Shannon entropy -sum P log2 P in bits (0 log 0 := 0)."""
-    return _entropy_bits(m)
 
 
 def mutual_information(m: np.ndarray, quarter: Optional[np.ndarray] = None) -> float:
@@ -62,7 +58,7 @@ def mutual_information(m: np.ndarray, quarter: Optional[np.ndarray] = None) -> f
     H(X,Y) is summed on ``quarter`` when it is given: a block of ``m`` that
     holds every positive cell, in the row-major order of ``m``.
     """
-    return 2.0 * _entropy_bits(m.sum(axis=1)) - _entropy_bits(m if quarter is None else quarter)
+    return 2.0 * joint_entropy(m.sum(axis=1)) - joint_entropy(m if quarter is None else quarter)
 
 
 #: Bytes of phase tables, walker states and measurements one chunk of
@@ -87,11 +83,9 @@ _ON_QUARTER = ("entropy",)
 class ObservableSeries:
     """Per-step ensemble mean and population spread of one observable."""
 
-    name: str
     steps: np.ndarray
     mean: np.ndarray
     std_dev: np.ndarray
-    configs: int
 
     def __post_init__(self) -> None:
         self.steps = np.asarray(self.steps)
@@ -101,15 +95,10 @@ class ObservableSeries:
             raise ValueError("steps, mean and std_dev must have equal length")
 
 
-def _strengths(cfg: ScenarioConfig, **swept: float) -> dict[str, Optional[float]]:
-    """``cfg``'s strength fields, those named in ``swept`` set to its values."""
-    return {"phi_max": cfg.phi_max, "phi_static": cfg.phi_static, "phi_dynamic": cfg.phi_dynamic, **swept}
-
-
-def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int, origin: int, **swept: float) -> PhaseField:
-    """The field ``seed`` draws with ``_strengths(cfg, **swept)``."""
-    return sample_phase_field(cfg.disorder, **_strengths(cfg, **swept), steps=cfg.steps, n_sites=n_sites,
-                              origin=origin, seed=seed)
+def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int, origin: int) -> PhaseField:
+    """The field ``seed`` draws with ``cfg``'s disorder kind and strengths."""
+    return sample_phase_field(cfg.disorder, phi_max=cfg.phi_max, phi_static=cfg.phi_static,
+                              phi_dynamic=cfg.phi_dynamic, steps=cfg.steps, n_sites=n_sites, origin=origin, seed=seed)
 
 
 def _crop(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -122,11 +111,6 @@ def _geometry(cfg: ScenarioConfig) -> tuple[int, int, list[int]]:
     return n_sites, origin, [origin + x for x in cfg.start_sites]
 
 
-def _reach(cfg: ScenarioConfig, t: int) -> tuple[int, int, int]:
-    """``light_cone`` at step ``t`` of ``cfg``'s starts, in array indices; inside the lattice for t <= steps."""
-    return light_cone(t, _geometry(cfg)[2])
-
-
 def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
     return tuple(ExchangeSymmetry) if cfg.symmetry == "both" else (ExchangeSymmetry(cfg.symmetry),)
 
@@ -135,30 +119,32 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def _chunk_tasks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tuple], stops: Sequence[int],
-                 measure: Callable, result_floats: int, n_jobs: int) -> list[tuple]:
-    """Split the ensemble's (value, seed) ``members`` into contiguous chunks.
+def _chunk_tasks(members: Sequence[tuple], stops: Sequence[int], measure: Callable, result_floats: int,
+                 n_jobs: int) -> list[tuple]:
+    """Split the ensemble's (config, seed) ``members`` into contiguous chunks.
 
-    A member's field draws from its seed with ``cfg``'s strengths, the one
-    named by ``sweep`` set to its value (None: no sweep).  A chunk holds as
-    many members as fit ``_CHUNK_BYTES`` with what ``FieldBatch`` keeps of
-    their fields, their walker states (the two buffers ``evolve`` walks in)
-    and their ``result_floats`` of measurements, next to the tables the one
-    field being packed draws, and no more than an even share of ``n_jobs``
-    workers.  ``disorder.batch_floats`` gives both counts from the shapes
-    of the tables the kind draws.
+    A member's field draws from its seed with its config's strengths; the
+    configs differ in nothing else, and the first gives the kind and the
+    geometry.  A chunk holds as many members as fit ``_CHUNK_BYTES`` with
+    what ``FieldBatch`` keeps of their fields, their walker states (the two
+    buffers ``evolve`` walks in) and their ``result_floats`` of
+    measurements, next to the tables the one field being packed draws, and
+    no more than an even share of ``n_jobs`` workers.
+    ``disorder.batch_floats`` gives both counts from the shapes of the
+    tables the kind draws.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    cfg = members[0][0]
     n_sites, _, starts = _geometry(cfg)
     kept, packing = batch_floats(cfg.disorder, cfg.steps, n_sites, starts)
     per_config = 8 * (kept + 16 * n_sites + result_floats)
     size = max(1, min((_CHUNK_BYTES - 8 * packing) // per_config, -(-len(members) // n_jobs)))
-    return [(cfg, sweep, members[first:first + size], stops, measure) for first in range(0, len(members), size)]
+    return [(members[first:first + size], stops, measure) for first in range(0, len(members), size)]
 
 
-def _map_chunks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tuple], stops: Sequence[int],
-                measure: Callable, result_floats: int, n_jobs: int) -> Iterator[list[list]]:
+def _map_chunks(members: Sequence[tuple], stops: Sequence[int], measure: Callable, result_floats: int,
+                n_jobs: int) -> Iterator[list[list]]:
     """``_run_chunk`` over the chunks of ``members``, yielded in member order.
 
     Runs in worker processes if ``n_jobs > 1``, at most one per usable CPU
@@ -167,7 +153,7 @@ def _map_chunks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tup
     capped count.
     """
     workers = min(n_jobs, _usable_cpus())
-    tasks = _chunk_tasks(cfg, sweep, members, stops, measure, result_floats, workers)
+    tasks = _chunk_tasks(members, stops, measure, result_floats, workers)
     workers = min(workers, len(tasks))
     if workers == 1:
         yield from map(_run_chunk, tasks)
@@ -181,20 +167,21 @@ def _map_chunks(cfg: ScenarioConfig, sweep: Optional[str], members: Sequence[tup
 def _run_chunk(task) -> list:
     """Evolve one chunk of members as a (configs, 2 walkers, 2, n_sites) batch.
 
-    Member ``i`` of the chunk, (value, seed), draws its field from its seed
-    with the swept strength set to its value (see ``_chunk_tasks``);
-    walkers A and B share it.  The fields are drawn one at a time into a
-    ``FieldBatch`` that keeps only the light cone of the two start sites,
-    so at most one field's whole tables exist at once.  One ``evolve`` walk
+    Member ``i`` of the chunk, (config, seed), draws its field from its seed
+    with its config's strengths (see ``_chunk_tasks``); walkers A and B
+    share it.  The fields are drawn one at a time into a ``FieldBatch`` that
+    keeps only the light cone of the two start sites, so at most one field's
+    whole tables exist at once.  One ``evolve`` walk
     stops at each of the ascending ``stops``: there the walkers of every
     configuration must be orthogonal (ValueError otherwise), and the whole
     chunk is measured once, as ``measure(cfg, amplitudes, t)`` on the walk's
-    read-only view; returns those results, one per stop.
+    read-only view, with the members' shared config; returns those results,
+    one per stop.
     """
-    cfg, sweep, members, stops, measure = task
+    members, stops, measure = task
+    cfg = members[0][0]
     n_sites, origin, starts = _geometry(cfg)
-    field = FieldBatch((_field_for(cfg, seed, n_sites, origin, **({} if sweep is None else {sweep: value}))
-                        for value, seed in members), starts, len(members))
+    field = FieldBatch((_field_for(member, seed, n_sites, origin) for member, seed in members), starts, len(members))
     pair = np.stack([delta_state(n_sites, origin, x, COIN_NAMES[coin]) for x, coin in (cfg.start_a, cfg.start_b)])
     results = []
     # evolve keeps the layout of the broadcast start, configuration-innermost, in the buffers it copies it to
@@ -250,51 +237,53 @@ def _measure_joints(cells: slice, cfg: ScenarioConfig, amps: np.ndarray, t: int)
 
 
 def ensemble_run(
-    cfg: ScenarioConfig,
+    cfgs: Sequence[ScenarioConfig],
     observables: Sequence[str],
     eval_steps: Optional[Sequence[int]] = None,
     n_jobs: int = 1,
-    sweep: Optional[str] = None,
-) -> dict[tuple[str, str], ObservableSeries] | list[dict[tuple[str, str], ObservableSeries]]:
-    """Evolve ``cfg.configs`` disorder realizations and fold the observables.
+) -> list[dict[tuple[str, str], ObservableSeries]]:
+    """Evolve ``cfg.configs`` disorder realizations of each config in ``cfgs`` and fold the observables.
 
-    ``observables`` names keys of ``_OBSERVABLES`` ("variance", "entropy",
-    "mutual_information").  Configuration i draws its field with seed
-    ``cfg.seed + i``; walkers A and B share the field within a
-    configuration.  Returns one series per (observable, symmetry), keyed by
+    ``cfgs`` is a nonempty list of configs that differ in nothing but their
+    strengths (``phi_max``, ``phi_static``, ``phi_dynamic``), such as one
+    config per value of a strength sweep; anything else raises ValueError
+    before any step.  ``observables`` names keys of ``_OBSERVABLES``
+    ("variance", "entropy", "mutual_information").  Configuration i of a
+    config draws its field with its strengths and seed ``cfg.seed + i``;
+    walkers A and B share the field within a configuration.  Returns, for
+    each config in order, one series per (observable, symmetry), keyed by
     name.  ``eval_steps`` is a nonempty sequence of integer steps in
     0..steps, in any order and with repeats (default: every step); each is
-    measured while the walk runs.  A configuration's values do not depend on
-    chunking or ``n_jobs``.  They are computed independently and merged in
-    configuration order, so serial and parallel results are bit-identical.
-    Where every seed draws the same field (``disorder.seed_independent``),
-    one configuration is evolved and its values stand for all
-    ``cfg.configs``: the series are those of the full ensemble, bit for bit,
-    with means equal to the values and spreads exactly 0.
-
-    With ``sweep`` naming a strength field ("phi_max", "phi_static" or
-    "phi_dynamic"), each value of ``cfg.sweep_values`` in turn sets that
-    field for an ensemble of its own, seeded as above, and a list of one
-    such dict per value is returned.  All values' configurations run as one
-    ensemble whose chunks may cut across values; each value's series equal
-    those of its run alone, and only the values whose fields do not depend
-    on the seed run once.  A sweep of a field that ``cfg.disorder`` does
-    not read once the sweep sets it (``disorder.strength_fields``) raises
-    ValueError.
+    measured while the walk runs.  All configs' configurations run as one
+    ensemble whose chunks may cut across configs, and a configuration's
+    values do not depend on chunking or ``n_jobs``.  They are computed
+    independently and merged in configuration order, so serial and parallel
+    results are bit-identical, and each config's series equal those of its
+    run alone.  Where every seed draws the same field
+    (``disorder.seed_independent``), one configuration is evolved and its
+    values stand for all ``cfg.configs``: the series are those of the full
+    ensemble, bit for bit, with means equal to the values and spreads exactly
+    0.
     """
-    cfg.validate()
-    if sweep is not None and (sweep not in ("phi_max", "phi_static", "phi_dynamic") or not cfg.sweep_values):
-        raise ValueError(f"sweep must name a strength field and needs nonempty sweep_values, got {sweep!r}")
-    filled = [0.0 if key == sweep else getattr(cfg, key) for key in ("phi_static", "phi_dynamic")]
-    if sweep is not None and sweep not in strength_fields(cfg.disorder, *filled).values():
-        raise ValueError(f"cannot sweep {sweep}: {cfg.disorder.value} disorder does not read it")
+    cfgs = [] if isinstance(cfgs, ScenarioConfig) else list(cfgs)
+    if not cfgs:
+        raise ValueError("ensemble_run needs a nonempty list of configs")
+    for cfg in cfgs:
+        cfg.validate()
+    cfg = cfgs[0]
+    if any(replace(other, phi_max=cfg.phi_max, phi_static=cfg.phi_static, phi_dynamic=cfg.phi_dynamic) != cfg
+           for other in cfgs):
+        raise ValueError("the configs of one ensemble may differ only in phi_max, phi_static and phi_dynamic")
     observables = tuple(observables)
     if not observables or any(obs not in _OBSERVABLES for obs in observables):
         raise ValueError(f"observables must be a nonempty selection of {tuple(_OBSERVABLES)}, got {observables!r}")
-    eval_steps = list(range(cfg.steps + 1) if eval_steps is None else eval_steps)
-    if not eval_steps or any(isinstance(t, bool) or not isinstance(t, (int, np.integer)) for t in eval_steps):
+    try:
+        steps = list(range(cfg.steps + 1) if eval_steps is None else eval_steps)
+    except TypeError:  # a bare integer, also a 0-d array
+        steps = []
+    if not steps or any(isinstance(t, bool) or not isinstance(t, (int, np.integer)) for t in steps):
         raise ValueError(f"eval_steps must be a nonempty sequence of integers, got {eval_steps!r}")
-    eval_steps = [int(t) for t in eval_steps]
+    eval_steps = [int(t) for t in steps]
     if any(t < 0 or t > cfg.steps for t in eval_steps):
         raise ValueError("eval_steps must lie in 0..steps")
 
@@ -302,28 +291,25 @@ def ensemble_run(
     stops = sorted(set(eval_steps))
     measure = partial(_measure_series, observables, JointBuilder())
     result_floats = len(observables) * len(syms) * len(stops)
-    values = cfg.sweep_values if sweep else (None,)
-    # a value whose field every seed draws alike evolves one member, which stands for all its configurations
-    counts = [1 if seed_independent(cfg.disorder, **_strengths(cfg, **({} if sweep is None else {sweep: value})))
-              else cfg.configs for value in values]
-    members = [(value, cfg.seed + i) for value, count in zip(values, counts) for i in range(count)]
+    # a config whose field every seed draws alike evolves one member, which stands for all its configurations
+    counts = [1 if seed_independent(one.disorder, one.phi_max, one.phi_static, one.phi_dynamic) else one.configs
+              for one in cfgs]
+    members = [(one, one.seed + i) for one, count in zip(cfgs, counts) for i in range(count)]
     chunks = [np.moveaxis(np.array(chunk), 0, -1)
-              for chunk in _map_chunks(cfg, sweep, members, stops, measure, result_floats, n_jobs)]
-    # (members, obs, sym, steps) in C order, each member's row repeated for the
-    # configurations it stands for; each value's block of configurations is
-    # then C-ordered too, so the means over configurations below sum in one
-    # order whatever the chunking
-    rows = np.concatenate(chunks)[..., [stops.index(t) for t in eval_steps]]
-    cube = np.ascontiguousarray(np.repeat(rows, [cfg.configs // count for count in counts for _ in range(count)],
-                                          axis=0))
-    runs = [_fold(cube[first:first + cfg.configs], observables, syms, eval_steps)
-            for first in range(0, len(cube), cfg.configs)]
-    return runs if sweep else runs[0]
+              for chunk in _map_chunks(members, stops, measure, result_floats, n_jobs)]
+    # (members, obs, sym, steps) in C order, so each config's block of rows is C-ordered too and the means over
+    # configurations below sum in one order whatever the chunking
+    rows = np.ascontiguousarray(np.concatenate(chunks)[..., [stops.index(t) for t in eval_steps]])
+    return [_fold(block, observables, syms, eval_steps) for block in np.split(rows, np.cumsum(counts)[:-1])]
 
 
 def _fold(cube: np.ndarray, observables: tuple[str, ...], syms: tuple, eval_steps: list[int]
           ) -> dict[tuple[str, str], ObservableSeries]:
-    """Mean and population spread over the configurations of a (configs, obs, sym, steps) cube."""
+    """Mean and population spread over the configurations of a (configs, obs, sym, steps) cube.
+
+    A seed-independent config's cube holds its one row, whose values are the
+    means, with spreads exactly 0.
+    """
     out: dict[tuple[str, str], ObservableSeries] = {}
     for i, obs in enumerate(observables):
         for j, sym in enumerate(syms):
@@ -335,13 +321,7 @@ def _fold(cube: np.ndarray, observables: tuple[str, ...], syms: tuple, eval_step
             identical = values.max(axis=0) == values.min(axis=0)
             mean[identical] = values[0, identical]
             std[identical] = 0.0
-            out[(obs, sym.value)] = ObservableSeries(
-                name=obs,
-                steps=np.asarray(eval_steps),
-                mean=mean,
-                std_dev=std,
-                configs=len(cube),
-            )
+            out[(obs, sym.value)] = ObservableSeries(np.asarray(eval_steps), mean, std)
     return out
 
 
@@ -360,14 +340,14 @@ def ensemble_average_joints(cfg: ScenarioConfig, n_jobs: int = 1
     roundoff below zero set to +0.0.
     """
     cfg.validate()
-    n_sites, origin, _ = _geometry(cfg)
-    lo, _, stride = _reach(cfg, cfg.steps)
+    n_sites, origin, starts = _geometry(cfg)
+    lo, _, stride = light_cone(cfg.steps, starts)
     cells = slice(lo % stride, None, stride)
     s = len(range(n_sites)[cells])
-    members = [(None, cfg.seed + i) for i in range(cfg.configs)]
+    members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
     # per configuration: factors and marginal (5 s floats) and the coin products they are reduced from (8 s)
-    chunks = [result for (result,) in _map_chunks(cfg, None, members, [cfg.steps], partial(_measure_joints, cells),
-                                                   13 * s, n_jobs)]
+    chunks = [result for (result,) in _map_chunks(members, [cfg.steps], partial(_measure_joints, cells), 13 * s,
+                                                   n_jobs)]
     # in C order (chunks come out configuration-innermost) einsum and sum add configuration after configuration,
     # whatever the chunking; OpenBLAS products split 400-configuration sums by OPENBLAS_NUM_THREADS
     factors, marginals = (np.ascontiguousarray(np.concatenate(part)) for part in zip(*chunks))

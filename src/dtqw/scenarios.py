@@ -203,9 +203,11 @@ def _run_grid(cfg: ScenarioConfig, plan: Plan, kinds: tuple, n_jobs: int) -> tup
     columns: dict[str, list] = {key: [] for key in plan.keys + plan.stats}
     fits: dict[str, dict] = {}
     for kind in kinds:
-        # all of a kind's sweep values run as one ensemble, whose chunks may cut across values
-        runs = ensemble_run(dataclasses.replace(cfg, disorder=kind), (observable,), eval_steps, n_jobs, swept)
-        for value, series in zip(cfg.sweep_values, runs) if swept else [(None, runs)]:
+        # one config per sweep value; all of a kind's values run as one ensemble, whose chunks may cut across them
+        base = dataclasses.replace(cfg, disorder=kind)
+        cfgs = [dataclasses.replace(base, **{swept: value}) for value in cfg.sweep_values] if swept else [base]
+        runs = ensemble_run(cfgs, (observable,), eval_steps, n_jobs)
+        for value, series in zip(cfg.sweep_values if swept else (None,), runs):
             for sym in resolved_symmetries(cfg):
                 s = series[(observable, sym.value)]
                 n = len(s.steps)

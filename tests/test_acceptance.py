@@ -54,7 +54,8 @@ def variance_series():
     series = {}
     for kind in KINDS:
         cfg = _cfg(kind, seed=500)
-        series[kind] = ensemble_run(cfg, ("variance",), eval_steps=range(20, 101))[("variance", "bosonic")]
+        [run] = ensemble_run([cfg], ("variance",), eval_steps=range(20, 101))
+        series[kind] = run[("variance", "bosonic")]
     return series, time.time() - start
 
 
@@ -64,7 +65,7 @@ def info_series():
     out = {}
     for kind in KINDS:
         cfg = _cfg(kind, configs=50, seed=800, symmetry="both")
-        out[kind] = ensemble_run(cfg, ("entropy", "mutual_information"), eval_steps=range(1, 101))
+        [out[kind]] = ensemble_run([cfg], ("entropy", "mutual_information"), eval_steps=range(1, 101))
     return out
 
 
@@ -195,7 +196,7 @@ def test_criterion_4_static_exponent(variance_series):
 
 def test_criterion_5_bosons_spread_faster():
     cfg = _cfg(DisorderKind.ORDERED, configs=1, symmetry="both", seed=0)
-    series = ensemble_run(cfg, ("variance",), eval_steps=range(10, 101))
+    [series] = ensemble_run([cfg], ("variance",), eval_steps=range(10, 101))
     bos = series[("variance", "bosonic")].mean
     fer = series[("variance", "fermionic")].mean
     gap = float(np.min(bos - fer))
@@ -208,7 +209,8 @@ def test_criterion_6_strength_sweep():
         vals = []
         for phi in STRENGTH_GRID:
             cfg = _cfg(kind, phi_max=phi, seed=600)
-            vals.append(ensemble_run(cfg, ("variance",), eval_steps=[100])[("variance", "bosonic")].mean[0])
+            [series] = ensemble_run([cfg], ("variance",), eval_steps=[100])
+            vals.append(series[("variance", "bosonic")].mean[0])
         means[kind] = np.array(vals)
     violations = {k.value: int(np.sum(np.diff(v) > 0.0)) for k, v in means.items()}
     static_below = bool(np.all(means[DisorderKind.STATIC][1:] < means[DisorderKind.DYNAMIC][1:]))
@@ -225,7 +227,8 @@ def test_criterion_7_mobility_edge():
     crossing = None
     for phi in STRENGTH_GRID:
         cfg = _cfg(DisorderKind.COMBINED, phi_static=PI, phi_dynamic=phi, seed=700)
-        mean = ensemble_run(cfg, ("variance",), eval_steps=[100])[("variance", "bosonic")].mean[0]
+        [series] = ensemble_run([cfg], ("variance",), eval_steps=[100])
+        mean = series[("variance", "bosonic")].mean[0]
         if mean > baseline:
             crossing = phi
             break
@@ -309,8 +312,8 @@ def test_criterion_11_determinism(tmp_path):
 
     # parallel vs serial ensembles merge identically
     cfg = _cfg(DisorderKind.FLUCTUATING, steps=20, configs=4, seed=31, symmetry="both")
-    serial = ensemble_run(cfg, ("variance", "entropy"), n_jobs=1)
-    parallel = ensemble_run(cfg, ("variance", "entropy"), n_jobs=2)
+    [serial] = ensemble_run([cfg], ("variance", "entropy"), n_jobs=1)
+    [parallel] = ensemble_run([cfg], ("variance", "entropy"), n_jobs=2)
     agree = all(
         np.array_equal(serial[k].mean, parallel[k].mean)
         and np.array_equal(serial[k].std_dev, parallel[k].std_dev)

@@ -342,8 +342,11 @@ class NoSteps:
         pytest.fail(f"stepped to t={t}")
 
 
-@pytest.mark.parametrize("stops", [[-1], [0, -1], [3, 2], [2, 5, 4], [1.0], [2, 2.5], [True], [0, False], ["1"]])
+@pytest.mark.parametrize("stops", [[-1], [0, -1], [3, 2], [2, 5, 4], [1.0], [2, 2.5], [True], [0, False], ["1"],
+                                   pytest.param(3, id="bare-int"), pytest.param(np.int64(3), id="bare-numpy-int"),
+                                   pytest.param(np.array(3), id="0-d-array")])
 def test_bad_stops_are_rejected_before_any_step(stops):
+    # a bare integer once raised TypeError
     with pytest.raises(ValueError, match="stops"):
         list(evolve(walker_pairs(7, 3, 1), stops, NoSteps()))
 

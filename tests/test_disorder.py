@@ -407,6 +407,12 @@ def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
     assert batch.coin_factors(6, slice(o - 5, o + 6, 2))[0].shape == (4, 1, 6)
     with pytest.raises(ValueError, match="got 4 fields"):
         FieldBatch(draws(), (o, o), 5)
+    with pytest.raises(ValueError, match="got more fields"):  # the fourth field was once dropped without a word
+        FieldBatch(draws(), (o, o), 3)
+    static = [sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=6, n_sites=n, origin=o, seed=seed)
+              for seed in range(5)]
+    with pytest.raises(ValueError, match="got more fields"):
+        FieldBatch(static, (o, o), 3)
 
 
 @pytest.mark.parametrize("kind, strengths, independent", [

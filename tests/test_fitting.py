@@ -27,7 +27,7 @@ def gauss_profile(sigma, half_width=30):
 def series(steps, values):
     steps = np.asarray(steps)
     values = np.asarray(values, dtype=float)
-    return ObservableSeries("variance", steps, values, np.zeros_like(values), 1)
+    return ObservableSeries(steps, values, np.zeros_like(values))
 
 
 @pytest.mark.parametrize("xi", [3.0, 7.0])

@@ -8,7 +8,7 @@ import pytest
 from dtqw import observables
 from dtqw.cli import main
 from dtqw.config import ScenarioConfig
-from dtqw.core import COIN_L, COIN_R, delta_state, evolve, lattice_for
+from dtqw.core import COIN_L, COIN_R, delta_state, evolve, lattice_for, light_cone
 from dtqw.disorder import DisorderKind, FieldBatch, sample_phase_field
 from dtqw.observables import (
     ObservableSeries,
@@ -157,17 +157,22 @@ def ordered_cfg(**kw):
     return ScenarioConfig(**base)
 
 
+def run_one(cfg, observables=OBS, **kwargs):
+    """The series of ``ensemble_run`` on the one config ``cfg``."""
+    [series] = ensemble_run([cfg], observables, **kwargs)
+    return series
+
+
 def test_ordered_ensemble_has_zero_spread():
-    series = ensemble_run(ordered_cfg(), OBS)
+    [series] = ensemble_run([ordered_cfg()], OBS)
     for s in series.values():
         np.testing.assert_array_equal(s.std_dev, np.zeros_like(s.std_dev))
-        assert s.configs == 5
 
 
 def test_ensemble_run_is_deterministic():
     cfg = ordered_cfg(disorder=DisorderKind.FLUCTUATING, phi_max=np.pi, configs=4, seed=3)
-    a = ensemble_run(cfg, OBS)
-    b = ensemble_run(cfg, OBS)
+    [a] = ensemble_run([cfg], OBS)
+    [b] = ensemble_run([cfg], OBS)
     for key in a:
         np.testing.assert_array_equal(a[key].mean, b[key].mean)
         np.testing.assert_array_equal(a[key].std_dev, b[key].std_dev)
@@ -175,8 +180,8 @@ def test_ensemble_run_is_deterministic():
 
 def test_parallel_matches_serial_bitwise():
     cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=np.pi, configs=4, seed=8, steps=10)
-    serial = ensemble_run(cfg, OBS, n_jobs=1)
-    parallel = ensemble_run(cfg, OBS, n_jobs=2)
+    [serial] = ensemble_run([cfg], OBS, n_jobs=1)
+    [parallel] = ensemble_run([cfg], OBS, n_jobs=2)
     for key in serial:
         np.testing.assert_array_equal(serial[key].mean, parallel[key].mean)
         np.testing.assert_array_equal(serial[key].std_dev, parallel[key].std_dev)
@@ -184,7 +189,7 @@ def test_parallel_matches_serial_bitwise():
 
 def test_eval_steps_subset():
     cfg = ordered_cfg(configs=1, steps=10)
-    series = ensemble_run(cfg, ("variance",), eval_steps=[0, 5, 10])
+    [series] = ensemble_run([cfg], ("variance",), eval_steps=[0, 5, 10])
     assert set(series) == {("variance", "bosonic"), ("variance", "fermionic")}
     s = series[("variance", "bosonic")]
     np.testing.assert_array_equal(s.steps, [0, 5, 10])
@@ -193,28 +198,28 @@ def test_eval_steps_subset():
 
 def test_eval_steps_out_of_range_rejected():
     with pytest.raises(ValueError):
-        ensemble_run(ordered_cfg(), OBS, eval_steps=[99])
+        ensemble_run([ordered_cfg()], OBS, eval_steps=[99])
 
 
-@pytest.mark.parametrize("eval_steps", [[], [2.7], [True]], ids=["empty", "float", "bool"])
+@pytest.mark.parametrize("eval_steps", [[], [2.7], [True], 4, np.int64(4), np.array(4)],
+                         ids=["empty", "float", "bool", "bare-int", "bare-numpy-int", "0-d-array"])  # once TypeError
 def test_malformed_eval_steps_rejected(eval_steps):
     with pytest.raises(ValueError, match="eval_steps"):
-        ensemble_run(ordered_cfg(), OBS, eval_steps=eval_steps)
+        ensemble_run([ordered_cfg()], OBS, eval_steps=eval_steps)
 
 
 def test_invalid_configs_rejected():
     with pytest.raises(ValueError):
-        ensemble_run(ordered_cfg(configs=0), OBS)
+        ensemble_run([ordered_cfg(configs=0)], OBS)
 
 
 @pytest.mark.parametrize("observables", [(), ("variance", "purity"), "variance"], ids=["none", "unknown", "string"])
 def test_unknown_observable_rejected(observables):
     with pytest.raises(ValueError, match="observables"):
-        ensemble_run(ordered_cfg(), observables)
+        ensemble_run([ordered_cfg()], observables)
 
 
-@pytest.mark.parametrize("runner", [partial(ensemble_run, observables=OBS), ensemble_average_joints],
-                         ids=["ensemble_run", "ensemble_average_joints"])
+@pytest.mark.parametrize("runner", [run_one, ensemble_average_joints], ids=["ensemble_run", "ensemble_average_joints"])
 def test_fewer_than_one_job_rejected(runner):
     with pytest.raises(ValueError, match="n_jobs"):
         runner(ordered_cfg(), n_jobs=0)
@@ -225,7 +230,7 @@ def test_static_variance_plateaus():
         "plateau", steps=100, disorder=DisorderKind.STATIC, phi_max=np.pi,
         configs=100, seed=1000, symmetry="bosonic",
     )
-    series = ensemble_run(cfg, ("variance",), eval_steps=[20, 100])
+    [series] = ensemble_run([cfg], ("variance",), eval_steps=[20, 100])
     s = series[("variance", "bosonic")]
     assert s.mean[1] / s.mean[0] < 3.0
 
@@ -244,7 +249,7 @@ def test_ensemble_average_joints_normalized():
 
 def test_observable_series_validates_lengths():
     with pytest.raises(ValueError):
-        ObservableSeries("x", np.arange(3), np.zeros(2), np.zeros(3), 1)
+        ObservableSeries(np.arange(3), np.zeros(2), np.zeros(3))
 
 
 def _amplitudes(cfg, amps, t):
@@ -259,8 +264,8 @@ def test_chunked_batches_equal_per_walker_evolve_bitwise(monkeypatch, kind, budg
         monkeypatch.setattr(observables, "_CHUNK_BYTES", budget)
     cfg = ScenarioConfig("t", steps=9, disorder=kind, phi_max=2.5, phi_static=np.pi, phi_dynamic=1.5,
                          configs=7, seed=4)
-    members = [(None, cfg.seed + i) for i in range(cfg.configs)]
-    tasks = observables._chunk_tasks(cfg, None, members, [cfg.steps], _amplitudes, 0, n_jobs)
+    members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
+    tasks = observables._chunk_tasks(members, [cfg.steps], _amplitudes, 0, n_jobs)
     assert len(tasks) == chunks
     batched = [pair for task in tasks for pair in observables._run_chunk(task)[0]]
     n, o = lattice_for(cfg.steps)
@@ -271,7 +276,7 @@ def test_chunked_batches_equal_per_walker_evolve_bitwise(monkeypatch, kind, budg
         assert np.array_equal(amps_a, alone_a) and np.array_equal(amps_b, alone_b)
 
 
-@pytest.mark.parametrize("runner, stops", [(partial(ensemble_run, observables=OBS, eval_steps=[6, 2, 4, 2]), [2, 4, 6]),
+@pytest.mark.parametrize("runner, stops", [(partial(run_one, eval_steps=[6, 2, 4, 2]), [2, 4, 6]),
                                            (ensemble_average_joints, [6])], ids=["series", "joints"])
 def test_each_chunk_walks_once_through_its_stops(monkeypatch, runner, stops):
     walks = []
@@ -303,9 +308,8 @@ def test_ensemble_run_equals_stacked_single_configuration_runs(monkeypatch, kind
     # A configuration's numbers do not depend on batch size, chunking or n_jobs.
     seed = 11
     cfg = ordered_cfg(disorder=kind, phi_max=2.0, phi_static=np.pi, configs=configs, seed=seed, steps=9)
-    run = partial(ensemble_run, observables=OBS)
-    singles = [run(dataclasses.replace(cfg, configs=1, seed=seed + i)) for i in range(configs)]
-    for series in _runs(monkeypatch, run, cfg):
+    singles = [run_one(dataclasses.replace(cfg, configs=1, seed=seed + i)) for i in range(configs)]
+    for series in _runs(monkeypatch, run_one, cfg):
         for key, s in series.items():
             values = np.stack([one[key].mean for one in singles])
             mean, std = values.mean(axis=0), values.std(axis=0)
@@ -319,31 +323,41 @@ def test_ensemble_run_equals_stacked_single_configuration_runs(monkeypatch, kind
 @pytest.mark.parametrize("kind, sweep", [(DisorderKind.STATIC, "phi_max"), (DisorderKind.COMBINED, "phi_dynamic")],
                          ids=["static", "combined"])
 def test_each_sweep_value_equals_its_run_alone(monkeypatch, kind, sweep):
-    # 3 values x 3 configurations share chunks: one chunk, 5 + 4 members for two jobs (cut inside the second
+    # One config per value of a sweep through 0, 3 configurations each, and all share chunks: one chunk, two jobs
+    # (4 + 3 static members, the seed-independent value evolving one; 5 + 4 combined, cut inside the second
     # value), and one member per chunk
-    cfg = ordered_cfg(disorder=kind, phi_static=np.pi, configs=3, seed=6, steps=9, sweep_values=(0.0, 1.0, 2.5))
-    alone = [ensemble_run(dataclasses.replace(cfg, **{sweep: value}), OBS, eval_steps=[9, 4])
-             for value in cfg.sweep_values]
-    for runs in _runs(monkeypatch, partial(ensemble_run, observables=OBS, eval_steps=[9, 4], sweep=sweep), cfg):
+    cfg = ordered_cfg(disorder=kind, phi_static=np.pi, configs=3, seed=6, steps=9)
+    cfgs = [dataclasses.replace(cfg, **{sweep: value}) for value in (0.0, 1.0, 2.5)]
+    alone = [run_one(one, eval_steps=[9, 4]) for one in cfgs]
+    for runs in _runs(monkeypatch, partial(ensemble_run, observables=OBS, eval_steps=[9, 4]), cfgs):
         assert len(runs) == len(alone)
         for run, one in zip(runs, alone):
             assert run.keys() == one.keys()
             for key, s in run.items():
-                assert np.array_equal(s.steps, one[key].steps) and s.configs == one[key].configs == 3
+                assert np.array_equal(s.steps, one[key].steps)
                 assert np.array_equal(s.mean, one[key].mean)
                 assert np.array_equal(s.std_dev, one[key].std_dev)
 
 
-@pytest.mark.parametrize(
-    "kind, sweep, values",
-    [(DisorderKind.ORDERED, "phi_mux", (1.0,)), (DisorderKind.ORDERED, "seed", (1.0,)),
-     (DisorderKind.ORDERED, "phi_max", ()), (DisorderKind.STATIC, "phi_dynamic", (0.0, 1.0, 2.0)),
-     (DisorderKind.ORDERED, "phi_max", (0.0, 1.0, 2.0))],
-    ids=["unknown", "not-a-strength", "no-values", "static-dynamic", "ordered-max"])
-def test_bad_sweep_rejected(kind, sweep, values):
-    # a sweep of a strength the kind never reads once returned one identical series per value
-    with pytest.raises(ValueError, match="sweep"):
-        ensemble_run(ordered_cfg(disorder=kind, sweep_values=values), OBS, sweep=sweep)
+def _never_evolve(*args):
+    pytest.fail("evolved before the configs were checked")
+
+
+@pytest.mark.parametrize("change", [{"seed": 7}, {"steps": 8}, {"disorder": DisorderKind.DYNAMIC},
+                                    {"symmetry": "bosonic"}, {"sweep_values": (1.0, 2.0)}],
+                         ids=["seed", "steps", "disorder", "symmetry", "sweep_values"])
+def test_configs_that_differ_beyond_their_strengths_are_rejected_before_any_step(monkeypatch, change):
+    monkeypatch.setattr(observables, "evolve", _never_evolve)
+    cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=1.0, configs=2, steps=9)
+    with pytest.raises(ValueError, match="differ only in phi_max, phi_static and phi_dynamic"):
+        ensemble_run([cfg, dataclasses.replace(cfg, phi_max=2.0, **change)], OBS)
+
+
+@pytest.mark.parametrize("cfgs", [[], ordered_cfg()], ids=["empty", "bare-config"])
+def test_no_list_of_configs_is_rejected_before_any_step(monkeypatch, cfgs):
+    monkeypatch.setattr(observables, "evolve", _never_evolve)
+    with pytest.raises(ValueError, match="nonempty list of configs"):
+        ensemble_run(cfgs, OBS)
 
 
 def test_a_preset_scale_chunk_stays_within_its_memory_budget():
@@ -353,9 +367,9 @@ def test_a_preset_scale_chunk_stays_within_its_memory_budget():
     # and measurement temporaries.  A stacked second copy of whole tables peaked at 1.72 budgets.
     cfg = dataclasses.replace(preset("fig7"), phi_dynamic=np.pi)
     measure = partial(observables._measure_series, ("variance",), JointBuilder())
-    members = [(None, cfg.seed + i) for i in range(cfg.configs)]
-    task = observables._chunk_tasks(cfg, None, members, [cfg.steps], measure, 2, 1)[0]
-    assert len(task[2]) == 36
+    members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
+    task = observables._chunk_tasks(members, [cfg.steps], measure, 2, 1)[0]
+    assert len(task[0]) == 36
     observables._run_chunk(task)
     tracemalloc.start()
     try:
@@ -372,10 +386,10 @@ def test_a_preset_scale_chunk_measured_at_several_steps_stays_within_its_memory_
     # 36 configurations with two buffers counted peaked at 1.16 budgets when three coexisted.
     cfg = dataclasses.replace(preset("fig5"), disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=np.pi)
     measure = partial(observables._measure_series, ("variance",), JointBuilder())
-    members = [(None, cfg.seed + i) for i in range(cfg.configs)]
+    members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
     stops = list(range(0, cfg.steps + 1, 10))
-    task = observables._chunk_tasks(cfg, None, members, stops, measure, 2 * len(stops), 1)[0]
-    assert len(task[2]) == 36
+    task = observables._chunk_tasks(members, stops, measure, 2 * len(stops), 1)[0]
+    assert len(task[0]) == 36
     observables._run_chunk(task)
     tracemalloc.start()
     try:
@@ -393,15 +407,15 @@ def test_a_preset_scale_joint_map_chunk_stays_within_its_memory_budget():
     # the budget (192 of 300 configurations) is traced on its second run; counting only the 5 x 51 floats kept,
     # 221 configurations fit and peaked at 1.13 budgets.
     cfg = dataclasses.replace(preset("fig3"), configs=300)
-    n, _ = lattice_for(cfg.steps)
-    lo, _, stride = observables._reach(cfg, cfg.steps)
+    n, o = lattice_for(cfg.steps)
+    lo, _, stride = light_cone(cfg.steps, [o + x for x in cfg.start_sites])
     cells = slice(lo % stride, None, stride)
     s = len(range(n)[cells])
     measure = partial(observables._measure_joints, cells)
-    members = [(None, cfg.seed + i) for i in range(cfg.configs)]
-    tasks = observables._chunk_tasks(cfg, None, members, [cfg.steps], measure, 13 * s, 1)
-    assert (s, [len(task[2]) for task in tasks]) == (51, [192, 108])
-    assert len(observables._chunk_tasks(preset("fig3"), None, members[:100], [cfg.steps], measure, 13 * s, 1)) == 1
+    members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
+    tasks = observables._chunk_tasks(members, [cfg.steps], measure, 13 * s, 1)
+    assert (s, [len(task[0]) for task in tasks]) == (51, [192, 108])
+    assert len(observables._chunk_tasks(members[:100], [cfg.steps], measure, 13 * s, 1)) == 1
     observables._run_chunk(tasks[0])
     tracemalloc.start()
     try:
@@ -466,7 +480,7 @@ def test_series_values_equal_the_observables_of_mode_reference_joints(start_b):
     cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=1, seed=4,
                       steps=40, start_b=start_b)
     stops = [10, 30, 31, 32, 40]
-    series = ensemble_run(cfg, ("variance", "entropy", "mutual_information"), eval_steps=stops)
+    [series] = ensemble_run([cfg], ("variance", "entropy", "mutual_information"), eval_steps=stops)
     n, o = lattice_for(cfg.steps, cfg.start_sites)
     fld = FieldBatch([observables._field_for(cfg, cfg.seed, n, o)])
     for i, t in enumerate(stops):
@@ -538,16 +552,15 @@ def test_ordered_light_cone_tips_are_emitted_as_non_negative_fermionic_zeros(tmp
 
 def test_eval_steps_in_any_order_with_repeats():
     cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=np.pi, configs=2, steps=6, seed=2)
-    full = ensemble_run(cfg, OBS)
-    picked = ensemble_run(cfg, OBS, eval_steps=[6, 2, 2, 0])
+    [full] = ensemble_run([cfg], OBS)
+    [picked] = ensemble_run([cfg], OBS, eval_steps=[6, 2, 2, 0])
     for key, s in picked.items():
         np.testing.assert_array_equal(s.steps, [6, 2, 2, 0])
         assert np.array_equal(s.mean, full[key].mean[[6, 2, 2, 0]])
         assert np.array_equal(s.std_dev, full[key].std_dev[[6, 2, 2, 0]])
 
 
-@pytest.mark.parametrize("runner", [partial(ensemble_run, observables=OBS), ensemble_average_joints],
-                         ids=["ensemble_run", "ensemble_average_joints"])
+@pytest.mark.parametrize("runner", [run_one, ensemble_average_joints], ids=["ensemble_run", "ensemble_average_joints"])
 def test_nonorthogonal_walkers_rejected(monkeypatch, runner):
     # both walkers start on coin L, past the config check that their starts differ
     monkeypatch.setattr(observables, "COIN_NAMES", {"L": COIN_L, "R": COIN_L})
@@ -586,13 +599,13 @@ class RecordingPool:
                          ids=["cpus", "chunks", "n_jobs", "tiny-budget"])
 def test_pool_is_capped_at_jobs_chunks_and_cpus(monkeypatch, n_jobs, cpus, budget, pool):
     cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=np.pi, configs=7, seed=8)
-    serial = ensemble_run(cfg, OBS)
+    [serial] = ensemble_run([cfg], OBS)
     made = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", partial(RecordingPool, made))
     monkeypatch.setattr(observables, "_usable_cpus", lambda: cpus)
     if budget is not None:
         monkeypatch.setattr(observables, "_CHUNK_BYTES", budget)
-    pooled = ensemble_run(cfg, OBS, n_jobs=n_jobs)
+    [pooled] = ensemble_run([cfg], OBS, n_jobs=n_jobs)
     assert made == [pool]
     for key in serial:
         assert np.array_equal(serial[key].mean, pooled[key].mean)
@@ -637,24 +650,24 @@ PI = np.pi
 ])
 def test_a_seed_independent_ensemble_runs_once_and_equals_the_full_ensemble(monkeypatch, kind, strengths, sweep,
                                                                             values, members):
-    cfg = ordered_cfg(disorder=kind, **strengths, configs=4, seed=3, steps=8, sweep_values=values)
+    cfg = ordered_cfg(disorder=kind, **strengths, configs=4, seed=3, steps=8)
+    cfgs = [dataclasses.replace(cfg, **{sweep: value}) for value in values] if sweep else [cfg]
     evolved = []
     map_chunks = observables._map_chunks
 
-    def recording(cfg, sweep, members, *rest):
+    def recording(members, *rest):
         evolved.append(len(members))
-        return map_chunks(cfg, sweep, members, *rest)
+        return map_chunks(members, *rest)
 
-    run = partial(ensemble_run, cfg, ALL_OBS, sweep=sweep)
+    run = partial(ensemble_run, cfgs, ALL_OBS)
     with monkeypatch.context() as patch:
         patch.setattr(observables, "seed_independent", lambda *args, **kwargs: False)
         full = run()
     monkeypatch.setattr(observables, "_map_chunks", recording)
     got = run()
-    pairs = [(got, full)] if sweep is None else list(zip(got, full, strict=True))
-    for once, every in pairs:
+    for once, every in zip(got, full, strict=True):
         assert once.keys() == every.keys()
         for key, s in once.items():
-            assert s.configs == every[key].configs == 4 and np.array_equal(s.steps, every[key].steps)
+            assert np.array_equal(s.steps, every[key].steps)
             assert np.array_equal(s.mean, every[key].mean) and np.array_equal(s.std_dev, every[key].std_dev)
     assert evolved == [members]

@@ -12,7 +12,7 @@ import pytest
 from dtqw import observables, scenarios
 from dtqw.cli import main
 from dtqw.config import ScenarioConfig, scenario_from_dict
-from dtqw.disorder import DisorderKind
+from dtqw.disorder import DisorderKind, strength_fields
 from dtqw.output import Table, emit_results, joint_table, sha256_file
 from dtqw.scenarios import preset, preset_names, run_scenario
 
@@ -553,7 +553,7 @@ def test_a_strength_is_accepted_exactly_when_it_changes_the_drawn_phases(name, k
     kinds = plan.kinds or (cfg.disorder,)
 
     def phases(c):
-        return [observables._field_for(dataclasses.replace(c, disorder=k), c.seed, n_sites, origin, **swept).phases
+        return [observables._field_for(dataclasses.replace(c, disorder=k, **swept), c.seed, n_sites, origin).phases
                 for k in kinds]
 
     moved = any(not np.array_equal(a, b) for a, b in zip(phases(cfg), phases(changed)))
@@ -564,6 +564,16 @@ def test_a_strength_is_accepted_exactly_when_it_changes_the_drawn_phases(name, k
         assert not moved, f"{name} rejected a {key} that moves its {evolved} phases: {exc}"
     else:
         assert moved, f"{name} accepted a {key} that none of its {evolved} phases read"
+
+
+def test_every_kind_a_preset_sweeps_reads_the_swept_strength():
+    # a sweep of a strength that a kind does not read would emit one identical series per value
+    swept = [(name, plan) for name in preset_names() for plan in [scenarios._lookup(name)[1]] if plan.sweep]
+    assert [name for name, _ in swept] == ["fig6", "fig7"]
+    for name, plan in swept:
+        cfg = dataclasses.replace(preset(name), **{plan.sweep: 0.0})  # as the sweep sets it
+        for kind in plan.kinds:
+            assert plan.sweep in strength_fields(kind, cfg.phi_static, cfg.phi_dynamic).values(), (name, kind)
 
 
 def reproduce_all():
