@@ -47,10 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.list:
+        if len(argv) > 1:
+            parser.error("--list takes no other argument")
         for name in preset_names():
             print(name)
         return 0
@@ -70,6 +73,8 @@ def main(argv=None) -> int:
     name = args.scenario or file_doc.get("name")
     if not name:
         parser.error("--scenario (or a config file with a name) is required")
+    if file_doc.get("name", name) != name:
+        parser.error(f"--scenario {name} disagrees with the config file's name {file_doc['name']!r}")
 
     fields = {f.name for f in dataclasses.fields(ScenarioConfig)}
     given = {k: v for k, v in file_doc.items() if k != "name"}

@@ -3,8 +3,8 @@
 A walker carries a two-level coin; one step applies a (possibly site- and
 step-dependent) phased Hadamard coin to the internal state and then shifts
 the L component one site left and the R component one site right.  The
-lattice is a plain segment: amplitude reaching an edge is an error, never a
-wrap or a reflection, so callers must allocate enough sites up front (see
+lattice is a plain segment: ``evolve`` refuses, before any step, a walk
+whose light cone leaves it, so callers allocate enough sites up front (see
 ``lattice_for``).  Leading axes of the amplitude array batch independent
 walkers (for example configurations x walkers), which all step at once.
 
@@ -31,25 +31,25 @@ COIN_R = 1
 
 
 class LatticeOverflowError(RuntimeError):
-    """A step would push amplitude past the edge of the allocated lattice."""
+    """The light cone of a walk at its last stop leaves the allocated lattice."""
 
 
 def light_cone(t, starts: Sequence[int]) -> tuple:
     """(lo, hi, stride) of a walk from the sites ``starts`` after ``t`` steps (an int or an int array).
 
-    [lo, hi] is the span of ``starts`` widened by one site each side per
-    step; with stride 2 (the starts share a parity) only every second site
-    of it, from lo, can hold amplitude.
+    [lo, hi] is the span of any set of ``starts`` widened by one site each
+    side per step; with stride 2 (every start has the parity of the lowest)
+    only every second site of it, from lo, can hold amplitude.
     """
     lo, hi = min(starts), max(starts)
-    return lo - t, hi + t, 2 if (hi - lo) % 2 == 0 else 1
+    return lo - t, hi + t, 1 if any((site - lo) % 2 for site in starts) else 2
 
 
 def lattice_for(steps: int, start_sites: Sequence[int] = (0,)) -> tuple[int, int]:
     """Size a lattice so a ``steps``-step light cone from ``start_sites`` never
-    touches an edge (one spare site each side).
-
-    Returns (n_sites, origin).
+    touches an edge; returns (n_sites, origin).  ``evolve`` needs no spare
+    site, but one stays on each side: every emitted joint and marginal table
+    lists every lattice site, so a tighter lattice would change the files.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
@@ -68,11 +68,6 @@ def delta_state(n_sites: int, origin: int, x: int = 0, coin: int = COIN_L) -> np
     return amps
 
 
-def _check_edges(amplitudes: np.ndarray) -> None:
-    if amplitudes[..., 0].any() or amplitudes[..., -1].any():
-        raise LatticeOverflowError("light cone reached the lattice edge; allocate a larger lattice")
-
-
 def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndarray]:
     """Walk the coined step from ``initial`` through ``stops``, yielding the amplitudes at each.
 
@@ -80,19 +75,19 @@ def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndar
     otherwise, also for a bare integer, before any step).  ``field`` is a
     :class:`dtqw.disorder.FieldBatch` of C configurations: its coin factors
     broadcast against a (C, walkers, 2, n_sites) batch, and, for
-    ``FieldBatch([field])``, against one walker of shape (2, n_sites).  Step t writes e_L (a + b) / sqrt(2) one site left and
-    e_R (a - b) / sqrt(2) one site right into the spare of two complex128
-    buffers, allocated in the memory layout of ``initial``, and swaps them.
-    Each stop yields a read-only view of the current buffer, shaped like
-    ``initial`` and valid until the walk resumes; a one-shot caller writes
-    ``[amps] = evolve(initial, [steps], field)``.  Only reachable sites are
-    stepped: the span of the sites occupied at the start (by any walker or
-    coin), widened by one site per step, and only every second site of it
-    when those share one parity.  When the span touches an edge site, the
-    edge check runs: amplitude there is an overflow, and a zero edge (also by
-    cancellation) leaves the span.  An all-zero start stays zero.  Every
-    amplitude equals that of stepping every site bit for bit (up to the sign
-    of a zero), whatever the batch it evolves in and the other stops.
+    ``FieldBatch([field])``, against one walker of shape (2, n_sites).  Step
+    t writes e_L (a + b) / sqrt(2) one site left and e_R (a - b) / sqrt(2)
+    one site right into the spare of two complex128 buffers, allocated in
+    the memory layout of ``initial``, and swaps them.  Each stop yields a
+    read-only view of the current buffer, shaped like ``initial`` and valid
+    until the walk resumes; a one-shot caller writes ``[amps] =
+    evolve(initial, [steps], field)``.  It steps the ``light_cone`` of the
+    sites occupied at the start (by any walker or coin), and raises
+    ``LatticeOverflowError`` before any step, without reading ``field``,
+    when that cone at the last stop leaves the lattice (it may fill the edge
+    sites).  An all-zero start stays zero.  Every amplitude equals that of
+    stepping every site bit for bit (up to the sign of a zero), whatever the
+    batch it evolves in and the other stops.
     """
     shape = np.shape(initial)
     if len(shape) < 2 or shape[-2] != 2:
@@ -107,25 +102,17 @@ def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndar
     # one walker steps as a batch of one; order "K" keeps the layout of a batch, also of a broadcast (stride-0) one
     amps = np.array(initial, dtype=np.complex128, order="K", ndmin=4)
     spare = np.zeros_like(amps)
-    last = amps.shape[-1] - 1
-    occupied = np.flatnonzero(amps.any(axis=(0, 1, 2)))
-    if occupied.size:
-        lo, hi = int(occupied[0]), int(occupied[-1])
-        stride = 1 if ((occupied - lo) % 2).any() else 2
+    occupied = np.flatnonzero(amps.any(axis=(0, 1, 2))).tolist()
+    if occupied:
+        lo, hi, stride = light_cone(0, occupied)
+        first, last, _ = light_cone(max(stops, default=0), occupied)
+        if first < 0 or last >= amps.shape[-1]:
+            raise LatticeOverflowError(f"the light cone at step {stops[-1]} leaves the lattice; see lattice_for")
     else:  # an all-zero start stays zero: no step runs
         stops = [0] * len(stops)
     done = 0
     for stop in stops:
         for t in range(done + 1, stop + 1):
-            if lo <= 0 or hi >= last:
-                # zero edges leave the span; the cells they would write may still hold the start: zero those
-                _check_edges(amps)
-                if lo <= 0:
-                    lo += stride
-                    spare[..., 1, 1] = 0.0
-                if hi >= last:
-                    hi -= stride
-                    spare[..., 0, last - 1] = 0.0
             sites = slice(lo, hi + 1, stride)
             e_l, e_r = field.coin_factors(t, sites)
             left, right = spare[..., 0, lo - 1 : hi : stride], spare[..., 1, lo + 1 : hi + 2 : stride]

@@ -144,15 +144,17 @@ def light_cone_rows(steps: int, n_sites: int, starts: Optional[Sequence[int]] = 
 
     Row t - 1 belongs to step t (1-based) of a walk whose walkers start on
     the array indices ``starts``: it covers the light cone of t - 1 steps
-    (``core.light_cone``), cut to the lattice, the sites ``core.evolve``
-    steps.  Without ``starts`` every row is the whole lattice.
+    (``core.light_cone``), the sites ``core.evolve`` steps, and a walk whose
+    cone after ``steps`` steps leaves the lattice raises ValueError.  Without
+    ``starts`` every row is the whole lattice.
     """
     if starts is None:
         return np.zeros(steps, dtype=np.intp), np.full(steps, n_sites, dtype=np.intp), 1
+    lo, hi, _ = light_cone(steps, starts)
+    if lo < 0 or hi >= n_sites:
+        raise ValueError(f"the light cone of {steps} steps from sites {list(starts)} leaves the lattice")
     first, last, stride = light_cone(np.arange(steps), starts)
-    first = np.maximum(first, first % stride)  # the first site on the lattice, of the same parity
-    last = np.minimum(last, n_sites - 1 - (n_sites - 1 - last) % stride)
-    return first, np.maximum(0, (last - first) // stride + 1), stride
+    return first, (last - first) // stride + 1, stride
 
 
 def batch_floats(kind: DisorderKind, steps: int, n_sites: int, starts: Optional[Sequence[int]]) -> tuple[int, int]:
@@ -182,11 +184,12 @@ class FieldBatch:
     cells) array that holds only the rows of ``light_cone_rows(steps,
     n_sites, starts)`` (without ``starts``, whole rows); each step
     exponentiates one slice of it, and a selection outside its row raises
-    ValueError.  ``fields`` may be an iterator that draws the fields one at
-    a time (then ``configs`` gives their number, and fewer or more fields
-    raise ValueError): each field's table is stored before the next one is
-    drawn and kept no longer.  Every factor is elementwise, so a
-    configuration's factors are bit-identical in any batch and selection.
+    ValueError, as do ``starts`` that ``light_cone_rows`` refuses.  ``fields``
+    may be an iterator that draws the fields one at a time (then ``configs``
+    gives their number, and fewer or more fields raise ValueError): each
+    field's table is stored before the next one is drawn and kept no longer.
+    Every factor is elementwise, so a configuration's factors are
+    bit-identical in any batch and selection.
     """
 
     def __init__(self, fields: Iterable[PhaseField], starts: Optional[Sequence[int]] = None,
@@ -215,11 +218,11 @@ class FieldBatch:
         """Allocate for ``configs`` fields like ``field``; returns, for packed
         phases, each cell's index into a flat (steps, n_sites) table."""
         self.steps, self.n_sites, self._shape = steps, n_sites, shape = field.steps, field.n_sites, field.phases.shape
+        first, counts, self._stride = light_cone_rows(steps, n_sites, starts)  # checks the light cone
         if 1 in shape[1:]:  # constant in time or in space, as batch_floats counts
             self._store = np.empty((configs, *shape), dtype=np.complex128)
             self._factors = np.broadcast_to(self._store, (configs, 2, steps, n_sites))
             return None
-        first, counts, self._stride = light_cone_rows(steps, n_sites, starts)
         offset = np.concatenate(([0], np.cumsum(counts)))
         self._first, self._offset = first.tolist(), offset.tolist()  # read per step
         self._store, self._factors = np.empty((configs, 2, offset[-1])), None

@@ -118,7 +118,7 @@ def preset_names() -> tuple[str, ...]:
 
 
 def _lookup(name: str) -> tuple[ScenarioConfig, Plan]:
-    if name not in _PRESETS:
+    if not isinstance(name, str) or name not in _PRESETS:  # a JSON list is unhashable
         raise ValueError(f"unknown scenario {name!r}; available: {', '.join(_PRESETS)}")
     return _PRESETS[name]
 

@@ -12,6 +12,7 @@ from dtqw.core import (
     delta_state,
     evolve,
     lattice_for,
+    light_cone,
 )
 from dtqw.disorder import DisorderKind, FieldBatch, PhaseField, sample_phase_field
 from dtqw.pathsum import path_sum_amplitudes
@@ -444,76 +445,32 @@ def test_a_walk_through_stops_equals_the_site_major_step_at_every_stop(kind):
             assert np.array_equal(site_major(amps), evolve_site_major(reference, t, batch)), (label, t)
 
 
-def test_a_span_shrunk_by_cancellation_leaves_nothing_stale_in_the_spare():
-    # (1, -1)/sqrt(2) at site 1 sends nothing to site 0, so the second step steps only site 2, and the spare buffer
-    # still holds the start's R amplitude at site 1, where that step writes no R amplitude
-    n, steps = 12, 4
-    amps = np.zeros((1, 1, 2, n), dtype=np.complex128)
-    amps[..., 1] = [INV_SQRT2, -INV_SQRT2]
-    fld = FieldBatch([zero_field(steps, n, 1)])
-    stops = (1, 2, 3)
-    for t, got in zip(stops, evolve(amps, stops, fld)):
-        assert np.array_equal(site_major(got), evolve_site_major(site_major(amps), t, fld))
+def test_light_cone_stride_is_one_when_any_start_differs_in_parity_from_the_lowest():
+    # the span's ends 0 and 2 share a parity, but site 1 does not
+    assert light_cone(0, [0, 1, 2]) == (0, 2, 1)
+    assert light_cone(3, [4, 8, 6]) == (1, 11, 2)
+    assert light_cone(2, [5]) == (3, 7, 2)
+    assert light_cone(1, (3, 6)) == (2, 7, 1)
 
 
-@pytest.mark.parametrize("parities", [1, 2])
-def test_an_edge_cell_zero_by_cancellation_is_no_overflow(parities):
-    # (1, -1)/sqrt(2) at site 1 sends nothing to site 0: the first step reaches the edge, the second must not raise
-    # or wrap; the third step fills site 0, so the fourth overflows, as in the reference
-    n, steps = 12, 4
-    amps = np.zeros((2, n), dtype=np.complex128)
-    amps[:, 1] = [INV_SQRT2, -INV_SQRT2]
-    if parities == 2:
-        amps[COIN_L, 4] = 0.5  # span two parities: every site of the span steps
-    fld = FieldBatch([zero_field(steps, n, 1)])
-    walk = evolve(amps, (1, 2, 3, steps), fld)
-    for t, out in zip((1, 2, 3), walk):
-        assert np.array_equal(site_major(out), evolve_site_major(site_major(amps), t, fld))
-        assert not out[:, -1].any()
-    with pytest.raises(LatticeOverflowError):
-        evolve_site_major(site_major(amps), steps, fld)
-    with pytest.raises(LatticeOverflowError):
-        next(walk)
-
-
-def check_overflow_in_either_buffer(edge, swaps, batch, parities):
-    """The light cone reaches the edge site after ``swaps`` steps; the next step must raise.
-
-    The walk holds the reached state in its first buffer after an even number of steps and in its second after an
-    odd one.  With ``parities=2`` a second start one site further in, on the other parity, widens the stepped span.
-    """
-    n, o, steps = 2 * swaps + 6, swaps + 3, swaps + 1
-    x = (swaps if edge == "first" else n - 1 - swaps) - o
-    inner = x + 1 if edge == "first" else x - 1
-    fields = [sample_phase_field(DisorderKind.STATIC, phi_max=2.5, steps=steps, n_sites=n, origin=o, seed=seed)
-              for seed in range(5)]
-    if batch:
-        pair = np.stack([delta_state(n, o, x, COIN_L), delta_state(n, o, x if parities == 1 else inner, COIN_R)])
-        start, fld = np.repeat(pair[None], 5, axis=0), FieldBatch(fields)
-    else:
-        start, fld = delta_state(n, o, x, COIN_L), FieldBatch(fields[:1])
-        if parities == 2:
-            start[COIN_R, inner + o] = 1.0
-    walk = evolve(start, (swaps, swaps + 1), fld)
-    reached = next(walk)
-    edge_site = reached[..., 0 if edge == "first" else -1]
-    reached_by = np.abs(edge_site).sum(axis=-1)  # per walker; only walker A reaches it from two parities
-    assert np.all(reached_by[..., 0] > 0 if batch and parities == 2 else reached_by > 0)
-    with pytest.raises(LatticeOverflowError):
-        next(walk)
-    with pytest.raises(LatticeOverflowError):  # a start on the edge site overflows at its first step
-        list(evolve(reached, [1], fld))
-
-
-@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
-@pytest.mark.parametrize("swaps", [3, 4], ids=["odd", "even"])
-@pytest.mark.parametrize("edge", ["first", "last"])
-def test_overflow_is_caught_in_either_buffer(edge, swaps, batch):
-    check_overflow_in_either_buffer(edge, swaps, batch, parities=1)
-
-
-@pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
-@pytest.mark.parametrize("swaps", [3, 4], ids=["odd", "even"])
-@pytest.mark.parametrize("edge", ["first", "last"])
-def test_overflow_from_two_parities_is_caught_in_either_buffer(edge, swaps, batch):
-    check_overflow_in_either_buffer(edge, swaps, batch, parities=2)
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+@pytest.mark.parametrize("layout", ["one site", "one parity", "two parities"])
+def test_evolve_accepts_the_tightest_lattice_and_refuses_one_site_less(layout, kind):
+    # random amplitudes on two starts ``gap`` sites apart, walked ``steps`` steps on hi - lo + 2 steps + 1 sites
+    rng = np.random.default_rng([len(layout), list(DisorderKind).index(kind)])
+    steps = int(rng.integers(1, 13))
+    gap = {"one site": 0, "one parity": 2 * int(rng.integers(1, 4)), "two parities": 2 * int(rng.integers(0, 3)) + 1}
+    n, starts = gap[layout] + 2 * steps + 1, [steps, steps + gap[layout]]
+    start = np.zeros((3, 2, 2, n), dtype=np.complex128)
+    cells = start[..., starts].shape
+    start[..., starts] = rng.normal(size=cells) + 1j * rng.normal(size=cells)
+    fields = [sample_phase_field(kind, phi_max=2.5, phi_static=np.pi, phi_dynamic=1.5, steps=steps, n_sites=n,
+                                 origin=steps, seed=seed) for seed in range(3)]
+    stops = sorted(rng.integers(0, steps, 2).tolist()) + [steps]
+    for t, amps in zip(stops, evolve(start, stops, FieldBatch(fields, starts))):
+        assert np.array_equal(site_major(amps), evolve_site_major(site_major(start), t, FieldBatch(fields))), t
+    assert amps[..., 0].any() and amps[..., -1].any()  # the last state fills both edge sites
+    for fewer in (start[..., 1:], start[..., :-1]):  # one site less on the left, on the right
+        walk = evolve(fewer, stops, NoSteps())
+        with pytest.raises(LatticeOverflowError, match=f"step {steps}"):
+            next(walk)

@@ -353,10 +353,9 @@ def packed_selections(first, count, stride, n_sites):
     return inside, [sites for sites in outside if 0 <= sites.start and sites.stop <= n_sites]
 
 
-# array indices of the two starts on a lattice of n_sites: one site, one parity, two parities, and a lattice
-# that cuts the rows (fewer sites than the light cone)
-@pytest.mark.parametrize("starts, n_sites", [((11, 11), 23), ((9, 13), 23), ((10, 13), 23), ((2, 4), 9)],
-                         ids=["one-site", "one-parity", "two-parities", "cut-rows"])
+# array indices of the two starts on a lattice of n_sites: one site, one parity, two parities
+@pytest.mark.parametrize("starts, n_sites", [((11, 11), 23), ((9, 13), 23), ((10, 13), 23)],
+                         ids=["one-site", "one-parity", "two-parities"])
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
 def test_packed_coin_factors_equal_those_of_the_whole_tables(kind, starts, n_sites):
     steps = 8
@@ -380,14 +379,32 @@ def test_packed_coin_factors_equal_those_of_the_whole_tables(kind, starts, n_sit
 
 
 def test_light_cone_rows_follow_the_walk():
-    # starts 4 and 6 on 11 sites: rows widen by one site a side per step, on one parity, cut at the edges
-    firsts, counts, stride = light_cone_rows(6, 11, (4, 6))
+    # starts 6 and 8 on 15 sites: rows widen by one site a side per step, on one parity; the light cone after the
+    # sixth step fills sites 0 .. 14
+    firsts, counts, stride = light_cone_rows(6, 15, (6, 8))
     assert stride == 2
-    assert firsts.tolist() == [4, 3, 2, 1, 0, 1] and counts.tolist() == [2, 3, 4, 5, 6, 5]
+    assert firsts.tolist() == [6, 5, 4, 3, 2, 1] and counts.tolist() == [2, 3, 4, 5, 6, 7]
     firsts, counts, stride = light_cone_rows(3, 11, (4, 5))
     assert (firsts.tolist(), counts.tolist(), stride) == ([4, 3, 2], [2, 4, 6], 1)
     firsts, counts, stride = light_cone_rows(3, 11)
     assert (firsts.tolist(), counts.tolist(), stride) == ([0, 0, 0], [11, 11, 11], 1)
+
+
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+def test_a_batch_refuses_starts_whose_light_cone_leaves_the_lattice(kind):
+    def batch(n_sites, starts, steps=8):
+        fields = [sample_phase_field(kind, phi_static=PI, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
+                                     origin=starts[0], seed=seed) for seed in range(3)]
+        return FieldBatch(iter(fields), starts, len(fields))
+
+    # 8 steps from sites 8 and 10 fill sites 0 .. 18: the tightest lattice holds them, one site less on either side
+    # does not, nor does the lattice of 9 sites on which starts 2 and 4 once packed rows cut to the lattice
+    assert batch(19, (8, 10)).steps == 8
+    for n_sites, starts in ((18, (7, 9)), (18, (8, 10)), (9, (2, 4))):
+        with pytest.raises(ValueError, match="leaves the lattice"):
+            batch(n_sites, starts)
+        with pytest.raises(ValueError, match="leaves the lattice"):
+            light_cone_rows(8, n_sites, starts)
 
 
 def test_a_batch_drops_each_drawn_field_before_drawing_the_next():

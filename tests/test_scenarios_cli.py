@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
@@ -330,6 +331,53 @@ def test_cli_rejects_an_unusable_out_before_any_work(tmp_path, capsys, monkeypat
     assert code == 1
     assert "invalid configuration" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory"
+
+
+@pytest.mark.parametrize("argv", [["--list", "--steps", "5", "--scenario", "fig3"], ["--scenario", "fig2", "--list"],
+                                  ["--list", "--jobs", "1"]], ids=["list-first", "list-last", "default-value"])
+def test_cli_list_with_any_other_argument_is_usage_error(capsys, monkeypatch, argv):
+    # --list once listed the presets and dropped the other flags without a word
+    monkeypatch.setattr("dtqw.cli.run_scenario", lambda *a, **k: pytest.fail("ran a scenario"))
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert "--list takes no other argument" in err and out == ""
+
+
+def test_cli_rejects_a_config_name_that_disagrees_with_the_scenario_before_any_work(tmp_path, capsys, monkeypatch):
+    # the file's name was once silently dropped for --scenario's
+    monkeypatch.setattr("dtqw.cli.run_scenario", lambda *a, **k: pytest.fail("ran a scenario"))
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps({"name": "fig3", "steps": 4}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "fig2", "--config", str(cfg_path), "--out", str(out)])
+    assert exc.value.code == 1
+    assert "disagrees with the config file's name 'fig3'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_config_name_that_is_not_a_string(tmp_path, capsys):
+    cfg_path, out = tmp_path / "cfg.json", tmp_path / "out"
+    cfg_path.write_text(json.dumps({"name": ["fig2"], "steps": 4}))
+    assert main(["--config", str(cfg_path), "--out", str(out)]) == 1
+    assert "unknown scenario ['fig2']; available: fig2" in capsys.readouterr().err  # once "unhashable type: 'list'"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_cli_validates_every_preset_with_the_run_scenario_stub_of_the_setup_probe(tmp_path, monkeypatch, name):
+    # perfbench/setup_probe.py times set-up by running main with this stub in place of run_scenario, so main may read
+    # no more of the returned manifest than the stub holds
+    ran = []
+
+    def stub(cfg, n_jobs=1):
+        ran.append(cfg.name)
+        return types.SimpleNamespace(files={}, duration_seconds=0.0)
+
+    monkeypatch.setattr("dtqw.cli.run_scenario", stub)
+    assert main(["--scenario", name, "--seed", "1", "--jobs", "1", "--out", str(tmp_path / name), "--configs", "2"]) == 0
+    assert ran == [name]
 
 
 def test_cli_rerun_byte_identical(tmp_path):
