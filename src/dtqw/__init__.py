@@ -27,6 +27,6 @@ from .fitting import (  # noqa: F401
     fit_gaussian_semilog,
     fit_power_law,
 )
-from .pathsum import PathSumResult, compare, path_sum_amplitudes  # noqa: F401
+from .pathsum import path_sum_amplitudes  # noqa: F401
 from .config import ScenarioConfig, scenario_from_dict  # noqa: F401
 from .scenarios import RunManifest, preset, preset_names, run_scenario  # noqa: F401

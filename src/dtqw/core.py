@@ -71,8 +71,9 @@ def delta_state(n_sites: int, origin: int, x: int = 0, coin: int = COIN_L) -> np
 def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndarray]:
     """Walk the coined step from ``initial`` through ``stops``, yielding the amplitudes at each.
 
-    ``stops`` is a sequence of non-decreasing step counts >= 0 (ValueError
-    otherwise, also for a bare integer, before any step).  ``field`` is a
+    ``stops`` is a sequence of non-decreasing step counts >= 0, the last
+    one at most ``field.steps`` (ValueError otherwise, also for a bare
+    integer, before any step).  ``field`` is a
     :class:`dtqw.disorder.FieldBatch` of C configurations: its coin factors
     broadcast against a (C, walkers, 2, n_sites) batch, and, for
     ``FieldBatch([field])``, against one walker of shape (2, n_sites).  Step
@@ -83,8 +84,8 @@ def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndar
     until the walk resumes; a one-shot caller writes ``[amps] =
     evolve(initial, [steps], field)``.  It steps the ``light_cone`` of the
     sites occupied at the start (by any walker or coin), and raises
-    ``LatticeOverflowError`` before any step, without reading ``field``,
-    when that cone at the last stop leaves the lattice (it may fill the edge
+    ``LatticeOverflowError`` before any step, without a coin factor, when
+    that cone at the last stop leaves the lattice (it may fill the edge
     sites).  An all-zero start stays zero.  Every amplitude equals that of
     stepping every site bit for bit (up to the sign of a zero), whatever the
     batch it evolves in and the other stops.
@@ -99,13 +100,16 @@ def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndar
     if any(isinstance(t, bool) or not isinstance(t, (int, np.integer)) for t in stops) or any(
             b < a for a, b in zip([0, *stops], stops)):
         raise ValueError(f"stops must be non-decreasing integers >= 0, got {stops!r}")
+    end = max(stops, default=0)
+    if end > field.steps:
+        raise ValueError(f"stop {end} lies beyond the {field.steps} steps of the field")
     # one walker steps as a batch of one; order "K" keeps the layout of a batch, also of a broadcast (stride-0) one
     amps = np.array(initial, dtype=np.complex128, order="K", ndmin=4)
     spare = np.zeros_like(amps)
     occupied = np.flatnonzero(amps.any(axis=(0, 1, 2))).tolist()
     if occupied:
         lo, hi, stride = light_cone(0, occupied)
-        first, last, _ = light_cone(max(stops, default=0), occupied)
+        first, last, _ = light_cone(end, occupied)
         if first < 0 or last >= amps.shape[-1]:
             raise LatticeOverflowError(f"the light cone at step {stops[-1]} leaves the lattice; see lattice_for")
     else:  # an all-zero start stays zero: no step runs

@@ -101,19 +101,18 @@ def seed_independent(kind: DisorderKind, phi_max: Optional[float] = None, phi_st
 
 @dataclass
 class PhaseField:
-    """A realized disorder configuration for one (lattice, steps) geometry.
+    """A realized disorder configuration for one (lattice, steps) geometry: its phase table.
 
     ``phases[c, r, i]`` is the phase of coin c (L, R) at step r + 1 and site
-    i, in a table of the shape ``draw_shapes`` gives its kind (or (2, 1, 1)
-    for ordered disorder), which broadcasts to (2, steps, n_sites); any
-    other shape raises ValueError.  The table is read-only.
+    (array index) i, in a table of the shape ``draw_shapes`` gives its kind
+    (or (2, 1, 1) for ordered disorder), which broadcasts to (2, steps,
+    n_sites); any other shape raises ValueError.  The table is read-only.
     """
 
     kind: DisorderKind
     steps: int
     n_sites: int
-    origin: int
-    phases: Optional[np.ndarray] = None
+    phases: np.ndarray
 
     def __post_init__(self) -> None:
         want = (draw_shapes(self.kind, self.steps, self.n_sites) or [(2, 1, 1)])[0]
@@ -122,20 +121,6 @@ class PhaseField:
                              f"sites needs phases of shape {want}, got {np.shape(self.phases)}")
         self.phases = np.asarray(self.phases, dtype=np.float64)
         self.phases.setflags(write=False)
-
-    def step_phases(self, t: int) -> np.ndarray:
-        """The (2, n_sites) phases (rows phi_L, phi_R) of every site at step t (1-based)."""
-        if not 1 <= t <= self.steps:
-            raise IndexError(f"step {t} outside 1..{self.steps}")
-        return np.broadcast_to(self.phases, (2, self.steps, self.n_sites))[:, t - 1]
-
-    def phases_at(self, x: int, t: int) -> tuple[float, float]:
-        """Realized (phi_L, phi_R) at signed position x, step t (1-based)."""
-        i = x + self.origin
-        if not 0 <= i < self.n_sites:
-            raise IndexError(f"position {x} outside the field lattice")
-        phi_l, phi_r = self.step_phases(t)[:, i]
-        return float(phi_l), float(phi_r)
 
 
 def light_cone_rows(steps: int, n_sites: int, starts: Optional[Sequence[int]] = None
@@ -277,7 +262,6 @@ def sample_phase_field(
     phi_dynamic: Optional[float] = None,
     steps: int,
     n_sites: int,
-    origin: int,
     seed: int = 0,
 ) -> PhaseField:
     """Draw one disorder realization.
@@ -287,14 +271,14 @@ def sample_phase_field(
     the L and then the R phases of its ``draw_shapes`` table in one call from
     its own substream of ``seed``, and the field keeps the sum of the draws.
     Identical (kind, strengths, seed, dimensions) give bit-identical tables.
-    ``steps``, ``n_sites``, ``origin`` and ``seed`` must be integers (not
-    bools), with ``steps >= 0``, ``n_sites >= 1``, ``0 <= origin < n_sites``
-    and ``seed >= 0``, and every strength that is not None must pass
-    ``check_strength``, read by the kind or not; anything else raises
-    ValueError before any draw.
+    The table indexes sites by array index; where the walkers start is the
+    caller's.  ``steps``, ``n_sites`` and ``seed`` must be integers (not
+    bools), with ``steps >= 0``, ``n_sites >= 1`` and ``seed >= 0``, and
+    every strength that is not None must pass ``check_strength``, read by the
+    kind or not; anything else raises ValueError before any draw.
     """
     kind = DisorderKind(kind)
-    for label, value in (("steps", steps), ("n_sites", n_sites), ("origin", origin), ("seed", seed)):
+    for label, value in (("steps", steps), ("n_sites", n_sites), ("seed", seed)):
         # bool is an Integral; True must not pass for 1
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{label} must be an integer, got {value!r}")
@@ -302,8 +286,6 @@ def sample_phase_field(
         raise ValueError("steps must be >= 0")
     if n_sites < 1:
         raise ValueError("n_sites must be >= 1")
-    if not 0 <= origin < n_sites:
-        raise ValueError(f"origin {origin} outside the lattice 0..{n_sites - 1}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     # checked even where the kind does not read them
@@ -319,4 +301,4 @@ def sample_phase_field(
     phases = tables[0] if tables else np.zeros((2, 1, 1))
     for table in tables[1:]:
         phases += table  # the static phases onto the fluctuating ones
-    return PhaseField(kind, int(steps), int(n_sites), int(origin), phases)
+    return PhaseField(kind, int(steps), int(n_sites), phases)

@@ -95,10 +95,10 @@ class ObservableSeries:
             raise ValueError("steps, mean and std_dev must have equal length")
 
 
-def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int, origin: int) -> PhaseField:
-    """The field ``seed`` draws with ``cfg``'s disorder kind and strengths."""
+def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int) -> PhaseField:
+    """The field ``seed`` draws with ``cfg``'s disorder kind and strengths on a lattice of ``n_sites`` sites."""
     return sample_phase_field(cfg.disorder, phi_max=cfg.phi_max, phi_static=cfg.phi_static,
-                              phi_dynamic=cfg.phi_dynamic, steps=cfg.steps, n_sites=n_sites, origin=origin, seed=seed)
+                              phi_dynamic=cfg.phi_dynamic, steps=cfg.steps, n_sites=n_sites, seed=seed)
 
 
 def _crop(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
@@ -181,7 +181,7 @@ def _run_chunk(task) -> list:
     members, stops, measure = task
     cfg = members[0][0]
     n_sites, origin, starts = _geometry(cfg)
-    field = FieldBatch((_field_for(member, seed, n_sites, origin) for member, seed in members), starts, len(members))
+    field = FieldBatch((_field_for(member, seed, n_sites) for member, seed in members), starts, len(members))
     pair = np.stack([delta_state(n_sites, origin, x, COIN_NAMES[coin]) for x, coin in (cfg.start_a, cfg.start_b)])
     results = []
     # evolve keeps the layout of the broadcast start, configuration-innermost, in the buffers it copies it to

@@ -12,7 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "dtqw"
-ORACLE = {"path_sum_amplitudes", "compare"}
+ORACLE = {"path_sum_amplitudes"}
 ORACLE_MODULE = "pathsum"
 
 

@@ -21,8 +21,8 @@ from step_reference import evolve_site_major
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
-def zero_field(steps, n_sites, origin):
-    return sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n_sites, origin=origin)
+def zero_field(steps, n_sites):
+    return sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n_sites)
 
 
 def probabilities(amps):
@@ -42,7 +42,7 @@ def dist_by_position(amps, origin):
 def phase_table_field(phi_l, phi_r):
     """A field that gives coin phases phi_l[t-1, i], phi_r[t-1, i] at step t, site i."""
     steps, n_sites = np.shape(phi_l)
-    return PhaseField(DisorderKind.FLUCTUATING, steps, n_sites, (n_sites - 1) // 2, np.stack([phi_l, phi_r]))
+    return PhaseField(DisorderKind.FLUCTUATING, steps, n_sites, np.stack([phi_l, phi_r]))
 
 
 ONE_STEP_ORIGIN = lattice_for(1)[1]
@@ -75,7 +75,7 @@ def test_common_phase_is_global():
     t = 12
     n, o = lattice_for(t)
     start = delta_state(n, o, 0, COIN_L)
-    [plain] = evolve(start, [t], FieldBatch([zero_field(t, n, o)]))
+    [plain] = evolve(start, [t], FieldBatch([zero_field(t, n)]))
     third = np.full((t, n), np.pi / 3)
     [tilted] = evolve(start, [t], FieldBatch([phase_table_field(third, third)]))
     np.testing.assert_allclose(probabilities(tilted), probabilities(plain), atol=1e-12)
@@ -105,13 +105,13 @@ def test_step_preserves_norm_with_random_phased_coins():
 def test_step_overflow_is_an_error():
     # on 3 sites the first step reaches both edge sites, so the second overflows
     with pytest.raises(LatticeOverflowError):
-        list(evolve(delta_state(3, 1, 0, COIN_L), [2], FieldBatch([zero_field(2, 3, 1)])))
+        list(evolve(delta_state(3, 1, 0, COIN_L), [2], FieldBatch([zero_field(2, 3)])))
 
 
 def test_stop_zero_yields_the_start():
     n, o = lattice_for(4)
-    for start, fld in ((delta_state(n, o, 0, COIN_L), FieldBatch([zero_field(4, n, o)])),
-                       (walker_pairs(n, o, 3), FieldBatch([zero_field(4, n, o)] * 3))):
+    for start, fld in ((delta_state(n, o, 0, COIN_L), FieldBatch([zero_field(4, n)])),
+                       (walker_pairs(n, o, 3), FieldBatch([zero_field(4, n)] * 3))):
         walk = evolve(start, (0, 0, 4), fld)
         assert np.array_equal(next(walk), start) and np.array_equal(next(walk), start)
         assert not np.array_equal(next(walk), start)
@@ -119,13 +119,13 @@ def test_stop_zero_yields_the_start():
 
 def test_evolve_two_steps_ordered():
     n, o = lattice_for(2)
-    [out] = evolve(delta_state(n, o, 0, COIN_L), [2], FieldBatch([zero_field(2, n, o)]))
+    [out] = evolve(delta_state(n, o, 0, COIN_L), [2], FieldBatch([zero_field(2, n)]))
     assert dist_by_position(out, o) == pytest.approx({-2: 0.25, 0: 0.5, 2: 0.25})
 
 
 def test_evolve_three_steps_ordered():
     n, o = lattice_for(3)
-    [out] = evolve(delta_state(n, o, 0, COIN_L), [3], FieldBatch([zero_field(3, n, o)]))
+    [out] = evolve(delta_state(n, o, 0, COIN_L), [3], FieldBatch([zero_field(3, n)]))
     assert dist_by_position(out, o) == pytest.approx({-3: 1 / 8, -1: 5 / 8, 1: 1 / 8, 3: 1 / 8})
 
 
@@ -137,7 +137,7 @@ def test_position_distribution_delta():
 
 def test_one_step_distribution_is_half_half():
     n, o = lattice_for(1)
-    [out] = evolve(delta_state(n, o, 0, COIN_L), [1], FieldBatch([zero_field(1, n, o)]))
+    [out] = evolve(delta_state(n, o, 0, COIN_L), [1], FieldBatch([zero_field(1, n)]))
     assert dist_by_position(out, o) == pytest.approx({-1: 0.5, 1: 0.5})
 
 
@@ -152,7 +152,7 @@ def test_evolution_invariants_under_any_disorder(kind, steps, seed):
     n, o = lattice_for(steps)
     fld = sample_phase_field(
         kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
-        steps=steps, n_sites=n, origin=o, seed=seed,
+        steps=steps, n_sites=n, seed=seed,
     )
     [out] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fld]))
     assert norm(out) == pytest.approx(1.0, abs=1e-12)
@@ -165,8 +165,7 @@ def test_evolution_invariants_under_any_disorder(kind, steps, seed):
 def test_norm_drift_over_100_steps():
     t = 100
     n, o = lattice_for(t)
-    fld = FieldBatch([sample_phase_field(DisorderKind.FLUCTUATING, phi_max=np.pi, steps=t, n_sites=n, origin=o,
-                                         seed=9)])
+    fld = FieldBatch([sample_phase_field(DisorderKind.FLUCTUATING, phi_max=np.pi, steps=t, n_sites=n, seed=9)])
     worst = 0.0
     for state in evolve(delta_state(n, o, 0, COIN_L), range(1, t + 1), fld):  # checking the norm after each step
         worst = max(worst, abs(norm(state) - 1.0))
@@ -185,7 +184,7 @@ def test_ordered_hadamard_variance_tends_to_nayak_vishwanath_limit(t):
     n, o = lattice_for(t)
     amps = np.zeros((2, n), dtype=np.complex128)
     amps[:, o] = [INV_SQRT2, 1j * INV_SQRT2]
-    [state] = evolve(amps, [t], FieldBatch([zero_field(t, n, o)]))
+    [state] = evolve(amps, [t], FieldBatch([zero_field(t, n)]))
     p, x = probabilities(state), np.arange(n) - o
     mean = x @ p
     assert abs(mean) <= 1e-12
@@ -206,8 +205,8 @@ def test_dynamic_disorder_at_full_strength_averages_to_the_classical_walk():
     """
     t, configs = 20, 5000
     n, o = lattice_for(t)
-    fields = FieldBatch([sample_phase_field(DisorderKind.DYNAMIC, phi_max=2 * np.pi, steps=t, n_sites=n, origin=o,
-                                            seed=2003 + i) for i in range(configs)])
+    fields = FieldBatch([sample_phase_field(DisorderKind.DYNAMIC, phi_max=2 * np.pi, steps=t, n_sites=n, seed=2003 + i)
+                         for i in range(configs)])
     start = np.broadcast_to(delta_state(n, o, 0, COIN_L), (configs, 1, 2, n))
     [state] = evolve(start, [t], fields)
     p, x = probabilities(state)[:, 0], np.arange(n) - o
@@ -224,7 +223,7 @@ def test_global_phase_shift_of_field_is_invisible():
 
     t = 20
     n, o = lattice_for(t)
-    fld = sample_phase_field(DisorderKind.STATIC, phi_max=np.pi, steps=t, n_sites=n, origin=o, seed=4)
+    fld = sample_phase_field(DisorderKind.STATIC, phi_max=np.pi, steps=t, n_sites=n, seed=4)
     shifted = dataclasses.replace(fld, phases=fld.phases + 1.234)
     [a] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([fld]))
     [b] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([shifted]))
@@ -234,25 +233,25 @@ def test_global_phase_shift_of_field_is_invisible():
 def test_zero_strength_field_equals_ordered_bit_for_bit():
     t = 30
     n, o = lattice_for(t)
-    zero = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=t, n_sites=n, origin=o, seed=5)
+    zero = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=t, n_sites=n, seed=5)
     [a] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([zero]))
-    [b] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([zero_field(t, n, o)]))
+    [b] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([zero_field(t, n)]))
     np.testing.assert_array_equal(a, b)
 
 
 def test_evolve_matches_explicit_step_loop():
     t = 8
     n, o = lattice_for(t)
-    fld = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=2.5, steps=t, n_sites=n, origin=o, seed=6)
+    fld = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=2.5, steps=t, n_sites=n, seed=6)
     [fast] = evolve(delta_state(n, o, 0, COIN_R), [t], FieldBatch([fld]))
-    slow = path_sum_amplitudes(0, COIN_R, t, fld)  # explicit sum over all 2^t coin histories
-    np.testing.assert_allclose(slow.amplitudes, fast, atol=1e-13)
+    slow = path_sum_amplitudes(o, COIN_R, t, fld)  # explicit sum over all 2^t coin histories
+    np.testing.assert_allclose(slow, fast, atol=1e-13)
 
 
 def test_lattice_for_sizes_the_light_cone():
     n, o = lattice_for(10, (0, 0))
     assert n == 2 * 10 + 3
-    [out] = evolve(delta_state(n, o, 0, COIN_L), [10], FieldBatch([zero_field(10, n, o)]))
+    [out] = evolve(delta_state(n, o, 0, COIN_L), [10], FieldBatch([zero_field(10, n)]))
     assert norm(out) == pytest.approx(1.0)
 
 
@@ -270,7 +269,7 @@ def test_delta_state_rejects_a_position_one_past_either_edge():
 
 
 def test_evolve_takes_plain_arrays_and_rejects_other_shapes():
-    fld = FieldBatch([zero_field(1, 5, 2)])
+    fld = FieldBatch([zero_field(1, 5)])
     real = np.zeros((2, 5))
     real[COIN_L, 2] = 1.0  # a real start evolves as complex128, like its complex twin
     [out] = evolve(real, [1], fld)
@@ -282,10 +281,10 @@ def test_evolve_takes_plain_arrays_and_rejects_other_shapes():
 
 
 def sampled_fields(kind, steps, seeds, start_sites=(0,)):
-    n, o = lattice_for(steps, start_sites)
+    n, _ = lattice_for(steps, start_sites)
     return [
         sample_phase_field(kind, phi_max=2.5, phi_static=np.pi, phi_dynamic=1.5, steps=steps,
-                           n_sites=n, origin=o, seed=seed)
+                           n_sites=n, seed=seed)
         for seed in seeds
     ]
 
@@ -301,7 +300,7 @@ def test_batched_evolve_equals_each_walker_bit_for_bit(kind):
     # the determinism contract: a batch of C equals C batches of one, and one walker alone
     t = 12
     fields = sampled_fields(kind, t, range(5))
-    n, o = fields[0].n_sites, fields[0].origin
+    n, o = lattice_for(t)
     [out] = evolve(walker_pairs(n, o, 5), [t], FieldBatch(fields))
     for c, fld in enumerate(fields):
         [single] = evolve(walker_pairs(n, o, 1), [t], FieldBatch([fld]))
@@ -316,12 +315,12 @@ def test_batched_evolve_equals_each_walker_bit_for_bit(kind):
 def test_batched_evolve_matches_path_sum(kind):
     t = 8
     fields = sampled_fields(kind, t, (3, 4, 5))
-    n, o = fields[0].n_sites, fields[0].origin
+    n, o = lattice_for(t)
     [out] = evolve(walker_pairs(n, o, 3), [t], FieldBatch(fields))
     for c, fld in enumerate(fields):
         for w, coin in enumerate((COIN_L, COIN_R)):
-            slow = path_sum_amplitudes(0, coin, t, fld)  # explicit sum over all 2^t coin histories
-            np.testing.assert_allclose(slow.amplitudes, out[c, w], atol=1e-13)
+            slow = path_sum_amplitudes(o, coin, t, fld)  # explicit sum over all 2^t coin histories
+            np.testing.assert_allclose(slow, out[c, w], atol=1e-13)
 
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
@@ -329,7 +328,7 @@ def test_a_walk_through_stops_equals_a_run_to_each_stop_bit_for_bit(kind):
     t = 10
     fields = sampled_fields(kind, t, (1, 2))
     batch = FieldBatch(fields)
-    start = walker_pairs(fields[0].n_sites, fields[0].origin, 2)
+    start = walker_pairs(*lattice_for(t), 2)
     stops = (0, 1, 4, 4, np.int64(7), t)
     for stop, amps in zip(stops, evolve(start, stops, batch)):
         [alone] = evolve(start, [stop], batch)
@@ -339,8 +338,34 @@ def test_a_walk_through_stops_equals_a_run_to_each_stop_bit_for_bit(kind):
 class NoSteps:
     """A field that fails the test if any step reads it."""
 
+    steps = 100  # more than any walk given it reaches
+
     def coin_factors(self, t, sites):
         pytest.fail(f"stepped to t={t}")
+
+
+class CountingBatch(FieldBatch):
+    """A field batch that records the step of every coin_factors call."""
+
+    def __init__(self, fields):
+        super().__init__(fields)
+        self.calls = []
+
+    def coin_factors(self, t, sites):
+        self.calls.append(t)
+        return super().coin_factors(t, sites)
+
+
+@pytest.mark.parametrize("stops", [[5], [1, 2, 4], [0, 3, 3, 4]])
+def test_a_stop_beyond_the_field_steps_is_rejected_before_any_step(stops):
+    # a walk to stop 5 on 3-step fields once stepped 3 times and then raised IndexError
+    n, o = lattice_for(5)
+    batch = CountingBatch([zero_field(3, n)])
+    with pytest.raises(ValueError, match=f"stop {stops[-1]} lies beyond the 3 steps"):
+        next(evolve(delta_state(n, o), stops, batch))
+    assert batch.calls == []
+    [_] = evolve(delta_state(n, o), [3], batch)
+    assert batch.calls == [1, 2, 3]
 
 
 @pytest.mark.parametrize("stops", [[-1], [0, -1], [3, 2], [2, 5, 4], [1.0], [2, 2.5], [True], [0, False], ["1"],
@@ -362,14 +387,14 @@ def test_an_all_zero_start_yields_zeros_at_every_stop():
 def test_each_stop_yields_a_read_only_view_shaped_like_the_start(batch):
     n, o = lattice_for(3)
     start = walker_pairs(n, o, 2) if batch else delta_state(n, o, 0, COIN_L)
-    for amps in evolve(start, (0, 1, 3), FieldBatch([zero_field(3, n, o)] * (2 if batch else 1))):
+    for amps in evolve(start, (0, 1, 3), FieldBatch([zero_field(3, n)] * (2 if batch else 1))):
         assert amps.shape == start.shape and not amps.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             amps[..., o] = 1.0
 
 
 def test_batched_overflow_is_an_error():
-    batch = FieldBatch([zero_field(2, 3, 1), zero_field(2, 3, 1)])
+    batch = FieldBatch([zero_field(2, 3), zero_field(2, 3)])
     with pytest.raises(LatticeOverflowError):
         list(evolve(walker_pairs(3, 1, 2), [2], batch))
 
@@ -409,7 +434,7 @@ def test_evolve_equals_the_site_major_step_bit_for_bit(kind):
     # the coin-major step of the reachable span against the site-major step of every site
     t_max, width = 50, 4
     fields = sampled_fields(kind, t_max, range(5), (-width, width))
-    n, o = fields[0].n_sites, fields[0].origin
+    n, o = lattice_for(t_max, (-width, width))
     batch = FieldBatch(fields)
     starts = {
         "one site, one walker": (delta_state(n, o, 0, COIN_R), FieldBatch(fields[:1])),
@@ -431,7 +456,7 @@ def test_evolve_equals_the_site_major_step_bit_for_bit(kind):
 def test_a_walk_through_stops_equals_the_site_major_step_at_every_stop(kind):
     t_max, width = 30, 4
     fields = sampled_fields(kind, t_max, range(5), (-width, width))
-    n, o = fields[0].n_sites, fields[0].origin
+    n, o = lattice_for(t_max, (-width, width))
     batch, stops = FieldBatch(fields), (0, 1, 2, 5, 6, 17, t_max)
     starts = {
         "one site": walker_pairs(n, o, 5),
@@ -465,7 +490,7 @@ def test_evolve_accepts_the_tightest_lattice_and_refuses_one_site_less(layout, k
     cells = start[..., starts].shape
     start[..., starts] = rng.normal(size=cells) + 1j * rng.normal(size=cells)
     fields = [sample_phase_field(kind, phi_max=2.5, phi_static=np.pi, phi_dynamic=1.5, steps=steps, n_sites=n,
-                                 origin=steps, seed=seed) for seed in range(3)]
+                                 seed=seed) for seed in range(3)]
     stops = sorted(rng.integers(0, steps, 2).tolist()) + [steps]
     for t, amps in zip(stops, evolve(start, stops, FieldBatch(fields, starts))):
         assert np.array_equal(site_major(amps), evolve_site_major(site_major(start), t, FieldBatch(fields))), t

@@ -13,44 +13,50 @@ PI = np.pi
 
 
 def make(kind, steps=10, seed=0, **strengths):
-    n, o = lattice_for(steps)
+    n, _ = lattice_for(steps)
     if not strengths:
         strengths = {"phi_max": PI, "phi_static": PI, "phi_dynamic": PI}
-    return sample_phase_field(kind, steps=steps, n_sites=n, origin=o, seed=seed, **strengths)
+    return sample_phase_field(kind, steps=steps, n_sites=n, seed=seed, **strengths)
+
+
+def table(fld):
+    """The (2, steps, n_sites) phases of every coin, step and site, as the walk reads them."""
+    return np.broadcast_to(fld.phases, (2, fld.steps, fld.n_sites))
 
 
 def test_ordered_field_is_all_zero():
     fld = make(DisorderKind.ORDERED)
-    for t in (1, 5, 10):
-        phi_l, phi_r = fld.step_phases(t)
-        assert not phi_l.any() and not phi_r.any()
+    assert table(fld).shape == (2, 10, fld.n_sites) and not table(fld).any()
 
 
 def test_static_is_time_constant():
     fld = make(DisorderKind.STATIC, steps=80)
-    for x in (-5, 0, 11):
-        assert fld.phases_at(x, 3) == fld.phases_at(x, 77)
+    o = lattice_for(80)[1]
+    for i in (o - 5, o, o + 11):
+        assert np.array_equal(table(fld)[:, 2, i], table(fld)[:, 76, i])
 
 
 def test_dynamic_is_space_constant():
     fld = make(DisorderKind.DYNAMIC)
+    o = lattice_for(10)[1]
     for t in (1, 4, 10):
-        assert fld.phases_at(-5, t) == fld.phases_at(9, t)
+        assert np.array_equal(table(fld)[:, t - 1, o - 5], table(fld)[:, t - 1, o + 9])
 
 
 def test_fluctuating_varies_in_space_and_time():
     fld = make(DisorderKind.FLUCTUATING, steps=12)
-    assert fld.phases_at(0, 1) != fld.phases_at(0, 2)
-    assert fld.phases_at(0, 1) != fld.phases_at(1, 1)
+    o = lattice_for(12)[1]
+    assert (table(fld)[:, 0, o] != table(fld)[:, 1, o]).all()
+    assert (table(fld)[:, 0, o] != table(fld)[:, 0, o + 1]).all()
 
 
 def test_combined_is_componentwise_sum():
     fld = make(DisorderKind.COMBINED, steps=6, phi_static=PI, phi_dynamic=PI / 2)
     site = make(DisorderKind.STATIC, steps=6, phi_max=PI).phases  # the same seed's static draw
     fluct = make(DisorderKind.FLUCTUATING, steps=6, phi_max=PI / 2).phases
-    i = fld.origin + 2
+    i = lattice_for(6)[1] + 2
     for t in (1, 3, 6):
-        phi_l, phi_r = fld.phases_at(2, t)
+        phi_l, phi_r = table(fld)[:, t - 1, i]
         assert phi_l == pytest.approx(site[0, 0, i] + fluct[0, t - 1, i])
         assert phi_r == pytest.approx(site[1, 0, i] + fluct[1, t - 1, i])
 
@@ -58,9 +64,9 @@ def test_combined_is_componentwise_sum():
 def test_zero_strength_matches_ordered_evolution():
     steps = 15
     n, o = lattice_for(steps)
-    zero = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=steps, n_sites=n, origin=o, seed=3)
+    zero = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=steps, n_sites=n, seed=3)
     [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([zero]))
-    ordered = sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n, origin=o)
+    ordered = sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n)
     [b] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([ordered]))
     np.testing.assert_array_equal(a, b)
 
@@ -115,11 +121,6 @@ def test_mistyped_strength_rejected(kind, strengths):
         {"steps": -1},
         {"n_sites": 9.0},
         {"n_sites": 0},
-        {"origin": 4.0},
-        {"origin": np.bool_(True)},
-        {"origin": 99},
-        {"origin": -1},
-        {"origin": 9},
         {"seed": True},
         {"seed": 1.0},
         {"seed": None},
@@ -129,9 +130,9 @@ def test_mistyped_strength_rejected(kind, strengths):
 )
 @pytest.mark.parametrize("kind", [DisorderKind.ORDERED, DisorderKind.STATIC], ids=lambda k: k.value)
 def test_bad_geometry_or_seed_rejected_before_any_draw(kind, geometry, monkeypatch):
-    # int() once ran steps=2.5 as 2 steps and seed=True as seed 1, and accepted origin=99 on 9 sites
+    # int() once ran steps=2.5 as 2 steps and seed=True as seed 1
     monkeypatch.setattr("dtqw.disorder._substream", lambda *_: pytest.fail("drew before rejecting"))
-    args = {"steps": 4, "n_sites": 9, "origin": 4, "seed": 0, **geometry}
+    args = {"steps": 4, "n_sites": 9, "seed": 0, **geometry}
     with pytest.raises(ValueError):
         sample_phase_field(kind, phi_max=PI, **args)
 
@@ -157,24 +158,24 @@ def test_unread_strength_is_still_checked_before_any_draw(kind, strengths, monke
 
 
 def test_numpy_integer_geometry_draws_as_python_int():
-    plain = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=4, n_sites=9, origin=4, seed=7)
+    plain = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=4, n_sites=9, seed=7)
     numpy = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=np.int64(4), n_sites=np.int32(9),
-                               origin=np.int64(4), seed=np.uint32(7))
+                               seed=np.uint32(7))
     np.testing.assert_array_equal(plain.phases, numpy.phases)
-    assert (numpy.steps, numpy.n_sites, numpy.origin) == (4, 9, 4)
+    assert (numpy.steps, numpy.n_sites) == (4, 9) and type(numpy.steps) is type(numpy.n_sites) is int
 
 
 def test_missing_strength_rejected():
-    n, o = lattice_for(5)
+    n, _ = lattice_for(5)
     with pytest.raises(ValueError):
-        sample_phase_field(DisorderKind.DYNAMIC, steps=5, n_sites=n, origin=o, seed=0)
+        sample_phase_field(DisorderKind.DYNAMIC, steps=5, n_sites=n, seed=0)
     with pytest.raises(ValueError):
-        sample_phase_field(DisorderKind.COMBINED, phi_static=PI, steps=5, n_sites=n, origin=o, seed=0)
+        sample_phase_field(DisorderKind.COMBINED, phi_static=PI, steps=5, n_sites=n, seed=0)
     # a one-component kind reads phi_max only; it once fell back to the matching phi_static or phi_dynamic
     for kind, strengths in ((DisorderKind.STATIC, {"phi_static": PI}), (DisorderKind.DYNAMIC, {"phi_dynamic": PI}),
                             (DisorderKind.FLUCTUATING, {"phi_static": PI, "phi_dynamic": PI})):
         with pytest.raises(ValueError, match=f"{kind.value} disorder needs phi_max"):
-            sample_phase_field(kind, **strengths, steps=5, n_sites=n, origin=o, seed=0)
+            sample_phase_field(kind, **strengths, steps=5, n_sites=n, seed=0)
 
 
 def test_strength_fields_name_the_field_each_component_reads():
@@ -201,21 +202,18 @@ def test_all_stored_phases_within_strength():
 
 
 def test_out_of_range_lookup_rejected():
-    fld = make(DisorderKind.STATIC, steps=5)
-    with pytest.raises(IndexError):
-        fld.phases_at(0, 0)
-    with pytest.raises(IndexError):
-        fld.phases_at(0, 6)
-    with pytest.raises(IndexError):
-        fld.phases_at(10**6, 1)
+    batch = FieldBatch([make(DisorderKind.STATIC, steps=5)])
+    for t in (0, 6):
+        with pytest.raises(IndexError, match="outside 1..5"):
+            batch.coin_factors(t, slice(None))
 
 
 def test_fluctuating_forced_constant_reproduces_static():
     steps = 12
     n, o = lattice_for(steps)
-    fluct = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=8)
+    fluct = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=PI, steps=steps, n_sites=n, seed=8)
     frozen = dataclasses.replace(fluct, phases=np.tile(fluct.phases[:, :1], (1, steps, 1)))
-    static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=8)
+    static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, seed=8)
     static = dataclasses.replace(static, phases=fluct.phases[:, :1])
     [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([frozen]))
     [b] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([static]))
@@ -226,9 +224,9 @@ def test_combined_with_zero_dynamic_reproduces_static():
     steps = 10
     n, o = lattice_for(steps)
     combined = sample_phase_field(
-        DisorderKind.COMBINED, phi_static=PI, phi_dynamic=0.0, steps=steps, n_sites=n, origin=o, seed=21
+        DisorderKind.COMBINED, phi_static=PI, phi_dynamic=0.0, steps=steps, n_sites=n, seed=21
     )
-    static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=21)
+    static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, seed=21)
     np.testing.assert_array_equal(combined.phases[0], np.broadcast_to(static.phases[0], (steps, n)))
     np.testing.assert_array_equal(combined.phases[1], np.broadcast_to(static.phases[1], (steps, n)))
     [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([combined]))
@@ -240,9 +238,9 @@ def test_combined_with_zero_static_reproduces_fluctuating():
     steps = 10
     n, o = lattice_for(steps)
     combined = sample_phase_field(
-        DisorderKind.COMBINED, phi_static=0.0, phi_dynamic=PI, steps=steps, n_sites=n, origin=o, seed=22
+        DisorderKind.COMBINED, phi_static=0.0, phi_dynamic=PI, steps=steps, n_sites=n, seed=22
     )
-    fluct = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=PI, steps=steps, n_sites=n, origin=o, seed=22)
+    fluct = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=PI, steps=steps, n_sites=n, seed=22)
     np.testing.assert_array_equal(combined.phases[0], fluct.phases[0])
     [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([combined]))
     [b] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fluct]))
@@ -273,8 +271,7 @@ def test_tables_are_read_only():
 def test_phases_are_the_l_then_r_draws_of_each_component_substream(kind, seed):
     # substream 0 draws static phases per site, 1 dynamic phases per step, 2 fluctuating phases per (step, site)
     steps, n = 5, 13
-    fld = sample_phase_field(kind, phi_max=1.0, phi_static=2.0, phi_dynamic=1.5, steps=steps, n_sites=n, origin=6,
-                             seed=seed)
+    fld = sample_phase_field(kind, phi_max=1.0, phi_static=2.0, phi_dynamic=1.5, steps=steps, n_sites=n, seed=seed)
 
     def draws(index, strength, size):
         rng = _substream(seed, index)
@@ -308,14 +305,14 @@ def test_phases_are_the_l_then_r_draws_of_each_component_substream(kind, seed):
 def test_a_field_rejects_a_table_whose_shape_does_not_fit_its_kind(kind, steps, n_sites, shape):
     # both first two once constructed and failed only inside FieldBatch (TypeError, IndexError)
     with pytest.raises(ValueError, match="needs phases of shape"):
-        PhaseField(kind, steps, n_sites, 4, None if shape is None else np.zeros(shape))
+        PhaseField(kind, steps, n_sites, None if shape is None else np.zeros(shape))
 
 
 def test_a_field_takes_the_table_shape_its_kind_draws():
     for kind, shape in [(DisorderKind.ORDERED, (2, 1, 1)), (DisorderKind.STATIC, (2, 1, 9)),
                         (DisorderKind.DYNAMIC, (2, 3, 1)), (DisorderKind.FLUCTUATING, (2, 3, 9)),
                         (DisorderKind.COMBINED, (2, 3, 9))]:
-        assert PhaseField(kind, 3, 9, 4, np.zeros(shape)).phases.shape == shape
+        assert PhaseField(kind, 3, 9, np.zeros(shape)).phases.shape == shape
 
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
@@ -325,7 +322,7 @@ def test_coin_factors_of_selected_sites_equal_those_cells_of_the_whole_lattice(k
     batch = FieldBatch(fields)
     n = fields[0].n_sites
     for t in (1, 4, 6):
-        whole = np.stack([np.exp(1j * np.asarray(f.step_phases(t))) for f in fields])  # (configs, L/R, n_sites)
+        whole = np.stack([np.exp(1j * table(f)[:, t - 1]) for f in fields])  # (configs, L/R, n_sites)
         for sites in (slice(None), slice(2, n - 3), slice(3, 4), slice(1, n - 1, 2), slice(2, n - 2, 2)):
             for coin, factor in enumerate(batch.coin_factors(t, sites)):
                 want = whole[:, coin, sites]
@@ -360,12 +357,12 @@ def packed_selections(first, count, stride, n_sites):
 def test_packed_coin_factors_equal_those_of_the_whole_tables(kind, starts, n_sites):
     steps = 8
     fields = [sample_phase_field(kind, phi_static=PI, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
-                                 origin=starts[0], seed=seed) for seed in range(3)]
+                                 seed=seed) for seed in range(3)]
     batch = FieldBatch(iter(fields), starts, len(fields))
     firsts, counts, stride = light_cone_rows(steps, n_sites, starts)
     assert stride == (2 if (starts[1] - starts[0]) % 2 == 0 else 1)
     for t in range(1, steps + 1):
-        whole = np.stack([np.exp(1j * np.asarray(f.step_phases(t))) for f in fields])  # (configs, L/R, n_sites)
+        whole = np.stack([np.exp(1j * table(f)[:, t - 1]) for f in fields])  # (configs, L/R, n_sites)
         inside, outside = packed_selections(firsts[t - 1], counts[t - 1], stride, n_sites)
         for sites in inside:
             for coin, factor in enumerate(batch.coin_factors(t, sites)):
@@ -394,7 +391,7 @@ def test_light_cone_rows_follow_the_walk():
 def test_a_batch_refuses_starts_whose_light_cone_leaves_the_lattice(kind):
     def batch(n_sites, starts, steps=8):
         fields = [sample_phase_field(kind, phi_static=PI, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
-                                     origin=starts[0], seed=seed) for seed in range(3)]
+                                     seed=seed) for seed in range(3)]
         return FieldBatch(iter(fields), starts, len(fields))
 
     # 8 steps from sites 8 and 10 fill sites 0 .. 18: the tightest lattice holds them, one site less on either side
@@ -414,7 +411,7 @@ def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
     def draws():
         for seed in range(4):
             assert all(ref() is None for ref in alive)
-            fld = sample_phase_field(DisorderKind.COMBINED, phi_max=PI, steps=6, n_sites=n, origin=o, seed=seed)
+            fld = sample_phase_field(DisorderKind.COMBINED, phi_max=PI, steps=6, n_sites=n, seed=seed)
             alive.append(weakref.ref(fld))
             yield fld
             del fld
@@ -426,7 +423,7 @@ def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
         FieldBatch(draws(), (o, o), 5)
     with pytest.raises(ValueError, match="got more fields"):  # the fourth field was once dropped without a word
         FieldBatch(draws(), (o, o), 3)
-    static = [sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=6, n_sites=n, origin=o, seed=seed)
+    static = [sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=6, n_sites=n, seed=seed)
               for seed in range(5)]
     with pytest.raises(ValueError, match="got more fields"):
         FieldBatch(static, (o, o), 3)
@@ -445,7 +442,7 @@ def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
 ])
 def test_seed_independent_fields_draw_the_same_phases_from_every_seed(kind, strengths, independent):
     assert seed_independent(kind, **strengths) is independent
-    n, o = lattice_for(6)
-    tables = [sample_phase_field(kind, **strengths, steps=6, n_sites=n, origin=o, seed=seed).phases
+    n, _ = lattice_for(6)
+    tables = [sample_phase_field(kind, **strengths, steps=6, n_sites=n, seed=seed).phases
               for seed in (0, 1)]
     assert np.array_equal(*tables) is independent

@@ -596,12 +596,12 @@ def test_a_strength_is_accepted_exactly_when_it_changes_the_drawn_phases(name, k
     given = {key: 1.0, **({"disorder": kind} if kind else {})}
     cfg = dataclasses.replace(preset(name), steps=3, disorder=kind or preset(name).disorder)
     changed = dataclasses.replace(cfg, **given)
-    n_sites, origin, _ = observables._geometry(cfg)
+    n_sites, _, _ = observables._geometry(cfg)
     swept = {plan.sweep: cfg.sweep_values[-1]} if plan.sweep else {}
     kinds = plan.kinds or (cfg.disorder,)
 
     def phases(c):
-        return [observables._field_for(dataclasses.replace(c, disorder=k, **swept), c.seed, n_sites, origin).phases
+        return [observables._field_for(dataclasses.replace(c, disorder=k, **swept), c.seed, n_sites).phases
                 for k in kinds]
 
     moved = any(not np.array_equal(a, b) for a, b in zip(phases(cfg), phases(changed)))
