@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .core import (  # noqa: F401
     COIN_L,
     COIN_R,
-    LatticeOverflowError,
     delta_state,
     evolve,
     lattice_for,

@@ -3,9 +3,10 @@
 A walker carries a two-level coin; one step applies a (possibly site- and
 step-dependent) phased Hadamard coin to the internal state and then shifts
 the L component one site left and the R component one site right.  The
-lattice is a plain segment: ``evolve`` refuses, before any step, a walk
+lattice is a plain segment: a walk's ``FieldBatch`` refuses start sites
 whose light cone leaves it, so callers allocate enough sites up front (see
-``lattice_for``).  Leading axes of the amplitude array batch independent
+``lattice_for``), and the batch's start sites fix the cells ``evolve``
+steps.  Leading axes of the amplitude array batch independent
 walkers (for example configurations x walkers), which all step at once.
 
 Conventions: a walker's state is a plain complex array, stored coin-major,
@@ -28,10 +29,6 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: Coin basis indices (L shifts to x-1, R shifts to x+1).
 COIN_L = 0
 COIN_R = 1
-
-
-class LatticeOverflowError(RuntimeError):
-    """The light cone of a walk at its last stop leaves the allocated lattice."""
 
 
 def light_cone(t, starts: Sequence[int]) -> tuple:
@@ -72,23 +69,22 @@ def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndar
     """Walk the coined step from ``initial`` through ``stops``, yielding the amplitudes at each.
 
     ``stops`` is a sequence of non-decreasing step counts >= 0, the last
-    one at most ``field.steps`` (ValueError otherwise, also for a bare
-    integer, before any step).  ``field`` is a
+    one at most ``field.steps``.  ``field`` is a
     :class:`dtqw.disorder.FieldBatch` of C configurations: its coin factors
-    broadcast against a (C, walkers, 2, n_sites) batch, and, for
-    ``FieldBatch([field])``, against one walker of shape (2, n_sites).  Step
-    t writes e_L (a + b) / sqrt(2) one site left and e_R (a - b) / sqrt(2)
-    one site right into the spare of two complex128 buffers, allocated in
-    the memory layout of ``initial``, and swaps them.  Each stop yields a
-    read-only view of the current buffer, shaped like ``initial`` and valid
-    until the walk resumes; a one-shot caller writes ``[amps] =
-    evolve(initial, [steps], field)``.  It steps the ``light_cone`` of the
-    sites occupied at the start (by any walker or coin), and raises
-    ``LatticeOverflowError`` before any step, without a coin factor, when
-    that cone at the last stop leaves the lattice (it may fill the edge
-    sites).  An all-zero start stays zero.  Every amplitude equals that of
-    stepping every site bit for bit (up to the sign of a zero), whatever the
-    batch it evolves in and the other stops.
+    broadcast against a (C, walkers, 2, n_sites) batch, and, for one field,
+    against one walker of shape (2, n_sites).  Its ``starts`` fix the cells:
+    step t steps ``light_cone(t - 1, field.starts)``, which the batch has
+    checked against the lattice.  Bad stops, a start on another lattice than
+    ``field.n_sites`` sites and a start with amplitude off the cells of
+    ``light_cone(0, field.starts)`` raise ValueError before any step,
+    without a coin factor.  Step t writes e_L (a + b) / sqrt(2) one site
+    left and e_R (a - b) / sqrt(2) one site right into the spare of two
+    complex128 buffers, allocated in the memory layout of ``initial``, and
+    swaps them.  Each stop yields a read-only view of the current buffer,
+    shaped like ``initial`` and valid until the walk resumes; a one-shot
+    caller writes ``[amps] = evolve(initial, [steps], field)``.  Every
+    amplitude equals that of stepping every site bit for bit (up to the
+    sign of a zero), whatever the batch it evolves in and the other stops.
     """
     shape = np.shape(initial)
     if len(shape) < 2 or shape[-2] != 2:
@@ -103,22 +99,20 @@ def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndar
     end = max(stops, default=0)
     if end > field.steps:
         raise ValueError(f"stop {end} lies beyond the {field.steps} steps of the field")
+    if shape[-1] != field.n_sites:
+        raise ValueError(f"a start on {shape[-1]} sites cannot walk on the field's {field.n_sites} sites")
+    lo, hi, stride = light_cone(0, field.starts)
+    start = np.asarray(initial)  # the checks below read views of it
+    if start[..., :lo].any() or start[..., hi + 1 :].any() or stride == 2 and start[..., lo + 1 : hi : 2].any():
+        raise ValueError(f"the start has amplitude off the cells of its start sites {list(field.starts)}")
     # one walker steps as a batch of one; order "K" keeps the layout of a batch, also of a broadcast (stride-0) one
-    amps = np.array(initial, dtype=np.complex128, order="K", ndmin=4)
+    amps = np.array(start, dtype=np.complex128, order="K", ndmin=4)
     spare = np.zeros_like(amps)
-    occupied = np.flatnonzero(amps.any(axis=(0, 1, 2))).tolist()
-    if occupied:
-        lo, hi, stride = light_cone(0, occupied)
-        first, last, _ = light_cone(end, occupied)
-        if first < 0 or last >= amps.shape[-1]:
-            raise LatticeOverflowError(f"the light cone at step {stops[-1]} leaves the lattice; see lattice_for")
-    else:  # an all-zero start stays zero: no step runs
-        stops = [0] * len(stops)
     done = 0
     for stop in stops:
         for t in range(done + 1, stop + 1):
             sites = slice(lo, hi + 1, stride)
-            e_l, e_r = field.coin_factors(t, sites)
+            e_l, e_r = field.coin_factors(t)
             left, right = spare[..., 0, lo - 1 : hi : stride], spare[..., 1, lo + 1 : hi + 2 : stride]
             np.add(amps[..., 0, sites], amps[..., 1, sites], out=left)
             np.multiply(e_l, left, out=left)

@@ -18,9 +18,10 @@ Each component draws from its own substream of the seed, so e.g.
 to ``static`` with the same seed, and a field whose strengths are all 0
 draws the same zeros from every seed (``seed_independent``).  Fields are
 immutable after sampling and safe to share across parallel evolutions.  A
-``FieldBatch`` packs what one batched evolution of several configurations
-reads of their fields; it is the only source of coin factors that the step
-engine reads.
+``FieldBatch`` packs what one batched walk of several configurations from
+given start sites reads of their fields; it is the only source of coin
+factors that the step engine reads, and its starts fix the cells the walk
+steps.
 """
 
 from __future__ import annotations
@@ -123,18 +124,14 @@ class PhaseField:
         self.phases.setflags(write=False)
 
 
-def light_cone_rows(steps: int, n_sites: int, starts: Optional[Sequence[int]] = None
-                    ) -> tuple[np.ndarray, np.ndarray, int]:
-    """The sites each step can read: (first site of each row, sites in each row, stride).
+def light_cone_rows(steps: int, n_sites: int, starts: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(first site, sites, stride) of the row that each step of a walk from the array indices ``starts`` reads.
 
-    Row t - 1 belongs to step t (1-based) of a walk whose walkers start on
-    the array indices ``starts``: it covers the light cone of t - 1 steps
-    (``core.light_cone``), the sites ``core.evolve`` steps, and a walk whose
-    cone after ``steps`` steps leaves the lattice raises ValueError.  Without
-    ``starts`` every row is the whole lattice.
+    Row t - 1 belongs to step t (1-based): it covers the light cone of t - 1
+    steps (``core.light_cone``), the sites ``core.evolve`` steps.  This is
+    the one check that a walk fits its lattice: a cone that leaves it after
+    ``steps`` steps raises ValueError.
     """
-    if starts is None:
-        return np.zeros(steps, dtype=np.intp), np.full(steps, n_sites, dtype=np.intp), 1
     lo, hi, _ = light_cone(steps, starts)
     if lo < 0 or hi >= n_sites:
         raise ValueError(f"the light cone of {steps} steps from sites {list(starts)} leaves the lattice")
@@ -142,11 +139,11 @@ def light_cone_rows(steps: int, n_sites: int, starts: Optional[Sequence[int]] = 
     return first, (last - first) // stride + 1, stride
 
 
-def batch_floats(kind: DisorderKind, steps: int, n_sites: int, starts: Optional[Sequence[int]]) -> tuple[int, int]:
+def batch_floats(kind: DisorderKind, steps: int, n_sites: int, starts: Sequence[int]) -> tuple[int, int]:
     """(floats a ``FieldBatch`` on ``starts`` keeps of each ``kind`` field, floats of that field's draws).
 
     A batch keeps exp(i phi) of a whole table with one row or one column, and
-    the phases of both coins on the light-cone cells otherwise.
+    the phases of both coins on the walk's light-cone cells otherwise.
     """
     drawn = draw_shapes(kind, steps, n_sites)
     _, rows, cols = (drawn or [(2, 1, 1)])[0]
@@ -155,40 +152,38 @@ def batch_floats(kind: DisorderKind, steps: int, n_sites: int, starts: Optional[
 
 
 class FieldBatch:
-    """Fields of one table shape and geometry, for one batched evolution of all of them.
+    """Fields of one table shape and geometry, for one batched walk of all of them from the sites ``starts``.
 
-    ``coin_factors(t, sites)`` returns (exp(i phi_L), exp(i phi_R)) of the
-    sites selected by the slice ``sites``, each shaped (configs, 1, sites),
-    so they broadcast against amplitudes of shape (configs, walkers, sites);
-    a batch of one field also broadcasts against a single walker's (sites,).
-    The shape of the fields' ``phases`` picks the storage.  A table that is
-    constant in time or in space (ordered, static and dynamic disorder) is
-    exponentiated once into one (configs, 2, rows, cols) array, which every
-    step reads as a broadcast view.  A table that changes in both
-    (fluctuating and combined disorder) is packed into one (configs, 2,
-    cells) array that holds only the rows of ``light_cone_rows(steps,
-    n_sites, starts)`` (without ``starts``, whole rows); each step
-    exponentiates one slice of it, and a selection outside its row raises
-    ValueError, as do ``starts`` that ``light_cone_rows`` refuses.  ``fields``
-    may be an iterator that draws the fields one at a time (then ``configs``
+    ``starts``, the array indices the walkers start on (kept as
+    ``batch.starts``), fix the cells: step t reads row t - 1 of
+    ``light_cone_rows(steps, n_sites, starts)``, which refuses starts whose
+    light cone leaves the lattice.  ``coin_factors(t)`` returns (exp(i phi_L),
+    exp(i phi_R)) on that row, each shaped (configs, 1, cells), to broadcast
+    against amplitudes of shape (configs, walkers, cells), or, for one field,
+    (cells,).  A table constant in time or in space (ordered, static and
+    dynamic disorder) is exponentiated once into one (configs, 2, rows, cols)
+    array, read through a view per row; a table that changes in both
+    (fluctuating and combined) is packed into one (configs, 2, cells) array
+    of the rows alone, and each step exponentiates its row.  ``fields`` may
+    be an iterator that draws the fields one at a time (then ``configs``
     gives their number, and fewer or more fields raise ValueError): each
     field's table is stored before the next one is drawn and kept no longer.
     Every factor is elementwise, so a configuration's factors are
-    bit-identical in any batch and selection.
+    bit-identical in any batch.
     """
 
-    def __init__(self, fields: Iterable[PhaseField], starts: Optional[Sequence[int]] = None,
-                 configs: Optional[int] = None):
+    def __init__(self, fields: Iterable[PhaseField], starts: Sequence[int], configs: Optional[int] = None):
         configs = len(fields) if configs is None else configs
         if configs < 1:
             raise ValueError("a field batch needs at least one field")
+        self.starts = tuple(starts)
         fields = iter(fields)
         for i in range(configs):
             field = next(fields, None)
             if field is None:
                 raise ValueError(f"a field batch of {configs} configurations got {i} fields")
             if i == 0:
-                cells = self._allocate(field, configs, starts)
+                cells = self._allocate(field, configs)
             elif (field.phases.shape, field.steps, field.n_sites) != (self._shape, self.steps, self.n_sites):
                 raise ValueError("a field batch needs one table shape, step count and lattice")
             if cells is None:
@@ -199,46 +194,34 @@ class FieldBatch:
         if next(fields, None) is not None:
             raise ValueError(f"a field batch of {configs} configurations got more fields")
 
-    def _allocate(self, field: PhaseField, configs: int, starts: Optional[Sequence[int]]) -> Optional[np.ndarray]:
-        """Allocate for ``configs`` fields like ``field``; returns, for packed
-        phases, each cell's index into a flat (steps, n_sites) table."""
+    def _allocate(self, field: PhaseField, configs: int) -> Optional[np.ndarray]:
+        """Allocate for ``configs`` fields like ``field`` and build each row's view of the store; returns, for
+        packed phases, each cell's index into a flat (steps, n_sites) table."""
         self.steps, self.n_sites, self._shape = steps, n_sites, shape = field.steps, field.n_sites, field.phases.shape
-        first, counts, self._stride = light_cone_rows(steps, n_sites, starts)  # checks the light cone
-        if 1 in shape[1:]:  # constant in time or in space, as batch_floats counts
+        first, counts, stride = light_cone_rows(steps, n_sites, self.starts)  # checks the light cone
+        self._packed = 1 not in shape[1:]  # constant in neither time nor space, as batch_floats counts
+        if not self._packed:
             self._store = np.empty((configs, *shape), dtype=np.complex128)
-            self._factors = np.broadcast_to(self._store, (configs, 2, steps, n_sites))
+            factors = np.broadcast_to(self._store, (configs, 2, steps, n_sites))
+            self._rows = [factors[:, :, r, None, lo : lo + (count - 1) * stride + 1 : stride]
+                          for r, (lo, count) in enumerate(zip(first.tolist(), counts.tolist()))]
             return None
         offset = np.concatenate(([0], np.cumsum(counts)))
-        self._first, self._offset = first.tolist(), offset.tolist()  # read per step
-        self._store, self._factors = np.empty((configs, 2, offset[-1])), None
+        self._store = np.empty((configs, 2, offset[-1]))
+        self._rows = [self._store[:, :, None, a:b] for a, b in zip(offset[:-1].tolist(), offset[1:].tolist())]
         # packed cell j of row r holds site first[r] + (j - offset[r]) * stride of step r + 1
-        sites = np.repeat(first - offset[:-1] * self._stride, counts) + np.arange(offset[-1]) * self._stride
+        sites = np.repeat(first - offset[:-1] * stride, counts) + np.arange(offset[-1]) * stride
         return np.repeat(np.arange(steps) * n_sites, counts) + sites
 
-    def coin_factors(self, t: int, sites: slice) -> tuple[np.ndarray, np.ndarray]:
-        """Coin factors of every configuration at the ``sites`` for step t (1-based)."""
+    def coin_factors(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coin factors of every configuration on the cells of step t (1-based)."""
         if not 1 <= t <= self.steps:
             raise IndexError(f"step {t} outside 1..{self.steps}")
-        if self._factors is not None:
-            factors = self._factors[:, :, t - 1, None, sites]
-        else:
-            factors = 1j * self._store[:, :, None, self._row_cells(t, sites)]
+        factors = self._rows[t - 1]
+        if self._packed:
+            factors = 1j * factors
             np.exp(factors, out=factors)
         return factors[:, 0], factors[:, 1]
-
-    def _row_cells(self, t: int, sites: slice) -> slice:
-        """The packed cells of row t that hold the lattice ``sites``."""
-        start, stop, step = sites.indices(self.n_sites)
-        count = len(range(start, stop, step))
-        first, stride, offset = self._first[t - 1], self._stride, self._offset[t - 1]
-        if not count:
-            return slice(offset, offset)
-        last = start + (count - 1) * step
-        row_last = first + (self._offset[t] - offset - 1) * stride
-        if start < first or last > row_last or (start - first) % stride or count > 1 and (step < 0 or step % stride):
-            raise ValueError(f"sites {sites} of step {t} lie outside its packed row")
-        begin, step = offset + (start - first) // stride, step // stride if count > 1 else 1
-        return slice(begin, begin + (count - 1) * step + 1, step)
 
 
 def check_strength(label: str, value) -> float:

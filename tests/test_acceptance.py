@@ -85,7 +85,7 @@ def test_criterion_1_oracle_equivalence():
             kind, phi_max=PI, phi_static=PI, phi_dynamic=PI,
             steps=t, n_sites=n, seed=int(rng.integers(2**63)),
         )
-        [state] = evolve(delta_state(n, o, 0, coin), [t], FieldBatch([fld]))
+        [state] = evolve(delta_state(n, o, 0, coin), [t], FieldBatch([fld], (o,)))
         slow = path_sum_amplitudes(o, coin, t, fld)
         assert slow.shape == state.shape == (2, n)
         worst = max(worst, float(np.abs(state - slow).max()))
@@ -111,7 +111,7 @@ def test_criterion_2_invariant_suite():
         t = 100
         n, o = lattice_for(t)
         fld = FieldBatch([sample_phase_field(kind, phi_max=PI, phi_static=PI, phi_dynamic=PI,
-                                             steps=t, n_sites=n, seed=seed)])
+                                             steps=t, n_sites=n, seed=seed)], (o,))
         for state in evolve(delta_state(n, o, 0, COIN_L), range(1, t + 1), fld):  # checking the norm after each step
             norm_drift = max(norm_drift, abs(float(np.sum(np.abs(state) ** 2)) - 1.0))
         p = np.abs(state[0]) ** 2 + np.abs(state[1]) ** 2
@@ -123,7 +123,7 @@ def test_criterion_2_invariant_suite():
         t2 = 25
         n2, o2 = lattice_for(t2, (0, 0))
         fld2 = FieldBatch([sample_phase_field(kind, phi_max=PI, phi_static=PI, phi_dynamic=PI,
-                                              steps=t2, n_sites=n2, seed=seed)])
+                                              steps=t2, n_sites=n2, seed=seed)], (o2, o2))
         [a] = evolve(delta_state(n2, o2, 0, COIN_L), [t2], fld2)
         [b] = evolve(delta_state(n2, o2, 0, COIN_R), [t2], fld2)
         marg = marginal(a, b)

@@ -35,7 +35,7 @@ def three_step_joint(sym):
     """Position-level joint of the 3-step ordered walk and the signed positions of its rows."""
     steps = 3
     n, o = lattice_for(steps, (0, 0))
-    fld = FieldBatch([sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n)])
+    fld = FieldBatch([sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n)], (o, o))
     [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], fld)
     [b] = evolve(delta_state(n, o, 0, COIN_R), [steps], fld)
     return aggregate_to_positions(joint_mode_distribution(a, b, sym)), np.arange(n) - o
@@ -131,8 +131,8 @@ def test_product_joint_variance_is_sum_of_single_variances():
     steps = 12
     n, o = lattice_for(steps, (0, 0))
     fld = sample_phase_field(DisorderKind.STATIC, phi_max=np.pi, steps=steps, n_sites=n, seed=40)
-    [psi_a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fld]))
-    [psi_b] = evolve(delta_state(n, o, 0, COIN_R), [steps], FieldBatch([fld]))
+    [psi_a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fld], (o,)))
+    [psi_b] = evolve(delta_state(n, o, 0, COIN_R), [steps], FieldBatch([fld], (o,)))
     x = (np.arange(n) - o).astype(float)
 
     def prob(state):
@@ -271,7 +271,7 @@ def test_chunked_batches_equal_per_walker_evolve_bitwise(monkeypatch, kind, budg
     n, o = lattice_for(cfg.steps)
     for i, (amps_a, amps_b) in enumerate(batched):
         fld = observables._field_for(cfg, cfg.seed + i, n)
-        [alone_a], [alone_b] = (evolve(delta_state(n, o, 0, coin), [cfg.steps], FieldBatch([fld]))
+        [alone_a], [alone_b] = (evolve(delta_state(n, o, 0, coin), [cfg.steps], FieldBatch([fld], (o,)))
                                 for coin in (COIN_L, COIN_R))
         assert np.array_equal(amps_a, alone_a) and np.array_equal(amps_b, alone_b)
 
@@ -434,7 +434,7 @@ def mode_reference_average(cfg):
     n, o = lattice_for(cfg.steps, cfg.start_sites)
     sums, marg = {sym: np.zeros((n, n)) for sym in ExchangeSymmetry}, np.zeros(n)
     for i in range(cfg.configs):
-        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n)])
+        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n)], [o + x for x in cfg.start_sites])
         [a] = evolve(delta_state(n, o, cfg.start_a[0], COIN_L), [cfg.steps], fld)
         [b] = evolve(delta_state(n, o, cfg.start_b[0], COIN_R), [cfg.steps], fld)
         for sym, acc in sums.items():
@@ -482,7 +482,7 @@ def test_series_values_equal_the_observables_of_mode_reference_joints(start_b):
     stops = [10, 30, 31, 32, 40]
     [series] = ensemble_run([cfg], ("variance", "entropy", "mutual_information"), eval_steps=stops)
     n, o = lattice_for(cfg.steps, cfg.start_sites)
-    fld = FieldBatch([observables._field_for(cfg, cfg.seed, n)])
+    fld = FieldBatch([observables._field_for(cfg, cfg.seed, n)], (o, o + start_b[0]))
     for i, t in enumerate(stops):
         [a] = evolve(delta_state(n, o, 0, COIN_L), [t], fld)
         [b] = evolve(delta_state(n, o, start_b[0], COIN_R), [t], fld)
@@ -527,7 +527,7 @@ def test_average_joints_bunch_bosons_and_antibunch_fermions(kind):
     n, o = lattice_for(cfg.steps)
     distinguishable = np.zeros((n, n))
     for i in range(cfg.configs):
-        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n)])
+        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n)], (o,))
         [a], [b] = (evolve(delta_state(n, o, 0, coin), [cfg.steps], fld) for coin in (COIN_L, COIN_R))
         a, b = a.T.reshape(-1), b.T.reshape(-1)
         product = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
