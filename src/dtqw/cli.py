@@ -83,7 +83,6 @@ def main(argv=None) -> int:
         doc = dataclasses.asdict(preset(name))
         doc.update(given)
         cfg = scenario_from_dict(doc)
-        cfg.validate()
         check_config(cfg, given)
         if args.jobs < 1:
             raise ValueError(f"--jobs must be >= 1, got {args.jobs}")

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import COIN_L, COIN_R
+from .core import COIN_L, COIN_R, check_integer
 from .disorder import DisorderKind, check_strength
 
 DEFAULT_PHI_MAX = float(np.pi)
@@ -20,21 +19,23 @@ SYMMETRY_CHOICES = ("bosonic", "fermionic", "both")
 FORMAT_CHOICES = ("csv", "json")
 
 
-def _is_real(value) -> bool:
-    # bool is a Real; JSON true must not pass for 1
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _start_pair(label: str, value) -> tuple:
-    """(site, coin) with the coin name upper-cased; the site is checked by ``validate``."""
+    """(site, coin) with the site an integer and the coin name upper-cased, L or R."""
     if isinstance(value, (str, bytes)) or not isinstance(value, Sequence) or len(value) != 2:
         raise ValueError(f"{label} must be a [site, coin] pair, got {value!r}")
-    return value[0], str(value[1]).upper()
+    site, coin = check_integer("start site", value[0]), str(value[1]).upper()
+    if coin not in COIN_NAMES:
+        raise ValueError(f"start coin must be L or R, got {coin!r}")
+    return site, coin
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one experiment (or one sweep of experiments)."""
+    """Full description of one experiment (or one sweep of experiments).
+
+    Frozen, and checked when it is made, also by ``dataclasses.replace``: an
+    invalid field raises ValueError, so every instance is valid.
+    """
 
     name: str
     steps: int
@@ -55,32 +56,21 @@ class ScenarioConfig:
     format: str = "csv"
 
     def __post_init__(self) -> None:
-        self.disorder = DisorderKind(self.disorder)
-        self.start_a = _start_pair("start_a", self.start_a)
-        self.start_b = _start_pair("start_b", self.start_b)
+        # the normalized fields are each set once, on the frozen instance
+        object.__setattr__(self, "disorder", DisorderKind(self.disorder))
+        object.__setattr__(self, "start_a", _start_pair("start_a", self.start_a))
+        object.__setattr__(self, "start_b", _start_pair("start_b", self.start_b))
         if isinstance(self.sweep_values, (str, bytes)) or not isinstance(self.sweep_values, Sequence):
             raise ValueError(f"sweep_values must be a list of strengths, got {self.sweep_values!r}")
-        # non-numbers are kept for validate() to reject
-        self.sweep_values = tuple(float(v) if _is_real(v) else v for v in self.sweep_values)
-
-    def validate(self) -> None:
-        for label in ("steps", "configs", "seed"):
-            value = getattr(self, label)
-            # bool is an Integral; JSON true must not pass for 1
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{label} must be an integer, got {value!r}")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.configs < 1:
-            raise ValueError("configs must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        object.__setattr__(self, "sweep_values",
+                           tuple(check_strength("every sweep_values entry", v) for v in self.sweep_values))
+        check_integer("steps", self.steps, 1)
+        check_integer("configs", self.configs, 1)
+        check_integer("seed", self.seed, 0)
         check_strength("phi_max", self.phi_max)
         for label in ("phi_static", "phi_dynamic"):
             if getattr(self, label) is not None:
                 check_strength(label, getattr(self, label))
-        for value in self.sweep_values:
-            check_strength("every sweep_values entry", value)
         if any(lo >= hi for lo, hi in zip(self.sweep_values, self.sweep_values[1:])):
             raise ValueError("sweep values must be strictly ascending")
         if self.symmetry not in SYMMETRY_CHOICES:
@@ -89,11 +79,6 @@ class ScenarioConfig:
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
         if self.format not in FORMAT_CHOICES:
             raise ValueError(f"format must be one of {FORMAT_CHOICES}, got {self.format!r}")
-        for site, coin in (self.start_a, self.start_b):
-            if isinstance(site, bool) or not isinstance(site, numbers.Integral):
-                raise ValueError(f"start site must be an integer, got {site!r}")
-            if coin not in COIN_NAMES:
-                raise ValueError(f"start coin must be L or R, got {coin!r}")
         if self.start_a == self.start_b:
             raise ValueError("the two walkers need orthogonal starts (distinct site or coin)")
 

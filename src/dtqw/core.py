@@ -20,7 +20,8 @@ layout, and ``light_cone`` is the one rule for the sites a walk can reach.
 from __future__ import annotations
 
 import math
-from typing import Iterator, Sequence
+import numbers
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +30,16 @@ INV_SQRT2 = 1.0 / math.sqrt(2.0)
 #: Coin basis indices (L shifts to x-1, R shifts to x+1).
 COIN_L = 0
 COIN_R = 1
+
+
+def check_integer(label: str, value, low: Optional[int] = None):
+    """``value`` if it is an integer (not a bool) and at least ``low``, if given; ValueError otherwise."""
+    # bool is an Integral; JSON true must not pass for 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{label} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{label} must be >= {low}")
+    return value
 
 
 def light_cone(t, starts: Sequence[int]) -> tuple:
@@ -48,9 +59,7 @@ def lattice_for(steps: int, start_sites: Sequence[int] = (0,)) -> tuple[int, int
     site, but one stays on each side: every emitted joint and marginal table
     lists every lattice site, so a tighter lattice would change the files.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    lo, hi, _ = light_cone(steps, start_sites)
+    lo, hi, _ = light_cone(check_integer("steps", steps, 0), start_sites)
     return hi - lo + 3, 1 - lo
 
 
@@ -68,8 +77,8 @@ def delta_state(n_sites: int, origin: int, x: int = 0, coin: int = COIN_L) -> np
 def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndarray]:
     """Walk the coined step from ``initial`` through ``stops``, yielding the amplitudes at each.
 
-    ``stops`` is a sequence of non-decreasing step counts >= 0, the last
-    one at most ``field.steps``.  ``field`` is a
+    ``stops`` is a sequence of non-decreasing step counts, each >= 0 by
+    ``check_integer``, the last one at most ``field.steps``.  ``field`` is a
     :class:`dtqw.disorder.FieldBatch` of C configurations: its coin factors
     broadcast against a (C, walkers, 2, n_sites) batch, and, for one field,
     against one walker of shape (2, n_sites).  Its ``starts`` fix the cells:
@@ -93,9 +102,10 @@ def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndar
         stops = list(stops)
     except TypeError:  # a bare integer, also a 0-d array
         raise ValueError(f"stops must be a sequence of integers, got {stops!r}") from None
-    if any(isinstance(t, bool) or not isinstance(t, (int, np.integer)) for t in stops) or any(
-            b < a for a, b in zip([0, *stops], stops)):
-        raise ValueError(f"stops must be non-decreasing integers >= 0, got {stops!r}")
+    for t in stops:
+        check_integer("every entry of stops", t, 0)
+    if any(b < a for a, b in zip(stops, stops[1:])):
+        raise ValueError(f"stops must be non-decreasing, got {stops!r}")
     end = max(stops, default=0)
     if end > field.steps:
         raise ValueError(f"stop {end} lies beyond the {field.steps} steps of the field")

@@ -34,7 +34,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import light_cone
+from .core import check_integer, light_cone
 
 TWO_PI = 2.0 * np.pi
 
@@ -157,10 +157,11 @@ class FieldBatch:
     ``starts``, the array indices the walkers start on (kept as
     ``batch.starts``), fix the cells: step t reads row t - 1 of
     ``light_cone_rows(steps, n_sites, starts)``, which refuses starts whose
-    light cone leaves the lattice.  ``coin_factors(t)`` returns (exp(i phi_L),
-    exp(i phi_R)) on that row, each shaped (configs, 1, cells), to broadcast
-    against amplitudes of shape (configs, walkers, cells), or, for one field,
-    (cells,).  A table constant in time or in space (ordered, static and
+    light cone leaves the lattice, and which must be integers (ValueError,
+    also for none, before any field is drawn).  ``coin_factors(t)`` returns
+    (exp(i phi_L), exp(i phi_R)) on that row, each shaped (configs, 1,
+    cells), to broadcast against amplitudes of shape (configs, walkers,
+    cells), or, for one field, (cells,).  A table constant in time or in space (ordered, static and
     dynamic disorder) is exponentiated once into one (configs, 2, rows, cols)
     array, read through a view per row; a table that changes in both
     (fluctuating and combined) is packed into one (configs, 2, cells) array
@@ -173,10 +174,12 @@ class FieldBatch:
     """
 
     def __init__(self, fields: Iterable[PhaseField], starts: Sequence[int], configs: Optional[int] = None):
+        self.starts = tuple(check_integer("every entry of starts", site) for site in starts)
+        if not self.starts:
+            raise ValueError("a field batch needs at least one start site")
         configs = len(fields) if configs is None else configs
         if configs < 1:
             raise ValueError("a field batch needs at least one field")
-        self.starts = tuple(starts)
         fields = iter(fields)
         for i in range(configs):
             field = next(fields, None)
@@ -255,22 +258,14 @@ def sample_phase_field(
     its own substream of ``seed``, and the field keeps the sum of the draws.
     Identical (kind, strengths, seed, dimensions) give bit-identical tables.
     The table indexes sites by array index; where the walkers start is the
-    caller's.  ``steps``, ``n_sites`` and ``seed`` must be integers (not
-    bools), with ``steps >= 0``, ``n_sites >= 1`` and ``seed >= 0``, and
-    every strength that is not None must pass ``check_strength``, read by the
-    kind or not; anything else raises ValueError before any draw.
+    caller's.  ``steps >= 0``, ``n_sites >= 1`` and ``seed >= 0`` must pass
+    ``core.check_integer``, and every strength that is not None must pass
+    ``check_strength``, read by the kind or not; anything else raises
+    ValueError before any draw.
     """
     kind = DisorderKind(kind)
-    for label, value in (("steps", steps), ("n_sites", n_sites), ("seed", seed)):
-        # bool is an Integral; True must not pass for 1
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{label} must be an integer, got {value!r}")
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
-    if n_sites < 1:
-        raise ValueError("n_sites must be >= 1")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for label, value, low in (("steps", steps, 0), ("n_sites", n_sites, 1), ("seed", seed, 0)):
+        check_integer(label, value, low)
     # checked even where the kind does not read them
     strengths = {label: None if value is None else check_strength(label, value)
                  for label, value in (("phi_max", phi_max), ("phi_static", phi_static), ("phi_dynamic", phi_dynamic))}

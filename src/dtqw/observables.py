@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .config import COIN_NAMES, ScenarioConfig
-from .core import delta_state, evolve, lattice_for, light_cone
+from .core import check_integer, delta_state, evolve, lattice_for, light_cone
 from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field, seed_independent
 from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, joint_factors, marginal_positions, placed
 
@@ -41,9 +41,7 @@ def variance_xm(m: np.ndarray, positions: np.ndarray) -> float:
 
 def classical_baseline(t: int) -> float:
     """Var(x_M) of two independent unbiased classical random walkers: 2t."""
-    if t < 0:
-        raise ValueError("steps must be >= 0")
-    return 2.0 * t
+    return 2.0 * check_integer("steps", t, 0)
 
 
 def joint_entropy(p: np.ndarray) -> float:
@@ -129,12 +127,10 @@ def _chunk_tasks(members: Sequence[tuple], stops: Sequence[int], measure: Callab
     what ``FieldBatch`` keeps of their fields, their walker states (the two
     buffers ``evolve`` walks in) and their ``result_floats`` of
     measurements, next to the tables the one field being packed draws, and
-    no more than an even share of ``n_jobs`` workers.
-    ``disorder.batch_floats`` gives both counts from the shapes of the
-    tables the kind draws.
+    no more than an even share of ``n_jobs`` workers, which ``_map_chunks``
+    has checked.  ``disorder.batch_floats`` gives both counts from the
+    shapes of the tables the kind draws.
     """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     cfg = members[0][0]
     n_sites, _, starts = _geometry(cfg)
     kept, packing = batch_floats(cfg.disorder, cfg.steps, n_sites, starts)
@@ -147,12 +143,12 @@ def _map_chunks(members: Sequence[tuple], stops: Sequence[int], measure: Callabl
                 n_jobs: int) -> Iterator[list[list]]:
     """``_run_chunk`` over the chunks of ``members``, yielded in member order.
 
-    Runs in worker processes if ``n_jobs > 1``, at most one per usable CPU
-    and per chunk: with the ``fork`` start method a pool starts all its
-    workers on the first submit, used or not.  Chunks are sized by that
-    capped count.
+    Runs in worker processes if ``n_jobs``, an integer >= 1, is above 1, at
+    most one per usable CPU and per chunk: with the ``fork`` start method a
+    pool starts all its workers on the first submit, used or not.  Chunks
+    are sized by that capped count.
     """
-    workers = min(n_jobs, _usable_cpus())
+    workers = min(check_integer("n_jobs", n_jobs, 1), _usable_cpus())
     tasks = _chunk_tasks(members, stops, measure, result_floats, workers)
     workers = min(workers, len(tasks))
     if workers == 1:
@@ -254,22 +250,20 @@ def ensemble_run(
     each config in order, one series per (observable, symmetry), keyed by
     name.  ``eval_steps`` is a nonempty sequence of integer steps in
     0..steps, in any order and with repeats (default: every step); each is
-    measured while the walk runs.  All configs' configurations run as one
-    ensemble whose chunks may cut across configs, and a configuration's
-    values do not depend on chunking or ``n_jobs``.  They are computed
-    independently and merged in configuration order, so serial and parallel
-    results are bit-identical, and each config's series equal those of its
-    run alone.  Where every seed draws the same field
-    (``disorder.seed_independent``), one configuration is evolved and its
-    values stand for all ``cfg.configs``: the series are those of the full
-    ensemble, bit for bit, with means equal to the values and spreads exactly
-    0.
+    measured while the walk runs.  ``n_jobs`` must be an integer >= 1.  All
+    configs' configurations run as one ensemble whose chunks may cut across
+    configs, and a configuration's values do not depend on chunking or
+    ``n_jobs``.  They are computed independently and merged in configuration
+    order, so serial and parallel results are bit-identical, and each
+    config's series equal those of its run alone.  Where every seed draws
+    the same field (``disorder.seed_independent``), one configuration is
+    evolved and its values stand for all ``cfg.configs``: the series are
+    those of the full ensemble, bit for bit, with means equal to the values
+    and spreads exactly 0.
     """
     cfgs = [] if isinstance(cfgs, ScenarioConfig) else list(cfgs)
     if not cfgs:
         raise ValueError("ensemble_run needs a nonempty list of configs")
-    for cfg in cfgs:
-        cfg.validate()
     cfg = cfgs[0]
     if any(replace(other, phi_max=cfg.phi_max, phi_static=cfg.phi_static, phi_dynamic=cfg.phi_dynamic) != cfg
            for other in cfgs):
@@ -281,9 +275,9 @@ def ensemble_run(
         steps = list(range(cfg.steps + 1) if eval_steps is None else eval_steps)
     except TypeError:  # a bare integer, also a 0-d array
         steps = []
-    if not steps or any(isinstance(t, bool) or not isinstance(t, (int, np.integer)) for t in steps):
+    if not steps:
         raise ValueError(f"eval_steps must be a nonempty sequence of integers, got {eval_steps!r}")
-    eval_steps = [int(t) for t in steps]
+    eval_steps = [int(check_integer("every entry of eval_steps", t)) for t in steps]
     if any(t < 0 or t > cfg.steps for t in eval_steps):
         raise ValueError("eval_steps must lie in 0..steps")
 
@@ -339,7 +333,6 @@ def ensemble_average_joints(cfg: ScenarioConfig, n_jobs: int = 1
     Each map, ((W + W^T) / 2 +/- X) / configs, is exactly symmetric, with
     roundoff below zero set to +0.0.
     """
-    cfg.validate()
     n_sites, origin, starts = _geometry(cfg)
     lo, _, stride = light_cone(cfg.steps, starts)
     cells = slice(lo % stride, None, stride)

@@ -232,7 +232,6 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
     as JSON, and a ``manifest.json`` with SHA-256 digests of every emitted
     file.  Identical (config, seed) produce byte-identical data files.
     """
-    cfg.validate()
     check_config(cfg, given={})
     _, plan = _lookup(cfg.name)
     kinds = plan.kinds or (cfg.disorder,)

@@ -23,14 +23,21 @@ def fourier_walk(amplitudes: np.ndarray, phases: np.ndarray, steps: int) -> np.n
     ``phases`` is a (2, rows, 1) table of L and R phases, row t - 1 read at
     step t, or one row read at every step.
     """
+    *_, last = fourier_walk_steps(amplitudes, phases, steps)
+    return last
+
+
+def fourier_walk_steps(amplitudes: np.ndarray, phases: np.ndarray, steps: int):
+    """Yield the amplitudes of ``fourier_walk`` after 0, 1, ..., ``steps`` steps, from one walk."""
     phases = np.asarray(phases)
     if phases.ndim != 3 or phases.shape[-1] != 1:
         raise ValueError(f"the momentum-space walk needs phases constant in space, got shape {phases.shape}")
     table = np.broadcast_to(phases[:, :, 0], (2, steps))
     k = 2 * np.pi * np.fft.fftfreq(np.shape(amplitudes)[-1])
     psi = np.fft.fft(amplitudes, axis=-1)
+    yield np.fft.ifft(psi, axis=-1)
     for t in range(steps):
         a, b = psi[..., 0, :], psi[..., 1, :]
         psi = np.stack([np.exp(1j * (table[0, t] + k)) * (a + b), np.exp(1j * (table[1, t] - k)) * (a - b)],
                        axis=-2) / np.sqrt(2)
-    return np.fft.ifft(psi, axis=-1)
+        yield np.fft.ifft(psi, axis=-1)

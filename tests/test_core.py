@@ -259,6 +259,9 @@ def test_lattice_for_sizes_the_light_cone():
     assert n == 2 * 10 + 3
     [out] = evolve(delta_state(n, o, 0, COIN_L), [10], FieldBatch([zero_field(10, n)], (o,)))
     assert norm(out) == pytest.approx(1.0)
+    for bad in (-1, 2.5, True):  # 2.5 once gave a lattice of 8.0 sites, True that of one step
+        with pytest.raises(ValueError, match="steps"):
+            lattice_for(bad)
 
 
 def test_delta_state_rejects_bad_coin():

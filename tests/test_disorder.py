@@ -368,6 +368,16 @@ def test_a_batch_refuses_starts_whose_light_cone_leaves_the_lattice(kind):
         with pytest.raises(ValueError, match="leaves the lattice"):
             light_cone_rows(8, n_sites, starts)
 
+    def no_draws():
+        pytest.fail("drew a field")
+        yield
+
+    # no start once raised from min(), a fractional or string start TypeError, and True walked from site 1
+    n, o = lattice_for(8)
+    for starts in ((), (o + 0.5,), (True,), ("3",), (o, o + 0.5)):
+        with pytest.raises(ValueError, match="start site|entry of starts"):
+            FieldBatch(no_draws(), starts, 3)
+
 
 def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
     n, o = lattice_for(6)

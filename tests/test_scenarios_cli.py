@@ -252,25 +252,33 @@ def test_scenario_config_round_trip():
 
 def test_scenario_config_validation_errors():
     with pytest.raises(ValueError):
-        ScenarioConfig("x", steps=0).validate()
+        ScenarioConfig("x", steps=0)
     with pytest.raises(ValueError):
-        ScenarioConfig("x", steps=5, configs=0).validate()
+        ScenarioConfig("x", steps=5, configs=0)
     with pytest.raises(ValueError):
-        ScenarioConfig("x", steps=5, phi_max=7.0).validate()
+        ScenarioConfig("x", steps=5, phi_max=7.0)
     with pytest.raises(ValueError):
-        ScenarioConfig("x", steps=5, symmetry="anyonic").validate()
+        ScenarioConfig("x", steps=5, symmetry="anyonic")
     with pytest.raises(ValueError):
-        ScenarioConfig("x", steps=5, start_a=(0, "L"), start_b=(0, "L")).validate()
+        ScenarioConfig("x", steps=5, start_a=(0, "L"), start_b=(0, "L"))
     with pytest.raises(ValueError):
-        ScenarioConfig("x", steps=5, sweep_values=(1.0, 0.5)).validate()
+        ScenarioConfig("x", steps=5, sweep_values=(1.0, 0.5))
     for bad in ({"steps": True}, {"steps": 10.5}, {"configs": True}, {"seed": -1}, {"seed": 1.0}):
         with pytest.raises(ValueError):
-            ScenarioConfig(**{"name": "x", "steps": 5, **bad}).validate()
+            ScenarioConfig(**{"name": "x", "steps": 5, **bad})
     with pytest.raises(ValueError):
         scenario_from_dict({"name": "x", "steps": 5, "bogus": 1})
     for bad in (1.0, "abc", None):  # a number once raised TypeError, a string was read one character at a time
         with pytest.raises(ValueError, match="sweep_values"):
             ScenarioConfig("x", steps=5, sweep_values=bad)
+
+
+def test_a_scenario_config_is_frozen_and_checked_also_when_replaced():
+    cfg = preset("fig3")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.steps = 0
+    with pytest.raises(ValueError, match="steps must be >= 1"):  # replace once returned an unchecked config
+        dataclasses.replace(cfg, steps=0)
 
 
 # --- CLI behaviour -----------------------------------------------------------
