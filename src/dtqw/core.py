@@ -42,6 +42,20 @@ def check_integer(label: str, value, low: Optional[int] = None):
     return value
 
 
+def check_stops(label: str, stops, last: int) -> list:
+    """``stops`` as a list if it is a nonempty sequence of non-decreasing integers in 0..``last``; ValueError otherwise."""
+    listed = list(stops) if np.iterable(stops) else []  # a bare integer, also a 0-d array, lists no stop
+    if not listed:
+        raise ValueError(f"{label} must be a nonempty sequence of integers, got {stops!r}")
+    for t in listed:
+        check_integer(f"every entry of {label}", t, 0)
+    if any(b < a for a, b in zip(listed, listed[1:])):
+        raise ValueError(f"{label} must be non-decreasing, got {listed!r}")
+    if listed[-1] > last:
+        raise ValueError(f"{label}: stop {listed[-1]} lies beyond the {last} steps")
+    return listed
+
+
 def light_cone(t, starts: Sequence[int]) -> tuple:
     """(lo, hi, stride) of a walk from the sites ``starts`` after ``t`` steps (an int or an int array).
 
@@ -59,7 +73,10 @@ def lattice_for(steps: int, start_sites: Sequence[int] = (0,)) -> tuple[int, int
     site, but one stays on each side: every emitted joint and marginal table
     lists every lattice site, so a tighter lattice would change the files.
     """
-    lo, hi, _ = light_cone(check_integer("steps", steps, 0), start_sites)
+    starts = [check_integer("every start site", x) for x in start_sites]
+    if not starts:
+        raise ValueError("lattice_for needs a start site")
+    lo, hi, _ = light_cone(check_integer("steps", steps, 0), starts)
     return hi - lo + 3, 1 - lo
 
 
@@ -77,8 +94,8 @@ def delta_state(n_sites: int, origin: int, x: int = 0, coin: int = COIN_L) -> np
 def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndarray]:
     """Walk the coined step from ``initial`` through ``stops``, yielding the amplitudes at each.
 
-    ``stops`` is a sequence of non-decreasing step counts, each >= 0 by
-    ``check_integer``, the last one at most ``field.steps``.  ``field`` is a
+    ``stops`` is a nonempty sequence of non-decreasing step counts, the last
+    one at most ``field.steps``: the rule of ``check_stops``.  ``field`` is a
     :class:`dtqw.disorder.FieldBatch` of C configurations: its coin factors
     broadcast against a (C, walkers, 2, n_sites) batch, and, for one field,
     against one walker of shape (2, n_sites).  Its ``starts`` fix the cells:
@@ -98,17 +115,7 @@ def evolve(initial: np.ndarray, stops: Sequence[int], field) -> Iterator[np.ndar
     shape = np.shape(initial)
     if len(shape) < 2 or shape[-2] != 2:
         raise ValueError(f"amplitudes must have shape (..., 2, n_sites), got {shape}")
-    try:
-        stops = list(stops)
-    except TypeError:  # a bare integer, also a 0-d array
-        raise ValueError(f"stops must be a sequence of integers, got {stops!r}") from None
-    for t in stops:
-        check_integer("every entry of stops", t, 0)
-    if any(b < a for a, b in zip(stops, stops[1:])):
-        raise ValueError(f"stops must be non-decreasing, got {stops!r}")
-    end = max(stops, default=0)
-    if end > field.steps:
-        raise ValueError(f"stop {end} lies beyond the {field.steps} steps of the field")
+    stops = check_stops("stops", stops, field.steps)
     if shape[-1] != field.n_sites:
         raise ValueError(f"a start on {shape[-1]} sites cannot walk on the field's {field.n_sites} sites")
     lo, hi, stride = light_cone(0, field.starts)

@@ -24,7 +24,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .config import COIN_NAMES, ScenarioConfig
-from .core import check_integer, delta_state, evolve, lattice_for, light_cone
+from .core import check_integer, check_stops, delta_state, evolve, lattice_for, light_cone
 from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field, seed_independent
 from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, joint_factors, marginal_positions, placed
 
@@ -168,7 +168,7 @@ def _run_chunk(task) -> list:
     share it.  The fields are drawn one at a time into a ``FieldBatch`` that
     keeps only the light cone of the two start sites, so at most one field's
     whole tables exist at once.  One ``evolve`` walk
-    stops at each of the ascending ``stops``: there the walkers of every
+    stops at each of the non-decreasing ``stops``: there the walkers of every
     configuration must be orthogonal (ValueError otherwise), and the whole
     chunk is measured once, as ``measure(cfg, amplitudes, t)`` on the walk's
     read-only view, with the members' shared config; returns those results,
@@ -197,11 +197,11 @@ def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: Sc
     cropped to the light cone, whose discarded amplitudes are exactly zero,
     and the joints are built on the cone's parity cells, for as many
     configurations per ``builder.quarters`` call as fit the scratch that one
-    configuration needs at the walk's last step.  Observables outside
-    ``_ON_QUARTER`` read one placed matrix of the cone per group, zeroed once:
-    each joint overwrites its quarter, and no other cell is ever written.  It
-    is made after the group's joints, as the builder's buffered loops would
-    otherwise peak next to it.
+    configuration needs at the walk's last step; a group's blocks are that
+    scratch, read before the next call.  Observables outside ``_ON_QUARTER``
+    read one placed matrix of the cone per group, zeroed once: each joint
+    overwrites its quarter, and no other cell is ever written.  It is made
+    after the group's joints, as the builder's loops would peak next to it.
     """
     _, origin, starts = _geometry(cfg)
     lo, hi, stride = light_cone(t, starts)
@@ -210,12 +210,11 @@ def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: Sc
     cells, syms = slice(None, None, stride), resolved_symmetries(cfg)
     # the builder's scratch holds s x s cells per configuration
     group = min(len(amps), max(1, ((last_hi - last_lo) // stride + 1) ** 2 // ((hi - lo) // stride + 1) ** 2))
-    values, quarters = np.empty((len(amps), len(observables), len(syms))), None
+    values = np.empty((len(amps), len(observables), len(syms)))
     pairs, place = _crop(amps, lo, hi), not set(observables) <= set(_ON_QUARTER)
     for first in range(0, len(amps), group):
         block, joint = pairs[first:first + group], None
-        quarters = builder.quarters(block[:, 0], block[:, 1], syms, cells,
-                                    None if quarters is None else quarters[:len(block)])
+        quarters = builder.quarters(block[:, 0], block[:, 1], syms, cells)
         if place:
             joint = placed(quarters[0, 0], cells, len(positions))
         for out, config in zip(values[first:], quarters):
@@ -248,8 +247,8 @@ def ensemble_run(
     config draws its field with its strengths and seed ``cfg.seed + i``;
     walkers A and B share the field within a configuration.  Returns, for
     each config in order, one series per (observable, symmetry), keyed by
-    name.  ``eval_steps`` is a nonempty sequence of integer steps in
-    0..steps, in any order and with repeats (default: every step); each is
+    name.  ``eval_steps`` (default: every step) are the walk's stops, checked
+    by ``core.check_stops`` before any field is drawn; each, a repeat too, is
     measured while the walk runs.  ``n_jobs`` must be an integer >= 1.  All
     configs' configurations run as one ensemble whose chunks may cut across
     configs, and a configuration's values do not depend on chunking or
@@ -271,29 +270,20 @@ def ensemble_run(
     observables = tuple(observables)
     if not observables or any(obs not in _OBSERVABLES for obs in observables):
         raise ValueError(f"observables must be a nonempty selection of {tuple(_OBSERVABLES)}, got {observables!r}")
-    try:
-        steps = list(range(cfg.steps + 1) if eval_steps is None else eval_steps)
-    except TypeError:  # a bare integer, also a 0-d array
-        steps = []
-    if not steps:
-        raise ValueError(f"eval_steps must be a nonempty sequence of integers, got {eval_steps!r}")
-    eval_steps = [int(check_integer("every entry of eval_steps", t)) for t in steps]
-    if any(t < 0 or t > cfg.steps for t in eval_steps):
-        raise ValueError("eval_steps must lie in 0..steps")
+    eval_steps = check_stops("eval_steps", range(cfg.steps + 1) if eval_steps is None else eval_steps, cfg.steps)
 
     syms = resolved_symmetries(cfg)
-    stops = sorted(set(eval_steps))
     measure = partial(_measure_series, observables, JointBuilder())
-    result_floats = len(observables) * len(syms) * len(stops)
+    result_floats = len(observables) * len(syms) * len(eval_steps)
     # a config whose field every seed draws alike evolves one member, which stands for all its configurations
     counts = [1 if seed_independent(one.disorder, one.phi_max, one.phi_static, one.phi_dynamic) else one.configs
               for one in cfgs]
     members = [(one, one.seed + i) for one, count in zip(cfgs, counts) for i in range(count)]
     chunks = [np.moveaxis(np.array(chunk), 0, -1)
-              for chunk in _map_chunks(members, stops, measure, result_floats, n_jobs)]
+              for chunk in _map_chunks(members, eval_steps, measure, result_floats, n_jobs)]
     # (members, obs, sym, steps) in C order, so each config's block of rows is C-ordered too and the means over
     # configurations below sum in one order whatever the chunking
-    rows = np.ascontiguousarray(np.concatenate(chunks)[..., [stops.index(t) for t in eval_steps]])
+    rows = np.ascontiguousarray(np.concatenate(chunks))
     return [_fold(block, observables, syms, eval_steps) for block in np.split(rows, np.cumsum(counts)[:-1])]
 
 

@@ -14,9 +14,9 @@ runners check this once per chunk and evaluated step.  Symmetrization is
 done per pair of coin modes, so the fermionic zero on the mode-level
 diagonal is exact while two fermions may still share a site in opposite
 coin modes.  ``JointBuilder.quarters`` builds the position-level joints
-directly from N x N coin blocks and never forms the (2N) x (2N) mode-level
-matrix; that matrix is kept only as a test reference
-(``tests/mode_reference.py``), which the blocks reproduce bit for bit.  The
+directly from N x N coin blocks, into scratch valid until its next call,
+and never forms the (2N) x (2N) mode-level matrix, a test reference
+(``tests/mode_reference.py``) that the blocks reproduce bit for bit.  The
 caller names the cells to build: walkers from one site live on the sites
 x = t (mod 2) at step t, a quarter of the cells, and the ensemble runners
 take that parity from the light cone, never from the amplitudes.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -58,11 +58,12 @@ class JointBuilder:
 
     ``quarters`` computes each symmetry's joint on the cells that can be
     nonzero, and ``placed`` puts them into the whole lattice.  The scratch
-    arrays grow to the largest set of cells built (1.1 MB for the
-    103-site sublattice of 205 sites, 4.4 MB for 205 sites of both parities)
-    and every call overwrites them.  Fresh temporaries of this size went back
-    to the operating system after each call and were page-faulted in again,
-    which cost about a third of the build.  One builder serves one thread.
+    arrays, the returned blocks too, grow to the largest set of cells built
+    (1.3 MB for the 103-site sublattice of 205 sites, 5.0 MB for 205 sites of
+    both parities) and every call overwrites them.  Fresh temporaries of this
+    size went back to the operating system after each call and were
+    page-faulted in again, which cost about a third of the build.  One
+    builder serves one thread.
     """
 
     def __init__(self) -> None:
@@ -75,8 +76,7 @@ class JointBuilder:
             buf = self._scratch[name] = np.empty(size, dtype)
         return buf[:size].reshape(shape)
 
-    def quarters(self, a: np.ndarray, b: np.ndarray, syms: Sequence[ExchangeSymmetry], cells: slice,
-                 out: Optional[np.ndarray] = None) -> np.ndarray:
+    def quarters(self, a: np.ndarray, b: np.ndarray, syms: Sequence[ExchangeSymmetry], cells: slice) -> np.ndarray:
         """Each symmetry's joint on the sites ``cells`` x ``cells``, shape (..., symmetries, s, s).
 
         ``a`` and ``b`` are the (..., 2, n_sites) amplitude arrays of the two
@@ -89,7 +89,7 @@ class JointBuilder:
         K_dc^T|^2 / 2 and K_cd = outer(a[c], b[d]).  The four K blocks are
         shared by all symmetries, and M_10 = M_01^T exactly.  Every operation
         is elementwise, so a pair's blocks are bit-identical in any batch.
-        The blocks are written into ``out`` when it is given.
+        Like ``evolve``'s views, the blocks are scratch, valid until the next call.
         """
         n = a.shape[-1]
         # unit-stride rows, so every ufunc runs the loop of a whole-lattice build
@@ -100,8 +100,7 @@ class JointBuilder:
         j = self._buffer("j", (*batch, s, s), np.complex128)
         parts = j.view(np.float64)  # real and imaginary parts, interleaved
         m = self._buffer("m", (3, *batch, s, s), np.float64)
-        if out is None:
-            out = np.empty((*batch, len(syms), s, s))
+        out = self._buffer("out", (*batch, len(syms), s, s), np.float64)
         for i, sym in enumerate(syms):
             combine = np.add if sym is ExchangeSymmetry.BOSONIC else np.subtract
             for block, (c, d) in zip(m, ((0, 0), (0, 1), (1, 1))):

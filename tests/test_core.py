@@ -19,6 +19,7 @@ from dtqw.core import (
 from dtqw.disorder import DisorderKind, FieldBatch, PhaseField, sample_phase_field
 from dtqw.pathsum import path_sum_amplitudes
 from dtqw.scenarios import preset
+from channel_reference import channel_positions
 from fourier_reference import fourier_walk
 from step_reference import evolve_site_major
 
@@ -224,6 +225,38 @@ def test_dynamic_disorder_at_full_strength_averages_to_the_classical_walk():
     assert abs(second.mean() - t) <= 5 * second.std(ddof=1) / math.sqrt(configs)
 
 
+@pytest.mark.parametrize("phi_max", [np.pi / 2, np.pi], ids=["half-pi", "pi"])
+@pytest.mark.parametrize("kind", [DisorderKind.DYNAMIC, DisorderKind.FLUCTUATING], ids=lambda k: k.value)
+def test_ensemble_mean_walk_follows_the_markov_channel(kind, phi_max):
+    """fig4's single walker from (0, L): the mean P(x) of 400 configurations against the averaged channel.
+
+    ``channel_reference`` evolves the configuration-averaged density matrix
+    (Brun, Carteret & Ambainis, PRA 67, 032304, 2003), which the fresh
+    phases of every step make exact.  Seeds 7000 + i, i < 400.  Each site
+    whose standard error, from its sample spread, is above 1e-12 must lie
+    within 5 errors of the channel; the other cells (the cone edges and the
+    wrong parity, whose spread is rounding) within 1e-12; <x^2> within 4
+    errors.  All three bounds were fixed before the first comparison.  The
+    largest per-site deviation was 1.9 to 2.8 errors, that of the rounding
+    cells 1.4e-13 and that of <x^2> 2.3 errors, on a 2-core Xeon with numpy
+    2.4.
+    """
+    t, configs = preset("fig4").steps, 400
+    n, o = lattice_for(t)
+    fields = FieldBatch([sample_phase_field(kind, phi_max=phi_max, steps=t, n_sites=n, seed=7000 + i)
+                         for i in range(configs)], (o,))
+    start = delta_state(n, o, 0, COIN_L)
+    [state] = evolve(np.broadcast_to(start, (configs, 1, 2, n)), [t], fields)
+    p, x = probabilities(state)[:, 0], np.arange(n) - o
+    want = channel_positions(start, kind.value, phi_max, t)
+    error = p.std(axis=0, ddof=1) / math.sqrt(configs)
+    spread = error > 1e-12
+    assert np.all(np.abs(p.mean(axis=0) - want)[spread] <= 5 * error[spread])
+    assert np.all(np.abs(p.mean(axis=0) - want)[~spread] <= 1e-12)
+    second = p @ (x * x)  # <x^2> of each configuration
+    assert abs(second.mean() - want @ (x * x)) <= 4 * second.std(ddof=1) / math.sqrt(configs)
+
+
 def test_global_phase_shift_of_field_is_invisible():
     import dataclasses
 
@@ -262,6 +295,10 @@ def test_lattice_for_sizes_the_light_cone():
     for bad in (-1, 2.5, True):  # 2.5 once gave a lattice of 8.0 sites, True that of one step
         with pytest.raises(ValueError, match="steps"):
             lattice_for(bad)
+    # (0.5,) once gave (9.0, 3.5), (True, 0) counted True as site 1, () raised from min() and ("3",) TypeError
+    for bad in ((0.5,), (True, 0), (2, 2.5), (), ("3",)):
+        with pytest.raises(ValueError, match="start site"):
+            lattice_for(3, bad)
 
 
 def test_delta_state_rejects_bad_coin():

@@ -21,7 +21,7 @@ from dtqw.observables import (
 )
 from dtqw.scenarios import preset
 from dtqw.two_particle import ExchangeSymmetry, JointBuilder, marginal_positions
-from fourier_reference import fourier_walk_steps
+from fourier_reference import fourier_walk, fourier_walk_steps
 from mode_reference import aggregate_to_positions, joint_mode_distribution
 
 BOS = ExchangeSymmetry.BOSONIC
@@ -198,14 +198,21 @@ def test_eval_steps_subset():
     assert s.mean[1] > 0
 
 
-def test_eval_steps_out_of_range_rejected():
+def _never_draw(*args, **kwargs):
+    pytest.fail("drew a field before the eval steps were checked")
+
+
+def test_eval_steps_out_of_range_rejected(monkeypatch):
+    monkeypatch.setattr(observables, "sample_phase_field", _never_draw)
     with pytest.raises(ValueError):
         ensemble_run([ordered_cfg()], OBS, eval_steps=[99])
 
 
-@pytest.mark.parametrize("eval_steps", [[], [2.7], [True], 4, np.int64(4), np.array(4)],
-                         ids=["empty", "float", "bool", "bare-int", "bare-numpy-int", "0-d-array"])  # once TypeError
-def test_malformed_eval_steps_rejected(eval_steps):
+@pytest.mark.parametrize("eval_steps", [[], [2.7], [True], 4, np.int64(4), np.array(4), [6, 2], [2, 1, 3]],
+                         ids=["empty", "float", "bool", "bare-int", "bare-numpy-int", "0-d-array", "descending",
+                              "unordered"])  # a bare integer once raised TypeError; unordered steps were sorted
+def test_malformed_eval_steps_rejected(monkeypatch, eval_steps):
+    monkeypatch.setattr(observables, "sample_phase_field", _never_draw)
     with pytest.raises(ValueError, match="eval_steps"):
         ensemble_run([ordered_cfg()], OBS, eval_steps=eval_steps)
 
@@ -279,7 +286,7 @@ def test_chunked_batches_equal_per_walker_evolve_bitwise(monkeypatch, kind, budg
         assert np.array_equal(amps_a, alone_a) and np.array_equal(amps_b, alone_b)
 
 
-@pytest.mark.parametrize("runner, stops", [(partial(run_one, eval_steps=[6, 2, 4, 2]), [2, 4, 6]),
+@pytest.mark.parametrize("runner, stops", [(partial(run_one, eval_steps=[2, 2, 4, 6]), [2, 2, 4, 6]),
                                            (ensemble_average_joints, [6])], ids=["series", "joints"])
 def test_each_chunk_walks_once_through_its_stops(monkeypatch, runner, stops):
     walks = []
@@ -331,8 +338,8 @@ def test_each_sweep_value_equals_its_run_alone(monkeypatch, kind, sweep):
     # value), and one member per chunk
     cfg = ordered_cfg(disorder=kind, phi_static=np.pi, configs=3, seed=6, steps=9)
     cfgs = [dataclasses.replace(cfg, **{sweep: value}) for value in (0.0, 1.0, 2.5)]
-    alone = [run_one(one, eval_steps=[9, 4]) for one in cfgs]
-    for runs in _runs(monkeypatch, partial(ensemble_run, observables=OBS, eval_steps=[9, 4]), cfgs):
+    alone = [run_one(one, eval_steps=[4, 9]) for one in cfgs]
+    for runs in _runs(monkeypatch, partial(ensemble_run, observables=OBS, eval_steps=[4, 9]), cfgs):
         assert len(runs) == len(alone)
         for run, one in zip(runs, alone):
             assert run.keys() == one.keys()
@@ -497,6 +504,15 @@ def test_series_values_equal_the_observables_of_mode_reference_joints(start_b):
             assert series[("mutual_information", sym.value)].mean[i] == mutual_information(ref)
 
 
+def start_pair(cfg: ScenarioConfig) -> tuple[np.ndarray, int, int]:
+    """(the (2 walkers, 2, n_sites) start of ``cfg``'s walkers, n_sites, origin), in plain numpy."""
+    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
+    pair = np.zeros((2, 2, n_sites), dtype=np.complex128)
+    for walker, (x, coin) in enumerate((cfg.start_a, cfg.start_b)):
+        pair[walker, "LR".index(coin), origin + x] = 1.0
+    return pair, n_sites, origin
+
+
 def momentum_space_means(cfg: ScenarioConfig) -> np.ndarray:
     """(observable, symmetry, step) means of ``ALL_OBS`` over ``cfg``'s configurations at every step, in plain numpy.
 
@@ -505,10 +521,7 @@ def momentum_space_means(cfg: ScenarioConfig) -> np.ndarray:
     g_i g_i^T), with p_w = sum_c |w_c|^2 and g = sum_c a_c conj(b_c), on the
     whole lattice; H(X) reads P's row sums.
     """
-    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
-    pair = np.zeros((2, 2, n_sites), dtype=np.complex128)
-    for walker, (x, coin) in enumerate((cfg.start_a, cfg.start_b)):
-        pair[walker, "LR".index(coin), origin + x] = 1.0
+    pair, n_sites, origin = start_pair(cfg)
     total = np.add.outer(np.arange(n_sites) - origin, np.arange(n_sites) - origin).astype(np.float64)
 
     def entropy(p):
@@ -548,6 +561,38 @@ def test_series_equal_those_of_the_momentum_space_walk_at_every_step_to_100(kind
     assert not zero[..., 2:].any()
     np.testing.assert_allclose(got[~zero], want[~zero], rtol=1e-12, atol=0)
     np.testing.assert_allclose(want[zero], 0.0, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", [DisorderKind.ORDERED, DisorderKind.DYNAMIC], ids=lambda k: k.value)
+def test_average_joints_equal_those_of_the_momentum_space_walk(kind):
+    """fig4's averaged t = 50 joints and marginal (3 configurations, seed 5) against an independent oracle.
+
+    Each configuration's walkers come from the momentum-space walk and its
+    joint from |K +/- K^T|^2 / 2 over the (coin, site) modes, K = outer(a, b),
+    summed over the coins, in plain numpy.  atol 1e-15 + rtol 1e-12, fixed
+    before the first comparison.  The largest differences were 2.0e-16
+    (ordered) and 6.2e-17 (dynamic) on the joints and 6.9e-16 on the
+    marginal, on a 2-core Xeon with numpy 2.4.  Swapping phi_L and phi_R
+    conjugates every amplitude up to a global phase (coin, shift and starts
+    are real, and only phi_R - phi_L matters), which no position-level
+    number sees; the amplitude test at step 100 in ``test_core`` does.
+    """
+    cfg = dataclasses.replace(preset("fig4"), disorder=kind, configs=3, seed=5)
+    pair, n, o = start_pair(cfg)
+    want = {sym: np.zeros((n, n)) for sym in ExchangeSymmetry}
+    want_marg = np.zeros(n)
+    for seed in range(cfg.seed, cfg.seed + cfg.configs):
+        phases = sample_phase_field(cfg.disorder, phi_max=cfg.phi_max, steps=cfg.steps, n_sites=n, seed=seed).phases
+        a, b = fourier_walk(pair, phases, cfg.steps)
+        k = np.outer(a, b)  # modes coin-major, (coin, site)
+        for sign, sym in ((1, BOS), (-1, ExchangeSymmetry.FERMIONIC)):
+            want[sym] += (abs(k + sign * k.T) ** 2 / 2).reshape(2, n, 2, n).sum(axis=(0, 2)) / cfg.configs
+        want_marg += ((abs(a) ** 2 + abs(b) ** 2) / 2).sum(axis=0) / cfg.configs
+    joints, marg, positions = ensemble_average_joints(cfg)
+    assert joints.keys() == want.keys() and np.array_equal(positions, np.arange(n) - o)
+    for sym, joint in joints.items():
+        np.testing.assert_allclose(joint, want[sym], rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(marg, want_marg, rtol=1e-12, atol=1e-15)
 
 
 def test_average_joints_equal_ordered_sums_of_single_configuration_runs(monkeypatch):
@@ -606,14 +651,15 @@ def test_ordered_light_cone_tips_are_emitted_as_non_negative_fermionic_zeros(tmp
     assert all(not p.startswith("-") for p in rows.values())
 
 
-def test_eval_steps_in_any_order_with_repeats():
+def test_eval_steps_with_a_repeat_equal_those_rows_of_the_full_series():
+    # the eval steps are the walk's stops as given: a repeated step is measured again
     cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=np.pi, configs=2, steps=6, seed=2)
     [full] = ensemble_run([cfg], OBS)
-    [picked] = ensemble_run([cfg], OBS, eval_steps=[6, 2, 2, 0])
+    [picked] = ensemble_run([cfg], OBS, eval_steps=[0, 2, 2, 6])
     for key, s in picked.items():
-        np.testing.assert_array_equal(s.steps, [6, 2, 2, 0])
-        assert np.array_equal(s.mean, full[key].mean[[6, 2, 2, 0]])
-        assert np.array_equal(s.std_dev, full[key].std_dev[[6, 2, 2, 0]])
+        np.testing.assert_array_equal(s.steps, [0, 2, 2, 6])
+        assert np.array_equal(s.mean, full[key].mean[[0, 2, 2, 6]])
+        assert np.array_equal(s.std_dev, full[key].std_dev[[0, 2, 2, 6]])
 
 
 @pytest.mark.parametrize("runner", [run_one, ensemble_average_joints], ids=["ensemble_run", "ensemble_average_joints"])

@@ -240,8 +240,8 @@ def test_entropy_of_the_quarter_equals_that_of_the_placed_joint(t, region):
         o = int(np.flatnonzero(x == 0)[0])
         a, b, x = light_cone(a, b, x, o - t, o + t + 1)
         offset = 0
-    n, cells, builder = a.shape[1], slice(offset, None, 2), JointBuilder()
-    quarters = builder.quarters(a, b, SYMS, cells)
+    n, cells = a.shape[1], slice(offset, None, 2)
+    quarters = JointBuilder().quarters(a, b, SYMS, cells)
     assert quarters.shape == (len(SYMS), len(range(offset, n, 2)), len(range(offset, n, 2)))
     for sym, quarter in zip(SYMS, quarters):
         ref = aggregate_to_positions(joint_mode_distribution(a, b, sym))
@@ -250,14 +250,13 @@ def test_entropy_of_the_quarter_equals_that_of_the_placed_joint(t, region):
         # the positive cells in the same order, so the entropy sums the same array
         assert np.array_equal(quarter[quarter > 0], ref[ref > 0])
         assert joint_entropy(quarter) == joint_entropy(ref)
-    assert np.array_equal(builder.quarters(a, b, SYMS, cells, np.full_like(quarters, np.nan)), quarters)
 
 
 @pytest.mark.parametrize("t", [10, 40])  # light cones of 21/22 and 81/82 sites: both sides of F_ORDER_SITES
 @pytest.mark.parametrize("start_b", [(0, COIN_R), (1, COIN_R)], ids=["one-parity", "two-parities"])
 def test_grouped_quarters_equal_per_configuration_calls(t, start_b):
-    # a batch of five configurations' light cones, built in groups of one, two, two cut by a partial third (into
-    # the first group's output, as the ensemble runner reuses it), three and two, and all five
+    # a batch of five configurations' light cones, built in groups of one, two, two cut by a partial third, three
+    # and two, and all five, each group's blocks read before the builder's next call overwrites them
     pairs = [evolved_pair(steps=t, seed=seed, b=start_b) for seed in range(5)]
     o = int(np.flatnonzero(pairs[0][2] == 0)[0])
     cone = slice(o - t, o + start_b[0] + t + 1)
@@ -266,15 +265,19 @@ def test_grouped_quarters_equal_per_configuration_calls(t, start_b):
     cells = slice(None, None, 1 if start_b[0] else 2)
     want = [JointBuilder().quarters(a[i], b[i], SYMS, cells) for i in range(len(pairs))]
     for groups in ([1] * 5, [2, 2, 1], [3, 2], [5]):
-        builder, out, first = JointBuilder(), None, 0
+        builder, first = JointBuilder(), 0
         for size in groups:
-            out = builder.quarters(a[first:first + size], b[first:first + size], SYMS, cells,
-                                   None if out is None else out[:size])
+            out = builder.quarters(a[first:first + size], b[first:first + size], SYMS, cells)
             assert out.shape == (size, *want[0].shape)
             for i, blocks in enumerate(out, first):
                 assert np.array_equal(blocks, want[i])
                 assert all(layout(block) == layout(one) == (True, False) for block, one in zip(blocks, want[i]))
             first += size
+    # after a call on all five, a call on the last two overwrites every cell that the first two's blocks left
+    builder = JointBuilder()
+    builder.quarters(a, b, SYMS, cells)
+    fresh = JointBuilder().quarters(a[3:], b[3:], SYMS, cells)
+    assert np.array_equal(builder.quarters(a[3:], b[3:], SYMS, cells), fresh)
 
 
 @pytest.mark.parametrize("t", [10, 40])
