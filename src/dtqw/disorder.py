@@ -167,19 +167,17 @@ class FieldBatch:
     (fluctuating and combined) is packed into one (configs, 2, cells) array
     of the rows alone, and each step exponentiates its row.  ``fields`` may
     be an iterator that draws the fields one at a time (then ``configs``
-    gives their number, and fewer or more fields raise ValueError): each
-    field's table is stored before the next one is drawn and kept no longer.
-    Every factor is elementwise, so a configuration's factors are
-    bit-identical in any batch.
+    gives their number, an integer >= 1 or ValueError before any draw, and
+    fewer or more fields raise ValueError): each field's table is stored
+    before the next one is drawn and kept no longer.  Every factor is
+    elementwise, so a configuration's factors are bit-identical in any batch.
     """
 
     def __init__(self, fields: Iterable[PhaseField], starts: Sequence[int], configs: Optional[int] = None):
         self.starts = tuple(check_integer("every entry of starts", site) for site in starts)
         if not self.starts:
             raise ValueError("a field batch needs at least one start site")
-        configs = len(fields) if configs is None else configs
-        if configs < 1:
-            raise ValueError("a field batch needs at least one field")
+        configs = check_integer("configs", len(fields) if configs is None else configs, 1)
         fields = iter(fields)
         for i in range(configs):
             field = next(fields, None)

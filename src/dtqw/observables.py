@@ -67,8 +67,8 @@ _CHUNK_BYTES = 4 << 20
 # parity quarter ``JointBuilder.quarters`` returns and the joint placed into the
 # light cone.  The quarter's positive cells come in the row-major order of the
 # placed matrix, so entropies summed on it are the placed matrix's, bit for bit;
-# row sums add in layout order and read the placed joint, which is None when
-# every observable measured is in _ON_QUARTER.
+# row sums read the placed joint, C-ordered like the mode-level reference, which
+# is None when every observable measured is in _ON_QUARTER.
 _OBSERVABLES = {
     "variance": lambda quarter, joint, positions: variance_xm(joint, positions),
     "entropy": lambda quarter, joint, positions: joint_entropy(quarter),

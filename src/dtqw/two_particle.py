@@ -16,12 +16,14 @@ diagonal is exact while two fermions may still share a site in opposite
 coin modes.  ``JointBuilder.quarters`` builds the position-level joints
 directly from N x N coin blocks, into scratch valid until its next call,
 and never forms the (2N) x (2N) mode-level matrix, a test reference
-(``tests/mode_reference.py``) that the blocks reproduce bit for bit.  The
-caller names the cells to build: walkers from one site live on the sites
-x = t (mod 2) at step t, a quarter of the cells, and the ensemble runners
-take that parity from the light cone, never from the amplitudes.
-``placed`` puts a quarter into the whole lattice, the layout that row sums
-read.  Summed over the coins, P is rank 4 in the real ``joint_factors``:
+(``tests/mode_reference.py``) that the blocks reproduce bit for bit: at
+every lattice size the coins are summed in one order and every matrix is
+C-ordered.  The caller names the cells to build: walkers from one site
+live on the sites x = t (mod 2) at step t, a quarter of the cells, and the
+ensemble runners take that parity from the light cone, never from the
+amplitudes.  ``placed`` puts a quarter into a C-ordered matrix of the whole
+lattice, whose row sums ``variance_xm`` and ``mutual_information`` read.
+Summed over the coins, P is rank 4 in the real ``joint_factors``:
     P(x, y) = (p_a(x) p_b(y) + p_b(x) p_a(y)) / 2 +/- (g_r(x) g_r(y) + g_i(x) g_i(y)),
 with p_w = sum_c |w_c|^2 and g_r + i g_i = sum_c a_c conj(b_c), the exchange
 term that bunches bosons and antibunches fermions; the averaged maps use it.
@@ -41,16 +43,6 @@ ORTHOGONALITY_TOL = 1e-10
 class ExchangeSymmetry(enum.Enum):
     BOSONIC = "bosonic"
     FERMIONIC = "fermionic"
-
-
-#: Site count from which the mode-level reference comes out Fortran-ordered:
-#: numpy (2.4) lays out ``k + sign * k.T`` on the (2N) x (2N) outer product in
-#: Fortran order from 64 sites up, so the reference sums the coins in the
-#: transposed order and returns a Fortran-ordered matrix.  ``JointBuilder``
-#: copies both, because the row sums in ``variance_xm`` and
-#: ``mutual_information`` add in layout order, and the emitted numbers must
-#: not move by a bit.
-F_ORDER_SITES = 64
 
 
 class JointBuilder:
@@ -91,7 +83,6 @@ class JointBuilder:
         is elementwise, so a pair's blocks are bit-identical in any batch.
         Like ``evolve``'s views, the blocks are scratch, valid until the next call.
         """
-        n = a.shape[-1]
         # unit-stride rows, so every ufunc runs the loop of a whole-lattice build
         a, b = np.ascontiguousarray(a[..., cells]), np.ascontiguousarray(b[..., cells])
         batch, s = a.shape[:-2], a.shape[-1]
@@ -109,24 +100,15 @@ class JointBuilder:
                 np.add(parts[..., 0::2], parts[..., 1::2], out=block)
             m *= 0.5
             m00, m01, m11 = m
-            m10 = m01.swapaxes(-1, -2)
-            # (M00 + M01) + (M10 + M11), and from F_ORDER_SITES the reference's
-            # F-order sum (M00 + M10) + (M01 + M11)
-            if n >= F_ORDER_SITES:
-                m00 += m10
-                m11 += m01
-            else:
-                m00 += m01
-                m11 += m10
-            np.add(m00, m11, out=out[..., i, :, :])
+            m00 += m01
+            m11 += m01.swapaxes(-1, -2)  # M10
+            np.add(m00, m11, out=out[..., i, :, :])  # (M00 + M01) + (M11 + M10), the reference's C-order sum
         return out
 
-def placed(quarter: np.ndarray, cells: slice, n_sites: int) -> np.ndarray:
-    """The n_sites x n_sites joint holding ``quarter`` on ``cells`` x ``cells`` and +0.0 elsewhere.
 
-    Fortran-ordered from ``F_ORDER_SITES`` up, like the mode-level reference.
-    """
-    matrix = np.zeros((n_sites, n_sites), order="F" if n_sites >= F_ORDER_SITES else "C")
+def placed(quarter: np.ndarray, cells: slice, n_sites: int) -> np.ndarray:
+    """The C-ordered n_sites x n_sites joint holding ``quarter`` on ``cells`` x ``cells`` and +0.0 elsewhere."""
+    matrix = np.zeros((n_sites, n_sites))
     matrix[cells, cells] = quarter
     return matrix
 

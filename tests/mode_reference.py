@@ -10,7 +10,8 @@ coin-major (2, n_sites) amplitude arrays, flattened site by site with
 
 whose fermionic diagonal is exactly zero, the coin sum down to positions and
 the mode-level marginal.  Tests use it to pin the mode-level invariants and
-to check the position builder bit for bit, layout included.
+to check the position builder bit for bit, layout included: the reference's
+matrices are C-ordered at every size.
 """
 
 import numpy as np
@@ -21,7 +22,8 @@ from dtqw.two_particle import ExchangeSymmetry
 def joint_mode_distribution(a: np.ndarray, b: np.ndarray, sym: ExchangeSymmetry) -> np.ndarray:
     """(2N) x (2N) mode-level symmetrized joint of the two walkers."""
     k = np.outer(a.T.reshape(-1), b.T.reshape(-1))
-    j = k + (1 if sym is ExchangeSymmetry.BOSONIC else -1) * k.T
+    # C order at every size: numpy 2.4 itself lays this sum out in Fortran order from 64 sites up
+    j = np.ascontiguousarray(k + (1 if sym is ExchangeSymmetry.BOSONIC else -1) * k.T)
     return (j.real**2 + j.imag**2) * 0.5
 
 

@@ -6,8 +6,9 @@ import pytest
 from scipy import stats
 
 from dtqw.core import COIN_L, delta_state, evolve, lattice_for
-from dtqw.disorder import (DisorderKind, FieldBatch, PhaseField, _substream, light_cone_rows, sample_phase_field,
-                           seed_independent, strength_fields)
+from dtqw import disorder
+from dtqw.disorder import (DisorderKind, FieldBatch, PhaseField, _substream, batch_floats, draw_shapes,
+                           light_cone_rows, sample_phase_field, seed_independent, strength_fields)
 
 PI = np.pi
 
@@ -342,6 +343,30 @@ def test_coin_factors_are_those_of_the_whole_tables_on_each_row(kind, starts, n_
             assert np.array_equal(factor[:, 0], whole[:, coin, cells])
 
 
+@pytest.mark.parametrize("starts", [(9, 13), (10, 13)], ids=["one-parity", "two-parities"])
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+def test_batch_floats_counts_what_a_batch_keeps_and_a_field_draws(kind, starts, monkeypatch):
+    # the chunk budget is sized from these counts: kept floats per configuration, drawn floats per field
+    steps, n_sites = 8, 23
+    drawn = []
+
+    class Counting:
+        def __init__(self, generator):
+            self.generator = generator
+
+        def uniform(self, low, high, size):
+            drawn.append(int(np.prod(size)))
+            return self.generator.uniform(low, high, size)
+
+    monkeypatch.setattr(disorder, "_substream", lambda seed, index: Counting(_substream(seed, index)))
+    fields = [sample_phase_field(kind, phi_static=PI, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
+                                 seed=seed) for seed in range(3)]
+    kept, per_field = batch_floats(kind, steps, n_sites, starts)
+    store = FieldBatch(fields, starts)._store
+    assert len(store) == 3 and kept == store[0].nbytes // 8
+    assert per_field == sum(drawn) // 3 == sum(int(np.prod(shape)) for shape in draw_shapes(kind, steps, n_sites))
+
+
 def test_light_cone_rows_follow_the_walk():
     # starts 6 and 8 on 15 sites: rows widen by one site a side per step, on one parity; the light cone after the
     # sixth step fills sites 0 .. 14
@@ -402,6 +427,17 @@ def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
               for seed in range(5)]
     with pytest.raises(ValueError, match="got more fields"):
         FieldBatch(static, (o, o), 3)
+    advanced = []
+
+    def recorded():
+        advanced.append(True)
+        yield from draws()
+
+    # True and 1.0 once raised TypeError from inside numpy and range
+    for configs in (True, 1.0, 0):
+        with pytest.raises(ValueError, match="configs"):
+            FieldBatch(recorded(), (o, o), configs)
+    assert not advanced
 
 
 @pytest.mark.parametrize("kind, strengths, independent", [

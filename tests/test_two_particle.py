@@ -4,7 +4,7 @@ import pytest
 from dtqw.core import COIN_L, COIN_R, delta_state, evolve, lattice_for
 from dtqw.disorder import DisorderKind, FieldBatch, sample_phase_field
 from dtqw.observables import joint_entropy, mutual_information, variance_xm
-from dtqw.two_particle import F_ORDER_SITES, ExchangeSymmetry, JointBuilder, marginal_positions, placed
+from dtqw.two_particle import ExchangeSymmetry, JointBuilder, marginal_positions, placed
 from mode_reference import aggregate_to_positions, joint_mode_distribution, marginal
 
 BOS = ExchangeSymmetry.BOSONIC
@@ -157,7 +157,7 @@ def test_joint_builder_equals_mode_reference_on_random_pairs():
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
 def test_joint_builder_equals_mode_reference_on_evolved_walkers(kind):
-    # whole lattice (203 sites) and the light cone (2t + 1 sites, across F_ORDER_SITES), on the walk's parity
+    # whole lattice (203 sites) and the light cone (2t + 1 sites, from 1 to 201, across 64), on the walk's parity
     t_max = 100
     n, o = lattice_for(t_max)
     fld = FieldBatch([sample_phase_field(kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
@@ -169,7 +169,6 @@ def test_joint_builder_equals_mode_reference_on_evolved_walkers(kind):
         assert_blocks_equal_mode_reference(builder, a, b, x, walk_cells(x, t))
         cone = slice(o - t, o + t + 1)
         assert_blocks_equal_mode_reference(builder, a[:, cone], b[:, cone], x[cone], walk_cells(x[cone], t))
-    assert 2 * 31 + 1 < F_ORDER_SITES <= 2 * 32 + 1
 
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
@@ -233,7 +232,7 @@ def test_whole_lattice_build_at_step_100_holds_a_quarter_of_the_cells():
 @pytest.mark.parametrize("t", [10, 31, 32, 40])
 @pytest.mark.parametrize("region", ["lattice", "cone"])
 def test_entropy_of_the_quarter_equals_that_of_the_placed_joint(t, region):
-    # lattices of 23, 65, 67 and 83 sites and cones of 21, 63, 65 and 81: on both sides of F_ORDER_SITES
+    # lattices of 23, 65, 67 and 83 sites and cones of 21, 63, 65 and 81: on both sides of 64 sites
     a, b, x = evolved_pair(steps=t)
     offset = 1
     if region == "cone":
@@ -252,7 +251,7 @@ def test_entropy_of_the_quarter_equals_that_of_the_placed_joint(t, region):
         assert joint_entropy(quarter) == joint_entropy(ref)
 
 
-@pytest.mark.parametrize("t", [10, 40])  # light cones of 21/22 and 81/82 sites: both sides of F_ORDER_SITES
+@pytest.mark.parametrize("t", [10, 40])  # light cones of 21/22 and 81/82 sites: both sides of 64 sites
 @pytest.mark.parametrize("start_b", [(0, COIN_R), (1, COIN_R)], ids=["one-parity", "two-parities"])
 def test_grouped_quarters_equal_per_configuration_calls(t, start_b):
     # a batch of five configurations' light cones, built in groups of one, two, two cut by a partial third, three
@@ -261,7 +260,6 @@ def test_grouped_quarters_equal_per_configuration_calls(t, start_b):
     o = int(np.flatnonzero(pairs[0][2] == 0)[0])
     cone = slice(o - t, o + start_b[0] + t + 1)
     a, b = (np.stack([pair[w][:, cone] for pair in pairs]) for w in (0, 1))
-    assert (a.shape[-1] >= F_ORDER_SITES) == (t == 40)
     cells = slice(None, None, 1 if start_b[0] else 2)
     want = [JointBuilder().quarters(a[i], b[i], SYMS, cells) for i in range(len(pairs))]
     for groups in ([1] * 5, [2, 2, 1], [3, 2], [5]):
