@@ -10,7 +10,7 @@ from .core import (  # noqa: F401
     lattice_for,
 )
 from .disorder import DisorderKind, FieldBatch, PhaseField, sample_phase_field  # noqa: F401
-from .two_particle import ExchangeSymmetry, JointBuilder, marginal_positions  # noqa: F401
+from .two_particle import ExchangeSymmetry, JointBuilder  # noqa: F401
 from .observables import (  # noqa: F401
     ObservableSeries,
     classical_baseline,

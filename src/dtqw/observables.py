@@ -26,7 +26,7 @@ import numpy as np
 from .config import COIN_NAMES, ScenarioConfig
 from .core import check_integer, check_stops, delta_state, evolve, lattice_for, light_cone
 from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field, seed_independent
-from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, joint_factors, marginal_positions, placed
+from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, joint_factors
 
 
 def variance_xm(m: np.ndarray, positions: np.ndarray) -> float:
@@ -64,17 +64,15 @@ def mutual_information(m: np.ndarray, quarter: Optional[np.ndarray] = None) -> f
 _CHUNK_BYTES = 4 << 20
 
 # Each entry takes (quarter, joint, signed positions of the joint's rows): the
-# parity quarter ``JointBuilder.quarters`` returns and the joint placed into the
-# light cone.  The quarter's positive cells come in the row-major order of the
-# placed matrix, so entropies summed on it are the placed matrix's, bit for bit;
-# row sums read the placed joint, C-ordered like the mode-level reference, which
-# is None when every observable measured is in _ON_QUARTER.
+# parity quarter ``JointBuilder.quarters`` returns and the C-ordered joint of the
+# light cone that holds it, like the mode-level reference.  The quarter's positive
+# cells come in the joint's row-major order, so entropies summed on it are the
+# joint's, bit for bit; row sums read the joint.
 _OBSERVABLES = {
     "variance": lambda quarter, joint, positions: variance_xm(joint, positions),
     "entropy": lambda quarter, joint, positions: joint_entropy(quarter),
     "mutual_information": lambda quarter, joint, positions: mutual_information(joint, quarter),
 }
-_ON_QUARTER = ("entropy",)
 
 
 @dataclass
@@ -97,10 +95,6 @@ def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int) -> PhaseField:
     """The field ``seed`` draws with ``cfg``'s disorder kind and strengths on a lattice of ``n_sites`` sites."""
     return sample_phase_field(cfg.disorder, phi_max=cfg.phi_max, phi_static=cfg.phi_static,
                               phi_dynamic=cfg.phi_dynamic, steps=cfg.steps, n_sites=n_sites, seed=seed)
-
-
-def _crop(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    return amplitudes[..., lo : hi + 1]
 
 
 def _geometry(cfg: ScenarioConfig) -> tuple[int, int, list[int]]:
@@ -198,10 +192,11 @@ def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: Sc
     and the joints are built on the cone's parity cells, for as many
     configurations per ``builder.quarters`` call as fit the scratch that one
     configuration needs at the walk's last step; a group's blocks are that
-    scratch, read before the next call.  Observables outside ``_ON_QUARTER``
-    read one placed matrix of the cone per group, zeroed once: each joint
-    overwrites its quarter, and no other cell is ever written.  It is made
-    after the group's joints, as the builder's loops would peak next to it.
+    scratch, read before the next call.  Every observable reads the cone's
+    joint, one matrix per group, zeroed once: each quarter overwrites its
+    cells, and no other cell is ever written.  It is made after the group's
+    quarters and dropped before the next call, as the builder's loops would
+    peak next to it.
     """
     _, origin, starts = _geometry(cfg)
     lo, hi, stride = light_cone(t, starts)
@@ -211,24 +206,20 @@ def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: Sc
     # the builder's scratch holds s x s cells per configuration
     group = min(len(amps), max(1, ((last_hi - last_lo) // stride + 1) ** 2 // ((hi - lo) // stride + 1) ** 2))
     values = np.empty((len(amps), len(observables), len(syms)))
-    pairs, place = _crop(amps, lo, hi), not set(observables) <= set(_ON_QUARTER)
     for first in range(0, len(amps), group):
-        block, joint = pairs[first:first + group], None
+        block, joint = amps[first:first + group, ..., lo : hi + 1], None
         quarters = builder.quarters(block[:, 0], block[:, 1], syms, cells)
-        if place:
-            joint = placed(quarters[0, 0], cells, len(positions))
+        joint = np.zeros((len(positions),) * 2)
         for out, config in zip(values[first:], quarters):
             for j, quarter in enumerate(config):
-                if place:
-                    joint[cells, cells] = quarter
+                joint[cells, cells] = quarter
                 out[:, j] = [_OBSERVABLES[obs](quarter, joint, positions) for obs in observables]
     return values
 
 
-def _measure_joints(cells: slice, cfg: ScenarioConfig, amps: np.ndarray, t: int) -> tuple:
-    """(configs, 4, s) ``joint_factors`` and (configs, s) marginals of the chunk's state ``amps`` on ``cells``."""
-    a, b = amps[:, 0, :, cells], amps[:, 1, :, cells]
-    return joint_factors(a, b), marginal_positions(a, b)
+def _measure_joints(cells: slice, cfg: ScenarioConfig, amps: np.ndarray, t: int) -> np.ndarray:
+    """(configs, 4, s) ``joint_factors`` of the chunk's state ``amps`` on ``cells``."""
+    return joint_factors(amps[:, 0, :, cells], amps[:, 1, :, cells])
 
 
 def ensemble_run(
@@ -321,24 +312,25 @@ def ensemble_average_joints(cfg: ScenarioConfig, n_jobs: int = 1
     configuration, in member order, on the cells that can be nonzero:
     W = A^T B of the p_a and p_b rows and X = G^T G of the g_r and g_i rows.
     Each map, ((W + W^T) / 2 +/- X) / configs, is exactly symmetric, with
-    roundoff below zero set to +0.0.
+    roundoff below zero set to +0.0.  The marginal, any row sum of either
+    map, is the member-order sum of (p_a + p_b) / 2, divided by configs.
     """
     n_sites, origin, starts = _geometry(cfg)
     lo, _, stride = light_cone(cfg.steps, starts)
     cells = slice(lo % stride, None, stride)
     s = len(range(n_sites)[cells])
     members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
-    # per configuration: factors and marginal (5 s floats) and the coin products they are reduced from (8 s)
-    chunks = [result for (result,) in _map_chunks(members, [cfg.steps], partial(_measure_joints, cells), 13 * s,
+    # per configuration: its factors (4 s floats) and the coin products they are reduced from (8 s)
+    chunks = [result for (result,) in _map_chunks(members, [cfg.steps], partial(_measure_joints, cells), 12 * s,
                                                    n_jobs)]
     # in C order (chunks come out configuration-innermost) einsum and sum add configuration after configuration,
     # whatever the chunking; OpenBLAS products split 400-configuration sums by OPENBLAS_NUM_THREADS
-    factors, marginals = (np.ascontiguousarray(np.concatenate(part)) for part in zip(*chunks))
+    factors = np.ascontiguousarray(np.concatenate(chunks))
     w, g = np.einsum("ki,kj->ij", factors[:, 0], factors[:, 1]), factors[:, 2:].reshape(-1, s)
     pair, exchange = 0.5 * (w + w.T), np.einsum("ki,kj->ij", g, g)
     sums = {ExchangeSymmetry.BOSONIC: pair + exchange, ExchangeSymmetry.FERMIONIC: pair - exchange}
     joints, marg = {sym: np.zeros((n_sites, n_sites)) for sym in resolved_symmetries(cfg)}, np.zeros(n_sites)
     for sym, joint in joints.items():  # pair >= +0.0, so no cell is -0.0
         joint[cells, cells] = np.maximum(sums[sym] / cfg.configs, 0.0)
-    marg[cells] = marginals.sum(axis=0) / cfg.configs
+    marg[cells] = 0.5 * (factors[:, 0] + factors[:, 1]).sum(axis=0) / cfg.configs
     return joints, marg, np.arange(n_sites) - origin

@@ -21,12 +21,11 @@ every lattice size the coins are summed in one order and every matrix is
 C-ordered.  The caller names the cells to build: walkers from one site
 live on the sites x = t (mod 2) at step t, a quarter of the cells, and the
 ensemble runners take that parity from the light cone, never from the
-amplitudes.  ``placed`` puts a quarter into a C-ordered matrix of the whole
-lattice, whose row sums ``variance_xm`` and ``mutual_information`` read.
-Summed over the coins, P is rank 4 in the real ``joint_factors``:
+amplitudes.  Summed over the coins, P is rank 4 in the real ``joint_factors``:
     P(x, y) = (p_a(x) p_b(y) + p_b(x) p_a(y)) / 2 +/- (g_r(x) g_r(y) + g_i(x) g_i(y)),
 with p_w = sum_c |w_c|^2 and g_r + i g_i = sum_c a_c conj(b_c), the exchange
-term that bunches bosons and antibunches fermions; the averaged maps use it.
+term that bunches bosons and antibunches fermions.  The averaged maps and
+their marginal, (p_a + p_b) / 2 and any row sum of P, are read from these alone.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ class JointBuilder:
     """Builds position-level joints from coin blocks, reusing its scratch arrays.
 
     ``quarters`` computes each symmetry's joint on the cells that can be
-    nonzero, and ``placed`` puts them into the whole lattice.  The scratch
+    nonzero.  The scratch
     arrays, the returned blocks too, grow to the largest set of cells built
     (1.3 MB for the 103-site sublattice of 205 sites, 5.0 MB for 205 sites of
     both parities) and every call overwrites them.  Fresh temporaries of this
@@ -106,24 +105,7 @@ class JointBuilder:
         return out
 
 
-def placed(quarter: np.ndarray, cells: slice, n_sites: int) -> np.ndarray:
-    """The C-ordered n_sites x n_sites joint holding ``quarter`` on ``cells`` x ``cells`` and +0.0 elsewhere."""
-    matrix = np.zeros((n_sites, n_sites))
-    matrix[cells, cells] = quarter
-    return matrix
-
-
 def joint_factors(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """(p_a, p_b, g_r, g_i) of (..., 2, n_sites) amplitudes, summed over the coin: shape (..., 4, n_sites)."""
     g = (a * b.conj()).sum(axis=-2)
     return np.stack([(w.real**2 + w.imag**2).sum(axis=-2) for w in (a, b)] + [g.real, g.imag], axis=-2)
-
-
-def marginal_positions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Single-particle marginal over sites, (|a|^2 + |b|^2) / 2 summed over the coin.
-
-    ``a`` and ``b`` are (..., 2, n_sites).  Identical for both exchange
-    symmetries and equal to any row sum of the position-level joint.
-    """
-    return (0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2)).sum(axis=-2)
-

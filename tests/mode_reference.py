@@ -11,7 +11,8 @@ coin-major (2, n_sites) amplitude arrays, flattened site by site with
 whose fermionic diagonal is exactly zero, the coin sum down to positions and
 the mode-level marginal.  Tests use it to pin the mode-level invariants and
 to check the position builder bit for bit, layout included: the reference's
-matrices are C-ordered at every size.
+matrices are C-ordered at every size, like the whole-lattice matrix
+``on_lattice`` makes of a block the builder returns.
 """
 
 import numpy as np
@@ -31,6 +32,13 @@ def aggregate_to_positions(mode_joint: np.ndarray) -> np.ndarray:
     """Sum the two coin modes of each site: P(x, y) = sum_{c,c'} P((x,c),(y,c'))."""
     n = mode_joint.shape[0] // 2
     return mode_joint.reshape(n, 2, n, 2).sum(axis=(1, 3))
+
+
+def on_lattice(quarter: np.ndarray, cells: slice, n_sites: int) -> np.ndarray:
+    """The C-ordered n_sites x n_sites joint holding ``quarter`` on ``cells`` x ``cells`` and +0.0 elsewhere."""
+    matrix = np.zeros((n_sites, n_sites))
+    matrix[cells, cells] = quarter
+    return matrix
 
 
 def marginal(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -20,9 +20,9 @@ from dtqw.observables import (
     variance_xm,
 )
 from dtqw.scenarios import preset
-from dtqw.two_particle import ExchangeSymmetry, JointBuilder, marginal_positions
+from dtqw.two_particle import ExchangeSymmetry, JointBuilder
 from fourier_reference import fourier_walk, fourier_walk_steps
-from mode_reference import aggregate_to_positions, joint_mode_distribution
+from mode_reference import aggregate_to_positions, joint_mode_distribution, marginal
 from velocity_reference import variance_limits
 
 BOS = ExchangeSymmetry.BOSONIC
@@ -412,11 +412,12 @@ def test_a_preset_scale_chunk_measured_at_several_steps_stays_within_its_memory_
 
 
 def test_a_preset_scale_joint_map_chunk_stays_within_its_memory_budget():
-    # fig3 at t = 50: each configuration keeps its four joint factors and its marginal on the 51 parity cells,
-    # and measuring them holds its coin products (8 x 51 floats), so the preset's 100 static configurations run
-    # as one chunk, where two 51 x 51 quarters each fit 71 and whole 103 x 103 matrices 22.  A chunk that fills
-    # the budget (192 of 300 configurations) is traced on its second run; counting only the 5 x 51 floats kept,
-    # 221 configurations fit and peaked at 1.13 budgets.
+    # fig3 at t = 50: each configuration keeps its four joint factors on the 51 parity cells, and measuring them
+    # holds its coin products (8 x 51 floats), so the preset's 100 static configurations run as one chunk, where
+    # two 51 x 51 quarters each fit 71 and whole 103 x 103 matrices 22.  A chunk that fills the budget (196 of
+    # 300 configurations) is traced on its second run and peaked at 0.946 budgets on a 2-core Xeon with numpy
+    # 2.4; counting only the 5 x 51 floats of factors and a marginal kept, 221 configurations fit and peaked at
+    # 1.13 budgets.
     cfg = dataclasses.replace(preset("fig3"), configs=300)
     n, o = lattice_for(cfg.steps)
     lo, _, stride = light_cone(cfg.steps, [o + x for x in cfg.start_sites])
@@ -424,9 +425,9 @@ def test_a_preset_scale_joint_map_chunk_stays_within_its_memory_budget():
     s = len(range(n)[cells])
     measure = partial(observables._measure_joints, cells)
     members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
-    tasks = observables._chunk_tasks(members, [cfg.steps], measure, 13 * s, 1)
-    assert (s, [len(task[0]) for task in tasks]) == (51, [192, 108])
-    assert len(observables._chunk_tasks(members[:100], [cfg.steps], measure, 13 * s, 1)) == 1
+    tasks = observables._chunk_tasks(members, [cfg.steps], measure, 12 * s, 1)
+    assert (s, [len(task[0]) for task in tasks]) == (51, [196, 104])
+    assert len(observables._chunk_tasks(members[:100], [cfg.steps], measure, 12 * s, 1)) == 1
     observables._run_chunk(tasks[0])
     tracemalloc.start()
     try:
@@ -438,20 +439,25 @@ def test_a_preset_scale_joint_map_chunk_stays_within_its_memory_budget():
 
 
 def mode_reference_average(cfg):
-    """Configuration-averaged position joints by symmetry, from the mode-level reference, and the marginal.
+    """Configuration-averaged position joints by symmetry and marginals, summed in configuration order.
 
-    Both are summed over the configurations in order and divided once, as the runner sums its marginals.
+    Returns (joints from the mode-level reference, the plain-numpy marginal
+    (p_a + p_b) / 2 with p_w = sum_c (re^2 + im^2), the mode-level reference
+    marginal summed over the coin); each is summed over the configurations in
+    order and divided once.
     """
     n, o = lattice_for(cfg.steps, cfg.start_sites)
-    sums, marg = {sym: np.zeros((n, n)) for sym in ExchangeSymmetry}, np.zeros(n)
+    sums, marg, mode_marg = {sym: np.zeros((n, n)) for sym in ExchangeSymmetry}, np.zeros(n), np.zeros(n)
     for i in range(cfg.configs):
         fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n)], [o + x for x in cfg.start_sites])
         [a] = evolve(delta_state(n, o, cfg.start_a[0], COIN_L), [cfg.steps], fld)
         [b] = evolve(delta_state(n, o, cfg.start_b[0], COIN_R), [cfg.steps], fld)
         for sym, acc in sums.items():
             acc += aggregate_to_positions(joint_mode_distribution(a, b, sym))
-        marg += marginal_positions(a, b)
-    return {sym: acc / cfg.configs for sym, acc in sums.items()}, marg / cfg.configs
+        p_a, p_b = ((w.real**2 + w.imag**2).sum(axis=0) for w in (a, b))
+        marg += 0.5 * (p_a + p_b)
+        mode_marg += marginal(a, b).reshape(n, 2).sum(axis=1)
+    return {sym: acc / cfg.configs for sym, acc in sums.items()}, marg / cfg.configs, mode_marg / cfg.configs
 
 
 def assert_identical_runs(runs):
@@ -467,13 +473,14 @@ def assert_identical_runs(runs):
 @pytest.mark.parametrize("start_b", [(0, "R"), (1, "R")], ids=["one-parity", "two-parities"])
 def test_average_joints_equal_ordered_sums_of_mode_reference_matrices(monkeypatch, steps, start_b):
     # The closed form sums other products than the mode-level joints, so its cells agree with their ordered sums
-    # within 1e-15; the marginals are summed in member order and agree bit for bit.  12 configurations, because
-    # numpy sums more than 8 terms pairwise along contiguous axes, as it did when chunks were summed in the
-    # configuration-innermost layout they come out in.
+    # within 1e-15.  The marginal is (p_a + p_b) / 2 of the joint factors summed in member order: bit for bit the
+    # plain-numpy sum, and within 1e-15 of the mode-level marginal, which squares |a| rather than re and im.
+    # 12 configurations, because numpy sums more than 8 terms pairwise along contiguous axes, as it did when
+    # chunks were summed in the configuration-innermost layout they come out in.
     cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=12, seed=9,
                       steps=steps, start_b=start_b)
     n, o = lattice_for(cfg.steps, cfg.start_sites)
-    want, want_marg = mode_reference_average(cfg)
+    want, want_marg, mode_marg = mode_reference_average(cfg)
     runs = _runs(monkeypatch, ensemble_average_joints, cfg)
     assert_identical_runs(runs)
     joints, marg, positions = runs[0]
@@ -482,16 +489,22 @@ def test_average_joints_equal_ordered_sums_of_mode_reference_matrices(monkeypatc
         np.testing.assert_allclose(joint, want[sym], rtol=0, atol=1e-15)
         assert np.array_equal(joint, joint.T) and joint.min() >= 0.0
     assert np.array_equal(marg, want_marg)
+    np.testing.assert_allclose(marg, mode_marg, rtol=0, atol=1e-15)
     assert np.array_equal(positions, np.arange(n) - o)
 
 
+@pytest.mark.parametrize("selection", [("variance",), ("entropy",), ("mutual_information",),
+                                       ("variance", "entropy", "mutual_information")],
+                         ids=["variance", "entropy", "mutual_information", "all"])
 @pytest.mark.parametrize("start_b", [(0, "R"), (1, "R")], ids=["one-parity", "two-parities"])
-def test_series_values_equal_the_observables_of_mode_reference_joints(start_b):
-    # light cones of 21 to 81 sites, on both sides of 64 sites; one configuration, so each mean is its value
+def test_series_values_equal_the_observables_of_mode_reference_joints(start_b, selection):
+    # light cones of 21 to 81 sites, on both sides of 64 sites; one configuration, so each mean is its value.
+    # Each observable measured alone reads the joint of every selection: no selection takes another path.
     cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=1, seed=4,
                       steps=40, start_b=start_b)
     stops = [10, 30, 31, 32, 40]
-    [series] = ensemble_run([cfg], ("variance", "entropy", "mutual_information"), eval_steps=stops)
+    [series] = ensemble_run([cfg], selection, eval_steps=stops)
+    assert set(series) == {(obs, sym.value) for obs in selection for sym in ExchangeSymmetry}
     n, o = lattice_for(cfg.steps, cfg.start_sites)
     fld = FieldBatch([observables._field_for(cfg, cfg.seed, n)], (o, o + start_b[0]))
     for i, t in enumerate(stops):
@@ -500,9 +513,10 @@ def test_series_values_equal_the_observables_of_mode_reference_joints(start_b):
         cone = slice(o - t, o + start_b[0] + t + 1)
         for sym in ExchangeSymmetry:
             ref = aggregate_to_positions(joint_mode_distribution(a[:, cone], b[:, cone], sym))
-            assert series[("variance", sym.value)].mean[i] == variance_xm(ref, np.arange(n)[cone] - o)
-            assert series[("entropy", sym.value)].mean[i] == joint_entropy(ref)
-            assert series[("mutual_information", sym.value)].mean[i] == mutual_information(ref)
+            want = {"variance": variance_xm(ref, np.arange(n)[cone] - o), "entropy": joint_entropy(ref),
+                    "mutual_information": mutual_information(ref)}
+            for obs in selection:
+                assert series[(obs, sym.value)].mean[i] == want[obs]
 
 
 def start_pair(cfg: ScenarioConfig) -> tuple[np.ndarray, int, int]:
@@ -625,7 +639,7 @@ def test_average_joints_equal_ordered_sums_of_single_configuration_runs(monkeypa
     cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=3, seed=seed,
                       steps=8)
     singles = [ensemble_average_joints(dataclasses.replace(cfg, configs=1, seed=seed + i)) for i in range(3)]
-    want, _ = mode_reference_average(cfg)
+    want, _, _ = mode_reference_average(cfg)
     runs = _runs(monkeypatch, ensemble_average_joints, cfg)
     assert_identical_runs(runs)
     joints, marg, positions = runs[0]

@@ -4,8 +4,8 @@ import pytest
 from dtqw.core import COIN_L, COIN_R, delta_state, evolve, lattice_for
 from dtqw.disorder import DisorderKind, FieldBatch, sample_phase_field
 from dtqw.observables import joint_entropy, mutual_information, variance_xm
-from dtqw.two_particle import ExchangeSymmetry, JointBuilder, marginal_positions, placed
-from mode_reference import aggregate_to_positions, joint_mode_distribution, marginal
+from dtqw.two_particle import ExchangeSymmetry, JointBuilder, joint_factors
+from mode_reference import aggregate_to_positions, joint_mode_distribution, marginal, on_lattice
 
 BOS = ExchangeSymmetry.BOSONIC
 FER = ExchangeSymmetry.FERMIONIC
@@ -39,6 +39,12 @@ def mode_index(x, coin):
 
 def position_joint(a, b, sym):
     return aggregate_to_positions(joint_mode_distribution(a, b, sym))
+
+
+def position_marginal(a, b):
+    """(p_a + p_b) / 2 of the two walkers' ``joint_factors``, the marginal the averaged maps report."""
+    p_a, p_b, _, _ = joint_factors(a, b)
+    return 0.5 * (p_a + p_b)
 
 
 def test_delta_pair_joint_is_half_on_each_ordering():
@@ -108,7 +114,7 @@ def test_marginal_equals_row_sums_for_both_symmetries():
         rows = joint_mode_distribution(a, b, sym).sum(axis=1)
         np.testing.assert_allclose(rows, m, atol=1e-12)
     np.testing.assert_allclose(
-        marginal_positions(a, b),
+        position_marginal(a, b),
         position_joint(a, b, BOS).sum(axis=1),
         atol=1e-12,
     )
@@ -117,7 +123,7 @@ def test_marginal_equals_row_sums_for_both_symmetries():
 def test_ordered_walk_marginal_spreads_ballistically():
     # twin-peak shape: variance far above the classical 2-walker baseline
     a, b, x = evolved_pair(kind=DisorderKind.ORDERED, steps=50)
-    m = marginal_positions(a, b)
+    m = position_marginal(a, b)
     x = x.astype(float)
     var = float((x * x) @ m - ((x @ m) ** 2))
     assert var > 2 * 50  # single-particle classical variance is t
@@ -135,11 +141,11 @@ def layout(matrix):
 
 
 def assert_blocks_equal_mode_reference(builder, a, b, positions, cells=slice(None)):
-    """Quarters on ``cells``, placed: the same bits, memory layout and observables as the mode-level route."""
+    """Quarters on ``cells``, on the lattice: the same bits, memory layout and observables as the mode-level route."""
     quarters = builder.quarters(a, b, SYMS, cells)
     assert len(quarters) == len(SYMS)
     for sym, quarter in zip(SYMS, quarters):
-        joint = placed(quarter, cells, a.shape[1])
+        joint = on_lattice(quarter, cells, a.shape[1])
         ref = aggregate_to_positions(joint_mode_distribution(a, b, sym))
         assert np.array_equal(joint, ref)
         assert layout(joint) == layout(ref)
@@ -192,7 +198,7 @@ def test_joint_builder_matches_closed_forms(kind):
 
         cells = walk_cells(x, t)
         for sym, quarter in zip(SYMS, JointBuilder().quarters(a, b, SYMS, cells)):
-            joint, sign = placed(quarter, cells, len(x)), 1 if sym is BOS else -1
+            joint, sign = on_lattice(quarter, cells, len(x)), 1 if sym is BOS else -1
             rank4 = 0.5 * (np.outer(p_a, p_b) + np.outer(p_b, p_a) + 2 * sign * np.outer(g, g.conj()).real)
             np.testing.assert_allclose(joint, rank4, rtol=1e-12, atol=1e-15)
             closed = var(p_a) + var(p_b) + 2 * sign * abs(x_ab) ** 2
@@ -244,7 +250,7 @@ def test_entropy_of_the_quarter_equals_that_of_the_placed_joint(t, region):
     assert quarters.shape == (len(SYMS), len(range(offset, n, 2)), len(range(offset, n, 2)))
     for sym, quarter in zip(SYMS, quarters):
         ref = aggregate_to_positions(joint_mode_distribution(a, b, sym))
-        joint = placed(quarter, cells, n)
+        joint = on_lattice(quarter, cells, n)
         assert np.array_equal(joint, ref) and layout(joint) == layout(ref)
         # the positive cells in the same order, so the entropy sums the same array
         assert np.array_equal(quarter[quarter > 0], ref[ref > 0])
@@ -283,5 +289,5 @@ def test_mutual_information_from_the_quarter_equals_that_of_the_placed_joint(t):
     a, b, x = evolved_pair(steps=t)
     cells = walk_cells(x, t)
     for sym, quarter in zip(SYMS, JointBuilder().quarters(a, b, SYMS, cells)):
-        joint = placed(quarter, cells, len(x))
+        joint = on_lattice(quarter, cells, len(x))
         assert mutual_information(joint, quarter) == mutual_information(joint)
