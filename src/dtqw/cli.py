@@ -34,9 +34,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--list", action="store_true", help="list available scenarios and exit")
     parser.add_argument("--steps", type=int, help="number of walk steps")
     parser.add_argument("--disorder", choices=[k.value for k in DisorderKind], help="disorder kind")
-    parser.add_argument("--phi-max", type=float, dest="phi_max", help="disorder strength in radians")
-    parser.add_argument("--phi-static", type=float, dest="phi_static", help="static strength (combined disorder)")
-    parser.add_argument("--phi-dynamic", type=float, dest="phi_dynamic", help="fluctuating strength (combined disorder)")
+    parser.add_argument("--phi-max", type=float, dest="phi_max", help="strength in radians (also combined's static)")
+    parser.add_argument("--phi-dynamic", type=float, dest="phi_dynamic",
+                        help="combined's fluctuating strength (default phi_max)")
     parser.add_argument("--configs", type=int, help="number of disorder configurations")
     parser.add_argument("--seed", type=int, help="base seed; configuration i uses seed + i")
     parser.add_argument("--symmetry", choices=SYMMETRY_CHOICES, help="exchange symmetry selection")

@@ -41,8 +41,7 @@ class ScenarioConfig:
     steps: int
     disorder: DisorderKind = DisorderKind.ORDERED
     phi_max: float = DEFAULT_PHI_MAX
-    phi_static: Optional[float] = None  # combined disorder; defaults to phi_max
-    phi_dynamic: Optional[float] = None
+    phi_dynamic: Optional[float] = None  # combined disorder's fluctuating phases; defaults to phi_max
     configs: int = 1
     seed: int = 0
     symmetry: str = "both"
@@ -68,9 +67,8 @@ class ScenarioConfig:
         check_integer("configs", self.configs, 1)
         check_integer("seed", self.seed, 0)
         check_strength("phi_max", self.phi_max)
-        for label in ("phi_static", "phi_dynamic"):
-            if getattr(self, label) is not None:
-                check_strength(label, getattr(self, label))
+        if self.phi_dynamic is not None:
+            check_strength("phi_dynamic", self.phi_dynamic)
         if any(lo >= hi for lo, hi in zip(self.sweep_values, self.sweep_values[1:])):
             raise ValueError("sweep values must be strictly ascending")
         if self.symmetry not in SYMMETRY_CHOICES:

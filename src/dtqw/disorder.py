@@ -7,7 +7,8 @@ kinds differ in where the phases may change:
 * ``static``       from site to site, constant in time (localizing)
 * ``dynamic``      from step to step, constant in space (decohering)
 * ``fluctuating``  from site to site and from step to step
-* ``combined``     static plus fluctuating phases, added componentwise
+* ``combined``     static plus fluctuating phases, added componentwise; the
+                   fluctuating ones read phi_dynamic instead when it is set
 * ``ordered``      all phases zero
 
 So a field is one table of phases, coin L and R by step by site, with one
@@ -70,34 +71,28 @@ def draw_shapes(kind: DisorderKind, steps: int, n_sites: int) -> list[tuple[int,
             for part in _COMPONENTS[DisorderKind(kind)]]
 
 
-def strength_fields(kind: DisorderKind, phi_static: Optional[float] = None,
-                    phi_dynamic: Optional[float] = None) -> dict[DisorderKind, str]:
-    """The strength field ("phi_max", "phi_static" or "phi_dynamic") each component of a ``kind`` field reads.
+def strength_fields(kind: DisorderKind, phi_dynamic: Optional[float] = None) -> dict[DisorderKind, str]:
+    """The strength field ("phi_max" or "phi_dynamic") each component of a ``kind`` field reads.
 
-    Keyed by component, in drawing order.  Static, dynamic and fluctuating
-    disorder read ``phi_max``; combined disorder reads ``phi_static`` for
-    its static and ``phi_dynamic`` for its fluctuating phases, each falling
-    back to ``phi_max`` when unset (None); ordered disorder reads none.
-    Only whether the two strengths are None matters.
+    Keyed by component, in drawing order.  Every component reads
+    ``phi_max``, except that combined disorder's fluctuating phases read
+    ``phi_dynamic`` when it is set (not None); ordered disorder reads none.
+    Only whether ``phi_dynamic`` is None matters.
     """
     kind = DisorderKind(kind)
     fields = dict.fromkeys(_COMPONENTS[kind], "phi_max")
-    if kind is DisorderKind.COMBINED:
-        if phi_static is not None:
-            fields[DisorderKind.STATIC] = "phi_static"
-        if phi_dynamic is not None:
-            fields[DisorderKind.FLUCTUATING] = "phi_dynamic"
+    if kind is DisorderKind.COMBINED and phi_dynamic is not None:
+        fields[DisorderKind.FLUCTUATING] = "phi_dynamic"
     return fields
 
 
-def seed_independent(kind: DisorderKind, phi_max: Optional[float] = None, phi_static: Optional[float] = None,
-                     phi_dynamic: Optional[float] = None) -> bool:
+def seed_independent(kind: DisorderKind, phi_max: Optional[float] = None, phi_dynamic: Optional[float] = None) -> bool:
     """Whether a ``kind`` field draws the same phases from every seed: every strength it reads is 0.
 
     ``uniform(0, 0)`` draws exact zeros, and ordered disorder reads no strength.
     """
-    strengths = {"phi_max": phi_max, "phi_static": phi_static, "phi_dynamic": phi_dynamic}
-    return all(strengths[label] == 0 for label in strength_fields(kind, phi_static, phi_dynamic).values())
+    strengths = {"phi_max": phi_max, "phi_dynamic": phi_dynamic}
+    return all(strengths[label] == 0 for label in strength_fields(kind, phi_dynamic).values())
 
 
 @dataclass
@@ -242,7 +237,6 @@ def sample_phase_field(
     kind: DisorderKind,
     *,
     phi_max: Optional[float] = None,
-    phi_static: Optional[float] = None,
     phi_dynamic: Optional[float] = None,
     steps: int,
     n_sites: int,
@@ -250,24 +244,25 @@ def sample_phase_field(
 ) -> PhaseField:
     """Draw one disorder realization.
 
-    Each component of the kind reads its strength from the field that
-    ``strength_fields`` names, which must not be None.  Each component draws
-    the L and then the R phases of its ``draw_shapes`` table in one call from
-    its own substream of ``seed``, and the field keeps the sum of the draws.
-    Identical (kind, strengths, seed, dimensions) give bit-identical tables.
-    The table indexes sites by array index; where the walkers start is the
-    caller's.  ``steps >= 0``, ``n_sites >= 1`` and ``seed >= 0`` must pass
-    ``core.check_integer``, and every strength that is not None must pass
-    ``check_strength``, read by the kind or not; anything else raises
-    ValueError before any draw.
+    Each component of the kind reads ``phi_max``, except that combined
+    disorder's fluctuating phases read ``phi_dynamic`` when it is set
+    (``strength_fields``); a strength read must not be None.  Each component
+    draws the L and then the R phases of its ``draw_shapes`` table in one
+    call from its own substream of ``seed``, and the field keeps the sum of
+    the draws.  Identical (kind, strengths, seed, dimensions) give
+    bit-identical tables.  The table indexes sites by array index; where the
+    walkers start is the caller's.  ``steps >= 0``, ``n_sites >= 1`` and
+    ``seed >= 0`` must pass ``core.check_integer``, and every strength that
+    is not None must pass ``check_strength``, read by the kind or not;
+    anything else raises ValueError before any draw.
     """
     kind = DisorderKind(kind)
     for label, value, low in (("steps", steps, 0), ("n_sites", n_sites, 1), ("seed", seed, 0)):
         check_integer(label, value, low)
     # checked even where the kind does not read them
     strengths = {label: None if value is None else check_strength(label, value)
-                 for label, value in (("phi_max", phi_max), ("phi_static", phi_static), ("phi_dynamic", phi_dynamic))}
-    fields = strength_fields(kind, phi_static, phi_dynamic)
+                 for label, value in (("phi_max", phi_max), ("phi_dynamic", phi_dynamic))}
+    fields = strength_fields(kind, phi_dynamic)
     for label in fields.values():
         if strengths[label] is None:
             raise ValueError(f"{kind.value} disorder needs {label}")

@@ -93,8 +93,8 @@ class ObservableSeries:
 
 def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int) -> PhaseField:
     """The field ``seed`` draws with ``cfg``'s disorder kind and strengths on a lattice of ``n_sites`` sites."""
-    return sample_phase_field(cfg.disorder, phi_max=cfg.phi_max, phi_static=cfg.phi_static,
-                              phi_dynamic=cfg.phi_dynamic, steps=cfg.steps, n_sites=n_sites, seed=seed)
+    return sample_phase_field(cfg.disorder, phi_max=cfg.phi_max, phi_dynamic=cfg.phi_dynamic, steps=cfg.steps,
+                              n_sites=n_sites, seed=seed)
 
 
 def _geometry(cfg: ScenarioConfig) -> tuple[int, int, list[int]]:
@@ -231,9 +231,9 @@ def ensemble_run(
     """Evolve ``cfg.configs`` disorder realizations of each config in ``cfgs`` and fold the observables.
 
     ``cfgs`` is a nonempty list of configs that differ in nothing but their
-    strengths (``phi_max``, ``phi_static``, ``phi_dynamic``), such as one
-    config per value of a strength sweep; anything else raises ValueError
-    before any step.  ``observables`` names keys of ``_OBSERVABLES``
+    strengths (``phi_max`` and ``phi_dynamic``), such as one config per
+    value of a strength sweep; anything else raises ValueError before any
+    step.  ``observables`` names keys of ``_OBSERVABLES``
     ("variance", "entropy", "mutual_information").  Configuration i of a
     config draws its field with its strengths and seed ``cfg.seed + i``;
     walkers A and B share the field within a configuration.  Returns, for
@@ -255,9 +255,8 @@ def ensemble_run(
     if not cfgs:
         raise ValueError("ensemble_run needs a nonempty list of configs")
     cfg = cfgs[0]
-    if any(replace(other, phi_max=cfg.phi_max, phi_static=cfg.phi_static, phi_dynamic=cfg.phi_dynamic) != cfg
-           for other in cfgs):
-        raise ValueError("the configs of one ensemble may differ only in phi_max, phi_static and phi_dynamic")
+    if any(replace(other, phi_max=cfg.phi_max, phi_dynamic=cfg.phi_dynamic) != cfg for other in cfgs):
+        raise ValueError("the configs of one ensemble may differ only in phi_max and phi_dynamic")
     observables = tuple(observables)
     if not observables or any(obs not in _OBSERVABLES for obs in observables):
         raise ValueError(f"observables must be a nonempty selection of {tuple(_OBSERVABLES)}, got {observables!r}")
@@ -267,8 +266,7 @@ def ensemble_run(
     measure = partial(_measure_series, observables, JointBuilder())
     result_floats = len(observables) * len(syms) * len(eval_steps)
     # a config whose field every seed draws alike evolves one member, which stands for all its configurations
-    counts = [1 if seed_independent(one.disorder, one.phi_max, one.phi_static, one.phi_dynamic) else one.configs
-              for one in cfgs]
+    counts = [1 if seed_independent(one.disorder, one.phi_max, one.phi_dynamic) else one.configs for one in cfgs]
     members = [(one, one.seed + i) for one, count in zip(cfgs, counts) for i in range(count)]
     chunks = [np.moveaxis(np.array(chunk), 0, -1)
               for chunk in _map_chunks(members, eval_steps, measure, result_floats, n_jobs)]

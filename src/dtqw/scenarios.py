@@ -91,15 +91,15 @@ def _preset_table() -> dict[str, tuple[ScenarioConfig, Plan]]:
                  Plan(fits=("exponential_wing",))),
         "fig4": (ScenarioConfig("fig4", steps=50, disorder=K.DYNAMIC, phi_max=pi, configs=100, seed=400),
                  Plan(fits=wings)),
-        "fluct": (ScenarioConfig("fluct", steps=50, disorder=K.COMBINED, phi_static=pi, phi_dynamic=pi,
-                                 configs=100, seed=450), Plan(fits=wings)),
+        "fluct": (ScenarioConfig("fluct", steps=50, disorder=K.COMBINED, phi_max=pi, configs=100, seed=450),
+                  Plan(fits=wings)),
         "fig5": (ScenarioConfig("fig5", steps=100, phi_max=pi, configs=100, seed=500),
                  Plan("variance_vs_t", series, var, (K.ORDERED, K.DYNAMIC, K.FLUCTUATING, K.COMBINED, K.STATIC),
                       "variance", fits=("power_law",))),
         "fig6": (ScenarioConfig("fig6", steps=100, configs=100, seed=600, sweep_values=STRENGTH_GRID),
                  Plan("variance_vs_phi", ("phi", "kind", "symmetry"), var, (K.STATIC, K.DYNAMIC), "variance",
                       sweep="phi_max")),
-        "fig7": (ScenarioConfig("fig7", steps=100, disorder=K.COMBINED, phi_static=pi, configs=100, seed=700,
+        "fig7": (ScenarioConfig("fig7", steps=100, disorder=K.COMBINED, phi_max=pi, configs=100, seed=700,
                                 sweep_values=STRENGTH_GRID),
                  Plan("variance_vs_phi_dynamic", ("phi_dynamic", "symmetry"), var, (K.COMBINED,), "variance",
                       sweep="phi_dynamic", docs=("mobility_edge",))),
@@ -140,9 +140,9 @@ def check_config(cfg: ScenarioConfig, given: dict) -> None:
         raise ValueError(f"{cfg.name} sweeps no strength; drop 'sweep_values'")
     kinds = plan.kinds or (cfg.disorder,)
     # the strength fields the run's fields read, the swept one set by the sweep and so not read from cfg
-    filled = [0.0 if key == plan.sweep else getattr(cfg, key) for key in ("phi_static", "phi_dynamic")]
-    read = {label for kind in kinds for label in strength_fields(kind, *filled).values()} - {plan.sweep}
-    for key in ("phi_max", "phi_static", "phi_dynamic"):
+    phi_dynamic = 0.0 if plan.sweep == "phi_dynamic" else cfg.phi_dynamic
+    read = {label for kind in kinds for label in strength_fields(kind, phi_dynamic).values()} - {plan.sweep}
+    for key in ("phi_max", "phi_dynamic"):
         if key not in read and (key in given or getattr(cfg, key) != getattr(base, key)):
             evolved = "/".join(k.value for k in kinds)
             why = "its sweep sets it" if key == plan.sweep else f"{evolved} disorder does not read it"
@@ -175,7 +175,7 @@ def _mobility_edge(cfg: ScenarioConfig, table: Table) -> dict:
             crossings[sym] = value
     return {
         "classical_baseline": baseline,
-        "phi_static": float(getattr(cfg, strength_fields(DisorderKind.COMBINED, cfg.phi_static)[DisorderKind.STATIC])),
+        "phi_static": float(cfg.phi_max),  # the static strength of the combined kind
         "grid": list(cfg.sweep_values),
         "first_crossing": crossings,
     }

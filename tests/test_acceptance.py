@@ -82,7 +82,7 @@ def test_criterion_1_oracle_equivalence():
         coin = COIN_L if case % 2 else COIN_R
         n, o = lattice_for(t)
         fld = sample_phase_field(
-            kind, phi_max=PI, phi_static=PI, phi_dynamic=PI,
+            kind, phi_max=PI, phi_dynamic=PI,
             steps=t, n_sites=n, seed=int(rng.integers(2**63)),
         )
         [state] = evolve(delta_state(n, o, 0, coin), [t], FieldBatch([fld], (o,)))
@@ -110,7 +110,7 @@ def test_criterion_2_invariant_suite():
         # unitarity over 100 steps plus light cone and parity
         t = 100
         n, o = lattice_for(t)
-        fld = FieldBatch([sample_phase_field(kind, phi_max=PI, phi_static=PI, phi_dynamic=PI,
+        fld = FieldBatch([sample_phase_field(kind, phi_max=PI, phi_dynamic=PI,
                                              steps=t, n_sites=n, seed=seed)], (o,))
         for state in evolve(delta_state(n, o, 0, COIN_L), range(1, t + 1), fld):  # checking the norm after each step
             norm_drift = max(norm_drift, abs(float(np.sum(np.abs(state) ** 2)) - 1.0))
@@ -122,7 +122,7 @@ def test_criterion_2_invariant_suite():
         # two-particle identities at t=25
         t2 = 25
         n2, o2 = lattice_for(t2, (0, 0))
-        fld2 = FieldBatch([sample_phase_field(kind, phi_max=PI, phi_static=PI, phi_dynamic=PI,
+        fld2 = FieldBatch([sample_phase_field(kind, phi_max=PI, phi_dynamic=PI,
                                               steps=t2, n_sites=n2, seed=seed)], (o2, o2))
         [a] = evolve(delta_state(n2, o2, 0, COIN_L), [t2], fld2)
         [b] = evolve(delta_state(n2, o2, 0, COIN_R), [t2], fld2)
@@ -228,7 +228,7 @@ def test_criterion_7_mobility_edge():
     baseline = classical_baseline(100)
     crossing = None
     for phi in STRENGTH_GRID:
-        cfg = _cfg(DisorderKind.COMBINED, phi_static=PI, phi_dynamic=phi, seed=700)
+        cfg = _cfg(DisorderKind.COMBINED, phi_dynamic=phi, seed=700)
         [series] = ensemble_run([cfg], ("variance",), eval_steps=[100])
         mean = series[("variance", "bosonic")].mean[0]
         if mean > baseline:
@@ -236,7 +236,7 @@ def test_criterion_7_mobility_edge():
             break
     ok = crossing is not None and PI / 4 <= crossing <= 3 * PI / 4
     shown = f"{crossing / PI:.2f} pi" if crossing is not None else "none"
-    _criterion(7, ok, f"variance first exceeds 2t at phi_dynamic = {shown} (phi_static = pi)")
+    _criterion(7, ok, f"variance first exceeds 2t at phi_dynamic = {shown} (static phases at phi_max = pi)")
 
 
 def test_criterion_8_entropy_ordering(info_series):

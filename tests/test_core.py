@@ -158,7 +158,7 @@ def test_evolution_invariants_under_any_disorder(kind, steps, seed):
     """Norm, light cone and parity hold for every kind, strength pi."""
     n, o = lattice_for(steps)
     fld = sample_phase_field(
-        kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
+        kind, phi_max=np.pi, phi_dynamic=np.pi,
         steps=steps, n_sites=n, seed=seed,
     )
     [out] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fld], (o,)))
@@ -329,7 +329,7 @@ def test_evolve_takes_plain_arrays_and_rejects_other_shapes():
 def sampled_fields(kind, steps, seeds, start_sites=(0,)):
     n, _ = lattice_for(steps, start_sites)
     return [
-        sample_phase_field(kind, phi_max=2.5, phi_static=np.pi, phi_dynamic=1.5, steps=steps,
+        sample_phase_field(kind, phi_max=2.5, phi_dynamic=1.5, steps=steps,
                            n_sites=n, seed=seed)
         for seed in seeds
     ]
@@ -572,7 +572,7 @@ def test_evolve_accepts_the_tightest_lattice_and_a_batch_refuses_one_site_less(l
     start[..., starts] = rng.normal(size=cells) + 1j * rng.normal(size=cells)
 
     def fields(n_sites):
-        return [sample_phase_field(kind, phi_max=2.5, phi_static=np.pi, phi_dynamic=1.5, steps=steps,
+        return [sample_phase_field(kind, phi_max=2.5, phi_dynamic=1.5, steps=steps,
                                    n_sites=n_sites, seed=seed) for seed in range(3)]
 
     stops = sorted(rng.integers(0, steps, 2).tolist()) + [steps]

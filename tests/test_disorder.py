@@ -16,7 +16,7 @@ PI = np.pi
 def make(kind, steps=10, seed=0, **strengths):
     n, _ = lattice_for(steps)
     if not strengths:
-        strengths = {"phi_max": PI, "phi_static": PI, "phi_dynamic": PI}
+        strengths = {"phi_max": PI, "phi_dynamic": PI}
     return sample_phase_field(kind, steps=steps, n_sites=n, seed=seed, **strengths)
 
 
@@ -52,7 +52,7 @@ def test_fluctuating_varies_in_space_and_time():
 
 
 def test_combined_is_componentwise_sum():
-    fld = make(DisorderKind.COMBINED, steps=6, phi_static=PI, phi_dynamic=PI / 2)
+    fld = make(DisorderKind.COMBINED, steps=6, phi_max=PI, phi_dynamic=PI / 2)
     site = make(DisorderKind.STATIC, steps=6, phi_max=PI).phases  # the same seed's static draw
     fluct = make(DisorderKind.FLUCTUATING, steps=6, phi_max=PI / 2).phases
     i = lattice_for(6)[1] + 2
@@ -91,7 +91,7 @@ def test_strength_out_of_range_rejected(bad):
     with pytest.raises(ValueError):
         make(DisorderKind.STATIC, phi_max=bad)
     with pytest.raises(ValueError):
-        make(DisorderKind.COMBINED, phi_static=bad, phi_dynamic=PI)
+        make(DisorderKind.COMBINED, phi_max=PI, phi_dynamic=bad)
 
 
 @pytest.mark.parametrize(
@@ -100,9 +100,9 @@ def test_strength_out_of_range_rejected(bad):
         (DisorderKind.STATIC, {"phi_max": "3.0"}),
         (DisorderKind.DYNAMIC, {"phi_max": True}),
         (DisorderKind.FLUCTUATING, {"phi_max": 1 + 0j}),
-        (DisorderKind.STATIC, {"phi_static": np.bool_(True)}),
-        (DisorderKind.COMBINED, {"phi_static": True, "phi_dynamic": "1"}),
-        (DisorderKind.COMBINED, {"phi_static": PI, "phi_dynamic": [1.0]}),
+        (DisorderKind.STATIC, {"phi_max": np.bool_(True)}),
+        (DisorderKind.COMBINED, {"phi_max": True, "phi_dynamic": "1"}),
+        (DisorderKind.COMBINED, {"phi_max": PI, "phi_dynamic": [1.0]}),
         (DisorderKind.COMBINED, {"phi_max": float("nan")}),
     ],
     ids=["str", "bool", "complex", "numpy-bool", "combined-bool-str", "combined-list", "nan"],
@@ -142,14 +142,14 @@ def test_bad_geometry_or_seed_rejected_before_any_draw(kind, geometry, monkeypat
     "kind, strengths",
     [
         (DisorderKind.ORDERED, {"phi_max": "garbage"}),
-        (DisorderKind.ORDERED, {"phi_static": 7.0}),
+        (DisorderKind.ORDERED, {"phi_dynamic": 7.0}),
         (DisorderKind.STATIC, {"phi_max": PI, "phi_dynamic": "x"}),
         (DisorderKind.STATIC, {"phi_max": PI, "phi_dynamic": -0.5}),
-        (DisorderKind.DYNAMIC, {"phi_max": PI, "phi_static": True}),
-        (DisorderKind.DYNAMIC, {"phi_max": PI, "phi_static": 2 * PI + 1e-6}),
+        (DisorderKind.DYNAMIC, {"phi_max": PI, "phi_dynamic": True}),
+        (DisorderKind.DYNAMIC, {"phi_max": PI, "phi_dynamic": 2 * PI + 1e-6}),
     ],
-    ids=["ordered-max-text", "ordered-static-above", "static-dynamic-text", "static-dynamic-negative",
-         "dynamic-static-bool", "dynamic-static-above"],
+    ids=["ordered-max-text", "ordered-dynamic-above", "static-dynamic-text", "static-dynamic-negative",
+         "dynamic-dynamic-bool", "dynamic-dynamic-above"],
 )
 def test_unread_strength_is_still_checked_before_any_draw(kind, strengths, monkeypatch):
     # strengths a kind did not read once passed unchecked
@@ -170,33 +170,29 @@ def test_missing_strength_rejected():
     n, _ = lattice_for(5)
     with pytest.raises(ValueError):
         sample_phase_field(DisorderKind.DYNAMIC, steps=5, n_sites=n, seed=0)
-    with pytest.raises(ValueError):
-        sample_phase_field(DisorderKind.COMBINED, phi_static=PI, steps=5, n_sites=n, seed=0)
-    # a one-component kind reads phi_max only; it once fell back to the matching phi_static or phi_dynamic
-    for kind, strengths in ((DisorderKind.STATIC, {"phi_static": PI}), (DisorderKind.DYNAMIC, {"phi_dynamic": PI}),
-                            (DisorderKind.FLUCTUATING, {"phi_static": PI, "phi_dynamic": PI})):
+    # every disordered kind reads phi_max (combined for its static phases), whatever phi_dynamic holds
+    for kind in (DisorderKind.STATIC, DisorderKind.DYNAMIC, DisorderKind.FLUCTUATING, DisorderKind.COMBINED):
         with pytest.raises(ValueError, match=f"{kind.value} disorder needs phi_max"):
-            sample_phase_field(kind, **strengths, steps=5, n_sites=n, seed=0)
+            sample_phase_field(kind, phi_dynamic=PI, steps=5, n_sites=n, seed=0)
 
 
 def test_strength_fields_name_the_field_each_component_reads():
     K = DisorderKind
-    for phi_static, phi_dynamic in ((None, None), (1.0, 0.0)):
-        assert strength_fields(K.ORDERED, phi_static, phi_dynamic) == {}
+    for phi_dynamic in (None, 0.0):
+        assert strength_fields(K.ORDERED, phi_dynamic) == {}
         for kind in (K.STATIC, K.DYNAMIC, K.FLUCTUATING):
-            assert strength_fields(kind.value, phi_static, phi_dynamic) == {kind: "phi_max"}
-    # combined: each component falls back to phi_max when its own strength is unset; only None counts as unset
+            assert strength_fields(kind.value, phi_dynamic) == {kind: "phi_max"}
+    # combined: the static phases read phi_max, the fluctuating ones phi_dynamic when it is set; only None is unset
     assert list(strength_fields(K.COMBINED).items()) == [(K.FLUCTUATING, "phi_max"), (K.STATIC, "phi_max")]
-    assert strength_fields(K.COMBINED, 0.0, None) == {K.FLUCTUATING: "phi_max", K.STATIC: "phi_static"}
-    assert strength_fields(K.COMBINED, None, 0.0) == {K.FLUCTUATING: "phi_dynamic", K.STATIC: "phi_max"}
-    assert strength_fields(K.COMBINED, 1.0, 2.0) == {K.FLUCTUATING: "phi_dynamic", K.STATIC: "phi_static"}
+    for phi_dynamic in (0.0, 2.0):
+        assert strength_fields(K.COMBINED, phi_dynamic) == {K.FLUCTUATING: "phi_dynamic", K.STATIC: "phi_max"}
 
 
 def test_all_stored_phases_within_strength():
     for kind in (DisorderKind.STATIC, DisorderKind.DYNAMIC, DisorderKind.FLUCTUATING):
         fld = make(kind, phi_max=1.3)
         assert fld.phases.min() >= 0.0 and fld.phases.max() <= 1.3
-    fld = make(DisorderKind.COMBINED, phi_static=0.4, phi_dynamic=1.1)
+    fld = make(DisorderKind.COMBINED, phi_max=0.4, phi_dynamic=1.1)
     site, fluct = make(DisorderKind.STATIC, phi_max=0.4).phases, make(DisorderKind.FLUCTUATING, phi_max=1.1).phases
     assert np.array_equal(fld.phases, site + fluct)  # the same seed's two draws
     assert site.max() <= 0.4 and fluct.max() <= 1.1
@@ -225,7 +221,7 @@ def test_combined_with_zero_dynamic_reproduces_static():
     steps = 10
     n, o = lattice_for(steps)
     combined = sample_phase_field(
-        DisorderKind.COMBINED, phi_static=PI, phi_dynamic=0.0, steps=steps, n_sites=n, seed=21
+        DisorderKind.COMBINED, phi_max=PI, phi_dynamic=0.0, steps=steps, n_sites=n, seed=21
     )
     static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, seed=21)
     np.testing.assert_array_equal(combined.phases[0], np.broadcast_to(static.phases[0], (steps, n)))
@@ -239,7 +235,7 @@ def test_combined_with_zero_static_reproduces_fluctuating():
     steps = 10
     n, o = lattice_for(steps)
     combined = sample_phase_field(
-        DisorderKind.COMBINED, phi_static=0.0, phi_dynamic=PI, steps=steps, n_sites=n, seed=22
+        DisorderKind.COMBINED, phi_max=0.0, phi_dynamic=PI, steps=steps, n_sites=n, seed=22
     )
     fluct = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=PI, steps=steps, n_sites=n, seed=22)
     np.testing.assert_array_equal(combined.phases[0], fluct.phases[0])
@@ -272,7 +268,7 @@ def test_tables_are_read_only():
 def test_phases_are_the_l_then_r_draws_of_each_component_substream(kind, seed):
     # substream 0 draws static phases per site, 1 dynamic phases per step, 2 fluctuating phases per (step, site)
     steps, n = 5, 13
-    fld = sample_phase_field(kind, phi_max=1.0, phi_static=2.0, phi_dynamic=1.5, steps=steps, n_sites=n, seed=seed)
+    fld = sample_phase_field(kind, phi_max=1.0, phi_dynamic=1.5, steps=steps, n_sites=n, seed=seed)
 
     def draws(index, strength, size):
         rng = _substream(seed, index)
@@ -284,7 +280,7 @@ def test_phases_are_the_l_then_r_draws_of_each_component_substream(kind, seed):
         DisorderKind.STATIC: lambda: draws(0, 1.0, n)[:, None, :],
         DisorderKind.DYNAMIC: lambda: draws(1, 1.0, steps)[:, :, None],
         DisorderKind.FLUCTUATING: lambda: draws(2, 1.0, (steps, n)),
-        DisorderKind.COMBINED: lambda: draws(0, 2.0, n)[:, None, :] + draws(2, 1.5, (steps, n)),
+        DisorderKind.COMBINED: lambda: draws(0, 1.0, n)[:, None, :] + draws(2, 1.5, (steps, n)),
     }[kind]()
     assert fld.phases.shape == want.shape and fld.phases.tobytes() == want.tobytes()
 
@@ -330,7 +326,7 @@ def test_a_substream_draws_what_the_spawned_child_draws(seed):
 def test_coin_factors_are_those_of_the_whole_tables_on_each_row(kind, starts, n_sites):
     # bit for bit against exp(i phi) of each field's own whole table, on the cells of row t - 1
     steps = 8
-    fields = [sample_phase_field(kind, phi_static=PI, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
+    fields = [sample_phase_field(kind, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
                                  seed=seed) for seed in range(3)]
     batch = FieldBatch(iter(fields), starts, len(fields))
     firsts, counts, stride = light_cone_rows(steps, n_sites, starts)
@@ -359,7 +355,7 @@ def test_batch_floats_counts_what_a_batch_keeps_and_a_field_draws(kind, starts, 
             return self.generator.uniform(low, high, size)
 
     monkeypatch.setattr(disorder, "_substream", lambda seed, index: Counting(_substream(seed, index)))
-    fields = [sample_phase_field(kind, phi_static=PI, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
+    fields = [sample_phase_field(kind, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
                                  seed=seed) for seed in range(3)]
     kept, per_field = batch_floats(kind, steps, n_sites, starts)
     store = FieldBatch(fields, starts)._store
@@ -380,7 +376,7 @@ def test_light_cone_rows_follow_the_walk():
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
 def test_a_batch_refuses_starts_whose_light_cone_leaves_the_lattice(kind):
     def batch(n_sites, starts, steps=8):
-        fields = [sample_phase_field(kind, phi_static=PI, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
+        fields = [sample_phase_field(kind, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
                                      seed=seed) for seed in range(3)]
         return FieldBatch(iter(fields), starts, len(fields))
 
@@ -444,12 +440,12 @@ def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
     (DisorderKind.ORDERED, {"phi_max": 1.0}, True),
     (DisorderKind.STATIC, {"phi_max": 0.0}, True),
     (DisorderKind.STATIC, {"phi_max": 1.0, "phi_dynamic": 0.0}, False),
-    (DisorderKind.DYNAMIC, {"phi_max": 0.0, "phi_static": 1.0}, True),
+    (DisorderKind.DYNAMIC, {"phi_max": 0.0, "phi_dynamic": 1.0}, True),
     (DisorderKind.FLUCTUATING, {"phi_max": 1e-300}, False),
     (DisorderKind.COMBINED, {"phi_max": 0.0}, True),
-    (DisorderKind.COMBINED, {"phi_static": 0.0, "phi_dynamic": 0.0, "phi_max": 1.0}, True),
-    (DisorderKind.COMBINED, {"phi_static": 0.0, "phi_dynamic": 1.0}, False),
-    (DisorderKind.COMBINED, {"phi_static": 0.0, "phi_max": 1.0}, False),
+    (DisorderKind.COMBINED, {"phi_max": 0.0, "phi_dynamic": 0.0}, True),
+    (DisorderKind.COMBINED, {"phi_max": 0.0, "phi_dynamic": 1.0}, False),
+    (DisorderKind.COMBINED, {"phi_max": 1.0, "phi_dynamic": 0.0}, False),
 ])
 def test_seed_independent_fields_draw_the_same_phases_from_every_seed(kind, strengths, independent):
     assert seed_independent(kind, **strengths) is independent

@@ -273,8 +273,7 @@ def _amplitudes(cfg, amps, t):
 def test_chunked_batches_equal_per_walker_evolve_bitwise(monkeypatch, kind, budget, n_jobs, chunks):
     if budget is not None:
         monkeypatch.setattr(observables, "_CHUNK_BYTES", budget)
-    cfg = ScenarioConfig("t", steps=9, disorder=kind, phi_max=2.5, phi_static=np.pi, phi_dynamic=1.5,
-                         configs=7, seed=4)
+    cfg = ScenarioConfig("t", steps=9, disorder=kind, phi_max=2.5, phi_dynamic=1.5, configs=7, seed=4)
     members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
     tasks = observables._chunk_tasks(members, [cfg.steps], _amplitudes, 0, n_jobs)
     assert len(tasks) == chunks
@@ -318,7 +317,7 @@ def _runs(monkeypatch, fn, cfg):
 def test_ensemble_run_equals_stacked_single_configuration_runs(monkeypatch, kind, configs):
     # A configuration's numbers do not depend on batch size, chunking or n_jobs.
     seed = 11
-    cfg = ordered_cfg(disorder=kind, phi_max=2.0, phi_static=np.pi, configs=configs, seed=seed, steps=9)
+    cfg = ordered_cfg(disorder=kind, phi_max=2.0, phi_dynamic=np.pi, configs=configs, seed=seed, steps=9)
     singles = [run_one(dataclasses.replace(cfg, configs=1, seed=seed + i)) for i in range(configs)]
     for series in _runs(monkeypatch, run_one, cfg):
         for key, s in series.items():
@@ -337,7 +336,7 @@ def test_each_sweep_value_equals_its_run_alone(monkeypatch, kind, sweep):
     # One config per value of a sweep through 0, 3 configurations each, and all share chunks: one chunk, two jobs
     # (4 + 3 static members, the seed-independent value evolving one; 5 + 4 combined, cut inside the second
     # value), and one member per chunk
-    cfg = ordered_cfg(disorder=kind, phi_static=np.pi, configs=3, seed=6, steps=9)
+    cfg = ordered_cfg(disorder=kind, configs=3, seed=6, steps=9)
     cfgs = [dataclasses.replace(cfg, **{sweep: value}) for value in (0.0, 1.0, 2.5)]
     alone = [run_one(one, eval_steps=[4, 9]) for one in cfgs]
     for runs in _runs(monkeypatch, partial(ensemble_run, observables=OBS, eval_steps=[4, 9]), cfgs):
@@ -360,7 +359,7 @@ def _never_evolve(*args):
 def test_configs_that_differ_beyond_their_strengths_are_rejected_before_any_step(monkeypatch, change):
     monkeypatch.setattr(observables, "evolve", _never_evolve)
     cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=1.0, configs=2, steps=9)
-    with pytest.raises(ValueError, match="differ only in phi_max, phi_static and phi_dynamic"):
+    with pytest.raises(ValueError, match="differ only in phi_max and phi_dynamic"):
         ensemble_run([cfg, dataclasses.replace(cfg, phi_max=2.0, **change)], OBS)
 
 
@@ -371,15 +370,21 @@ def test_no_list_of_configs_is_rejected_before_any_step(monkeypatch, cfgs):
         ensemble_run(cfgs, OBS)
 
 
-def test_a_preset_scale_chunk_stays_within_its_memory_budget():
+# the budget counts no observable's temporaries: variance, entropy alone and all three observables are traced
+BUDGET_SELECTIONS = [("variance",), ("entropy",), ("variance", "entropy", "mutual_information")]
+
+
+@pytest.mark.parametrize("selection", BUDGET_SELECTIONS, ids="+".join)
+def test_a_preset_scale_chunk_stays_within_its_memory_budget(selection):
     # One fig7 chunk at t = 100 (36 combined configurations), traced on its second run, when the joint
     # builder's scratch (about 1 MiB, kept for every later chunk) exists.  The packed light-cone phases and
     # the two state buffers of the walk fill the budget next to the one field being packed; the rest is step
-    # and measurement temporaries.  A stacked second copy of whole tables peaked at 1.72 budgets.
+    # and measurement temporaries, which the budget does not count.  A stacked second copy of whole tables
+    # peaked at 1.72 budgets.
     cfg = dataclasses.replace(preset("fig7"), phi_dynamic=np.pi)
-    measure = partial(observables._measure_series, ("variance",), JointBuilder())
+    measure = partial(observables._measure_series, selection, JointBuilder())
     members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
-    task = observables._chunk_tasks(members, [cfg.steps], measure, 2, 1)[0]
+    task = observables._chunk_tasks(members, [cfg.steps], measure, 2 * len(selection), 1)[0]
     assert len(task[0]) == 36
     observables._run_chunk(task)
     tracemalloc.start()
@@ -391,15 +396,16 @@ def test_a_preset_scale_chunk_stays_within_its_memory_budget():
     assert peak <= 1.1 * observables._CHUNK_BYTES
 
 
-def test_a_preset_scale_chunk_measured_at_several_steps_stays_within_its_memory_budget():
+@pytest.mark.parametrize("selection", BUDGET_SELECTIONS, ids="+".join)
+def test_a_preset_scale_chunk_measured_at_several_steps_stays_within_its_memory_budget(selection):
     # One fig5 combined chunk at t = 100 measured at 11 steps (36 configurations): one evolve walk runs through
     # all 11 stops in the two state buffers it owns.  A third state buffer, a copy per stop, would not fit:
     # 36 configurations with two buffers counted peaked at 1.16 budgets when three coexisted.
-    cfg = dataclasses.replace(preset("fig5"), disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=np.pi)
-    measure = partial(observables._measure_series, ("variance",), JointBuilder())
+    cfg = dataclasses.replace(preset("fig5"), disorder=DisorderKind.COMBINED)
+    measure = partial(observables._measure_series, selection, JointBuilder())
     members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
     stops = list(range(0, cfg.steps + 1, 10))
-    task = observables._chunk_tasks(members, stops, measure, 2 * len(stops), 1)[0]
+    task = observables._chunk_tasks(members, stops, measure, 2 * len(selection) * len(stops), 1)[0]
     assert len(task[0]) == 36
     observables._run_chunk(task)
     tracemalloc.start()
@@ -477,8 +483,7 @@ def test_average_joints_equal_ordered_sums_of_mode_reference_matrices(monkeypatc
     # plain-numpy sum, and within 1e-15 of the mode-level marginal, which squares |a| rather than re and im.
     # 12 configurations, because numpy sums more than 8 terms pairwise along contiguous axes, as it did when
     # chunks were summed in the configuration-innermost layout they come out in.
-    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=12, seed=9,
-                      steps=steps, start_b=start_b)
+    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_dynamic=1.0, configs=12, seed=9, steps=steps, start_b=start_b)
     n, o = lattice_for(cfg.steps, cfg.start_sites)
     want, want_marg, mode_marg = mode_reference_average(cfg)
     runs = _runs(monkeypatch, ensemble_average_joints, cfg)
@@ -500,8 +505,7 @@ def test_average_joints_equal_ordered_sums_of_mode_reference_matrices(monkeypatc
 def test_series_values_equal_the_observables_of_mode_reference_joints(start_b, selection):
     # light cones of 21 to 81 sites, on both sides of 64 sites; one configuration, so each mean is its value.
     # Each observable measured alone reads the joint of every selection: no selection takes another path.
-    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=1, seed=4,
-                      steps=40, start_b=start_b)
+    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_dynamic=1.0, configs=1, seed=4, steps=40, start_b=start_b)
     stops = [10, 30, 31, 32, 40]
     [series] = ensemble_run([cfg], selection, eval_steps=stops)
     assert set(series) == {(obs, sym.value) for obs in selection for sym in ExchangeSymmetry}
@@ -636,8 +640,7 @@ def test_ordered_variance_tends_to_its_group_velocity_limit():
 def test_average_joints_equal_ordered_sums_of_single_configuration_runs(monkeypatch):
     # Within 1e-15 of the ordered sums of single runs and of the mode-level reference; marginals bit for bit.
     seed = 5
-    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_static=np.pi, phi_dynamic=1.0, configs=3, seed=seed,
-                      steps=8)
+    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_dynamic=1.0, configs=3, seed=seed, steps=8)
     singles = [ensemble_average_joints(dataclasses.replace(cfg, configs=1, seed=seed + i)) for i in range(3)]
     want, _, _ = mode_reference_average(cfg)
     runs = _runs(monkeypatch, ensemble_average_joints, cfg)
@@ -774,19 +777,19 @@ PI = np.pi
     (DisorderKind.DYNAMIC, {"phi_max": 1.0}, None, (), 4),
     (DisorderKind.FLUCTUATING, {"phi_max": 0.0}, None, (), 1),
     (DisorderKind.FLUCTUATING, {"phi_max": 1.0}, None, (), 4),
-    (DisorderKind.COMBINED, {"phi_static": 0.0, "phi_dynamic": 0.0}, None, (), 1),
-    (DisorderKind.COMBINED, {"phi_static": 0.0, "phi_dynamic": 1.0}, None, (), 4),
-    (DisorderKind.COMBINED, {"phi_static": 1.0, "phi_dynamic": 0.0}, None, (), 4),
-    (DisorderKind.COMBINED, {"phi_static": PI, "phi_dynamic": 1.0}, None, (), 4),
-    (DisorderKind.COMBINED, {"phi_max": 0.0}, None, (), 1),
-    (DisorderKind.COMBINED, {"phi_max": 1.0, "phi_static": 0.0}, None, (), 4),
+    (DisorderKind.COMBINED, {"phi_max": 0.0, "phi_dynamic": 0.0}, None, (), 1),
     (DisorderKind.COMBINED, {"phi_max": 0.0, "phi_dynamic": 1.0}, None, (), 4),
+    (DisorderKind.COMBINED, {"phi_max": 1.0, "phi_dynamic": 0.0}, None, (), 4),
+    (DisorderKind.COMBINED, {"phi_max": PI, "phi_dynamic": 1.0}, None, (), 4),
+    (DisorderKind.COMBINED, {"phi_max": 0.0}, None, (), 1),
+    (DisorderKind.COMBINED, {"phi_max": 1.0}, None, (), 4),
     (DisorderKind.STATIC, {}, "phi_max", (0.0, 0.5, PI), 1 + 4 + 4),
     (DisorderKind.DYNAMIC, {}, "phi_max", (0.0, 0.5, PI), 1 + 4 + 4),
     (DisorderKind.FLUCTUATING, {}, "phi_max", (0.0, 0.5), 1 + 4),
-    (DisorderKind.COMBINED, {"phi_static": 0.0}, "phi_dynamic", (0.0, 1.0), 1 + 4),
-    (DisorderKind.COMBINED, {"phi_static": PI}, "phi_dynamic", (0.0, 1.0), 4 + 4),
-    (DisorderKind.COMBINED, {"phi_dynamic": 0.0}, "phi_static", (0.0, 1.0), 1 + 4),
+    (DisorderKind.COMBINED, {"phi_max": 0.0}, "phi_dynamic", (0.0, 1.0), 1 + 4),
+    (DisorderKind.COMBINED, {"phi_max": PI}, "phi_dynamic", (0.0, 1.0), 4 + 4),
+    (DisorderKind.COMBINED, {"phi_dynamic": 0.0}, "phi_max", (0.0, 1.0), 1 + 4),
+    (DisorderKind.COMBINED, {}, "phi_max", (0.0, 1.0), 1 + 4),
 ])
 def test_a_seed_independent_ensemble_runs_once_and_equals_the_full_ensemble(monkeypatch, kind, strengths, sweep,
                                                                             values, members):

@@ -69,7 +69,7 @@ def test_norm_is_one_for_any_unitary_field():
         t = int(rng.integers(1, 8))
         n, o = lattice_for(t)
         fld = sample_phase_field(
-            kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
+            kind, phi_max=np.pi, phi_dynamic=np.pi,
             steps=t, n_sites=n, seed=int(rng.integers(2**32)),
         )
         amps = path_sum_amplitudes(o, COIN_R, t, fld)
@@ -85,7 +85,7 @@ def test_engine_matches_path_sum_across_kinds():
         coin = COIN_L if case % 2 else COIN_R
         n, o = lattice_for(t)
         fld = sample_phase_field(
-            kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
+            kind, phi_max=np.pi, phi_dynamic=np.pi,
             steps=t, n_sites=n, seed=int(rng.integers(2**32)),
         )
         [state] = evolve(delta_state(n, o, 0, coin), [t], FieldBatch([fld], (o,)))
@@ -100,7 +100,7 @@ def test_path_sum_with_swapped_coin_rows_disagrees_with_the_engine(kind, coin):
     # the oracle reads phases[0] as the L and phases[1] as the R phases, as FieldBatch does
     t = 6
     n, o = lattice_for(t)
-    fld = sample_phase_field(kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi, steps=t, n_sites=n, seed=5)
+    fld = sample_phase_field(kind, phi_max=np.pi, phi_dynamic=np.pi, steps=t, n_sites=n, seed=5)
     swapped = dataclasses.replace(fld, phases=fld.phases[::-1])
     [state] = evolve(delta_state(n, o, 0, coin), [t], FieldBatch([fld], (o,)))
     assert np.abs(state - path_sum_amplitudes(o, coin, t, fld)).max() <= 1e-10

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dtqw import observables, scenarios
-from dtqw.cli import main
+from dtqw.cli import build_parser, main
 from dtqw.config import ScenarioConfig, scenario_from_dict
 from dtqw.disorder import DisorderKind, strength_fields
 from dtqw.output import Table, emit_results, joint_table, sha256_file
@@ -476,18 +476,19 @@ UNKNOWN_KEY = "unknown config keys"
         # a strength the run never reads
         ("fig6", {"phi_max": 1.0}, "fig6 ignores phi_max"),
         ("fig7", {"phi_dynamic": 0.3}, "fig7 ignores phi_dynamic"),
-        ("fig7", {"phi_max": 1.0}, "fig7 ignores phi_max"),
-        ("fig3", {"phi_static": 1.0}, "fig3 ignores phi_static"),
         ("fig2", {"phi_max": 1.0}, "fig2 ignores phi_max"),
-        ("fluct", {"phi_max": 1.0}, "fluct ignores phi_max"),
         ("fig8", {"phi_dynamic": 1.0}, "fig8 ignores phi_dynamic"),
         ("fig3", {"disorder": "ordered", "phi_max": 1.0}, "fig3 ignores phi_max"),
+        # combined disorder's static phases read phi_max; there is no strength of their own
+        ("fig3", {"phi_static": 1.0}, UNKNOWN_KEY),
+        ("fig7", {"phi_static": 1.0}, UNKNOWN_KEY),
     ],
     ids=["fig5-sweep", "fig6-other-parameter", "fig6-no-sweep", "fig2-values", "fig5-entropy", "fig2-observables",
-         "fig5-values", "fig6-no-values", "fig6-swept-max", "fig7-swept-dynamic", "fig7-max", "fig3-static",
-         "fig2-ordered-max", "fluct-max", "fig8-dynamic", "fig3-ordered-max"],
+         "fig5-values", "fig6-no-values", "fig6-swept-max", "fig7-swept-dynamic", "fig2-ordered-max",
+         "fig8-dynamic", "fig3-ordered-max", "fig3-phi-static-key", "fig7-phi-static-key"],
 )
-def test_cli_rejects_fields_the_plan_fixes(tmp_path, capsys, name, file_doc, message):
+def test_cli_rejects_fields_the_plan_fixes(tmp_path, capsys, monkeypatch, name, file_doc, message):
+    monkeypatch.setattr("dtqw.cli.run_scenario", lambda *a, **k: pytest.fail("ran before rejecting"))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(file_doc))
     out = tmp_path / "out"
@@ -530,7 +531,7 @@ def test_manifest_reports_the_kinds_it_ran(tmp_path):
         ({"name": "fig3", "phi_max": True}, []),
         ({"name": "fig3", "phi_max": "3"}, []),
         ({"name": "fig3", "phi_max": None}, []),
-        ({"name": "fluct", "phi_static": "1.0"}, []),
+        ({"name": "fluct", "phi_dynamic": "1.0"}, []),
         ({"name": "fig5", "phi_dynamic": False}, []),
         ({"name": "fig6", "sweep_values": [True, 2]}, []),
         ({"name": "fig6", "sweep_values": ["0.5"]}, []),
@@ -543,7 +544,7 @@ def test_manifest_reports_the_kinds_it_ran(tmp_path):
     ids=["steps-true", "configs-true", "steps-float", "seed-negative", "seed-negative-static",
          "jobs-zero", "jobs-negative", "start-site-float", "start-site-true", "start-site-string",
          "start-short", "start-not-a-pair", "phi-max-true", "phi-max-string", "phi-max-null",
-         "phi-static-string", "phi-dynamic-false", "sweep-bool", "sweep-string", "sweep-above-2pi",
+         "phi-dynamic-string", "phi-dynamic-false", "sweep-bool", "sweep-string", "sweep-above-2pi",
          "sweep-negative", "sweep-repeated", "sweep-number", "sweep-string-of-values"],
 )
 def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, file_doc, flags):
@@ -578,16 +579,37 @@ def test_cli_rejects_an_out_dir_that_is_not_a_string(tmp_path, capsys, monkeypat
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--scenario", "fig5", "--phi-static", "1.0"],  # combined reads both components
-        ["--scenario", "fig7", "--phi-static", "1.0"],
+        ["--scenario", "fig5", "--phi-dynamic", "1.0"],  # its combined kind reads phi_dynamic once set
+        ["--scenario", "fig7", "--phi-max", "1.0"],  # the static phases under the phi_dynamic sweep
+        ["--scenario", "fluct", "--phi-max", "1.0"],  # both components, phi_dynamic being unset
         ["--scenario", "fig2", "--disorder", "static", "--phi-max", "1.0"],
-        ["--scenario", "fig2", "--disorder", "combined", "--phi-static", "1.0"],  # phi_dynamic falls back to phi_max
+        ["--scenario", "fig2", "--disorder", "combined", "--phi-dynamic", "1.0"],
         ["--scenario", "fig2", "--disorder", "combined", "--phi-max", "1.0"],
     ],
-    ids=["fig5-static", "fig7-static", "fig2-static", "fig2-combined-static", "fig2-combined-max"],
+    ids=["fig5-dynamic", "fig7-max", "fluct-max", "fig2-static", "fig2-combined-dynamic", "fig2-combined-max"],
 )
 def test_cli_accepts_the_strengths_a_run_reads(tmp_path, argv):
     assert main(argv + ["--steps", "3", "--configs", "1", "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("flags", [["--phi-static", "1.0"], ["--sweep-parameter", "phi_max"],
+                                   ["--observables", "entropy"]], ids=["phi-static", "sweep-parameter", "observables"])
+def test_cli_rejects_a_removed_flag_before_any_work(tmp_path, capsys, monkeypatch, flags):
+    monkeypatch.setattr("dtqw.cli.run_scenario", lambda *a, **k: pytest.fail("ran before rejecting"))
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["--scenario", "fig7", "--out", str(out)] + flags)
+    assert exc.value.code == 1
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_every_cli_flag_sets_one_config_field():
+    # main keeps the parsed values whose names are fields, so a flag without a field would be dropped unread
+    flags = {action.dest for action in build_parser()._actions} - {"help", "scenario", "config", "list", "jobs"}
+    fields = {field.name for field in dataclasses.fields(ScenarioConfig)}
+    assert flags <= fields
+    assert fields - flags == {"name", "start_a", "start_b", "sweep_values"}  # the scenario and the file-only fields
 
 
 # every preset; those whose plan evolves the config's own disorder once with each kind, which the config sets
@@ -599,10 +621,15 @@ STRENGTH_CASES = [(name, kind) for name in preset_names()
 @pytest.mark.parametrize("name, kind", STRENGTH_CASES, ids=[name + (f"-{kind.value}" if kind else "")
                                                             for name, kind in STRENGTH_CASES])
 def test_a_strength_is_accepted_exactly_when_it_changes_the_drawn_phases(name, kind, key):
-    # check_config and the fields the run draws follow one rule, whatever the kind and the sweep
+    # check_config and the fields the run draws follow one rule, whatever the kind and the sweep;
+    # phi_static is no field, since combined's static phases read phi_max, so it is refused everywhere
     plan = scenarios._lookup(name)[1]
     given = {key: 1.0, **({"disorder": kind} if kind else {})}
     cfg = dataclasses.replace(preset(name), steps=3, disorder=kind or preset(name).disorder)
+    if key == "phi_static":
+        with pytest.raises(ValueError, match="unknown config keys"):
+            scenario_from_dict({**dataclasses.asdict(cfg), **given})  # the merge main makes
+        return
     changed = dataclasses.replace(cfg, **given)
     n_sites, _, _ = observables._geometry(cfg)
     swept = {plan.sweep: cfg.sweep_values[-1]} if plan.sweep else {}
@@ -629,7 +656,7 @@ def test_every_kind_a_preset_sweeps_reads_the_swept_strength():
     for name, plan in swept:
         cfg = dataclasses.replace(preset(name), **{plan.sweep: 0.0})  # as the sweep sets it
         for kind in plan.kinds:
-            assert plan.sweep in strength_fields(kind, cfg.phi_static, cfg.phi_dynamic).values(), (name, kind)
+            assert plan.sweep in strength_fields(kind, cfg.phi_dynamic).values(), (name, kind)
 
 
 def reproduce_all():

@@ -21,7 +21,7 @@ def evolved_pair(kind=DisorderKind.FLUCTUATING, steps=10, seed=5, a=(0, COIN_L),
     """(a, b, signed positions) of two walkers evolved under one field."""
     n, o = lattice_for(steps, (a[0], b[0]))
     fld = FieldBatch([sample_phase_field(
-        kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
+        kind, phi_max=np.pi, phi_dynamic=np.pi,
         steps=steps, n_sites=n, seed=seed,
     )], (o + a[0], o + b[0]))
     [amps_a], [amps_b] = evolve(delta_state(n, o, *a), [steps], fld), evolve(delta_state(n, o, *b), [steps], fld)
@@ -166,7 +166,7 @@ def test_joint_builder_equals_mode_reference_on_evolved_walkers(kind):
     # whole lattice (203 sites) and the light cone (2t + 1 sites, from 1 to 201, across 64), on the walk's parity
     t_max = 100
     n, o = lattice_for(t_max)
-    fld = FieldBatch([sample_phase_field(kind, phi_max=np.pi, phi_static=np.pi, phi_dynamic=np.pi,
+    fld = FieldBatch([sample_phase_field(kind, phi_max=np.pi, phi_dynamic=np.pi,
                                          steps=t_max, n_sites=n, seed=17)], (o, o))
     stops, builder = (0, 1, 10, 31, 32, 33, 60, 100), JointBuilder()
     x = np.arange(n) - o
