@@ -47,7 +47,7 @@ def classical_baseline(t: int) -> float:
 def joint_entropy(p: np.ndarray) -> float:
     """Shannon entropy -sum P log2 P in bits (0 log 0 := 0) of a joint or a marginal."""
     p = p[p > 0.0]
-    return float(-(p * np.log2(p)).sum())
+    return float(0.0 - (p * np.log2(p)).sum())  # not -sum: a certain cell gives +0.0, not -0.0
 
 
 def mutual_information(m: np.ndarray, quarter: Optional[np.ndarray] = None) -> float:

@@ -3,8 +3,8 @@
 A ``Table`` is stored by column, and one rule renders every cell: floats
 with 17 significant digits (``.17g``), integers and text by ``str``.  CSV
 files use a header row, comma separators and LF line endings; JSON files
-list the column names and rows of Python ints, floats and strings.
-Identical data always produces byte-identical files.
+list the column names and rows of Python ints, floats and strings.  Identical
+data always produces byte-identical files, whose SHA-256 each writer returns.
 """
 
 from __future__ import annotations
@@ -38,45 +38,36 @@ def _cell_texts(values: np.ndarray) -> list[str]:
     return np.array(texts, dtype=object)[index].tolist()
 
 
-def write_table_csv(table: Table, path: Path) -> None:
+def _write(path: Path, text: str) -> str:
+    """Write ``text`` as UTF-8, its LF line endings as given; returns the SHA-256 of the bytes written."""
+    data = text.encode("utf-8")
+    path.write_bytes(data)
+    return hashlib.sha256(data).hexdigest()
+
+
+def write_json(doc: dict, path: Path) -> str:
+    return _write(path, json.dumps(doc, indent=2) + "\n")
+
+
+def write_table_csv(table: Table, path: Path) -> str:
     cells = [_cell_texts(np.asarray(values)) for values in table.columns.values()]
     lines = [",".join(table.columns), *map(",".join, zip(*cells, strict=True))]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    return _write(path, "\n".join(lines) + "\n")
 
 
-def write_table_json(table: Table, path: Path) -> None:
+def write_table_json(table: Table, path: Path) -> str:
     rows = zip(*(np.asarray(values).tolist() for values in table.columns.values()), strict=True)
-    doc = {"columns": list(table.columns), "rows": [list(row) for row in rows]}
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
+    return write_json({"columns": list(table.columns), "rows": [list(row) for row in rows]}, path)
 
 
-def emit_results(tables: Iterable[Table], fmt: str, out_dir: str | Path) -> list[Path]:
-    """Write every table as ``<name>.<fmt>`` under ``out_dir``; returns paths."""
+def emit_results(tables: Iterable[Table], fmt: str, out_dir: str | Path) -> dict[Path, str]:
+    """Write every table as ``<name>.<fmt>`` under ``out_dir``; returns {path: sha256 of its bytes}."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for table in tables:
-        path = out / f"{table.name}.{fmt}"
-        if fmt == "csv":
-            write_table_csv(table, path)
-        else:
-            write_table_json(table, path)
-        paths.append(path)
-    return paths
-
-
-def write_json(doc: dict, path: Path) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8", newline="\n")
-
-
-def sha256_file(path: Path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    write = write_table_csv if fmt == "csv" else write_table_json
+    return {(path := out / f"{table.name}.{fmt}"): write(table, path) for table in tables}
 
 
 def joint_table(name: str, matrix: np.ndarray, positions: Sequence[int]) -> Table:

@@ -41,7 +41,7 @@ from .config import ScenarioConfig
 from .disorder import GENERATOR_ID, DisorderKind, strength_fields
 from .fitting import FitError, fit_exponential_decay, fit_gaussian_semilog, fit_power_law
 from .observables import classical_baseline, ensemble_average_joints, ensemble_run, resolved_symmetries
-from .output import Table, emit_results, joint_table, marginal_table, sha256_file, write_json
+from .output import Table, emit_results, joint_table, marginal_table, write_json
 from .two_particle import ExchangeSymmetry
 
 STRENGTH_GRID = tuple(k * math.pi / 10 for k in range(11))
@@ -55,7 +55,7 @@ class RunManifest:
     generator: str
     base_seed: int
     duration_seconds: float
-    files: dict[str, str]  # file name -> sha256 of contents
+    files: dict[str, str]  # file name -> sha256 of the bytes written
 
 
 @dataclass(frozen=True)
@@ -229,8 +229,8 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
     """Execute one scenario: evolve, measure, fit, and write all outputs.
 
     Emits the plan's tables in ``cfg.format``, any fit/diagnostic documents
-    as JSON, and a ``manifest.json`` with SHA-256 digests of every emitted
-    file.  Identical (config, seed) produce byte-identical data files.
+    as JSON, and a ``manifest.json`` with the SHA-256 digest of the bytes
+    each writer wrote.  Identical (config, seed) produce byte-identical data files.
     """
     check_config(cfg, given={})
     _, plan = _lookup(cfg.name)
@@ -243,11 +243,8 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
     docs = {"fits": fits} if fits else {}
     docs.update({name: _DOCS[name](cfg, tables[0]) for name in plan.docs})
     out_dir = Path(cfg.out_dir)
-    paths = emit_results(tables, cfg.format, out_dir)
-    for stem, doc in docs.items():
-        path = out_dir / f"{stem}.json"
-        write_json(doc, path)
-        paths.append(path)
+    files = {path.name: digest for path, digest in emit_results(tables, cfg.format, out_dir).items()}
+    files.update({f"{stem}.json": write_json(doc, out_dir / f"{stem}.json") for stem, doc in docs.items()})
     manifest = RunManifest(
         scenario=dataclasses.asdict(cfg),
         kinds=[k.value for k in kinds],
@@ -255,7 +252,7 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
         generator=GENERATOR_ID,
         base_seed=cfg.seed,
         duration_seconds=time.perf_counter() - start,
-        files={p.name: sha256_file(p) for p in paths},
+        files=files,
     )
     write_json(dataclasses.asdict(manifest), out_dir / "manifest.json")
     return manifest

@@ -48,13 +48,14 @@ class JointBuilder:
     """Builds position-level joints from coin blocks, reusing its scratch arrays.
 
     ``quarters`` computes each symmetry's joint on the cells that can be
-    nonzero.  The scratch
-    arrays, the returned blocks too, grow to the largest set of cells built
-    (1.3 MB for the 103-site sublattice of 205 sites, 5.0 MB for 205 sites of
-    both parities) and every call overwrites them.  Fresh temporaries of this
-    size went back to the operating system after each call and were
-    page-faulted in again, which cost about a third of the build.  One
-    builder serves one thread.
+    nonzero.  The scratch arrays, the returned blocks too, grow to the
+    largest set of cells built (1.3 MB for the 103-site sublattice of 205
+    sites, 5.0 MB for 205 sites of both parities) and every call overwrites
+    them.  Fresh temporaries of this size went back to the operating system
+    after each call and were page-faulted in again, which cost about a third
+    of the build.  One builder serves one thread.  Its scratch, made by a
+    process's first chunk and reused by every later one, lies outside the
+    chunk budget of ``observables._chunk_tasks``.
     """
 
     def __init__(self) -> None:

@@ -1,8 +1,10 @@
 """Acceptance suite: one test and one printed pass/fail line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to stream the lines.
-The heavy ensembles (criteria 4, 8, 9) are shared module-scoped fixtures;
-the whole suite targets a few minutes on one desktop core.
+The heavy ensembles (criteria 4, 8, 9) are shared module-scoped fixtures
+run with ``n_jobs=2``, one worker per usable CPU up to two (serial and
+parallel runs agree bit for bit, as ``test_parallel_matches_serial_bitwise``
+pins); the whole suite targets a few minutes on one desktop core.
 """
 
 import dataclasses
@@ -54,7 +56,7 @@ def variance_series():
     series = {}
     for kind in KINDS:
         cfg = _cfg(kind, seed=500)
-        [run] = ensemble_run([cfg], ("variance",), eval_steps=range(20, 101))
+        [run] = ensemble_run([cfg], ("variance",), eval_steps=range(20, 101), n_jobs=2)
         series[kind] = run[("variance", "bosonic")]
     return series, time.time() - start
 
@@ -65,7 +67,8 @@ def info_series():
     out = {}
     for kind in KINDS:
         cfg = _cfg(kind, configs=50, seed=800, symmetry="both")
-        [out[kind]] = ensemble_run([cfg], ("entropy", "mutual_information"), eval_steps=range(1, 101))
+        [out[kind]] = ensemble_run([cfg], ("entropy", "mutual_information"), eval_steps=range(1, 101),
+                                   n_jobs=2)
     return out
 
 

@@ -85,7 +85,14 @@ def test_classical_baseline():
 def test_entropy_of_delta_is_zero():
     m = np.zeros((4, 4))
     m[2, 2] = 1.0
-    assert joint_entropy(m) == 0.0
+    for certain in (m, np.ones((1, 1))):  # +0.0: a -0.0 would be written as "-0"
+        assert joint_entropy(certain) == 0.0 and np.copysign(1.0, joint_entropy(certain)) == 1.0
+
+
+def test_nonzero_entropy_is_the_negated_sum_bit_for_bit():
+    p = np.random.default_rng(5).random((7, 7))
+    p /= p.sum()
+    assert joint_entropy(p) == -float((p * np.log2(p)).sum())
 
 
 def test_entropy_of_uniform_square():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -14,7 +15,7 @@ from dtqw import observables, scenarios
 from dtqw.cli import build_parser, main
 from dtqw.config import ScenarioConfig, scenario_from_dict
 from dtqw.disorder import DisorderKind, strength_fields
-from dtqw.output import Table, emit_results, joint_table, sha256_file
+from dtqw.output import Table, emit_results, joint_table
 from dtqw.scenarios import preset, preset_names, run_scenario
 
 
@@ -101,11 +102,16 @@ def test_fig3_fit_document(tmp_path):
 
 
 def test_fig8_entropy_table(tmp_path):
-    cfg = small("fig8", tmp_path, steps=10, configs=2)
-    run_scenario(cfg)
-    header, rows = read_csv(tmp_path / "fig8" / "entropy_vs_t.csv")
+    for fmt in ("csv", "json"):
+        run_scenario(small("fig8", tmp_path, steps=10, configs=2, format=fmt, out_dir=str(tmp_path / fmt)))
+    header, rows = read_csv(tmp_path / "csv" / "entropy_vs_t.csv")
     assert header == ["step", "kind", "symmetry", "mean", "std_dev"]
     assert {r[1] for r in rows} == {"ordered", "dynamic", "static"}
+    # at t = 0 every joint has one certain cell: its entropy is +0.0, written "0" and 0.0, never "-0" or -0.0
+    assert [r[3] for r in rows if r[0] == "0"] == ["0"] * 6
+    doc = json.loads((tmp_path / "json" / "entropy_vs_t.json").read_text())
+    first = [row[3] for row in doc["rows"] if row[0] == 0]
+    assert len(first) == 6 and all(np.copysign(1.0, mean) == 1.0 for mean in first)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -117,16 +123,42 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
-def test_manifest_digests_round_trip(tmp_path):
-    cfg = small("fig2", tmp_path, steps=5)
-    manifest = run_scenario(cfg)
-    out = tmp_path / "fig2"
-    for name, digest in manifest.files.items():
-        assert sha256_file(out / name) == digest
+def sha256_on_disk(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+# (overrides, tables, documents): fig2 writes joint maps only, fig5 (from 20 steps) and fig7 documents too
+MANIFEST_RUNS = {
+    "fig2": (dict(steps=5), ("joint_bose", "joint_fermi", "marginal"), ()),
+    "fig5": (dict(steps=20, configs=2), ("variance_vs_t", "classical_baseline"), ("fits.json",)),
+    "fig7": (dict(steps=8, configs=2, sweep_values=(0.0, 1.5)), ("variance_vs_phi_dynamic", "classical_baseline"),
+             ("mobility_edge.json",)),
+}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("name", list(MANIFEST_RUNS))
+def test_manifest_digests_round_trip(tmp_path, name, fmt):
+    overrides, tables, docs = MANIFEST_RUNS[name]
+    manifest = run_scenario(small(name, tmp_path, format=fmt, **overrides))
+    out = tmp_path / name
+    assert set(manifest.files) == {f"{table}.{fmt}" for table in tables} | set(docs)
+    assert {p.name for p in out.iterdir()} == {*manifest.files, "manifest.json"}
+    for file_name, digest in manifest.files.items():
+        assert sha256_on_disk(out / file_name) == digest
     echoed = json.loads((out / "manifest.json").read_text())
     assert echoed["files"] == manifest.files
-    assert echoed["scenario"]["steps"] == 5
+    assert echoed["scenario"]["steps"] == overrides["steps"]
     assert echoed["generator"] == "numpy-pcg64"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_emit_results_returns_the_digest_of_each_file(tmp_path, fmt):
+    tables = [Table("a", {"x": [1, 2], "p": [0.5, -0.0]}), Table("b", {"s": ["static"]}), Table("c", {"z": []})]
+    digests = emit_results(tables, fmt, tmp_path)
+    assert list(digests) == [tmp_path / f"{t.name}.{fmt}" for t in tables]
+    for path, digest in digests.items():
+        assert sha256_on_disk(path) == digest
 
 
 def test_symmetry_selection_limits_outputs(tmp_path):
