@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import FORMAT_CHOICES, SYMMETRY_CHOICES, ScenarioConfig, scenario_from_dict
+from .config import SYMMETRY_CHOICES, ScenarioConfig, scenario_from_dict
 from .disorder import DisorderKind
 from .scenarios import check_config, preset, preset_names, run_scenario
 
@@ -41,7 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="base seed; configuration i uses seed + i")
     parser.add_argument("--symmetry", choices=SYMMETRY_CHOICES, help="exchange symmetry selection")
     parser.add_argument("--out", dest="out_dir", metavar="OUT", help="output directory")
-    parser.add_argument("--format", choices=FORMAT_CHOICES, help="table format")
     parser.add_argument("--jobs", type=int, default=1, help="parallel workers over configurations")
     return parser
 

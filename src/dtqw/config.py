@@ -16,7 +16,6 @@ DEFAULT_PHI_MAX = float(np.pi)
 COIN_NAMES = {"L": COIN_L, "R": COIN_R}
 
 SYMMETRY_CHOICES = ("bosonic", "fermionic", "both")
-FORMAT_CHOICES = ("csv", "json")
 
 
 def _start_pair(label: str, value) -> tuple:
@@ -52,7 +51,6 @@ class ScenarioConfig:
     start_b: tuple[int, str] = (0, "R")
     sweep_values: tuple[float, ...] = ()  # read by presets that sweep a strength
     out_dir: str = "results"
-    format: str = "csv"
 
     def __post_init__(self) -> None:
         # the normalized fields are each set once, on the frozen instance
@@ -75,8 +73,6 @@ class ScenarioConfig:
             raise ValueError(f"symmetry must be one of {SYMMETRY_CHOICES}, got {self.symmetry!r}")
         if not isinstance(self.out_dir, str):
             raise ValueError(f"out_dir must be a string, got {self.out_dir!r}")
-        if self.format not in FORMAT_CHOICES:
-            raise ValueError(f"format must be one of {FORMAT_CHOICES}, got {self.format!r}")
         if self.start_a == self.start_b:
             raise ValueError("the two walkers need orthogonal starts (distinct site or coin)")
 

@@ -1,10 +1,10 @@
-"""Deterministic CSV/JSON emission for scenario results.
+"""Deterministic emission of scenario results: tables as CSV, documents as JSON.
 
 A ``Table`` is stored by column, and one rule renders every cell: floats
 with 17 significant digits (``.17g``), integers and text by ``str``.  CSV
-files use a header row, comma separators and LF line endings; JSON files
-list the column names and rows of Python ints, floats and strings.  Identical
-data always produces byte-identical files, whose SHA-256 each writer returns.
+files use a header row, comma separators and LF line endings; JSON documents
+are indented by two spaces.  Identical data always produces byte-identical
+files, whose SHA-256 each writer returns.
 """
 
 from __future__ import annotations
@@ -49,25 +49,17 @@ def write_json(doc: dict, path: Path) -> str:
     return _write(path, json.dumps(doc, indent=2) + "\n")
 
 
-def write_table_csv(table: Table, path: Path) -> str:
-    cells = [_cell_texts(np.asarray(values)) for values in table.columns.values()]
-    lines = [",".join(table.columns), *map(",".join, zip(*cells, strict=True))]
-    return _write(path, "\n".join(lines) + "\n")
-
-
-def write_table_json(table: Table, path: Path) -> str:
-    rows = zip(*(np.asarray(values).tolist() for values in table.columns.values()), strict=True)
-    return write_json({"columns": list(table.columns), "rows": [list(row) for row in rows]}, path)
-
-
-def emit_results(tables: Iterable[Table], fmt: str, out_dir: str | Path) -> dict[Path, str]:
-    """Write every table as ``<name>.<fmt>`` under ``out_dir``; returns {path: sha256 of its bytes}."""
-    if fmt not in ("csv", "json"):
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
+def emit_results(tables: Iterable[Table], out_dir: str | Path) -> dict[Path, str]:
+    """Write every table as ``<name>.csv`` under ``out_dir``; returns {path: sha256 of its bytes}."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write = write_table_csv if fmt == "csv" else write_table_json
-    return {(path := out / f"{table.name}.{fmt}"): write(table, path) for table in tables}
+    digests = {}
+    for table in tables:
+        cells = [_cell_texts(np.asarray(values)) for values in table.columns.values()]
+        lines = [",".join(table.columns), *map(",".join, zip(*cells, strict=True))]
+        path = out / f"{table.name}.csv"
+        digests[path] = _write(path, "\n".join(lines) + "\n")
+    return digests
 
 
 def joint_table(name: str, matrix: np.ndarray, positions: Sequence[int]) -> Table:

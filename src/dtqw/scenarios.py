@@ -228,9 +228,9 @@ def _run_grid(cfg: ScenarioConfig, plan: Plan, kinds: tuple, n_jobs: int) -> tup
 def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
     """Execute one scenario: evolve, measure, fit, and write all outputs.
 
-    Emits the plan's tables in ``cfg.format``, any fit/diagnostic documents
-    as JSON, and a ``manifest.json`` with the SHA-256 digest of the bytes
-    each writer wrote.  Identical (config, seed) produce byte-identical data files.
+    Emits the plan's tables as CSV, any fit/diagnostic documents as JSON,
+    and a ``manifest.json`` with the SHA-256 digest of the bytes each writer
+    wrote.  Identical (config, seed) produce byte-identical data files.
     """
     check_config(cfg, given={})
     _, plan = _lookup(cfg.name)
@@ -243,7 +243,7 @@ def run_scenario(cfg: ScenarioConfig, n_jobs: int = 1) -> RunManifest:
     docs = {"fits": fits} if fits else {}
     docs.update({name: _DOCS[name](cfg, tables[0]) for name in plan.docs})
     out_dir = Path(cfg.out_dir)
-    files = {path.name: digest for path, digest in emit_results(tables, cfg.format, out_dir).items()}
+    files = {path.name: digest for path, digest in emit_results(tables, out_dir).items()}
     files.update({f"{stem}.json": write_json(doc, out_dir / f"{stem}.json") for stem, doc in docs.items()})
     manifest = RunManifest(
         scenario=dataclasses.asdict(cfg),

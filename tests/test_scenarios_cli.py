@@ -102,16 +102,12 @@ def test_fig3_fit_document(tmp_path):
 
 
 def test_fig8_entropy_table(tmp_path):
-    for fmt in ("csv", "json"):
-        run_scenario(small("fig8", tmp_path, steps=10, configs=2, format=fmt, out_dir=str(tmp_path / fmt)))
-    header, rows = read_csv(tmp_path / "csv" / "entropy_vs_t.csv")
+    run_scenario(small("fig8", tmp_path, steps=10, configs=2))
+    header, rows = read_csv(tmp_path / "fig8" / "entropy_vs_t.csv")
     assert header == ["step", "kind", "symmetry", "mean", "std_dev"]
     assert {r[1] for r in rows} == {"ordered", "dynamic", "static"}
-    # at t = 0 every joint has one certain cell: its entropy is +0.0, written "0" and 0.0, never "-0" or -0.0
+    # at t = 0 every joint has one certain cell: its entropy is +0.0, written "0", never "-0"
     assert [r[3] for r in rows if r[0] == "0"] == ["0"] * 6
-    doc = json.loads((tmp_path / "json" / "entropy_vs_t.json").read_text())
-    first = [row[3] for row in doc["rows"] if row[0] == 0]
-    assert len(first) == 6 and all(np.copysign(1.0, mean) == 1.0 for mean in first)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -127,22 +123,30 @@ def sha256_on_disk(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-# (overrides, tables, documents): fig2 writes joint maps only, fig5 (from 20 steps) and fig7 documents too
+JOINT_MAPS = ("joint_bose", "joint_fermi", "marginal")
+
+# (overrides, tables, documents) of every preset: fig2 writes joint maps only, fig3, fig4 and fluct
+# their fits too; fig5 (from 20 steps) and fig7 write a document next to their tables, fig6, fig8 and fig9 none
 MANIFEST_RUNS = {
-    "fig2": (dict(steps=5), ("joint_bose", "joint_fermi", "marginal"), ()),
+    "fig2": (dict(steps=5), JOINT_MAPS, ()),
+    "fig3": (dict(steps=6, configs=2), JOINT_MAPS, ("fits.json",)),
+    "fig4": (dict(steps=6, configs=2), JOINT_MAPS, ("fits.json",)),
+    "fluct": (dict(steps=6, configs=2), JOINT_MAPS, ("fits.json",)),
     "fig5": (dict(steps=20, configs=2), ("variance_vs_t", "classical_baseline"), ("fits.json",)),
+    "fig6": (dict(steps=6, configs=2, sweep_values=(0.0, 1.5)), ("variance_vs_phi", "classical_baseline"), ()),
     "fig7": (dict(steps=8, configs=2, sweep_values=(0.0, 1.5)), ("variance_vs_phi_dynamic", "classical_baseline"),
              ("mobility_edge.json",)),
+    "fig8": (dict(steps=6, configs=2), ("entropy_vs_t",), ()),
+    "fig9": (dict(steps=6, configs=2), ("mutual_information_vs_t",), ()),
 }
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("name", list(MANIFEST_RUNS))
-def test_manifest_digests_round_trip(tmp_path, name, fmt):
+def test_manifest_digests_round_trip(tmp_path, name):
     overrides, tables, docs = MANIFEST_RUNS[name]
-    manifest = run_scenario(small(name, tmp_path, format=fmt, **overrides))
+    manifest = run_scenario(small(name, tmp_path, **overrides))
     out = tmp_path / name
-    assert set(manifest.files) == {f"{table}.{fmt}" for table in tables} | set(docs)
+    assert set(manifest.files) == {f"{table}.csv" for table in tables} | set(docs)
     assert {p.name for p in out.iterdir()} == {*manifest.files, "manifest.json"}
     for file_name, digest in manifest.files.items():
         assert sha256_on_disk(out / file_name) == digest
@@ -152,11 +156,10 @@ def test_manifest_digests_round_trip(tmp_path, name, fmt):
     assert echoed["generator"] == "numpy-pcg64"
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_emit_results_returns_the_digest_of_each_file(tmp_path, fmt):
+def test_emit_results_returns_the_digest_of_each_file(tmp_path):
     tables = [Table("a", {"x": [1, 2], "p": [0.5, -0.0]}), Table("b", {"s": ["static"]}), Table("c", {"z": []})]
-    digests = emit_results(tables, fmt, tmp_path)
-    assert list(digests) == [tmp_path / f"{t.name}.{fmt}" for t in tables]
+    digests = emit_results(tables, tmp_path)
+    assert list(digests) == [tmp_path / f"{t.name}.csv" for t in tables]
     for path, digest in digests.items():
         assert sha256_on_disk(path) == digest
 
@@ -169,17 +172,9 @@ def test_symmetry_selection_limits_outputs(tmp_path):
     assert not (out / "joint_fermi.csv").exists()
 
 
-def test_json_format_emission(tmp_path):
-    cfg = small("fig2", tmp_path, steps=4, format="json")
-    run_scenario(cfg)
-    doc = json.loads((tmp_path / "fig2" / "marginal.json").read_text())
-    assert doc["columns"] == ["x", "p"]
-    assert sum(row[1] for row in doc["rows"]) == pytest.approx(1.0, abs=1e-12)
-
-
 def test_emit_results_joint_rows(tmp_path):
     table = joint_table("j", np.arange(9, dtype=float).reshape(3, 3) / 36.0, [-1, 0, 1])
-    (path,) = emit_results([table], "csv", tmp_path)
+    (path,) = emit_results([table], tmp_path)
     header, rows = read_csv(path)
     assert header == ["x", "y", "p"]
     assert len(rows) == 9
@@ -188,22 +183,15 @@ def test_emit_results_joint_rows(tmp_path):
 def test_emit_results_series_rows(tmp_path):
     steps = list(range(100))
     table = Table("v", {"step": steps, "mean": [float(t) for t in steps], "std_dev": [0.0] * 100})
-    (path,) = emit_results([table], "csv", tmp_path)
+    (path,) = emit_results([table], tmp_path)
     _, rows = read_csv(path)
     assert len(rows) == 100
 
 
 def test_emit_results_empty_table(tmp_path):
     table = Table("empty", {"a": [], "b": []})
-    (path,) = emit_results([table], "csv", tmp_path)
+    (path,) = emit_results([table], tmp_path)
     assert path.read_text() == "a,b\n"
-    (path,) = emit_results([table], "json", tmp_path)
-    assert json.loads(path.read_text()) == {"columns": ["a", "b"], "rows": []}
-
-
-def test_emit_results_rejects_bad_format(tmp_path):
-    with pytest.raises(ValueError):
-        emit_results([Table("t", {"a": []})], "xml", tmp_path)
 
 
 def reference_cell(value) -> str:
@@ -224,11 +212,8 @@ def test_writer_follows_the_cell_rule(tmp_path, container):
     rows = [(2**53 + 1, -0.0, "static"), (-7, 5e-324, "bosonic"), (0, 1e-300, ""), (12, 0.1, "x y")]
     columns = ("n", "v", "s")
     table = Table("t", {name: container(list(values)) for name, values in zip(columns, zip(*rows))})
-    (csv_path,) = emit_results([table], "csv", tmp_path)
-    assert csv_path.read_text() == reference_csv(columns, rows)
-    (json_path,) = emit_results([table], "json", tmp_path)
-    want = {"columns": list(columns), "rows": [list(row) for row in rows]}
-    assert json_path.read_text() == json.dumps(want, indent=2) + "\n"
+    (path,) = emit_results([table], tmp_path)
+    assert path.read_text() == reference_csv(columns, rows)
 
 
 def test_repeated_and_special_floats_keep_their_own_text(tmp_path):
@@ -237,7 +222,7 @@ def test_repeated_and_special_floats_keep_their_own_text(tmp_path):
     ints = [3, -1, 3, 3, 0, -1, 7, 3, 0, 0, 2**53 + 1, -1, 3]
     text = ["a", "b", "a", "", "a", "b", "b", "a", "", "c", "a", "a", "b"]
     table = Table("t", {"p": np.array(floats), "x": ints, "s": text})
-    (path,) = emit_results([table], "csv", tmp_path)
+    (path,) = emit_results([table], tmp_path)
     rows = [f"{format(p, '.17g')},{x},{s}" for p, x, s in zip(floats, ints, text)]
     assert path.read_bytes() == ("\n".join(["p,x,s", *rows]) + "\n").encode()
 
@@ -246,33 +231,31 @@ def test_fortran_ordered_joint_rows_come_out_row_major(tmp_path):
     matrix = np.asfortranarray(np.random.default_rng(3).random((65, 65)))
     assert matrix.flags.f_contiguous and not matrix.flags.c_contiguous
     positions = list(range(-32, 33))
-    (path,) = emit_results([joint_table("j", matrix, positions)], "csv", tmp_path)
+    (path,) = emit_results([joint_table("j", matrix, positions)], tmp_path)
     rows = [(x, y, float(matrix[i, j])) for i, x in enumerate(positions) for j, y in enumerate(positions)]
     assert path.read_text() == reference_csv(("x", "y", "p"), rows)
 
 
-def parse_cell(cell: str):
-    for number in (int, float):
-        try:
-            return number(cell)
-        except ValueError:
-            pass
-    return cell
-
-
 @pytest.mark.parametrize("name", preset_names())
-def test_json_tables_hold_the_numbers_of_their_csv(tmp_path, name):
-    args = ["--scenario", name, "--steps", "4", "--configs", "2"]
-    assert main(args + ["--out", str(tmp_path / "csv")]) == 0
-    assert main(args + ["--format", "json", "--out", str(tmp_path / "json")]) == 0
-    tables = sorted(p.stem for p in (tmp_path / "csv").glob("*.csv"))
-    assert tables and tables == sorted(p.stem for p in (tmp_path / "json").glob("*.json")
-                                       if p.stem not in ("manifest", "fits", "mobility_edge"))
-    for stem in tables:
-        header, rows = read_csv(tmp_path / "csv" / f"{stem}.csv")
-        doc = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
-        assert doc["columns"] == header
-        assert doc["rows"] == [[parse_cell(cell) for cell in row] for row in rows]
+def test_csv_tables_hold_the_numbers_of_their_run(tmp_path, monkeypatch, name):
+    emitted = []
+
+    def record(tables, out_dir):
+        emitted.extend(tables)
+        return emit_results(tables, out_dir)
+
+    monkeypatch.setattr(scenarios, "emit_results", record)
+    run_scenario(small(name, tmp_path, steps=4, configs=2))
+    assert emitted
+    for table in emitted:
+        header, rows = read_csv(tmp_path / name / f"{table.name}.csv")
+        assert header == list(table.columns)
+        for i, column in enumerate(table.columns.values()):
+            values = np.asarray(column)
+            parse = {"f": float, "i": int}.get(values.dtype.kind, str)
+            parsed = np.array([parse(row[i]) for row in rows], dtype=values.dtype)
+            # the same bits, so -0.0 and the last digit of every float come back from the text
+            assert parsed.tobytes() == values.tobytes(), (table.name, header[i])
 
 
 def test_scenario_config_round_trip():
@@ -421,7 +404,7 @@ def test_cli_validates_every_preset_with_the_run_scenario_stub_of_the_setup_prob
 
 
 def test_cli_rerun_byte_identical(tmp_path):
-    args = ["--scenario", "fig6", "--steps", "6", "--configs", "2", "--format", "csv"]
+    args = ["--scenario", "fig6", "--steps", "6", "--configs", "2"]
     assert main(args + ["--out", str(tmp_path / "r1")]) == 0
     assert main(args + ["--out", str(tmp_path / "r2")]) == 0
     a = (tmp_path / "r1" / "variance_vs_phi.csv").read_bytes()
@@ -514,10 +497,12 @@ UNKNOWN_KEY = "unknown config keys"
         # combined disorder's static phases read phi_max; there is no strength of their own
         ("fig3", {"phi_static": 1.0}, UNKNOWN_KEY),
         ("fig7", {"phi_static": 1.0}, UNKNOWN_KEY),
+        # every table is written as CSV; there is no format to choose
+        ("fig2", {"name": "fig2", "format": "csv"}, UNKNOWN_KEY),
     ],
     ids=["fig5-sweep", "fig6-other-parameter", "fig6-no-sweep", "fig2-values", "fig5-entropy", "fig2-observables",
          "fig5-values", "fig6-no-values", "fig6-swept-max", "fig7-swept-dynamic", "fig2-ordered-max",
-         "fig8-dynamic", "fig3-ordered-max", "fig3-phi-static-key", "fig7-phi-static-key"],
+         "fig8-dynamic", "fig3-ordered-max", "fig3-phi-static-key", "fig7-phi-static-key", "fig2-format-key"],
 )
 def test_cli_rejects_fields_the_plan_fixes(tmp_path, capsys, monkeypatch, name, file_doc, message):
     monkeypatch.setattr("dtqw.cli.run_scenario", lambda *a, **k: pytest.fail("ran before rejecting"))
@@ -625,7 +610,8 @@ def test_cli_accepts_the_strengths_a_run_reads(tmp_path, argv):
 
 
 @pytest.mark.parametrize("flags", [["--phi-static", "1.0"], ["--sweep-parameter", "phi_max"],
-                                   ["--observables", "entropy"]], ids=["phi-static", "sweep-parameter", "observables"])
+                                   ["--observables", "entropy"], ["--format", "json"]],
+                         ids=["phi-static", "sweep-parameter", "observables", "format"])
 def test_cli_rejects_a_removed_flag_before_any_work(tmp_path, capsys, monkeypatch, flags):
     monkeypatch.setattr("dtqw.cli.run_scenario", lambda *a, **k: pytest.fail("ran before rejecting"))
     out = tmp_path / "out"
