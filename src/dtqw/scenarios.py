@@ -20,7 +20,8 @@ strengths, ensemble size, seed) with a ``Plan`` of what to evolve and emit:
 Two runners read the plans: one averages joint maps at the final step and
 fits their marginal (fig2-fig4, fluct); one loops disorder kind x sweep value
 x symmetry x step (fig5-fig9, whose disorder kinds, observable and swept
-strength are fixed).  A preset that sweeps a strength is measured at its
+strength are fixed).  A preset that sweeps a strength (fig6, fig7) takes
+it over ``STRENGTH_GRID``, k pi / 10 for k = 0..10, and is measured at its
 final step only.
 
 ``run_scenario`` executes a preset configuration (possibly with overridden
@@ -65,7 +66,7 @@ class Plan:
     Without a ``table`` the preset writes averaged joint maps.  With one it
     writes a grid table of ``observable`` whose columns are ``keys + stats``;
     the first key holds the step, or the strength named by ``sweep`` (which
-    then takes the config's ``sweep_values``).  ``kinds`` fixes the disorder
+    then takes the values of ``STRENGTH_GRID``).  ``kinds`` fixes the disorder
     kinds evolved, in order (empty: the config's own ``disorder``).  ``fits``
     and ``docs`` name the fits and derived documents to emit.
     """
@@ -96,11 +97,10 @@ def _preset_table() -> dict[str, tuple[ScenarioConfig, Plan]]:
         "fig5": (ScenarioConfig("fig5", steps=100, phi_max=pi, configs=100, seed=500),
                  Plan("variance_vs_t", series, var, (K.ORDERED, K.DYNAMIC, K.FLUCTUATING, K.COMBINED, K.STATIC),
                       "variance", fits=("power_law",))),
-        "fig6": (ScenarioConfig("fig6", steps=100, configs=100, seed=600, sweep_values=STRENGTH_GRID),
+        "fig6": (ScenarioConfig("fig6", steps=100, configs=100, seed=600),
                  Plan("variance_vs_phi", ("phi", "kind", "symmetry"), var, (K.STATIC, K.DYNAMIC), "variance",
                       sweep="phi_max")),
-        "fig7": (ScenarioConfig("fig7", steps=100, disorder=K.COMBINED, phi_max=pi, configs=100, seed=700,
-                                sweep_values=STRENGTH_GRID),
+        "fig7": (ScenarioConfig("fig7", steps=100, disorder=K.COMBINED, phi_max=pi, configs=100, seed=700),
                  Plan("variance_vs_phi_dynamic", ("phi_dynamic", "symmetry"), var, (K.COMBINED,), "variance",
                       sweep="phi_dynamic", docs=("mobility_edge",))),
         "fig8": (ScenarioConfig("fig8", steps=100, phi_max=pi, configs=50, seed=800),
@@ -130,14 +130,11 @@ def preset(name: str) -> ScenarioConfig:
 
 def check_config(cfg: ScenarioConfig, given: dict) -> None:
     """Reject what the plan of preset ``cfg.name`` would ignore or mislabel;
-    ``given`` holds the fields that flags or a config file set."""
+    ``given`` holds the fields that flags or a config file set.  A swept
+    strength takes the values of ``STRENGTH_GRID``, so no config sets it."""
     base, plan = _lookup(cfg.name)
     if plan.kinds and ("disorder" in given or cfg.disorder is not base.disorder):
         raise ValueError(f"{cfg.name} always evolves {'/'.join(k.value for k in plan.kinds)} disorder; drop 'disorder'")
-    if plan.sweep and not cfg.sweep_values:
-        raise ValueError(f"{cfg.name} sweeps {plan.sweep} and needs nonempty sweep_values")
-    if not plan.sweep and cfg.sweep_values != base.sweep_values:
-        raise ValueError(f"{cfg.name} sweeps no strength; drop 'sweep_values'")
     kinds = plan.kinds or (cfg.disorder,)
     # the strength fields the run's fields read, the swept one set by the sweep and so not read from cfg
     phi_dynamic = 0.0 if plan.sweep == "phi_dynamic" else cfg.phi_dynamic
@@ -176,7 +173,7 @@ def _mobility_edge(cfg: ScenarioConfig, table: Table) -> dict:
     return {
         "classical_baseline": baseline,
         "phi_static": float(cfg.phi_max),  # the static strength of the combined kind
-        "grid": list(cfg.sweep_values),
+        "grid": list(STRENGTH_GRID),
         "first_crossing": crossings,
     }
 
@@ -200,14 +197,15 @@ def _run_grid(cfg: ScenarioConfig, plan: Plan, kinds: tuple, n_jobs: int) -> tup
     """One row per kind x sweep value x symmetry x step; returns (tables, fits)."""
     observable, swept = plan.observable, plan.sweep
     eval_steps = [cfg.steps] if swept else list(range(cfg.steps + 1))
+    values = STRENGTH_GRID if swept else (None,)
     columns: dict[str, list] = {key: [] for key in plan.keys + plan.stats}
     fits: dict[str, dict] = {}
     for kind in kinds:
         # one config per sweep value; all of a kind's values run as one ensemble, whose chunks may cut across them
         base = dataclasses.replace(cfg, disorder=kind)
-        cfgs = [dataclasses.replace(base, **{swept: value}) for value in cfg.sweep_values] if swept else [base]
+        cfgs = [dataclasses.replace(base, **{swept: value}) for value in values] if swept else [base]
         runs = ensemble_run(cfgs, (observable,), eval_steps, n_jobs)
-        for value, series in zip(cfg.sweep_values if swept else (None,), runs):
+        for value, series in zip(values, runs):
             for sym in resolved_symmetries(cfg):
                 s = series[(observable, sym.value)]
                 n = len(s.steps)

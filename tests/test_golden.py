@@ -2,10 +2,9 @@
 
 The references under ``tests/golden/<case>/`` were written by the CLI with
 the arguments in ``CASES`` below: one case per preset, plus 40-step cases of
-fig3 and fig8 whose measured lattices reach 64 sites and more, a fig7
-case whose second walker starts one site over, on the other parity, and a
-fig6 case on a grid of its own through phi = 0, each set by a ``--config``
-file.  Numbers must
+fig3 and fig8 whose measured lattices reach 64 sites and more, and a fig7
+case whose second walker starts one site over, on the other parity, set by
+a ``--config`` file.  Numbers must
 agree to rtol 1e-12 / atol 1e-15, text cells and file sets exactly, so a
 refactor of the pipeline cannot move the physics silently.  After a deliberate physics change, rewrite them
 with ``PYTHONPATH=src python tests/test_golden.py --rewrite``, which deletes every case directory first;
@@ -33,7 +32,6 @@ CASES = [(name, name, "25" if name == "fig5" else "10", None) for name in preset
     ("fig3-steps40", "fig3", "40", None),
     ("fig8-steps40", "fig8", "40", None),
     ("fig7-start-b1", "fig7", "10", {"start_b": [1, "R"]}),
-    ("fig6-grid", "fig6", "10", {"sweep_values": [0.0, 0.7, 2.5]}),
 ]
 
 

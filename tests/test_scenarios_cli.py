@@ -13,10 +13,10 @@ import pytest
 
 from dtqw import observables, scenarios
 from dtqw.cli import build_parser, main
-from dtqw.config import ScenarioConfig, scenario_from_dict
+from dtqw.config import MAX_CONFIGS, MAX_STEPS, ScenarioConfig, scenario_from_dict
 from dtqw.disorder import DisorderKind, strength_fields
 from dtqw.output import Table, emit_results, joint_table
-from dtqw.scenarios import preset, preset_names, run_scenario
+from dtqw.scenarios import STRENGTH_GRID, preset, preset_names, run_scenario
 
 
 def small(name, tmp_path, **overrides):
@@ -63,21 +63,23 @@ def test_fig2_joint_csv_shape(tmp_path):
 
 
 def test_fig6_columns_and_grid(tmp_path):
-    cfg = small("fig6", tmp_path, steps=6, configs=2, sweep_values=(0.0, 0.5, 1.0))
+    cfg = small("fig6", tmp_path, steps=6, configs=2)
     run_scenario(cfg)
     header, rows = read_csv(tmp_path / "fig6" / "variance_vs_phi.csv")
     assert header == ["phi", "kind", "symmetry", "var_mean", "var_std"]
-    # 3 grid points x 2 kinds x 2 symmetries
-    assert len(rows) == 12
+    # 11 grid points x 2 kinds x 2 symmetries
+    assert len(rows) == 44
     kinds = {r[1] for r in rows}
     assert kinds == {"static", "dynamic"}
+    assert sorted({float(r[0]) for r in rows}) == list(STRENGTH_GRID)
 
 
 def test_fig7_emits_mobility_edge(tmp_path):
-    cfg = small("fig7", tmp_path, steps=6, configs=2, sweep_values=(0.0, 1.0))
+    cfg = small("fig7", tmp_path, steps=6, configs=2)
     run_scenario(cfg)
     doc = json.loads((tmp_path / "fig7" / "mobility_edge.json").read_text())
     assert "first_crossing" in doc and "classical_baseline" in doc
+    assert doc["grid"] == list(STRENGTH_GRID)
 
 
 def test_fig5_emits_series_and_fits(tmp_path):
@@ -111,7 +113,7 @@ def test_fig8_entropy_table(tmp_path):
 
 
 def test_rerun_is_byte_identical(tmp_path):
-    cfg_a = small("fig6", tmp_path, steps=8, configs=2, sweep_values=(0.0, 1.5), out_dir=str(tmp_path / "a"))
+    cfg_a = small("fig6", tmp_path, steps=8, configs=2, out_dir=str(tmp_path / "a"))
     cfg_b = dataclasses.replace(cfg_a, out_dir=str(tmp_path / "b"))
     run_scenario(cfg_a)
     run_scenario(cfg_b)
@@ -133,9 +135,8 @@ MANIFEST_RUNS = {
     "fig4": (dict(steps=6, configs=2), JOINT_MAPS, ("fits.json",)),
     "fluct": (dict(steps=6, configs=2), JOINT_MAPS, ("fits.json",)),
     "fig5": (dict(steps=20, configs=2), ("variance_vs_t", "classical_baseline"), ("fits.json",)),
-    "fig6": (dict(steps=6, configs=2, sweep_values=(0.0, 1.5)), ("variance_vs_phi", "classical_baseline"), ()),
-    "fig7": (dict(steps=8, configs=2, sweep_values=(0.0, 1.5)), ("variance_vs_phi_dynamic", "classical_baseline"),
-             ("mobility_edge.json",)),
+    "fig6": (dict(steps=6, configs=2), ("variance_vs_phi", "classical_baseline"), ()),
+    "fig7": (dict(steps=8, configs=2), ("variance_vs_phi_dynamic", "classical_baseline"), ("mobility_edge.json",)),
     "fig8": (dict(steps=6, configs=2), ("entropy_vs_t",), ()),
     "fig9": (dict(steps=6, configs=2), ("mutual_information_vs_t",), ()),
 }
@@ -261,7 +262,7 @@ def test_csv_tables_hold_the_numbers_of_their_run(tmp_path, monkeypatch, name):
 def test_scenario_config_round_trip():
     cfg = preset("fig7")
     doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
-    assert (doc["disorder"], doc["start_a"], doc["sweep_values"]) == ("combined", [0, "L"], list(cfg.sweep_values))
+    assert (doc["disorder"], doc["start_a"], doc["start_b"]) == ("combined", [0, "L"], [0, "R"])
     assert scenario_from_dict(doc) == cfg
 
 
@@ -276,16 +277,18 @@ def test_scenario_config_validation_errors():
         ScenarioConfig("x", steps=5, symmetry="anyonic")
     with pytest.raises(ValueError):
         ScenarioConfig("x", steps=5, start_a=(0, "L"), start_b=(0, "L"))
-    with pytest.raises(ValueError):
-        ScenarioConfig("x", steps=5, sweep_values=(1.0, 0.5))
-    for bad in ({"steps": True}, {"steps": 10.5}, {"configs": True}, {"seed": -1}, {"seed": 1.0}):
+    for bad in ({"steps": True}, {"steps": 10.5}, {"configs": True}, {"seed": -1}, {"seed": 1.0},
+                {"steps": MAX_STEPS + 1}, {"configs": MAX_CONFIGS + 1}, {"steps": 10**20}, {"configs": 10**20}):
         with pytest.raises(ValueError):
             ScenarioConfig(**{"name": "x", "steps": 5, **bad})
+    ScenarioConfig("x", steps=MAX_STEPS, configs=MAX_CONFIGS)  # the caps themselves; made, never run
     with pytest.raises(ValueError):
         scenario_from_dict({"name": "x", "steps": 5, "bogus": 1})
-    for bad in (1.0, "abc", None):  # a number once raised TypeError, a string was read one character at a time
-        with pytest.raises(ValueError, match="sweep_values"):
-            ScenarioConfig("x", steps=5, sweep_values=bad)
+    # the presets sweep scenarios.STRENGTH_GRID; there are no sweep values to set
+    with pytest.raises(ValueError, match="unknown config keys"):
+        scenario_from_dict({"name": "fig6", "steps": 5, "sweep_values": [0.0, 1.0]})
+    with pytest.raises(TypeError, match="sweep_values"):
+        ScenarioConfig("fig6", steps=5, sweep_values=(0.0, 1.0))
 
 
 def test_a_scenario_config_is_frozen_and_checked_also_when_replaced():
@@ -483,11 +486,13 @@ UNKNOWN_KEY = "unknown config keys"
         ("fig5", {"sweep_parameter": "phi_max", "sweep_values": [0.0, 1.0]}, UNKNOWN_KEY),
         ("fig6", {"sweep_parameter": "phi_dynamic"}, UNKNOWN_KEY),
         ("fig6", {"sweep_parameter": None}, UNKNOWN_KEY),
-        ("fig2", {"sweep_values": [0.0, 1.0]}, "fig2"),
+        ("fig2", {"sweep_values": [0.0, 1.0]}, UNKNOWN_KEY),
         ("fig5", {"observables": ["entropy"]}, UNKNOWN_KEY),
         ("fig2", {"observables": ["variance", "entropy"]}, UNKNOWN_KEY),
-        ("fig5", {"sweep_values": [0.0, 1.0]}, "fig5"),
-        ("fig6", {"sweep_values": []}, "fig6"),
+        ("fig5", {"sweep_values": [0.0, 1.0]}, UNKNOWN_KEY),
+        ("fig6", {"sweep_values": []}, UNKNOWN_KEY),
+        # fig6 and fig7 sweep scenarios.STRENGTH_GRID, which no config sets
+        ("fig6", {"sweep_values": [0.0, 1.0]}, UNKNOWN_KEY),
         # a strength the run never reads
         ("fig6", {"phi_max": 1.0}, "fig6 ignores phi_max"),
         ("fig7", {"phi_dynamic": 0.3}, "fig7 ignores phi_dynamic"),
@@ -501,7 +506,7 @@ UNKNOWN_KEY = "unknown config keys"
         ("fig2", {"name": "fig2", "format": "csv"}, UNKNOWN_KEY),
     ],
     ids=["fig5-sweep", "fig6-other-parameter", "fig6-no-sweep", "fig2-values", "fig5-entropy", "fig2-observables",
-         "fig5-values", "fig6-no-values", "fig6-swept-max", "fig7-swept-dynamic", "fig2-ordered-max",
+         "fig5-values", "fig6-no-values", "fig6-values", "fig6-swept-max", "fig7-swept-dynamic", "fig2-ordered-max",
          "fig8-dynamic", "fig3-ordered-max", "fig3-phi-static-key", "fig7-phi-static-key", "fig2-format-key"],
 )
 def test_cli_rejects_fields_the_plan_fixes(tmp_path, capsys, monkeypatch, name, file_doc, message):
@@ -515,8 +520,8 @@ def test_cli_rejects_fields_the_plan_fixes(tmp_path, capsys, monkeypatch, name, 
 
 
 def test_run_scenario_rejects_fields_the_plan_fixes(tmp_path):
-    for name, fields in (("fig5", {"disorder": DisorderKind.STATIC}), ("fig5", {"sweep_values": (0.0,)}),
-                         ("fig6", {"phi_max": 1.0}), ("fig3", {"phi_dynamic": 1.0})):
+    for name, fields in (("fig5", {"disorder": DisorderKind.STATIC}), ("fig6", {"phi_max": 1.0}),
+                         ("fig3", {"phi_dynamic": 1.0})):
         with pytest.raises(ValueError, match=name):
             run_scenario(small(name, tmp_path, steps=4, configs=1, **fields))
     assert not any(tmp_path.iterdir())
@@ -550,21 +555,21 @@ def test_manifest_reports_the_kinds_it_ran(tmp_path):
         ({"name": "fig3", "phi_max": None}, []),
         ({"name": "fluct", "phi_dynamic": "1.0"}, []),
         ({"name": "fig5", "phi_dynamic": False}, []),
-        ({"name": "fig6", "sweep_values": [True, 2]}, []),
-        ({"name": "fig6", "sweep_values": ["0.5"]}, []),
-        ({"name": "fig6", "sweep_values": [0.0, 7.0]}, []),
-        ({"name": "fig7", "sweep_values": [-0.5, 1.0]}, []),
-        ({"name": "fig6", "sweep_values": [1.0, 1.0]}, []),
-        ({"name": "fig6", "sweep_values": 1.0}, []),
-        ({"name": "fig6", "sweep_values": "abc"}, []),
+        # sizes past the fixed caps of steps and configs
+        ({}, ["--steps", str(10**20)]),
+        ({}, ["--configs", str(10**20)]),
+        ({}, ["--steps", str(MAX_STEPS + 1)]),
+        ({}, ["--configs", str(MAX_CONFIGS + 1)]),
     ],
     ids=["steps-true", "configs-true", "steps-float", "seed-negative", "seed-negative-static",
          "jobs-zero", "jobs-negative", "start-site-float", "start-site-true", "start-site-string",
          "start-short", "start-not-a-pair", "phi-max-true", "phi-max-string", "phi-max-null",
-         "phi-dynamic-string", "phi-dynamic-false", "sweep-bool", "sweep-string", "sweep-above-2pi",
-         "sweep-negative", "sweep-repeated", "sweep-number", "sweep-string-of-values"],
+         "phi-dynamic-string", "phi-dynamic-false", "steps-1e20", "configs-1e20", "steps-past-cap",
+         "configs-past-cap"],
 )
-def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, file_doc, flags):
+def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, monkeypatch, file_doc, flags):
+    monkeypatch.setattr("dtqw.cli.run_scenario", lambda *a, **k: pytest.fail("ran before rejecting"))
+    monkeypatch.setattr(observables, "sample_phase_field", lambda *a, **k: pytest.fail("drew a field"))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({"name": "fig2", "steps": 3, **file_doc}))
     out = tmp_path / "out"
@@ -627,7 +632,7 @@ def test_every_cli_flag_sets_one_config_field():
     flags = {action.dest for action in build_parser()._actions} - {"help", "scenario", "config", "list", "jobs"}
     fields = {field.name for field in dataclasses.fields(ScenarioConfig)}
     assert flags <= fields
-    assert fields - flags == {"name", "start_a", "start_b", "sweep_values"}  # the scenario and the file-only fields
+    assert fields - flags == {"name", "start_a", "start_b"}  # the scenario and the file-only fields
 
 
 # every preset; those whose plan evolves the config's own disorder once with each kind, which the config sets
@@ -650,7 +655,7 @@ def test_a_strength_is_accepted_exactly_when_it_changes_the_drawn_phases(name, k
         return
     changed = dataclasses.replace(cfg, **given)
     n_sites, _, _ = observables._geometry(cfg)
-    swept = {plan.sweep: cfg.sweep_values[-1]} if plan.sweep else {}
+    swept = {plan.sweep: STRENGTH_GRID[-1]} if plan.sweep else {}
     kinds = plan.kinds or (cfg.disorder,)
 
     def phases(c):
