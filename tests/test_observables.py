@@ -361,8 +361,8 @@ def _never_evolve(*args):
 
 
 @pytest.mark.parametrize("change", [{"seed": 7}, {"steps": 8}, {"disorder": DisorderKind.DYNAMIC},
-                                    {"symmetry": "bosonic"}],
-                         ids=["seed", "steps", "disorder", "symmetry"])
+                                    {"symmetry": "bosonic"}, {"configs": 3}, {"start_b": (2, "R")}],
+                         ids=["seed", "steps", "disorder", "symmetry", "configs", "start_b"])
 def test_configs_that_differ_beyond_their_strengths_are_rejected_before_any_step(monkeypatch, change):
     monkeypatch.setattr(observables, "evolve", _never_evolve)
     cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=1.0, configs=2, steps=9)
