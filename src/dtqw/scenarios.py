@@ -203,7 +203,7 @@ def _run_grid(cfg: ScenarioConfig, plan: Plan, kinds: tuple, n_jobs: int) -> tup
     for kind in kinds:
         # one config per sweep value; all of a kind's values run as one ensemble, whose chunks may cut across them
         base = dataclasses.replace(cfg, disorder=kind)
-        cfgs = [dataclasses.replace(base, **{swept: value}) for value in values] if swept else [base]
+        cfgs = [dataclasses.replace(base, **({swept: value} if swept else {})) for value in values]
         runs = ensemble_run(cfgs, (observable,), eval_steps, n_jobs)
         for value, series in zip(values, runs):
             for sym in resolved_symmetries(cfg):

@@ -555,20 +555,26 @@ def test_manifest_reports_the_kinds_it_ran(tmp_path):
         ({"name": "fig3", "phi_max": None}, []),
         ({"name": "fluct", "phi_dynamic": "1.0"}, []),
         ({"name": "fig5", "phi_dynamic": False}, []),
+        # sweep_values is no config key: fig6 and fig7 sweep scenarios.STRENGTH_GRID
+        ({"name": "fig6", "sweep_values": [True, 2]}, []),
+        ({"name": "fig6", "sweep_values": ["0.5"]}, []),
+        ({"name": "fig6", "sweep_values": [0.0, 7.0]}, []),
+        ({"name": "fig7", "sweep_values": [-0.5, 1.0]}, []),
+        ({"name": "fig6", "sweep_values": [1.0, 1.0]}, []),
+        ({"name": "fig6", "sweep_values": 1.0}, []),
+        ({"name": "fig6", "sweep_values": "abc"}, []),
         # sizes past the fixed caps of steps and configs
         ({}, ["--steps", str(10**20)]),
         ({}, ["--configs", str(10**20)]),
         ({}, ["--steps", str(MAX_STEPS + 1)]),
         ({}, ["--configs", str(MAX_CONFIGS + 1)]),
-        # and below their lower bound of 1
-        ({"steps": 0}, []),
-        ({}, ["--configs", "0"]),
     ],
     ids=["steps-true", "configs-true", "steps-float", "seed-negative", "seed-negative-static",
          "jobs-zero", "jobs-negative", "start-site-float", "start-site-true", "start-site-string",
          "start-short", "start-not-a-pair", "phi-max-true", "phi-max-string", "phi-max-null",
-         "phi-dynamic-string", "phi-dynamic-false", "steps-1e20", "configs-1e20", "steps-past-cap",
-         "configs-past-cap", "steps-zero", "configs-zero"],
+         "phi-dynamic-string", "phi-dynamic-false", "sweep-bool", "sweep-string", "sweep-above-2pi",
+         "sweep-negative", "sweep-repeated", "sweep-number", "sweep-string-of-values", "steps-1e20", "configs-1e20",
+         "steps-past-cap", "configs-past-cap"],
 )
 def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, monkeypatch, file_doc, flags):
     monkeypatch.setattr("dtqw.cli.run_scenario", lambda *a, **k: pytest.fail("ran before rejecting"))
@@ -579,18 +585,6 @@ def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, monkeypa
     assert main(["--config", str(cfg_path), "--out", str(out)] + flags) == 1
     assert "invalid configuration" in capsys.readouterr().err
     assert not out.exists()
-
-
-@pytest.mark.parametrize("flags", [["--steps", str(MAX_STEPS)], ["--configs", str(MAX_CONFIGS)]],
-                         ids=["steps", "configs"])
-def test_cli_accepts_a_size_at_its_cap(tmp_path, monkeypatch, flags):
-    ran = []
-    monkeypatch.setattr("dtqw.cli.run_scenario",
-                        lambda cfg, **k: ran.append(cfg) or types.SimpleNamespace(files=[], duration_seconds=0.0))
-    assert main(["--scenario", "fig3", "--out", str(tmp_path / "out")] + flags) == 0
-    assert [(cfg.steps, cfg.configs) for cfg in ran] == [
-        (MAX_STEPS if flags[0] == "--steps" else preset("fig3").steps,
-         MAX_CONFIGS if flags[0] == "--configs" else preset("fig3").configs)]
 
 
 @pytest.mark.parametrize("doc", [[1, 2], 3, "fig2"], ids=["list", "number", "string"])
