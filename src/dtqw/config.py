@@ -15,6 +15,7 @@ DEFAULT_PHI_MAX = float(np.pi)
 
 # Fixed caps, so a size is accepted or refused alike on every machine: one configuration's walk
 # peaks near 160 steps^2 bytes (0.65 GB at the cap), and a run keeps about 5 kB per configuration.
+# Start sites lie in [-MAX_STEPS, MAX_STEPS], so no lattice exceeds 4 MAX_STEPS + 3 sites.
 MAX_STEPS = 2000
 MAX_CONFIGS = 100_000
 
@@ -28,6 +29,8 @@ def _start_pair(label: str, value) -> tuple:
     if isinstance(value, (str, bytes)) or not isinstance(value, Sequence) or len(value) != 2:
         raise ValueError(f"{label} must be a [site, coin] pair, got {value!r}")
     site, coin = check_integer("start site", value[0]), str(value[1]).upper()
+    if abs(site) > MAX_STEPS:
+        raise ValueError(f"start sites must lie in [-{MAX_STEPS}, {MAX_STEPS}], got {site}")
     if coin not in COIN_NAMES:
         raise ValueError(f"start coin must be L or R, got {coin!r}")
     return site, coin

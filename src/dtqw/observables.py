@@ -183,16 +183,16 @@ def _run_chunk(task) -> list:
     return results
 
 
-def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: ScenarioConfig, amps: np.ndarray,
+def _measure_series(observable: str, builder: JointBuilder, cfg: ScenarioConfig, amps: np.ndarray,
                     t: int) -> np.ndarray:
-    """Every observable of every symmetry at step ``t``, shape (configs, observables, symmetries).
+    """``observable`` of every symmetry at step ``t``, shape (configs, symmetries).
 
     ``amps`` is the chunk's (configs, 2 walkers, 2, n_sites) state.  It is
     cropped to the light cone, whose discarded amplitudes are exactly zero,
     and the joints are built on the cone's parity cells, for as many
     configurations per ``builder.quarters`` call as fit the scratch that one
     configuration needs at the walk's last step; a group's blocks are that
-    scratch, read before the next call.  Every observable reads the cone's
+    scratch, read before the next call.  The observable reads the cone's
     joint, one matrix per group, zeroed once: each quarter overwrites its
     cells, and no other cell is ever written.  It is made after the group's
     quarters and dropped before the next call, as the builder's loops would
@@ -202,10 +202,10 @@ def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: Sc
     lo, hi, stride = light_cone(t, starts)
     last_lo, last_hi, _ = light_cone(cfg.steps, starts)
     positions = np.arange(lo, hi + 1) - origin
-    cells, syms = slice(None, None, stride), resolved_symmetries(cfg)
+    cells, syms, measure = slice(None, None, stride), resolved_symmetries(cfg), _OBSERVABLES[observable]
     # the builder's scratch holds s x s cells per configuration
     group = min(len(amps), max(1, ((last_hi - last_lo) // stride + 1) ** 2 // ((hi - lo) // stride + 1) ** 2))
-    values = np.empty((len(amps), len(observables), len(syms)))
+    values = np.empty((len(amps), len(syms)))
     for first in range(0, len(amps), group):
         block, joint = amps[first:first + group, ..., lo : hi + 1], None
         quarters = builder.quarters(block[:, 0], block[:, 1], syms, cells)
@@ -213,7 +213,7 @@ def _measure_series(observables: tuple[str, ...], builder: JointBuilder, cfg: Sc
         for out, config in zip(values[first:], quarters):
             for j, quarter in enumerate(config):
                 joint[cells, cells] = quarter
-                out[:, j] = [_OBSERVABLES[obs](quarter, joint, positions) for obs in observables]
+                out[j] = measure(quarter, joint, positions)
     return values
 
 
@@ -224,32 +224,33 @@ def _measure_joints(cells: slice, cfg: ScenarioConfig, amps: np.ndarray, t: int)
 
 def ensemble_run(
     cfgs: Sequence[ScenarioConfig],
-    observables: Sequence[str],
+    observable: str,
     eval_steps: Optional[Sequence[int]] = None,
     n_jobs: int = 1,
-) -> list[dict[tuple[str, str], ObservableSeries]]:
-    """Evolve ``cfg.configs`` disorder realizations of each config in ``cfgs`` and fold the observables.
+) -> list[dict[ExchangeSymmetry, ObservableSeries]]:
+    """Evolve ``cfg.configs`` disorder realizations of each config in ``cfgs`` and fold one observable.
 
     ``cfgs`` is a nonempty list of configs that differ in nothing but their
     strengths (``phi_max`` and ``phi_dynamic``), such as one config per
     value of a strength sweep; anything else raises ValueError before any
-    step.  ``observables`` names keys of ``_OBSERVABLES``
-    ("variance", "entropy", "mutual_information").  Configuration i of a
+    step.  ``observable`` is one key of ``_OBSERVABLES`` ("variance",
+    "entropy", "mutual_information"); anything else, a list of names too,
+    raises ValueError before any field is drawn.  Configuration i of a
     config draws its field with its strengths and seed ``cfg.seed + i``;
-    walkers A and B share the field within a configuration.  Returns, for
-    each config in order, one series per (observable, symmetry), keyed by
-    name.  ``eval_steps`` (default: every step) are the walk's stops, checked
-    by ``core.check_stops`` before any field is drawn; each, a repeat too, is
-    measured while the walk runs.  ``n_jobs`` must be an integer >= 1.  All
-    configs' configurations run as one ensemble whose chunks may cut across
-    configs, and a configuration's values do not depend on chunking or
-    ``n_jobs``.  They are computed independently and merged in configuration
-    order, so serial and parallel results are bit-identical, and each
-    config's series equal those of its run alone.  Where every seed draws
-    the same field (``disorder.seed_independent``), one configuration is
-    evolved and its values stand for all ``cfg.configs``: the series are
-    those of the full ensemble, bit for bit, with means equal to the values
-    and spreads exactly 0.
+    walkers A and B share it.  Returns, for each config in order, one series
+    per symmetry, keyed by ``ExchangeSymmetry``.  ``eval_steps`` (default:
+    every step) are the walk's stops, checked by ``core.check_stops`` before
+    any field is drawn; each, a repeat too, is measured while the walk runs.
+    ``n_jobs`` must be an integer >= 1.  All configs' configurations run as
+    one ensemble whose chunks may cut across configs, and a configuration's
+    values do not depend on chunking or ``n_jobs``.  They are computed
+    independently and merged in configuration order, so serial and parallel
+    results are bit-identical, and each config's series equal those of its
+    run alone.  Where every seed draws the same field
+    (``disorder.seed_independent``), one configuration is evolved and its
+    values stand for all ``cfg.configs``: the series are those of the full
+    ensemble, bit for bit, with means equal to the values and spreads
+    exactly 0.
     """
     cfgs = [] if isinstance(cfgs, ScenarioConfig) else list(cfgs)
     if not cfgs:
@@ -257,44 +258,40 @@ def ensemble_run(
     cfg = cfgs[0]
     if any(replace(other, phi_max=cfg.phi_max, phi_dynamic=cfg.phi_dynamic) != cfg for other in cfgs):
         raise ValueError("the configs of one ensemble may differ only in phi_max and phi_dynamic")
-    observables = tuple(observables)
-    if not observables or any(obs not in _OBSERVABLES for obs in observables):
-        raise ValueError(f"observables must be a nonempty selection of {tuple(_OBSERVABLES)}, got {observables!r}")
+    if not (isinstance(observable, str) and observable in _OBSERVABLES):
+        raise ValueError(f"observable must be one of {tuple(_OBSERVABLES)}, got {observable!r}")
     eval_steps = check_stops("eval_steps", range(cfg.steps + 1) if eval_steps is None else eval_steps, cfg.steps)
 
     syms = resolved_symmetries(cfg)
-    measure = partial(_measure_series, observables, JointBuilder())
-    result_floats = len(observables) * len(syms) * len(eval_steps)
+    measure = partial(_measure_series, observable, JointBuilder())
+    result_floats = len(syms) * len(eval_steps)
     # a config whose field every seed draws alike evolves one member, which stands for all its configurations
     counts = [1 if seed_independent(one.disorder, one.phi_max, one.phi_dynamic) else one.configs for one in cfgs]
     members = [(one, one.seed + i) for one, count in zip(cfgs, counts) for i in range(count)]
     chunks = [np.moveaxis(np.array(chunk), 0, -1)
               for chunk in _map_chunks(members, eval_steps, measure, result_floats, n_jobs)]
-    # (members, obs, sym, steps) in C order, so each config's block of rows is C-ordered too and the means over
+    # (members, sym, steps) in C order, so each config's block of rows is C-ordered too and the means over
     # configurations below sum in one order whatever the chunking
     rows = np.ascontiguousarray(np.concatenate(chunks))
-    return [_fold(block, observables, syms, eval_steps) for block in np.split(rows, np.cumsum(counts)[:-1])]
+    return [_fold(block, syms, eval_steps) for block in np.split(rows, np.cumsum(counts)[:-1])]
 
 
-def _fold(cube: np.ndarray, observables: tuple[str, ...], syms: tuple, eval_steps: list[int]
-          ) -> dict[tuple[str, str], ObservableSeries]:
-    """Mean and population spread over the configurations of a (configs, obs, sym, steps) cube.
+def _fold(cube: np.ndarray, syms: tuple, eval_steps: list[int]) -> dict[ExchangeSymmetry, ObservableSeries]:
+    """Mean and population spread over the configurations of a (configs, sym, steps) cube.
 
     A seed-independent config's cube holds its one row, whose values are the
     means, with spreads exactly 0.
     """
-    out: dict[tuple[str, str], ObservableSeries] = {}
-    for i, obs in enumerate(observables):
-        for j, sym in enumerate(syms):
-            values = cube[:, i, j, :]
-            mean = values.mean(axis=0)
-            std = values.std(axis=0)
-            # identical per-config values have exactly zero spread; np.mean/std
-            # would otherwise leave ~1e-16 summation residue
-            identical = values.max(axis=0) == values.min(axis=0)
-            mean[identical] = values[0, identical]
-            std[identical] = 0.0
-            out[(obs, sym.value)] = ObservableSeries(np.asarray(eval_steps), mean, std)
+    out: dict[ExchangeSymmetry, ObservableSeries] = {}
+    for j, sym in enumerate(syms):
+        values = cube[:, j, :]
+        mean, std = values.mean(axis=0), values.std(axis=0)
+        # identical per-config values have exactly zero spread; np.mean/std
+        # would otherwise leave ~1e-16 summation residue
+        identical = values.max(axis=0) == values.min(axis=0)
+        mean[identical] = values[0, identical]
+        std[identical] = 0.0
+        out[sym] = ObservableSeries(np.asarray(eval_steps), mean, std)
     return out
 
 

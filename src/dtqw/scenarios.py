@@ -204,10 +204,9 @@ def _run_grid(cfg: ScenarioConfig, plan: Plan, kinds: tuple, n_jobs: int) -> tup
         # one config per sweep value; all of a kind's values run as one ensemble, whose chunks may cut across them
         base = dataclasses.replace(cfg, disorder=kind)
         cfgs = [dataclasses.replace(base, **({swept: value} if swept else {})) for value in values]
-        runs = ensemble_run(cfgs, (observable,), eval_steps, n_jobs)
+        runs = ensemble_run(cfgs, observable, eval_steps, n_jobs)
         for value, series in zip(values, runs):
-            for sym in resolved_symmetries(cfg):
-                s = series[(observable, sym.value)]
+            for sym, s in series.items():  # in the order of resolved_symmetries(cfg)
                 n = len(s.steps)
                 point = {plan.keys[0]: s.steps.tolist() if value is None else [float(value)] * n,
                          "kind": [kind.value] * n, "symmetry": [sym.value] * n,

@@ -29,6 +29,7 @@ from mode_reference import joint_mode_distribution, marginal
 
 PI = np.pi
 KINDS = list(DisorderKind)
+BOS, FER = ExchangeSymmetry.BOSONIC, ExchangeSymmetry.FERMIONIC
 STRENGTH_GRID = [k * PI / 10 for k in range(11)]
 
 
@@ -56,19 +57,19 @@ def variance_series():
     series = {}
     for kind in KINDS:
         cfg = _cfg(kind, seed=500)
-        [run] = ensemble_run([cfg], ("variance",), eval_steps=range(20, 101), n_jobs=2)
-        series[kind] = run[("variance", "bosonic")]
+        [run] = ensemble_run([cfg], "variance", eval_steps=range(20, 101), n_jobs=2)
+        series[kind] = run[BOS]
     return series, time.time() - start
 
 
 @pytest.fixture(scope="module")
 def info_series():
-    """Entropy and mutual information series, n=50, both symmetries (criteria 8, 9)."""
+    """Entropy and mutual information series by kind and observable, n=50, both symmetries (criteria 8, 9)."""
     out = {}
     for kind in KINDS:
         cfg = _cfg(kind, configs=50, seed=800, symmetry="both")
-        [out[kind]] = ensemble_run([cfg], ("entropy", "mutual_information"), eval_steps=range(1, 101),
-                                   n_jobs=2)
+        out[kind] = {obs: ensemble_run([cfg], obs, eval_steps=range(1, 101), n_jobs=2)[0]
+                     for obs in ("entropy", "mutual_information")}
     return out
 
 
@@ -201,9 +202,9 @@ def test_criterion_4_static_exponent(variance_series):
 
 def test_criterion_5_bosons_spread_faster():
     cfg = _cfg(DisorderKind.ORDERED, configs=1, symmetry="both", seed=0)
-    [series] = ensemble_run([cfg], ("variance",), eval_steps=range(10, 101))
-    bos = series[("variance", "bosonic")].mean
-    fer = series[("variance", "fermionic")].mean
+    [series] = ensemble_run([cfg], "variance", eval_steps=range(10, 101))
+    bos = series[BOS].mean
+    fer = series[FER].mean
     gap = float(np.min(bos - fer))
     _criterion(5, bool(np.all(bos > fer)), f"min(Var+ - Var-) over t in [10,100] = {gap:.2f}")
 
@@ -214,8 +215,8 @@ def test_criterion_6_strength_sweep():
         vals = []
         for phi in STRENGTH_GRID:
             cfg = _cfg(kind, phi_max=phi, seed=600)
-            [series] = ensemble_run([cfg], ("variance",), eval_steps=[100])
-            vals.append(series[("variance", "bosonic")].mean[0])
+            [series] = ensemble_run([cfg], "variance", eval_steps=[100])
+            vals.append(series[BOS].mean[0])
         means[kind] = np.array(vals)
     violations = {k.value: int(np.sum(np.diff(v) > 0.0)) for k, v in means.items()}
     static_below = bool(np.all(means[DisorderKind.STATIC][1:] < means[DisorderKind.DYNAMIC][1:]))
@@ -232,8 +233,8 @@ def test_criterion_7_mobility_edge():
     crossing = None
     for phi in STRENGTH_GRID:
         cfg = _cfg(DisorderKind.COMBINED, phi_dynamic=phi, seed=700)
-        [series] = ensemble_run([cfg], ("variance",), eval_steps=[100])
-        mean = series[("variance", "bosonic")].mean[0]
+        [series] = ensemble_run([cfg], "variance", eval_steps=[100])
+        mean = series[BOS].mean[0]
         if mean > baseline:
             crossing = phi
             break
@@ -246,15 +247,15 @@ def test_criterion_8_entropy_ordering(info_series):
     ok = True
     details = []
     for kind in KINDS:
-        hb = info_series[kind][("entropy", "bosonic")]
-        hf = info_series[kind][("entropy", "fermionic")]
+        hb = info_series[kind]["entropy"][BOS]
+        hf = info_series[kind]["entropy"][FER]
         m = hb.steps >= 5
         holds = bool(np.all(hf.mean[m] < hb.mean[m]))
         ok = ok and holds
         details.append(f"{kind.value}:{'ok' if holds else 'violated'}")
     growth = {  # series steps start at 1: index t - 1 holds step t
-        kind: info_series[kind][("entropy", "bosonic")].mean[99]
-        - info_series[kind][("entropy", "bosonic")].mean[89]
+        kind: info_series[kind]["entropy"][BOS].mean[99]
+        - info_series[kind]["entropy"][BOS].mean[89]
         for kind in (DisorderKind.ORDERED, DisorderKind.DYNAMIC, DisorderKind.STATIC)
     }
     ordering = (
@@ -272,15 +273,15 @@ def test_criterion_9_mutual_information(info_series):
     ok = True
     min_mi = np.inf
     for kind in (DisorderKind.ORDERED, DisorderKind.DYNAMIC, DisorderKind.STATIC):
-        ib = info_series[kind][("mutual_information", "bosonic")]
-        if_ = info_series[kind][("mutual_information", "fermionic")]
+        ib = info_series[kind]["mutual_information"][BOS]
+        if_ = info_series[kind]["mutual_information"][FER]
         m = ib.steps >= 5
         ok = ok and bool(np.all(if_.mean[m] > ib.mean[m]))
     for kind in KINDS:
-        for sym in ("bosonic", "fermionic"):
-            min_mi = min(min_mi, float(info_series[kind][("mutual_information", sym)].mean.min()))
-    dyn_b = info_series[DisorderKind.DYNAMIC][("mutual_information", "bosonic")]
-    dyn_f = info_series[DisorderKind.DYNAMIC][("mutual_information", "fermionic")]
+        for sym in (BOS, FER):
+            min_mi = min(min_mi, float(info_series[kind]["mutual_information"][sym].mean.min()))
+    dyn_b = info_series[DisorderKind.DYNAMIC]["mutual_information"][BOS]
+    dyn_f = info_series[DisorderKind.DYNAMIC]["mutual_information"][FER]
     decreasing = dyn_b.mean[99] < dyn_b.mean[19] and dyn_f.mean[99] < dyn_f.mean[19]  # index t - 1: step t
     ok = ok and decreasing and min_mi >= -1e-12
     _criterion(
@@ -317,8 +318,8 @@ def test_criterion_11_determinism(tmp_path):
 
     # parallel vs serial ensembles merge identically
     cfg = _cfg(DisorderKind.FLUCTUATING, steps=20, configs=4, seed=31, symmetry="both")
-    [serial] = ensemble_run([cfg], ("variance", "entropy"), n_jobs=1)
-    [parallel] = ensemble_run([cfg], ("variance", "entropy"), n_jobs=2)
+    [serial] = ensemble_run([cfg], "mutual_information", n_jobs=1)
+    [parallel] = ensemble_run([cfg], "mutual_information", n_jobs=2)
     agree = all(
         np.array_equal(serial[k].mean, parallel[k].mean)
         and np.array_equal(serial[k].std_dev, parallel[k].std_dev)

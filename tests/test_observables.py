@@ -158,7 +158,8 @@ def test_product_joint_variance_is_sum_of_single_variances():
     assert variance_xm(joint, np.arange(n) - o) == pytest.approx(single_var(psi_a) + single_var(psi_b), abs=1e-10)
 
 
-OBS = ("variance", "entropy")
+OBS = "mutual_information"  # reads the builder's quarter and the light cone's joint it is written into
+ALL_OBS = ("variance", "entropy", "mutual_information")
 
 
 def ordered_cfg(**kw):
@@ -167,9 +168,9 @@ def ordered_cfg(**kw):
     return ScenarioConfig(**base)
 
 
-def run_one(cfg, observables=OBS, **kwargs):
+def run_one(cfg, observable=OBS, **kwargs):
     """The series of ``ensemble_run`` on the one config ``cfg``."""
-    [series] = ensemble_run([cfg], observables, **kwargs)
+    [series] = ensemble_run([cfg], observable, **kwargs)
     return series
 
 
@@ -199,15 +200,15 @@ def test_parallel_matches_serial_bitwise():
 
 def test_eval_steps_subset():
     cfg = ordered_cfg(configs=1, steps=10)
-    [series] = ensemble_run([cfg], ("variance",), eval_steps=[0, 5, 10])
-    assert set(series) == {("variance", "bosonic"), ("variance", "fermionic")}
-    s = series[("variance", "bosonic")]
+    [series] = ensemble_run([cfg], "variance", eval_steps=[0, 5, 10])
+    assert list(series) == list(ExchangeSymmetry)  # keyed by symmetry, in the order of ensemble_average_joints
+    s = series[BOS]
     np.testing.assert_array_equal(s.steps, [0, 5, 10])
     assert s.mean[1] > 0
 
 
 def _never_draw(*args, **kwargs):
-    pytest.fail("drew a field before the eval steps were checked")
+    pytest.fail("drew a field before the arguments were checked")
 
 
 def test_eval_steps_out_of_range_rejected(monkeypatch):
@@ -230,10 +231,13 @@ def test_invalid_configs_rejected():
         ensemble_run([ordered_cfg(configs=0)], OBS)
 
 
-@pytest.mark.parametrize("observables", [(), ("variance", "purity"), "variance"], ids=["none", "unknown", "string"])
-def test_unknown_observable_rejected(observables):
-    with pytest.raises(ValueError, match="observables"):
-        ensemble_run([ordered_cfg()], observables)
+# one name per run: a selection is refused, even of one name
+@pytest.mark.parametrize("observable", [("variance",), ["variance"], "", "purity", None],
+                         ids=["tuple", "list", "empty", "unknown", "none"])
+def test_unknown_observable_rejected(monkeypatch, observable):
+    monkeypatch.setattr(observables, "sample_phase_field", _never_draw)
+    with pytest.raises(ValueError, match="observable"):
+        ensemble_run([ordered_cfg(disorder=DisorderKind.STATIC, phi_max=1.0)], observable)
 
 
 @pytest.mark.parametrize("n_jobs", [0, 1.5, True, "2"])  # 1.5 and "2" once raised TypeError, True ran one job
@@ -248,8 +252,8 @@ def test_static_variance_plateaus():
         "plateau", steps=100, disorder=DisorderKind.STATIC, phi_max=np.pi,
         configs=100, seed=1000, symmetry="bosonic",
     )
-    [series] = ensemble_run([cfg], ("variance",), eval_steps=[20, 100])
-    s = series[("variance", "bosonic")]
+    [series] = ensemble_run([cfg], "variance", eval_steps=[20, 100])
+    s = series[BOS]
     assert s.mean[1] / s.mean[0] < 3.0
 
 
@@ -346,7 +350,7 @@ def test_each_sweep_value_equals_its_run_alone(monkeypatch, kind, sweep):
     cfg = ordered_cfg(disorder=kind, configs=3, seed=6, steps=9)
     cfgs = [dataclasses.replace(cfg, **{sweep: value}) for value in (0.0, 1.0, 2.5)]
     alone = [run_one(one, eval_steps=[4, 9]) for one in cfgs]
-    for runs in _runs(monkeypatch, partial(ensemble_run, observables=OBS, eval_steps=[4, 9]), cfgs):
+    for runs in _runs(monkeypatch, partial(ensemble_run, observable=OBS, eval_steps=[4, 9]), cfgs):
         assert len(runs) == len(alone)
         for run, one in zip(runs, alone):
             assert run.keys() == one.keys()
@@ -377,21 +381,18 @@ def test_no_list_of_configs_is_rejected_before_any_step(monkeypatch, cfgs):
         ensemble_run(cfgs, OBS)
 
 
-# the budget counts no observable's temporaries: variance, entropy alone and all three observables are traced
-BUDGET_SELECTIONS = [("variance",), ("entropy",), ("variance", "entropy", "mutual_information")]
-
-
-@pytest.mark.parametrize("selection", BUDGET_SELECTIONS, ids="+".join)
-def test_a_preset_scale_chunk_stays_within_its_memory_budget(selection):
+# the budget counts no observable's temporaries: each observable is traced
+@pytest.mark.parametrize("observable", ALL_OBS)
+def test_a_preset_scale_chunk_stays_within_its_memory_budget(observable):
     # One fig7 chunk at t = 100 (36 combined configurations), traced on its second run, when the joint
     # builder's scratch (about 1 MiB, kept for every later chunk) exists.  The packed light-cone phases and
     # the two state buffers of the walk fill the budget next to the one field being packed; the rest is step
     # and measurement temporaries, which the budget does not count.  A stacked second copy of whole tables
     # peaked at 1.72 budgets.
     cfg = dataclasses.replace(preset("fig7"), phi_dynamic=np.pi)
-    measure = partial(observables._measure_series, selection, JointBuilder())
+    measure = partial(observables._measure_series, observable, JointBuilder())
     members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
-    task = observables._chunk_tasks(members, [cfg.steps], measure, 2 * len(selection), 1)[0]
+    task = observables._chunk_tasks(members, [cfg.steps], measure, 2, 1)[0]
     assert len(task[0]) == 36
     observables._run_chunk(task)
     tracemalloc.start()
@@ -403,16 +404,16 @@ def test_a_preset_scale_chunk_stays_within_its_memory_budget(selection):
     assert peak <= 1.1 * observables._CHUNK_BYTES
 
 
-@pytest.mark.parametrize("selection", BUDGET_SELECTIONS, ids="+".join)
-def test_a_preset_scale_chunk_measured_at_several_steps_stays_within_its_memory_budget(selection):
+@pytest.mark.parametrize("observable", ALL_OBS)
+def test_a_preset_scale_chunk_measured_at_several_steps_stays_within_its_memory_budget(observable):
     # One fig5 combined chunk at t = 100 measured at 11 steps (36 configurations): one evolve walk runs through
     # all 11 stops in the two state buffers it owns.  A third state buffer, a copy per stop, would not fit:
     # 36 configurations with two buffers counted peaked at 1.16 budgets when three coexisted.
     cfg = dataclasses.replace(preset("fig5"), disorder=DisorderKind.COMBINED)
-    measure = partial(observables._measure_series, selection, JointBuilder())
+    measure = partial(observables._measure_series, observable, JointBuilder())
     members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
     stops = list(range(0, cfg.steps + 1, 10))
-    task = observables._chunk_tasks(members, stops, measure, 2 * len(selection) * len(stops), 1)[0]
+    task = observables._chunk_tasks(members, stops, measure, 2 * len(stops), 1)[0]
     assert len(task[0]) == 36
     observables._run_chunk(task)
     tracemalloc.start()
@@ -505,17 +506,14 @@ def test_average_joints_equal_ordered_sums_of_mode_reference_matrices(monkeypatc
     assert np.array_equal(positions, np.arange(n) - o)
 
 
-@pytest.mark.parametrize("selection", [("variance",), ("entropy",), ("mutual_information",),
-                                       ("variance", "entropy", "mutual_information")],
-                         ids=["variance", "entropy", "mutual_information", "all"])
+@pytest.mark.parametrize("observable", ALL_OBS)
 @pytest.mark.parametrize("start_b", [(0, "R"), (1, "R")], ids=["one-parity", "two-parities"])
-def test_series_values_equal_the_observables_of_mode_reference_joints(start_b, selection):
+def test_series_values_equal_the_observables_of_mode_reference_joints(start_b, observable):
     # light cones of 21 to 81 sites, on both sides of 64 sites; one configuration, so each mean is its value.
-    # Each observable measured alone reads the joint of every selection: no selection takes another path.
     cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_dynamic=1.0, configs=1, seed=4, steps=40, start_b=start_b)
     stops = [10, 30, 31, 32, 40]
-    [series] = ensemble_run([cfg], selection, eval_steps=stops)
-    assert set(series) == {(obs, sym.value) for obs in selection for sym in ExchangeSymmetry}
+    [series] = ensemble_run([cfg], observable, eval_steps=stops)
+    assert list(series) == list(ExchangeSymmetry)
     n, o = lattice_for(cfg.steps, cfg.start_sites)
     fld = FieldBatch([observables._field_for(cfg, cfg.seed, n)], (o, o + start_b[0]))
     for i, t in enumerate(stops):
@@ -526,8 +524,7 @@ def test_series_values_equal_the_observables_of_mode_reference_joints(start_b, s
             ref = aggregate_to_positions(joint_mode_distribution(a[:, cone], b[:, cone], sym))
             want = {"variance": variance_xm(ref, np.arange(n)[cone] - o), "entropy": joint_entropy(ref),
                     "mutual_information": mutual_information(ref)}
-            for obs in selection:
-                assert series[(obs, sym.value)].mean[i] == want[obs]
+            assert series[sym].mean[i] == want[observable]
 
 
 def start_pair(cfg: ScenarioConfig) -> tuple[np.ndarray, int, int]:
@@ -580,8 +577,8 @@ def test_series_equal_those_of_the_momentum_space_walk_at_every_step_to_100(kind
     oracle's zero cells at most 1.3e-15, on a 2-core Xeon with numpy 2.4.
     """
     cfg = dataclasses.replace(preset("fig5"), disorder=kind, phi_max=PI, configs=3, seed=5)
-    [series] = ensemble_run([cfg], ALL_OBS)
-    got = np.array([[series[(obs, sym.value)].mean for sym in ExchangeSymmetry] for obs in ALL_OBS])
+    runs = {obs: ensemble_run([cfg], obs)[0] for obs in ALL_OBS}
+    got = np.array([[runs[obs][sym].mean for sym in ExchangeSymmetry] for obs in ALL_OBS])
     want = momentum_space_means(cfg)
     zero = got == 0.0
     assert not zero[..., 2:].any()
@@ -638,9 +635,9 @@ def test_ordered_variance_tends_to_its_group_velocity_limit():
     the variance moves a limit by more than 0.1.
     """
     cfg = ScenarioConfig("limit", steps=800, disorder=DisorderKind.ORDERED, configs=1, symmetry="both")
-    [series] = ensemble_run([cfg], ("variance",), eval_steps=[400, 800])
+    [series] = ensemble_run([cfg], "variance", eval_steps=[400, 800])
     for sym, limit in zip(ExchangeSymmetry, variance_limits()):
-        r = series[("variance", sym.value)].mean / np.array([400.0, 800.0]) ** 2
+        r = series[sym].mean / np.array([400.0, 800.0]) ** 2
         assert abs(2 * r[1] - r[0] - limit) <= 5e-5
 
 
@@ -769,7 +766,6 @@ def test_one_configuration_opens_no_pool(monkeypatch, tmp_path):
     assert made == []
 
 
-ALL_OBS = ("variance", "entropy", "mutual_information")
 PI = np.pi
 
 
@@ -809,7 +805,7 @@ def test_a_seed_independent_ensemble_runs_once_and_equals_the_full_ensemble(monk
         evolved.append(len(members))
         return map_chunks(members, *rest)
 
-    run = partial(ensemble_run, cfgs, ALL_OBS)
+    run = partial(ensemble_run, cfgs, OBS)
     with monkeypatch.context() as patch:
         patch.setattr(observables, "seed_independent", lambda *args, **kwargs: False)
         full = run()

@@ -22,4 +22,6 @@ def test_library_example_runs_and_its_claims_hold():
     exec(compile(library_block(), str(README), "exec"), namespace)
     joint_entropy, quarters, bose = namespace["joint_entropy"], namespace["quarters"], namespace["bose"]
     assert joint_entropy(quarters[0]) == joint_entropy(bose)  # the "True, bit for bit" of the example
-    assert len(namespace["series"][("variance", "bosonic")].mean) == namespace["cfg"].steps + 1
+    series, bosonic = namespace["series"], namespace["ExchangeSymmetry"].BOSONIC
+    assert set(series) == set(namespace["ExchangeSymmetry"])  # cfg.symmetry is "both"
+    assert len(series[bosonic].mean) == namespace["cfg"].steps + 1

@@ -19,6 +19,16 @@ from dtqw.output import Table, emit_results, joint_table
 from dtqw.scenarios import STRENGTH_GRID, preset, preset_names, run_scenario
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def child_env(**extra):
+    """This process's environment for a child Python, with the repository's ``src`` first on its PYTHONPATH:
+    pytest's ``pythonpath`` setting reaches this process only."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def small(name, tmp_path, **overrides):
     cfg = preset(name)
     defaults = dict(out_dir=str(tmp_path / name))
@@ -278,10 +288,13 @@ def test_scenario_config_validation_errors():
     with pytest.raises(ValueError):
         ScenarioConfig("x", steps=5, start_a=(0, "L"), start_b=(0, "L"))
     for bad in ({"steps": True}, {"steps": 10.5}, {"configs": True}, {"seed": -1}, {"seed": 1.0},
-                {"steps": MAX_STEPS + 1}, {"configs": MAX_CONFIGS + 1}, {"steps": 10**20}, {"configs": 10**20}):
+                {"steps": MAX_STEPS + 1}, {"configs": MAX_CONFIGS + 1}, {"steps": 10**20}, {"configs": 10**20},
+                {"start_a": (MAX_STEPS + 1, "L")}, {"start_b": (-MAX_STEPS - 1, "R")},
+                {"start_a": (10**19, "L"), "start_b": (10**19, "R")}):
         with pytest.raises(ValueError):
             ScenarioConfig(**{"name": "x", "steps": 5, **bad})
-    ScenarioConfig("x", steps=MAX_STEPS, configs=MAX_CONFIGS)  # the caps themselves; made, never run
+    # the caps and the start-site bound themselves; made, never run
+    ScenarioConfig("x", steps=MAX_STEPS, configs=MAX_CONFIGS, start_a=(-MAX_STEPS, "L"), start_b=(MAX_STEPS, "R"))
     with pytest.raises(ValueError):
         scenario_from_dict({"name": "x", "steps": 5, "bogus": 1})
     # the presets sweep scenarios.STRENGTH_GRID; there are no sweep values to set
@@ -433,7 +446,7 @@ def test_joint_maps_do_not_depend_on_the_blas_thread_count(tmp_path):
         out[threads] = tmp_path / threads
         result = subprocess.run(
             [sys.executable, "-m", "dtqw", "--scenario", "fig3", "--configs", "400", "--out", str(out[threads])],
-            capture_output=True, text=True, env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, env=child_env(OPENBLAS_NUM_THREADS=threads),
         )
         assert result.returncode == 0, result.stderr
     for name in ("joint_bose.csv", "joint_fermi.csv", "marginal.csv"):
@@ -445,6 +458,7 @@ def test_module_entry_point(tmp_path):
         [sys.executable, "-m", "dtqw", "--scenario", "fig2", "--steps", "4", "--out", str(tmp_path / "m")],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "m" / "manifest.json").exists()
@@ -455,7 +469,7 @@ def test_a_serial_run_never_imports_the_process_pool(tmp_path):
     code = ("import sys; from dtqw.cli import main; "
             f"assert main(['--scenario', 'fig8', '--steps', '4', '--configs', '3', '--out', {str(tmp_path)!r}]) == 0; "
             "print(sorted(name for name in sys.modules if name.startswith('concurrent')))")
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=child_env())
     assert result.returncode == 0, result.stderr
     assert result.stdout.splitlines()[-1] == "[]"
 
@@ -568,13 +582,19 @@ def test_manifest_reports_the_kinds_it_ran(tmp_path):
         ({}, ["--configs", str(10**20)]),
         ({}, ["--steps", str(MAX_STEPS + 1)]),
         ({}, ["--configs", str(MAX_CONFIGS + 1)]),
+        # start sites past [-MAX_STEPS, MAX_STEPS]; 10**19 once overflowed a C long (exit 2)
+        ({"start_a": [10**19, "L"], "start_b": [10**19, "R"]}, []),
+        ({"name": "fig5", "start_a": [10**19, "L"], "start_b": [10**19, "R"]}, []),
+        ({"start_a": [MAX_STEPS + 1, "L"]}, []),
+        ({"start_b": [-MAX_STEPS - 1, "R"]}, []),
     ],
     ids=["steps-true", "configs-true", "steps-float", "seed-negative", "seed-negative-static",
          "jobs-zero", "jobs-negative", "start-site-float", "start-site-true", "start-site-string",
          "start-short", "start-not-a-pair", "phi-max-true", "phi-max-string", "phi-max-null",
          "phi-dynamic-string", "phi-dynamic-false", "sweep-bool", "sweep-string", "sweep-above-2pi",
          "sweep-negative", "sweep-repeated", "sweep-number", "sweep-string-of-values", "steps-1e20", "configs-1e20",
-         "steps-past-cap", "configs-past-cap"],
+         "steps-past-cap", "configs-past-cap", "start-sites-1e19", "start-sites-1e19-fig5", "start-site-past-bound",
+         "start-site-below-bound"],
 )
 def test_cli_rejects_mistyped_and_out_of_range_values(tmp_path, capsys, monkeypatch, file_doc, flags):
     monkeypatch.setattr("dtqw.cli.run_scenario", lambda *a, **k: pytest.fail("ran before rejecting"))
