@@ -805,15 +805,18 @@ def test_a_seed_independent_ensemble_runs_once_and_equals_the_full_ensemble(monk
         evolved.append(len(members))
         return map_chunks(members, *rest)
 
-    run = partial(ensemble_run, cfgs, OBS)
-    with monkeypatch.context() as patch:
-        patch.setattr(observables, "seed_independent", lambda *args, **kwargs: False)
-        full = run()
-    monkeypatch.setattr(observables, "_map_chunks", recording)
-    got = run()
-    for once, every in zip(got, full, strict=True):
-        assert once.keys() == every.keys()
-        for key, s in once.items():
-            assert np.array_equal(s.steps, every[key].steps)
-            assert np.array_equal(s.mean, every[key].mean) and np.array_equal(s.std_dev, every[key].std_dev)
-    assert evolved == [members]
+    for observable in ALL_OBS:
+        run = partial(ensemble_run, cfgs, observable)
+        with monkeypatch.context() as patch:
+            patch.setattr(observables, "seed_independent", lambda *args, **kwargs: False)
+            full = run()
+        evolved.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(observables, "_map_chunks", recording)
+            got = run()
+        for once, every in zip(got, full, strict=True):
+            assert once.keys() == every.keys()
+            for key, s in once.items():
+                assert np.array_equal(s.steps, every[key].steps)
+                assert np.array_equal(s.mean, every[key].mean) and np.array_equal(s.std_dev, every[key].std_dev)
+        assert evolved == [members], observable
