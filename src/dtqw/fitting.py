@@ -34,15 +34,15 @@ def _r_squared(y: np.ndarray, pred: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def fit_exponential_decay(marginal: np.ndarray, positions: np.ndarray, center: float = 0.0) -> dict:
-    """Fit exp(-|x - center| / xi) wings of a localized marginal.
+def fit_exponential_decay(marginal: np.ndarray, positions: np.ndarray) -> dict:
+    """Fit exp(-|x| / xi) wings of a localized marginal, measured from x = 0, the start site.
 
-    Each wing is fit separately as a line on (|x - center|, ln P) over the
-    entries above ``FLOOR`` and outside the flattened central cap
-    (|x - center| < EXCLUDE_RADIUS drops the central 3 sites for an integer
-    center); the localization length is the average of -1/slope over the two
-    wings.  Raises FitError when a wing has fewer than ``MIN_POINTS`` usable
-    entries or decays with a nonnegative slope.
+    Each wing is fit separately as a line on (|x|, ln P) over the entries
+    above ``FLOOR`` and outside the flattened central cap (|x| <
+    EXCLUDE_RADIUS drops the central 3 sites); the localization length is
+    the average of -1/slope over the two wings.  Raises FitError when a wing
+    has fewer than ``MIN_POINTS`` usable entries or decays with a
+    nonnegative slope.
     """
     marginal = np.asarray(marginal, dtype=np.float64)
     positions = np.asarray(positions, dtype=np.float64)
@@ -51,7 +51,7 @@ def fit_exponential_decay(marginal: np.ndarray, positions: np.ndarray, center: f
     r2s = []
     used_lo, used_hi = np.inf, -np.inf
     for label, side in (("left", -1.0), ("right", 1.0)):
-        rel = (positions - center) * side
+        rel = positions * side
         mask = (rel >= EXCLUDE_RADIUS) & (marginal > FLOOR)
         if int(mask.sum()) < MIN_POINTS:
             raise FitError(f"{label} wing has {int(mask.sum())} usable points, need {MIN_POINTS}")

@@ -23,8 +23,8 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .config import COIN_NAMES, ScenarioConfig
-from .core import check_integer, check_stops, delta_state, evolve, lattice_for, light_cone
+from .config import ScenarioConfig
+from .core import COIN_L, COIN_R, check_integer, check_stops, delta_state, evolve, lattice_for, light_cone
 from .disorder import FieldBatch, PhaseField, batch_floats, sample_phase_field, seed_independent
 from .two_particle import ORTHOGONALITY_TOL, ExchangeSymmetry, JointBuilder, joint_factors
 
@@ -98,9 +98,9 @@ def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int) -> PhaseField:
 
 
 def _geometry(cfg: ScenarioConfig) -> tuple[int, int, list[int]]:
-    """(n_sites, origin, array indices of the start sites) of ``cfg``'s lattice."""
-    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
-    return n_sites, origin, [origin + x for x in cfg.start_sites]
+    """(n_sites, origin, array index of the one start site) of ``cfg``'s lattice."""
+    n_sites, origin = lattice_for(cfg.steps)
+    return n_sites, origin, [origin]
 
 
 def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
@@ -160,7 +160,7 @@ def _run_chunk(task) -> list:
     Member ``i`` of the chunk, (config, seed), draws its field from its seed
     with its config's strengths (see ``_chunk_tasks``); walkers A and B
     share it.  The fields are drawn one at a time into a ``FieldBatch`` that
-    keeps only the light cone of the two start sites, so at most one field's
+    keeps only the light cone of the start site, so at most one field's
     whole tables exist at once.  One ``evolve`` walk
     stops at each of the non-decreasing ``stops``: there the walkers of every
     configuration must be orthogonal (ValueError otherwise), and the whole
@@ -172,7 +172,8 @@ def _run_chunk(task) -> list:
     cfg = members[0][0]
     n_sites, origin, starts = _geometry(cfg)
     field = FieldBatch((_field_for(member, seed, n_sites) for member, seed in members), starts, len(members))
-    pair = np.stack([delta_state(n_sites, origin, x, COIN_NAMES[coin]) for x, coin in (cfg.start_a, cfg.start_b)])
+    # the two walkers enter the two coin modes of the central site, like the two input ports of one beam splitter
+    pair = np.stack([delta_state(n_sites, origin, 0, coin) for coin in (COIN_L, COIN_R)])
     results = []
     # evolve keeps the layout of the broadcast start, configuration-innermost, in the buffers it copies it to
     for t, state in zip(stops, evolve(np.broadcast_to(pair, (len(members), *pair.shape)), stops, field)):

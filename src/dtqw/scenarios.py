@@ -146,12 +146,12 @@ def check_config(cfg: ScenarioConfig, given: dict) -> None:
             raise ValueError(f"{cfg.name} ignores {key} ({why}); drop it")
 
 
-# Joint-map fits take (marginal, positions, center), grid fits one series.
+# Joint-map fits take (marginal, positions), grid fits one series.
 # The lambdas look the fit functions up when called, not at import.
 _FITS = {
     "power_law": lambda series: fit_power_law(series),
-    "semilog_parabola": lambda marg, positions, center: fit_gaussian_semilog(marg, positions),
-    "exponential_wing": lambda marg, positions, center: fit_exponential_decay(marg, positions, center),
+    "semilog_parabola": lambda marg, positions: fit_gaussian_semilog(marg, positions),
+    "exponential_wing": lambda marg, positions: fit_exponential_decay(marg, positions),
 }
 
 
@@ -189,8 +189,7 @@ def _run_joints(cfg: ScenarioConfig, plan: Plan, n_jobs: int) -> tuple[list[Tabl
         for sym, matrix in joints.items()
     ]
     tables.append(marginal_table("marginal", marg, positions))
-    center = 0.5 * sum(cfg.start_sites)
-    return tables, {name: _fit(name, marg, positions, center) for name in plan.fits}
+    return tables, {name: _fit(name, marg, positions) for name in plan.fits}
 
 
 def _run_grid(cfg: ScenarioConfig, plan: Plan, kinds: tuple, n_jobs: int) -> tuple[list[Table], dict]:

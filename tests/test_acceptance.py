@@ -163,7 +163,7 @@ def test_criterion_3_localization_length():
     start = time.time()
     cfg = _cfg(DisorderKind.STATIC, steps=50, seed=300, symmetry="both")
     _, marg, pos = ensemble_average_joints(cfg)
-    xi = fit_exponential_decay(marg, pos, center=0.0)["params"]["localization_length"]
+    xi = fit_exponential_decay(marg, pos)["params"]["localization_length"]
     elapsed = time.time() - start
     _criterion(3, 2.0 <= xi <= 4.0 and elapsed < 10.0, f"xi = {xi:.2f} (static pi, t=50, n=100) in {elapsed:.1f}s")
 
@@ -295,7 +295,7 @@ def test_criterion_10_gaussian_profile():
     cfg = _cfg(DisorderKind.DYNAMIC, steps=50, seed=400, symmetry="both")
     _, marg, pos = ensemble_average_joints(cfg)
     parabola = fit_gaussian_semilog(marg, pos)
-    wings = fit_exponential_decay(marg, pos, center=0.0)
+    wings = fit_exponential_decay(marg, pos)
     ok = parabola["r_squared"] >= 0.95 and parabola["r_squared"] > wings["r_squared"]
     _criterion(
         10,

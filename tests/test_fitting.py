@@ -33,7 +33,7 @@ def series(steps, values):
 @pytest.mark.parametrize("xi", [3.0, 7.0])
 def test_exponential_recovery_is_exact(xi):
     p, x = exp_profile(xi)
-    fit = fit_exponential_decay(p, x, center=0.0)
+    fit = fit_exponential_decay(p, x)
     assert fit["params"]["localization_length"] == pytest.approx(xi, abs=0.01)
     assert fit["r_squared"] > 0.999
     assert fit["model"] == "exponential-wing"
@@ -44,13 +44,13 @@ def test_exponential_fit_ignores_parity_zeros():
     p = p.copy()
     p[x % 2 != 0] = 0.0  # knock out odd sites like an even-step walk
     p /= p.sum()
-    fit = fit_exponential_decay(p, x, center=0.0)
+    fit = fit_exponential_decay(p, x)
     assert fit["params"]["localization_length"] == pytest.approx(4.0, abs=0.01)
 
 
 def test_exponential_fit_window_excludes_center():
     p, x = exp_profile(3.0)
-    fit = fit_exponential_decay(p, x, center=0.0)
+    fit = fit_exponential_decay(p, x)
     assert fit["window"][0] >= 2.0
 
 
@@ -58,20 +58,20 @@ def test_exponential_fit_requires_decay():
     x = np.arange(-10, 11)
     flat = np.full_like(x, 1.0 / x.size, dtype=float)
     with pytest.raises(FitError):
-        fit_exponential_decay(flat, x, center=0.0)
+        fit_exponential_decay(flat, x)
 
 
 def test_exponential_fit_requires_enough_points():
     x = np.arange(-3, 4)
     p = np.exp(-np.abs(x) / 2.0)
     with pytest.raises(FitError):
-        fit_exponential_decay(p / p.sum(), x, center=0.0)
+        fit_exponential_decay(p / p.sum(), x)
 
 
 def test_exponential_fit_rescale_invariance():
     p, x = exp_profile(5.0)
-    a = fit_exponential_decay(p, x, center=0.0)
-    b = fit_exponential_decay(1000.0 * p, x, center=0.0)
+    a = fit_exponential_decay(p, x)
+    b = fit_exponential_decay(1000.0 * p, x)
     assert b["params"]["slope_left"] == pytest.approx(a["params"]["slope_left"], abs=1e-12)
     assert b["params"]["localization_length"] == pytest.approx(a["params"]["localization_length"], abs=1e-12)
     assert b["params"]["intercept_left"] != pytest.approx(a["params"]["intercept_left"])
@@ -99,7 +99,7 @@ def test_gaussian_fit_requires_enough_points():
 
 def test_parabola_on_exponential_data_is_the_worse_model():
     p, x = exp_profile(3.0)
-    wing = fit_exponential_decay(p, x, center=0.0)
+    wing = fit_exponential_decay(p, x)
     parabola = fit_gaussian_semilog(p, x)
     assert parabola["r_squared"] < wing["r_squared"]
 
@@ -145,7 +145,7 @@ def test_fit_result_serializes():
     # each fitter returns the document written to fits.json, keys in this order
     p, x = exp_profile(3.0)
     t = np.arange(1, 101)
-    for doc in (fit_exponential_decay(p, x, center=0.0), fit_gaussian_semilog(*gauss_profile(5.0)),
+    for doc in (fit_exponential_decay(p, x), fit_gaussian_semilog(*gauss_profile(5.0)),
                 fit_power_law(series(t, 3.0 * t))):
         assert list(doc) == ["model", "params", "r_squared", "window"]
         assert isinstance(doc["window"], list) and len(doc["window"]) == 2

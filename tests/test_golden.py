@@ -2,9 +2,7 @@
 
 The references under ``tests/golden/<case>/`` were written by the CLI with
 the arguments in ``CASES`` below: one case per preset, plus 40-step cases of
-fig3 and fig8 whose measured lattices reach 64 sites and more, and a fig7
-case whose second walker starts one site over, on the other parity, set by
-a ``--config`` file.  Numbers must
+fig3 and fig8 whose measured lattices reach 64 sites and more.  Numbers must
 agree to rtol 1e-12 / atol 1e-15, text cells and file sets exactly, so a
 refactor of the pipeline cannot move the physics silently.  After a deliberate physics change, rewrite them
 with ``PYTHONPATH=src python tests/test_golden.py --rewrite``, which deletes every case directory first;
@@ -15,7 +13,6 @@ import json
 import math
 import shutil
 import sys
-import tempfile
 from pathlib import Path
 
 import pytest
@@ -27,21 +24,16 @@ GOLDEN = Path(__file__).parent / "golden"
 RTOL, ATOL = 1e-12, 1e-15
 
 
-# (golden directory, preset, steps, config file fields); fig5 needs steps inside its power-law window [20, 100]
-CASES = [(name, name, "25" if name == "fig5" else "10", None) for name in preset_names()] + [
-    ("fig3-steps40", "fig3", "40", None),
-    ("fig8-steps40", "fig8", "40", None),
-    ("fig7-start-b1", "fig7", "10", {"start_b": [1, "R"]}),
+# (golden directory, preset, steps); fig5 needs steps inside its power-law window [20, 100]
+CASES = [(name, name, "25" if name == "fig5" else "10") for name in preset_names()] + [
+    ("fig3-steps40", "fig3", "40"),
+    ("fig8-steps40", "fig8", "40"),
 ]
 
 
-def argv(preset: str, steps: str, out: Path, config: dict | None, config_path: Path) -> list[str]:
-    """CLI arguments of one case; a case with config fields writes them to ``config_path`` first."""
-    args = ["--scenario", preset, "--steps", steps, "--configs", "2", "--out", str(out)]
-    if config is None:
-        return args
-    config_path.write_text(json.dumps(config))
-    return args + ["--config", str(config_path)]
+def argv(preset: str, steps: str, out: Path) -> list[str]:
+    """CLI arguments of one case."""
+    return ["--scenario", preset, "--steps", steps, "--configs", "2", "--out", str(out)]
 
 
 def close(got, want) -> bool:
@@ -63,10 +55,10 @@ def parse(path: Path):
     return [[float(cell) if cell[:1] in "-.0123456789" else cell for cell in row] for row in rows]
 
 
-@pytest.mark.parametrize("name, preset, steps, config", CASES, ids=[case[0] for case in CASES])
-def test_data_files_match_golden(tmp_path, name, preset, steps, config):
+@pytest.mark.parametrize("name, preset, steps", CASES, ids=[case[0] for case in CASES])
+def test_data_files_match_golden(tmp_path, name, preset, steps):
     out = tmp_path / "out"
-    assert main(argv(preset, steps, out, config, tmp_path / "config.json")) == 0
+    assert main(argv(preset, steps, out)) == 0
     made = sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
     assert made == sorted(p.name for p in (GOLDEN / name).iterdir())
     for file_name in made:
@@ -78,9 +70,8 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--rewrite"]:
         print(f"usage: {sys.argv[0]} --rewrite  (deletes and rewrites every reference under {GOLDEN})", file=sys.stderr)
         sys.exit(2)
-    for name, preset, steps, config in CASES:
+    for name, preset, steps in CASES:
         shutil.rmtree(GOLDEN / name, ignore_errors=True)
-        with tempfile.TemporaryDirectory() as scratch:
-            assert main(argv(preset, steps, GOLDEN / name, config, Path(scratch) / "config.json")) == 0
+        assert main(argv(preset, steps, GOLDEN / name)) == 0
         (GOLDEN / name / "manifest.json").unlink()
     sys.exit(0)

@@ -365,8 +365,8 @@ def _never_evolve(*args):
 
 
 @pytest.mark.parametrize("change", [{"seed": 7}, {"steps": 8}, {"disorder": DisorderKind.DYNAMIC},
-                                    {"symmetry": "bosonic"}, {"configs": 3}, {"start_b": (2, "R")}],
-                         ids=["seed", "steps", "disorder", "symmetry", "configs", "start_b"])
+                                    {"symmetry": "bosonic"}, {"configs": 3}],
+                         ids=["seed", "steps", "disorder", "symmetry", "configs"])
 def test_configs_that_differ_beyond_their_strengths_are_rejected_before_any_step(monkeypatch, change):
     monkeypatch.setattr(observables, "evolve", _never_evolve)
     cfg = ordered_cfg(disorder=DisorderKind.STATIC, phi_max=1.0, configs=2, steps=9)
@@ -434,7 +434,7 @@ def test_a_preset_scale_joint_map_chunk_stays_within_its_memory_budget():
     # 1.13 budgets.
     cfg = dataclasses.replace(preset("fig3"), configs=300)
     n, o = lattice_for(cfg.steps)
-    lo, _, stride = light_cone(cfg.steps, [o + x for x in cfg.start_sites])
+    lo, _, stride = light_cone(cfg.steps, [o])
     cells = slice(lo % stride, None, stride)
     s = len(range(n)[cells])
     measure = partial(observables._measure_joints, cells)
@@ -460,12 +460,12 @@ def mode_reference_average(cfg):
     marginal summed over the coin); each is summed over the configurations in
     order and divided once.
     """
-    n, o = lattice_for(cfg.steps, cfg.start_sites)
+    n, o = lattice_for(cfg.steps)
     sums, marg, mode_marg = {sym: np.zeros((n, n)) for sym in ExchangeSymmetry}, np.zeros(n), np.zeros(n)
     for i in range(cfg.configs):
-        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n)], [o + x for x in cfg.start_sites])
-        [a] = evolve(delta_state(n, o, cfg.start_a[0], COIN_L), [cfg.steps], fld)
-        [b] = evolve(delta_state(n, o, cfg.start_b[0], COIN_R), [cfg.steps], fld)
+        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n)], [o])
+        [a] = evolve(delta_state(n, o, 0, COIN_L), [cfg.steps], fld)
+        [b] = evolve(delta_state(n, o, 0, COIN_R), [cfg.steps], fld)
         for sym, acc in sums.items():
             acc += aggregate_to_positions(joint_mode_distribution(a, b, sym))
         p_a, p_b = ((w.real**2 + w.imag**2).sum(axis=0) for w in (a, b))
@@ -483,16 +483,15 @@ def assert_identical_runs(runs):
         assert np.array_equal(other[1], marg) and np.array_equal(other[2], positions)
 
 
-@pytest.mark.parametrize("steps", [12, 33], ids=["27-28-sites", "69-70-sites"])  # one-parity/two-parities lattices
-@pytest.mark.parametrize("start_b", [(0, "R"), (1, "R")], ids=["one-parity", "two-parities"])
-def test_average_joints_equal_ordered_sums_of_mode_reference_matrices(monkeypatch, steps, start_b):
+@pytest.mark.parametrize("steps", [12, 33], ids=["27-sites", "69-sites"])
+def test_average_joints_equal_ordered_sums_of_mode_reference_matrices(monkeypatch, steps):
     # The closed form sums other products than the mode-level joints, so its cells agree with their ordered sums
     # within 1e-15.  The marginal is (p_a + p_b) / 2 of the joint factors summed in member order: bit for bit the
     # plain-numpy sum, and within 1e-15 of the mode-level marginal, which squares |a| rather than re and im.
     # 12 configurations, because numpy sums more than 8 terms pairwise along contiguous axes, as it did when
     # chunks were summed in the configuration-innermost layout they come out in.
-    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_dynamic=1.0, configs=12, seed=9, steps=steps, start_b=start_b)
-    n, o = lattice_for(cfg.steps, cfg.start_sites)
+    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_dynamic=1.0, configs=12, seed=9, steps=steps)
+    n, o = lattice_for(cfg.steps)
     want, want_marg, mode_marg = mode_reference_average(cfg)
     runs = _runs(monkeypatch, ensemble_average_joints, cfg)
     assert_identical_runs(runs)
@@ -507,19 +506,18 @@ def test_average_joints_equal_ordered_sums_of_mode_reference_matrices(monkeypatc
 
 
 @pytest.mark.parametrize("observable", ALL_OBS)
-@pytest.mark.parametrize("start_b", [(0, "R"), (1, "R")], ids=["one-parity", "two-parities"])
-def test_series_values_equal_the_observables_of_mode_reference_joints(start_b, observable):
+def test_series_values_equal_the_observables_of_mode_reference_joints(observable):
     # light cones of 21 to 81 sites, on both sides of 64 sites; one configuration, so each mean is its value.
-    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_dynamic=1.0, configs=1, seed=4, steps=40, start_b=start_b)
+    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_dynamic=1.0, configs=1, seed=4, steps=40)
     stops = [10, 30, 31, 32, 40]
     [series] = ensemble_run([cfg], observable, eval_steps=stops)
     assert list(series) == list(ExchangeSymmetry)
-    n, o = lattice_for(cfg.steps, cfg.start_sites)
-    fld = FieldBatch([observables._field_for(cfg, cfg.seed, n)], (o, o + start_b[0]))
+    n, o = lattice_for(cfg.steps)
+    fld = FieldBatch([observables._field_for(cfg, cfg.seed, n)], [o])
     for i, t in enumerate(stops):
         [a] = evolve(delta_state(n, o, 0, COIN_L), [t], fld)
-        [b] = evolve(delta_state(n, o, start_b[0], COIN_R), [t], fld)
-        cone = slice(o - t, o + start_b[0] + t + 1)
+        [b] = evolve(delta_state(n, o, 0, COIN_R), [t], fld)
+        cone = slice(o - t, o + t + 1)
         for sym in ExchangeSymmetry:
             ref = aggregate_to_positions(joint_mode_distribution(a[:, cone], b[:, cone], sym))
             want = {"variance": variance_xm(ref, np.arange(n)[cone] - o), "entropy": joint_entropy(ref),
@@ -528,11 +526,13 @@ def test_series_values_equal_the_observables_of_mode_reference_joints(start_b, o
 
 
 def start_pair(cfg: ScenarioConfig) -> tuple[np.ndarray, int, int]:
-    """(the (2 walkers, 2, n_sites) start of ``cfg``'s walkers, n_sites, origin), in plain numpy."""
-    n_sites, origin = lattice_for(cfg.steps, cfg.start_sites)
+    """(the (2 walkers, 2, n_sites) start of ``cfg``'s walkers, n_sites, origin), in plain numpy.
+
+    Walker A holds coin L and walker B coin R of the central site.
+    """
+    n_sites, origin = lattice_for(cfg.steps)
     pair = np.zeros((2, 2, n_sites), dtype=np.complex128)
-    for walker, (x, coin) in enumerate((cfg.start_a, cfg.start_b)):
-        pair[walker, "LR".index(coin), origin + x] = 1.0
+    pair[0, 0, origin] = pair[1, 1, origin] = 1.0
     return pair, n_sites, origin
 
 
@@ -709,14 +709,14 @@ def test_eval_steps_with_a_repeat_equal_those_rows_of_the_full_series():
 
 @pytest.mark.parametrize("runner", [run_one, ensemble_average_joints], ids=["ensemble_run", "ensemble_average_joints"])
 def test_nonorthogonal_walkers_rejected(monkeypatch, runner):
-    # both walkers start on coin L, past the config check that their starts differ
-    monkeypatch.setattr(observables, "COIN_NAMES", {"L": COIN_L, "R": COIN_L})
+    # walker B enters coin L too, so both walkers start in one mode
+    monkeypatch.setattr(observables, "COIN_R", COIN_L)
     with pytest.raises(ValueError, match="orthogonal"):
         runner(ordered_cfg())
 
 
 def test_nonorthogonal_walkers_fail_the_cli_run(monkeypatch, tmp_path, capsys):
-    monkeypatch.setattr(observables, "COIN_NAMES", {"L": COIN_L, "R": COIN_L})
+    monkeypatch.setattr(observables, "COIN_R", COIN_L)
     assert main(["--scenario", "fig2", "--steps", "3", "--out", str(tmp_path)]) == 2
     assert "orthogonal" in capsys.readouterr().err
 

@@ -272,7 +272,7 @@ def test_csv_tables_hold_the_numbers_of_their_run(tmp_path, monkeypatch, name):
 def test_scenario_config_round_trip():
     cfg = preset("fig7")
     doc = json.loads(json.dumps(dataclasses.asdict(cfg)))
-    assert (doc["disorder"], doc["start_a"], doc["start_b"]) == ("combined", [0, "L"], [0, "R"])
+    assert (doc["disorder"], doc["phi_dynamic"], doc["symmetry"]) == ("combined", None, "both")
     assert scenario_from_dict(doc) == cfg
 
 
@@ -285,16 +285,17 @@ def test_scenario_config_validation_errors():
         ScenarioConfig("x", steps=5, phi_max=7.0)
     with pytest.raises(ValueError):
         ScenarioConfig("x", steps=5, symmetry="anyonic")
-    with pytest.raises(ValueError):
-        ScenarioConfig("x", steps=5, start_a=(0, "L"), start_b=(0, "L"))
     for bad in ({"steps": True}, {"steps": 10.5}, {"configs": True}, {"seed": -1}, {"seed": 1.0},
-                {"steps": MAX_STEPS + 1}, {"configs": MAX_CONFIGS + 1}, {"steps": 10**20}, {"configs": 10**20},
-                {"start_a": (MAX_STEPS + 1, "L")}, {"start_b": (-MAX_STEPS - 1, "R")},
-                {"start_a": (10**19, "L"), "start_b": (10**19, "R")}):
+                {"steps": MAX_STEPS + 1}, {"configs": MAX_CONFIGS + 1}, {"steps": 10**20}, {"configs": 10**20}):
         with pytest.raises(ValueError):
             ScenarioConfig(**{"name": "x", "steps": 5, **bad})
-    # the caps and the start-site bound themselves; made, never run
-    ScenarioConfig("x", steps=MAX_STEPS, configs=MAX_CONFIGS, start_a=(-MAX_STEPS, "L"), start_b=(MAX_STEPS, "R"))
+    # the caps themselves; made, never run
+    ScenarioConfig("x", steps=MAX_STEPS, configs=MAX_CONFIGS)
+    # both walkers start in the central site's two coin modes; the start is no field
+    with pytest.raises(TypeError):
+        ScenarioConfig("x", steps=5, start_a=(0, "L"))
+    with pytest.raises(ValueError, match="unknown config keys"):
+        scenario_from_dict({"name": "x", "steps": 5, "start_b": [0, "R"]})
     with pytest.raises(ValueError):
         scenario_from_dict({"name": "x", "steps": 5, "bogus": 1})
     # the presets sweep scenarios.STRENGTH_GRID; there are no sweep values to set
@@ -559,6 +560,7 @@ def test_manifest_reports_the_kinds_it_ran(tmp_path):
         ({}, ["--seed", "-1", "--disorder", "static"]),
         ({}, ["--jobs", "0"]),
         ({}, ["--jobs", "-3"]),
+        # start_a and start_b are no config keys: both walkers start in the central site's two coin modes
         ({"start_a": [1.7, "L"]}, []),
         ({"start_b": [True, "R"]}, []),
         ({"start_a": ["1", "L"]}, []),
@@ -582,7 +584,7 @@ def test_manifest_reports_the_kinds_it_ran(tmp_path):
         ({}, ["--configs", str(10**20)]),
         ({}, ["--steps", str(MAX_STEPS + 1)]),
         ({}, ["--configs", str(MAX_CONFIGS + 1)]),
-        # start sites past [-MAX_STEPS, MAX_STEPS]; 10**19 once overflowed a C long (exit 2)
+        # far-out start sites are unknown keys too (10**19 once overflowed a C long, exit 2)
         ({"start_a": [10**19, "L"], "start_b": [10**19, "R"]}, []),
         ({"name": "fig5", "start_a": [10**19, "L"], "start_b": [10**19, "R"]}, []),
         ({"start_a": [MAX_STEPS + 1, "L"]}, []),
@@ -661,7 +663,7 @@ def test_every_cli_flag_sets_one_config_field():
     flags = {action.dest for action in build_parser()._actions} - {"help", "scenario", "config", "list", "jobs"}
     fields = {field.name for field in dataclasses.fields(ScenarioConfig)}
     assert flags <= fields
-    assert fields - flags == {"name", "start_a", "start_b"}  # the scenario and the file-only fields
+    assert fields - flags == {"name"}  # the scenario, which --scenario or the file's "name" gives
 
 
 # every preset; those whose plan evolves the config's own disorder once with each kind, which the config sets
