@@ -684,6 +684,40 @@ def test_average_joints_bunch_bosons_and_antibunch_fermions(kind):
     assert np.all(np.diag(bose) >= np.diag(fermi)) and np.diag(bose).sum() > np.diag(fermi).sum()
 
 
+# The walkers start in the two coin modes of the central site, the two input ports of one beam splitter.  The
+# first coin toss mixes them 50:50 and each output mode moves one site, so the bosonic pair leaves together
+# (Hong-Ou-Mandel bunching) and the fermionic pair leaves by both ports.  A disorder phase multiplies one mode
+# of one walker, so no field moves a probability.
+FIRST_STEP = {BOS: {(-1, -1): 0.5, (1, 1): 0.5}, ExchangeSymmetry.FERMIONIC: {(-1, 1): 0.5, (1, -1): 0.5}}
+
+
+@pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
+def test_the_first_step_splits_the_central_pair_like_a_beam_splitter(kind):
+    joints, marg, positions = ensemble_average_joints(ordered_cfg(disorder=kind, configs=3, seed=2, steps=1))
+    row = {x: i for i, x in enumerate(positions)}
+    for sym, cells in FIRST_STEP.items():
+        want = np.zeros_like(joints[sym])
+        for (x, y), p in cells.items():
+            want[row[x], row[y]] = p
+        np.testing.assert_allclose(joints[sym], want, rtol=0, atol=1e-15)
+    want = np.zeros_like(marg)
+    want[[row[-1], row[1]]] = 0.5
+    np.testing.assert_allclose(marg, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("observable, bosonic, fermionic", [("variance", 4.0, 0.0), ("entropy", 1.0, 1.0),
+                                                            ("mutual_information", 1.0, 1.0)], ids=ALL_OBS)
+def test_the_first_step_series_read_the_beam_splitter_output(observable, bosonic, fermionic):
+    # x + y is -2 or 2 for the bunched bosons and 0 for the split fermions; each joint has two cells of 1/2 (one
+    # bit), and each position fixes the other's, so the mutual information is that bit.  Every configuration
+    # gives these values, so their spread is 0.
+    cfg = ordered_cfg(disorder=DisorderKind.COMBINED, phi_dynamic=1.0, configs=3, seed=2, steps=4)
+    series = run_one(cfg, observable, eval_steps=[1])
+    for sym, value in ((BOS, bosonic), (ExchangeSymmetry.FERMIONIC, fermionic)):
+        np.testing.assert_allclose(series[sym].mean, [value], rtol=1e-15, atol=1e-15)  # a few ulps of 4
+        np.testing.assert_allclose(series[sym].std_dev, [0.0], rtol=0, atol=1e-15)
+
+
 def test_ordered_light_cone_tips_are_emitted_as_non_negative_fermionic_zeros(tmp_path):
     # At x = y = -t only coin L is reached and at x = y = t only coin R, so there P_F = 0 exactly in the
     # mode-level reference; the closed form rounds about zero and must write a non-negative cell within the
