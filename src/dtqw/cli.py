@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     if args.config:
         try:
             file_doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             print(f"dtqw: cannot read config {args.config}: {exc}", file=sys.stderr)
             return 1
         if not isinstance(file_doc, dict):

@@ -20,9 +20,8 @@ to ``static`` with the same seed, and a field whose strengths are all 0
 draws the same zeros from every seed (``seed_independent``).  Fields are
 immutable after sampling and safe to share across parallel evolutions.  A
 ``FieldBatch`` packs what one batched walk of several configurations from
-given start sites reads of their fields; it is the only source of coin
-factors that the step engine reads, and its starts fix the cells the walk
-steps.
+the central site reads of their fields, the walk's light cone; it is the
+only source of coin factors that the step engine reads.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ import enum
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -119,59 +118,55 @@ class PhaseField:
         self.phases.setflags(write=False)
 
 
-def light_cone_rows(steps: int, n_sites: int, starts: Sequence[int]) -> tuple[np.ndarray, np.ndarray, int]:
-    """(first site, sites, stride) of the row that each step of a walk from the array indices ``starts`` reads.
+def light_cone_rows(steps: int, n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first site, sites) of the row that each step of a walk on ``n_sites`` sites reads, every second site.
 
     Row t - 1 belongs to step t (1-based): it covers the light cone of t - 1
-    steps (``core.light_cone``), the sites ``core.evolve`` steps.  This is
-    the one check that a walk fits its lattice: a cone that leaves it after
-    ``steps`` steps raises ValueError.
+    steps from the central site (``core.light_cone``), the sites
+    ``core.evolve`` steps.  This is the one check that a walk fits its
+    lattice: a cone that leaves it after ``steps`` steps raises ValueError.
     """
-    lo, hi, _ = light_cone(steps, starts)
+    lo, hi = light_cone(steps, n_sites)
     if lo < 0 or hi >= n_sites:
-        raise ValueError(f"the light cone of {steps} steps from sites {list(starts)} leaves the lattice")
-    first, last, stride = light_cone(np.arange(steps), starts)
-    return first, (last - first) // stride + 1, stride
+        raise ValueError(f"the light cone of {steps} steps from the central site of {n_sites} sites leaves the "
+                         "lattice")
+    first, last = light_cone(np.arange(steps), n_sites)
+    return first, (last - first) // 2 + 1
 
 
-def batch_floats(kind: DisorderKind, steps: int, n_sites: int, starts: Sequence[int]) -> tuple[int, int]:
-    """(floats a ``FieldBatch`` on ``starts`` keeps of each ``kind`` field, floats of that field's draws).
+def batch_floats(kind: DisorderKind, steps: int, n_sites: int) -> tuple[int, int]:
+    """(floats a ``FieldBatch`` keeps of each ``kind`` field, floats of that field's draws).
 
     A batch keeps exp(i phi) of a whole table with one row or one column, and
     the phases of both coins on the walk's light-cone cells otherwise.
     """
     drawn = draw_shapes(kind, steps, n_sites)
     _, rows, cols = (drawn or [(2, 1, 1)])[0]
-    kept = 4 * rows * cols if 1 in (rows, cols) else 2 * int(light_cone_rows(steps, n_sites, starts)[1].sum())
+    kept = 4 * rows * cols if 1 in (rows, cols) else 2 * int(light_cone_rows(steps, n_sites)[1].sum())
     return kept, sum(map(math.prod, drawn))
 
 
 class FieldBatch:
-    """Fields of one table shape and geometry, for one batched walk of all of them from the sites ``starts``.
+    """Fields of one table shape and geometry, for one batched walk of all of them from the central site.
 
-    ``starts``, the array indices the walkers start on (kept as
-    ``batch.starts``), fix the cells: step t reads row t - 1 of
-    ``light_cone_rows(steps, n_sites, starts)``, which refuses starts whose
-    light cone leaves the lattice, and which must be integers (ValueError,
-    also for none, before any field is drawn).  ``coin_factors(t)`` returns
-    (exp(i phi_L), exp(i phi_R)) on that row, each shaped (configs, 1,
-    cells), to broadcast against amplitudes of shape (configs, walkers,
-    cells), or, for one field, (cells,).  A table constant in time or in space (ordered, static and
-    dynamic disorder) is exponentiated once into one (configs, 2, rows, cols)
-    array, read through a view per row; a table that changes in both
-    (fluctuating and combined) is packed into one (configs, 2, cells) array
-    of the rows alone, and each step exponentiates its row.  ``fields`` may
-    be an iterator that draws the fields one at a time (then ``configs``
-    gives their number, an integer >= 1 or ValueError before any draw, and
-    fewer or more fields raise ValueError): each field's table is stored
-    before the next one is drawn and kept no longer.  Every factor is
-    elementwise, so a configuration's factors are bit-identical in any batch.
+    Step t reads row t - 1 of ``light_cone_rows(steps, n_sites)``, which
+    refuses a light cone that leaves the lattice.  ``coin_factors(t)``
+    returns (exp(i phi_L), exp(i phi_R)) on that row, each shaped (configs,
+    1, cells), to broadcast against amplitudes of shape (configs, walkers,
+    cells), or, for one field, (cells,).  A table constant in time or in
+    space (ordered, static and dynamic disorder) is exponentiated once into
+    one (configs, 2, rows, cols) array, read through a view per row; a
+    table that changes in both (fluctuating and combined) is packed into one
+    (configs, 2, cells) array of the rows alone, and each step exponentiates
+    its row.  ``fields`` may be an iterator that draws the fields one at a
+    time (then ``configs`` gives their number, an integer >= 1 or ValueError
+    before any draw, and fewer or more fields raise ValueError): each
+    field's table is stored before the next one is drawn and kept no longer.
+    Every factor is elementwise, so a configuration's factors are
+    bit-identical in any batch.
     """
 
-    def __init__(self, fields: Iterable[PhaseField], starts: Sequence[int], configs: Optional[int] = None):
-        self.starts = tuple(check_integer("every entry of starts", site) for site in starts)
-        if not self.starts:
-            raise ValueError("a field batch needs at least one start site")
+    def __init__(self, fields: Iterable[PhaseField], configs: Optional[int] = None):
         configs = check_integer("configs", len(fields) if configs is None else configs, 1)
         fields = iter(fields)
         for i in range(configs):
@@ -194,19 +189,19 @@ class FieldBatch:
         """Allocate for ``configs`` fields like ``field`` and build each row's view of the store; returns, for
         packed phases, each cell's index into a flat (steps, n_sites) table."""
         self.steps, self.n_sites, self._shape = steps, n_sites, shape = field.steps, field.n_sites, field.phases.shape
-        first, counts, stride = light_cone_rows(steps, n_sites, self.starts)  # checks the light cone
+        first, counts = light_cone_rows(steps, n_sites)  # checks the light cone
         self._packed = 1 not in shape[1:]  # constant in neither time nor space, as batch_floats counts
         if not self._packed:
             self._store = np.empty((configs, *shape), dtype=np.complex128)
             factors = np.broadcast_to(self._store, (configs, 2, steps, n_sites))
-            self._rows = [factors[:, :, r, None, lo : lo + (count - 1) * stride + 1 : stride]
+            self._rows = [factors[:, :, r, None, lo : lo + 2 * count - 1 : 2]
                           for r, (lo, count) in enumerate(zip(first.tolist(), counts.tolist()))]
             return None
         offset = np.concatenate(([0], np.cumsum(counts)))
         self._store = np.empty((configs, 2, offset[-1]))
         self._rows = [self._store[:, :, None, a:b] for a, b in zip(offset[:-1].tolist(), offset[1:].tolist())]
-        # packed cell j of row r holds site first[r] + (j - offset[r]) * stride of step r + 1
-        sites = np.repeat(first - offset[:-1] * stride, counts) + np.arange(offset[-1]) * stride
+        # packed cell j of row r holds site first[r] + 2 (j - offset[r]) of step r + 1
+        sites = np.repeat(first - 2 * offset[:-1], counts) + 2 * np.arange(offset[-1])
         return np.repeat(np.arange(steps) * n_sites, counts) + sites
 
     def coin_factors(self, t: int) -> tuple[np.ndarray, np.ndarray]:

@@ -97,12 +97,6 @@ def _field_for(cfg: ScenarioConfig, seed: int, n_sites: int) -> PhaseField:
                               n_sites=n_sites, seed=seed)
 
 
-def _geometry(cfg: ScenarioConfig) -> tuple[int, int, list[int]]:
-    """(n_sites, origin, array index of the one start site) of ``cfg``'s lattice."""
-    n_sites, origin = lattice_for(cfg.steps)
-    return n_sites, origin, [origin]
-
-
 def resolved_symmetries(cfg: ScenarioConfig) -> tuple[ExchangeSymmetry, ...]:
     return tuple(ExchangeSymmetry) if cfg.symmetry == "both" else (ExchangeSymmetry(cfg.symmetry),)
 
@@ -126,8 +120,8 @@ def _chunk_tasks(members: Sequence[tuple], stops: Sequence[int], measure: Callab
     shapes of the tables the kind draws.
     """
     cfg = members[0][0]
-    n_sites, _, starts = _geometry(cfg)
-    kept, packing = batch_floats(cfg.disorder, cfg.steps, n_sites, starts)
+    n_sites, _ = lattice_for(cfg.steps)
+    kept, packing = batch_floats(cfg.disorder, cfg.steps, n_sites)
     per_config = 8 * (kept + 16 * n_sites + result_floats)
     size = max(1, min((_CHUNK_BYTES - 8 * packing) // per_config, -(-len(members) // n_jobs)))
     return [(members[first:first + size], stops, measure) for first in range(0, len(members), size)]
@@ -160,20 +154,19 @@ def _run_chunk(task) -> list:
     Member ``i`` of the chunk, (config, seed), draws its field from its seed
     with its config's strengths (see ``_chunk_tasks``); walkers A and B
     share it.  The fields are drawn one at a time into a ``FieldBatch`` that
-    keeps only the light cone of the start site, so at most one field's
-    whole tables exist at once.  One ``evolve`` walk
-    stops at each of the non-decreasing ``stops``: there the walkers of every
-    configuration must be orthogonal (ValueError otherwise), and the whole
-    chunk is measured once, as ``measure(cfg, amplitudes, t)`` on the walk's
-    read-only view, with the members' shared config; returns those results,
-    one per stop.
+    keeps only the walk's light cone, so at most one field's whole tables
+    exist at once.  One ``evolve`` walk stops at each of the non-decreasing
+    ``stops``: there the walkers of every configuration must be orthogonal
+    (ValueError otherwise), and the whole chunk is measured once, as
+    ``measure(cfg, amplitudes, t)`` on the walk's read-only view, with the
+    members' shared config; returns those results, one per stop.
     """
     members, stops, measure = task
     cfg = members[0][0]
-    n_sites, origin, starts = _geometry(cfg)
-    field = FieldBatch((_field_for(member, seed, n_sites) for member, seed in members), starts, len(members))
+    n_sites, _ = lattice_for(cfg.steps)
+    field = FieldBatch((_field_for(member, seed, n_sites) for member, seed in members), len(members))
     # the two walkers enter the two coin modes of the central site, like the two input ports of one beam splitter
-    pair = np.stack([delta_state(n_sites, origin, 0, coin) for coin in (COIN_L, COIN_R)])
+    pair = np.stack([delta_state(n_sites, coin) for coin in (COIN_L, COIN_R)])
     results = []
     # evolve keeps the layout of the broadcast start, configuration-innermost, in the buffers it copies it to
     for t, state in zip(stops, evolve(np.broadcast_to(pair, (len(members), *pair.shape)), stops, field)):
@@ -199,13 +192,12 @@ def _measure_series(observable: str, builder: JointBuilder, cfg: ScenarioConfig,
     quarters and dropped before the next call, as the builder's loops would
     peak next to it.
     """
-    _, origin, starts = _geometry(cfg)
-    lo, hi, stride = light_cone(t, starts)
-    last_lo, last_hi, _ = light_cone(cfg.steps, starts)
+    n_sites, origin = lattice_for(cfg.steps)
+    lo, hi = light_cone(t, n_sites)
     positions = np.arange(lo, hi + 1) - origin
-    cells, syms, measure = slice(None, None, stride), resolved_symmetries(cfg), _OBSERVABLES[observable]
-    # the builder's scratch holds s x s cells per configuration
-    group = min(len(amps), max(1, ((last_hi - last_lo) // stride + 1) ** 2 // ((hi - lo) // stride + 1) ** 2))
+    cells, syms, measure = slice(None, None, 2), resolved_symmetries(cfg), _OBSERVABLES[observable]
+    # the builder's scratch holds s x s cells per configuration, s = t + 1 at step t
+    group = min(len(amps), max(1, (cfg.steps + 1) ** 2 // (t + 1) ** 2))
     values = np.empty((len(amps), len(syms)))
     for first in range(0, len(amps), group):
         block, joint = amps[first:first + group, ..., lo : hi + 1], None
@@ -311,9 +303,8 @@ def ensemble_average_joints(cfg: ScenarioConfig, n_jobs: int = 1
     roundoff below zero set to +0.0.  The marginal, any row sum of either
     map, is the member-order sum of (p_a + p_b) / 2, divided by configs.
     """
-    n_sites, origin, starts = _geometry(cfg)
-    lo, _, stride = light_cone(cfg.steps, starts)
-    cells = slice(lo % stride, None, stride)
+    n_sites, origin = lattice_for(cfg.steps)
+    cells = slice((origin + cfg.steps) % 2, None, 2)  # the sites x = steps (mod 2)
     s = len(range(n_sites)[cells])
     members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
     # per configuration: its factors (4 s floats) and the coin products they are reduced from (8 s)

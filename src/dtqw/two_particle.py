@@ -8,20 +8,21 @@ into the symmetrized joint probability
     P(m, m') = |a(m) b(m') +/- a(m') b(m)|^2 / 2
 
 with + for bosonic and - for fermionic exchange symmetry.  The inputs must
-be orthogonal (guaranteed when the starts differ in site or coin and both
-evolve under one unitary); normalization of P then follows.  The ensemble
-runners check this once per chunk and evaluated step.  Symmetrization is
-done per pair of coin modes, so the fermionic zero on the mode-level
-diagonal is exact while two fermions may still share a site in opposite
-coin modes.  ``JointBuilder.quarters`` builds the position-level joints
-directly from N x N coin blocks, into scratch valid until its next call,
-and never forms the (2N) x (2N) mode-level matrix, a test reference
-(``tests/mode_reference.py``) that the blocks reproduce bit for bit: at
-every lattice size the coins are summed in one order and every matrix is
-C-ordered.  The caller names the cells to build: walkers from one site
-live on the sites x = t (mod 2) at step t, a quarter of the cells, and the
-ensemble runners take that parity from the light cone, never from the
-amplitudes.  Summed over the coins, P is rank 4 in the real ``joint_factors``:
+be orthogonal (guaranteed for walkers that enter the central site's two
+coin modes and evolve under one unitary); normalization of P then
+follows.  The ensemble runners check this once per chunk and evaluated
+step.  Symmetrization is done per pair of coin modes, so the fermionic
+zero on the mode-level diagonal is exact while two fermions may still
+share a site in opposite coin modes.  ``JointBuilder.quarters`` builds the
+position-level joints directly from N x N coin blocks, into scratch valid
+until its next call, and never forms the (2N) x (2N) mode-level matrix, a
+test reference (``tests/mode_reference.py``) that the blocks reproduce bit
+for bit: at every lattice size the coins are summed in one order and every
+matrix is C-ordered.  The caller names the cells to build: walkers from
+the central site live on the sites x = t (mod 2) at step t, a quarter of
+the cells, and the ensemble runners take that parity from the light cone,
+never from the amplitudes.  Summed over the coins, P is rank 4 in the real
+``joint_factors``:
     P(x, y) = (p_a(x) p_b(y) + p_b(x) p_a(y)) / 2 +/- (g_r(x) g_r(y) + g_i(x) g_i(y)),
 with p_w = sum_c |w_c|^2 and g_r + i g_i = sum_c a_c conj(b_c), the exchange
 term that bunches bosons and antibunches fermions.  The averaged maps and
@@ -50,7 +51,7 @@ class JointBuilder:
     ``quarters`` computes each symmetry's joint on the cells that can be
     nonzero.  The scratch arrays, the returned blocks too, grow to the
     largest set of cells built (1.3 MB for the 103-site sublattice of 205
-    sites, 5.0 MB for 205 sites of both parities) and every call overwrites
+    sites, 5.0 MB for all 205 sites) and every call overwrites
     them.  Fresh temporaries per call ran within noise of the scratch; the
     scratch stays for memory: made by a process's first chunk and reused by
     every later one, it lies outside the chunk budget of

@@ -55,9 +55,9 @@ ONE_STEP_ORIGIN = lattice_for(1)[1]
 
 def one_step(coin, phi_l=0.0, phi_r=0.0):
     """One step from x=0 in the given coin state under uniform phases, on a lattice with ``ONE_STEP_ORIGIN``."""
-    n, o = lattice_for(1)
+    n, _ = lattice_for(1)
     fld = phase_table_field(np.full((1, n), phi_l), np.full((1, n), phi_r))
-    [out] = evolve(delta_state(n, o, 0, coin), [1], FieldBatch([fld], (o,)))
+    [out] = evolve(delta_state(n, coin), [1], FieldBatch([fld]))
     return out
 
 
@@ -78,11 +78,11 @@ def test_phased_coin_unitary(phi_l, phi_r):
 def test_common_phase_is_global():
     # a phase added to both coin rows never changes output probabilities
     t = 12
-    n, o = lattice_for(t)
-    start = delta_state(n, o, 0, COIN_L)
-    [plain] = evolve(start, [t], FieldBatch([zero_field(t, n)], (o,)))
+    n, _ = lattice_for(t)
+    start = delta_state(n, COIN_L)
+    [plain] = evolve(start, [t], FieldBatch([zero_field(t, n)]))
     third = np.full((t, n), np.pi / 3)
-    [tilted] = evolve(start, [t], FieldBatch([phase_table_field(third, third)], (o,)))
+    [tilted] = evolve(start, [t], FieldBatch([phase_table_field(third, third)]))
     np.testing.assert_allclose(probabilities(tilted), probabilities(plain), atol=1e-12)
 
 
@@ -101,24 +101,24 @@ def test_step_from_R():
 
 def test_step_preserves_norm_with_random_phased_coins():
     rng = np.random.default_rng(3)
-    n, o = lattice_for(6)
+    n, _ = lattice_for(6)
     fld = phase_table_field(rng.uniform(0, 2 * np.pi, (6, n)), rng.uniform(0, 2 * np.pi, (6, n)))
-    [state] = evolve(delta_state(n, o, 0, COIN_L), [6], FieldBatch([fld], (o,)))
+    [state] = evolve(delta_state(n, COIN_L), [6], FieldBatch([fld]))
     assert norm(state) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("configs, starts", [(1, (1,)), (2, (1, 1))], ids=["single", "batch"])
-def test_a_batch_refuses_a_walk_that_overflows_its_lattice(configs, starts):
+@pytest.mark.parametrize("configs", [1, 2], ids=["single", "batch"])
+def test_a_batch_refuses_a_walk_that_overflows_its_lattice(configs):
     # on 3 sites the first step from the middle reaches both edge sites, so the second overflows
     with pytest.raises(ValueError, match="leaves the lattice"):
-        FieldBatch([zero_field(2, 3)] * configs, starts)
-    assert FieldBatch([zero_field(1, 3)] * configs, starts).starts == starts
+        FieldBatch([zero_field(2, 3)] * configs)
+    assert FieldBatch([zero_field(1, 3)] * configs).steps == 1
 
 
 def test_stop_zero_yields_the_start():
-    n, o = lattice_for(4)
-    for start, fld in ((delta_state(n, o, 0, COIN_L), FieldBatch([zero_field(4, n)], (o,))),
-                       (walker_pairs(n, o, 3), FieldBatch([zero_field(4, n)] * 3, (o, o)))):
+    n, _ = lattice_for(4)
+    for start, fld in ((delta_state(n, COIN_L), FieldBatch([zero_field(4, n)])),
+                       (walker_pairs(n, 3), FieldBatch([zero_field(4, n)] * 3))):
         walk = evolve(start, (0, 0, 4), fld)
         assert np.array_equal(next(walk), start) and np.array_equal(next(walk), start)
         assert not np.array_equal(next(walk), start)
@@ -126,25 +126,25 @@ def test_stop_zero_yields_the_start():
 
 def test_evolve_two_steps_ordered():
     n, o = lattice_for(2)
-    [out] = evolve(delta_state(n, o, 0, COIN_L), [2], FieldBatch([zero_field(2, n)], (o,)))
+    [out] = evolve(delta_state(n, COIN_L), [2], FieldBatch([zero_field(2, n)]))
     assert dist_by_position(out, o) == pytest.approx({-2: 0.25, 0: 0.5, 2: 0.25})
 
 
 def test_evolve_three_steps_ordered():
     n, o = lattice_for(3)
-    [out] = evolve(delta_state(n, o, 0, COIN_L), [3], FieldBatch([zero_field(3, n)], (o,)))
+    [out] = evolve(delta_state(n, COIN_L), [3], FieldBatch([zero_field(3, n)]))
     assert dist_by_position(out, o) == pytest.approx({-3: 1 / 8, -1: 5 / 8, 1: 1 / 8, 3: 1 / 8})
 
 
 def test_position_distribution_delta():
-    p = probabilities(delta_state(9, 4, 0, COIN_L))
+    p = probabilities(delta_state(9, COIN_L))
     assert p[4] == 1.0
     assert p.sum() == pytest.approx(1.0)
 
 
 def test_one_step_distribution_is_half_half():
     n, o = lattice_for(1)
-    [out] = evolve(delta_state(n, o, 0, COIN_L), [1], FieldBatch([zero_field(1, n)], (o,)))
+    [out] = evolve(delta_state(n, COIN_L), [1], FieldBatch([zero_field(1, n)]))
     assert dist_by_position(out, o) == pytest.approx({-1: 0.5, 1: 0.5})
 
 
@@ -161,7 +161,7 @@ def test_evolution_invariants_under_any_disorder(kind, steps, seed):
         kind, phi_max=np.pi, phi_dynamic=np.pi,
         steps=steps, n_sites=n, seed=seed,
     )
-    [out] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fld], (o,)))
+    [out] = evolve(delta_state(n, COIN_L), [steps], FieldBatch([fld]))
     assert norm(out) == pytest.approx(1.0, abs=1e-12)
     p = probabilities(out)
     x = np.arange(n) - o
@@ -171,10 +171,10 @@ def test_evolution_invariants_under_any_disorder(kind, steps, seed):
 
 def test_norm_drift_over_100_steps():
     t = 100
-    n, o = lattice_for(t)
-    fld = FieldBatch([sample_phase_field(DisorderKind.FLUCTUATING, phi_max=np.pi, steps=t, n_sites=n, seed=9)], (o,))
+    n, _ = lattice_for(t)
+    fld = FieldBatch([sample_phase_field(DisorderKind.FLUCTUATING, phi_max=np.pi, steps=t, n_sites=n, seed=9)])
     worst = 0.0
-    for state in evolve(delta_state(n, o, 0, COIN_L), range(1, t + 1), fld):  # checking the norm after each step
+    for state in evolve(delta_state(n, COIN_L), range(1, t + 1), fld):  # checking the norm after each step
         worst = max(worst, abs(norm(state) - 1.0))
     assert worst <= 1e-12
 
@@ -191,7 +191,7 @@ def test_ordered_hadamard_variance_tends_to_nayak_vishwanath_limit(t):
     n, o = lattice_for(t)
     amps = np.zeros((2, n), dtype=np.complex128)
     amps[:, o] = [INV_SQRT2, 1j * INV_SQRT2]
-    [state] = evolve(amps, [t], FieldBatch([zero_field(t, n)], (o,)))
+    [state] = evolve(amps, [t], FieldBatch([zero_field(t, n)]))
     p, x = probabilities(state), np.arange(n) - o
     mean = x @ p
     assert abs(mean) <= 1e-12
@@ -213,8 +213,8 @@ def test_dynamic_disorder_at_full_strength_averages_to_the_classical_walk():
     t, configs = 20, 5000
     n, o = lattice_for(t)
     fields = FieldBatch([sample_phase_field(DisorderKind.DYNAMIC, phi_max=2 * np.pi, steps=t, n_sites=n, seed=2003 + i)
-                         for i in range(configs)], (o,))
-    start = np.broadcast_to(delta_state(n, o, 0, COIN_L), (configs, 1, 2, n))
+                         for i in range(configs)])
+    start = np.broadcast_to(delta_state(n, COIN_L), (configs, 1, 2, n))
     [state] = evolve(start, [t], fields)
     p, x = probabilities(state)[:, 0], np.arange(n) - o
     binomial = np.array([math.comb(t, (t + xi) // 2) / 2**t if (t + xi) % 2 == 0 and abs(xi) <= t else 0.0
@@ -244,8 +244,8 @@ def test_ensemble_mean_walk_follows_the_markov_channel(kind, phi_max):
     t, configs = preset("fig4").steps, 400
     n, o = lattice_for(t)
     fields = FieldBatch([sample_phase_field(kind, phi_max=phi_max, steps=t, n_sites=n, seed=7000 + i)
-                         for i in range(configs)], (o,))
-    start = delta_state(n, o, 0, COIN_L)
+                         for i in range(configs)])
+    start = delta_state(n, COIN_L)
     [state] = evolve(np.broadcast_to(start, (configs, 1, 2, n)), [t], fields)
     p, x = probabilities(state)[:, 0], np.arange(n) - o
     want = channel_positions(start, kind.value, phi_max, t)
@@ -261,20 +261,20 @@ def test_global_phase_shift_of_field_is_invisible():
     import dataclasses
 
     t = 20
-    n, o = lattice_for(t)
+    n, _ = lattice_for(t)
     fld = sample_phase_field(DisorderKind.STATIC, phi_max=np.pi, steps=t, n_sites=n, seed=4)
     shifted = dataclasses.replace(fld, phases=fld.phases + 1.234)
-    [a] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([fld], (o,)))
-    [b] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([shifted], (o,)))
+    [a] = evolve(delta_state(n, COIN_L), [t], FieldBatch([fld]))
+    [b] = evolve(delta_state(n, COIN_L), [t], FieldBatch([shifted]))
     np.testing.assert_allclose(probabilities(a), probabilities(b), atol=1e-12)
 
 
 def test_zero_strength_field_equals_ordered_bit_for_bit():
     t = 30
-    n, o = lattice_for(t)
+    n, _ = lattice_for(t)
     zero = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=t, n_sites=n, seed=5)
-    [a] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([zero], (o,)))
-    [b] = evolve(delta_state(n, o, 0, COIN_L), [t], FieldBatch([zero_field(t, n)], (o,)))
+    [a] = evolve(delta_state(n, COIN_L), [t], FieldBatch([zero]))
+    [b] = evolve(delta_state(n, COIN_L), [t], FieldBatch([zero_field(t, n)]))
     np.testing.assert_array_equal(a, b)
 
 
@@ -282,52 +282,62 @@ def test_evolve_matches_explicit_step_loop():
     t = 8
     n, o = lattice_for(t)
     fld = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=2.5, steps=t, n_sites=n, seed=6)
-    [fast] = evolve(delta_state(n, o, 0, COIN_R), [t], FieldBatch([fld], (o,)))
+    [fast] = evolve(delta_state(n, COIN_R), [t], FieldBatch([fld]))
     slow = path_sum_amplitudes(o, COIN_R, t, fld)  # explicit sum over all 2^t coin histories
     np.testing.assert_allclose(slow, fast, atol=1e-13)
 
 
 def test_lattice_for_sizes_the_light_cone():
-    n, o = lattice_for(10, (0, 0))
+    n, _ = lattice_for(10)
     assert n == 2 * 10 + 3
-    [out] = evolve(delta_state(n, o, 0, COIN_L), [10], FieldBatch([zero_field(10, n)], (o,)))
+    [out] = evolve(delta_state(n, COIN_L), [10], FieldBatch([zero_field(10, n)]))
     assert norm(out) == pytest.approx(1.0)
     for bad in (-1, 2.5, True):  # 2.5 once gave a lattice of 8.0 sites, True that of one step
         with pytest.raises(ValueError, match="steps"):
             lattice_for(bad)
-    # (0.5,) once gave (9.0, 3.5), (True, 0) counted True as site 1, () raised from min() and ("3",) TypeError
-    for bad in ((0.5,), (True, 0), (2, 2.5), (), ("3",)):
-        with pytest.raises(ValueError, match="start site"):
-            lattice_for(3, bad)
+
+
+@pytest.mark.parametrize("steps", [1, 2, 7, 50, 100])
+def test_every_walk_starts_on_the_central_site(steps):
+    # the one geometry rule: a walk starts on site n_sites // 2, the origin, and widens one site a side per step
+    n, origin = lattice_for(steps)
+    assert (n, origin) == (2 * steps + 3, steps + 1) and origin == n // 2
+    for n_sites in (n, n + 1, 2 * steps + 1):
+        assert light_cone(steps, n_sites) == (n_sites // 2 - steps, n_sites // 2 + steps)
+        for coin in (COIN_L, COIN_R):
+            amps = delta_state(n_sites, coin)
+            assert amps.shape == (2, n_sites) and np.flatnonzero(amps).tolist() == [coin * n_sites + n_sites // 2]
+            assert amps[coin, n_sites // 2] == 1.0
+
+    def one_field_then_fail():
+        yield zero_field(steps, 2 * steps)
+        pytest.fail("drew a second field")
+
+    # the tightest lattice, 2 steps + 1 sites, holds the walk; one site less leaves it at the right edge
+    assert FieldBatch([zero_field(steps, 2 * steps + 1)]).n_sites == 2 * steps + 1
+    with pytest.raises(ValueError, match=f"of {steps} steps from the central site of {2 * steps} sites leaves the"):
+        FieldBatch(one_field_then_fail(), 3)
 
 
 def test_delta_state_rejects_bad_coin():
     with pytest.raises(ValueError):
-        delta_state(5, 2, 0, coin=7)
-
-
-def test_delta_state_rejects_a_position_one_past_either_edge():
-    # the lattice of 5 sites with origin 2 holds x = -2 .. 2; a negative index must not wrap to the far edge
-    assert delta_state(5, 2, -2)[COIN_L, 0] == 1.0 and delta_state(5, 2, 2)[COIN_L, 4] == 1.0
-    for x in (3, -3):
-        with pytest.raises(IndexError):
-            delta_state(5, 2, x)
+        delta_state(5, coin=7)
 
 
 def test_evolve_takes_plain_arrays_and_rejects_other_shapes():
-    fld = FieldBatch([zero_field(1, 5)], (2,))
+    fld = FieldBatch([zero_field(1, 5)])
     real = np.zeros((2, 5))
     real[COIN_L, 2] = 1.0  # a real start evolves as complex128, like its complex twin
     [out] = evolve(real, [1], fld)
-    [twin] = evolve(delta_state(5, 2, 0), [1], fld)
+    [twin] = evolve(delta_state(5), [1], fld)
     assert out.dtype == np.complex128 and np.array_equal(out, twin)
     for shape in ((5,), (3, 5)):
         with pytest.raises(ValueError, match="shape"):
             list(evolve(np.zeros(shape, dtype=np.complex128), [1], fld))
 
 
-def sampled_fields(kind, steps, seeds, start_sites=(0,)):
-    n, _ = lattice_for(steps, start_sites)
+def sampled_fields(kind, steps, seeds):
+    n, _ = lattice_for(steps)
     return [
         sample_phase_field(kind, phi_max=2.5, phi_dynamic=1.5, steps=steps,
                            n_sites=n, seed=seed)
@@ -335,9 +345,9 @@ def sampled_fields(kind, steps, seeds, start_sites=(0,)):
     ]
 
 
-def walker_pairs(n, o, count):
-    """(count, 2, 2, n) batch: walker A in coin L, walker B in coin R, both at x=0."""
-    pair = np.stack([delta_state(n, o, 0, COIN_L), delta_state(n, o, 0, COIN_R)])
+def walker_pairs(n, count):
+    """(count, 2, 2, n) batch: walker A in coin L, walker B in coin R, both on the central site."""
+    pair = np.stack([delta_state(n, COIN_L), delta_state(n, COIN_R)])
     return np.repeat(pair[None], count, axis=0)
 
 
@@ -346,13 +356,13 @@ def test_batched_evolve_equals_each_walker_bit_for_bit(kind):
     # the determinism contract: a batch of C equals C batches of one, and one walker alone
     t = 12
     fields = sampled_fields(kind, t, range(5))
-    n, o = lattice_for(t)
-    [out] = evolve(walker_pairs(n, o, 5), [t], FieldBatch(fields, (o, o)))
+    n, _ = lattice_for(t)
+    [out] = evolve(walker_pairs(n, 5), [t], FieldBatch(fields))
     for c, fld in enumerate(fields):
-        [single] = evolve(walker_pairs(n, o, 1), [t], FieldBatch([fld], (o, o)))
+        [single] = evolve(walker_pairs(n, 1), [t], FieldBatch([fld]))
         assert np.array_equal(out[c], single[0])
         for w, coin in enumerate((COIN_L, COIN_R)):
-            [alone] = evolve(delta_state(n, o, 0, coin), [t], FieldBatch([fld], (o,)))
+            [alone] = evolve(delta_state(n, coin), [t], FieldBatch([fld]))
             assert alone.shape == (2, n)
             assert np.array_equal(out[c, w], alone)
 
@@ -362,7 +372,7 @@ def test_batched_evolve_matches_path_sum(kind):
     t = 8
     fields = sampled_fields(kind, t, (3, 4, 5))
     n, o = lattice_for(t)
-    [out] = evolve(walker_pairs(n, o, 3), [t], FieldBatch(fields, (o, o)))
+    [out] = evolve(walker_pairs(n, 3), [t], FieldBatch(fields))
     for c, fld in enumerate(fields):
         for w, coin in enumerate((COIN_L, COIN_R)):
             slow = path_sum_amplitudes(o, coin, t, fld)  # explicit sum over all 2^t coin histories
@@ -373,9 +383,9 @@ def test_batched_evolve_matches_path_sum(kind):
 def test_a_walk_through_stops_equals_a_run_to_each_stop_bit_for_bit(kind):
     t = 10
     fields = sampled_fields(kind, t, (1, 2))
-    n, o = lattice_for(t)
-    batch = FieldBatch(fields, (o, o))
-    start = walker_pairs(n, o, 2)
+    n, _ = lattice_for(t)
+    batch = FieldBatch(fields)
+    start = walker_pairs(n, 2)
     stops = (0, 1, 4, 4, np.int64(7), t)
     for stop, amps in zip(stops, evolve(start, stops, batch)):
         [alone] = evolve(start, [stop], batch)
@@ -394,8 +404,8 @@ class NoSteps:
 class CountingBatch(FieldBatch):
     """A field batch that records the step of every coin_factors call."""
 
-    def __init__(self, fields, starts):
-        super().__init__(fields, starts)
+    def __init__(self, fields):
+        super().__init__(fields)
         self.calls = []
 
     def coin_factors(self, t):
@@ -406,12 +416,12 @@ class CountingBatch(FieldBatch):
 @pytest.mark.parametrize("stops", [[5], [1, 2, 4], [0, 3, 3, 4]])
 def test_a_stop_beyond_the_field_steps_is_rejected_before_any_step(stops):
     # a walk to stop 5 on 3-step fields once stepped 3 times and then raised IndexError
-    n, o = lattice_for(5)
-    batch = CountingBatch([zero_field(3, n)], (o,))
+    n, _ = lattice_for(5)
+    batch = CountingBatch([zero_field(3, n)])
     with pytest.raises(ValueError, match=f"stop {stops[-1]} lies beyond the 3 steps"):
-        next(evolve(delta_state(n, o), stops, batch))
+        next(evolve(delta_state(n), stops, batch))
     assert batch.calls == []
-    [_] = evolve(delta_state(n, o), [3], batch)
+    [_] = evolve(delta_state(n), [3], batch)
     assert batch.calls == [1, 2, 3]
 
 
@@ -421,7 +431,7 @@ def test_a_stop_beyond_the_field_steps_is_rejected_before_any_step(stops):
 def test_bad_stops_are_rejected_before_any_step(stops):
     # a bare integer once raised TypeError
     with pytest.raises(ValueError, match="stops"):
-        list(evolve(walker_pairs(7, 3, 1), stops, NoSteps()))
+        list(evolve(walker_pairs(7, 1), stops, NoSteps()))
 
 
 @pytest.mark.parametrize("kind", [DisorderKind.STATIC, DisorderKind.DYNAMIC, DisorderKind.FLUCTUATING],
@@ -430,109 +440,96 @@ def test_bad_stops_are_rejected_before_any_step(stops):
 def test_a_start_on_another_lattice_is_rejected_before_any_step(kind, n_sites):
     # a 25-site walk once read a static 21-site table by its own array indices, and a 40-site walk under a dynamic
     # one died inside step 1 on a non-broadcastable output operand
-    batch = CountingBatch([sample_phase_field(kind, phi_max=1.0, steps=3, n_sites=21, seed=0)], (10,))
+    batch = CountingBatch([sample_phase_field(kind, phi_max=1.0, steps=3, n_sites=21, seed=0)])
     with pytest.raises(ValueError, match=f"a start on {n_sites} sites cannot walk on the field's 21 sites"):
-        next(evolve(delta_state(n_sites, n_sites // 2), [3], batch))
+        next(evolve(delta_state(n_sites), [3], batch))
     assert batch.calls == []
 
 
-# start sites, and the sites of a start's amplitude, on a 21-site lattice
-OFF_CELLS = {"left of one site": ((10,), (10, 9)), "right of one site": ((10,), (10, 11)),
-             "between one parity": ((8, 12), (8, 12, 11)), "left of one parity": ((8, 12), (8, 6)),
-             "right of two parities": ((8, 11), (11, 12))}
+# the site next to the central site 10 of a 21-site lattice that holds amplitude of a start
+OFF_CELLS = {"left of one site": 9, "right of one site": 11}
 
 
-@pytest.mark.parametrize("starts, sites", OFF_CELLS.values(), ids=OFF_CELLS.keys())
+@pytest.mark.parametrize("off", OFF_CELLS.values(), ids=OFF_CELLS.keys())
 @pytest.mark.parametrize("kind", [DisorderKind.STATIC, DisorderKind.COMBINED], ids=lambda k: k.value)
-def test_a_start_with_amplitude_off_its_start_cells_is_rejected_before_any_step(kind, starts, sites):
+def test_a_start_with_amplitude_off_its_start_cells_is_rejected_before_any_step(kind, off):
     fields = [sample_phase_field(kind, phi_max=1.0, steps=3, n_sites=21, seed=seed) for seed in range(2)]
-    batch = CountingBatch(fields, starts)
+    batch = CountingBatch(fields)
     pair = np.zeros((2, 2, 21), dtype=np.complex128)
-    pair[0, COIN_L, list(sites[:-1])] = 1.0
-    pair[1, COIN_R, sites[-1]] = 1e-300  # however small
+    pair[0, COIN_L, 10] = 1.0
+    pair[1, COIN_R, off] = 1e-300  # however small
     tracemalloc.start()
-    with pytest.raises(ValueError, match="amplitude off the cells of its start sites"):
+    with pytest.raises(ValueError, match="amplitude off the central site 10 of 21 sites"):
         next(evolve(np.broadcast_to(pair, (10_000, *pair.shape)), [3], batch))
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert batch.calls == [] and peak < 1_000_000  # the check reads views: a copy of the start is 13 MB
-    pair[1, COIN_R, sites[-1]] = 0.0
-    pair[1, COIN_R, starts[-1]] = 1.0
-    # between two starts of one parity lie cells of their light cone: a start may fill them
-    pair[1, COIN_L, (starts[0] + starts[-1]) // 2] = 1.0
+    pair[1, COIN_R, off] = 0.0
+    pair[1, COIN_R, 10] = 1.0
+    pair[1, COIN_L, 10] = 1.0  # a start may fill both coins of the central site
     [_] = evolve(np.broadcast_to(pair, (2, *pair.shape)), [3], batch)
     assert batch.calls == [1, 2, 3]
 
 
 def test_an_all_zero_start_yields_zeros_at_every_stop():
-    n, o = lattice_for(3)
+    n, _ = lattice_for(3)
     start, stops = np.zeros((3, 2, 2, n), dtype=np.complex128), (0, 2, 2, 3)
-    outs = [amps.copy() for amps in evolve(start, stops, FieldBatch([zero_field(3, n)] * 3, (o, o)))]
+    outs = [amps.copy() for amps in evolve(start, stops, FieldBatch([zero_field(3, n)] * 3))]
     assert len(outs) == len(stops) and all(np.array_equal(amps, start) for amps in outs)
 
 
 @pytest.mark.parametrize("batch", [False, True], ids=["single", "batch"])
 def test_each_stop_yields_a_read_only_view_shaped_like_the_start(batch):
     n, o = lattice_for(3)
-    start = walker_pairs(n, o, 2) if batch else delta_state(n, o, 0, COIN_L)
-    for amps in evolve(start, (0, 1, 3), FieldBatch([zero_field(3, n)] * (2 if batch else 1), (o,))):
+    start = walker_pairs(n, 2) if batch else delta_state(n, COIN_L)
+    for amps in evolve(start, (0, 1, 3), FieldBatch([zero_field(3, n)] * (2 if batch else 1))):
         assert amps.shape == start.shape and not amps.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             amps[..., o] = 1.0
 
 
 def test_field_batch_rejects_mixed_fields():
-    static, o = sampled_fields(DisorderKind.STATIC, 4, (0,)), lattice_for(4)[1]
+    static = sampled_fields(DisorderKind.STATIC, 4, (0,))
     with pytest.raises(ValueError):
-        FieldBatch(static + sampled_fields(DisorderKind.DYNAMIC, 4, (0,)), (o,))
+        FieldBatch(static + sampled_fields(DisorderKind.DYNAMIC, 4, (0,)))
     with pytest.raises(ValueError):
-        FieldBatch(static + sampled_fields(DisorderKind.STATIC, 5, (0,)), (o,))
+        FieldBatch(static + sampled_fields(DisorderKind.STATIC, 5, (0,)))
     with pytest.raises(IndexError):
-        FieldBatch(static, (o,)).coin_factors(5)
+        FieldBatch(static).coin_factors(5)
 
 
 def site_major(amplitudes):
     return np.swapaxes(amplitudes, -1, -2)
 
 
-def dense_pairs(n, o, count, width, stride, seed):
-    """(count, 2, 2, n) batch of random amplitudes on every ``stride``-th site of x in [-width, width]."""
+def random_pairs(n, count, seed):
+    """(count, 2, 2, n) batch of random complex amplitudes on both coins of the central site, per configuration and
+    walker."""
     rng = np.random.default_rng(seed)
     amps = np.zeros((count, 2, 2, n), dtype=np.complex128)
-    sites = slice(o - width, o + width + 1, stride)
-    cells = amps[..., sites].shape
-    amps[..., sites] = rng.normal(size=cells) + 1j * rng.normal(size=cells)
+    amps[..., n // 2] = rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2))
     return amps
 
 
-def other_parity_pairs(n, o, count):
-    """(count, 2, 2, n) batch: walker A in coin L at x=0, walker B in coin R at x=1."""
-    pair = np.stack([delta_state(n, o, 0, COIN_L), delta_state(n, o, 1, COIN_R)])
-    return np.repeat(pair[None], count, axis=0)
-
-
-def site_major_starts(n, o, width):
-    """label: (start, its start sites) of the starts the engine is checked on against the site-major step."""
-    span = range(o - width, o + width + 1)
+def site_major_starts(n):
+    """label: start, of the starts the engine is checked on against the site-major step."""
     return {
-        "one site": (walker_pairs(n, o, 5), (o, o)),
-        "two parities": (other_parity_pairs(n, o, 5), (o, o + 1)),
-        "dense": (dense_pairs(n, o, 5, width, 1, seed=1), span),
-        "dense, one parity": (dense_pairs(n, o, 5, width, 2, seed=2), span[::2]),
-        "all zero": (np.zeros((5, 2, 2, n), dtype=np.complex128), (o,)),
+        "one site": walker_pairs(n, 5),
+        "random": random_pairs(n, 5, seed=1),
+        "all zero": np.zeros((5, 2, 2, n), dtype=np.complex128),
     }
 
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
 def test_evolve_equals_the_site_major_step_bit_for_bit(kind):
     # the coin-major step of the light cone against the site-major step of every site
-    t_max, width = 50, 4
-    fields = sampled_fields(kind, t_max, range(5), (-width, width))
-    n, o = lattice_for(t_max, (-width, width))
-    starts = {"one site, one walker": (delta_state(n, o, 0, COIN_R), (o,)), **site_major_starts(n, o, width)}
-    for label, (start, sites) in starts.items():
+    t_max = 50
+    fields = sampled_fields(kind, t_max, range(5))
+    n, _ = lattice_for(t_max)
+    starts = {"one site, one walker": delta_state(n, COIN_R), **site_major_starts(n)}
+    for label, start in starts.items():
         configs = fields[:len(start) if start.ndim == 4 else 1]
-        batch, reference = FieldBatch(configs, sites), site_major(start)
+        batch, reference = FieldBatch(configs), site_major(start)
         for t in (0, 1, 2, 3, t_max):
             [out] = evolve(start, [t], batch)
             assert out.shape == start.shape
@@ -541,47 +538,36 @@ def test_evolve_equals_the_site_major_step_bit_for_bit(kind):
 
 @pytest.mark.parametrize("kind", [DisorderKind.STATIC, DisorderKind.COMBINED], ids=lambda k: k.value)
 def test_a_walk_through_stops_equals_the_site_major_step_at_every_stop(kind):
-    t_max, width = 30, 4
-    fields = sampled_fields(kind, t_max, range(5), (-width, width))
-    n, o = lattice_for(t_max, (-width, width))
+    t_max = 30
+    fields = sampled_fields(kind, t_max, range(5))
+    n, _ = lattice_for(t_max)
     stops = (0, 1, 2, 5, 6, 17, t_max)
-    for label, (start, sites) in site_major_starts(n, o, width).items():
+    for label, start in site_major_starts(n).items():
         reference = site_major(start)
-        for t, amps in zip(stops, evolve(start, stops, FieldBatch(fields, sites))):
+        for t, amps in zip(stops, evolve(start, stops, FieldBatch(fields))):
             assert np.array_equal(site_major(amps), evolve_site_major(reference, t, fields)), (label, t)
 
 
-def test_light_cone_stride_is_one_when_any_start_differs_in_parity_from_the_lowest():
-    # the span's ends 0 and 2 share a parity, but site 1 does not
-    assert light_cone(0, [0, 1, 2]) == (0, 2, 1)
-    assert light_cone(3, [4, 8, 6]) == (1, 11, 2)
-    assert light_cone(2, [5]) == (3, 7, 2)
-    assert light_cone(1, (3, 6)) == (2, 7, 1)
-
-
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
-@pytest.mark.parametrize("layout", ["one site", "one parity", "two parities"])
-def test_evolve_accepts_the_tightest_lattice_and_a_batch_refuses_one_site_less(layout, kind):
-    # random amplitudes on two starts ``gap`` sites apart, walked ``steps`` steps on hi - lo + 2 steps + 1 sites
-    rng = np.random.default_rng([len(layout), list(DisorderKind).index(kind)])
+def test_evolve_accepts_the_tightest_lattice_and_a_batch_refuses_one_site_less(kind):
+    # random amplitudes on the central site, walked ``steps`` steps on 2 steps + 1 sites
+    rng = np.random.default_rng([8, list(DisorderKind).index(kind)])
     steps = int(rng.integers(1, 13))
-    gap = {"one site": 0, "one parity": 2 * int(rng.integers(1, 4)), "two parities": 2 * int(rng.integers(0, 3)) + 1}
-    n, starts = gap[layout] + 2 * steps + 1, [steps, steps + gap[layout]]
+    n = 2 * steps + 1
     start = np.zeros((3, 2, 2, n), dtype=np.complex128)
-    cells = start[..., starts].shape
-    start[..., starts] = rng.normal(size=cells) + 1j * rng.normal(size=cells)
+    start[..., steps] = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
 
     def fields(n_sites):
         return [sample_phase_field(kind, phi_max=2.5, phi_dynamic=1.5, steps=steps,
                                    n_sites=n_sites, seed=seed) for seed in range(3)]
 
     stops = sorted(rng.integers(0, steps, 2).tolist()) + [steps]
-    for t, amps in zip(stops, evolve(start, stops, FieldBatch(fields(n), starts))):
+    for t, amps in zip(stops, evolve(start, stops, FieldBatch(fields(n)))):
         assert np.array_equal(site_major(amps), evolve_site_major(site_major(start), t, fields(n))), t
     assert amps[..., 0].any() and amps[..., -1].any()  # the last state fills both edge sites
-    for fewer in ([site - 1 for site in starts], starts):  # one site less on the left, on the right
-        with pytest.raises(ValueError, match=re.escape(f"{steps} steps from sites {fewer} leaves the lattice")):
-            FieldBatch(fields(n - 1), fewer)
+    for fewer in (n - 1, n - 2):  # one site less on the right, and one on each side
+        with pytest.raises(ValueError, match=f"of {steps} steps from the central site of {fewer} sites leaves the"):
+            FieldBatch(fields(fewer))
 
 
 @pytest.mark.parametrize("kind, seed", [(DisorderKind.ORDERED, 0), (DisorderKind.DYNAMIC, 5)],
@@ -595,8 +581,8 @@ def test_evolve_equals_the_momentum_space_walk_at_step_100(kind, seed):
     5.0e-16 (dynamic, seed 5) on a 2-core Xeon with numpy 2.4.
     """
     cfg = dataclasses.replace(preset("fig5"), disorder=kind, seed=seed)
-    n_sites, origin = lattice_for(cfg.steps)
+    n_sites, _ = lattice_for(cfg.steps)
     fld = sample_phase_field(kind, phi_max=cfg.phi_max, steps=cfg.steps, n_sites=n_sites, seed=seed)
-    pair = np.stack([delta_state(n_sites, origin, 0, coin) for coin in (COIN_L, COIN_R)])
-    [amps] = evolve(pair[None], [cfg.steps], FieldBatch([fld], [origin]))
+    pair = np.stack([delta_state(n_sites, coin) for coin in (COIN_L, COIN_R)])
+    [amps] = evolve(pair[None], [cfg.steps], FieldBatch([fld]))
     np.testing.assert_allclose(amps[0], fourier_walk(pair, fld.phases, cfg.steps), rtol=0, atol=1e-13)

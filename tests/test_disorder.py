@@ -64,11 +64,11 @@ def test_combined_is_componentwise_sum():
 
 def test_zero_strength_matches_ordered_evolution():
     steps = 15
-    n, o = lattice_for(steps)
+    n, _ = lattice_for(steps)
     zero = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=steps, n_sites=n, seed=3)
-    [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([zero], (o,)))
+    [a] = evolve(delta_state(n, COIN_L), [steps], FieldBatch([zero]))
     ordered = sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n)
-    [b] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([ordered], (o,)))
+    [b] = evolve(delta_state(n, COIN_L), [steps], FieldBatch([ordered]))
     np.testing.assert_array_equal(a, b)
 
 
@@ -199,7 +199,7 @@ def test_all_stored_phases_within_strength():
 
 
 def test_out_of_range_lookup_rejected():
-    batch = FieldBatch([make(DisorderKind.STATIC, steps=5)], (lattice_for(5)[1],))
+    batch = FieldBatch([make(DisorderKind.STATIC, steps=5)])
     for t in (0, 6):
         with pytest.raises(IndexError, match="outside 1..5"):
             batch.coin_factors(t)
@@ -207,40 +207,40 @@ def test_out_of_range_lookup_rejected():
 
 def test_fluctuating_forced_constant_reproduces_static():
     steps = 12
-    n, o = lattice_for(steps)
+    n, _ = lattice_for(steps)
     fluct = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=PI, steps=steps, n_sites=n, seed=8)
     frozen = dataclasses.replace(fluct, phases=np.tile(fluct.phases[:, :1], (1, steps, 1)))
     static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, seed=8)
     static = dataclasses.replace(static, phases=fluct.phases[:, :1])
-    [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([frozen], (o,)))
-    [b] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([static], (o,)))
+    [a] = evolve(delta_state(n, COIN_L), [steps], FieldBatch([frozen]))
+    [b] = evolve(delta_state(n, COIN_L), [steps], FieldBatch([static]))
     np.testing.assert_array_equal(a, b)
 
 
 def test_combined_with_zero_dynamic_reproduces_static():
     steps = 10
-    n, o = lattice_for(steps)
+    n, _ = lattice_for(steps)
     combined = sample_phase_field(
         DisorderKind.COMBINED, phi_max=PI, phi_dynamic=0.0, steps=steps, n_sites=n, seed=21
     )
     static = sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=steps, n_sites=n, seed=21)
     np.testing.assert_array_equal(combined.phases[0], np.broadcast_to(static.phases[0], (steps, n)))
     np.testing.assert_array_equal(combined.phases[1], np.broadcast_to(static.phases[1], (steps, n)))
-    [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([combined], (o,)))
-    [b] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([static], (o,)))
+    [a] = evolve(delta_state(n, COIN_L), [steps], FieldBatch([combined]))
+    [b] = evolve(delta_state(n, COIN_L), [steps], FieldBatch([static]))
     np.testing.assert_array_equal(a, b)
 
 
 def test_combined_with_zero_static_reproduces_fluctuating():
     steps = 10
-    n, o = lattice_for(steps)
+    n, _ = lattice_for(steps)
     combined = sample_phase_field(
         DisorderKind.COMBINED, phi_max=0.0, phi_dynamic=PI, steps=steps, n_sites=n, seed=22
     )
     fluct = sample_phase_field(DisorderKind.FLUCTUATING, phi_max=PI, steps=steps, n_sites=n, seed=22)
     np.testing.assert_array_equal(combined.phases[0], fluct.phases[0])
-    [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([combined], (o,)))
-    [b] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fluct], (o,)))
+    [a] = evolve(delta_state(n, COIN_L), [steps], FieldBatch([combined]))
+    [b] = evolve(delta_state(n, COIN_L), [steps], FieldBatch([fluct]))
     np.testing.assert_array_equal(a, b)
 
 
@@ -319,29 +319,27 @@ def test_a_substream_draws_what_the_spawned_child_draws(seed):
         assert np.array_equal(_substream(seed, index).uniform(size=64), spawned.uniform(size=64))
 
 
-# array indices of the two starts on a lattice of n_sites: one site, one parity, two parities
-@pytest.mark.parametrize("starts, n_sites", [((11, 11), 23), ((9, 13), 23), ((10, 13), 23)],
-                         ids=["one-site", "one-parity", "two-parities"])
+# 8 steps from the central site on the tightest lattice and on larger ones of both parities
+@pytest.mark.parametrize("n_sites", [17, 23, 24], ids=["tightest", "odd", "even"])
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
-def test_coin_factors_are_those_of_the_whole_tables_on_each_row(kind, starts, n_sites):
+def test_coin_factors_are_those_of_the_whole_tables_on_each_row(kind, n_sites):
     # bit for bit against exp(i phi) of each field's own whole table, on the cells of row t - 1
     steps = 8
     fields = [sample_phase_field(kind, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
                                  seed=seed) for seed in range(3)]
-    batch = FieldBatch(iter(fields), starts, len(fields))
-    firsts, counts, stride = light_cone_rows(steps, n_sites, starts)
-    assert batch.starts == starts and stride == (2 if (starts[1] - starts[0]) % 2 == 0 else 1)
+    batch = FieldBatch(iter(fields), len(fields))
+    firsts, counts = light_cone_rows(steps, n_sites)
     for t in range(1, steps + 1):
-        cells = slice(firsts[t - 1], firsts[t - 1] + (counts[t - 1] - 1) * stride + 1, stride)
+        cells = slice(firsts[t - 1], firsts[t - 1] + 2 * counts[t - 1] - 1, 2)
+        assert cells == slice(n_sites // 2 - t + 1, n_sites // 2 + t, 2)
         whole = np.stack([np.exp(1j * table(f)[:, t - 1]) for f in fields])  # (configs, L/R, n_sites)
         for coin, factor in enumerate(batch.coin_factors(t)):
             assert factor.shape == (3, 1, counts[t - 1])
             assert np.array_equal(factor[:, 0], whole[:, coin, cells])
 
 
-@pytest.mark.parametrize("starts", [(9, 13), (10, 13)], ids=["one-parity", "two-parities"])
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
-def test_batch_floats_counts_what_a_batch_keeps_and_a_field_draws(kind, starts, monkeypatch):
+def test_batch_floats_counts_what_a_batch_keeps_and_a_field_draws(kind, monkeypatch):
     # the chunk budget is sized from these counts: kept floats per configuration, drawn floats per field
     steps, n_sites = 8, 23
     drawn = []
@@ -357,51 +355,40 @@ def test_batch_floats_counts_what_a_batch_keeps_and_a_field_draws(kind, starts, 
     monkeypatch.setattr(disorder, "_substream", lambda seed, index: Counting(_substream(seed, index)))
     fields = [sample_phase_field(kind, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
                                  seed=seed) for seed in range(3)]
-    kept, per_field = batch_floats(kind, steps, n_sites, starts)
-    store = FieldBatch(fields, starts)._store
+    kept, per_field = batch_floats(kind, steps, n_sites)
+    store = FieldBatch(fields)._store
     assert len(store) == 3 and kept == store[0].nbytes // 8
     assert per_field == sum(drawn) // 3 == sum(int(np.prod(shape)) for shape in draw_shapes(kind, steps, n_sites))
 
 
 def test_light_cone_rows_follow_the_walk():
-    # starts 6 and 8 on 15 sites: rows widen by one site a side per step, on one parity; the light cone after the
-    # sixth step fills sites 0 .. 14
-    firsts, counts, stride = light_cone_rows(6, 15, (6, 8))
-    assert stride == 2
-    assert firsts.tolist() == [6, 5, 4, 3, 2, 1] and counts.tolist() == [2, 3, 4, 5, 6, 7]
-    firsts, counts, stride = light_cone_rows(3, 11, (4, 5))
-    assert (firsts.tolist(), counts.tolist(), stride) == ([4, 3, 2], [2, 4, 6], 1)
+    # 7 steps from the central site 7 of 15 sites: rows widen by one site a side per step, on one parity; the light
+    # cone after the seventh step fills sites 0 .. 14
+    firsts, counts = light_cone_rows(7, 15)
+    assert firsts.tolist() == [7, 6, 5, 4, 3, 2, 1] and counts.tolist() == [1, 2, 3, 4, 5, 6, 7]
+    firsts, counts = light_cone_rows(3, 10)  # the central site of an even lattice is the right one of the middle two
+    assert (firsts.tolist(), counts.tolist()) == ([5, 4, 3], [1, 2, 3])
 
 
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
-def test_a_batch_refuses_starts_whose_light_cone_leaves_the_lattice(kind):
-    def batch(n_sites, starts, steps=8):
+def test_a_batch_refuses_a_light_cone_that_leaves_the_lattice(kind):
+    def batch(n_sites, steps=8):
         fields = [sample_phase_field(kind, phi_dynamic=1.5, phi_max=2.0, steps=steps, n_sites=n_sites,
                                      seed=seed) for seed in range(3)]
-        return FieldBatch(iter(fields), starts, len(fields))
+        return FieldBatch(iter(fields), len(fields))
 
-    # 8 steps from sites 8 and 10 fill sites 0 .. 18: the tightest lattice holds them, one site less on either side
-    # does not, nor does the lattice of 9 sites on which starts 2 and 4 once packed rows cut to the lattice
-    assert batch(19, (8, 10)).steps == 8
-    for n_sites, starts in ((18, (7, 9)), (18, (8, 10)), (9, (2, 4))):
+    # 8 steps from the central site fill sites 0 .. 16: the tightest lattice holds them, one or two sites less do
+    # not, nor does the lattice of 9 sites, on which rows once packed cut to the lattice
+    assert batch(17).steps == 8
+    for n_sites in (16, 15, 9):
+        with pytest.raises(ValueError, match=f"8 steps from the central site of {n_sites} sites leaves the lattice"):
+            batch(n_sites)
         with pytest.raises(ValueError, match="leaves the lattice"):
-            batch(n_sites, starts)
-        with pytest.raises(ValueError, match="leaves the lattice"):
-            light_cone_rows(8, n_sites, starts)
-
-    def no_draws():
-        pytest.fail("drew a field")
-        yield
-
-    # no start once raised from min(), a fractional or string start TypeError, and True walked from site 1
-    n, o = lattice_for(8)
-    for starts in ((), (o + 0.5,), (True,), ("3",), (o, o + 0.5)):
-        with pytest.raises(ValueError, match="start site|entry of starts"):
-            FieldBatch(no_draws(), starts, 3)
+            light_cone_rows(8, n_sites)
 
 
 def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
-    n, o = lattice_for(6)
+    n, _ = lattice_for(6)
     alive = []
 
     def draws():
@@ -412,17 +399,17 @@ def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
             yield fld
             del fld
 
-    batch = FieldBatch(draws(), (o, o), 4)
+    batch = FieldBatch(draws(), 4)
     assert len(alive) == 4
     assert batch.coin_factors(6)[0].shape == (4, 1, 6)
     with pytest.raises(ValueError, match="got 4 fields"):
-        FieldBatch(draws(), (o, o), 5)
+        FieldBatch(draws(), 5)
     with pytest.raises(ValueError, match="got more fields"):  # the fourth field was once dropped without a word
-        FieldBatch(draws(), (o, o), 3)
+        FieldBatch(draws(), 3)
     static = [sample_phase_field(DisorderKind.STATIC, phi_max=PI, steps=6, n_sites=n, seed=seed)
               for seed in range(5)]
     with pytest.raises(ValueError, match="got more fields"):
-        FieldBatch(static, (o, o), 3)
+        FieldBatch(static, 3)
     advanced = []
 
     def recorded():
@@ -432,7 +419,7 @@ def test_a_batch_drops_each_drawn_field_before_drawing_the_next():
     # True and 1.0 once raised TypeError from inside numpy and range
     for configs in (True, 1.0, 0):
         with pytest.raises(ValueError, match="configs"):
-            FieldBatch(recorded(), (o, o), configs)
+            FieldBatch(recorded(), configs)
     assert not advanced
 
 

@@ -36,10 +36,10 @@ VARIANCE_3STEP = {"bosonic": 7.5, "fermionic": 3.5}
 def three_step_joint(sym):
     """Position-level joint of the 3-step ordered walk and the signed positions of its rows."""
     steps = 3
-    n, o = lattice_for(steps, (0, 0))
-    fld = FieldBatch([sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n)], (o, o))
-    [a] = evolve(delta_state(n, o, 0, COIN_L), [steps], fld)
-    [b] = evolve(delta_state(n, o, 0, COIN_R), [steps], fld)
+    n, o = lattice_for(steps)
+    fld = FieldBatch([sample_phase_field(DisorderKind.ORDERED, steps=steps, n_sites=n)])
+    [a] = evolve(delta_state(n, COIN_L), [steps], fld)
+    [b] = evolve(delta_state(n, COIN_R), [steps], fld)
     return aggregate_to_positions(joint_mode_distribution(a, b, sym)), np.arange(n) - o
 
 
@@ -139,10 +139,10 @@ def test_entropy_and_mi_invariant_under_relabeling():
 
 def test_product_joint_variance_is_sum_of_single_variances():
     steps = 12
-    n, o = lattice_for(steps, (0, 0))
+    n, o = lattice_for(steps)
     fld = sample_phase_field(DisorderKind.STATIC, phi_max=np.pi, steps=steps, n_sites=n, seed=40)
-    [psi_a] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fld], (o,)))
-    [psi_b] = evolve(delta_state(n, o, 0, COIN_R), [steps], FieldBatch([fld], (o,)))
+    [psi_a] = evolve(delta_state(n, COIN_L), [steps], FieldBatch([fld]))
+    [psi_b] = evolve(delta_state(n, COIN_R), [steps], FieldBatch([fld]))
     x = (np.arange(n) - o).astype(float)
 
     def prob(state):
@@ -289,10 +289,10 @@ def test_chunked_batches_equal_per_walker_evolve_bitwise(monkeypatch, kind, budg
     tasks = observables._chunk_tasks(members, [cfg.steps], _amplitudes, 0, n_jobs)
     assert len(tasks) == chunks
     batched = [pair for task in tasks for pair in observables._run_chunk(task)[0]]
-    n, o = lattice_for(cfg.steps)
+    n, _ = lattice_for(cfg.steps)
     for i, (amps_a, amps_b) in enumerate(batched):
         fld = observables._field_for(cfg, cfg.seed + i, n)
-        [alone_a], [alone_b] = (evolve(delta_state(n, o, 0, coin), [cfg.steps], FieldBatch([fld], (o,)))
+        [alone_a], [alone_b] = (evolve(delta_state(n, coin), [cfg.steps], FieldBatch([fld]))
                                 for coin in (COIN_L, COIN_R))
         assert np.array_equal(amps_a, alone_a) and np.array_equal(amps_b, alone_b)
 
@@ -433,9 +433,8 @@ def test_a_preset_scale_joint_map_chunk_stays_within_its_memory_budget():
     # 2.4; counting only the 5 x 51 floats of factors and a marginal kept, 221 configurations fit and peaked at
     # 1.13 budgets.
     cfg = dataclasses.replace(preset("fig3"), configs=300)
-    n, o = lattice_for(cfg.steps)
-    lo, _, stride = light_cone(cfg.steps, [o])
-    cells = slice(lo % stride, None, stride)
+    n, _ = lattice_for(cfg.steps)
+    cells = slice(light_cone(cfg.steps, n)[0] % 2, None, 2)
     s = len(range(n)[cells])
     measure = partial(observables._measure_joints, cells)
     members = [(cfg, cfg.seed + i) for i in range(cfg.configs)]
@@ -460,12 +459,12 @@ def mode_reference_average(cfg):
     marginal summed over the coin); each is summed over the configurations in
     order and divided once.
     """
-    n, o = lattice_for(cfg.steps)
+    n, _ = lattice_for(cfg.steps)
     sums, marg, mode_marg = {sym: np.zeros((n, n)) for sym in ExchangeSymmetry}, np.zeros(n), np.zeros(n)
     for i in range(cfg.configs):
-        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n)], [o])
-        [a] = evolve(delta_state(n, o, 0, COIN_L), [cfg.steps], fld)
-        [b] = evolve(delta_state(n, o, 0, COIN_R), [cfg.steps], fld)
+        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n)])
+        [a] = evolve(delta_state(n, COIN_L), [cfg.steps], fld)
+        [b] = evolve(delta_state(n, COIN_R), [cfg.steps], fld)
         for sym, acc in sums.items():
             acc += aggregate_to_positions(joint_mode_distribution(a, b, sym))
         p_a, p_b = ((w.real**2 + w.imag**2).sum(axis=0) for w in (a, b))
@@ -513,10 +512,10 @@ def test_series_values_equal_the_observables_of_mode_reference_joints(observable
     [series] = ensemble_run([cfg], observable, eval_steps=stops)
     assert list(series) == list(ExchangeSymmetry)
     n, o = lattice_for(cfg.steps)
-    fld = FieldBatch([observables._field_for(cfg, cfg.seed, n)], [o])
+    fld = FieldBatch([observables._field_for(cfg, cfg.seed, n)])
     for i, t in enumerate(stops):
-        [a] = evolve(delta_state(n, o, 0, COIN_L), [t], fld)
-        [b] = evolve(delta_state(n, o, 0, COIN_R), [t], fld)
+        [a] = evolve(delta_state(n, COIN_L), [t], fld)
+        [b] = evolve(delta_state(n, COIN_R), [t], fld)
         cone = slice(o - t, o + t + 1)
         for sym in ExchangeSymmetry:
             ref = aggregate_to_positions(joint_mode_distribution(a[:, cone], b[:, cone], sym))
@@ -670,11 +669,11 @@ def test_average_joints_bunch_bosons_and_antibunch_fermions(kind):
     # walkers, (p_a(x) p_b(y) + p_b(x) p_a(y)) / 2, here from the mode-level product of the two marginals, and
     # on the diagonal it adds to bosons what it takes from fermions (bunching).
     cfg = ordered_cfg(disorder=kind, phi_max=np.pi, configs=5, seed=21, steps=14)
-    n, o = lattice_for(cfg.steps)
+    n, _ = lattice_for(cfg.steps)
     distinguishable = np.zeros((n, n))
     for i in range(cfg.configs):
-        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n)], (o,))
-        [a], [b] = (evolve(delta_state(n, o, 0, coin), [cfg.steps], fld) for coin in (COIN_L, COIN_R))
+        fld = FieldBatch([observables._field_for(cfg, cfg.seed + i, n)])
+        [a], [b] = (evolve(delta_state(n, coin), [cfg.steps], fld) for coin in (COIN_L, COIN_R))
         a, b = a.T.reshape(-1), b.T.reshape(-1)
         product = np.outer(np.abs(a) ** 2, np.abs(b) ** 2)
         distinguishable += aggregate_to_positions(0.5 * (product + product.T))

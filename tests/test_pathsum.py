@@ -38,7 +38,7 @@ def test_two_steps_with_uniform_static_phases_match_engine():
     fld = sample_phase_field(DisorderKind.STATIC, phi_max=0.0, steps=steps, n_sites=n, seed=0)
     fld = dataclasses.replace(fld, phases=np.stack([np.full((1, n), np.pi), np.zeros((1, n))]))
     slow = path_sum_amplitudes(o, COIN_L, steps, fld)
-    [state] = evolve(delta_state(n, o, 0, COIN_L), [steps], FieldBatch([fld], (o,)))
+    [state] = evolve(delta_state(n, COIN_L), [steps], FieldBatch([fld]))
     assert slow.shape == state.shape == (2, n)
     assert np.abs(state - slow).max() <= 1e-12
 
@@ -88,7 +88,7 @@ def test_engine_matches_path_sum_across_kinds():
             kind, phi_max=np.pi, phi_dynamic=np.pi,
             steps=t, n_sites=n, seed=int(rng.integers(2**32)),
         )
-        [state] = evolve(delta_state(n, o, 0, coin), [t], FieldBatch([fld], (o,)))
+        [state] = evolve(delta_state(n, coin), [t], FieldBatch([fld]))
         slow = path_sum_amplitudes(o, coin, t, fld)
         assert slow.shape == state.shape == (2, n)
         assert np.abs(state - slow).max() <= 1e-10
@@ -102,6 +102,6 @@ def test_path_sum_with_swapped_coin_rows_disagrees_with_the_engine(kind, coin):
     n, o = lattice_for(t)
     fld = sample_phase_field(kind, phi_max=np.pi, phi_dynamic=np.pi, steps=t, n_sites=n, seed=5)
     swapped = dataclasses.replace(fld, phases=fld.phases[::-1])
-    [state] = evolve(delta_state(n, o, 0, coin), [t], FieldBatch([fld], (o,)))
+    [state] = evolve(delta_state(n, coin), [t], FieldBatch([fld]))
     assert np.abs(state - path_sum_amplitudes(o, coin, t, fld)).max() <= 1e-10
     assert np.abs(state - path_sum_amplitudes(o, coin, t, swapped)).max() > 1e-2

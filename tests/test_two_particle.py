@@ -13,18 +13,25 @@ SYMS = (BOS, FER)
 ORIGIN = 2  # array index of x = 0 in ``delta_pair``
 
 
+def delta(x, coin):
+    """The (2, 6) amplitudes of a walker at position ``x`` with a definite coin state."""
+    amps = np.zeros((2, 6), dtype=np.complex128)
+    amps[coin, x + ORIGIN] = 1.0
+    return amps
+
+
 def delta_pair(a=(0, COIN_L), b=(1, COIN_R)):
-    return delta_state(6, ORIGIN, *a), delta_state(6, ORIGIN, *b)
+    return delta(*a), delta(*b)
 
 
-def evolved_pair(kind=DisorderKind.FLUCTUATING, steps=10, seed=5, a=(0, COIN_L), b=(0, COIN_R)):
-    """(a, b, signed positions) of two walkers evolved under one field."""
-    n, o = lattice_for(steps, (a[0], b[0]))
+def evolved_pair(kind=DisorderKind.FLUCTUATING, steps=10, seed=5):
+    """(a, b, signed positions) of two walkers from the central site's coins L and R, evolved under one field."""
+    n, o = lattice_for(steps)
     fld = FieldBatch([sample_phase_field(
         kind, phi_max=np.pi, phi_dynamic=np.pi,
         steps=steps, n_sites=n, seed=seed,
-    )], (o + a[0], o + b[0]))
-    [amps_a], [amps_b] = evolve(delta_state(n, o, *a), [steps], fld), evolve(delta_state(n, o, *b), [steps], fld)
+    )])
+    [amps_a], [amps_b] = (evolve(delta_state(n, coin), [steps], fld) for coin in (COIN_L, COIN_R))
     return amps_a, amps_b, np.arange(n) - o
 
 
@@ -167,10 +174,10 @@ def test_joint_builder_equals_mode_reference_on_evolved_walkers(kind):
     t_max = 100
     n, o = lattice_for(t_max)
     fld = FieldBatch([sample_phase_field(kind, phi_max=np.pi, phi_dynamic=np.pi,
-                                         steps=t_max, n_sites=n, seed=17)], (o, o))
+                                         steps=t_max, n_sites=n, seed=17)])
     stops, builder = (0, 1, 10, 31, 32, 33, 60, 100), JointBuilder()
     x = np.arange(n) - o
-    walks = (evolve(delta_state(n, o, 0, coin), stops, fld) for coin in (COIN_L, COIN_R))
+    walks = (evolve(delta_state(n, coin), stops, fld) for coin in (COIN_L, COIN_R))
     for t, a, b in zip(stops, *walks):
         assert_blocks_equal_mode_reference(builder, a, b, x, walk_cells(x, t))
         cone = slice(o - t, o + t + 1)
@@ -218,8 +225,9 @@ def light_cone(a, b, positions, lo, hi):
 
 @pytest.mark.parametrize("t", [10, 40, 100])
 def test_walkers_on_different_parities_take_the_dense_path(t):
-    # starts on sites 0 and 1: at every step one walker sits on each parity
-    a, b, x = evolved_pair(steps=t, a=(0, COIN_L), b=(1, COIN_R))
+    # the partner shifted one site right, built without evolve: at every step one walker sits on each parity
+    a, b, x = evolved_pair(steps=t)
+    b = np.roll(b, 1, axis=1)  # the last site, beyond the light cone, holds no amplitude to wrap
     assert all(a[:, p::2].any() or b[:, p::2].any() for p in (0, 1))
     assert_built_on(a, b, x, slice(None))
     o = int(np.flatnonzero(x == 0)[0])
@@ -258,15 +266,17 @@ def test_entropy_of_the_quarter_equals_that_of_the_placed_joint(t, region):
 
 
 @pytest.mark.parametrize("t", [10, 40])  # light cones of 21/22 and 81/82 sites: both sides of 64 sites
-@pytest.mark.parametrize("start_b", [(0, COIN_R), (1, COIN_R)], ids=["one-parity", "two-parities"])
-def test_grouped_quarters_equal_per_configuration_calls(t, start_b):
+@pytest.mark.parametrize("shift", [0, 1], ids=["one-parity", "two-parities"])
+def test_grouped_quarters_equal_per_configuration_calls(t, shift):
     # a batch of five configurations' light cones, built in groups of one, two, two cut by a partial third, three
-    # and two, and all five, each group's blocks read before the builder's next call overwrites them
-    pairs = [evolved_pair(steps=t, seed=seed, b=start_b) for seed in range(5)]
+    # and two, and all five, each group's blocks read before the builder's next call overwrites them; walker B is
+    # shifted ``shift`` sites right, without evolve, so that by one site it sits on the other parity
+    pairs = [evolved_pair(steps=t, seed=seed) for seed in range(5)]
     o = int(np.flatnonzero(pairs[0][2] == 0)[0])
-    cone = slice(o - t, o + start_b[0] + t + 1)
-    a, b = (np.stack([pair[w][:, cone] for pair in pairs]) for w in (0, 1))
-    cells = slice(None, None, 1 if start_b[0] else 2)
+    cone = slice(o - t, o + shift + t + 1)
+    a = np.stack([pair[0][:, cone] for pair in pairs])
+    b = np.stack([np.roll(pair[1], shift, axis=1)[:, cone] for pair in pairs])
+    cells = slice(None, None, 2 - shift)
     want = [JointBuilder().quarters(a[i], b[i], SYMS, cells) for i in range(len(pairs))]
     for groups in ([1] * 5, [2, 2, 1], [3, 2], [5]):
         builder, first = JointBuilder(), 0
