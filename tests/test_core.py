@@ -179,6 +179,19 @@ def test_norm_drift_over_100_steps():
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("spare", [0, 1], ids=["odd", "even"])
+def test_an_ordered_walk_mirrors_about_the_central_site(spare):
+    # the symmetric start (|L> + i|R>)/sqrt(2) spreads the same way to both sides of the site it starts on, which is
+    # n_sites // 2 also on an even lattice, where it is the right one of the middle two
+    t = 9
+    n = lattice_for(t)[0] + spare
+    amps = INV_SQRT2 * delta_state(n, COIN_L) + 1j * INV_SQRT2 * delta_state(n, COIN_R)
+    [state] = evolve(amps, [t], FieldBatch([zero_field(t, n)]))
+    p, o = probabilities(state), n // 2
+    assert p[o - t] > 0 and p[o + t] > 0 and not p[:o - t].any() and not p[o + t + 1:].any()
+    np.testing.assert_allclose(p[o - t:o + t + 1], p[o - t:o + t + 1][::-1], rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("t", [100, 200])
 def test_ordered_hadamard_variance_tends_to_nayak_vishwanath_limit(t):
     """Var(x)/t^2 -> 1 - 1/sqrt(2) for the ordered Hadamard walk (Nayak & Vishwanath, quant-ph/0010117).
@@ -446,8 +459,10 @@ def test_a_start_on_another_lattice_is_rejected_before_any_step(kind, n_sites):
     assert batch.calls == []
 
 
-# the site next to the central site 10 of a 21-site lattice that holds amplitude of a start
-OFF_CELLS = {"left of one site": 9, "right of one site": 11}
+# a site of a 21-site lattice, other than the central site 10, that holds amplitude of a start: the sites next to
+# it, the sites of its own parity next to it, and the edge sites
+OFF_CELLS = {"left of one site": 9, "right of one site": 11, "two left, same parity": 8,
+             "two right, same parity": 12, "left edge": 0, "right edge": 20}
 
 
 @pytest.mark.parametrize("off", OFF_CELLS.values(), ids=OFF_CELLS.keys())
@@ -548,14 +563,19 @@ def test_a_walk_through_stops_equals_the_site_major_step_at_every_stop(kind):
             assert np.array_equal(site_major(amps), evolve_site_major(reference, t, fields)), (label, t)
 
 
+# the coin modes of the central site that a start fills
+START_COINS = {"coin L": [COIN_L], "coin R": [COIN_R], "both coins": [COIN_L, COIN_R]}
+
+
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
-def test_evolve_accepts_the_tightest_lattice_and_a_batch_refuses_one_site_less(kind):
+@pytest.mark.parametrize("coins", START_COINS.values(), ids=START_COINS.keys())
+def test_evolve_accepts_the_tightest_lattice_and_a_batch_refuses_one_site_less(coins, kind):
     # random amplitudes on the central site, walked ``steps`` steps on 2 steps + 1 sites
     rng = np.random.default_rng([8, list(DisorderKind).index(kind)])
     steps = int(rng.integers(1, 13))
     n = 2 * steps + 1
     start = np.zeros((3, 2, 2, n), dtype=np.complex128)
-    start[..., steps] = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+    start[..., coins, steps] = rng.normal(size=(3, 2, len(coins))) + 1j * rng.normal(size=(3, 2, len(coins)))
 
     def fields(n_sites):
         return [sample_phase_field(kind, phi_max=2.5, phi_dynamic=1.5, steps=steps,

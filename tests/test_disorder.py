@@ -338,10 +338,12 @@ def test_coin_factors_are_those_of_the_whole_tables_on_each_row(kind, n_sites):
             assert np.array_equal(factor[:, 0], whole[:, coin, cells])
 
 
+@pytest.mark.parametrize("n_sites", [17, 23, 24], ids=["tightest", "odd", "even"])
 @pytest.mark.parametrize("kind", list(DisorderKind), ids=lambda k: k.value)
-def test_batch_floats_counts_what_a_batch_keeps_and_a_field_draws(kind, monkeypatch):
-    # the chunk budget is sized from these counts: kept floats per configuration, drawn floats per field
-    steps, n_sites = 8, 23
+def test_batch_floats_counts_what_a_batch_keeps_and_a_field_draws(kind, n_sites, monkeypatch):
+    # the chunk budget is sized from these counts: kept floats per configuration, drawn floats per field, for 8
+    # steps on the tightest lattice and on larger ones of both parities
+    steps = 8
     drawn = []
 
     class Counting:
